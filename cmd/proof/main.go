@@ -110,8 +110,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "session cache: %d hits, %d misses, %d dedups, %d evictions, %d cached\n",
 				st.Hits, st.Misses, st.Dedups, st.Evictions, st.Size)
 			ms := memoStore.Stats()
-			fmt.Fprintf(os.Stderr, "layer memo: %d unit hits, %d misses, %d dedups, %d evictions, %d invalidations, %d plan hits, %d plan misses, %.1f%% hit ratio\n",
-				ms.Hits, ms.Misses, ms.Dedups, ms.Evictions, ms.Invalidations,
+			fmt.Fprintf(os.Stderr, "layer memo: %d unit hits, %d misses, %d dedups, %d evictions, %d plan hits, %d plan misses, %.1f%% hit ratio\n",
+				ms.Hits, ms.Misses, ms.Dedups, ms.Evictions,
 				ms.PlanHits, ms.PlanMisses, 100*ms.HitRatio())
 		}()
 	}

@@ -14,7 +14,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"proof/internal/analysis"
 	"proof/internal/graph"
@@ -74,17 +73,6 @@ type Layer struct {
 	Opaque bool
 	// Kernels lists the lowered kernels of this layer.
 	Kernels []Kernel
-}
-
-// Profile is the output of a backend's built-in profiler: per-layer and
-// end-to-end latency. This is all that prediction mode needs (§3.3).
-type Profile struct {
-	// LayerLatency maps backend layer name to its measured latency.
-	LayerLatency map[string]time.Duration
-	// Order lists layer names in execution order.
-	Order []string
-	// Total is the end-to-end latency of one inference.
-	Total time.Duration
 }
 
 // Mapping is the result of layer mapping: backend layer name to the
@@ -154,9 +142,10 @@ type execLayer struct {
 }
 
 // Engine is a built (optimized) model on a backend, ready to execute.
-// The public surface (Layers, Profile, Kernels) models what a real
-// runtime exposes; the ground-truth internals are only available to the
-// simulator and to tests via GroundTruth.
+// The public surface (Layers with their kernels, per-layer timings)
+// models what a real runtime and its built-in profiler expose; the
+// ground-truth internals are only available to the simulator and to
+// tests via GroundTruth.
 type Engine struct {
 	backendName string
 	cfg         Config
@@ -184,20 +173,6 @@ func (e *Engine) Layers() []Layer {
 	return out
 }
 
-// Profile runs the built-in profiler: it simulates one inference and
-// returns per-layer latencies. seed varies run-to-run jitter.
-func (e *Engine) Profile(seed uint64) (*Profile, error) {
-	cfg := e.simConfig(seed)
-	p := &Profile{LayerLatency: make(map[string]time.Duration, len(e.layers))}
-	for _, l := range e.layers {
-		t := sim.SimulateLayer(l.work, cfg)
-		p.LayerLatency[l.public.Name] = t.Latency
-		p.Order = append(p.Order, l.public.Name)
-		p.Total += t.Latency
-	}
-	return p, nil
-}
-
 // Timings runs the simulator and returns the detailed per-layer timing
 // records (compute/memory split, actual traffic) in execution order —
 // the ground-truth execution internal/ncusim measures.
@@ -207,8 +182,8 @@ func (e *Engine) Timings(seed uint64) []sim.Timing {
 
 // TimingsInto is the allocation-free form of Timings: it simulates into
 // dst's backing array when the capacity suffices (growing it otherwise)
-// and returns the filled slice. The per-request profiling hot path
-// pools these buffers across requests.
+// and returns the filled slice, so a caller that re-simulates an engine
+// can reuse one buffer.
 //
 //lint:hotpath
 func (e *Engine) TimingsInto(dst []sim.Timing, seed uint64) []sim.Timing {
@@ -234,9 +209,10 @@ func (e *Engine) WorkKeys() []string {
 	return out
 }
 
-// LayerTiming simulates a single layer by execution index. The memoized
-// analysis path uses it to profile exactly the units the store is
-// missing instead of re-simulating the whole engine.
+// LayerTiming simulates a single layer by execution index — the
+// built-in profiler's per-layer latency. The pipeline tail uses it to
+// profile exactly the units a memo store is missing (every unit when
+// the run has no store) instead of re-simulating the whole engine.
 func (e *Engine) LayerTiming(i int, seed uint64) sim.Timing {
 	return sim.SimulateLayer(e.layers[i].work, e.simConfig(seed))
 }

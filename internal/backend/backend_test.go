@@ -4,6 +4,7 @@ import (
 	"context"
 	"sort"
 	"testing"
+	"time"
 
 	"proof/internal/analysis"
 	"proof/internal/backend"
@@ -13,6 +14,7 @@ import (
 	"proof/internal/graph"
 	"proof/internal/hardware"
 	"proof/internal/models"
+	"proof/internal/sim"
 )
 
 func buildRep(t *testing.T, model string, batch int, dt graph.DataType) *analysis.Rep {
@@ -117,6 +119,15 @@ func TestMappingReconstructsGroundTruth(t *testing.T) {
 	}
 }
 
+// totalLatency is the end-to-end latency of one simulated inference.
+func totalLatency(ts []sim.Timing) time.Duration {
+	var total time.Duration
+	for _, t := range ts {
+		total += t.Latency
+	}
+	return total
+}
+
 func TestEngineProfileDeterminismAndJitter(t *testing.T) {
 	plat, _ := hardware.Get("a100")
 	rep := buildRep(t, "resnet-50", 8, graph.Float16)
@@ -125,31 +136,28 @@ func TestEngineProfileDeterminismAndJitter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1, err := eng.Profile(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p1b, _ := eng.Profile(1)
-	if p1.Total != p1b.Total {
+	t1 := eng.Timings(1)
+	total1 := totalLatency(t1)
+	if total1 != totalLatency(eng.Timings(1)) {
 		t.Error("same seed must be deterministic")
 	}
-	p2, _ := eng.Profile(2)
-	if p1.Total == p2.Total {
+	total2 := totalLatency(eng.Timings(2))
+	if total1 == total2 {
 		t.Error("different seeds should produce run-to-run jitter")
 	}
-	rel := float64(p1.Total-p2.Total) / float64(p1.Total)
+	rel := float64(total1-total2) / float64(total1)
 	if rel < 0 {
 		rel = -rel
 	}
 	if rel > 0.05 {
 		t.Errorf("run-to-run jitter %.2f%% too large", rel*100)
 	}
-	if p1.Total <= 0 {
+	if total1 <= 0 {
 		t.Error("total latency must be positive")
 	}
-	for _, name := range p1.Order {
-		if p1.LayerLatency[name] <= 0 {
-			t.Errorf("layer %q latency not positive", name)
+	for i, l := range eng.Layers() {
+		if t1[i].Latency <= 0 {
+			t.Errorf("layer %q latency not positive", l.Name)
 		}
 	}
 }
@@ -353,14 +361,14 @@ func TestDTypeAffectsLatency(t *testing.T) {
 
 	rep16 := buildRep(t, "resnet-50", 32, graph.Float16)
 	e16, _ := be.Build(context.Background(), rep16, backend.Config{Platform: plat, DType: graph.Float16, Batch: 32})
-	p16, _ := e16.Profile(0)
+	lat16 := totalLatency(e16.Timings(0))
 
 	rep32 := buildRep(t, "resnet-50", 32, graph.Float32)
 	e32, _ := be.Build(context.Background(), rep32, backend.Config{Platform: plat, DType: graph.Float32, Batch: 32})
-	p32, _ := e32.Profile(0)
+	lat32 := totalLatency(e32.Timings(0))
 
-	if p16.Total >= p32.Total {
-		t.Errorf("fp16 (%v) should be faster than fp32 (%v) on A100", p16.Total, p32.Total)
+	if lat16 >= lat32 {
+		t.Errorf("fp16 (%v) should be faster than fp32 (%v) on A100", lat16, lat32)
 	}
 }
 

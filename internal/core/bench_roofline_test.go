@@ -14,7 +14,6 @@ import (
 	"proof/internal/hardware"
 	"proof/internal/models"
 	"proof/internal/roofline"
-	"proof/internal/sim"
 )
 
 var rooflineBenchOut = flag.String("roofline-bench-out", "", "write the roofline hot-path benchmark artifact (BENCH_roofline.json) to this path")
@@ -132,20 +131,6 @@ func TestLayerPointMappingZeroAlloc(t *testing.T) {
 	if n != 0 {
 		t.Fatalf("layer->point mapping allocates %v per pass, want 0", n)
 	}
-}
-
-// TestProfilePipelineTimingsPooled checks the pool actually feeds the
-// pipeline: two sequential profiles must reuse the timing scratch (the
-// second run's pool Get returns the first run's buffer).
-func TestProfilePipelineTimingsPooled(t *testing.T) {
-	if _, err := Profile(Options{Model: "resnet-18", Platform: "a100", Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
-	buf := timingsPool.Get().(*[]sim.Timing)
-	if cap(*buf) == 0 {
-		t.Error("timings pool empty after a profile: hot path is not returning its scratch")
-	}
-	timingsPool.Put(buf)
 }
 
 // rooflineBenchArtifact is the committed BENCH_roofline.json schema:

@@ -1,15 +1,14 @@
 // Package core orchestrates the full PRoof pipeline (Figure 1): model →
-// analysis representation → backend build → built-in-profiler latencies
-// → layer mapping → per-layer metrics (analytically predicted, or
-// measured via simulated hardware counters) → end-to-end and layer-wise
-// roofline analysis → report.
+// analysis representation → backend build → layer mapping → per-layer
+// units (built-in-profiler latency plus metrics analytically predicted,
+// or measured via simulated hardware counters) → end-to-end and
+// layer-wise roofline analysis → report.
 package core
 
 import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"proof/internal/analysis"
@@ -58,8 +57,8 @@ func ParseMode(s string) (Mode, error) {
 
 // Options configures one profiling run.
 type Options struct {
-	// Model is the zoo key ("resnet-50", ...). Ignored when Graph is
-	// set.
+	// Model is the zoo key ("resnet-50", ...). When Graph is set, Model
+	// is only the report's display name (empty = Graph.Name).
 	Model string
 	// Graph optionally supplies a pre-built model graph. It is
 	// modified in place (rebatching, dtype conversion).
@@ -87,12 +86,12 @@ type Options struct {
 	IgnoreSupport bool
 	// Memo optionally attaches a layer-unit memo store (internal/memo):
 	// predicted-mode, constant-roofline runs then resolve per-layer
-	// results through the store — profiling only units it has not seen —
+	// units through the store — profiling only units it has not seen —
 	// and whole points repeated with an identical configuration are
 	// assembled from a cached plan without building the model at all.
-	// Other modes run the full pipeline unchanged. Memoized reports are
-	// byte-identical to unmemoized ones (the differential suite in
-	// internal/memo enforces this).
+	// Measured mode and MeasuredRoofline runs ignore the store. Every
+	// run, with or without a store, assembles its report in the same
+	// tail, so memoized reports are byte-identical to unmemoized ones.
 	Memo *memo.Store
 	// GraphDigest optionally carries memo.GraphDigest(Graph), computed
 	// once by callers that profile the same graph at many sweep points.
@@ -176,27 +175,26 @@ type Report struct {
 // against this type rather than the concrete function.
 type ProfileFunc func(context.Context, Options) (*Report, error)
 
-// timingsPool recycles the per-request simulation scratch: one
-// []sim.Timing per concurrent profile, reused via Engine.TimingsInto so
-// steady-state requests do not allocate timing slices at all.
-var timingsPool = sync.Pool{New: func() any { return new([]sim.Timing) }}
-
 // Profile runs the full PRoof pipeline.
 func Profile(opts Options) (*Report, error) {
 	return ProfileCtx(context.Background(), opts)
 }
 
 // ProfileCtx runs the full PRoof pipeline, honoring cancellation and
-// deadline between pipeline stages (model build, backend build,
-// profiling, layer mapping, metric collection). The pipeline stages
-// themselves are synchronous; ctx is checked at each stage boundary so
-// an abandoned request stops doing work at the next opportunity.
+// deadline between pipeline stages (model build, backend build, layer
+// mapping, metric collection). The pipeline stages themselves are
+// synchronous; ctx is checked at each stage boundary so an abandoned
+// request stops doing work at the next opportunity.
+//
+// Every run ends in the same tail: resolve each backend layer's unit,
+// then assemble the report from the point's plan and its units (see
+// resolveUnits and assemble). A memo plan hit runs only the assembly.
 //
 // When an obs.Tracer is installed in ctx, the run is recorded as a
 // "pipeline" span with one child span per stage (model_build,
-// backend_build, profile, layer_map, roofline, measure, analysis) —
-// the profiler profiling itself. With no tracer installed the
-// instrumentation is a true no-op.
+// backend_build, layer_map, roofline, measure, analysis) — the profiler
+// profiling itself. A plan hit records only the analysis stage. With no
+// tracer installed the instrumentation is a true no-op.
 func ProfileCtx(ctx context.Context, opts Options) (*Report, error) {
 	ctx, pipe := obs.Start(ctx, "pipeline")
 	rep, err := profilePipeline(ctx, opts, pipe)
@@ -239,37 +237,31 @@ func profilePipeline(ctx context.Context, opts Options, pipe *obs.Span) (*Report
 	pipe.SetAttr("dtype", dt.String())
 	pipe.SetAttr("mode", string(mode))
 
-	// Memo fast path: a point already profiled under an identical
-	// configuration is assembled from its cached plan, skipping model
-	// build, backend build, profiling and mapping entirely.
-	mp := prepareMemoPoint(opts, plat, dt, batch, backendKey, mode)
-	if mp != nil {
-		report, done, err := mp.tryFastPath(opts)
-		if err != nil {
+	// Zoo models resolve before any cache is consulted, so a cached plan
+	// can never mask an unknown-model or unsupported-platform error.
+	var info models.Info
+	if opts.Graph == nil {
+		if info, err = zooModel(opts.Model, plat, opts.IgnoreSupport); err != nil {
 			return nil, err
 		}
-		if done {
-			pipe.SetAttr("memo", "hit")
-			return report, nil
-		}
+	}
+
+	// Memo fast path: a point already profiled under an identical
+	// configuration is assembled from its cached plan, skipping model
+	// build, backend build and mapping entirely.
+	mp := prepareMemoPoint(opts, plat, dt, batch, backendKey, mode)
+	if plan, units := mp.cached(); plan != nil {
+		pipe.SetAttr("memo", "hit")
+		_, asp := obs.Start(ctx, "analysis")
+		defer asp.End()
+		rl := roofline.NewModel(plat, plan.EffectiveDType, opts.Clocks)
+		return assemble(plan, units, rl, mode, plat, opts.Clocks), nil
 	}
 
 	_, msp := obs.Start(ctx, "model_build")
 	g := opts.Graph
 	modelName := opts.Model
 	if g == nil {
-		info, ok := models.Lookup(opts.Model)
-		if !ok {
-			err := fmt.Errorf("core: unknown model %q", opts.Model)
-			msp.EndErr(err)
-			return nil, err
-		}
-		if !opts.IgnoreSupport && !plat.Supports(info.Type) {
-			err := fmt.Errorf("core: platform %s does not support %s models (model %s failed to run in the paper's evaluation as well)",
-				plat.Key, info.Type, info.Key)
-			msp.EndErr(err)
-			return nil, err
-		}
 		g, err = info.Build()
 		if err != nil {
 			msp.EndErr(err)
@@ -321,23 +313,6 @@ func profilePipeline(ctx context.Context, opts Options, pipe *obs.Span) (*Report
 		return nil, err
 	}
 
-	// Built-in profiler: per-layer latencies (all the runtime gives).
-	// A memoized run skips it — the memoized analysis stage resolves
-	// per-layer timings through the store instead of simulating every
-	// layer unconditionally.
-	var prof *backend.Profile
-	if mp == nil {
-		_, psp := obs.Start(ctx, "profile")
-		prof, err = eng.Profile(opts.Seed)
-		psp.EndErr(err)
-		if err != nil {
-			return nil, err
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-
 	// Layer mapping: reconstruct the fused structure from the public
 	// backend info.
 	lctx, lsp := obs.Start(ctx, "layer_map")
@@ -367,21 +342,10 @@ func profilePipeline(ctx context.Context, opts Options, pipe *obs.Span) (*Report
 	}
 	rsp.End()
 
-	report := &Report{
-		Model:     modelName,
-		Platform:  plat.Key,
-		Backend:   backendKey,
-		Batch:     batch,
-		DType:     dt.String(),
-		Mode:      mode,
-		Roofline:  rl,
-		NodeCount: rep.NodeCount(),
-		ParamsM:   float64(g.ParamCount()) / 1e6,
-	}
-
 	// Measured metrics, when requested. The counter-profiler replay is
 	// the most expensive stage, so check for abandonment right before.
-	var measured map[string]ncusim.LayerMeasurement
+	src := &layerSource{eng: eng, mapping: mapping, opt: opt, rep: rep, seed: opts.Seed}
+	var overhead time.Duration
 	if mode == ModeMeasured {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -394,88 +358,53 @@ func profilePipeline(ctx context.Context, opts Options, pipe *obs.Span) (*Report
 		}
 		nsp.SetAttrInt("kernels", int64(len(res.Layers)))
 		nsp.End()
-		measured = make(map[string]ncusim.LayerMeasurement, len(res.Layers))
-		for _, lm := range res.Layers {
-			measured[lm.LayerName] = lm
-		}
-		report.ProfilingOverhead = res.ProfilingTime
+		src.measured = res.Layers
+		overhead = res.ProfilingTime
 	}
 
 	_, asp := obs.Start(ctx, "analysis")
 	defer asp.End()
-	if mp != nil {
-		return mp.finish(ctx, pipe, eng, mapping, opt, rep, report, rl, opts)
+	plan := &memo.Plan{
+		Model:          modelName,
+		Platform:       plat.Key,
+		Backend:        backendKey,
+		DType:          dt.String(),
+		EffectiveDType: dt,
+		Batch:          batch,
+		NodeCount:      rep.NodeCount(),
+		ParamsM:        float64(g.ParamCount()) / 1e6,
 	}
-	// The timing scratch is pooled across requests and the per-layer
-	// report slices sized up front: the layer->point loop below is the
-	// per-request hot path (every profile, every sweep configuration)
-	// and must not grow anything inside the loop.
-	tbuf := timingsPool.Get().(*[]sim.Timing)
-	defer timingsPool.Put(tbuf)
-	timings := eng.TimingsInto(*tbuf, opts.Seed)
-	*tbuf = timings
-	layers := eng.Layers()
-	lw := &roofline.LayerWise{Model: rl, Points: make([]roofline.Point, 0, len(layers))}
-	report.Layers = make([]LayerReport, 0, len(layers))
-	for i, bl := range layers {
-		latency := prof.LayerLatency[bl.Name]
-		lr := LayerReport{Name: bl.Name, IsReformat: bl.IsReformat}
-		if i < len(timings) {
-			lr.ExecutionBound = timings[i].Bound
-		}
-
-		var flop, bytes int64
-		switch {
-		case mode == ModeMeasured:
-			lm := measured[bl.Name]
-			flop, bytes = lm.CorrectedFLOP, lm.Bytes
-		case bl.IsReformat:
-			// Predicted reformat traffic: one read + one write of
-			// the converted tensor.
-			if t := rep.Graph.Tensor(bl.InputTensors[0]); t != nil {
-				bytes = 2 * t.Bytes()
-			}
-		default:
-			layer := mapping[bl.Name]
-			if layer == nil {
-				return nil, fmt.Errorf("core: no mapping for backend layer %q", bl.Name)
-			}
-			c, err := opt.LayerCost(layer)
-			if err != nil {
-				return nil, err
-			}
-			flop, bytes = c.FLOP, c.MemoryBytes()
-		}
-
-		if layer := mapping[bl.Name]; layer != nil {
-			nodes := layer.OriginalNodes()
-			lr.OriginalNodes = make([]string, 0, len(nodes))
-			for _, n := range nodes {
-				lr.OriginalNodes = append(lr.OriginalNodes, n.Name)
-			}
-			lr.OpTypes = layer.OpTypes()
-			lr.Category = categorize(layer, rep.Graph)
-		} else {
-			lr.Category = "copy"
-		}
-
-		p := roofline.NewPoint(bl.Name, flop, bytes, latency, rl)
-		p.Category = lr.Category
-		lr.Point = p
-		if len(bl.Kernels) > 0 {
-			lr.Kernels = make([]KernelReport, 0, len(bl.Kernels))
-		}
-		for _, k := range bl.Kernels {
-			lr.Kernels = append(lr.Kernels, KernelReport{
-				Name:    k.Name,
-				Latency: time.Duration(float64(latency) * k.ShareOfLayer),
-			})
-		}
-		lw.Points = append(lw.Points, p)
-		report.Layers = append(report.Layers, lr)
+	units, err := resolveUnits(ctx, mp, src, plan)
+	if err != nil {
+		return nil, err
 	}
-	finishReport(report, lw, timings, prof.Total, plat, opts.Clocks)
+	report := assemble(plan, units, rl, mode, plat, opts.Clocks)
+	report.ProfilingOverhead = overhead
+	mp.record(pipe, plan)
 	return report, nil
+}
+
+// lookupModel resolves a zoo key.
+func lookupModel(name string) (models.Info, error) {
+	info, ok := models.Lookup(name)
+	if !ok {
+		return info, fmt.Errorf("core: unknown model %q", name)
+	}
+	return info, nil
+}
+
+// zooModel looks a model up in the zoo and checks that the platform
+// supports its family.
+func zooModel(name string, plat *hardware.Platform, ignoreSupport bool) (models.Info, error) {
+	info, err := lookupModel(name)
+	if err != nil {
+		return info, err
+	}
+	if !ignoreSupport && !plat.Supports(info.Type) {
+		return info, fmt.Errorf("core: platform %s does not support %s models (model %s failed to run in the paper's evaluation as well)",
+			plat.Key, info.Type, info.Key)
+	}
+	return info, nil
 }
 
 // categorize tags a mapped layer for roofline chart coloring, matching

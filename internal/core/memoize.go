@@ -2,18 +2,11 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"time"
 
-	"proof/internal/analysis"
-	"proof/internal/backend"
 	"proof/internal/graph"
 	"proof/internal/hardware"
 	"proof/internal/memo"
-	"proof/internal/models"
 	"proof/internal/obs"
-	"proof/internal/roofline"
-	"proof/internal/sim"
 )
 
 // MemoProfiler wraps a ProfileFunc so every request carries the given
@@ -34,30 +27,24 @@ func MemoProfiler(st *memo.Store, next ProfileFunc) ProfileFunc {
 
 // memoPoint is the pipeline's per-run view of the memo store: the
 // resolved configuration it keys on, prepared before the model is
-// built so a plan hit can skip the build entirely.
+// built so a plan hit can skip the build entirely. A nil *memoPoint is
+// an unmemoized run, for which cached and record do nothing.
 type memoPoint struct {
-	st         *memo.Store
-	plat       *hardware.Platform
-	platHash   string
-	dt         graph.DataType
-	batch      int
-	backendKey string
-	mode       Mode
-	planKey    string
+	st       *memo.Store
+	binding  memo.Binding
+	planKey  string
+	unitHits int
 }
 
 // prepareMemoPoint decides whether this run is memoizable and, if so,
-// syncs the platform descriptor hash (purging entries from an edited
-// descriptor) and derives the run's plan key. Only predicted-mode,
-// constant-roofline runs are memoized: measured mode replays hardware
-// counters and MeasuredRoofline re-runs the peak test, both of which
-// must stay observable work.
+// derives the run's plan key. Only predicted-mode, constant-roofline
+// runs are memoized: measured mode replays hardware counters and
+// MeasuredRoofline re-runs the peak test, both of which must stay
+// observable work.
 func prepareMemoPoint(opts Options, plat *hardware.Platform, dt graph.DataType, batch int, backendKey string, mode Mode) *memoPoint {
 	if opts.Memo == nil || mode != ModePredicted || opts.MeasuredRoofline {
 		return nil
 	}
-	hash := plat.DescriptorHash()
-	opts.Memo.SyncPlatform(plat.Key, hash)
 	modelName := opts.Model
 	source := "zoo:" + opts.Model
 	if opts.Graph != nil {
@@ -81,302 +68,60 @@ func prepareMemoPoint(opts Options, plat *hardware.Platform, dt graph.DataType, 
 	b := memo.Binding{
 		Backend:      backendKey,
 		PlatformKey:  plat.Key,
-		PlatformHash: hash,
+		PlatformHash: plat.DescriptorHash(),
 		DType:        dt,
 		Batch:        batch,
 		Mode:         string(mode),
 		Seed:         opts.Seed,
 		Clocks:       opts.Clocks,
 	}
-	return &memoPoint{
-		st:         opts.Memo,
-		plat:       plat,
-		platHash:   hash,
-		dt:         dt,
-		batch:      batch,
-		backendKey: backendKey,
-		mode:       mode,
-		planKey:    memo.PlanKey(modelName, source, b),
-	}
+	return &memoPoint{st: opts.Memo, binding: b, planKey: memo.PlanKey(modelName, source, b)}
 }
 
-// tryFastPath serves the run from a cached plan when possible. done
-// reports that the run is finished (either assembled or failed a
-// pre-check the full pipeline would also fail); !done falls through to
-// the full pipeline. The zoo lookup and support checks are replicated
-// here so a cached plan can never mask the errors the unmemoized
-// pipeline raises.
-func (mp *memoPoint) tryFastPath(opts Options) (*Report, bool, error) {
-	if opts.Graph == nil {
-		info, ok := models.Lookup(opts.Model)
-		if !ok {
-			return nil, true, fmt.Errorf("core: unknown model %q", opts.Model)
-		}
-		if !opts.IgnoreSupport && !mp.plat.Supports(info.Type) {
-			return nil, true, fmt.Errorf("core: platform %s does not support %s models (model %s failed to run in the paper's evaluation as well)",
-				mp.plat.Key, info.Type, info.Key)
-		}
+// cached returns the point's plan and its units when the store holds
+// all of them. Any evicted unit misses the whole point (no partial
+// reports): the run then rebuilds it and records a fresh plan.
+func (mp *memoPoint) cached() (*memo.Plan, []memo.Unit) {
+	if mp == nil {
+		return nil, nil
 	}
 	plan, ok := mp.st.Plan(mp.planKey)
 	if !ok {
-		return nil, false, nil
+		return nil, nil
 	}
-	report, ok := mp.assemble(plan, opts)
-	if !ok {
-		return nil, false, nil
-	}
-	return report, true, nil
-}
-
-// assemble rebuilds the full report from a plan and its units, running
-// the same arithmetic in the same order as the pipeline's analysis
-// stage — the differential suite holds it to byte-identical JSON. Any
-// evicted unit aborts the assembly (no partial reports).
-func (mp *memoPoint) assemble(plan *memo.Plan, opts Options) (*Report, bool) {
 	units := make([]memo.Unit, len(plan.Layers))
 	for i, pl := range plan.Layers {
 		u, ok := mp.st.Unit(pl.Sig)
 		if !ok {
-			return nil, false
+			return nil, nil
 		}
 		units[i] = u
 	}
-
-	rl := roofline.NewModel(mp.plat, plan.EffectiveDType, opts.Clocks)
-	report := &Report{
-		Model:     plan.Model,
-		Platform:  mp.plat.Key,
-		Backend:   plan.Backend,
-		Batch:     plan.Batch,
-		DType:     plan.DType,
-		Mode:      mp.mode,
-		Roofline:  rl,
-		NodeCount: plan.NodeCount,
-		ParamsM:   plan.ParamsM,
-	}
-	lw := &roofline.LayerWise{Model: rl, Points: make([]roofline.Point, 0, len(plan.Layers))}
-	report.Layers = make([]LayerReport, 0, len(plan.Layers))
-	timings := make([]sim.Timing, 0, len(plan.Layers))
-	var total time.Duration
-	for i, pl := range plan.Layers {
-		unit := units[i]
-		lr := LayerReport{
-			Name:           pl.Name,
-			IsReformat:     pl.IsReformat,
-			OriginalNodes:  cloneStrings(pl.OriginalNodes),
-			OpTypes:        cloneStrings(pl.OpTypes),
-			Category:       unit.Category,
-			ExecutionBound: unit.ExecutionBound,
-		}
-		p := roofline.NewPoint(pl.Name, unit.FLOP, unit.Bytes, unit.Latency, rl)
-		p.Category = lr.Category
-		lr.Point = p
-		if len(pl.Kernels) > 0 {
-			lr.Kernels = make([]KernelReport, 0, len(pl.Kernels))
-		}
-		for _, k := range pl.Kernels {
-			lr.Kernels = append(lr.Kernels, KernelReport{
-				Name:    k.Name,
-				Latency: time.Duration(float64(unit.Latency) * k.Share),
-			})
-		}
-		lw.Points = append(lw.Points, p)
-		report.Layers = append(report.Layers, lr)
-		total += unit.Latency
-		timings = append(timings, sim.Timing{
-			Latency:     unit.Latency,
-			ComputeTime: unit.ComputeTime,
-			MemoryTime:  unit.MemoryTime,
-		})
-	}
-	finishReport(report, lw, timings, total, mp.plat, opts.Clocks)
-	return report, true
+	return plan, units
 }
 
-// finish is the memoized analysis stage: instead of simulating every
-// layer twice (Profile + Timings) and walking the mapping, it resolves
-// each layer's unit through the store — profiling only the units the
-// store is missing — and records the point's assembly plan for the next
-// identical run. Called inside the pipeline's "analysis" span with the
-// engine, mapping and representations already built.
-func (mp *memoPoint) finish(ctx context.Context, pipe *obs.Span, eng *backend.Engine, mapping backend.Mapping, opt *analysis.OptimizedRep, rep *analysis.Rep, report *Report, rl roofline.Model, opts Options) (*Report, error) {
-	cfg := eng.Config()
-	b := memo.Binding{
-		Backend:      mp.backendKey,
-		PlatformKey:  mp.plat.Key,
-		PlatformHash: mp.platHash,
-		DType:        cfg.DType,
-		Batch:        report.Batch,
-		Mode:         string(mp.mode),
-		Seed:         opts.Seed,
-		Clocks:       opts.Clocks,
+// unit resolves one layer's unit through the store under its
+// signature, running compute only when no cached or in-flight unit has
+// it. Units bind the effective data type (int8 for a quantized graph),
+// not the requested one the plan key carries.
+func (mp *memoPoint) unit(ctx context.Context, contentKey string, dt graph.DataType, compute func() (memo.Unit, error)) (memo.Signature, memo.Unit, error) {
+	b := mp.binding
+	b.DType = dt
+	sig := memo.UnitSignature(contentKey, b)
+	u, outcome, err := mp.st.GetOrCompute(ctx, sig, compute)
+	if outcome != memo.OutcomeMiss {
+		mp.unitHits++
 	}
-	layers := eng.Layers()
-	keys := eng.WorkKeys()
-	plan := &memo.Plan{
-		Model:          report.Model,
-		Platform:       mp.plat.Key,
-		Backend:        report.Backend,
-		DType:          report.DType,
-		EffectiveDType: cfg.DType,
-		Batch:          report.Batch,
-		NodeCount:      report.NodeCount,
-		ParamsM:        report.ParamsM,
-		Layers:         make([]memo.PlanLayer, 0, len(layers)),
+	return sig, u, err
+}
+
+// record caches the plan of a freshly resolved point for the next
+// identical run. The store takes ownership of plan.
+func (mp *memoPoint) record(pipe *obs.Span, plan *memo.Plan) {
+	if mp == nil {
+		return
 	}
-	lw := &roofline.LayerWise{Model: rl, Points: make([]roofline.Point, 0, len(layers))}
-	report.Layers = make([]LayerReport, 0, len(layers))
-	timings := make([]sim.Timing, 0, len(layers))
-	var total time.Duration
-	unitHits := 0
-	for i, bl := range layers {
-		// Replicate the unmemoized mapping check up front: a cached
-		// unit must never mask a mapping hole.
-		if !bl.IsReformat && mapping[bl.Name] == nil {
-			return nil, fmt.Errorf("core: no mapping for backend layer %q", bl.Name)
-		}
-		i, bl := i, bl
-		sig := memo.UnitSignature(keys[i], b)
-		unit, outcome, err := mp.st.GetOrCompute(ctx, sig, mp.plat.Key, func() (memo.Unit, error) {
-			t := eng.LayerTiming(i, opts.Seed)
-			flop, bytes, cat, err := layerMetrics(bl, mapping, opt, rep)
-			if err != nil {
-				return memo.Unit{}, err
-			}
-			return memo.Unit{
-				Latency:        t.Latency,
-				ComputeTime:    t.ComputeTime,
-				MemoryTime:     t.MemoryTime,
-				ExecutionBound: t.Bound,
-				FLOP:           flop,
-				Bytes:          bytes,
-				Category:       cat,
-			}, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		if outcome != memo.OutcomeMiss {
-			unitHits++
-		}
-		lr := LayerReport{
-			Name:           bl.Name,
-			IsReformat:     bl.IsReformat,
-			Category:       unit.Category,
-			ExecutionBound: unit.ExecutionBound,
-		}
-		if layer := mapping[bl.Name]; layer != nil {
-			for _, n := range layer.OriginalNodes() {
-				lr.OriginalNodes = append(lr.OriginalNodes, n.Name)
-			}
-			lr.OpTypes = layer.OpTypes()
-		}
-		p := roofline.NewPoint(bl.Name, unit.FLOP, unit.Bytes, unit.Latency, rl)
-		p.Category = lr.Category
-		lr.Point = p
-		planKernels := make([]memo.PlanKernel, 0, len(bl.Kernels))
-		for _, k := range bl.Kernels {
-			lr.Kernels = append(lr.Kernels, KernelReport{
-				Name:    k.Name,
-				Latency: time.Duration(float64(unit.Latency) * k.ShareOfLayer),
-			})
-			planKernels = append(planKernels, memo.PlanKernel{Name: k.Name, Share: k.ShareOfLayer})
-		}
-		lw.Points = append(lw.Points, p)
-		report.Layers = append(report.Layers, lr)
-		total += unit.Latency
-		timings = append(timings, sim.Timing{
-			Latency:     unit.Latency,
-			ComputeTime: unit.ComputeTime,
-			MemoryTime:  unit.MemoryTime,
-		})
-		plan.Layers = append(plan.Layers, memo.PlanLayer{
-			Name:          bl.Name,
-			IsReformat:    bl.IsReformat,
-			OriginalNodes: cloneStrings(lr.OriginalNodes),
-			OpTypes:       cloneStrings(lr.OpTypes),
-			Kernels:       planKernels,
-			Sig:           sig,
-		})
-	}
-	finishReport(report, lw, timings, total, mp.plat, opts.Clocks)
-	mp.st.PutPlan(mp.planKey, mp.plat.Key, plan)
+	mp.st.PutPlan(mp.planKey, plan)
 	pipe.SetAttr("memo", "record")
-	pipe.SetAttrInt("memo_unit_hits", int64(unitHits))
-	return report, nil
-}
-
-// layerMetrics computes the predicted per-layer FLOP, bytes and chart
-// category — the same arithmetic as the unmemoized analysis loop's
-// predicted branches, factored out so memoized units are provably
-// computed by the code the differential suite compares against.
-func layerMetrics(bl backend.Layer, mapping backend.Mapping, opt *analysis.OptimizedRep, rep *analysis.Rep) (flop, bytes int64, category string, err error) {
-	if bl.IsReformat {
-		// Predicted reformat traffic: one read + one write of the
-		// converted tensor.
-		if t := rep.Graph.Tensor(bl.InputTensors[0]); t != nil {
-			bytes = 2 * t.Bytes()
-		}
-		return 0, bytes, "copy", nil
-	}
-	layer := mapping[bl.Name]
-	if layer == nil {
-		return 0, 0, "", fmt.Errorf("core: no mapping for backend layer %q", bl.Name)
-	}
-	c, err := opt.LayerCost(layer)
-	if err != nil {
-		return 0, 0, "", err
-	}
-	return c.FLOP, c.MemoryBytes(), categorize(layer, rep.Graph), nil
-}
-
-// finishReport applies the shared report tail — latency shares, the
-// end-to-end point, throughput, aggregate utilization and the power
-// estimate — identically for the plain, memo-recording and
-// plan-assembly paths.
-func finishReport(report *Report, lw *roofline.LayerWise, timings []sim.Timing, total time.Duration, plat *hardware.Platform, clocks hardware.Clocks) {
-	lw.FillShares()
-	for i := range report.Layers {
-		report.Layers[i].Point.Share = lw.Points[i].Share
-	}
-	report.EndToEnd = lw.EndToEnd(report.Model)
-	report.TotalLatency = total
-	if total > 0 {
-		report.Throughput = float64(report.Batch) / total.Seconds()
-	}
-	// Aggregate utilization and power, as an external monitor (jtop)
-	// would observe them.
-	report.UtilCompute, report.UtilMem = sim.Utilization(timings)
-	if plat.Power != nil {
-		clk := clocks
-		if clk.GPUMHz == 0 && plat.Clocks != nil {
-			base := plat.DefaultClocks()
-			base.GPUCapacity = clk.GPUCapacity
-			base.CPUClusters = clk.CPUClusters
-			base.CPUMHz = clk.CPUMHz
-			clk = base
-		}
-		// Activity model: a GPU executing kernels draws most of its
-		// load power whether the kernels are compute- or memory-
-		// bound; the compute fraction modulates the rest. Severe
-		// memory starvation (everything stalls on DRAM) is the only
-		// regime where draw collapses (Table 7 #6).
-		denom := report.UtilCompute + report.UtilMem
-		cf := 0.5
-		if denom > 0 {
-			cf = report.UtilCompute / denom
-		}
-		utilGPU := 0.78 + 0.22*cf
-		utilMem := 0.60 + 0.40*(1-cf)
-		if w, err := plat.EstimatePower(clk, utilGPU, utilMem); err == nil {
-			report.PowerW = w
-		}
-	}
-}
-
-func cloneStrings(s []string) []string {
-	if s == nil {
-		return nil
-	}
-	return append([]string(nil), s...)
+	pipe.SetAttrInt("memo_unit_hits", int64(mp.unitHits))
 }

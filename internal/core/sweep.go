@@ -65,9 +65,9 @@ func platformSweep(ctx context.Context, model string, mode Mode, profile Profile
 	sp.SetAttr("model", model)
 	sp.SetAttr("mode", string(mode))
 	defer func() { sp.EndErr(err) }()
-	info, ok := models.Lookup(model)
-	if !ok {
-		return nil, errUnknownModel(model)
+	info, err := lookupModel(model)
+	if err != nil {
+		return nil, err
 	}
 	// Hoist the model build out of the per-platform closure: every
 	// sweep point profiles a clone of one shared build (the pipeline
@@ -126,15 +126,4 @@ func platformSweep(ctx context.Context, model string, mode Mode, profile Profile
 // hoist).
 var sweepModelBuild = func(info models.Info) (*graph.Graph, error) {
 	return info.Build()
-}
-
-// errUnknownModel mirrors Profile's unknown-model error for sweeps.
-func errUnknownModel(model string) error {
-	return &unknownModelError{model}
-}
-
-type unknownModelError struct{ model string }
-
-func (e *unknownModelError) Error() string {
-	return "core: unknown model \"" + e.model + "\""
 }

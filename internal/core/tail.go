@@ -1,0 +1,220 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"time"
+
+	"proof/internal/analysis"
+	"proof/internal/backend"
+	"proof/internal/hardware"
+	"proof/internal/memo"
+	"proof/internal/ncusim"
+	"proof/internal/roofline"
+	"proof/internal/sim"
+)
+
+// The pipeline tail is the same two steps for every run: resolveUnits
+// turns the built engine into one memo.Unit per backend layer plus the
+// layer identities of the point's memo.Plan, and assemble turns a plan
+// and its units into the Report. A memo plan hit has both already and
+// runs only assemble, so memoized and unmemoized reports match by
+// construction.
+
+// layerSource is what the full pipeline has built by the time its tail
+// runs: the engine and its layer mapping, the representations predicted
+// metrics derive from, and the counter measurements in measured mode.
+type layerSource struct {
+	eng     *backend.Engine
+	mapping backend.Mapping
+	opt     *analysis.OptimizedRep
+	rep     *analysis.Rep
+	// measured holds ncusim's per-layer results in execution order; nil
+	// in predicted mode.
+	measured []ncusim.LayerMeasurement
+	seed     uint64
+}
+
+// unit profiles backend layer i: its simulated timing, plus FLOP, bytes
+// and chart category — counter-measured in measured mode, predicted
+// from the mapped model structure otherwise. resolveUnits has already
+// rejected unmapped non-reformat layers in predicted mode.
+func (s *layerSource) unit(i int, bl backend.Layer) (memo.Unit, error) {
+	t := s.eng.LayerTiming(i, s.seed)
+	u := memo.Unit{
+		Latency:        t.Latency,
+		ComputeTime:    t.ComputeTime,
+		MemoryTime:     t.MemoryTime,
+		ExecutionBound: t.Bound,
+		Category:       "copy",
+	}
+	layer := s.mapping[bl.Name]
+	switch {
+	case s.measured != nil:
+		u.FLOP, u.Bytes = s.measured[i].CorrectedFLOP, s.measured[i].Bytes
+		if layer != nil {
+			u.Category = categorize(layer, s.rep.Graph)
+		}
+	case bl.IsReformat:
+		// Predicted reformat traffic: one read + one write of the
+		// converted tensor.
+		if t := s.rep.Graph.Tensor(bl.InputTensors[0]); t != nil {
+			u.Bytes = 2 * t.Bytes()
+		}
+	default:
+		c, err := s.opt.LayerCost(layer)
+		if err != nil {
+			return memo.Unit{}, err
+		}
+		u.FLOP, u.Bytes = c.FLOP, c.MemoryBytes()
+		u.Category = categorize(layer, s.rep.Graph)
+	}
+	return u, nil
+}
+
+// resolveUnits is the tail's first step. It fills plan.Layers with each
+// backend layer's identity and returns the layers' units in execution
+// order. A memoized run (non-nil mp) resolves units through the store,
+// profiling only the ones it is missing; an unmemoized run profiles
+// every layer directly and hashes no signatures.
+func resolveUnits(ctx context.Context, mp *memoPoint, src *layerSource, plan *memo.Plan) ([]memo.Unit, error) {
+	layers := src.eng.Layers()
+	var keys []string
+	if mp != nil {
+		keys = src.eng.WorkKeys()
+	}
+	units := make([]memo.Unit, len(layers))
+	plan.Layers = make([]memo.PlanLayer, len(layers))
+	for i, bl := range layers {
+		layer := src.mapping[bl.Name]
+		// Checked up front so a cached unit can never mask a mapping
+		// hole. Measured mode takes its metrics from the counters and
+		// accepts unmapped layers.
+		if src.measured == nil && !bl.IsReformat && layer == nil {
+			return nil, fmt.Errorf("core: no mapping for backend layer %q", bl.Name)
+		}
+		pl := memo.PlanLayer{Name: bl.Name, IsReformat: bl.IsReformat}
+		if layer != nil {
+			nodes := layer.OriginalNodes()
+			pl.OriginalNodes = make([]string, len(nodes))
+			for j, n := range nodes {
+				pl.OriginalNodes[j] = n.Name
+			}
+			pl.OpTypes = layer.OpTypes()
+		}
+		if len(bl.Kernels) > 0 {
+			pl.Kernels = make([]memo.PlanKernel, len(bl.Kernels))
+			for j, k := range bl.Kernels {
+				pl.Kernels[j] = memo.PlanKernel{Name: k.Name, Share: k.ShareOfLayer}
+			}
+		}
+		var err error
+		if mp == nil {
+			units[i], err = src.unit(i, bl)
+		} else {
+			pl.Sig, units[i], err = mp.unit(ctx, keys[i], plan.EffectiveDType, func() (memo.Unit, error) { return src.unit(i, bl) })
+		}
+		if err != nil {
+			return nil, err
+		}
+		plan.Layers[i] = pl
+	}
+	return units, nil
+}
+
+// assemble is the tail's second step and the only place a Report's
+// layers are built: per-layer roofline points and kernel latencies,
+// latency shares, the end-to-end point, throughput, aggregate
+// utilization and the power estimate. The report copies every slice it
+// takes from the plan, which a memo store may share across runs.
+func assemble(plan *memo.Plan, units []memo.Unit, rl roofline.Model, mode Mode, plat *hardware.Platform, clocks hardware.Clocks) *Report {
+	report := &Report{
+		Model:     plan.Model,
+		Platform:  plan.Platform,
+		Backend:   plan.Backend,
+		Batch:     plan.Batch,
+		DType:     plan.DType,
+		Mode:      mode,
+		Roofline:  rl,
+		NodeCount: plan.NodeCount,
+		ParamsM:   plan.ParamsM,
+		Layers:    make([]LayerReport, len(plan.Layers)),
+	}
+	lw := &roofline.LayerWise{Model: rl, Points: make([]roofline.Point, len(plan.Layers))}
+	timings := make([]sim.Timing, len(plan.Layers))
+	var total time.Duration
+	for i, pl := range plan.Layers {
+		unit := units[i]
+		lr := LayerReport{
+			Name:           pl.Name,
+			IsReformat:     pl.IsReformat,
+			OriginalNodes:  cloneStrings(pl.OriginalNodes),
+			OpTypes:        cloneStrings(pl.OpTypes),
+			Category:       unit.Category,
+			ExecutionBound: unit.ExecutionBound,
+		}
+		lw.Points[i] = roofline.NewPoint(pl.Name, unit.FLOP, unit.Bytes, unit.Latency, rl)
+		lw.Points[i].Category = unit.Category
+		if len(pl.Kernels) > 0 {
+			lr.Kernels = make([]KernelReport, len(pl.Kernels))
+			for j, k := range pl.Kernels {
+				lr.Kernels[j] = KernelReport{
+					Name:    k.Name,
+					Latency: time.Duration(float64(unit.Latency) * k.Share),
+				}
+			}
+		}
+		report.Layers[i] = lr
+		total += unit.Latency
+		timings[i] = sim.Timing{
+			Latency:     unit.Latency,
+			ComputeTime: unit.ComputeTime,
+			MemoryTime:  unit.MemoryTime,
+		}
+	}
+	lw.FillShares()
+	for i := range report.Layers {
+		report.Layers[i].Point = lw.Points[i]
+	}
+	report.EndToEnd = lw.EndToEnd(report.Model)
+	report.TotalLatency = total
+	if total > 0 {
+		report.Throughput = float64(report.Batch) / total.Seconds()
+	}
+	// Aggregate utilization and power, as an external monitor (jtop)
+	// would observe them.
+	report.UtilCompute, report.UtilMem = sim.Utilization(timings)
+	if plat.Power != nil {
+		clk := clocks
+		if clk.GPUMHz == 0 && plat.Clocks != nil {
+			base := plat.DefaultClocks()
+			base.GPUCapacity = clk.GPUCapacity
+			base.CPUClusters = clk.CPUClusters
+			base.CPUMHz = clk.CPUMHz
+			clk = base
+		}
+		// Activity model: a GPU executing kernels draws most of its
+		// load power whether the kernels are compute- or memory-
+		// bound; the compute fraction modulates the rest. Severe
+		// memory starvation (everything stalls on DRAM) is the only
+		// regime where draw collapses (Table 7 #6).
+		denom := report.UtilCompute + report.UtilMem
+		cf := 0.5
+		if denom > 0 {
+			cf = report.UtilCompute / denom
+		}
+		utilGPU := 0.78 + 0.22*cf
+		utilMem := 0.60 + 0.40*(1-cf)
+		if w, err := plat.EstimatePower(clk, utilGPU, utilMem); err == nil {
+			report.PowerW = w
+		}
+	}
+	return report
+}
+
+func cloneStrings(s []string) []string {
+	if s == nil {
+		return nil
+	}
+	return append([]string(nil), s...)
+}

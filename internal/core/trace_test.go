@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"proof/internal/memo"
 	"proof/internal/obs"
 )
 
@@ -23,7 +24,7 @@ func TestPipelineSpans(t *testing.T) {
 	if pipe == nil {
 		t.Fatal("no pipeline span recorded")
 	}
-	for _, stage := range []string{"model_build", "backend_build", "profile", "layer_map", "roofline", "analysis"} {
+	for _, stage := range []string{"model_build", "backend_build", "layer_map", "roofline", "analysis"} {
 		s := trace.Find(stage)
 		if s == nil {
 			t.Errorf("stage span %q missing", stage)
@@ -32,6 +33,9 @@ func TestPipelineSpans(t *testing.T) {
 		if s.ParentID != pipe.ID {
 			t.Errorf("%s.ParentID = %d, want pipeline %d", stage, s.ParentID, pipe.ID)
 		}
+	}
+	if trace.Find("profile") != nil {
+		t.Error("pipeline still records a profile stage: the tail simulates each layer once, inside analysis")
 	}
 	// Backend internals nest under their stages.
 	if fuse := trace.Find("fuse"); fuse == nil {
@@ -50,6 +54,44 @@ func TestPipelineSpans(t *testing.T) {
 	}
 	if attrs["model"] != "mobilenetv2-0.5" || attrs["platform"] != "a100" {
 		t.Errorf("pipeline attrs = %v", attrs)
+	}
+}
+
+// TestPlanHitSpans: a memo plan hit skips the build stages but still
+// records its analysis stage under the pipeline span, so a hit's wall
+// time is attributed like a miss's.
+func TestPlanHitSpans(t *testing.T) {
+	opts := Options{Model: "mobilenetv2-0.5", Platform: "a100", Batch: 2, Memo: memo.NewStore(memo.StoreConfig{})}
+	if _, err := ProfileCtx(context.Background(), opts); err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTracer("test")
+	if _, err := ProfileCtx(obs.WithTracer(context.Background(), tr), opts); err != nil {
+		t.Fatal(err)
+	}
+	trace := tr.Snapshot()
+	pipe := trace.Find("pipeline")
+	if pipe == nil {
+		t.Fatal("no pipeline span recorded")
+	}
+	attrs := map[string]string{}
+	for _, a := range pipe.Attrs {
+		attrs[a.Key] = a.Value
+	}
+	if attrs["memo"] != "hit" {
+		t.Fatalf("pipeline memo attr = %q, want hit (attrs %v)", attrs["memo"], attrs)
+	}
+	an := trace.Find("analysis")
+	if an == nil {
+		t.Fatal("plan hit recorded no analysis span")
+	}
+	if an.ParentID != pipe.ID {
+		t.Errorf("analysis.ParentID = %d, want pipeline %d", an.ParentID, pipe.ID)
+	}
+	for _, stage := range []string{"model_build", "backend_build", "layer_map"} {
+		if trace.Find(stage) != nil {
+			t.Errorf("plan hit ran stage %q", stage)
+		}
 	}
 }
 

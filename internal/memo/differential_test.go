@@ -2,10 +2,11 @@
 // For every zoo model × every platform × {batch 1, platform default},
 // the report produced through a shared memo store — both on the cold
 // recording pass and on the warm plan-assembly pass — must be
-// byte-identical (as JSON) to the report from the plain pipeline.
-// Anything short of byte identity means the signature either misses a
-// semantic input (stale units served across distinct layers) or the
-// assembly path diverges numerically from the pipeline.
+// byte-identical (as JSON) to the report from a run with no store.
+// All three share one report tail, so a difference means the signature
+// misses a semantic input (stale units served across distinct layers).
+// The no-store reports are also checked against the committed digest
+// fixture (digest_test.go), which pins the tail's arithmetic itself.
 package memo_test
 
 import (
@@ -48,6 +49,7 @@ func TestDifferentialFullMatrix(t *testing.T) {
 					memoized.Memo = store
 
 					want, wantErr := reportJSON(t, plain)
+					reportDigests.check(t, "TestDifferentialFullMatrix/"+name, want, wantErr)
 					cold, coldErr := reportJSON(t, memoized)
 					warm, warmErr := reportJSON(t, memoized)
 

@@ -31,9 +31,6 @@ func RegisterMetrics(reg *obs.Registry, prefix string, s *Store) error {
 		reg.CounterFunc(p+"evictions_total",
 			"Layer units dropped by the LRU policy.",
 			func() float64 { return float64(s.Stats().Evictions) }),
-		reg.CounterFunc(p+"invalidations_total",
-			"Entries purged by platform descriptor-hash changes.",
-			func() float64 { return float64(s.Stats().Invalidations) }),
 		reg.CounterFunc(p+"plan_hits_total",
 			"Profiling points assembled entirely from a cached plan.",
 			func() float64 { return float64(s.Stats().PlanHits) }),

@@ -28,7 +28,7 @@ func TestRegisterMetrics(t *testing.T) {
 	}
 
 	mustCompute(t, s, 0)
-	_, _, _ = s.GetOrCompute(context.Background(), sigN(0), "a100", func() (Unit, error) { return unitN(0), nil })
+	_, _, _ = s.GetOrCompute(context.Background(), sigN(0), func() (Unit, error) { return unitN(0), nil })
 
 	var b strings.Builder
 	reg.WritePrometheus(&b)
@@ -39,7 +39,6 @@ func TestRegisterMetrics(t *testing.T) {
 		"proofd_memo_units 1",
 		"proofd_memo_hit_ratio 0.5",
 		"proofd_memo_plan_misses_total 0",
-		"proofd_memo_invalidations_total 0",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)

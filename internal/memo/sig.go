@@ -17,10 +17,9 @@
 //     map order) — so memoized reports are byte-identical to unmemoized
 //     ones, and distinct layers can never collide.
 //   - Invalidation is keyed on hardware.Platform.DescriptorHash(): the
-//     hash is embedded in every signature, so an edited platform
-//     descriptor changes the key and stale units are structurally
-//     unreachable; SyncPlatform additionally purges the unreachable
-//     entries so capacity is not wasted on them.
+//     hash is embedded in every signature and plan key, so an edited
+//     platform descriptor changes the key and stale entries are
+//     structurally unreachable (the LRU ages them out).
 package memo
 
 import (
@@ -102,9 +101,8 @@ func ReformatKey(t *graph.Tensor) string {
 type Binding struct {
 	// Backend is the runtime key ("trtsim", ...).
 	Backend string
-	// PlatformKey and PlatformHash identify the platform: the key tags
-	// entries for targeted invalidation, the descriptor hash makes
-	// edited descriptors structurally miss (see SyncPlatform).
+	// PlatformKey and PlatformHash identify the platform; the
+	// descriptor hash makes an edited descriptor structurally miss.
 	PlatformKey  string
 	PlatformHash string
 	// DType, Batch and Mode are the resolved run configuration.

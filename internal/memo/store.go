@@ -9,9 +9,10 @@ import (
 	"proof/internal/graph"
 )
 
-// Unit is the memoized result of profiling one layer unit: everything
-// the analysis stage derives per layer that cannot be recomputed from
-// the signature alone. Values only — no pointers — so a cached Unit can
+// Unit is the result of profiling one layer unit: everything the
+// report needs per layer that cannot be recomputed from the signature
+// alone. Every profiling run resolves one Unit per backend layer, with
+// or without a store. Values only — no pointers — so a cached Unit can
 // be handed to any number of concurrent readers.
 type Unit struct {
 	// Latency is the simulated wall time; ComputeTime and MemoryTime
@@ -22,10 +23,10 @@ type Unit struct {
 	// ExecutionBound is the dominating term: "compute", "memory" or
 	// "overhead".
 	ExecutionBound string
-	// FLOP and Bytes are the predicted per-layer metrics; together with
-	// Latency they determine the roofline point (AI, attained FLOPS,
-	// ridge-side bound), which the assembly path recomputes exactly as
-	// the unmemoized pipeline does.
+	// FLOP and Bytes are the per-layer metrics (predicted, or counter-
+	// measured in measured mode, which is never memoized); together
+	// with Latency they determine the roofline point (AI, attained
+	// FLOPS, ridge-side bound), which report assembly computes.
 	FLOP  int64
 	Bytes int64
 	// Category is the chart-coloring tag of the mapped layer.
@@ -52,10 +53,11 @@ type PlanLayer struct {
 }
 
 // Plan is the assembly skeleton of one whole profiling point: the
-// resolved configuration echo plus the ordered layer identities. A plan
-// hit skips model build, backend build, profiling and layer mapping
-// entirely; the report is assembled from the plan and its units. Plans
-// are immutable after PutPlan — assembly copies every slice it exposes.
+// resolved configuration echo plus the ordered layer identities. Every
+// report is assembled from a plan and its units; a cached plan lets a
+// repeated point skip model build, backend build, profiling and layer
+// mapping entirely. Plans are immutable after PutPlan — assembly copies
+// every slice it exposes.
 type Plan struct {
 	Model    string
 	Platform string
@@ -101,9 +103,8 @@ const (
 )
 
 // Store is the layer-unit memo store: an LRU of Units keyed by
-// Signature, an LRU of Plans keyed by plan key, singleflight dedup on
-// concurrent unit misses, and per-platform invalidation driven by
-// descriptor hashes. All methods are safe for concurrent use.
+// Signature, an LRU of Plans keyed by plan key, and singleflight dedup
+// on concurrent unit misses. All methods are safe for concurrent use.
 type Store struct {
 	mu        sync.Mutex
 	unitCap   int
@@ -113,12 +114,10 @@ type Store struct {
 	plans     map[string]*list.Element    // of *planEntry
 	planOrder *list.List
 	inflight  map[Signature]*unitCall
-	platHash  map[string]string // platform key -> last seen descriptor hash
 
 	stats struct {
 		hits, misses, dedups int64
 		evictions            int64
-		invalidations        int64
 		planHits, planMisses int64
 		planEvictions        int64
 		failures             int64 // unit computations that errored (never cached)
@@ -126,15 +125,13 @@ type Store struct {
 }
 
 type unitEntry struct {
-	sig      Signature
-	platform string
-	unit     Unit
+	sig  Signature
+	unit Unit
 }
 
 type planEntry struct {
-	key      string
-	platform string
-	plan     *Plan
+	key  string
+	plan *Plan
 }
 
 type unitCall struct {
@@ -159,13 +156,12 @@ func NewStore(cfg StoreConfig) *Store {
 		plans:     make(map[string]*list.Element),
 		planOrder: list.New(),
 		inflight:  make(map[Signature]*unitCall),
-		platHash:  make(map[string]string),
 	}
 }
 
-// Unit returns the cached unit for sig, if present. Used by the plan
-// assembly path; a miss there is not counted (the caller falls back to
-// the profiling path, whose GetOrCompute accounts for it).
+// Unit returns the cached unit for sig, if present. Used on a plan hit;
+// a miss there is not counted (the caller falls back to the full
+// pipeline, whose GetOrCompute accounts for it).
 func (s *Store) Unit(sig Signature) (Unit, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -185,7 +181,7 @@ func (s *Store) Unit(sig Signature) (Unit, bool) {
 // leader's error propagates to its waiters, and the next caller retries
 // fresh. A waiter whose ctx ends returns ctx.Err() without disturbing
 // the computation.
-func (s *Store) GetOrCompute(ctx context.Context, sig Signature, platformKey string, compute func() (Unit, error)) (Unit, Outcome, error) {
+func (s *Store) GetOrCompute(ctx context.Context, sig Signature, compute func() (Unit, error)) (Unit, Outcome, error) {
 	s.mu.Lock()
 	if el, ok := s.units[sig]; ok {
 		s.unitOrder.MoveToFront(el)
@@ -214,7 +210,7 @@ func (s *Store) GetOrCompute(ctx context.Context, sig Signature, platformKey str
 	s.mu.Lock()
 	delete(s.inflight, sig)
 	if c.err == nil {
-		s.insertUnitLocked(sig, platformKey, c.unit)
+		s.insertUnitLocked(sig, c.unit)
 	} else {
 		s.stats.failures++
 	}
@@ -223,13 +219,13 @@ func (s *Store) GetOrCompute(ctx context.Context, sig Signature, platformKey str
 	return c.unit, OutcomeMiss, c.err
 }
 
-func (s *Store) insertUnitLocked(sig Signature, platformKey string, u Unit) {
+func (s *Store) insertUnitLocked(sig Signature, u Unit) {
 	if el, ok := s.units[sig]; ok {
 		el.Value.(*unitEntry).unit = u
 		s.unitOrder.MoveToFront(el)
 		return
 	}
-	s.units[sig] = s.unitOrder.PushFront(&unitEntry{sig: sig, platform: platformKey, unit: u})
+	s.units[sig] = s.unitOrder.PushFront(&unitEntry{sig: sig, unit: u})
 	for len(s.units) > s.unitCap {
 		last := s.unitOrder.Back()
 		if last == nil {
@@ -258,7 +254,7 @@ func (s *Store) Plan(key string) (*Plan, bool) {
 
 // PutPlan caches the assembly plan of one profiling point. The store
 // takes ownership of p, which must not be modified afterwards.
-func (s *Store) PutPlan(key, platformKey string, p *Plan) {
+func (s *Store) PutPlan(key string, p *Plan) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.plans[key]; ok {
@@ -266,7 +262,7 @@ func (s *Store) PutPlan(key, platformKey string, p *Plan) {
 		s.planOrder.MoveToFront(el)
 		return
 	}
-	s.plans[key] = s.planOrder.PushFront(&planEntry{key: key, platform: platformKey, plan: p})
+	s.plans[key] = s.planOrder.PushFront(&planEntry{key: key, plan: p})
 	for len(s.plans) > s.planCap {
 		last := s.planOrder.Back()
 		if last == nil {
@@ -275,41 +271,6 @@ func (s *Store) PutPlan(key, platformKey string, p *Plan) {
 		s.planOrder.Remove(last)
 		delete(s.plans, last.Value.(*planEntry).key)
 		s.stats.planEvictions++
-	}
-}
-
-// SyncPlatform records the platform descriptor hash observed by a run
-// and, when it differs from the last one seen, purges every unit and
-// plan cached for that platform. Correctness never depends on the purge
-// — the hash is part of every signature and plan key, so entries from an
-// edited descriptor can no longer be looked up — but without it they
-// would squat in the LRU until natural eviction and poison the hit-ratio
-// signal. Entries computed for *other* platforms are untouched.
-func (s *Store) SyncPlatform(platformKey, hash string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	prev, seen := s.platHash[platformKey]
-	s.platHash[platformKey] = hash
-	if !seen || prev == hash {
-		return
-	}
-	for el := s.unitOrder.Front(); el != nil; {
-		next := el.Next()
-		if e := el.Value.(*unitEntry); e.platform == platformKey {
-			s.unitOrder.Remove(el)
-			delete(s.units, e.sig)
-			s.stats.invalidations++
-		}
-		el = next
-	}
-	for el := s.planOrder.Front(); el != nil; {
-		next := el.Next()
-		if e := el.Value.(*planEntry); e.platform == platformKey {
-			s.planOrder.Remove(el)
-			delete(s.plans, e.key)
-			s.stats.invalidations++
-		}
-		el = next
 	}
 }
 
@@ -324,10 +285,8 @@ type Stats struct {
 	Misses   int64 `json:"misses"`
 	Dedups   int64 `json:"dedups"`
 	Failures int64 `json:"failures"`
-	// Evictions counts capacity evictions; Invalidations counts entries
-	// purged by SyncPlatform descriptor changes.
-	Evictions     int64 `json:"evictions"`
-	Invalidations int64 `json:"invalidations"`
+	// Evictions counts capacity evictions.
+	Evictions int64 `json:"evictions"`
 	// PlanHits/PlanMisses/PlanEvictions count plan lookups.
 	PlanHits      int64 `json:"plan_hits"`
 	PlanMisses    int64 `json:"plan_misses"`
@@ -355,7 +314,6 @@ func (s *Store) Stats() Stats {
 		Dedups:        s.stats.dedups,
 		Failures:      s.stats.failures,
 		Evictions:     s.stats.evictions,
-		Invalidations: s.stats.invalidations,
 		PlanHits:      s.stats.planHits,
 		PlanMisses:    s.stats.planMisses,
 		PlanEvictions: s.stats.planEvictions,

@@ -30,7 +30,7 @@ func unitN(n int) Unit {
 
 func mustCompute(t *testing.T, s *Store, n int) {
 	t.Helper()
-	u, out, err := s.GetOrCompute(context.Background(), sigN(n), "a100", func() (Unit, error) {
+	u, out, err := s.GetOrCompute(context.Background(), sigN(n), func() (Unit, error) {
 		return unitN(n), nil
 	})
 	if err != nil || out != OutcomeMiss || u != unitN(n) {
@@ -41,7 +41,7 @@ func mustCompute(t *testing.T, s *Store, n int) {
 func TestStoreHitAndMiss(t *testing.T) {
 	s := NewStore(StoreConfig{})
 	mustCompute(t, s, 0)
-	u, out, err := s.GetOrCompute(context.Background(), sigN(0), "a100", func() (Unit, error) {
+	u, out, err := s.GetOrCompute(context.Background(), sigN(0), func() (Unit, error) {
 		t.Fatal("compute ran on a hit")
 		return Unit{}, nil
 	})
@@ -84,7 +84,7 @@ func TestStoreLRUEviction(t *testing.T) {
 func TestStoreErrorNeverCached(t *testing.T) {
 	s := NewStore(StoreConfig{})
 	boom := errors.New("profiling failed")
-	_, out, err := s.GetOrCompute(context.Background(), sigN(0), "a100", func() (Unit, error) {
+	_, out, err := s.GetOrCompute(context.Background(), sigN(0), func() (Unit, error) {
 		return Unit{}, boom
 	})
 	if !errors.Is(err, boom) || out != OutcomeMiss {
@@ -116,7 +116,7 @@ func TestStoreFaultScheduleNeverCaches(t *testing.T) {
 	s := NewStore(StoreConfig{})
 	var failed, succeeded int
 	for n := 0; n < 64; n++ {
-		_, _, err := s.GetOrCompute(context.Background(), sigN(n), "a100", func() (Unit, error) {
+		_, _, err := s.GetOrCompute(context.Background(), sigN(n), func() (Unit, error) {
 			return profile(context.Background(), n)
 		})
 		cached, ok := s.Unit(sigN(n))
@@ -159,7 +159,7 @@ func TestStoreSingleflight(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		units[0], results[0], errs[0] = s.GetOrCompute(context.Background(), sigN(0), "a100", func() (Unit, error) {
+		units[0], results[0], errs[0] = s.GetOrCompute(context.Background(), sigN(0), func() (Unit, error) {
 			computes.Add(1)
 			close(started)
 			<-release
@@ -171,7 +171,7 @@ func TestStoreSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			units[i], results[i], errs[i] = s.GetOrCompute(context.Background(), sigN(0), "a100", func() (Unit, error) {
+			units[i], results[i], errs[i] = s.GetOrCompute(context.Background(), sigN(0), func() (Unit, error) {
 				computes.Add(1)
 				return unitN(0), nil
 			})
@@ -205,7 +205,7 @@ func TestStoreDedupWaiterCancellation(t *testing.T) {
 	s := NewStore(StoreConfig{})
 	started := make(chan struct{})
 	release := make(chan struct{})
-	go s.GetOrCompute(context.Background(), sigN(0), "a100", func() (Unit, error) {
+	go s.GetOrCompute(context.Background(), sigN(0), func() (Unit, error) {
 		close(started)
 		<-release
 		return unitN(0), nil
@@ -213,7 +213,7 @@ func TestStoreDedupWaiterCancellation(t *testing.T) {
 	<-started
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, out, err := s.GetOrCompute(ctx, sigN(0), "a100", func() (Unit, error) {
+	_, out, err := s.GetOrCompute(ctx, sigN(0), func() (Unit, error) {
 		t.Error("cancelled waiter ran compute")
 		return Unit{}, nil
 	})
@@ -258,7 +258,7 @@ func TestStoreConcurrentSweeps(t *testing.T) {
 				// signature ring, each from its own starting offset.
 				for i := 0; i < sigs; i++ {
 					n := (g + i) % sigs
-					u, _, err := s.GetOrCompute(context.Background(), sigN(n), "a100", func() (Unit, error) {
+					u, _, err := s.GetOrCompute(context.Background(), sigN(n), func() (Unit, error) {
 						computes[n].Add(1)
 						time.Sleep(50 * time.Microsecond) // widen the dedup window
 						return unitN(n), nil
@@ -299,57 +299,18 @@ func TestStorePlans(t *testing.T) {
 	if _, ok := s.Plan("a"); ok {
 		t.Fatal("phantom plan")
 	}
-	s.PutPlan("a", "a100", &Plan{Model: "ma"})
-	s.PutPlan("b", "a100", &Plan{Model: "mb"})
+	s.PutPlan("a", &Plan{Model: "ma"})
+	s.PutPlan("b", &Plan{Model: "mb"})
 	p, ok := s.Plan("a") // touch "a": "b" becomes the LRU victim
 	if !ok || p.Model != "ma" {
 		t.Fatalf("plan a: %+v ok=%v", p, ok)
 	}
-	s.PutPlan("c", "agx", &Plan{Model: "mc"})
+	s.PutPlan("c", &Plan{Model: "mc"})
 	if _, ok := s.Plan("b"); ok {
 		t.Fatal("plan LRU victim still cached")
 	}
 	st := s.Stats()
 	if st.PlanEvictions != 1 || st.Plans != 2 {
 		t.Fatalf("plan stats: %+v", st)
-	}
-}
-
-func TestSyncPlatformInvalidation(t *testing.T) {
-	s := NewStore(StoreConfig{})
-	s.SyncPlatform("a100", "h1")
-	_, _, _ = s.GetOrCompute(context.Background(), sigN(0), "a100", func() (Unit, error) { return unitN(0), nil })
-	_, _, _ = s.GetOrCompute(context.Background(), sigN(1), "agx", func() (Unit, error) { return unitN(1), nil })
-	s.PutPlan("pa", "a100", &Plan{Model: "ma"})
-	s.PutPlan("pb", "agx", &Plan{Model: "mb"})
-
-	// Same hash again: nothing purged.
-	s.SyncPlatform("a100", "h1")
-	if st := s.Stats(); st.Invalidations != 0 || st.Units != 2 {
-		t.Fatalf("stable hash purged entries: %+v", st)
-	}
-
-	// Changed hash: a100 entries purged, agx entries untouched.
-	s.SyncPlatform("a100", "h2")
-	if _, ok := s.Unit(sigN(0)); ok {
-		t.Fatal("stale a100 unit survived descriptor change")
-	}
-	if _, ok := s.Unit(sigN(1)); !ok {
-		t.Fatal("agx unit purged by a100 descriptor change")
-	}
-	if _, ok := s.Plan("pa"); ok {
-		t.Fatal("stale a100 plan survived descriptor change")
-	}
-	if _, ok := s.Plan("pb"); !ok {
-		t.Fatal("agx plan purged by a100 descriptor change")
-	}
-	if st := s.Stats(); st.Invalidations != 2 {
-		t.Fatalf("invalidations: %+v", st)
-	}
-
-	// First sighting of a platform never purges.
-	s.SyncPlatform("orin", "h9")
-	if st := s.Stats(); st.Invalidations != 2 {
-		t.Fatalf("first sighting purged: %+v", st)
 	}
 }

@@ -7,8 +7,8 @@ import (
 	"fmt"
 
 	"proof/internal/core"
-	"proof/internal/graph"
 	"proof/internal/hardware"
+	"proof/internal/memo"
 )
 
 // canonical is the content-addressed identity of a profiling request:
@@ -33,9 +33,11 @@ type canonical struct {
 // Fingerprint derives the canonical cache key of a profiling request.
 // Options that differ only in ways the pipeline normalizes away (the
 // empty mode vs ModePredicted) map to the same fingerprint; anything
-// that can change the report — model or graph content, platform,
+// that can change the report — model name, graph content, platform,
 // backend, batch, dtype, mode, clocks, jitter seed, roofline flags —
-// changes the key.
+// changes the key. An inline graph is keyed by opts.GraphDigest when it
+// is set (it must equal memo.GraphDigest(opts.Graph)), so a caller that
+// already hashed the graph does not hash it again.
 func Fingerprint(opts core.Options) (string, error) {
 	c := canonical{
 		Model:            opts.Model,
@@ -55,14 +57,13 @@ func Fingerprint(opts core.Options) (string, error) {
 		c.DType = opts.DType.String()
 	}
 	if opts.Graph != nil {
-		h, err := GraphHash(opts.Graph)
+		// Model stays in the key: with a graph it is the report's
+		// display name, which the graph content does not cover.
+		h, err := graphDigest(opts)
 		if err != nil {
 			return "", err
 		}
 		c.GraphHash = h
-		// Profile ignores Model when a graph is supplied, except as a
-		// display-name fallback; the graph hash already covers g.Name.
-		c.Model = ""
 	}
 	payload, err := json.Marshal(c)
 	if err != nil {
@@ -72,15 +73,15 @@ func Fingerprint(opts core.Options) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// GraphHash hashes a model graph by content. The graph's JSON form is
-// canonical — encoding/json sorts the tensor map keys — so two graphs
-// with identical structure hash identically regardless of construction
-// order or pointer identity.
-func GraphHash(g *graph.Graph) (string, error) {
-	payload, err := json.Marshal(g)
+// graphDigest returns opts.GraphDigest, computing memo.GraphDigest of
+// the inline graph when it is unset.
+func graphDigest(opts core.Options) (string, error) {
+	if opts.GraphDigest != "" {
+		return opts.GraphDigest, nil
+	}
+	d, err := memo.GraphDigest(opts.Graph)
 	if err != nil {
 		return "", fmt.Errorf("profsession: graph hash: %w", err)
 	}
-	sum := sha256.Sum256(payload)
-	return hex.EncodeToString(sum[:]), nil
+	return d, nil
 }

@@ -269,6 +269,15 @@ func (s *Session) ProfileOutcome(ctx context.Context, opts core.Options) (*core.
 }
 
 func (s *Session) profileOutcome(ctx context.Context, opts core.Options) (*core.Report, Outcome, error) {
+	// An inline graph is hashed once: the digest keys the session and
+	// travels on to the pipeline, which keys its memo plan with it.
+	if opts.Graph != nil {
+		d, err := graphDigest(opts)
+		if err != nil {
+			return nil, OutcomeMiss, err
+		}
+		opts.GraphDigest = d
+	}
 	key, err := Fingerprint(opts)
 	if err != nil {
 		return nil, OutcomeMiss, err

@@ -12,6 +12,7 @@ import (
 	"proof/internal/core"
 	"proof/internal/graph"
 	"proof/internal/hardware"
+	"proof/internal/memo"
 	"proof/internal/models"
 )
 
@@ -103,7 +104,7 @@ func TestCacheGraphContent(t *testing.T) {
 	}
 	s := New(0)
 	g1 := build()
-	before, err := GraphHash(g1)
+	before, err := memo.GraphDigest(g1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestCacheGraphContent(t *testing.T) {
 	if _, err := s.Profile(opts); err != nil {
 		t.Fatal(err)
 	}
-	after, err := GraphHash(g1)
+	after, err := memo.GraphDigest(g1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,6 +163,86 @@ func TestFingerprintNormalization(t *testing.T) {
 	}
 	if a == c {
 		t.Fatal("distinct modes must fingerprint differently")
+	}
+}
+
+// TestGraphRequestKeepsModelName: with a graph supplied, Model is the
+// report's display name, so a request naming the model and one that
+// does not are distinct reports and must not share a cache entry.
+func TestGraphRequestKeepsModelName(t *testing.T) {
+	g, err := models.Build("mobilenetv2-1.0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(0)
+	named := core.Options{Model: "mobilenetv2-1.0", Graph: g, Platform: "a100", Batch: 1}
+	if _, err := s.Profile(named); err != nil {
+		t.Fatal(err)
+	}
+	unnamed := named
+	unnamed.Model = ""
+	got, err := s.Profile(unnamed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.ProfileCtx(context.Background(), core.Options{Graph: g.Clone(), Platform: "a100", Batch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Model != want.Model {
+		t.Fatalf("session served model %q, pipeline reports %q", got.Model, want.Model)
+	}
+	if st := s.Stats(); st.Hits != 0 || st.Misses != 2 {
+		t.Fatalf("stats = %+v, want 2 misses", st)
+	}
+}
+
+// TestGraphDigestComputedOnce: the session hashes an inline graph once
+// and hands the digest to the pipeline, which then keys its memo plan
+// without hashing the graph again.
+func TestGraphDigestComputedOnce(t *testing.T) {
+	g, err := models.Build("shufflenetv2-0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := memo.GraphDigest(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got string
+	s := NewWithProfiler(0, func(ctx context.Context, opts core.Options) (*core.Report, error) {
+		got = opts.GraphDigest
+		return stubRep(opts), nil
+	})
+	if _, err := s.Profile(core.Options{Graph: g, Platform: "a100", Batch: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("pipeline received GraphDigest %q, want memo.GraphDigest %q", got, want)
+	}
+}
+
+// TestFingerprintPrecomputedDigest: a correct precomputed digest keys a
+// graph request exactly as hashing the graph does.
+func TestFingerprintPrecomputedDigest(t *testing.T) {
+	g, err := models.Build("shufflenetv2-0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.Options{Graph: g, Platform: "a100", Batch: 4}
+	hashed, err := Fingerprint(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opts.GraphDigest, err = memo.GraphDigest(g); err != nil {
+		t.Fatal(err)
+	}
+	given, err := Fingerprint(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if given != hashed {
+		t.Fatalf("precomputed digest changed the key: %s vs %s", given, hashed)
 	}
 }
 

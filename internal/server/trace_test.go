@@ -47,7 +47,7 @@ func TestProfileTraceEnvelope(t *testing.T) {
 			stages[ev.Name] = true
 		}
 	}
-	for _, want := range []string{"session", "pipeline", "model_build", "profile", "roofline"} {
+	for _, want := range []string{"session", "pipeline", "model_build", "analysis", "roofline"} {
 		if !stages[want] {
 			t.Errorf("trace missing stage %q (have %v)", want, stages)
 		}
