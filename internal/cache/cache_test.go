@@ -1,0 +1,265 @@
+package cache
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// waitFor polls cond until it holds or a generous deadline passes.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
+	c := New[string, int](2)
+	c.Put("a", 1)
+	c.Put("b", 2)
+	if v, ok := c.Get("a"); !ok || v != 1 { // "b" becomes the victim
+		t.Fatalf("Get(a) = %d, %v", v, ok)
+	}
+	c.Put("c", 3)
+	if _, ok := c.Get("b"); ok {
+		t.Fatal("least recently used entry survived eviction")
+	}
+	c.Put("a", 10) // an update refreshes recency without evicting
+	c.Put("d", 4)
+	if v, ok := c.Get("a"); !ok || v != 10 {
+		t.Fatalf("Get(a) after update = %d, %v", v, ok)
+	}
+	if _, ok := c.Get("c"); ok {
+		t.Fatal("c should have been evicted by d")
+	}
+	want := Stats{Hits: 2, Misses: 2, Evictions: 2, Len: 2, Cap: 2}
+	if st := c.Stats(); st != want {
+		t.Fatalf("stats = %+v, want %+v", st, want)
+	}
+}
+
+func TestDoDedupsAndNeverCachesErrors(t *testing.T) {
+	c := New[string, int](4)
+	ctx := context.Background()
+	var calls atomic.Int64
+	release := make(chan struct{})
+	const waiters = 8
+
+	leaderOut := make(chan Outcome, 1)
+	go func() {
+		_, out, _ := c.Do(ctx, "k", func() (int, error) {
+			calls.Add(1)
+			<-release
+			return 0, errors.New("boom")
+		})
+		leaderOut <- out
+	}()
+	waitFor(t, "the leader", func() bool { return c.Stats().Inflight == 1 })
+	var wg sync.WaitGroup
+	errs := make([]error, waiters)
+	outs := make([]Outcome, waiters)
+	for i := 0; i < waiters; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, outs[i], errs[i] = c.Do(ctx, "k", func() (int, error) {
+				calls.Add(1)
+				return 1, nil
+			})
+		}(i)
+	}
+	waitFor(t, "the waiters", func() bool { return c.Stats().Dedups == waiters })
+	close(release)
+	wg.Wait()
+	if out := <-leaderOut; out != Miss {
+		t.Errorf("leader outcome = %v, want miss", out)
+	}
+	for i := range errs {
+		if outs[i] != Dedup || errs[i] == nil || errs[i].Error() != "boom" {
+			t.Errorf("waiter %d: outcome %v err %v, want dedup with the leader's error", i, outs[i], errs[i])
+		}
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("fn ran %d times, want 1", n)
+	}
+	// The failure was not cached: the next caller leads afresh.
+	if v, out, err := c.Do(ctx, "k", func() (int, error) { return 7, nil }); v != 7 || out != Miss || err != nil {
+		t.Fatalf("after failure: %d %v %v, want a fresh miss", v, out, err)
+	}
+	want := Stats{Misses: 2, Dedups: waiters, Failures: 1, Len: 1, Cap: 4}
+	if st := c.Stats(); st != want {
+		t.Fatalf("stats = %+v, want %+v", st, want)
+	}
+}
+
+func TestDoWaiterLeavesOnCancel(t *testing.T) {
+	c := New[string, int](4)
+	release := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c.Do(context.Background(), "k", func() (int, error) {
+			<-release
+			return 1, nil
+		})
+	}()
+	waitFor(t, "the leader", func() bool { return c.Stats().Inflight == 1 })
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, out, err := c.Do(ctx, "k", func() (int, error) {
+		t.Error("a waiter ran fn")
+		return 0, nil
+	}); out != Dedup || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled waiter: %v %v", out, err)
+	}
+	close(release)
+	<-done
+	if v, ok := c.Get("k"); !ok || v != 1 {
+		t.Fatalf("leader result not cached after the waiter left: %d %v", v, ok)
+	}
+}
+
+// TestDoPanicReleasesKey: a leader whose fn panics must release its
+// key. Without that, every later Do for the key waits on a call nobody
+// finishes, and Inflight stays at 1.
+func TestDoPanicReleasesKey(t *testing.T) {
+	c := New[string, int](4)
+	release := make(chan struct{})
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		c.Do(context.Background(), "k", func() (int, error) {
+			<-release
+			panic("kaboom")
+		})
+	}()
+	waitFor(t, "the leader", func() bool { return c.Stats().Inflight == 1 })
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	waiterErr := make(chan error, 1)
+	go func() {
+		_, _, err := c.Do(ctx, "k", func() (int, error) { return 0, nil })
+		waiterErr <- err
+	}()
+	waitFor(t, "the waiter", func() bool { return c.Stats().Dedups == 1 })
+	close(release)
+
+	if r := <-recovered; r != "kaboom" {
+		t.Errorf("leader recovered %v, want the original panic value", r)
+	}
+	if err := <-waiterErr; err == nil || !strings.Contains(err.Error(), "kaboom") {
+		t.Errorf("waiter err = %v, want an error naming the panic", err)
+	}
+	if st := c.Stats(); st.Inflight != 0 || st.Len != 0 || st.Failures != 1 {
+		t.Fatalf("after panic: %+v, want nothing in flight or cached and one failure", st)
+	}
+	if v, out, err := c.Do(ctx, "k", func() (int, error) { return 3, nil }); v != 3 || out != Miss || err != nil {
+		t.Fatalf("after panic: %d %v %v, want a fresh miss", v, out, err)
+	}
+}
+
+func TestResetKeepsCountersAndInflight(t *testing.T) {
+	c := New[string, int](4)
+	c.Put("a", 1)
+	c.Get("a")
+	release := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c.Do(context.Background(), "b", func() (int, error) {
+			<-release
+			return 2, nil
+		})
+	}()
+	waitFor(t, "the leader", func() bool { return c.Stats().Inflight == 1 })
+	c.Reset()
+	if _, ok := c.Get("a"); ok {
+		t.Fatal("Reset kept an entry")
+	}
+	close(release)
+	<-done
+	if v, ok := c.Get("b"); !ok || v != 2 {
+		t.Fatalf("in-flight result lost across Reset: %d %v", v, ok)
+	}
+	if st := c.Stats(); st.Hits != 2 || st.Len != 1 {
+		t.Fatalf("stats = %+v, want lifetime hits kept", st)
+	}
+}
+
+// TestHitPathAllocs pins the //lint:hotpath contract: a hit through
+// Get or Do allocates nothing.
+func TestHitPathAllocs(t *testing.T) {
+	c := New[string, int](4)
+	c.Put("k", 1)
+	ctx := context.Background()
+	fn := func() (int, error) { return 0, nil }
+	if n := testing.AllocsPerRun(100, func() { c.Get("k") }); n != 0 {
+		t.Errorf("Get hit: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.Do(ctx, "k", fn) }); n != 0 {
+		t.Errorf("Do hit: %v allocs, want 0", n)
+	}
+}
+
+// TestConcurrentMixedOps drives every method from many goroutines over
+// a key space larger than the capacity, for the race detector, then
+// checks that the counters balance.
+func TestConcurrentMixedOps(t *testing.T) {
+	const goroutines, ops, keys = 8, 300, 12
+	c := New[int, int](4)
+	var wg sync.WaitGroup
+	var dos, gets atomic.Int64
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < ops; i++ {
+				k := (g*7 + i) % keys
+				switch i % 5 {
+				case 0:
+					c.Put(k, k)
+				case 1:
+					gets.Add(1)
+					if v, ok := c.Get(k); ok && v != k {
+						t.Errorf("Get(%d) = %d", k, v)
+					}
+				case 2:
+					c.Stats()
+				case 3:
+					if i%60 == 3 {
+						c.Reset()
+					}
+				default:
+					dos.Add(1)
+					v, _, err := c.Do(context.Background(), k, func() (int, error) {
+						if k%4 == 0 {
+							return 0, fmt.Errorf("key %d fails", k)
+						}
+						return k, nil
+					})
+					if err == nil && v != k {
+						t.Errorf("Do(%d) = %d", k, v)
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	st := c.Stats()
+	if st.Hits+st.Misses+st.Dedups != dos.Load()+gets.Load() {
+		t.Errorf("counters %+v do not balance %d lookups", st, dos.Load()+gets.Load())
+	}
+	if st.Inflight != 0 || st.Len > st.Cap {
+		t.Errorf("after the storm: %+v", st)
+	}
+}

@@ -13,6 +13,7 @@ import (
 // arrive as the first parameter — the same contract core.ProfileCtx
 // and profsession promise in their docs.
 var defaultCtxScopes = []string{
+	"internal/cache",
 	"internal/core",
 	"internal/backend",
 	"internal/histstore",

@@ -1,11 +1,10 @@
 package memo
 
 import (
-	"container/list"
 	"context"
-	"sync"
 	"time"
 
+	"proof/internal/cache"
 	"proof/internal/graph"
 )
 
@@ -74,16 +73,16 @@ type Plan struct {
 }
 
 // Outcome classifies one unit lookup.
-type Outcome string
+type Outcome = cache.Outcome
 
 const (
 	// OutcomeHit served a cached unit.
-	OutcomeHit Outcome = "hit"
+	OutcomeHit = cache.Hit
 	// OutcomeMiss computed and cached a new unit.
-	OutcomeMiss Outcome = "miss"
+	OutcomeMiss = cache.Miss
 	// OutcomeDedup waited for a concurrent computation of the same
 	// signature (singleflight).
-	OutcomeDedup Outcome = "dedup"
+	OutcomeDedup = cache.Dedup
 )
 
 // StoreConfig bounds a Store.
@@ -102,42 +101,13 @@ const (
 	DefaultPlanCapacity = 1024
 )
 
-// Store is the layer-unit memo store: an LRU of Units keyed by
-// Signature, an LRU of Plans keyed by plan key, and singleflight dedup
-// on concurrent unit misses. All methods are safe for concurrent use.
+// Store is the layer-unit memo store: a cache of Units keyed by
+// Signature, whose concurrent misses of one signature compute once,
+// and a cache of Plans keyed by plan key. All methods are safe for
+// concurrent use.
 type Store struct {
-	mu        sync.Mutex
-	unitCap   int
-	planCap   int
-	units     map[Signature]*list.Element // of *unitEntry
-	unitOrder *list.List                  // front = most recent
-	plans     map[string]*list.Element    // of *planEntry
-	planOrder *list.List
-	inflight  map[Signature]*unitCall
-
-	stats struct {
-		hits, misses, dedups int64
-		evictions            int64
-		planHits, planMisses int64
-		planEvictions        int64
-		failures             int64 // unit computations that errored (never cached)
-	}
-}
-
-type unitEntry struct {
-	sig  Signature
-	unit Unit
-}
-
-type planEntry struct {
-	key  string
-	plan *Plan
-}
-
-type unitCall struct {
-	done chan struct{}
-	unit Unit
-	err  error
+	units *cache.LRU[Signature, Unit]
+	plans *cache.LRU[string, *Plan]
 }
 
 // NewStore creates a bounded store.
@@ -149,29 +119,17 @@ func NewStore(cfg StoreConfig) *Store {
 		cfg.PlanCapacity = DefaultPlanCapacity
 	}
 	return &Store{
-		unitCap:   cfg.UnitCapacity,
-		planCap:   cfg.PlanCapacity,
-		units:     make(map[Signature]*list.Element),
-		unitOrder: list.New(),
-		plans:     make(map[string]*list.Element),
-		planOrder: list.New(),
-		inflight:  make(map[Signature]*unitCall),
+		units: cache.New[Signature, Unit](cfg.UnitCapacity),
+		plans: cache.New[string, *Plan](cfg.PlanCapacity),
 	}
 }
 
-// Unit returns the cached unit for sig, if present. Used on a plan hit;
-// a miss there is not counted (the caller falls back to the full
-// pipeline, whose GetOrCompute accounts for it).
+// Unit returns the cached unit for sig, if present. It is used on a
+// plan hit and counts a hit or a miss like every other unit lookup; a
+// miss there sends the caller down the full pipeline, whose
+// GetOrCompute counts the unit's lookup again.
 func (s *Store) Unit(sig Signature) (Unit, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.units[sig]
-	if !ok {
-		return Unit{}, false
-	}
-	s.unitOrder.MoveToFront(el)
-	s.stats.hits++
-	return el.Value.(*unitEntry).unit, true
+	return s.units.Get(sig)
 }
 
 // GetOrCompute returns the cached unit for sig or computes it exactly
@@ -182,96 +140,19 @@ func (s *Store) Unit(sig Signature) (Unit, bool) {
 // fresh. A waiter whose ctx ends returns ctx.Err() without disturbing
 // the computation.
 func (s *Store) GetOrCompute(ctx context.Context, sig Signature, compute func() (Unit, error)) (Unit, Outcome, error) {
-	s.mu.Lock()
-	if el, ok := s.units[sig]; ok {
-		s.unitOrder.MoveToFront(el)
-		s.stats.hits++
-		u := el.Value.(*unitEntry).unit
-		s.mu.Unlock()
-		return u, OutcomeHit, nil
-	}
-	if c, ok := s.inflight[sig]; ok {
-		s.stats.dedups++
-		s.mu.Unlock()
-		select {
-		case <-c.done:
-			return c.unit, OutcomeDedup, c.err
-		case <-ctx.Done():
-			return Unit{}, OutcomeDedup, ctx.Err()
-		}
-	}
-	c := &unitCall{done: make(chan struct{})}
-	s.inflight[sig] = c
-	s.stats.misses++
-	s.mu.Unlock()
-
-	c.unit, c.err = compute()
-
-	s.mu.Lock()
-	delete(s.inflight, sig)
-	if c.err == nil {
-		s.insertUnitLocked(sig, c.unit)
-	} else {
-		s.stats.failures++
-	}
-	s.mu.Unlock()
-	close(c.done)
-	return c.unit, OutcomeMiss, c.err
-}
-
-func (s *Store) insertUnitLocked(sig Signature, u Unit) {
-	if el, ok := s.units[sig]; ok {
-		el.Value.(*unitEntry).unit = u
-		s.unitOrder.MoveToFront(el)
-		return
-	}
-	s.units[sig] = s.unitOrder.PushFront(&unitEntry{sig: sig, unit: u})
-	for len(s.units) > s.unitCap {
-		last := s.unitOrder.Back()
-		if last == nil {
-			break
-		}
-		s.unitOrder.Remove(last)
-		delete(s.units, last.Value.(*unitEntry).sig)
-		s.stats.evictions++
-	}
+	return s.units.Do(ctx, sig, compute)
 }
 
 // Plan returns the cached assembly plan for key. The returned plan is
 // shared and must not be modified.
 func (s *Store) Plan(key string) (*Plan, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.plans[key]
-	if !ok {
-		s.stats.planMisses++
-		return nil, false
-	}
-	s.planOrder.MoveToFront(el)
-	s.stats.planHits++
-	return el.Value.(*planEntry).plan, true
+	return s.plans.Get(key)
 }
 
 // PutPlan caches the assembly plan of one profiling point. The store
 // takes ownership of p, which must not be modified afterwards.
 func (s *Store) PutPlan(key string, p *Plan) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.plans[key]; ok {
-		el.Value.(*planEntry).plan = p
-		s.planOrder.MoveToFront(el)
-		return
-	}
-	s.plans[key] = s.planOrder.PushFront(&planEntry{key: key, plan: p})
-	for len(s.plans) > s.planCap {
-		last := s.planOrder.Back()
-		if last == nil {
-			break
-		}
-		s.planOrder.Remove(last)
-		delete(s.plans, last.Value.(*planEntry).key)
-		s.stats.planEvictions++
-	}
+	s.plans.Put(key, p)
 }
 
 // Stats is a point-in-time snapshot of store counters.
@@ -304,18 +185,17 @@ func (st Stats) HitRatio() float64 {
 
 // Stats returns a snapshot of the store counters.
 func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	u, p := s.units.Stats(), s.plans.Stats()
 	return Stats{
-		Units:         len(s.units),
-		Plans:         len(s.plans),
-		Hits:          s.stats.hits,
-		Misses:        s.stats.misses,
-		Dedups:        s.stats.dedups,
-		Failures:      s.stats.failures,
-		Evictions:     s.stats.evictions,
-		PlanHits:      s.stats.planHits,
-		PlanMisses:    s.stats.planMisses,
-		PlanEvictions: s.stats.planEvictions,
+		Units:         u.Len,
+		Plans:         p.Len,
+		Hits:          u.Hits,
+		Misses:        u.Misses,
+		Dedups:        u.Dedups,
+		Failures:      u.Failures,
+		Evictions:     u.Evictions,
+		PlanHits:      p.Hits,
+		PlanMisses:    p.Misses,
+		PlanEvictions: p.Evictions,
 	}
 }

@@ -26,14 +26,10 @@ func RegisterMetrics(reg *obs.Registry, prefix string, s *Session) error {
 			func() float64 { return float64(s.retriesExhausted.Load()) }),
 		reg.CounterFunc(p+"stale_hits_total",
 			"Degraded reads served from the last-known-good store.",
-			func() float64 { return float64(s.staleHits.Load()) }),
+			func() float64 { return float64(s.Stats().StaleHits) }),
 		reg.GaugeFunc(p+"stale_size",
 			"Reports in the last-known-good store.",
-			func() float64 {
-				s.mu.Lock()
-				defer s.mu.Unlock()
-				return float64(s.staleOrder.Len())
-			}),
+			func() float64 { return float64(s.Stats().StaleSize) }),
 	}
 	if bs := s.breakers; bs != nil {
 		bs.mu.Lock()
@@ -58,38 +54,34 @@ func RegisterMetrics(reg *obs.Registry, prefix string, s *Session) error {
 	errs = append(errs,
 		reg.CounterFunc(p+"hits_total",
 			"Profiling requests served from the report cache.",
-			func() float64 { return float64(s.hits.Load()) }),
+			func() float64 { return float64(s.Stats().Hits) }),
 		reg.CounterFunc(p+"misses_total",
 			"Profiling requests that executed the pipeline.",
-			func() float64 { return float64(s.misses.Load()) }),
+			func() float64 { return float64(s.Stats().Misses) }),
 		reg.CounterFunc(p+"evictions_total",
 			"Reports dropped by the LRU policy.",
-			func() float64 { return float64(s.evictions.Load()) }),
+			func() float64 { return float64(s.Stats().Evictions) }),
 		reg.CounterFunc(p+"dedups_total",
 			"Requests that attached to an identical in-flight execution.",
-			func() float64 { return float64(s.dedups.Load()) }),
+			func() float64 { return float64(s.Stats().Dedups) }),
 		reg.GaugeFunc(p+"inflight_executions",
 			"Pipeline executions running right now.",
-			func() float64 { return float64(s.running.Load()) }),
+			func() float64 { return float64(s.Stats().Inflight) }),
 		reg.GaugeFunc(p+"cache_size",
 			"Reports currently cached.",
-			func() float64 {
-				s.mu.Lock()
-				defer s.mu.Unlock()
-				return float64(s.order.Len())
-			}),
+			func() float64 { return float64(s.Stats().Size) }),
 		reg.GaugeFunc(p+"cache_capacity",
 			"Report cache capacity.",
-			func() float64 { return float64(s.capacity) }),
+			func() float64 { return float64(s.Stats().Capacity) }),
 		reg.GaugeFunc(p+"cache_hit_ratio",
 			"Lifetime cache hit ratio: hits / (hits + misses + dedups).",
 			func() float64 {
-				h := float64(s.hits.Load())
-				total := h + float64(s.misses.Load()) + float64(s.dedups.Load())
+				st := s.Stats()
+				total := st.Hits + st.Misses + st.Dedups
 				if total == 0 {
 					return 0
 				}
-				return h / total
+				return float64(st.Hits) / float64(total)
 			}),
 	)
 	return errors.Join(errs...)

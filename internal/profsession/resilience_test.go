@@ -225,6 +225,7 @@ func TestBreakerOpensFastFailsAndRecovers(t *testing.T) {
 	}
 	// Circuit open: next request fails fast without executing.
 	before := calls.Load()
+	stBefore := s.Stats()
 	opts.Batch = 99
 	_, out, err := s.ProfileOutcome(context.Background(), opts)
 	var coe *CircuitOpenError
@@ -242,6 +243,12 @@ func TestBreakerOpensFastFailsAndRecovers(t *testing.T) {
 	}
 	if calls.Load() != before {
 		t.Error("open circuit still executed the pipeline")
+	}
+	// Misses counts requests that executed the pipeline, so a rejected
+	// request moves neither it nor the in-flight gauge.
+	if st := s.Stats(); st.Misses != stBefore.Misses || st.Inflight != stBefore.Inflight {
+		t.Errorf("rejected request moved Misses %d -> %d, Inflight %d -> %d",
+			stBefore.Misses, st.Misses, stBefore.Inflight, st.Inflight)
 	}
 	// A different platform has its own circuit.
 	other := baseOpts
@@ -297,6 +304,68 @@ func TestBreakerFailedProbeReopens(t *testing.T) {
 	}
 	if _, reopens, _, _ := s.breakers.snapshot(); reopens != 1 {
 		t.Errorf("reopens = %d, want 1", reopens)
+	}
+}
+
+// TestPanickingProbeReleasesKeyAndCircuit: an execution that panics
+// must free both its cache key and its circuit. A key left in flight
+// makes every later request for it wait out its deadline, and a
+// half-open probe that never reports keeps its circuit rejecting for
+// good. The panic itself still reaches the caller, where net/http and
+// parallel.MapCtx recover it.
+func TestPanickingProbeReleasesKeyAndCircuit(t *testing.T) {
+	var mode atomic.Int32 // 0 healthy, 1 failing, 2 panicking
+	s := NewWithConfig(Config{
+		Capacity: 4,
+		Profile: func(ctx context.Context, opts core.Options) (*core.Report, error) {
+			switch mode.Load() {
+			case 1:
+				return nil, errors.New("backend down")
+			case 2:
+				panic("probe exploded")
+			}
+			return stubRep(opts), nil
+		},
+		Breaker: BreakerConfig{Threshold: 1, Cooldown: time.Minute},
+	})
+	now := time.Unix(0, 0)
+	s.breakers.now = func() time.Time { return now }
+
+	mode.Store(1)
+	if _, err := s.Profile(baseOpts); err == nil { // opens the circuit
+		t.Fatal("want failure")
+	}
+	now = now.Add(2 * time.Minute)
+	mode.Store(2)
+	probe := baseOpts
+	probe.Batch = 2
+	func() {
+		defer func() {
+			if r := recover(); r != "probe exploded" {
+				t.Errorf("recovered %v, want the profiler's panic", r)
+			}
+		}()
+		s.Profile(probe)
+	}()
+	if st := s.Stats(); st.Inflight != 0 {
+		t.Errorf("Inflight = %d after a panicking execution, want 0", st.Inflight)
+	}
+
+	// The panicking probe re-opened the circuit; after another cooldown
+	// a healthy probe closes it.
+	mode.Store(0)
+	now = now.Add(2 * time.Minute)
+	other := baseOpts
+	other.Batch = 3
+	if _, err := s.Profile(other); err != nil {
+		t.Errorf("circuit still rejecting after the panicking probe: %v", err)
+	}
+	// The panicked key executes afresh instead of waiting on its dead
+	// in-flight slot.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	if _, out, err := s.ProfileOutcome(ctx, probe); err != nil || out != OutcomeMiss {
+		t.Errorf("panicked key: outcome %v err %v, want a fresh miss", out, err)
 	}
 }
 

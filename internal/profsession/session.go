@@ -3,20 +3,19 @@
 // observation (Dooly, XSP) that profiling-based analysis only scales
 // when repeated runs over the same model/hardware configuration are
 // amortized. A Session keys every request by a content-addressed
-// fingerprint of its core.Options, serves repeats from an LRU report
-// cache, and collapses concurrent identical requests into a single
-// pipeline execution (singleflight), with hit/miss/eviction/in-flight
-// counters for observability.
+// fingerprint of its core.Options and serves it through an
+// internal/cache LRU: repeats are cache hits, and concurrent identical
+// requests collapse into a single pipeline execution, with
+// hit/miss/eviction/in-flight counters for observability.
 package profsession
 
 import (
-	"container/list"
 	"context"
 	"errors"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"proof/internal/cache"
 	"proof/internal/core"
 	"proof/internal/faults"
 	"proof/internal/graph"
@@ -151,43 +150,22 @@ const (
 	OutcomeRejected Outcome = "rejected"
 )
 
-// call is one in-flight pipeline execution that duplicate requests wait
-// on.
-type call struct {
-	done chan struct{}
-	rep  *core.Report
-	err  error
-}
-
 // Session is a cached profiling front-end. It is safe for concurrent
 // use; the zero value is not usable — construct with New.
 type Session struct {
-	capacity int
 	profile  core.ProfileFunc
 	retry    RetryPolicy
 	breakers *breakerSet // nil when the breaker is disabled
 	memo     *memo.Store // nil when memoization is disabled
 
-	mu       sync.Mutex
-	order    *list.List // front = most recently used; values are *entry
-	entries  map[string]*list.Element
-	inflight map[string]*call
+	// reports is the report cache. stale is the last-known-good store
+	// for degraded serving, deliberately decoupled from the report
+	// cache's eviction and Reset (same *core.Report values — reports
+	// are immutable once cached, cloned on the way out).
+	reports *cache.LRU[string, *core.Report]
+	stale   *cache.LRU[string, *core.Report]
 
-	// Last-known-good store for degraded serving: its own LRU,
-	// deliberately decoupled from the main cache's eviction and Reset
-	// (same *core.Report values — reports are immutable once cached,
-	// cloned on the way out).
-	staleCap     int
-	staleOrder   *list.List
-	staleEntries map[string]*list.Element
-
-	hits, misses, evictions, dedups, running atomic.Int64
-	retries, retriesExhausted, staleHits     atomic.Int64
-}
-
-type entry struct {
-	key string
-	rep *core.Report
+	retries, retriesExhausted atomic.Int64
 }
 
 // New creates a session with the given report-cache capacity
@@ -216,16 +194,11 @@ func NewWithConfig(cfg Config) *Session {
 		cfg.Profile = core.ProfileCtx
 	}
 	s := &Session{
-		capacity:     cfg.Capacity,
-		profile:      cfg.Profile,
-		retry:        cfg.Retry,
-		memo:         cfg.Memo,
-		order:        list.New(),
-		entries:      make(map[string]*list.Element),
-		inflight:     make(map[string]*call),
-		staleCap:     cfg.StaleCapacity,
-		staleOrder:   list.New(),
-		staleEntries: make(map[string]*list.Element),
+		profile: cfg.Profile,
+		retry:   cfg.Retry,
+		memo:    cfg.Memo,
+		reports: cache.New[string, *core.Report](cfg.Capacity),
+		stale:   cache.New[string, *core.Report](cfg.StaleCapacity),
 	}
 	if cfg.Breaker.Threshold > 0 {
 		s.breakers = newBreakerSet(cfg.Breaker)
@@ -282,85 +255,54 @@ func (s *Session) profileOutcome(ctx context.Context, opts core.Options) (*core.
 	if err != nil {
 		return nil, OutcomeMiss, err
 	}
-
-	s.mu.Lock()
-	if el, ok := s.entries[key]; ok {
-		s.order.MoveToFront(el)
-		rep := el.Value.(*entry).rep
-		s.mu.Unlock()
-		s.hits.Add(1)
-		return cloneReport(rep), OutcomeHit, nil
-	}
-	if c, ok := s.inflight[key]; ok {
-		s.mu.Unlock()
-		s.dedups.Add(1)
-		select {
-		case <-c.done:
-		case <-ctx.Done():
-			// This waiter gives up; the shared execution keeps
-			// running for the others.
-			return nil, OutcomeDedup, ctx.Err()
-		}
-		if c.err != nil {
-			// The leader failed (possibly because *its* context was
-			// cancelled). Errors are not cached, so report the
-			// leader's error rather than retrying: retry policy
-			// belongs to the caller.
-			return nil, OutcomeDedup, c.err
-		}
-		return cloneReport(c.rep), OutcomeDedup, nil
-	}
-	bkey := breakerKey(opts)
-	if s.breakers != nil {
-		if after, ok := s.breakers.allow(bkey); !ok {
-			s.mu.Unlock()
-			return nil, OutcomeRejected, &CircuitOpenError{Key: bkey, RetryAfter: after}
-		}
-	}
-	c := &call{done: make(chan struct{})}
-	s.inflight[key] = c
-	s.mu.Unlock()
-	s.misses.Add(1)
-	s.running.Add(1)
-
-	run := opts
-	if run.Graph != nil {
-		run.Graph = run.Graph.Clone()
-	}
-	if run.Memo == nil {
-		run.Memo = s.memo
-	}
-	rep, err := s.execute(ctx, run)
-	c.rep, c.err = rep, err
-
-	if s.breakers != nil {
-		switch {
-		case err == nil:
-			s.breakers.record(bkey, verdictSuccess)
-		case ctx.Err() != nil:
-			// The requester is gone; cancellation races any real
-			// failure, so don't let an abandoned request move the
-			// circuit (but do release a half-open probe slot).
-			s.breakers.record(bkey, verdictAbandoned)
-		default:
-			s.breakers.record(bkey, verdictFailure)
-		}
-	}
-
-	s.mu.Lock()
-	delete(s.inflight, key)
-	if err == nil {
-		s.insertLocked(key, rep)
-		s.storeStaleLocked(key, rep)
-	}
-	s.mu.Unlock()
-	s.running.Add(-1)
-	close(c.done)
-
+	rep, out, err := s.reports.Do(ctx, key, func() (*core.Report, error) {
+		return s.lead(ctx, key, opts)
+	})
 	if err != nil {
-		return nil, OutcomeMiss, err
+		var coe *CircuitOpenError
+		if errors.As(err, &coe) {
+			return nil, OutcomeRejected, err
+		}
+		// A dedup waiter reports the leader's error (possibly from
+		// the leader's own cancelled context) rather than retrying:
+		// errors are never cached, and retry policy belongs to the
+		// caller.
+		return nil, Outcome(out), err
 	}
-	return cloneReport(rep), OutcomeMiss, nil
+	return cloneReport(rep), Outcome(out), nil
+}
+
+// lead runs one report-cache miss: only a would-be leader consults the
+// circuit. A panicking execution counts as a breaker failure, so a
+// half-open probe that panics re-opens its circuit instead of leaving
+// it probing forever.
+func (s *Session) lead(ctx context.Context, key string, opts core.Options) (*core.Report, error) {
+	verdict := verdictFailure // kept when the execution panics
+	if s.breakers != nil {
+		bkey := breakerKey(opts)
+		if after, ok := s.breakers.allow(bkey); !ok {
+			return nil, &CircuitOpenError{Key: bkey, RetryAfter: after}
+		}
+		defer func() { s.breakers.record(bkey, verdict) }()
+	}
+	if opts.Graph != nil {
+		opts.Graph = opts.Graph.Clone()
+	}
+	if opts.Memo == nil {
+		opts.Memo = s.memo
+	}
+	rep, err := s.execute(ctx, opts)
+	switch {
+	case err == nil:
+		verdict = verdictSuccess
+		s.stale.Put(key, rep)
+	case ctx.Err() != nil:
+		// The requester is gone; cancellation races any real
+		// failure, so don't let an abandoned request move the
+		// circuit (but do release a half-open probe slot).
+		verdict = verdictAbandoned
+	}
+	return rep, err
 }
 
 // execute runs one pipeline execution under the session's retry
@@ -406,22 +348,6 @@ func (s *Session) execute(ctx context.Context, run core.Options) (*core.Report, 
 	return rep, err
 }
 
-// storeStaleLocked records a successful report in the last-known-good
-// store. s.mu must be held.
-func (s *Session) storeStaleLocked(key string, rep *core.Report) {
-	if el, ok := s.staleEntries[key]; ok {
-		s.staleOrder.MoveToFront(el)
-		el.Value.(*entry).rep = rep
-		return
-	}
-	s.staleEntries[key] = s.staleOrder.PushFront(&entry{key: key, rep: rep})
-	for s.staleOrder.Len() > s.staleCap {
-		oldest := s.staleOrder.Back()
-		s.staleOrder.Remove(oldest)
-		delete(s.staleEntries, oldest.Value.(*entry).key)
-	}
-}
-
 // FallbackFor decides whether a failed live profile may degrade to the
 // last-known-good report for opts. Degradation is for service failures
 // only: caller bugs (invalid models) keep their error, a cancelled
@@ -451,52 +377,32 @@ func (s *Session) StaleFor(opts core.Options) (*core.Report, bool) {
 	if err != nil {
 		return nil, false
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.staleEntries[key]
-	if !ok {
-		return nil, false
-	}
-	s.staleOrder.MoveToFront(el)
-	s.staleHits.Add(1)
-	return cloneReport(el.Value.(*entry).rep), true
-}
-
-// insertLocked stores a report under key and applies the LRU bound.
-// s.mu must be held.
-func (s *Session) insertLocked(key string, rep *core.Report) {
-	if el, ok := s.entries[key]; ok {
-		s.order.MoveToFront(el)
-		el.Value.(*entry).rep = rep
-		return
-	}
-	s.entries[key] = s.order.PushFront(&entry{key: key, rep: rep})
-	for s.order.Len() > s.capacity {
-		oldest := s.order.Back()
-		s.order.Remove(oldest)
-		delete(s.entries, oldest.Value.(*entry).key)
-		s.evictions.Add(1)
-	}
+	rep, ok := s.stale.Get(key)
+	return cloneReport(rep), ok
 }
 
 // Stats snapshots the session counters.
 func (s *Session) Stats() Stats {
-	s.mu.Lock()
-	size := s.order.Len()
-	staleSize := s.staleOrder.Len()
-	s.mu.Unlock()
+	// Each fast fail is a leader that took a report-cache miss without
+	// executing. Reading fast fails first means every rejection counted
+	// already has its miss counted below.
+	var rejected int64
+	if s.breakers != nil {
+		_, _, _, rejected = s.breakers.snapshot()
+	}
+	rs, ss := s.reports.Stats(), s.stale.Stats()
 	return Stats{
-		Hits:             s.hits.Load(),
-		Misses:           s.misses.Load(),
-		Evictions:        s.evictions.Load(),
-		Dedups:           s.dedups.Load(),
-		Inflight:         s.running.Load(),
-		Size:             size,
-		Capacity:         s.capacity,
+		Hits:             rs.Hits,
+		Misses:           rs.Misses - rejected,
+		Evictions:        rs.Evictions,
+		Dedups:           rs.Dedups,
+		Inflight:         int64(rs.Inflight),
+		Size:             rs.Len,
+		Capacity:         rs.Cap,
 		Retries:          s.retries.Load(),
 		RetriesExhausted: s.retriesExhausted.Load(),
-		StaleHits:        s.staleHits.Load(),
-		StaleSize:        staleSize,
+		StaleHits:        ss.Hits,
+		StaleSize:        ss.Len,
 	}
 }
 
@@ -505,10 +411,7 @@ func (s *Session) Stats() Stats {
 // store deliberately survives: Reset flushes what the session will
 // serve as fresh, not what it can fall back on when profiling breaks.
 func (s *Session) Reset() {
-	s.mu.Lock()
-	s.order.Init()
-	s.entries = make(map[string]*list.Element)
-	s.mu.Unlock()
+	s.reports.Reset()
 }
 
 // cloneReport deep-copies a report so cached state can never be
