@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"sort"
 
 	"proof/internal/graph"
 )
@@ -157,8 +156,7 @@ func (o *OptimizedRep) GetSubgraphOpsByIO(inputs, outputs []string) ([]*graph.No
 		}
 	}
 	// Return in the base graph's topological order for determinism.
-	pos := o.topoPos()
-	sort.Slice(nodes, func(i, j int) bool { return pos[nodes[i].Name] < pos[nodes[j].Name] })
+	o.Base.SortTopo(nodes)
 	return nodes, nil
 }
 
@@ -169,14 +167,6 @@ func isGraphInput(g *graph.Graph, name string) bool {
 		}
 	}
 	return false
-}
-
-func (o *OptimizedRep) topoPos() map[string]int {
-	pos := make(map[string]int, len(o.Base.order))
-	for i, n := range o.Base.order {
-		pos[n.Name] = i
-	}
-	return pos
 }
 
 // SetFusedOp fuses the given original nodes into a single fused operator
@@ -223,9 +213,8 @@ func (o *OptimizedRep) SetFusedOp(name string, nodes []*graph.Node) (*FusedOp, e
 		}
 	}
 	// Keep nodes in topological order.
-	pos := o.topoPos()
 	ordered := append([]*graph.Node(nil), nodes...)
-	sort.Slice(ordered, func(i, j int) bool { return pos[ordered[i].Name] < pos[ordered[j].Name] })
+	o.Base.SortTopo(ordered)
 	f := &FusedOp{Name: name, Nodes: ordered, Inputs: inputs, Outputs: outputs}
 	for _, n := range ordered {
 		o.fused[n.Name] = f

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 
 	"proof/internal/graph"
 )
@@ -13,8 +14,11 @@ type Rep struct {
 	Graph *graph.Graph
 	// costs maps node name to its predicted cost.
 	costs map[string]Cost
-	// order caches the topological node order.
+	// order caches the topological node order; pos is its inverse,
+	// each node's index in order. Fusion and layer mapping both sort
+	// node sets by pos, so it is built once here.
 	order []*graph.Node
+	pos   map[*graph.Node]int
 }
 
 // NewRep builds the Analyze Representation for a graph: validates it,
@@ -30,7 +34,11 @@ func NewRep(g *graph.Graph) (*Rep, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Rep{Graph: g, costs: make(map[string]Cost, len(g.Nodes)), order: order}
+	pos := make(map[*graph.Node]int, len(order))
+	for i, n := range order {
+		pos[n] = i
+	}
+	r := &Rep{Graph: g, costs: make(map[string]Cost, len(g.Nodes)), order: order, pos: pos}
 	for _, n := range g.Nodes {
 		c, err := NodeCost(n, g)
 		if err != nil {
@@ -79,6 +87,20 @@ func (r *Rep) TotalCost() Cost {
 
 // Nodes returns the nodes in topological order.
 func (r *Rep) Nodes() []*graph.Node { return r.order }
+
+// TopoPos returns the node's index in Nodes(), or -1 for a node that
+// is not in the graph.
+func (r *Rep) TopoPos(n *graph.Node) int {
+	if i, ok := r.pos[n]; ok {
+		return i
+	}
+	return -1
+}
+
+// SortTopo sorts nodes of the graph into topological order in place.
+func (r *Rep) SortTopo(nodes []*graph.Node) {
+	slices.SortFunc(nodes, func(a, b *graph.Node) int { return r.TopoPos(a) - r.TopoPos(b) })
+}
 
 // NodeCount returns the number of operators in the model (Table 3's
 // "ONNX Nodes" column).

@@ -1,6 +1,8 @@
 package backend
 
 import (
+	"slices"
+
 	"proof/internal/analysis"
 	"proof/internal/graph"
 )
@@ -98,10 +100,6 @@ func IsMetadataNode(n *graph.Node, g *graph.Graph) bool {
 func Fuse(rep *analysis.Rep, rules FusionRules) []*Group {
 	g := rep.Graph
 	order := rep.Nodes()
-	pos := make(map[*graph.Node]int, len(order))
-	for i, n := range order {
-		pos[n] = i
-	}
 	claimed := make(map[*graph.Node]*Group, len(order))
 	var groups []*Group
 
@@ -300,9 +298,11 @@ func Fuse(rep *analysis.Rep, rules FusionRules) []*Group {
 	// Normalize: sort each group's nodes and the group list by topo
 	// position.
 	for _, gr := range groups {
-		sortNodesByPos(gr.Nodes, pos)
+		rep.SortTopo(gr.Nodes)
 	}
-	sortGroupsByPos(groups, pos)
+	slices.SortFunc(groups, func(a, b *Group) int {
+		return rep.TopoPos(a.Nodes[0]) - rep.TopoPos(b.Nodes[0])
+	})
 	return groups
 }
 
@@ -397,20 +397,4 @@ func matchGelu(g *graph.Graph, tensor string, consumers []*graph.Node, claimed m
 		return nil, nil, false
 	}
 	return []*graph.Node{div, erf, add, m1, m2}, m2, true
-}
-
-func sortNodesByPos(nodes []*graph.Node, pos map[*graph.Node]int) {
-	for i := 1; i < len(nodes); i++ {
-		for j := i; j > 0 && pos[nodes[j]] < pos[nodes[j-1]]; j-- {
-			nodes[j], nodes[j-1] = nodes[j-1], nodes[j]
-		}
-	}
-}
-
-func sortGroupsByPos(groups []*Group, pos map[*graph.Node]int) {
-	for i := 1; i < len(groups); i++ {
-		for j := i; j > 0 && pos[groups[j].Nodes[0]] < pos[groups[j-1].Nodes[0]]; j-- {
-			groups[j], groups[j-1] = groups[j-1], groups[j]
-		}
-	}
 }

@@ -202,34 +202,36 @@ func (g *Graph) Clone() *Graph {
 // consumer stays next to it instead of floating to the front. It returns
 // an error when the graph has a cycle.
 func (g *Graph) TopoSort() ([]*Node, error) {
-	indeg := make(map[*Node]int, len(g.Nodes))
-	declIdx := make(map[*Node]int, len(g.Nodes))
 	idx := g.index()
+	declIdx := make(map[*Node]int, len(g.Nodes))
+	indeg := make([]int, len(g.Nodes))
 	for i, n := range g.Nodes {
 		declIdx[n] = i
 		for _, in := range n.Inputs {
 			if idx.producer[in] != nil {
-				indeg[n]++
+				indeg[i]++
 			}
 		}
 	}
-	// Min-heap of ready nodes keyed by declaration index.
-	var heap nodeHeap
-	heap.less = func(a, b *Node) bool { return declIdx[a] < declIdx[b] }
-	for _, n := range g.Nodes {
-		if indeg[n] == 0 {
-			heap.push(n)
+	var ready declHeap
+	for i, d := range indeg {
+		if d == 0 {
+			ready.push(i)
 		}
 	}
 	order := make([]*Node, 0, len(g.Nodes))
-	for heap.len() > 0 {
-		n := heap.pop()
+	for len(ready) > 0 {
+		n := g.Nodes[ready.pop()]
 		order = append(order, n)
 		for _, o := range n.Outputs {
 			for _, c := range idx.consumers[o] {
-				indeg[c]--
-				if indeg[c] == 0 {
-					heap.push(c)
+				ci, ok := declIdx[c]
+				if !ok {
+					continue // a stale index can list a node no longer in g.Nodes
+				}
+				indeg[ci]--
+				if indeg[ci] == 0 {
+					ready.push(ci)
 				}
 			}
 		}
@@ -240,47 +242,45 @@ func (g *Graph) TopoSort() ([]*Node, error) {
 	return order, nil
 }
 
-// nodeHeap is a minimal binary min-heap over nodes with a custom
-// comparison.
-type nodeHeap struct {
-	items []*Node
-	less  func(a, b *Node) bool
-}
+// declHeap is a binary min-heap of node declaration indices: TopoSort's
+// ready set, popped lowest declaration first.
+type declHeap []int
 
-func (h *nodeHeap) len() int { return len(h.items) }
-
-func (h *nodeHeap) push(n *Node) {
-	h.items = append(h.items, n)
-	i := len(h.items) - 1
+func (h *declHeap) push(v int) {
+	*h = append(*h, v)
+	items := *h
+	i := len(items) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(h.items[i], h.items[parent]) {
+		if items[i] >= items[parent] {
 			break
 		}
-		h.items[i], h.items[parent] = h.items[parent], h.items[i]
+		items[i], items[parent] = items[parent], items[i]
 		i = parent
 	}
 }
 
-func (h *nodeHeap) pop() *Node {
-	top := h.items[0]
-	last := len(h.items) - 1
-	h.items[0] = h.items[last]
-	h.items = h.items[:last]
+func (h *declHeap) pop() int {
+	items := *h
+	top := items[0]
+	last := len(items) - 1
+	items[0] = items[last]
+	items = items[:last]
+	*h = items
 	i := 0
 	for {
 		l, r := 2*i+1, 2*i+2
 		smallest := i
-		if l < len(h.items) && h.less(h.items[l], h.items[smallest]) {
+		if l < len(items) && items[l] < items[smallest] {
 			smallest = l
 		}
-		if r < len(h.items) && h.less(h.items[r], h.items[smallest]) {
+		if r < len(items) && items[r] < items[smallest] {
 			smallest = r
 		}
 		if smallest == i {
 			break
 		}
-		h.items[i], h.items[smallest] = h.items[smallest], h.items[i]
+		items[i], items[smallest] = items[smallest], items[i]
 		i = smallest
 	}
 	return top

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -180,30 +181,148 @@ func TestInferShapesIdempotent(t *testing.T) {
 	}
 }
 
-// TestNodeHeapOrdering: the internal heap pops nodes in comparator
-// order for arbitrary insert sequences.
+// TestNodeHeapOrdering: TopoSort's ready heap of declaration indices
+// pops in ascending order for arbitrary insert sequences, including
+// pushes interleaved with pops.
 func TestNodeHeapOrdering(t *testing.T) {
 	f := func(keys []uint8) bool {
-		nodes := make([]*Node, len(keys))
-		weight := map[*Node]int{}
-		var h nodeHeap
-		h.less = func(a, b *Node) bool { return weight[a] < weight[b] }
-		for i, k := range keys {
-			nodes[i] = &Node{Name: "x"}
-			weight[nodes[i]] = int(k)
-			h.push(nodes[i])
+		var h declHeap
+		for _, k := range keys {
+			h.push(int(k))
 		}
 		prev := -1
-		for h.len() > 0 {
-			n := h.pop()
-			if weight[n] < prev {
+		for len(h) > 0 {
+			v := h.pop()
+			if v < prev {
 				return false
 			}
-			prev = weight[n]
+			prev = v
 		}
-		return true
+		// Interleaved: every pop returns the minimum still held.
+		var held []int
+		for i, k := range keys {
+			h.push(int(k))
+			held = append(held, int(k))
+			if i%3 == 2 {
+				v := h.pop()
+				lo := 0
+				for j := range held {
+					if held[j] < held[lo] {
+						lo = j
+					}
+				}
+				if v != held[lo] {
+					return false
+				}
+				held = append(held[:lo], held[lo+1:]...)
+			}
+		}
+		return len(h) == len(held)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// referenceTopoSort is TopoSort's specification, computed the slow way:
+// repeatedly emit the lowest-declared node whose produced inputs are
+// all emitted, and report a cycle when none is ready.
+func referenceTopoSort(g *Graph) ([]*Node, error) {
+	producer := map[string]*Node{}
+	for _, n := range g.Nodes {
+		for _, o := range n.Outputs {
+			producer[o] = n
+		}
+	}
+	emitted := map[*Node]bool{}
+	var order []*Node
+	for len(order) < len(g.Nodes) {
+		var next *Node
+		for _, n := range g.Nodes {
+			if emitted[n] {
+				continue
+			}
+			ready := true
+			for _, in := range n.Inputs {
+				if p := producer[in]; p != nil && !emitted[p] {
+					ready = false
+					break
+				}
+			}
+			if ready {
+				next = n
+				break
+			}
+		}
+		if next == nil {
+			return nil, fmt.Errorf("graph %s: cycle detected (%d of %d nodes sorted)", g.Name, len(order), len(g.Nodes))
+		}
+		emitted[next] = true
+		order = append(order, next)
+	}
+	return order, nil
+}
+
+// randomWiredGraph builds a graph whose nodes each produce one tensor
+// and read one to three tensors chosen from the graph input and every
+// node output, earlier or later: back references make cycles and
+// self-loops, repeated picks make a node read one tensor twice.
+func randomWiredGraph(seed int64, maxNodes int) *Graph {
+	rng := rand.New(rand.NewSource(seed))
+	g := New("wired")
+	g.AddTensor(&Tensor{Name: "in0", DType: Float32, Shape: Shape{1, 4}})
+	g.Inputs = []string{"in0"}
+	n := 1 + rng.Intn(maxNodes)
+	names := []string{"in0"}
+	for i := 0; i < n; i++ {
+		names = append(names, Tensorf(g, i))
+	}
+	cyclic := rng.Intn(2) == 0
+	for i := 0; i < n; i++ {
+		node := &Node{Name: nodef(i), OpType: "Add", Outputs: []string{names[i+1]}}
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			limit := i + 1 // the graph input or an earlier output
+			if cyclic && rng.Intn(8) == 0 {
+				limit = len(names)
+			}
+			node.Inputs = append(node.Inputs, names[rng.Intn(limit)])
+		}
+		g.AddNode(node)
+	}
+	// Shuffle declaration order so ready sets hold several nodes.
+	rng.Shuffle(len(g.Nodes), func(a, b int) { g.Nodes[a], g.Nodes[b] = g.Nodes[b], g.Nodes[a] })
+	return g
+}
+
+// TestTopoSortMatchesReference: on random graphs, acyclic or not,
+// TopoSort returns exactly the reference order or the reference's
+// cycle error.
+func TestTopoSortMatchesReference(t *testing.T) {
+	cycles := 0
+	f := func(seed int64) bool {
+		g := randomWiredGraph(seed, 40)
+		got, gotErr := g.TopoSort()
+		want, wantErr := referenceTopoSort(g)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Logf("seed %d: err %v, reference %v", seed, gotErr, wantErr)
+			return false
+		}
+		if wantErr != nil {
+			cycles++
+			return gotErr.Error() == wantErr.Error()
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Logf("seed %d: position %d is %s, reference %s", seed, i, got[i].Name, want[i].Name)
+				return false
+			}
+		}
+		return len(got) == len(want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+	if cycles == 0 {
+		t.Error("no generated graph had a cycle; the error path went untested")
 	}
 }

@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"sort"
 )
 
 // ValidationCode identifies one class of structural corruption a graph
@@ -194,15 +195,16 @@ func (g *Graph) ValidateAll() []*ValidationError {
 			consumed[i] = true
 		}
 	}
-	for _, key := range g.SortedTensorNames() {
-		t := g.Tensors[key]
-		if t == nil || !t.Param {
-			continue
+	var unused []string
+	for key, t := range g.Tensors {
+		if t != nil && t.Param && !consumed[key] && !outputs[key] {
+			unused = append(unused, key)
 		}
-		if !consumed[key] && !outputs[key] {
-			report(ErrUnusedParam, "", key,
-				"parameter tensor %q is consumed by no node", key)
-		}
+	}
+	sort.Strings(unused)
+	for _, key := range unused {
+		report(ErrUnusedParam, "", key,
+			"parameter tensor %q is consumed by no node", key)
 	}
 
 	// Shape-contradiction pass: element-wise operator semantics pin

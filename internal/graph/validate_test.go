@@ -150,3 +150,31 @@ func TestValidateAllReportsEverything(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateUnusedParamsSorted: unused initializers are reported in
+// name order, whatever order map iteration visits them in, so the
+// first error (what Validate and proofd's invalid_model answer carry)
+// is stable.
+func TestValidateUnusedParamsSorted(t *testing.T) {
+	g := New("dead-weights")
+	g.AddTensor(&Tensor{Name: "in", DType: Float32, Shape: Shape{1, 4}})
+	g.AddTensor(&Tensor{Name: "out", DType: Float32, Shape: Shape{1, 4}})
+	g.AddNode(&Node{Name: "act", OpType: "Relu", Inputs: []string{"in"}, Outputs: []string{"out"}})
+	g.Inputs = []string{"in"}
+	g.Outputs = []string{"out"}
+	want := []string{"a_w", "b_w", "c_w", "m_w", "x_w", "z_w"}
+	for _, name := range []string{"x_w", "a_w", "m_w", "z_w", "c_w", "b_w"} {
+		g.AddTensor(&Tensor{Name: name, DType: Float32, Shape: Shape{4}, Param: true})
+	}
+	for i := 0; i < 20; i++ {
+		var got []string
+		for _, e := range g.ValidateAll() {
+			if e.Code == ErrUnusedParam {
+				got = append(got, e.Tensor)
+			}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("unused params reported as %v, want %v", got, want)
+		}
+	}
+}

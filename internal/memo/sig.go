@@ -27,7 +27,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
-	"hash"
 	"math"
 
 	"proof/internal/graph"
@@ -50,11 +49,13 @@ func (s Signature) String() string { return hex.EncodeToString(s[:]) }
 // encoding frames every field with a length or tag, so no concatenation
 // of adjacent fields can collide with a different field split.
 func ContentKey(g *graph.Graph, nodes []*graph.Node, kind string) string {
-	h := sha256.New()
-	writeStr(h, "proof-unit-v1")
-	writeStr(h, kind)
-	writeInt(h, int64(len(nodes)))
-	slots := map[string]int{} // tensor name -> first-reference slot
+	refs := 0
+	for _, n := range nodes {
+		if n != nil {
+			refs += len(n.Inputs) + len(n.Outputs)
+		}
+	}
+	slots := make(map[string]int, refs) // tensor name -> first-reference slot
 	slot := func(name string) int64 {
 		if i, ok := slots[name]; ok {
 			return int64(i)
@@ -63,35 +64,38 @@ func ContentKey(g *graph.Graph, nodes []*graph.Node, kind string) string {
 		slots[name] = i
 		return int64(i)
 	}
+	var stack [keyStackBytes]byte
+	b := appendStr(stack[:0], "proof-unit-v1")
+	b = appendStr(b, kind)
+	b = appendInt(b, int64(len(nodes)))
 	for _, n := range nodes {
 		if n == nil {
-			writeStr(h, "nil-node")
+			b = appendStr(b, "nil-node")
 			continue
 		}
-		writeStr(h, n.OpType)
-		writeAttrs(h, n.Attrs)
-		writeInt(h, int64(len(n.Inputs)))
+		b = appendStr(b, n.OpType)
+		b = appendAttrs(b, n.Attrs)
+		b = appendInt(b, int64(len(n.Inputs)))
 		for _, in := range n.Inputs {
-			writeInt(h, slot(in))
-			writeTensor(h, tensorOf(g, in))
+			b = appendInt(b, slot(in))
+			b = appendTensor(b, tensorOf(g, in))
 		}
-		writeInt(h, int64(len(n.Outputs)))
+		b = appendInt(b, int64(len(n.Outputs)))
 		for _, out := range n.Outputs {
-			writeInt(h, slot(out))
-			writeTensor(h, tensorOf(g, out))
+			b = appendInt(b, slot(out))
+			b = appendTensor(b, tensorOf(g, out))
 		}
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return hexKey(b)
 }
 
 // ReformatKey fingerprints a runtime-inserted reformat/reorder layer,
 // whose simulated cost depends only on the converted tensor's dtype and
 // shape.
 func ReformatKey(t *graph.Tensor) string {
-	h := sha256.New()
-	writeStr(h, "proof-reformat-v1")
-	writeTensor(h, t)
-	return hex.EncodeToString(h.Sum(nil))
+	var stack [keyStackBytes]byte
+	b := appendStr(stack[:0], "proof-reformat-v1")
+	return hexKey(appendTensor(b, t))
 }
 
 // Binding is the execution-environment half of a unit signature: the
@@ -118,13 +122,10 @@ type Binding struct {
 // UnitSignature combines a layer content key with its execution binding
 // into the cache key of one memoized unit.
 func UnitSignature(contentKey string, b Binding) Signature {
-	h := sha256.New()
-	writeStr(h, "proof-sig-v1")
-	writeStr(h, contentKey)
-	writeBinding(h, b)
-	var sig Signature
-	h.Sum(sig[:0])
-	return sig
+	var stack [keyStackBytes]byte
+	buf := appendStr(stack[:0], "proof-sig-v1")
+	buf = appendStr(buf, contentKey)
+	return sha256.Sum256(appendBinding(buf, b))
 }
 
 // PlanKey keys a whole profiling point: source identifies the model
@@ -133,12 +134,11 @@ func UnitSignature(contentKey string, b Binding) Signature {
 // content source for inline graphs, and reports must echo it), and b is
 // the execution binding.
 func PlanKey(model, source string, b Binding) string {
-	h := sha256.New()
-	writeStr(h, "proof-plan-v1")
-	writeStr(h, model)
-	writeStr(h, source)
-	writeBinding(h, b)
-	return hex.EncodeToString(h.Sum(nil))
+	var stack [keyStackBytes]byte
+	buf := appendStr(stack[:0], "proof-plan-v1")
+	buf = appendStr(buf, model)
+	buf = appendStr(buf, source)
+	return hexKey(appendBinding(buf, b))
 }
 
 // GraphDigest fingerprints an inline graph's full content (JSON form) so
@@ -153,19 +153,35 @@ func GraphDigest(g *graph.Graph) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-func writeBinding(h hash.Hash, b Binding) {
-	writeStr(h, b.Backend)
-	writeStr(h, b.PlatformKey)
-	writeStr(h, b.PlatformHash)
-	writeInt(h, int64(b.DType))
-	writeInt(h, int64(b.Batch))
-	writeStr(h, b.Mode)
-	writeInt(h, int64(b.Seed))
-	writeInt(h, int64(b.Clocks.GPUMHz))
-	writeInt(h, int64(b.Clocks.EMCMHz))
-	writeInt(h, int64(b.Clocks.CPUMHz))
-	writeInt(h, int64(b.Clocks.CPUClusters))
-	writeFloat(h, b.Clocks.GPUCapacity)
+// Every key is the SHA-256 of one buffer of framed fields. The append
+// helpers build that buffer, starting in a keyStackBytes array on the
+// caller's stack, so a key's allocations do not grow with its field
+// count: its hex string, ContentKey's slot map once a group references
+// more than eight tensors, and buffer growth only for keys longer than
+// the array.
+const keyStackBytes = 1024
+
+// hexKey hashes the encoded fields and returns the digest in hex.
+func hexKey(b []byte) string {
+	sum := sha256.Sum256(b)
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
+}
+
+func appendBinding(buf []byte, b Binding) []byte {
+	buf = appendStr(buf, b.Backend)
+	buf = appendStr(buf, b.PlatformKey)
+	buf = appendStr(buf, b.PlatformHash)
+	buf = appendInt(buf, int64(b.DType))
+	buf = appendInt(buf, int64(b.Batch))
+	buf = appendStr(buf, b.Mode)
+	buf = appendInt(buf, int64(b.Seed))
+	buf = appendInt(buf, int64(b.Clocks.GPUMHz))
+	buf = appendInt(buf, int64(b.Clocks.EMCMHz))
+	buf = appendInt(buf, int64(b.Clocks.CPUMHz))
+	buf = appendInt(buf, int64(b.Clocks.CPUClusters))
+	return appendFloat(buf, b.Clocks.GPUCapacity)
 }
 
 func tensorOf(g *graph.Graph, name string) *graph.Tensor {
@@ -175,32 +191,33 @@ func tensorOf(g *graph.Graph, name string) *graph.Tensor {
 	return g.Tensor(name)
 }
 
-func writeTensor(h hash.Hash, t *graph.Tensor) {
+func appendTensor(b []byte, t *graph.Tensor) []byte {
 	if t == nil {
-		writeStr(h, "nil-tensor")
-		return
+		return appendStr(b, "nil-tensor")
 	}
-	writeStr(h, "tensor")
-	writeInt(h, int64(t.DType))
-	writeInt(h, int64(len(t.Shape)))
+	b = appendStr(b, "tensor")
+	b = appendInt(b, int64(t.DType))
+	b = appendInt(b, int64(len(t.Shape)))
 	for _, d := range t.Shape {
-		writeInt(h, int64(d))
+		b = appendInt(b, int64(d))
 	}
 	if t.Param {
-		writeInt(h, 1)
+		b = appendInt(b, 1)
 	} else {
-		writeInt(h, 0)
+		b = appendInt(b, 0)
 	}
-	writeInt(h, int64(len(t.IntData)))
+	b = appendInt(b, int64(len(t.IntData)))
 	for _, v := range t.IntData {
-		writeInt(h, v)
+		b = appendInt(b, v)
 	}
+	return b
 }
 
-// writeAttrs hashes an attribute map order-independently by sorting the
-// keys; Go map iteration order must never leak into a signature.
-func writeAttrs(h hash.Hash, attrs graph.Attrs) {
-	keys := make([]string, 0, len(attrs))
+// appendAttrs encodes an attribute map order-independently by sorting
+// the keys; Go map iteration order must never leak into a signature.
+func appendAttrs(b []byte, attrs graph.Attrs) []byte {
+	var stack [16]string
+	keys := stack[:0]
 	for k := range attrs {
 		keys = append(keys, k)
 	}
@@ -210,44 +227,39 @@ func writeAttrs(h hash.Hash, attrs graph.Attrs) {
 			keys[j], keys[j-1] = keys[j-1], keys[j]
 		}
 	}
-	writeInt(h, int64(len(keys)))
+	b = appendInt(b, int64(len(keys)))
 	for _, k := range keys {
 		a := attrs[k]
-		writeStr(h, k)
-		writeInt(h, int64(a.Kind))
+		b = appendStr(b, k)
+		b = appendInt(b, int64(a.Kind))
 		switch a.Kind {
 		case graph.AttrInt:
-			writeInt(h, int64(a.I))
+			b = appendInt(b, int64(a.I))
 		case graph.AttrInts:
-			writeInt(h, int64(len(a.Ints)))
+			b = appendInt(b, int64(len(a.Ints)))
 			for _, v := range a.Ints {
-				writeInt(h, int64(v))
+				b = appendInt(b, int64(v))
 			}
 		case graph.AttrFloat:
-			writeFloat(h, a.F)
+			b = appendFloat(b, a.F)
 		case graph.AttrString:
-			writeStr(h, a.S)
+			b = appendStr(b, a.S)
 		}
 	}
+	return b
 }
 
-// writeStr frames the string with its length so adjacent fields cannot
+// appendStr frames the string with its length so adjacent fields cannot
 // be re-split into a colliding encoding.
-func writeStr(h hash.Hash, s string) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], uint64(len(s)))
-	h.Write(buf[:n])
-	h.Write([]byte(s))
+func appendStr(b []byte, s string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
 }
 
-func writeInt(h hash.Hash, v int64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], v)
-	h.Write(buf[:n])
+func appendInt(b []byte, v int64) []byte {
+	return binary.AppendVarint(b, v)
 }
 
-func writeFloat(h hash.Hash, v float64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-	h.Write(buf[:])
+func appendFloat(b []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 }

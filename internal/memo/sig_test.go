@@ -1,6 +1,7 @@
 package memo
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -275,5 +276,72 @@ func TestGraphDigestStable(t *testing.T) {
 	}
 	if d3 == d1 {
 		t.Fatal("graph digest ignores tensor shapes")
+	}
+}
+
+// knownAnswerGroup is a three-node group (Conv -> LeakyRelu -> Reshape)
+// whose attributes cover every attribute kind and whose tensors include
+// parameters and constant int data: every field the key encodings
+// frame.
+func knownAnswerGroup() *graph.Graph {
+	g := convGraph("")
+	conv := g.Node("conv")
+	conv.Attrs["auto_pad"] = graph.StringAttr("NOTSET")
+	relu := g.Node("relu")
+	relu.OpType = "LeakyRelu"
+	relu.Attrs = graph.Attrs{"alpha": graph.FloatAttr(0.01)}
+	g.AddTensor(&graph.Tensor{Name: "shape", DType: graph.Int64, Shape: graph.Shape{2}, Param: true, IntData: []int64{1, -1}})
+	g.AddTensor(&graph.Tensor{Name: "flat", DType: graph.Float32, Shape: graph.Shape{1, 802816}})
+	g.AddNode(&graph.Node{Name: "reshape", OpType: "Reshape", Inputs: []string{"out", "shape"}, Outputs: []string{"flat"}})
+	return g
+}
+
+// TestKeyEncodingsKnownAnswer pins the exact keys. The goldens see them
+// only through the simulator's content-keyed jitter, so an encoding
+// change that happened to leave that jitter alone would pass unnoticed.
+// The values were computed by feeding each field to a streaming SHA-256;
+// hashing one buffer of the same fields must give the same digests.
+func TestKeyEncodingsKnownAnswer(t *testing.T) {
+	g := knownAnswerGroup()
+	b := baseBinding()
+	b.Clocks = hardware.Clocks{GPUMHz: 1410, EMCMHz: 1215, CPUMHz: 2000, CPUClusters: 2, GPUCapacity: 0.75}
+	ck := ContentKey(g, g.Nodes, "normal")
+	for _, c := range []struct{ name, got, want string }{
+		{"ContentKey", ck, "a53b07fe5692d067a4dc5e59cbe253559891025cb13b364068bdc4e26362e773"},
+		{"ContentKey myelin", ContentKey(g, g.Nodes, "myelin"), "0dd7d2426044a7a00608256b0c59a6c1f294276b70740be1885fb52f08bb4641"},
+		{"ReformatKey", ReformatKey(g.Tensor("shape")), "70c3a7f00480b891f11bb7be2f99cf7cc18e08290114fe843e3821e34194cbb8"},
+		{"UnitSignature", UnitSignature(ck, b).String(), "2b225080938000ba4ea520e0732304605a5c55c8d8f7f0d75babe70cc3ed576e"},
+		{"PlanKey", PlanKey("resnet-50", "zoo:resnet-50", b), "1ee6165b0de17aad1997610b6dab4a7693b76547e4c63715010427dd8d942928"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %s, want %s", c.name, c.got, c.want)
+		}
+	}
+}
+
+// TestContentKeyAllocsConstant: encoding a group costs the same few
+// allocations however many fields its nodes carry (one per field would
+// put a heap allocation behind every attribute, dimension and int).
+func TestContentKeyAllocsConstant(t *testing.T) {
+	const bound = 2
+	widen := func(scale int) *graph.Graph {
+		g := knownAnswerGroup()
+		conv := g.Node("conv")
+		for i := 0; i < scale; i++ {
+			conv.Attrs[fmt.Sprintf("extra_%d", i)] = graph.IntsAttr(i, i+1, i+2)
+		}
+		shape := g.Tensor("shape")
+		for i := 0; i < 8*scale; i++ {
+			shape.IntData = append(shape.IntData, int64(i))
+		}
+		return g
+	}
+	for _, scale := range []int{0, 2, 8} {
+		g := widen(scale)
+		allocs := testing.AllocsPerRun(50, func() { _ = ContentKey(g, g.Nodes, "normal") })
+		if allocs > bound {
+			t.Errorf("ContentKey with %d extra attrs and %d extra ints: %.0f allocs, want <= %d",
+				scale, 8*scale, allocs, bound)
+		}
 	}
 }

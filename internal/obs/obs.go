@@ -181,10 +181,13 @@ type Span struct {
 // Only the enabled path reaches it, so its one allocation is the
 // price of tracing, not of the noop path.
 func (t *Tracer) startSpan(name string, parent *Span) *Span {
-	start := t.clock().Sub(t.began)
 	//lint:ignore hotalloc one Span per started span is the enabled-tracing cost
-	s := &Span{tracer: t, parent: parent, name: name, start: start}
+	s := &Span{tracer: t, parent: parent, name: name}
 	t.mu.Lock()
+	// Read the clock under the lock that assigns tracks and ends spans,
+	// so a span reusing a track starts no earlier than the span that
+	// freed it ended.
+	s.start = t.clock().Sub(t.began)
 	t.lastID++
 	s.id = t.lastID
 	// Track assignment: a span reuses its parent's display track
@@ -258,8 +261,8 @@ func (s *Span) End() {
 		return
 	}
 	t := s.tracer
-	end := t.clock().Sub(t.began)
 	t.mu.Lock()
+	end := t.clock().Sub(t.began)
 	if s.ended {
 		t.mu.Unlock()
 		return
