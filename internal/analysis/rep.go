@@ -16,27 +16,38 @@ type Rep struct {
 	costs map[string]Cost
 	// order caches the topological node order; pos is its inverse,
 	// each node's index in order. Fusion and layer mapping both sort
-	// node sets by pos, so it is built once here.
+	// node sets by pos, so it is built once here, or once per admitted
+	// graph and shared by the Reps of its views.
 	order []*graph.Node
 	pos   map[*graph.Node]int
 }
 
 // NewRep builds the Analyze Representation for a graph: validates it,
-// runs shape inference, and evaluates every node's operator define.
+// runs shape inference, and evaluates every node's operator define. A
+// view of an admitted graph (graph.Admit) was validated and sorted at
+// admission, so it is neither validated nor sorted again: the Rep takes
+// the admitted order. An admitted graph itself is analyzed through a
+// fresh view, so the shared graph is never written.
 func NewRep(g *graph.Graph) (*Rep, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
+	g = runGraph(g)
+	order, pos, admitted := g.AdmittedOrder()
+	if !admitted {
+		if err := g.Validate(); err != nil {
+			return nil, err
+		}
 	}
 	if err := g.InferShapes(); err != nil {
 		return nil, err
 	}
-	order, err := g.TopoSort()
-	if err != nil {
-		return nil, err
-	}
-	pos := make(map[*graph.Node]int, len(order))
-	for i, n := range order {
-		pos[n] = i
+	if !admitted {
+		var err error
+		if order, err = g.TopoSort(); err != nil {
+			return nil, err
+		}
+		pos = make(map[*graph.Node]int, len(order))
+		for i, n := range order {
+			pos[n] = i
+		}
 	}
 	r := &Rep{Graph: g, costs: make(map[string]Cost, len(g.Nodes)), order: order, pos: pos}
 	for _, n := range g.Nodes {
@@ -51,11 +62,13 @@ func NewRep(g *graph.Graph) (*Rep, error) {
 
 // NewRepWithBatch rebuilds the representation after setting the leading
 // dimension of every graph input to batch. Int64 index inputs (e.g.
-// token ids) are rebatched too.
+// token ids) are rebatched too. Like NewRep, it writes a view of an
+// admitted graph, never the admitted graph.
 func NewRepWithBatch(g *graph.Graph, batch int) (*Rep, error) {
 	if batch < 1 {
 		return nil, fmt.Errorf("analysis: batch must be >= 1, got %d", batch)
 	}
+	g = runGraph(g)
 	for _, in := range g.Inputs {
 		t := g.Tensor(in)
 		if t == nil {
@@ -67,6 +80,15 @@ func NewRepWithBatch(g *graph.Graph, batch int) (*Rep, error) {
 		t.Shape[0] = batch
 	}
 	return NewRep(g)
+}
+
+// runGraph returns the graph a Rep may write: a fresh view of an
+// admitted graph, or g itself.
+func runGraph(g *graph.Graph) *graph.Graph {
+	if g.Admitted() {
+		return g.View()
+	}
+	return g
 }
 
 // NodeCost returns the predicted cost of the named node.

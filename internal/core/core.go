@@ -60,8 +60,12 @@ type Options struct {
 	// Model is the zoo key ("resnet-50", ...). When Graph is set, Model
 	// is only the report's display name (empty = Graph.Name).
 	Model string
-	// Graph optionally supplies a pre-built model graph. It is
-	// modified in place (rebatching, dtype conversion).
+	// Graph optionally supplies a pre-built model graph. The pipeline
+	// never writes it: each run profiles its own view (graph.View) of
+	// the admitted graph. An admitted graph (graph.Admit, as proofd's
+	// edge passes) is used as is, without verifying it again; a raw
+	// graph is admitted for the run, which verifies it once
+	// (ValidateAll).
 	Graph *graph.Graph
 	// Platform is the hardware key ("a100", ...).
 	Platform string
@@ -93,12 +97,6 @@ type Options struct {
 	// run, with or without a store, assembles its report in the same
 	// tail, so memoized reports are byte-identical to unmemoized ones.
 	Memo *memo.Store
-	// GraphDigest optionally carries memo.GraphDigest(Graph), computed
-	// once by callers that profile the same graph at many sweep points.
-	// It must match the graph as passed — a stale digest (a mutated
-	// Graph) would key the memo store wrongly. Leave empty to have the
-	// pipeline compute it. Ignored when Graph is nil.
-	GraphDigest string
 }
 
 // KernelReport is one lowered kernel of a backend layer (the bottom
@@ -193,7 +191,9 @@ func Profile(opts Options) (*Report, error) {
 // When an obs.Tracer is installed in ctx, the run is recorded as a
 // "pipeline" span with one child span per stage (model_build,
 // backend_build, layer_map, roofline, measure, analysis) — the profiler
-// profiling itself. A plan hit records only the analysis stage. With no
+// profiling itself. model_build nests an "admit" span when the run
+// admits its graph: a zoo model's first run in the process, or a raw
+// Options.Graph. A plan hit records only the analysis stage. With no
 // tracer installed the instrumentation is a true no-op.
 func ProfileCtx(ctx context.Context, opts Options) (*Report, error) {
 	ctx, pipe := obs.Start(ctx, "pipeline")
@@ -239,9 +239,8 @@ func profilePipeline(ctx context.Context, opts Options, pipe *obs.Span) (*Report
 
 	// Zoo models resolve before any cache is consulted, so a cached plan
 	// can never mask an unknown-model or unsupported-platform error.
-	var info models.Info
 	if opts.Graph == nil {
-		if info, err = zooModel(opts.Model, plat, opts.IgnoreSupport); err != nil {
+		if _, err := zooModel(opts.Model, plat, opts.IgnoreSupport); err != nil {
 			return nil, err
 		}
 	}
@@ -258,30 +257,20 @@ func profilePipeline(ctx context.Context, opts Options, pipe *obs.Span) (*Report
 		return assemble(plan, units, rl, mode, plat, opts.Clocks), nil
 	}
 
-	_, msp := obs.Start(ctx, "model_build")
-	g := opts.Graph
-	modelName := opts.Model
-	if g == nil {
-		g, err = info.Build()
-		if err != nil {
-			msp.EndErr(err)
-			return nil, err
-		}
-	} else if modelName == "" {
-		modelName = g.Name
-	}
-
-	// Static model verification gates the rest of the pipeline: every
-	// backend and cost pass may assume the IR is structurally sound
-	// (references resolve, one producer per tensor, acyclic, shapes
-	// consistent). The typed *graph.ValidationError survives the wrap,
-	// so proofd can answer 400 invalid_model instead of a 500.
-	if err := g.Validate(); err != nil {
-		err = fmt.Errorf("core: invalid model graph: %w", err)
+	mctx, msp := obs.Start(ctx, "model_build")
+	adm, err := admittedGraph(mctx, opts)
+	if err != nil {
 		msp.EndErr(err)
 		return nil, err
 	}
-
+	modelName := opts.Model
+	if modelName == "" {
+		modelName = adm.Name
+	}
+	// The run writes only its own view: rebatching, dtype conversion
+	// and shape inference change tensor shapes and types, which the
+	// view copies; the admitted graph stays shared and unchanged.
+	g := adm.View()
 	if graphops.IsQuantized(g) {
 		// Explicitly quantized graphs (Q/DQ boundary nodes) keep
 		// their tensor types and run on the int8 math units.

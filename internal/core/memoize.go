@@ -48,18 +48,11 @@ func prepareMemoPoint(opts Options, plat *hardware.Platform, dt graph.DataType, 
 	modelName := opts.Model
 	source := "zoo:" + opts.Model
 	if opts.Graph != nil {
-		digest := opts.GraphDigest
-		if digest == "" {
-			d, err := memo.GraphDigest(opts.Graph)
-			if err != nil {
-				return nil // unhashable graph: run unmemoized
-			}
-			digest = d
-		}
 		if modelName == "" {
 			modelName = opts.Graph.Name
 		}
-		source = "graph:" + digest
+		// An admitted graph carries its digest; a raw one is hashed.
+		source = "graph:" + opts.Graph.Digest()
 	}
 	// The plan binding carries the *requested* data type; a quantized
 	// graph resolves to int8 later, but quantized-ness is a function of

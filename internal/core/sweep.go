@@ -5,10 +5,7 @@ import (
 	"sort"
 	"time"
 
-	"proof/internal/graph"
 	"proof/internal/hardware"
-	"proof/internal/memo"
-	"proof/internal/models"
 	"proof/internal/obs"
 	"proof/internal/parallel"
 )
@@ -69,19 +66,8 @@ func platformSweep(ctx context.Context, model string, mode Mode, profile Profile
 	if err != nil {
 		return nil, err
 	}
-	// Hoist the model build out of the per-platform closure: every
-	// sweep point profiles a clone of one shared build (the pipeline
-	// rebatches and dtype-converts its graph in place) instead of
-	// re-running the zoo builder per platform. The digest is computed
-	// once so memoized points are plan-keyed without re-hashing.
-	base, err := sweepModelBuild(info)
-	if err != nil {
-		return nil, err
-	}
-	digest, err := memo.GraphDigest(base)
-	if err != nil {
-		return nil, err
-	}
+	// Every point names the model by its zoo key: the points share the
+	// process's one admitted graph of it (see zooGraphs).
 	platforms := hardware.List()
 	sp.SetAttrInt("platforms", int64(len(platforms)))
 	results, err := parallel.MapCtx(ctx, platforms, 0, func(ctx context.Context, p *hardware.Platform) (PlatformResult, error) {
@@ -91,7 +77,7 @@ func platformSweep(ctx context.Context, model string, mode Mode, profile Profile
 				Reason:   "platform does not support " + info.Type + " models",
 			}, nil
 		}
-		r, err := profile(ctx, Options{Model: model, Graph: base.Clone(), GraphDigest: digest, Platform: p.Key, Mode: mode})
+		r, err := profile(ctx, Options{Model: model, Platform: p.Key, Mode: mode})
 		if err != nil {
 			if ctx.Err() != nil {
 				return PlatformResult{}, ctx.Err()
@@ -119,11 +105,4 @@ func platformSweep(ctx context.Context, model string, mode Mode, profile Profile
 		return results[i].Throughput > results[j].Throughput
 	})
 	return results, nil
-}
-
-// sweepModelBuild is the sweep's model-build seam: tests stub it to
-// count builds (the regression guard for the one-build-per-sweep
-// hoist).
-var sweepModelBuild = func(info models.Info) (*graph.Graph, error) {
-	return info.Build()
 }

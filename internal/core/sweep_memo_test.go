@@ -3,30 +3,21 @@ package core
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"testing"
 
-	"proof/internal/graph"
 	"proof/internal/hardware"
 	"proof/internal/memo"
-	"proof/internal/models"
+	"proof/internal/obs"
 )
 
-// TestSweepBuildsModelOnce is the regression guard for the sweep's
-// hoisted model build: one sweep must call the zoo builder exactly once
-// regardless of platform count, and every per-platform profiling call
-// must receive a pre-built graph clone plus the precomputed digest
-// (never the zoo key alone, which would rebuild per platform).
+// TestSweepBuildsModelOnce is the regression guard for the sweep's one
+// model build: every point names the model by its zoo key (no graph to
+// clone or hash), and the points share the process's admitted graph.
+// With the zoo admissions dropped first, a traced sweep records exactly
+// one "admit" span however many platforms it profiles, and a repeat
+// sweep records none.
 func TestSweepBuildsModelOnce(t *testing.T) {
-	orig := sweepModelBuild
-	defer func() { sweepModelBuild = orig }()
-
-	var builds atomic.Int64
-	sweepModelBuild = func(info models.Info) (*graph.Graph, error) {
-		builds.Add(1)
-		return orig(info)
-	}
-
+	zooGraphs.Reset()
 	var mu sync.Mutex
 	var seen []Options
 	profile := func(ctx context.Context, opts Options) (*Report, error) {
@@ -35,34 +26,38 @@ func TestSweepBuildsModelOnce(t *testing.T) {
 		mu.Unlock()
 		return ProfileCtx(ctx, opts)
 	}
-
-	results, err := PlatformSweepWith(context.Background(), "resnet-18", ModePredicted, profile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(hardware.List()) {
-		t.Fatalf("sweep returned %d results for %d platforms", len(results), len(hardware.List()))
-	}
-	if n := builds.Load(); n != 1 {
-		t.Fatalf("sweep built the model %d times, want exactly 1", n)
+	for pass, wantAdmits := range []int{1, 0} {
+		tr := obs.NewTracer("sweep")
+		results, err := PlatformSweepWith(obs.WithTracer(context.Background(), tr), "resnet-18", ModePredicted, profile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(results) != len(hardware.List()) {
+			t.Fatalf("sweep returned %d results for %d platforms", len(results), len(hardware.List()))
+		}
+		if n := countSpans(tr.Snapshot(), "admit"); n != wantAdmits {
+			t.Fatalf("sweep pass %d admitted the model %d times, want %d", pass, n, wantAdmits)
+		}
 	}
 	if len(seen) == 0 {
 		t.Fatal("profile stub never called")
 	}
-	var wantDigest string
 	for i, opts := range seen {
-		if opts.Graph == nil {
-			t.Fatalf("profile call %d: sweep passed no pre-built graph", i)
-		}
-		if opts.GraphDigest == "" {
-			t.Fatalf("profile call %d: sweep passed no precomputed digest", i)
-		}
-		if wantDigest == "" {
-			wantDigest = opts.GraphDigest
-		} else if opts.GraphDigest != wantDigest {
-			t.Fatalf("profile call %d: digest %s differs from %s — not computed once", i, opts.GraphDigest, wantDigest)
+		if opts.Graph != nil || opts.Model != "resnet-18" {
+			t.Fatalf("profile call %d: got graph %v, model %q; want the zoo key alone", i, opts.Graph != nil, opts.Model)
 		}
 	}
+}
+
+// countSpans counts the finished spans named name.
+func countSpans(tr *obs.Trace, name string) int {
+	n := 0
+	for _, sp := range tr.Spans {
+		if sp.Name == name {
+			n++
+		}
+	}
+	return n
 }
 
 // TestSweepMemoizedMatchesPlain: a sweep through a memo store must

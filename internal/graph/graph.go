@@ -83,6 +83,8 @@ type Graph struct {
 
 	// idx memoizes the producer/consumer index; see index().
 	idx *graphIndex
+	// adm is set on an admitted graph and on its views; see Admit.
+	adm *admission
 }
 
 // New creates an empty graph with the given name.

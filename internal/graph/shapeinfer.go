@@ -12,11 +12,19 @@ import (
 // tensor-driven Reshape/Expand work like real ONNX exports.
 //
 // InferShapes may be re-run after changing the graph input shapes (e.g.
-// a different batch size); it overwrites previously inferred shapes.
+// a different batch size); it overwrites previously inferred shapes. An
+// admitted graph and its views are walked in the admitted order.
+//
+// A node whose shapes do not compose is a defect of the graph at these
+// input shapes: the error is a *ValidationError with code
+// ErrShapeInference.
 func (g *Graph) InferShapes() error {
-	order, err := g.TopoSort()
-	if err != nil {
-		return err
+	order, _, ok := g.AdmittedOrder()
+	if !ok {
+		var err error
+		if order, err = g.TopoSort(); err != nil {
+			return err
+		}
 	}
 	ctx := &inferCtx{g: g, values: map[string][]int64{}}
 	// Seed known values from constant parameter tensors.
@@ -27,7 +35,10 @@ func (g *Graph) InferShapes() error {
 	}
 	for _, n := range order {
 		if err := ctx.inferNode(n); err != nil {
-			return fmt.Errorf("shape inference at node %q (%s): %w", n.Name, n.OpType, err)
+			return &ValidationError{
+				Code: ErrShapeInference, Graph: g.Name, Node: n.Name,
+				Detail: fmt.Sprintf("shape inference at node %q (%s): %v", n.Name, n.OpType, err),
+			}
 		}
 	}
 	return nil

@@ -42,10 +42,14 @@ const (
 	// no node and is not a graph output — dead weight that skews the
 	// memory-access model.
 	ErrUnusedParam ValidationCode = "unused_param"
+	// ErrShapeInference: shape inference fails at the graph's input
+	// shapes (InferShapes), e.g. a Reshape whose target no longer
+	// matches once the batch dimension changes.
+	ErrShapeInference ValidationCode = "shape_inference"
 )
 
-// ValidationError is one structural defect found by Validate. It is a
-// typed error so callers (core's pipeline, proofd's HTTP edge) can
+// ValidationError is one defect found by Validate, or by InferShapes
+// at the graph's input shapes. It is a typed error so callers (core's pipeline, proofd's HTTP edge) can
 // distinguish "the model is broken" from "the profiler is broken" and
 // answer with a structured 400 instead of an opaque 500.
 type ValidationError struct {
@@ -90,6 +94,14 @@ func (g *Graph) Validate() error {
 // shaped tensors are skipped for tensors whose shape is still unknown,
 // so ValidateAll is safe both before and after shape inference.
 func (g *Graph) ValidateAll() []*ValidationError {
+	errs, _ := g.validate()
+	return errs
+}
+
+// validate is ValidateAll returning also the topological order its
+// acyclicity check computed (nil when it found a defect), so Admit
+// sorts the graph once.
+func (g *Graph) validate() ([]*ValidationError, []*Node) {
 	var errs []*ValidationError
 	report := func(code ValidationCode, node, tensor, format string, args ...any) {
 		errs = append(errs, &ValidationError{
@@ -252,12 +264,14 @@ func (g *Graph) ValidateAll() []*ValidationError {
 
 	// Acyclicity — only meaningful once every reference resolves;
 	// TopoSort on a graph with dangling refs would double-report.
+	var order []*Node
 	if len(errs) == 0 {
-		if _, err := g.TopoSort(); err != nil {
+		var err error
+		if order, err = g.TopoSort(); err != nil {
 			report(ErrCycle, "", "", "%v", cycleDetail(err, g.Name))
 		}
 	}
-	return errs
+	return errs, order
 }
 
 // cycleDetail strips the "graph <name>: " prefix TopoSort puts on its

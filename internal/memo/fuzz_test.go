@@ -2,6 +2,7 @@ package memo
 
 import (
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"proof/internal/graph"
@@ -12,7 +13,8 @@ import (
 // on: hashing never panics on malformed graphs (missing tensors, nil
 // attrs, empty shapes), and the key is a pure function of content —
 // deterministic across calls and invariant under renaming every node
-// and tensor.
+// and tensor. Every input also goes through GraphDigest, which must be
+// deterministic and must not panic on nil nodes, tensors or maps.
 func FuzzLayerSignature(f *testing.F) {
 	seed := func(g *graph.Graph) {
 		raw, err := json.Marshal(g)
@@ -29,11 +31,17 @@ func FuzzLayerSignature(f *testing.F) {
 	seed(dangling)
 	f.Add([]byte(`{"name":"x","nodes":[{"op_type":"Conv","attrs":{"k":{"kind":2,"ints":[1,2]}}}]}`))
 	f.Add([]byte(`not json`))
+	f.Add([]byte(`{"name":"nils","nodes":[null,{"attrs":null,"inputs":null}],"tensors":{"t":null,"u":{"shape":[]}},"inputs":null}`))
+	f.Add([]byte(`{"nodes":null,"tensors":null,"outputs":[]}`))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		var g graph.Graph
 		if err := json.Unmarshal(raw, &g); err != nil {
 			return
+		}
+		d1, _ := GraphDigest(&g)
+		if d2, _ := GraphDigest(&g); d1 != d2 {
+			t.Fatalf("graph digest not deterministic: %s != %s", d1, d2)
 		}
 		k1 := ContentKey(&g, g.Nodes, "normal")
 		k2 := ContentKey(&g, g.Nodes, "normal")
@@ -48,6 +56,15 @@ func FuzzLayerSignature(f *testing.F) {
 		// Rename every node and tensor: the key must not move. Tensor
 		// references inside nodes are renamed consistently so the
 		// slot/sharing structure is preserved.
+		// Clone copies nodes and tensors, so it needs them non-nil.
+		if slices.Contains(g.Nodes, nil) {
+			return
+		}
+		for _, tn := range g.Tensors {
+			if tn == nil {
+				return
+			}
+		}
 		renamed := g.Clone()
 		names := map[string]string{}
 		tensors := make(map[string]*graph.Tensor, len(renamed.Tensors))

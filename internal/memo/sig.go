@@ -26,7 +26,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"math"
 
 	"proof/internal/graph"
@@ -141,16 +140,12 @@ func PlanKey(model, source string, b Binding) string {
 	return hexKey(appendBinding(buf, b))
 }
 
-// GraphDigest fingerprints an inline graph's full content (JSON form) so
-// sweeps over caller-supplied graphs can be plan-keyed. Sweep drivers
-// compute it once per graph and pass it through Options.GraphDigest.
+// GraphDigest fingerprints a caller-supplied graph's full content, so
+// runs over it can be plan-keyed: it is g.Digest() (graph.Graph.Digest),
+// framed fields hashed in one buffer, and an admitted graph returns the
+// digest it was admitted with. The error is always nil.
 func GraphDigest(g *graph.Graph) (string, error) {
-	raw, err := json.Marshal(g)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(raw)
-	return hex.EncodeToString(sum[:]), nil
+	return g.Digest(), nil
 }
 
 // Every key is the SHA-256 of one buffer of framed fields. The append

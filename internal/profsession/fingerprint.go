@@ -8,14 +8,13 @@ import (
 
 	"proof/internal/core"
 	"proof/internal/hardware"
-	"proof/internal/memo"
 )
 
 // canonical is the content-addressed identity of a profiling request:
 // every core.Options field that influences the resulting report,
 // normalized so that two option values producing the same report hash
-// identically. Graphs are hashed by content (their canonical JSON),
-// not by pointer, so a rebuilt-but-identical graph still hits.
+// identically. Graphs are hashed by content (graph.Graph.Digest), not
+// by pointer, so a rebuilt-but-identical graph still hits.
 type canonical struct {
 	Model            string          `json:"model,omitempty"`
 	GraphHash        string          `json:"graph_hash,omitempty"`
@@ -35,9 +34,11 @@ type canonical struct {
 // empty mode vs ModePredicted) map to the same fingerprint; anything
 // that can change the report — model name, graph content, platform,
 // backend, batch, dtype, mode, clocks, jitter seed, roofline flags —
-// changes the key. An inline graph is keyed by opts.GraphDigest when it
-// is set (it must equal memo.GraphDigest(opts.Graph)), so a caller that
-// already hashed the graph does not hash it again.
+// changes the key. An inline graph is keyed by its content digest
+// (graph.Graph.Digest): an admitted graph carries the digest it was
+// admitted with, so proofd's edge hashes each posted graph once, and a
+// raw graph is hashed here. A graph admitted before shape inference
+// keys exactly as the raw graph it was posted as.
 func Fingerprint(opts core.Options) (string, error) {
 	c := canonical{
 		Model:            opts.Model,
@@ -59,11 +60,7 @@ func Fingerprint(opts core.Options) (string, error) {
 	if opts.Graph != nil {
 		// Model stays in the key: with a graph it is the report's
 		// display name, which the graph content does not cover.
-		h, err := graphDigest(opts)
-		if err != nil {
-			return "", err
-		}
-		c.GraphHash = h
+		c.GraphHash = opts.Graph.Digest()
 	}
 	payload, err := json.Marshal(c)
 	if err != nil {
@@ -71,17 +68,4 @@ func Fingerprint(opts core.Options) (string, error) {
 	}
 	sum := sha256.Sum256(payload)
 	return hex.EncodeToString(sum[:]), nil
-}
-
-// graphDigest returns opts.GraphDigest, computing memo.GraphDigest of
-// the inline graph when it is unset.
-func graphDigest(opts core.Options) (string, error) {
-	if opts.GraphDigest != "" {
-		return opts.GraphDigest, nil
-	}
-	d, err := memo.GraphDigest(opts.Graph)
-	if err != nil {
-		return "", fmt.Errorf("profsession: graph hash: %w", err)
-	}
-	return d, nil
 }

@@ -11,6 +11,7 @@ import (
 
 	"proof/internal/core"
 	"proof/internal/faults"
+	"proof/internal/graph"
 	"proof/internal/obs"
 )
 
@@ -390,6 +391,75 @@ func TestBreakerIgnoresAbandonedExecutions(t *testing.T) {
 	// Cancelled requests must not have opened the circuit.
 	if opens, _, _, _ := s.breakers.snapshot(); opens != 0 {
 		t.Errorf("opens = %d after abandoned executions, want 0", opens)
+	}
+}
+
+// TestBreakerIgnoresGraphDefects: a graph defect is the caller's error.
+// It is not retried, it never opens a circuit, it never degrades to a
+// stale report, and a half-open probe it took is released, so the next
+// valid request for the key is let through.
+func TestBreakerIgnoresGraphDefects(t *testing.T) {
+	var defective atomic.Bool
+	var calls atomic.Int64
+	s := NewWithConfig(Config{
+		Capacity: 4,
+		Profile: func(ctx context.Context, opts core.Options) (*core.Report, error) {
+			calls.Add(1)
+			if defective.Load() {
+				return nil, fmt.Errorf("wrapped: %w", &graph.ValidationError{Code: graph.ErrShapeInference, Detail: "reshape"})
+			}
+			if opts.Batch == 10 {
+				return nil, errors.New("backend down")
+			}
+			return stubRep(opts), nil
+		},
+		Retry:   RetryPolicy{Attempts: 3, Base: time.Millisecond},
+		Breaker: BreakerConfig{Threshold: 1, Cooldown: time.Minute},
+	})
+	now := time.Unix(0, 0)
+	s.breakers.now = func() time.Time { return now }
+
+	// Seed the stale store, then fail on graph defects past the threshold.
+	opts := baseOpts
+	if _, err := s.Profile(opts); err != nil {
+		t.Fatal(err)
+	}
+	defective.Store(true)
+	for i := 0; i < 3; i++ {
+		opts.Batch = i + 2
+		before := calls.Load()
+		_, err := s.Profile(opts)
+		if _, ok := graph.AsValidationError(err); !ok {
+			t.Fatalf("err = %v, want the graph defect", err)
+		}
+		if n := calls.Load() - before; n != 1 {
+			t.Errorf("graph defect executed %d times, want 1 (no retry)", n)
+		}
+		if _, ok := s.FallbackFor(opts, err); ok {
+			t.Error("graph defect degraded to a stale report")
+		}
+	}
+	if opens, _, _, _ := s.breakers.snapshot(); opens != 0 {
+		t.Fatalf("opens = %d after graph defects, want 0", opens)
+	}
+
+	// Open the circuit with a real failure; after the cooldown a graph
+	// defect takes the half-open probe and must hand it back.
+	defective.Store(false)
+	opts.Batch = 10
+	if _, err := s.Profile(opts); err == nil {
+		t.Fatal("want failure")
+	}
+	now = now.Add(2 * time.Minute)
+	defective.Store(true)
+	opts.Batch = 11
+	if _, err := s.Profile(opts); err == nil {
+		t.Fatal("want the graph defect")
+	}
+	defective.Store(false)
+	opts.Batch = 12
+	if _, err := s.Profile(opts); err != nil {
+		t.Fatalf("valid request after a defective probe: %v, want the probe slot released", err)
 	}
 }
 

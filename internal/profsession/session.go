@@ -218,9 +218,9 @@ func (s *Session) Profile(opts core.Options) (*core.Report, error) {
 // may mutate it freely without corrupting the cache. Errors are never
 // cached: a failed configuration is retried on the next request.
 //
-// When opts.Graph is set, the session profiles a clone: core.Profile
-// rebatches and dtype-converts the graph in place, which would both
-// surprise the caller and invalidate the content fingerprint.
+// When opts.Graph is set, it is passed on as is: the pipeline never
+// writes it (each run profiles a view), so the caller's graph and its
+// content fingerprint stay unchanged.
 func (s *Session) ProfileCtx(ctx context.Context, opts core.Options) (*core.Report, error) {
 	rep, _, err := s.ProfileOutcome(ctx, opts)
 	return rep, err
@@ -242,15 +242,6 @@ func (s *Session) ProfileOutcome(ctx context.Context, opts core.Options) (*core.
 }
 
 func (s *Session) profileOutcome(ctx context.Context, opts core.Options) (*core.Report, Outcome, error) {
-	// An inline graph is hashed once: the digest keys the session and
-	// travels on to the pipeline, which keys its memo plan with it.
-	if opts.Graph != nil {
-		d, err := graphDigest(opts)
-		if err != nil {
-			return nil, OutcomeMiss, err
-		}
-		opts.GraphDigest = d
-	}
 	key, err := Fingerprint(opts)
 	if err != nil {
 		return nil, OutcomeMiss, err
@@ -275,7 +266,11 @@ func (s *Session) profileOutcome(ctx context.Context, opts core.Options) (*core.
 // lead runs one report-cache miss: only a would-be leader consults the
 // circuit. A panicking execution counts as a breaker failure, so a
 // half-open probe that panics re-opens its circuit instead of leaving
-// it probing forever.
+// it probing forever. A graph defect (*graph.ValidationError, e.g. an
+// inline graph whose shapes do not compose at the requested batch) is
+// the caller's fault, not the service's: it moves no circuit, so one
+// client's broken graph cannot block valid requests sharing its key,
+// and a half-open probe slot it took is released.
 func (s *Session) lead(ctx context.Context, key string, opts core.Options) (*core.Report, error) {
 	verdict := verdictFailure // kept when the execution panics
 	if s.breakers != nil {
@@ -284,9 +279,6 @@ func (s *Session) lead(ctx context.Context, key string, opts core.Options) (*cor
 			return nil, &CircuitOpenError{Key: bkey, RetryAfter: after}
 		}
 		defer func() { s.breakers.record(bkey, verdict) }()
-	}
-	if opts.Graph != nil {
-		opts.Graph = opts.Graph.Clone()
 	}
 	if opts.Memo == nil {
 		opts.Memo = s.memo
@@ -301,6 +293,10 @@ func (s *Session) lead(ctx context.Context, key string, opts core.Options) (*cor
 		// failure, so don't let an abandoned request move the
 		// circuit (but do release a half-open probe slot).
 		verdict = verdictAbandoned
+	default:
+		if _, ok := graph.AsValidationError(err); ok {
+			verdict = verdictAbandoned
+		}
 	}
 	return rep, err
 }

@@ -197,33 +197,42 @@ func TestGraphRequestKeepsModelName(t *testing.T) {
 	}
 }
 
-// TestGraphDigestComputedOnce: the session hashes an inline graph once
-// and hands the digest to the pipeline, which then keys its memo plan
-// without hashing the graph again.
+// TestGraphDigestComputedOnce: an admitted graph carries the digest it
+// was admitted with. The session keys the request with it and hands the
+// pipeline the admitted graph itself — no clone, no second hash — so
+// the pipeline plan-keys the run with the same digest.
 func TestGraphDigestComputedOnce(t *testing.T) {
-	g, err := models.Build("shufflenetv2-0.5")
+	raw, err := models.Build("shufflenetv2-0.5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := memo.GraphDigest(g)
+	want, err := memo.GraphDigest(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got string
+	g, errs := graph.Admit(raw)
+	if len(errs) > 0 {
+		t.Fatal(errs[0])
+	}
+	var got *graph.Graph
 	s := NewWithProfiler(0, func(ctx context.Context, opts core.Options) (*core.Report, error) {
-		got = opts.GraphDigest
+		got = opts.Graph
 		return stubRep(opts), nil
 	})
 	if _, err := s.Profile(core.Options{Graph: g, Platform: "a100", Batch: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if got != want {
-		t.Fatalf("pipeline received GraphDigest %q, want memo.GraphDigest %q", got, want)
+	if got != g {
+		t.Fatal("pipeline received a copy of the admitted graph, not the graph itself")
+	}
+	if d, _ := memo.GraphDigest(got); d != want {
+		t.Fatalf("pipeline's graph digests to %q, want the admitted digest %q", d, want)
 	}
 }
 
-// TestFingerprintPrecomputedDigest: a correct precomputed digest keys a
-// graph request exactly as hashing the graph does.
+// TestFingerprintPrecomputedDigest: an admitted graph keys a request
+// exactly as hashing the raw graph it was admitted from does, also
+// after the edge's shape inference wrote into the admitted graph.
 func TestFingerprintPrecomputedDigest(t *testing.T) {
 	g, err := models.Build("shufflenetv2-0.5")
 	if err != nil {
@@ -234,15 +243,23 @@ func TestFingerprintPrecomputedDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.GraphDigest, err = memo.GraphDigest(g); err != nil {
+	admitted, errs := graph.Admit(g.Clone())
+	if len(errs) > 0 {
+		t.Fatal(errs[0])
+	}
+	for _, name := range admitted.Inputs {
+		admitted.Tensor(name).Shape[0] = 3
+	}
+	if err := admitted.InferShapes(); err != nil {
 		t.Fatal(err)
 	}
+	opts.Graph = admitted
 	given, err := Fingerprint(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if given != hashed {
-		t.Fatalf("precomputed digest changed the key: %s vs %s", given, hashed)
+		t.Fatalf("admitted graph keyed differently from its raw form: %s vs %s", given, hashed)
 	}
 }
 

@@ -2,10 +2,13 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"testing"
+	"time"
 
 	"proof/internal/graph"
+	"proof/internal/profsession"
 )
 
 // tinyServerGraph builds a minimal valid model for inline-graph
@@ -185,4 +188,60 @@ func TestProfileGraphRequestShape(t *testing.T) {
 			t.Errorf("envelope code = %q", env.Error.Code)
 		}
 	})
+}
+
+// TestBatchOnlyGraphDefectIsCallerError: an inline graph that passes the
+// edge's shape gate at its posted batch but whose shapes do not compose
+// at the requested batch (x[1,4,8] -> Reshape[1,32] -> Relu at batch 8)
+// is a defect of the caller's graph, not a service failure. Every such
+// request answers 400 invalid_model with a shape_inference defect, the
+// (graph, platform) circuit never opens, and a valid request for the
+// same graph is still served. Every nameless inline graph shares the
+// breaker key "inline|<platform>", so counting these as failures would
+// let one client block them all.
+func TestBatchOnlyGraphDefectIsCallerError(t *testing.T) {
+	sess := profsession.NewWithConfig(profsession.Config{
+		Breaker: profsession.BreakerConfig{Threshold: 5, Cooldown: 10 * time.Second},
+	})
+	_, ts := newTestServer(t, Config{Session: sess})
+	g := graph.New("fixed-reshape")
+	g.AddTensor(&graph.Tensor{Name: "x", DType: graph.Float32, Shape: graph.Shape{1, 4, 8}})
+	g.AddTensor(&graph.Tensor{Name: "r", DType: graph.Float32})
+	g.AddTensor(&graph.Tensor{Name: "y", DType: graph.Float32})
+	g.AddNode(&graph.Node{Name: "reshape", OpType: "Reshape", Inputs: []string{"x"}, Outputs: []string{"r"},
+		Attrs: graph.Attrs{"shape": graph.IntsAttr(1, 32)}})
+	g.AddNode(&graph.Node{Name: "relu", OpType: "Relu", Inputs: []string{"r"}, Outputs: []string{"y"}})
+	g.Inputs = []string{"x"}
+	g.Outputs = []string{"y"}
+	raw, err := json.Marshal(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := func(batch, seed int) string {
+		return fmt.Sprintf(`{"platform":"a100","batch":%d,"seed":%d,"graph":%s}`, batch, seed, raw)
+	}
+
+	for i := 0; i < 7; i++ {
+		resp := postJSON(t, ts.URL+"/v1/profile", body(8, i))
+		if resp.StatusCode != 400 {
+			b, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			t.Fatalf("request %d at batch 8: status = %d, want 400 (body %s)", i, resp.StatusCode, b)
+		}
+		env := decodeEnvelope(t, resp)
+		if env.Error.Code != "invalid_model" {
+			t.Fatalf("request %d: envelope code = %q, want invalid_model", i, env.Error.Code)
+		}
+		raw, _ := json.Marshal(env.Error.Details)
+		var defects []*graph.ValidationError
+		if err := json.Unmarshal(raw, &defects); err != nil || len(defects) != 1 || defects[0].Code != graph.ErrShapeInference {
+			t.Fatalf("request %d: details %s, want one %s defect", i, raw, graph.ErrShapeInference)
+		}
+	}
+	resp := postJSON(t, ts.URL+"/v1/profile", body(1, 0))
+	defer resp.Body.Close()
+	if resp.StatusCode != 200 {
+		b, _ := io.ReadAll(resp.Body)
+		t.Fatalf("valid batch-1 request after the defects: status = %d, want 200 (body %s)", resp.StatusCode, b)
+	}
 }

@@ -426,7 +426,7 @@ func (s *Server) validateProfile(w http.ResponseWriter, r *http.Request, req Pro
 	var info models.Info
 	var inline *graph.Graph
 	if len(req.Graph) > 0 {
-		g, ok := s.decodeGraph(w, r, req.Graph)
+		g, ok := s.admitGraph(w, r, req.Graph)
 		if !ok {
 			return zero, false
 		}
@@ -502,11 +502,18 @@ func (s *Server) validateProfile(w http.ResponseWriter, r *http.Request, req Pro
 	}, true
 }
 
-// decodeGraph strictly decodes an inline model graph and runs the
-// static verifier over it, answering 400 itself on failure. The
-// whole defect list (not just the first) rides in the envelope's
-// details so a client can fix a corrupt export in one round trip.
-func (s *Server) decodeGraph(w http.ResponseWriter, r *http.Request, raw json.RawMessage) (*graph.Graph, bool) {
+// admitGraph admits an inline model graph once, at the edge, answering
+// 400 itself on failure: it strictly decodes the graph, verifies it
+// (graph.Admit runs ValidateAll and hashes the graph as posted) and
+// runs shape inference on the admitted graph before anything else can
+// see it, so semantic defects also answer 400 before the request takes
+// an execution slot. The whole defect list (not just the first) rides
+// in the envelope's details so a client can fix a corrupt export in
+// one round trip. The session and the pipeline take the admitted graph
+// as is: neither verifies nor copies it again.
+func (s *Server) admitGraph(w http.ResponseWriter, r *http.Request, raw json.RawMessage) (*graph.Graph, bool) {
+	_, sp := obs.Start(r.Context(), "admit")
+	defer sp.End()
 	g := &graph.Graph{}
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
@@ -520,19 +527,18 @@ func (s *Server) decodeGraph(w http.ResponseWriter, r *http.Request, raw json.Ra
 	if g.Name == "" {
 		g.Name = "inline"
 	}
-	if errs := g.ValidateAll(); len(errs) > 0 {
+	a, errs := graph.Admit(g)
+	if len(errs) > 0 {
 		s.writeErrorDetails(w, r, http.StatusBadRequest, "invalid_model",
 			fmt.Sprintf("model graph failed static verification with %d defect(s)", len(errs)), errs)
 		return nil, false
 	}
-	// Structural soundness doesn't guarantee the shapes compose; run
-	// inference on a scratch clone so semantic defects also answer 400
-	// before the request takes an execution slot.
-	if err := g.Clone().InferShapes(); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "invalid_model", "shape inference failed: "+err.Error())
+	if err := a.InferShapes(); err != nil {
+		s.writeProfilingError(w, r, err) // a typed shape_inference defect: 400 invalid_model
 		return nil, false
 	}
-	return g, true
+	sp.SetAttrInt("nodes", int64(len(a.Nodes)))
+	return a, true
 }
 
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
