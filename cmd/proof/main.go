@@ -148,7 +148,7 @@ func main() {
 		Mode:             proof.Mode(*mode),
 		Seed:             *seed,
 		MeasuredRoofline: *measuredRoof,
-		Clocks:           proof.Clocks{GPUMHz: *gpuClock, EMCMHz: *emcClock, CPUClusters: 1},
+		Clocks:           proof.Clocks{GPUMHz: *gpuClock, EMCMHz: *emcClock},
 	}
 	if *dtype != "" {
 		dt, err := proof.ParseDataType(*dtype)

@@ -79,6 +79,11 @@ func NewRepWithBatch(g *graph.Graph, batch int) (*Rep, error) {
 		}
 		t.Shape[0] = batch
 	}
+	// A view skips NewRep's validation, which an input's constant int
+	// data may now contradict.
+	if err := g.ValidateInputData(); err != nil {
+		return nil, err
+	}
 	return NewRep(g)
 }
 

@@ -20,7 +20,6 @@ import (
 	"proof/internal/graphops"
 	"proof/internal/hardware"
 	"proof/internal/memo"
-	"proof/internal/models"
 	"proof/internal/ncusim"
 	"proof/internal/obs"
 	"proof/internal/roofline"
@@ -55,7 +54,8 @@ func ParseMode(s string) (Mode, error) {
 	return "", fmt.Errorf("core: unknown mode %q (have %q, %q)", s, ModePredicted, ModeMeasured)
 }
 
-// Options configures one profiling run.
+// Options configures one profiling run. Zero fields select the
+// platform's evaluation configuration (Table 2); Resolve applies them.
 type Options struct {
 	// Model is the zoo key ("resnet-50", ...). When Graph is set, Model
 	// is only the report's display name (empty = Graph.Name).
@@ -71,14 +71,16 @@ type Options struct {
 	Platform string
 	// Backend overrides the platform's default runtime.
 	Backend string
-	// Batch is the batch size (0 = platform default).
+	// Batch is the batch size (0 = platform default; negative is an
+	// error).
 	Batch int
 	// DType is the inference data type (invalid/zero = platform
 	// default).
 	DType graph.DataType
 	// Mode selects predicted vs measured metrics ("" = predicted).
 	Mode Mode
-	// Clocks overrides the platform clock configuration.
+	// Clocks overrides the platform clock configuration (CPUClusters 0
+	// = one cluster; the other fields are keyed as given).
 	Clocks hardware.Clocks
 	// Seed varies the simulated run-to-run jitter.
 	Seed uint64
@@ -86,7 +88,8 @@ type Options struct {
 	// pseudo model instead of the platform constants.
 	MeasuredRoofline bool
 	// IgnoreSupport profiles even when the platform does not claim to
-	// support the model family.
+	// support the model family. It is not keyed: it changes nothing on
+	// a supported pair.
 	IgnoreSupport bool
 	// Memo optionally attaches a layer-unit memo store (internal/memo):
 	// predicted-mode, constant-roofline runs then resolve per-layer
@@ -206,55 +209,30 @@ func profilePipeline(ctx context.Context, opts Options, pipe *obs.Span) (*Report
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	plat, err := hardware.Get(opts.Platform)
+	// Resolved before any cache is consulted, so a cached plan can never
+	// mask an unknown-model or unsupported-platform error.
+	r, err := Resolve(opts)
 	if err != nil {
 		return nil, err
 	}
-	dt := opts.DType
-	if !dt.Valid() {
-		dt = plat.DefaultDType
-	}
-	batch := opts.Batch
-	if batch <= 0 {
-		batch = plat.DefaultBatch
-	}
-	backendKey := opts.Backend
-	if backendKey == "" {
-		backendKey = plat.Runtime
-	}
-	be, err := backend.Get(backendKey)
-	if err != nil {
-		return nil, err
-	}
-	mode := opts.Mode
-	if mode == "" {
-		mode = ModePredicted
-	}
+	plat, dt := r.Plat, r.DType
 	pipe.SetAttr("model", opts.Model)
 	pipe.SetAttr("platform", plat.Key)
-	pipe.SetAttr("backend", backendKey)
-	pipe.SetAttrInt("batch", int64(batch))
+	pipe.SetAttr("backend", r.Backend)
+	pipe.SetAttrInt("batch", int64(r.Batch))
 	pipe.SetAttr("dtype", dt.String())
-	pipe.SetAttr("mode", string(mode))
-
-	// Zoo models resolve before any cache is consulted, so a cached plan
-	// can never mask an unknown-model or unsupported-platform error.
-	if opts.Graph == nil {
-		if _, err := zooModel(opts.Model, plat, opts.IgnoreSupport); err != nil {
-			return nil, err
-		}
-	}
+	pipe.SetAttr("mode", string(r.Mode))
 
 	// Memo fast path: a point already profiled under an identical
 	// configuration is assembled from its cached plan, skipping model
 	// build, backend build and mapping entirely.
-	mp := prepareMemoPoint(opts, plat, dt, batch, backendKey, mode)
+	mp := newMemoPoint(r)
 	if plan, units := mp.cached(); plan != nil {
 		pipe.SetAttr("memo", "hit")
 		_, asp := obs.Start(ctx, "analysis")
 		defer asp.End()
-		rl := roofline.NewModel(plat, plan.EffectiveDType, opts.Clocks)
-		return assemble(plan, units, rl, mode, plat, opts.Clocks), nil
+		rl := roofline.NewModel(plat, plan.EffectiveDType, r.Clocks)
+		return assemble(plan, units, rl, r.Mode, plat, r.Clocks), nil
 	}
 
 	mctx, msp := obs.Start(ctx, "model_build")
@@ -262,10 +240,6 @@ func profilePipeline(ctx context.Context, opts Options, pipe *obs.Span) (*Report
 	if err != nil {
 		msp.EndErr(err)
 		return nil, err
-	}
-	modelName := opts.Model
-	if modelName == "" {
-		modelName = adm.Name
 	}
 	// The run writes only its own view: rebatching, dtype conversion
 	// and shape inference change tensor shapes and types, which the
@@ -278,7 +252,7 @@ func profilePipeline(ctx context.Context, opts Options, pipe *obs.Span) (*Report
 	} else {
 		g.ConvertFloatTensors(dt)
 	}
-	rep, err := analysis.NewRepWithBatch(g, batch)
+	rep, err := analysis.NewRepWithBatch(g, r.Batch)
 	if err != nil {
 		msp.EndErr(err)
 		return nil, err
@@ -289,9 +263,9 @@ func profilePipeline(ctx context.Context, opts Options, pipe *obs.Span) (*Report
 		return nil, err
 	}
 
-	cfg := backend.Config{Platform: plat, DType: dt, Batch: batch, Clocks: opts.Clocks}
+	cfg := backend.Config{Platform: plat, DType: dt, Batch: r.Batch, Clocks: r.Clocks}
 	bctx, bsp := obs.Start(ctx, "backend_build")
-	eng, err := be.Build(bctx, rep, cfg)
+	eng, err := r.runtime.Build(bctx, rep, cfg)
 	if err != nil {
 		bsp.EndErr(err)
 		return nil, err
@@ -306,9 +280,9 @@ func profilePipeline(ctx context.Context, opts Options, pipe *obs.Span) (*Report
 	// backend info.
 	lctx, lsp := obs.Start(ctx, "layer_map")
 	opt := analysis.NewOptimizedRep(rep)
-	mapping, err := be.MapLayers(lctx, eng, opt)
+	mapping, err := r.runtime.MapLayers(lctx, eng, opt)
 	if err != nil {
-		err = fmt.Errorf("core: layer mapping on %s: %w", backendKey, err)
+		err = fmt.Errorf("core: layer mapping on %s: %w", r.Backend, err)
 		lsp.EndErr(err)
 		return nil, err
 	}
@@ -320,27 +294,27 @@ func profilePipeline(ctx context.Context, opts Options, pipe *obs.Span) (*Report
 	// Roofline ceilings.
 	var rl roofline.Model
 	rctx, rsp := obs.Start(ctx, "roofline")
-	if opts.MeasuredRoofline {
-		rl, err = roofline.MeasuredModel(rctx, plat, dt, opts.Clocks, opts.Seed)
+	if r.MeasuredRoofline {
+		rl, err = roofline.MeasuredModel(rctx, plat, dt, r.Clocks, r.Seed)
 		if err != nil {
 			rsp.EndErr(err)
 			return nil, err
 		}
 	} else {
-		rl = roofline.NewModel(plat, dt, opts.Clocks)
+		rl = roofline.NewModel(plat, dt, r.Clocks)
 	}
 	rsp.End()
 
 	// Measured metrics, when requested. The counter-profiler replay is
 	// the most expensive stage, so check for abandonment right before.
-	src := &layerSource{eng: eng, mapping: mapping, opt: opt, rep: rep, seed: opts.Seed}
+	src := &layerSource{eng: eng, mapping: mapping, opt: opt, rep: rep, seed: r.Seed}
 	var overhead time.Duration
-	if mode == ModeMeasured {
+	if r.Mode == ModeMeasured {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		_, nsp := obs.Start(ctx, "measure")
-		res, err := ncusim.Measure(eng, opts.Seed)
+		res, err := ncusim.Measure(eng, r.Seed)
 		if err != nil {
 			nsp.EndErr(err)
 			return nil, err
@@ -354,12 +328,12 @@ func profilePipeline(ctx context.Context, opts Options, pipe *obs.Span) (*Report
 	_, asp := obs.Start(ctx, "analysis")
 	defer asp.End()
 	plan := &memo.Plan{
-		Model:          modelName,
+		Model:          r.Model,
 		Platform:       plat.Key,
-		Backend:        backendKey,
+		Backend:        r.Backend,
 		DType:          dt.String(),
 		EffectiveDType: dt,
-		Batch:          batch,
+		Batch:          r.Batch,
 		NodeCount:      rep.NodeCount(),
 		ParamsM:        float64(g.ParamCount()) / 1e6,
 	}
@@ -367,33 +341,10 @@ func profilePipeline(ctx context.Context, opts Options, pipe *obs.Span) (*Report
 	if err != nil {
 		return nil, err
 	}
-	report := assemble(plan, units, rl, mode, plat, opts.Clocks)
+	report := assemble(plan, units, rl, r.Mode, plat, r.Clocks)
 	report.ProfilingOverhead = overhead
 	mp.record(pipe, plan)
 	return report, nil
-}
-
-// lookupModel resolves a zoo key.
-func lookupModel(name string) (models.Info, error) {
-	info, ok := models.Lookup(name)
-	if !ok {
-		return info, fmt.Errorf("core: unknown model %q", name)
-	}
-	return info, nil
-}
-
-// zooModel looks a model up in the zoo and checks that the platform
-// supports its family.
-func zooModel(name string, plat *hardware.Platform, ignoreSupport bool) (models.Info, error) {
-	info, err := lookupModel(name)
-	if err != nil {
-		return info, err
-	}
-	if !ignoreSupport && !plat.Supports(info.Type) {
-		return info, fmt.Errorf("core: platform %s does not support %s models (model %s failed to run in the paper's evaluation as well)",
-			plat.Key, info.Type, info.Key)
-	}
-	return info, nil
 }
 
 // categorize tags a mapped layer for roofline chart coloring, matching

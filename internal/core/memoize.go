@@ -4,26 +4,9 @@ import (
 	"context"
 
 	"proof/internal/graph"
-	"proof/internal/hardware"
 	"proof/internal/memo"
 	"proof/internal/obs"
 )
-
-// MemoProfiler wraps a ProfileFunc so every request carries the given
-// memo store (unless the request already brings its own). This is how a
-// sweep driver, a CLI run, or a test attaches one shared store to many
-// profiling calls without threading it by hand.
-func MemoProfiler(st *memo.Store, next ProfileFunc) ProfileFunc {
-	if next == nil {
-		next = ProfileCtx
-	}
-	return func(ctx context.Context, opts Options) (*Report, error) {
-		if opts.Memo == nil {
-			opts.Memo = st
-		}
-		return next(ctx, opts)
-	}
-}
 
 // memoPoint is the pipeline's per-run view of the memo store: the
 // resolved configuration it keys on, prepared before the model is
@@ -36,39 +19,16 @@ type memoPoint struct {
 	unitHits int
 }
 
-// prepareMemoPoint decides whether this run is memoizable and, if so,
-// derives the run's plan key. Only predicted-mode, constant-roofline
-// runs are memoized: measured mode replays hardware counters and
-// MeasuredRoofline re-runs the peak test, both of which must stay
-// observable work.
-func prepareMemoPoint(opts Options, plat *hardware.Platform, dt graph.DataType, batch int, backendKey string, mode Mode) *memoPoint {
-	if opts.Memo == nil || mode != ModePredicted || opts.MeasuredRoofline {
+// newMemoPoint returns the run's view of its memo store, keyed by the
+// request's resolved key, or nil for an unmemoized run. Only
+// predicted-mode, constant-roofline runs are memoized: measured mode
+// replays hardware counters and MeasuredRoofline re-runs the peak
+// test, both of which must stay observable work.
+func newMemoPoint(r Resolved) *memoPoint {
+	if r.Memo == nil || r.Mode != ModePredicted || r.MeasuredRoofline {
 		return nil
 	}
-	modelName := opts.Model
-	source := "zoo:" + opts.Model
-	if opts.Graph != nil {
-		if modelName == "" {
-			modelName = opts.Graph.Name
-		}
-		// An admitted graph carries its digest; a raw one is hashed.
-		source = "graph:" + opts.Graph.Digest()
-	}
-	// The plan binding carries the *requested* data type; a quantized
-	// graph resolves to int8 later, but quantized-ness is a function of
-	// the model content, which source covers — the same (source,
-	// binding) always resolves to the same effective type.
-	b := memo.Binding{
-		Backend:      backendKey,
-		PlatformKey:  plat.Key,
-		PlatformHash: plat.DescriptorHash(),
-		DType:        dt,
-		Batch:        batch,
-		Mode:         string(mode),
-		Seed:         opts.Seed,
-		Clocks:       opts.Clocks,
-	}
-	return &memoPoint{st: opts.Memo, binding: b, planKey: memo.PlanKey(modelName, source, b)}
+	return &memoPoint{st: r.Memo, binding: r.Binding, planKey: r.Key}
 }
 
 // cached returns the point's plan and its units when the store holds

@@ -1,0 +1,134 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+
+	"proof/internal/backend"
+	"proof/internal/hardware"
+	"proof/internal/memo"
+	"proof/internal/models"
+)
+
+// Every error Resolve returns matches one of these under errors.Is, so
+// an API edge maps a refused request to its status without reading the
+// message. ErrUnsupported means the platform does not run the zoo
+// model's family (see Options.IgnoreSupport); ErrInvalidOption is a
+// negative batch or an unknown mode.
+var (
+	ErrUnknownModel    = errors.New("unknown model")
+	ErrUnknownPlatform = errors.New("unknown platform")
+	ErrUnknownBackend  = errors.New("unknown backend")
+	ErrUnsupported     = errors.New("unsupported model family")
+	ErrInvalidOption   = errors.New("invalid option")
+)
+
+// resolveError reads as its cause and matches its kind, one of the
+// sentinels above.
+type resolveError struct{ kind, cause error }
+
+func (e *resolveError) Error() string   { return e.cause.Error() }
+func (e *resolveError) Unwrap() []error { return []error{e.kind, e.cause} }
+
+// Resolved is a request with every default applied, and its key.
+type Resolved struct {
+	// Options is the request as it runs: Model is the display name
+	// (Graph.Name when a graph comes without one), and Backend, Batch,
+	// DType, Mode and Clocks.CPUClusters hold the applied defaults, so
+	// resolving Options again gives the same Resolved.
+	Options
+	// Plat is the platform Options.Platform names.
+	Plat *hardware.Platform
+	// Binding is the run configuration the memo store keys on.
+	Binding memo.Binding
+	// Key is memo.PlanKey over the display name, the model source (zoo
+	// key or graph digest) and Binding. The session's report cache and
+	// stale store and the pipeline's memo plans all use it.
+	Key string
+
+	runtime backend.Backend
+}
+
+// Resolve is the one place a request's platform defaults are applied
+// and its key derived; the API edge, the session and the pipeline each
+// call it on the Options they hold. It looks up the platform, the
+// backend ("" = the platform's runtime) and, for a zoo request, the
+// model and the platform's support for its family (unless
+// IgnoreSupport, which is not keyed: it changes nothing on a supported
+// pair). It applies batch 0 = DefaultBatch, an invalid dtype =
+// DefaultDType, mode "" = ModePredicted and fewer than one CPU cluster
+// = one, as the power model reads it. The other clock fields are kept
+// as given: they feed the power model even on fixed-clock platforms.
+func Resolve(opts Options) (Resolved, error) {
+	fail := func(kind, cause error) (Resolved, error) {
+		return Resolved{}, &resolveError{kind, cause}
+	}
+	r := Resolved{Options: opts}
+	var info models.Info
+	source := "zoo:" + opts.Model
+	if opts.Graph != nil {
+		if r.Model == "" {
+			r.Model = opts.Graph.Name
+		}
+		// An admitted graph carries its digest; a raw one is hashed.
+		source = "graph:" + opts.Graph.Digest()
+	} else {
+		var err error
+		if info, err = lookupModel(opts.Model); err != nil {
+			return Resolved{}, err
+		}
+	}
+	plat, err := hardware.Get(opts.Platform)
+	if err != nil {
+		return fail(ErrUnknownPlatform, err)
+	}
+	r.Plat = plat
+	if r.Backend == "" {
+		r.Backend = plat.Runtime
+	}
+	if r.runtime, err = backend.Get(r.Backend); err != nil {
+		return fail(ErrUnknownBackend, err)
+	}
+	if r.Batch < 0 {
+		return fail(ErrInvalidOption, fmt.Errorf("core: batch must be >= 0, got %d", r.Batch))
+	}
+	if r.Mode, err = ParseMode(string(r.Mode)); err != nil {
+		return fail(ErrInvalidOption, err)
+	}
+	if opts.Graph == nil && !r.IgnoreSupport && !plat.Supports(info.Type) {
+		return fail(ErrUnsupported, fmt.Errorf("core: platform %s does not support %s models (model %s failed to run in the paper's evaluation as well)",
+			plat.Key, info.Type, info.Key))
+	}
+	if r.Batch == 0 {
+		r.Batch = plat.DefaultBatch
+	}
+	if !r.DType.Valid() {
+		r.DType = plat.DefaultDType
+	}
+	r.Clocks.CPUClusters = max(r.Clocks.CPUClusters, 1)
+	// The binding carries the *requested* data type: a quantized graph
+	// runs at int8, but that follows from its content, which the
+	// source covers.
+	r.Binding = memo.Binding{
+		Backend:          r.Backend,
+		PlatformKey:      plat.Key,
+		PlatformHash:     plat.DescriptorHash(),
+		DType:            r.DType,
+		Batch:            r.Batch,
+		Mode:             string(r.Mode),
+		Seed:             r.Seed,
+		Clocks:           r.Clocks,
+		MeasuredRoofline: r.MeasuredRoofline,
+	}
+	r.Key = memo.PlanKey(r.Model, source, r.Binding)
+	return r, nil
+}
+
+// lookupModel resolves a zoo key.
+func lookupModel(name string) (models.Info, error) {
+	info, ok := models.Lookup(name)
+	if !ok {
+		return info, fmt.Errorf("core: %w %q", ErrUnknownModel, name)
+	}
+	return info, nil
+}

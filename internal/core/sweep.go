@@ -62,8 +62,7 @@ func platformSweep(ctx context.Context, model string, mode Mode, profile Profile
 	sp.SetAttr("model", model)
 	sp.SetAttr("mode", string(mode))
 	defer func() { sp.EndErr(err) }()
-	info, err := lookupModel(model)
-	if err != nil {
+	if _, err := lookupModel(model); err != nil {
 		return nil, err
 	}
 	// Every point names the model by its zoo key: the points share the
@@ -71,12 +70,6 @@ func platformSweep(ctx context.Context, model string, mode Mode, profile Profile
 	platforms := hardware.List()
 	sp.SetAttrInt("platforms", int64(len(platforms)))
 	results, err := parallel.MapCtx(ctx, platforms, 0, func(ctx context.Context, p *hardware.Platform) (PlatformResult, error) {
-		if !p.Supports(info.Type) {
-			return PlatformResult{
-				Platform: p.Key,
-				Reason:   "platform does not support " + info.Type + " models",
-			}, nil
-		}
 		r, err := profile(ctx, Options{Model: model, Platform: p.Key, Mode: mode})
 		if err != nil {
 			if ctx.Err() != nil {

@@ -98,6 +98,32 @@ func (g *Graph) ValidateAll() []*ValidationError {
 	return errs
 }
 
+// ValidateInputData re-checks the one ValidateAll invariant that
+// rebatching a verified graph can break: a graph input's constant int
+// data must match its shape. It returns the first bad_tensor defect.
+func (g *Graph) ValidateInputData() error {
+	for _, in := range g.Inputs {
+		if e := g.intDataDefect(in); e != nil {
+			return e
+		}
+	}
+	return nil
+}
+
+// intDataDefect reports the tensor registered under key when its
+// constant int data contradicts its known shape.
+func (g *Graph) intDataDefect(key string) *ValidationError {
+	t := g.Tensors[key]
+	if t == nil || t.IntData == nil || !t.Shape.Valid() || int64(len(t.IntData)) == t.Shape.NumElements() {
+		return nil
+	}
+	return &ValidationError{
+		Code: ErrBadTensor, Graph: g.Name, Tensor: key,
+		Detail: fmt.Sprintf("tensor %q carries %d int values for shape %v (%d elements)",
+			key, len(t.IntData), t.Shape, t.Shape.NumElements()),
+	}
+}
+
 // validate is ValidateAll returning also the topological order its
 // acyclicity check computed (nil when it found a defect), so Admit
 // sorts the graph once.
@@ -190,10 +216,8 @@ func (g *Graph) validate() ([]*ValidationError, []*Node) {
 					"parameter tensor %q has invalid dtype %v", key, t.DType)
 			}
 		}
-		if t.IntData != nil && t.Shape.Valid() && int64(len(t.IntData)) != t.Shape.NumElements() {
-			report(ErrBadTensor, "", key,
-				"tensor %q carries %d int values for shape %v (%d elements)",
-				key, len(t.IntData), t.Shape, t.Shape.NumElements())
+		if e := g.intDataDefect(key); e != nil {
+			errs = append(errs, e)
 		}
 	}
 

@@ -217,3 +217,22 @@ func TestDescribe(t *testing.T) {
 		}
 	}
 }
+
+// TestDescriptorHashCachedForRegistered: a registered platform returns
+// the hash taken at registration, which equals a fresh hash of a copy
+// of it, without allocating; an edited copy hashes its live fields.
+func TestDescriptorHashCachedForRegistered(t *testing.T) {
+	for _, p := range List() {
+		cp := *p
+		if got, want := p.DescriptorHash(), cp.DescriptorHash(); got != want {
+			t.Errorf("%s: registered hash %s, fresh hash of a copy %s", p.Key, got, want)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { _ = p.DescriptorHash() }); allocs != 0 {
+			t.Errorf("%s: DescriptorHash allocates %.0f times, want 0", p.Key, allocs)
+		}
+		cp.MemBW *= 2
+		if cp.DescriptorHash() == p.DescriptorHash() {
+			t.Errorf("%s: an edited copy kept the registered hash", p.Key)
+		}
+	}
+}

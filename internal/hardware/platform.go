@@ -290,14 +290,16 @@ func (p *Platform) Describe() Info {
 }
 
 // DescriptorHash returns a stable sha256 fingerprint of every field of
-// the platform descriptor. Caches keyed on platform identity (the layer
-// memo store) embed this hash instead of the Key alone, so editing any
-// descriptor number — a peak, an efficiency factor, a clock table —
-// changes the hash and can never serve results computed under the old
-// descriptor. The hash is recomputed from the live struct on every call
-// (descriptors are tiny); nothing is memoized, so in-place edits are
-// always observed.
+// the platform descriptor. Every request key embeds this hash instead
+// of the Key alone, so editing any descriptor number — a peak, an
+// efficiency factor, a clock table — changes the hash and can never
+// serve results computed under the old descriptor. A registered
+// platform is hashed once, at registration; any other value, such as
+// an edited copy of one, hashes its live fields on every call.
 func (p *Platform) DescriptorHash() string {
+	if h, ok := registeredHashes[p]; ok {
+		return h
+	}
 	h := sha256.New()
 	hashStr(h, "proof-platform-v1")
 	hashStr(h, p.Key)
@@ -434,6 +436,9 @@ func (p *Platform) RidgeAI(dt graph.DataType) float64 {
 }
 
 var platforms = map[string]*Platform{}
+
+// registeredHashes holds each registered platform's DescriptorHash.
+var registeredHashes map[*Platform]string
 
 func register(p *Platform) {
 	if _, dup := platforms[p.Key]; dup {

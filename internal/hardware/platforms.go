@@ -208,4 +208,10 @@ func init() {
 	// validates every calibration.json entry against the registry
 	// above, so all platforms must already be registered.
 	loadCalibrations()
+
+	// Nothing writes a registered platform from here on: hash each once.
+	registeredHashes = make(map[*Platform]string, len(platforms))
+	for _, p := range platforms {
+		registeredHashes[p] = p.DescriptorHash()
+	}
 }

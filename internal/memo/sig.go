@@ -116,6 +116,9 @@ type Binding struct {
 	Seed uint64
 	// Clocks is the clock configuration as requested (zero = defaults).
 	Clocks hardware.Clocks
+	// MeasuredRoofline (peak-test ceilings) is framed only when set, so
+	// every key derived without it keeps its encoding.
+	MeasuredRoofline bool
 }
 
 // UnitSignature combines a layer content key with its execution binding
@@ -176,7 +179,11 @@ func appendBinding(buf []byte, b Binding) []byte {
 	buf = appendInt(buf, int64(b.Clocks.EMCMHz))
 	buf = appendInt(buf, int64(b.Clocks.CPUMHz))
 	buf = appendInt(buf, int64(b.Clocks.CPUClusters))
-	return appendFloat(buf, b.Clocks.GPUCapacity)
+	buf = appendFloat(buf, b.Clocks.GPUCapacity)
+	if b.MeasuredRoofline {
+		buf = appendStr(buf, "measured-roofline")
+	}
+	return buf
 }
 
 func tensorOf(g *graph.Graph, name string) *graph.Tensor {

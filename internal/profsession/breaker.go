@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"proof/internal/core"
 	"proof/internal/obs"
 )
 
@@ -41,17 +40,6 @@ type CircuitOpenError struct {
 
 func (e *CircuitOpenError) Error() string {
 	return fmt.Sprintf("profsession: circuit open for %s (retry in %s)", e.Key, e.RetryAfter.Round(time.Millisecond))
-}
-
-// breakerKey derives the circuit key from a request: the (model,
-// platform) pair, falling back to the graph's own name for inline
-// graphs.
-func breakerKey(opts core.Options) string {
-	model := opts.Model
-	if opts.Graph != nil && opts.Graph.Name != "" {
-		model = opts.Graph.Name
-	}
-	return model + "|" + opts.Platform
 }
 
 // Breaker states, exported through the state gauge: 0 closed (normal),

@@ -253,7 +253,7 @@ func TestBreakerOpensFastFailsAndRecovers(t *testing.T) {
 	}
 	// A different platform has its own circuit.
 	other := baseOpts
-	other.Platform = "orin-agx-64"
+	other.Platform = "orin-nx"
 	failing.Store(false)
 	if _, err := s.Profile(other); err != nil {
 		t.Errorf("other platform blocked by open circuit: %v", err)

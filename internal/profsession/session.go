@@ -2,8 +2,8 @@
 // on top of the core pipeline — the serving layer's answer to the
 // observation (Dooly, XSP) that profiling-based analysis only scales
 // when repeated runs over the same model/hardware configuration are
-// amortized. A Session keys every request by a content-addressed
-// fingerprint of its core.Options and serves it through an
+// amortized. A Session keys every request by its resolved identity
+// (core.Resolve, see Fingerprint) and serves it through an
 // internal/cache LRU: repeats are cache hits, and concurrent identical
 // requests collapse into a single pipeline execution, with
 // hit/miss/eviction/in-flight counters for observability.
@@ -212,7 +212,7 @@ func (s *Session) Profile(opts core.Options) (*core.Report, error) {
 }
 
 // ProfileCtx serves a profiling request, from cache when an identical
-// request (same canonical fingerprint) has run before, otherwise by
+// request (same Fingerprint) has run before, otherwise by
 // executing the pipeline once — concurrent identical requests share
 // that single execution. The returned report is a deep copy; callers
 // may mutate it freely without corrupting the cache. Errors are never
@@ -230,7 +230,9 @@ func (s *Session) ProfileCtx(ctx context.Context, opts core.Options) (*core.Repo
 // was served: from cache (OutcomeHit), by executing the pipeline
 // (OutcomeMiss), or by sharing an identical in-flight execution
 // (OutcomeDedup). On error the outcome still describes the path taken
-// (a failed execution reports OutcomeMiss).
+// (a failed execution reports OutcomeMiss). A request core.Resolve
+// refuses fails before the cache: it reports no outcome (""), counts
+// no miss and moves no circuit.
 func (s *Session) ProfileOutcome(ctx context.Context, opts core.Options) (*core.Report, Outcome, error) {
 	ctx, sp := obs.Start(ctx, "session")
 	sp.SetAttr("model", opts.Model)
@@ -242,12 +244,12 @@ func (s *Session) ProfileOutcome(ctx context.Context, opts core.Options) (*core.
 }
 
 func (s *Session) profileOutcome(ctx context.Context, opts core.Options) (*core.Report, Outcome, error) {
-	key, err := Fingerprint(opts)
+	r, err := core.Resolve(opts)
 	if err != nil {
-		return nil, OutcomeMiss, err
+		return nil, "", err
 	}
-	rep, out, err := s.reports.Do(ctx, key, func() (*core.Report, error) {
-		return s.lead(ctx, key, opts)
+	rep, out, err := s.reports.Do(ctx, r.Key, func() (*core.Report, error) {
+		return s.lead(ctx, r, opts)
 	})
 	if err != nil {
 		var coe *CircuitOpenError
@@ -264,17 +266,17 @@ func (s *Session) profileOutcome(ctx context.Context, opts core.Options) (*core.
 }
 
 // lead runs one report-cache miss: only a would-be leader consults the
-// circuit. A panicking execution counts as a breaker failure, so a
-// half-open probe that panics re-opens its circuit instead of leaving
-// it probing forever. A graph defect (*graph.ValidationError, e.g. an
+// circuit of the request's display name and platform. A panicking
+// execution counts as a breaker failure, so a half-open probe that
+// panics re-opens its circuit instead of leaving it probing forever. A graph defect (*graph.ValidationError, e.g. an
 // inline graph whose shapes do not compose at the requested batch) is
 // the caller's fault, not the service's: it moves no circuit, so one
 // client's broken graph cannot block valid requests sharing its key,
 // and a half-open probe slot it took is released.
-func (s *Session) lead(ctx context.Context, key string, opts core.Options) (*core.Report, error) {
+func (s *Session) lead(ctx context.Context, r core.Resolved, opts core.Options) (*core.Report, error) {
 	verdict := verdictFailure // kept when the execution panics
 	if s.breakers != nil {
-		bkey := breakerKey(opts)
+		bkey := r.Model + "|" + r.Plat.Key
 		if after, ok := s.breakers.allow(bkey); !ok {
 			return nil, &CircuitOpenError{Key: bkey, RetryAfter: after}
 		}
@@ -287,7 +289,7 @@ func (s *Session) lead(ctx context.Context, key string, opts core.Options) (*cor
 	switch {
 	case err == nil:
 		verdict = verdictSuccess
-		s.stale.Put(key, rep)
+		s.stale.Put(r.Key, rep)
 	case ctx.Err() != nil:
 		// The requester is gone; cancellation races any real
 		// failure, so don't let an abandoned request move the
@@ -375,6 +377,15 @@ func (s *Session) StaleFor(opts core.Options) (*core.Report, bool) {
 	}
 	rep, ok := s.stale.Get(key)
 	return cloneReport(rep), ok
+}
+
+// Fingerprint returns the key a Session caches a request under, its
+// core.Resolve key: two spellings of one experiment (batch 0 or the
+// platform's default batch, ...) share it. A request Resolve refuses
+// returns Resolve's typed error instead.
+func Fingerprint(opts core.Options) (string, error) {
+	r, err := core.Resolve(opts)
+	return r.Key, err
 }
 
 // Stats snapshots the session counters.

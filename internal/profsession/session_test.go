@@ -69,7 +69,7 @@ func TestCacheMissOnDifferingOptions(t *testing.T) {
 	o.Mode = core.ModeMeasured
 	variants["mode"] = o
 	o = baseOpts
-	o.DType = graph.Float16
+	o.DType = graph.Float32 // a100's default is fp16
 	variants["dtype"] = o
 	o = baseOpts
 	o.MeasuredRoofline = true

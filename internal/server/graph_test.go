@@ -245,3 +245,52 @@ func TestBatchOnlyGraphDefectIsCallerError(t *testing.T) {
 		t.Fatalf("valid batch-1 request after the defects: status = %d, want 200 (body %s)", resp.StatusCode, b)
 	}
 }
+
+// TestRebatchedIntDataRefused: an inline graph input that carries
+// constant int data fixes its own length, so a batch that rebatches it
+// to a different length contradicts the data. Such a request answers
+// 400 invalid_model with one bad_tensor defect, as ValidateAll would
+// refuse the rebatched graph; the graph at its own batch is served.
+func TestRebatchedIntDataRefused(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	g := graph.New("int-input")
+	g.AddTensor(&graph.Tensor{Name: "x", DType: graph.Float32, Shape: graph.Shape{1, 8, 16, 16}})
+	g.AddTensor(&graph.Tensor{Name: "h", DType: graph.Float32})
+	g.AddTensor(&graph.Tensor{Name: "idx", DType: graph.Int64, Shape: graph.Shape{1}, IntData: []int64{0}})
+	g.AddTensor(&graph.Tensor{Name: "y", DType: graph.Float32})
+	g.AddNode(&graph.Node{Name: "relu", OpType: "Relu", Inputs: []string{"x"}, Outputs: []string{"h"}})
+	g.AddNode(&graph.Node{Name: "gather", OpType: "Gather", Inputs: []string{"h", "idx"}, Outputs: []string{"y"}})
+	g.Inputs = []string{"x", "idx"}
+	g.Outputs = []string{"y"}
+	raw, err := json.Marshal(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := func(batch int) string {
+		return fmt.Sprintf(`{"platform":"a100","batch":%d,"graph":%s}`, batch, raw)
+	}
+
+	resp := postJSON(t, ts.URL+"/v1/profile", body(8))
+	if resp.StatusCode != 400 {
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		t.Fatalf("batch 8: status = %d, want 400 (body %s)", resp.StatusCode, b)
+	}
+	env := decodeEnvelope(t, resp)
+	if env.Error.Code != "invalid_model" {
+		t.Fatalf("batch 8: envelope code = %q, want invalid_model", env.Error.Code)
+	}
+	details, _ := json.Marshal(env.Error.Details)
+	var defects []*graph.ValidationError
+	if err := json.Unmarshal(details, &defects); err != nil || len(defects) != 1 ||
+		defects[0].Code != graph.ErrBadTensor || defects[0].Tensor != "idx" {
+		t.Fatalf("batch 8: details %s, want one %s defect on idx", details, graph.ErrBadTensor)
+	}
+
+	resp = postJSON(t, ts.URL+"/v1/profile", body(1))
+	defer resp.Body.Close()
+	if resp.StatusCode != 200 {
+		b, _ := io.ReadAll(resp.Body)
+		t.Fatalf("batch 1: status = %d, want 200 (body %s)", resp.StatusCode, b)
+	}
+}

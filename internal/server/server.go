@@ -35,7 +35,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"proof/internal/backend"
 	"proof/internal/core"
 	"proof/internal/faults"
 	"proof/internal/graph"
@@ -410,9 +409,9 @@ type ProfileRequest struct {
 	IgnoreSupport    bool            `json:"ignore_support,omitempty"`
 }
 
-// validate resolves the request into core.Options, answering the
-// envelope itself on failure (the *Server receiver is for error
-// writing only).
+// validateProfile parses the request into core.Options and checks them
+// with core.Resolve, answering the envelope itself on failure (the
+// *Server receiver is for error writing only).
 func (s *Server) validateProfile(w http.ResponseWriter, r *http.Request, req ProfileRequest) (core.Options, bool) {
 	var zero core.Options
 	if req.Model == "" && len(req.Graph) == 0 {
@@ -423,7 +422,6 @@ func (s *Server) validateProfile(w http.ResponseWriter, r *http.Request, req Pro
 		s.writeError(w, r, http.StatusBadRequest, "bad_request", "model and graph are mutually exclusive")
 		return zero, false
 	}
-	var info models.Info
 	var inline *graph.Graph
 	if len(req.Graph) > 0 {
 		g, ok := s.admitGraph(w, r, req.Graph)
@@ -431,75 +429,42 @@ func (s *Server) validateProfile(w http.ResponseWriter, r *http.Request, req Pro
 			return zero, false
 		}
 		inline = g
-	} else {
-		var ok bool
-		info, ok = models.Lookup(req.Model)
-		if !ok {
-			s.writeError(w, r, http.StatusNotFound, "unknown_model",
-				fmt.Sprintf("unknown model %q (GET /v1/models lists the zoo)", req.Model))
-			return zero, false
-		}
 	}
 	if req.Platform == "" {
 		s.writeError(w, r, http.StatusBadRequest, "bad_request", "platform is required")
 		return zero, false
 	}
-	plat, ok := hardware.Lookup(req.Platform)
-	if !ok {
-		s.writeError(w, r, http.StatusNotFound, "unknown_platform",
-			fmt.Sprintf("unknown platform %q (GET /v1/platforms lists them)", req.Platform))
-		return zero, false
-	}
-	if req.Backend != "" {
-		if _, err := backend.Get(req.Backend); err != nil {
-			s.writeError(w, r, http.StatusNotFound, "unknown_backend", err.Error())
-			return zero, false
-		}
-	}
-	if req.Batch < 0 {
-		s.writeError(w, r, http.StatusBadRequest, "bad_request", "batch must be >= 0")
-		return zero, false
-	}
-	mode, err := core.ParseMode(req.Mode)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "bad_request", err.Error())
-		return zero, false
-	}
 	var dt graph.DataType
 	if req.DType != "" {
-		dt, err = graph.ParseDataType(req.DType)
-		if err != nil {
+		var err error
+		if dt, err = graph.ParseDataType(req.DType); err != nil {
 			s.writeError(w, r, http.StatusBadRequest, "bad_request", err.Error())
 			return zero, false
 		}
 	}
-	if !req.IgnoreSupport && inline == nil && !plat.Supports(info.Type) {
-		s.writeError(w, r, http.StatusUnprocessableEntity, "unsupported",
-			fmt.Sprintf("platform %s does not support %s models (set ignore_support to try anyway)", plat.Key, info.Type))
-		return zero, false
-	}
-	clusters := req.CPUClusters
-	if clusters == 0 {
-		clusters = 1
-	}
-	return core.Options{
+	opts := core.Options{
 		Model:    req.Model,
 		Graph:    inline,
 		Platform: req.Platform,
 		Backend:  req.Backend,
 		Batch:    req.Batch,
 		DType:    dt,
-		Mode:     mode,
+		Mode:     core.Mode(req.Mode),
 		Seed:     req.Seed,
 		Clocks: hardware.Clocks{
 			GPUMHz:      req.GPUClockMHz,
 			EMCMHz:      req.EMCClockMHz,
 			GPUCapacity: req.GPUCapacity,
-			CPUClusters: clusters,
+			CPUClusters: req.CPUClusters,
 		},
 		MeasuredRoofline: req.MeasuredRoofline,
 		IgnoreSupport:    req.IgnoreSupport,
-	}, true
+	}
+	if _, err := core.Resolve(opts); err != nil {
+		s.writeProfilingError(w, r, err)
+		return zero, false
+	}
+	return opts, true
 }
 
 // admitGraph admits an inline model graph once, at the edge, answering
@@ -692,8 +657,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, SweepResponse{Model: req.Model, Mode: mode, Results: results})
 }
 
-// writeProfilingError maps a pipeline failure to a response: deadline →
-// 504, client gone → 499 (log-only), a model-graph verification error
+// writeProfilingError maps a pipeline failure to a response: a request
+// core.Resolve refuses → 404 unknown_model/unknown_platform/
+// unknown_backend, 422 unsupported or 400 bad_request, deadline → 504,
+// client gone → 499 (log-only), a model-graph verification error
 // anywhere in the chain → 400 invalid_model, an open circuit → 503
 // circuit_open with Retry-After, a transient failure that survived the
 // retry budget → 503 upstream_transient with Retry-After, anything
@@ -706,6 +673,16 @@ func (s *Server) writeProfilingError(w http.ResponseWriter, r *http.Request, err
 	}
 	var coe *profsession.CircuitOpenError
 	switch {
+	case errors.Is(err, core.ErrUnknownModel):
+		s.writeError(w, r, http.StatusNotFound, "unknown_model", err.Error())
+	case errors.Is(err, core.ErrUnknownPlatform):
+		s.writeError(w, r, http.StatusNotFound, "unknown_platform", err.Error())
+	case errors.Is(err, core.ErrUnknownBackend):
+		s.writeError(w, r, http.StatusNotFound, "unknown_backend", err.Error())
+	case errors.Is(err, core.ErrUnsupported):
+		s.writeError(w, r, http.StatusUnprocessableEntity, "unsupported", err.Error())
+	case errors.Is(err, core.ErrInvalidOption):
+		s.writeError(w, r, http.StatusBadRequest, "bad_request", err.Error())
 	case errors.As(err, &coe):
 		setRetryAfter(w, coe.RetryAfter)
 		s.writeError(w, r, http.StatusServiceUnavailable, "circuit_open", err.Error())

@@ -215,6 +215,33 @@ func TestProfileCacheHeader(t *testing.T) {
 	}
 }
 
+// TestDefaultSpellingsShareEntry: a request that names a100's own
+// batch, dtype, backend and CPU cluster count is the same experiment as
+// one that leaves them to the platform, so it is served from the first
+// request's cache entry with byte-identical bytes.
+func TestDefaultSpellingsShareEntry(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	var bodies [2][]byte
+	for i, c := range []struct{ body, cache string }{
+		{`{"model":"resnet-18","platform":"a100","seed":3}`, "miss"},
+		{`{"model":"resnet-18","platform":"a100","seed":3,"batch":128,"dtype":"fp16","backend":"trtsim","cpu_clusters":1}`, "hit"},
+	} {
+		resp := postJSON(t, ts.URL+"/v1/profile", c.body)
+		b, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != 200 {
+			t.Fatalf("request %d: status %d, err %v", i, resp.StatusCode, err)
+		}
+		if got := resp.Header.Get("X-Cache"); got != c.cache {
+			t.Errorf("request %d: X-Cache = %q, want %q", i, got, c.cache)
+		}
+		bodies[i] = b
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Error("the two spellings answered different bytes")
+	}
+}
+
 // TestSweepBody sanity-checks the sweep payload: one row per platform,
 // supported rows ranked by descending throughput.
 func TestSweepBody(t *testing.T) {

@@ -12,7 +12,6 @@ import (
 
 	"proof/internal/core"
 	"proof/internal/graph"
-	"proof/internal/hardware"
 	"proof/internal/profsession"
 )
 
@@ -200,7 +199,6 @@ func (t *SessionTarget) Do(ctx context.Context, req Request) Response {
 		Batch:    req.Batch,
 		Seed:     req.Seed,
 		Mode:     mode,
-		Clocks:   hardware.Clocks{CPUClusters: 1},
 	}
 	timeout := t.Timeout
 	if timeout <= 0 {

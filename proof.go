@@ -120,8 +120,11 @@ type SessionStats = profsession.Stats
 // capacity (<= 0 selects the default of 256 reports).
 func NewSession(capacity int) *Session { return profsession.New(capacity) }
 
-// FingerprintOptions returns the canonical content-addressed cache key
-// of a profiling configuration — the identity a Session caches under.
+// FingerprintOptions returns the key a Session caches a profiling
+// configuration under, taken once every platform default is applied. It
+// fails for a configuration the pipeline refuses: an unknown model,
+// platform or backend, an unsupported model family, or an invalid batch
+// or mode.
 func FingerprintOptions(opts Options) (string, error) { return profsession.Fingerprint(opts) }
 
 // CacheOutcome reports how a Session served one request: "hit", "miss"
