@@ -33,10 +33,11 @@ bench-serving:
 
 # bench-sweep regenerates BENCH_sweep.json: the pinned-seed 20-model ×
 # all-platform × batch-grid sweep, unmemoized vs memoized (cold
-# recording pass and warm plan-assembly pass) through one shared
-# layer-unit memo store. Grid, seed, point count and hit ratios are
+# recording pass and warm plan-assembly pass) through one shared memo
+# store sized for the grid. Grid, seed, point count and plan hits are
 # deterministic; only wall times move with the host. The writer fails
-# if the warm memoized sweep is less than 5x faster than unmemoized.
+# if the warm pass misses a plan or is less than 5x faster than
+# unmemoized.
 bench-sweep:
 	$(GO) test ./internal/core -run TestWriteSweepBenchArtifact -bench-out=$(CURDIR)/BENCH_sweep.json
 

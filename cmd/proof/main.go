@@ -98,10 +98,10 @@ func main() {
 	}
 
 	// All profiling in this invocation goes through one cached session
-	// backed by a shared layer-unit memo store: a -compare or -runs
-	// invocation revisiting the same configuration is served from the
-	// report cache, structurally identical layers across sweep points
-	// are profiled once, and -cache-stats shows both sets of counters.
+	// backed by a shared memo store: a -compare or -runs invocation
+	// revisiting the same configuration is served from the report
+	// cache, the store keeps each profiled point's plan, and
+	// -cache-stats shows both sets of counters.
 	memoStore := proof.NewMemoStore(0)
 	sess := proof.NewMemoSession(0, memoStore)
 	if *cacheStats {
@@ -110,9 +110,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "session cache: %d hits, %d misses, %d dedups, %d evictions, %d cached\n",
 				st.Hits, st.Misses, st.Dedups, st.Evictions, st.Size)
 			ms := memoStore.Stats()
-			fmt.Fprintf(os.Stderr, "layer memo: %d unit hits, %d misses, %d dedups, %d evictions, %d plan hits, %d plan misses, %.1f%% hit ratio\n",
-				ms.Hits, ms.Misses, ms.Dedups, ms.Evictions,
-				ms.PlanHits, ms.PlanMisses, 100*ms.HitRatio())
+			fmt.Fprintf(os.Stderr, "memo: %d units served, %d profiled, %d held; %d plan hits, %d plan misses\n",
+				ms.Hits, ms.Misses, ms.Units, ms.PlanHits, ms.PlanMisses)
 		}()
 	}
 

@@ -49,7 +49,7 @@ func main() {
 		maxBody      = flag.Int64("max-body-bytes", 1<<20, "request body size cap")
 		drainTimeout = flag.Duration("shutdown-timeout", 15*time.Second, "graceful drain budget on SIGTERM/SIGINT")
 		cacheCap     = flag.Int("cache-capacity", 0, "session report-cache capacity (0 = default 256)")
-		memoCap      = flag.Int("memo-capacity", memo.DefaultUnitCapacity, "layer-unit memo store capacity shared across all profiling (0 disables memoization)")
+		memoCap      = flag.Int("memo-capacity", memo.DefaultUnitCapacity, "memo store capacity in layer units, summed over the cached plans (0 disables memoization)")
 		logLevel     = flag.String("log-level", "info", "log level: debug, info, warn, error")
 		debugAddr    = flag.String("debug-addr", "", "serve net/http/pprof and /debug/traces on this private address (empty = disabled)")
 		traceRing    = flag.Int("trace-ring", 0, "recent request traces retained for GET /debug/traces (0 = default 16)")
@@ -103,7 +103,7 @@ func main() {
 			"seed", *faultSeed)
 	}
 	// One memo store is shared by every request, sweep and batch grid
-	// the daemon serves: cross-model layer redundancy is the point.
+	// the daemon serves.
 	var memoStore *memo.Store
 	if *memoCap > 0 {
 		memoStore = memo.NewStore(memo.StoreConfig{UnitCapacity: *memoCap})

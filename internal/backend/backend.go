@@ -198,21 +198,9 @@ func (e *Engine) TimingsInto(dst []sim.Timing, seed uint64) []sim.Timing {
 	return dst
 }
 
-// WorkKeys returns the per-layer canonical content keys in execution
-// order — the identity material the memo layer combines with the
-// execution binding into unit signatures.
-func (e *Engine) WorkKeys() []string {
-	out := make([]string, len(e.layers))
-	for i, l := range e.layers {
-		out[i] = l.work.Key
-	}
-	return out
-}
-
 // LayerTiming simulates a single layer by execution index — the
-// built-in profiler's per-layer latency. The pipeline tail uses it to
-// profile exactly the units a memo store is missing (every unit when
-// the run has no store) instead of re-simulating the whole engine.
+// built-in profiler's per-layer latency. The pipeline tail profiles
+// each layer's unit with it.
 func (e *Engine) LayerTiming(i int, seed uint64) sim.Timing {
 	return sim.SimulateLayer(e.layers[i].work, e.simConfig(seed))
 }

@@ -1,8 +1,11 @@
 // Package cache is the one memoizing primitive behind PRoof's caches:
 // a bounded, mutex-guarded LRU whose Do collapses concurrent misses of
-// one key into a single computation (singleflight). The session report
-// cache, its last-known-good store and the memo store's unit and plan
-// caches are all instances of it.
+// one key into a single computation (singleflight). Its bound is a
+// total weight: every entry weighs 1 in an LRU from New, so the bound
+// is an entry count, and NewWeighted takes a weight function. The
+// session report cache, its last-known-good store, the zoo's admitted
+// graphs and the memo store's plans (weighed by layer count) are all
+// instances of it.
 package cache
 
 import (
@@ -28,12 +31,13 @@ const (
 // nothing and Do calls that led a computation; Dedups counts Do calls
 // that joined one in flight; Failures counts led computations that
 // returned an error or panicked (never cached); Evictions counts
-// entries dropped by the capacity bound. These are lifetime totals
-// that survive Reset. Len is the number of cached entries, Cap the
-// capacity and Inflight the number of computations running.
+// entries dropped by the capacity bound, an entry too heavy to keep
+// included. These are lifetime totals that survive Reset. Len is the
+// number of cached entries and Weight their total weight, Cap the
+// capacity in weight and Inflight the number of computations running.
 type Stats struct {
 	Hits, Misses, Dedups, Failures, Evictions int64
-	Len, Cap, Inflight                        int
+	Len, Weight, Cap, Inflight                int
 }
 
 // node is one cached entry, linked into the recency list.
@@ -41,6 +45,7 @@ type node[K comparable, V any] struct {
 	prev, next *node[K, V]
 	key        K
 	val        V
+	weight     int
 }
 
 // call is one in-flight computation that Do callers of its key wait on.
@@ -52,18 +57,27 @@ type call[V any] struct {
 
 // LRU is a bounded least-recently-used cache with singleflight
 // computation of misses. All methods are safe for concurrent use; the
-// zero value is not usable — construct with New.
+// zero value is not usable — construct with New or NewWeighted.
 type LRU[K comparable, V any] struct {
 	mu    sync.Mutex
 	items map[K]*node[K, V]
 	root  node[K, V] // list sentinel: root.next is the most recent entry, root.prev the least
 	calls map[K]*call[V]
-	st    Stats // counters and Cap; Len and Inflight are filled in by Stats
+	weigh func(V) int // nil: every entry weighs 1
+	st    Stats       // counters, Weight and Cap; Len and Inflight are filled in by Stats
 }
 
 // New returns an empty LRU that holds at most capacity entries.
 func New[K comparable, V any](capacity int) *LRU[K, V] {
-	c := &LRU[K, V]{items: make(map[K]*node[K, V]), calls: make(map[K]*call[V])}
+	return NewWeighted[K, V](capacity, nil)
+}
+
+// NewWeighted returns an empty LRU whose entries together weigh at
+// most capacity. weigh gives a value's weight when it is cached;
+// weights below 1 count as 1, and a nil weigh weighs every value 1, as
+// New does.
+func NewWeighted[K comparable, V any](capacity int, weigh func(V) int) *LRU[K, V] {
+	c := &LRU[K, V]{items: make(map[K]*node[K, V]), calls: make(map[K]*call[V]), weigh: weigh}
 	c.st.Cap = capacity
 	c.root.next, c.root.prev = &c.root, &c.root
 	return c
@@ -99,8 +113,11 @@ func (c *LRU[K, V]) hitLocked(key K) (v V, ok bool) {
 	return n.val, true
 }
 
-// Put caches val under key as the most recently used entry, evicting
-// the least recently used entry beyond capacity.
+// Put caches val under key as the most recently used entry, weighed
+// afresh, and evicts least recently used entries until the total
+// weight fits the capacity. A value heavier than the whole capacity is
+// not kept, and no other entry is evicted for it; a value it replaces
+// is dropped too.
 func (c *LRU[K, V]) Put(key K, val V) {
 	c.mu.Lock()
 	c.putLocked(key, val)
@@ -108,21 +125,36 @@ func (c *LRU[K, V]) Put(key K, val V) {
 }
 
 func (c *LRU[K, V]) putLocked(key K, val V) {
-	if n, ok := c.items[key]; ok {
-		n.val = val
+	w := 1
+	if c.weigh != nil {
+		w = max(c.weigh(val), 1)
+	}
+	n, ok := c.items[key]
+	if ok {
 		c.unlink(n)
-		c.pushFront(n)
+		c.st.Weight -= n.weight
+	} else {
+		n = &node[K, V]{key: key}
+		c.items[key] = n
+	}
+	n.val, n.weight = val, w
+	c.pushFront(n)
+	c.st.Weight += w
+	if w > c.st.Cap {
+		c.evict(n)
 		return
 	}
-	n := &node[K, V]{key: key, val: val}
-	c.items[key] = n
-	c.pushFront(n)
-	if len(c.items) > c.st.Cap {
-		oldest := c.root.prev
-		c.unlink(oldest)
-		delete(c.items, oldest.key)
-		c.st.Evictions++
+	for c.st.Weight > c.st.Cap {
+		c.evict(c.root.prev)
 	}
+}
+
+// evict drops n from the cache and counts the eviction.
+func (c *LRU[K, V]) evict(n *node[K, V]) {
+	c.unlink(n)
+	delete(c.items, n.key)
+	c.st.Weight -= n.weight
+	c.st.Evictions++
 }
 
 func (c *LRU[K, V]) pushFront(n *node[K, V]) {
@@ -201,6 +233,7 @@ func (c *LRU[K, V]) Reset() {
 	c.mu.Lock()
 	clear(c.items)
 	c.root.next, c.root.prev = &c.root, &c.root
+	c.st.Weight = 0
 	c.mu.Unlock()
 }
 

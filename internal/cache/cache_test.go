@@ -42,9 +42,92 @@ func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
 	if _, ok := c.Get("c"); ok {
 		t.Fatal("c should have been evicted by d")
 	}
-	want := Stats{Hits: 2, Misses: 2, Evictions: 2, Len: 2, Cap: 2}
+	want := Stats{Hits: 2, Misses: 2, Evictions: 2, Len: 2, Weight: 2, Cap: 2}
 	if st := c.Stats(); st != want {
 		t.Fatalf("stats = %+v, want %+v", st, want)
+	}
+}
+
+// weighLen weighs a string by its length, so a test can give an entry
+// any weight.
+func weighLen(s string) int { return len(s) }
+
+// keys returns the cached keys from most to least recently used.
+func (c *LRU[K, V]) keys() []K {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var out []K
+	for n := c.root.next; n != &c.root; n = n.next {
+		out = append(out, n.key)
+	}
+	return out
+}
+
+func TestWeightedEvictsInRecencyOrder(t *testing.T) {
+	c := NewWeighted[string, string](10, weighLen)
+	c.Put("a", "aaa")
+	c.Put("b", "bbb")
+	c.Put("c", "ccc")
+	c.Get("a") // "b" is now the least recently used
+	c.Put("d", "dddd")
+	// 13 > 10: "b" leaves first, and then the weight fits.
+	if got := fmt.Sprint(c.keys()); got != "[d a c]" {
+		t.Fatalf("after one eviction: keys %s, want [d a c]", got)
+	}
+	c.Put("e", "eeeeee")
+	// 16 > 10: "c", then "a" leave in recency order, and "d" stays.
+	if got := fmt.Sprint(c.keys()); got != "[e d]" {
+		t.Fatalf("after a heavy insert: keys %s, want [e d]", got)
+	}
+	want := Stats{Hits: 1, Evictions: 3, Len: 2, Weight: 10, Cap: 10}
+	if st := c.Stats(); st != want {
+		t.Fatalf("stats = %+v, want %+v", st, want)
+	}
+}
+
+func TestWeightedRePutReweighs(t *testing.T) {
+	c := NewWeighted[string, string](6, weighLen)
+	c.Put("a", "a")
+	c.Put("b", "b")
+	c.Put("a", "aaaa") // 4 + 1 fits: nothing leaves
+	if st := c.Stats(); st.Weight != 5 || st.Len != 2 || st.Evictions != 0 {
+		t.Fatalf("after growing a: %+v", st)
+	}
+	c.Put("b", "bbb") // 4 + 3 > 6: "a", now the older entry, leaves
+	if v, ok := c.Get("a"); ok {
+		t.Fatalf("a survived: %q", v)
+	}
+	c.Put("b", "") // a weight below 1 counts as 1
+	if st := c.Stats(); st.Weight != 1 || st.Len != 1 || st.Evictions != 1 {
+		t.Fatalf("after shrinking b: %+v", st)
+	}
+}
+
+func TestWeightedTooHeavyNotKept(t *testing.T) {
+	c := NewWeighted[string, string](4, weighLen)
+	c.Put("a", "aa")
+	c.Put("b", "bb")
+	c.Put("h", "hhhhh") // heavier than the capacity: dropped, nothing else evicted
+	if _, ok := c.Get("h"); ok {
+		t.Fatal("an entry heavier than the capacity was kept")
+	}
+	if got := fmt.Sprint(c.keys()); got != "[b a]" {
+		t.Fatalf("keys %s, want [b a]: lighter entries were evicted for an entry that cannot fit", got)
+	}
+	c.Put("a", "aaaaa") // a re-Put too heavy to keep drops the old value
+	if _, ok := c.Get("a"); ok {
+		t.Fatal("a re-Put too heavy to keep left the old value cached")
+	}
+	want := Stats{Misses: 2, Evictions: 2, Len: 1, Weight: 2, Cap: 4}
+	if st := c.Stats(); st != want {
+		t.Fatalf("stats = %+v, want %+v", st, want)
+	}
+	v, out, err := c.Do(context.Background(), "d", func() (string, error) { return "ddddd", nil })
+	if v != "ddddd" || out != Miss || err != nil {
+		t.Fatalf("Do of a too-heavy value: %q %v %v, want it returned uncached", v, out, err)
+	}
+	if st := c.Stats(); st.Len != 1 || st.Weight != 2 || st.Evictions != 3 {
+		t.Fatalf("after a too-heavy Do: %+v", st)
 	}
 }
 
@@ -96,7 +179,7 @@ func TestDoDedupsAndNeverCachesErrors(t *testing.T) {
 	if v, out, err := c.Do(ctx, "k", func() (int, error) { return 7, nil }); v != 7 || out != Miss || err != nil {
 		t.Fatalf("after failure: %d %v %v, want a fresh miss", v, out, err)
 	}
-	want := Stats{Misses: 2, Dedups: waiters, Failures: 1, Len: 1, Cap: 4}
+	want := Stats{Misses: 2, Dedups: waiters, Failures: 1, Len: 1, Weight: 1, Cap: 4}
 	if st := c.Stats(); st != want {
 		t.Fatalf("stats = %+v, want %+v", st, want)
 	}
@@ -191,23 +274,27 @@ func TestResetKeepsCountersAndInflight(t *testing.T) {
 	if v, ok := c.Get("b"); !ok || v != 2 {
 		t.Fatalf("in-flight result lost across Reset: %d %v", v, ok)
 	}
-	if st := c.Stats(); st.Hits != 2 || st.Len != 1 {
-		t.Fatalf("stats = %+v, want lifetime hits kept", st)
+	if st := c.Stats(); st.Hits != 2 || st.Len != 1 || st.Weight != 1 {
+		t.Fatalf("stats = %+v, want lifetime hits kept and the dropped weight gone", st)
 	}
 }
 
 // TestHitPathAllocs pins the //lint:hotpath contract: a hit through
-// Get or Do allocates nothing.
+// Get or Do allocates nothing, weighted or not.
 func TestHitPathAllocs(t *testing.T) {
-	c := New[string, int](4)
-	c.Put("k", 1)
 	ctx := context.Background()
 	fn := func() (int, error) { return 0, nil }
-	if n := testing.AllocsPerRun(100, func() { c.Get("k") }); n != 0 {
-		t.Errorf("Get hit: %v allocs, want 0", n)
-	}
-	if n := testing.AllocsPerRun(100, func() { c.Do(ctx, "k", fn) }); n != 0 {
-		t.Errorf("Do hit: %v allocs, want 0", n)
+	for name, c := range map[string]*LRU[string, int]{
+		"New":         New[string, int](4),
+		"NewWeighted": NewWeighted[string](4, func(v int) int { return v }),
+	} {
+		c.Put("k", 2)
+		if n := testing.AllocsPerRun(100, func() { c.Get("k") }); n != 0 {
+			t.Errorf("%s: Get hit: %v allocs, want 0", name, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { c.Do(ctx, "k", fn) }); n != 0 {
+			t.Errorf("%s: Do hit: %v allocs, want 0", name, n)
+		}
 	}
 }
 
@@ -259,7 +346,7 @@ func TestConcurrentMixedOps(t *testing.T) {
 	if st.Hits+st.Misses+st.Dedups != dos.Load()+gets.Load() {
 		t.Errorf("counters %+v do not balance %d lookups", st, dos.Load()+gets.Load())
 	}
-	if st.Inflight != 0 || st.Len > st.Cap {
+	if st.Inflight != 0 || st.Len > st.Cap || st.Weight != st.Len {
 		t.Errorf("after the storm: %+v", st)
 	}
 }

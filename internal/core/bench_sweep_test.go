@@ -55,12 +55,17 @@ func sweepGrid(store *memo.Store) int {
 	return points
 }
 
-// BenchmarkSweepMemo measures the redundancy-aware sweep engine on the
-// 20-model × all-platform × batch-grid workload. "off" runs the plain
-// pipeline every iteration; "on" shares one memo store across
-// iterations, so the first iteration records (cold) and the rest
-// assemble from cached plans (warm) — the steady state of a long-lived
-// proofd. Regenerate the committed artifact with `make bench-sweep`.
+// sweepStoreUnits sizes the benchmark's memo store. The grid records
+// 264 plans of 43,130 layer units, more than a default store's 16,384,
+// and a warm pass must find every plan.
+const sweepStoreUnits = 1 << 16
+
+// BenchmarkSweepMemo measures the memoized sweep on the 20-model ×
+// all-platform × batch-grid workload. "off" runs the plain pipeline
+// every iteration; "on" shares one memo store across iterations, so
+// the first iteration records (cold) and the rest assemble from cached
+// plans (warm) — the steady state of a long-lived proofd. Regenerate
+// the committed artifact with `make bench-sweep`.
 func BenchmarkSweepMemo(b *testing.B) {
 	b.Run("off", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -68,7 +73,7 @@ func BenchmarkSweepMemo(b *testing.B) {
 		}
 	})
 	b.Run("on", func(b *testing.B) {
-		store := memo.NewStore(memo.StoreConfig{})
+		store := memo.NewStore(memo.StoreConfig{UnitCapacity: sweepStoreUnits})
 		for i := 0; i < b.N; i++ {
 			sweepGrid(store)
 		}
@@ -77,24 +82,22 @@ func BenchmarkSweepMemo(b *testing.B) {
 
 // sweepBenchArtifact is the committed BENCH_sweep.json schema: the
 // pinned benchmark grid with memo-off vs memo-on (cold and warm)
-// wall times, their speedups, and the store's hit ratios. Grid and
-// seed are fixed, so point counts and hit ratios are identical across
-// runs; only wall times move with the host.
+// wall times, their speedups, and the warm pass's plan hits. Grid and
+// seed are fixed, so point and hit counts are identical across runs;
+// only wall times move with the host.
 type sweepBenchArtifact struct {
-	Name          string  `json:"name"`
-	Seed          uint64  `json:"seed"`
-	Models        int     `json:"models"`
-	Platforms     int     `json:"platforms"`
-	Batches       []int   `json:"batches"`
-	Points        int     `json:"points"`
-	MemoOffNs     int64   `json:"memo_off_ns"`
-	MemoColdNs    int64   `json:"memo_cold_ns"`
-	MemoWarmNs    int64   `json:"memo_warm_ns"`
-	ColdSpeedup   float64 `json:"cold_speedup"`
-	WarmSpeedup   float64 `json:"warm_speedup"`
-	ColdHitRatio  float64 `json:"cold_unit_hit_ratio"`
-	UnitsProfiled int64   `json:"units_profiled"`
-	PlanHits      int64   `json:"plan_hits"`
+	Name        string  `json:"name"`
+	Seed        uint64  `json:"seed"`
+	Models      int     `json:"models"`
+	Platforms   int     `json:"platforms"`
+	Batches     []int   `json:"batches"`
+	Points      int     `json:"points"`
+	MemoOffNs   int64   `json:"memo_off_ns"`
+	MemoColdNs  int64   `json:"memo_cold_ns"`
+	MemoWarmNs  int64   `json:"memo_warm_ns"`
+	ColdSpeedup float64 `json:"cold_speedup"`
+	WarmSpeedup float64 `json:"warm_speedup"`
+	PlanHits    int64   `json:"plan_hits"`
 }
 
 // TestWriteSweepBenchArtifact regenerates BENCH_sweep.json when run
@@ -120,26 +123,26 @@ func TestWriteSweepBenchArtifact(t *testing.T) {
 		}
 	}
 	offDur, points := timeGrid(nil)
-	store := memo.NewStore(memo.StoreConfig{})
+	store := memo.NewStore(memo.StoreConfig{UnitCapacity: sweepStoreUnits})
 	coldDur, _ := timeGrid(store)
-	coldStats := store.Stats()
 	warmDur, _ := timeGrid(store)
 
 	art := sweepBenchArtifact{
-		Name:          "bench-sweep",
-		Seed:          benchSweepSeed,
-		Models:        len(benchSweepModels()),
-		Platforms:     len(hardware.List()),
-		Batches:       []int{1, 0},
-		Points:        points,
-		MemoOffNs:     offDur.Nanoseconds(),
-		MemoColdNs:    coldDur.Nanoseconds(),
-		MemoWarmNs:    warmDur.Nanoseconds(),
-		ColdSpeedup:   float64(offDur) / float64(coldDur),
-		WarmSpeedup:   float64(offDur) / float64(warmDur),
-		ColdHitRatio:  coldStats.HitRatio(),
-		UnitsProfiled: coldStats.Misses,
-		PlanHits:      store.Stats().PlanHits,
+		Name:        "bench-sweep",
+		Seed:        benchSweepSeed,
+		Models:      len(benchSweepModels()),
+		Platforms:   len(hardware.List()),
+		Batches:     []int{1, 0},
+		Points:      points,
+		MemoOffNs:   offDur.Nanoseconds(),
+		MemoColdNs:  coldDur.Nanoseconds(),
+		MemoWarmNs:  warmDur.Nanoseconds(),
+		ColdSpeedup: float64(offDur) / float64(coldDur),
+		WarmSpeedup: float64(offDur) / float64(warmDur),
+		PlanHits:    store.Stats().PlanHits,
+	}
+	if art.PlanHits != int64(points) {
+		t.Fatalf("warm pass hit %d plans of %d points: the store is too small for the grid", art.PlanHits, points)
 	}
 	if art.WarmSpeedup < 5 {
 		t.Fatalf("warm memoized sweep only %.1fx faster than unmemoized (want >= 5x); not writing artifact", art.WarmSpeedup)
@@ -151,8 +154,8 @@ func TestWriteSweepBenchArtifact(t *testing.T) {
 	if err := os.WriteFile(*benchOut, append(raw, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("wrote %s: off=%v cold=%v warm=%v (%.1fx cold, %.1fx warm, %.0f%% unit hits)",
-		*benchOut, offDur, coldDur, warmDur, art.ColdSpeedup, art.WarmSpeedup, 100*art.ColdHitRatio)
+	t.Logf("wrote %s: off=%v cold=%v warm=%v (%.2fx cold, %.1fx warm, %d plan hits)",
+		*benchOut, offDur, coldDur, warmDur, art.ColdSpeedup, art.WarmSpeedup, art.PlanHits)
 }
 
 // TestSweepMemoSpeedup is the always-on guard behind the committed

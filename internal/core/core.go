@@ -91,14 +91,13 @@ type Options struct {
 	// support the model family. It is not keyed: it changes nothing on
 	// a supported pair.
 	IgnoreSupport bool
-	// Memo optionally attaches a layer-unit memo store (internal/memo):
-	// predicted-mode, constant-roofline runs then resolve per-layer
-	// units through the store — profiling only units it has not seen —
-	// and whole points repeated with an identical configuration are
-	// assembled from a cached plan without building the model at all.
-	// Measured mode and MeasuredRoofline runs ignore the store. Every
-	// run, with or without a store, assembles its report in the same
-	// tail, so memoized reports are byte-identical to unmemoized ones.
+	// Memo optionally attaches a memo store (internal/memo): a
+	// predicted-mode, constant-roofline run records its plan there, and
+	// a point repeated with an identical configuration is assembled
+	// from the cached plan without building the model at all. Measured
+	// mode and MeasuredRoofline runs ignore the store. Every run, with
+	// or without a store, assembles its report in the same tail, so
+	// memoized reports are byte-identical to unmemoized ones.
 	Memo *memo.Store
 }
 
@@ -187,8 +186,8 @@ func Profile(opts Options) (*Report, error) {
 // synchronous; ctx is checked at each stage boundary so an abandoned
 // request stops doing work at the next opportunity.
 //
-// Every run ends in the same tail: resolve each backend layer's unit,
-// then assemble the report from the point's plan and its units (see
+// Every run ends in the same tail: resolve each backend layer's unit
+// into the point's plan, then assemble the report from the plan (see
 // resolveUnits and assemble). A memo plan hit runs only the assembly.
 //
 // When an obs.Tracer is installed in ctx, the run is recorded as a
@@ -225,14 +224,22 @@ func profilePipeline(ctx context.Context, opts Options, pipe *obs.Span) (*Report
 
 	// Memo fast path: a point already profiled under an identical
 	// configuration is assembled from its cached plan, skipping model
-	// build, backend build and mapping entirely.
-	mp := newMemoPoint(r)
-	if plan, units := mp.cached(); plan != nil {
-		pipe.SetAttr("memo", "hit")
-		_, asp := obs.Start(ctx, "analysis")
-		defer asp.End()
-		rl := roofline.NewModel(plat, plan.EffectiveDType, r.Clocks)
-		return assemble(plan, units, rl, r.Mode, plat, r.Clocks), nil
+	// build, backend build and mapping entirely. Only predicted-mode,
+	// constant-roofline runs are memoized: measured mode replays
+	// hardware counters and MeasuredRoofline re-runs the peak test,
+	// both of which must stay observable work.
+	store := r.Memo
+	if r.Mode != ModePredicted || r.MeasuredRoofline {
+		store = nil
+	}
+	if store != nil {
+		if plan, ok := store.Plan(r.Key); ok {
+			pipe.SetAttr("memo", "hit")
+			_, asp := obs.Start(ctx, "analysis")
+			defer asp.End()
+			rl := roofline.NewModel(plat, plan.EffectiveDType, r.Clocks)
+			return assemble(plan, rl, r.Mode, plat, r.Clocks), nil
+		}
 	}
 
 	mctx, msp := obs.Start(ctx, "model_build")
@@ -337,13 +344,16 @@ func profilePipeline(ctx context.Context, opts Options, pipe *obs.Span) (*Report
 		NodeCount:      rep.NodeCount(),
 		ParamsM:        float64(g.ParamCount()) / 1e6,
 	}
-	units, err := resolveUnits(ctx, mp, src, plan)
-	if err != nil {
+	if err := resolveUnits(src, plan); err != nil {
 		return nil, err
 	}
-	report := assemble(plan, units, rl, r.Mode, plat, r.Clocks)
+	report := assemble(plan, rl, r.Mode, plat, r.Clocks)
 	report.ProfilingOverhead = overhead
-	mp.record(pipe, plan)
+	if store != nil {
+		// The store takes ownership of plan.
+		store.PutPlan(r.Key, plan)
+		pipe.SetAttr("memo", "record")
+	}
 	return report, nil
 }
 

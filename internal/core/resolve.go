@@ -39,11 +39,10 @@ type Resolved struct {
 	Options
 	// Plat is the platform Options.Platform names.
 	Plat *hardware.Platform
-	// Binding is the run configuration the memo store keys on.
-	Binding memo.Binding
 	// Key is memo.PlanKey over the display name, the model source (zoo
-	// key or graph digest) and Binding. The session's report cache and
-	// stale store and the pipeline's memo plans all use it.
+	// key or graph digest) and the resolved memo.Binding. The session's
+	// report cache and stale store and the pipeline's memo plans all use
+	// it.
 	Key string
 
 	runtime backend.Backend
@@ -109,7 +108,7 @@ func Resolve(opts Options) (Resolved, error) {
 	// The binding carries the *requested* data type: a quantized graph
 	// runs at int8, but that follows from its content, which the
 	// source covers.
-	r.Binding = memo.Binding{
+	r.Key = memo.PlanKey(r.Model, source, memo.Binding{
 		Backend:          r.Backend,
 		PlatformKey:      plat.Key,
 		PlatformHash:     plat.DescriptorHash(),
@@ -119,8 +118,7 @@ func Resolve(opts Options) (Resolved, error) {
 		Seed:             r.Seed,
 		Clocks:           r.Clocks,
 		MeasuredRoofline: r.MeasuredRoofline,
-	}
-	r.Key = memo.PlanKey(r.Model, source, r.Binding)
+	})
 	return r, nil
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -15,11 +14,10 @@ import (
 )
 
 // The pipeline tail is the same two steps for every run: resolveUnits
-// turns the built engine into one memo.Unit per backend layer plus the
-// layer identities of the point's memo.Plan, and assemble turns a plan
-// and its units into the Report. A memo plan hit has both already and
-// runs only assemble, so memoized and unmemoized reports match by
-// construction.
+// turns the built engine into the point's memo.Plan, one layer identity
+// and memo.Unit per backend layer, and assemble turns the plan into the
+// Report. A memo plan hit has the plan already and runs only assemble,
+// so memoized and unmemoized reports match by construction.
 
 // layerSource is what the full pipeline has built by the time its tail
 // runs: the engine and its layer mapping, the representations predicted
@@ -72,28 +70,20 @@ func (s *layerSource) unit(i int, bl backend.Layer) (memo.Unit, error) {
 	return u, nil
 }
 
-// resolveUnits is the tail's first step. It fills plan.Layers with each
-// backend layer's identity and returns the layers' units in execution
-// order. A memoized run (non-nil mp) resolves units through the store,
-// profiling only the ones it is missing; an unmemoized run profiles
-// every layer directly and hashes no signatures.
-func resolveUnits(ctx context.Context, mp *memoPoint, src *layerSource, plan *memo.Plan) ([]memo.Unit, error) {
+// resolveUnits is the tail's first step. It fills plan.Layers with
+// each backend layer's identity and profiled unit, in execution order.
+func resolveUnits(src *layerSource, plan *memo.Plan) error {
 	layers := src.eng.Layers()
-	var keys []string
-	if mp != nil {
-		keys = src.eng.WorkKeys()
-	}
-	units := make([]memo.Unit, len(layers))
 	plan.Layers = make([]memo.PlanLayer, len(layers))
 	for i, bl := range layers {
 		layer := src.mapping[bl.Name]
-		// Checked up front so a cached unit can never mask a mapping
-		// hole. Measured mode takes its metrics from the counters and
-		// accepts unmapped layers.
+		// Measured mode takes its metrics from the counters and accepts
+		// unmapped layers.
 		if src.measured == nil && !bl.IsReformat && layer == nil {
-			return nil, fmt.Errorf("core: no mapping for backend layer %q", bl.Name)
+			return fmt.Errorf("core: no mapping for backend layer %q", bl.Name)
 		}
-		pl := memo.PlanLayer{Name: bl.Name, IsReformat: bl.IsReformat}
+		pl := &plan.Layers[i]
+		pl.Name, pl.IsReformat = bl.Name, bl.IsReformat
 		if layer != nil {
 			nodes := layer.OriginalNodes()
 			pl.OriginalNodes = make([]string, len(nodes))
@@ -109,17 +99,11 @@ func resolveUnits(ctx context.Context, mp *memoPoint, src *layerSource, plan *me
 			}
 		}
 		var err error
-		if mp == nil {
-			units[i], err = src.unit(i, bl)
-		} else {
-			pl.Sig, units[i], err = mp.unit(ctx, keys[i], plan.EffectiveDType, func() (memo.Unit, error) { return src.unit(i, bl) })
+		if pl.Unit, err = src.unit(i, bl); err != nil {
+			return err
 		}
-		if err != nil {
-			return nil, err
-		}
-		plan.Layers[i] = pl
 	}
-	return units, nil
+	return nil
 }
 
 // assemble is the tail's second step and the only place a Report's
@@ -127,7 +111,7 @@ func resolveUnits(ctx context.Context, mp *memoPoint, src *layerSource, plan *me
 // latency shares, the end-to-end point, throughput, aggregate
 // utilization and the power estimate. The report copies every slice it
 // takes from the plan, which a memo store may share across runs.
-func assemble(plan *memo.Plan, units []memo.Unit, rl roofline.Model, mode Mode, plat *hardware.Platform, clocks hardware.Clocks) *Report {
+func assemble(plan *memo.Plan, rl roofline.Model, mode Mode, plat *hardware.Platform, clocks hardware.Clocks) *Report {
 	report := &Report{
 		Model:     plan.Model,
 		Platform:  plan.Platform,
@@ -143,8 +127,9 @@ func assemble(plan *memo.Plan, units []memo.Unit, rl roofline.Model, mode Mode, 
 	lw := &roofline.LayerWise{Model: rl, Points: make([]roofline.Point, len(plan.Layers))}
 	timings := make([]sim.Timing, len(plan.Layers))
 	var total time.Duration
-	for i, pl := range plan.Layers {
-		unit := units[i]
+	for i := range plan.Layers {
+		pl := &plan.Layers[i]
+		unit := pl.Unit
 		lr := LayerReport{
 			Name:           pl.Name,
 			IsReformat:     pl.IsReformat,

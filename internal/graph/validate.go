@@ -13,7 +13,7 @@ import (
 type ValidationCode string
 
 const (
-	// ErrEmptyNodeName: a node has no name.
+	// ErrEmptyNodeName: a node is null or has no name.
 	ErrEmptyNodeName ValidationCode = "empty_node_name"
 	// ErrDuplicateNode: two nodes share a name.
 	ErrDuplicateNode ValidationCode = "duplicate_node"
@@ -136,10 +136,15 @@ func (g *Graph) validate() ([]*ValidationError, []*Node) {
 		})
 	}
 
-	// Node pass: names, producer uniqueness, tensor references.
+	// Node pass: names, producer uniqueness, tensor references. A null
+	// node is reported here, and the later passes skip it.
 	names := make(map[string]bool, len(g.Nodes))
 	produced := make(map[string]string)
-	for _, n := range g.Nodes {
+	for i, n := range g.Nodes {
+		if n == nil {
+			report(ErrEmptyNodeName, "", "", "node %d is null", i)
+			continue
+		}
 		if n.Name == "" {
 			report(ErrEmptyNodeName, "", "", "node with empty name (%s)", n.OpType)
 			continue
@@ -227,6 +232,9 @@ func (g *Graph) validate() ([]*ValidationError, []*Node) {
 	// inflate ParamBytes and the Eq. 1 memory model.)
 	consumed := make(map[string]bool)
 	for _, n := range g.Nodes {
+		if n == nil {
+			continue
+		}
 		for _, i := range n.Inputs {
 			consumed[i] = true
 		}
@@ -249,6 +257,7 @@ func (g *Graph) validate() ([]*ValidationError, []*Node) {
 	// unknown (nil) shapes are skipped — inference has not run yet.
 	for _, n := range g.Nodes {
 		switch {
+		case n == nil:
 		case elementwiseUnary[n.OpType]:
 			if len(n.Inputs) == 0 || len(n.Outputs) == 0 {
 				continue

@@ -33,6 +33,7 @@ func TestValidateCorruptionClasses(t *testing.T) {
 		want    ValidationCode
 	}{
 		{"empty node name", func(g *Graph) { g.Nodes[0].Name = "" }, ErrEmptyNodeName},
+		{"null node", func(g *Graph) { g.Nodes[1] = nil }, ErrEmptyNodeName},
 		{"duplicate node name", func(g *Graph) { g.Nodes[1].Name = "add" }, ErrDuplicateNode},
 		{"two producers of one tensor", func(g *Graph) {
 			g.AddNode(&Node{Name: "dup", OpType: "Relu", Inputs: []string{"in"}, Outputs: []string{"out"}})

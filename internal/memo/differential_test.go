@@ -3,8 +3,8 @@
 // the report produced through a shared memo store — both on the cold
 // recording pass and on the warm plan-assembly pass — must be
 // byte-identical (as JSON) to the report from a run with no store.
-// All three share one report tail, so a difference means the signature
-// misses a semantic input (stale units served across distinct layers).
+// All three share one report tail, so a difference means the plan key
+// misses a semantic input (a stale plan served for a distinct point).
 // The no-store reports are also checked against the committed digest
 // fixture (digest_test.go), which pins the tail's arithmetic itself.
 package memo_test
@@ -36,8 +36,8 @@ func reportJSON(t *testing.T, opts core.Options) ([]byte, error) {
 }
 
 func TestDifferentialFullMatrix(t *testing.T) {
-	// One store across the whole matrix: cross-model and cross-batch
-	// unit reuse is exactly the risk surface under test.
+	// One store across the whole matrix: a plan served across models,
+	// platforms or batches is exactly the risk surface under test.
 	store := memo.NewStore(memo.StoreConfig{})
 	for _, info := range models.List() {
 		for _, p := range hardware.List() {
@@ -81,7 +81,7 @@ func TestDifferentialFullMatrix(t *testing.T) {
 }
 
 // TestDifferentialSeedAndDType extends the differential beyond platform
-// defaults: explicit seeds and dtypes key separate units, and each
+// defaults: explicit seeds and dtypes key separate plans, and each
 // configuration must still be byte-identical to its unmemoized twin.
 func TestDifferentialSeedAndDType(t *testing.T) {
 	store := memo.NewStore(memo.StoreConfig{})
@@ -116,10 +116,10 @@ func TestDifferentialSeedAndDType(t *testing.T) {
 // twinGraph builds a graph holding two structurally *similar but
 // distinct* MatMul layers — identical op type, identical output shape,
 // differing only in the inner (reduction) dimension of their weights.
-// Their signatures must differ, and a memoized profile must keep their
+// Their content keys must differ, and a memoized profile must keep their
 // per-layer results apart. This is the regression fixture for
-// cross-contamination: a signature that dropped any shape dimension
-// would serve layer A's unit for layer B.
+// cross-contamination: a content key that dropped any shape dimension
+// would give layer B layer A's simulated jitter.
 func twinGraph(batch int) *graph.Graph {
 	g := graph.New("twin-fixture")
 	g.AddTensor(&graph.Tensor{Name: "in", DType: graph.Float32, Shape: graph.Shape{batch, 256}})
@@ -157,8 +157,8 @@ func TestDifferentialSimilarLayersNeverCrossContaminate(t *testing.T) {
 	cold := run(store)
 	warm := run(store)
 
-	// fc1 and fc2 are structurally identical (their units should be
-	// shared); fc3/fc4 are similar but distinct and must not inherit
+	// fc1 and fc2 are structurally identical (one content key, so one
+	// jitter); fc3/fc4 are similar but distinct and must not inherit
 	// fc1's numbers.
 	wantJSON, _ := json.Marshal(want)
 	for pass, r := range []*core.Report{cold, warm} {
@@ -167,7 +167,7 @@ func TestDifferentialSimilarLayersNeverCrossContaminate(t *testing.T) {
 			t.Fatalf("pass %d: twin-fixture report differs from unmemoized:\n  plain: %s\n  memo:  %s", pass, wantJSON, gotJSON)
 		}
 	}
-	if st := store.Stats(); st.Hits == 0 {
-		t.Fatalf("twin fixture produced no unit reuse (fc1/fc2 should share): %+v", st)
+	if st := store.Stats(); st.PlanMisses != 1 || st.PlanHits != 1 {
+		t.Fatalf("the warm pass was not a plan hit: %+v", st)
 	}
 }

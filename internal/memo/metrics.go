@@ -17,19 +17,13 @@ func RegisterMetrics(reg *obs.Registry, prefix string, s *Store) error {
 	p := prefix + "_memo_"
 	errs := []error{
 		reg.CounterFunc(p+"hits_total",
-			"Layer-unit lookups served from the memo store.",
+			"Layer units served by plan hits.",
 			func() float64 { return float64(s.Stats().Hits) }),
 		reg.CounterFunc(p+"misses_total",
-			"Layer-unit lookups that profiled the unit.",
+			"Layer units profiled into recorded plans.",
 			func() float64 { return float64(s.Stats().Misses) }),
-		reg.CounterFunc(p+"dedups_total",
-			"Layer-unit lookups that joined an in-flight computation.",
-			func() float64 { return float64(s.Stats().Dedups) }),
-		reg.CounterFunc(p+"failures_total",
-			"Layer-unit computations that errored and were not cached.",
-			func() float64 { return float64(s.Stats().Failures) }),
 		reg.CounterFunc(p+"evictions_total",
-			"Layer units dropped by the LRU policy.",
+			"Assembly plans dropped by the unit bound.",
 			func() float64 { return float64(s.Stats().Evictions) }),
 		reg.CounterFunc(p+"plan_hits_total",
 			"Profiling points assembled entirely from a cached plan.",
@@ -38,7 +32,7 @@ func RegisterMetrics(reg *obs.Registry, prefix string, s *Store) error {
 			"Profiling points that ran the pipeline and recorded a plan.",
 			func() float64 { return float64(s.Stats().PlanMisses) }),
 		reg.GaugeFunc(p+"units",
-			"Layer units currently memoized.",
+			"Layer units held across the memoized plans.",
 			func() float64 { return float64(s.Stats().Units) }),
 		reg.GaugeFunc(p+"plans",
 			"Assembly plans currently memoized.",

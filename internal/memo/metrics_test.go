@@ -1,7 +1,6 @@
 package memo
 
 import (
-	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -27,21 +26,28 @@ func TestRegisterMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mustCompute(t, s, 0)
-	_, _, _ = s.GetOrCompute(context.Background(), sigN(0), func() (Unit, error) { return unitN(0), nil })
+	s.PutPlan("k", planN("k", 2))
+	s.Plan("k")
 
 	var b strings.Builder
 	reg.WritePrometheus(&b)
 	out := b.String()
 	for _, want := range []string{
-		"proofd_memo_hits_total 1",
-		"proofd_memo_misses_total 1",
-		"proofd_memo_units 1",
+		"proofd_memo_hits_total 2",
+		"proofd_memo_misses_total 2",
+		"proofd_memo_units 2",
+		"proofd_memo_plans 1",
 		"proofd_memo_hit_ratio 0.5",
+		"proofd_memo_plan_hits_total 1",
 		"proofd_memo_plan_misses_total 0",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
+		}
+	}
+	for _, gone := range []string{"proofd_memo_dedups_total", "proofd_memo_failures_total"} {
+		if strings.Contains(out, gone) {
+			t.Errorf("exposition still carries %q:\n%s", gone, out)
 		}
 	}
 }

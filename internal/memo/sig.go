@@ -1,25 +1,29 @@
-// Package memo implements the redundancy-aware sweep engine's layer-unit
-// memo store (ROADMAP item 3). PRoof's hierarchical decomposition means a
-// multi-model × multi-platform × batch-grid sweep re-profiles layer units
-// that recur verbatim across configurations — Dooly observes that this
-// cross-configuration redundancy dominates profiling-driven simulation
-// cost. The store caches per-layer profile/roofline results keyed by a
-// canonical layer signature and whole-point assembly plans keyed by the
-// resolved configuration, so each unique unit is profiled once and every
-// later occurrence is assembled from the cache.
+// Package memo implements the sweep engine's memo store and the
+// canonical keys it rests on. PRoof's hierarchical decomposition means a
+// multi-model × multi-platform × batch-grid sweep repeats whole
+// profiling points; the store caches each point's plan — its layer
+// identities and their profiled units — keyed by the resolved
+// configuration, so a repeated point skips model build, backend build,
+// profiling and layer mapping and only assembles its report.
 //
-// Correctness hinges on two properties, both tested differentially:
+// The store keeps no per-layer results apart from their plans: reuse
+// pays only when computing a result costs more than looking it up
+// (Dooly), and a simulated layer costs about as much to key as to
+// profile (DESIGN.md).
 //
-//   - The signature covers everything the simulated execution depends on
-//     (op types, canonical attributes, input/output shapes and dtypes,
-//     batch, data type, backend, mode, seed, clocks, platform descriptor
-//     hash) and nothing it does not (node names, tensor names, attribute
-//     map order) — so memoized reports are byte-identical to unmemoized
-//     ones, and distinct layers can never collide.
-//   - Invalidation is keyed on hardware.Platform.DescriptorHash(): the
-//     hash is embedded in every signature and plan key, so an edited
-//     platform descriptor changes the key and stale entries are
-//     structurally unreachable (the LRU ages them out).
+// The keys are framed SHA-256 hashes:
+//
+//   - ContentKey fingerprints a fused layer's content (op types,
+//     canonical attributes, input/output shapes and dtypes) and nothing
+//     else (node names, tensor names, attribute map order). It seeds
+//     the simulator's deterministic jitter, so structurally identical
+//     layers behave identically.
+//   - PlanKey covers everything a report depends on: display name,
+//     model source and the execution Binding (backend, platform and its
+//     descriptor hash, dtype, batch, mode, seed, clocks). The
+//     descriptor hash makes an edited platform descriptor structurally
+//     miss (the LRU ages stale entries out), and memoized reports are
+//     byte-identical to unmemoized ones.
 package memo
 
 import (
@@ -32,21 +36,15 @@ import (
 	"proof/internal/hardware"
 )
 
-// Signature is the 32-byte key of one memoized layer unit.
-type Signature [sha256.Size]byte
-
-// String returns the hex form, for logs and fixtures.
-func (s Signature) String() string { return hex.EncodeToString(s[:]) }
-
 // ContentKey canonically fingerprints the content of one fusion group:
 // the ordered op types, attributes, and input/output tensor contents
 // (dtype, shape, param flag, constant data) of its nodes, plus the
 // group kind the backend lowered it as. Node and tensor *names* are
 // deliberately excluded — tensors are identified by first-reference slot
 // index — so structurally identical layers from different models produce
-// the same key, which is what makes cross-model unit reuse sound. The
-// encoding frames every field with a length or tag, so no concatenation
-// of adjacent fields can collide with a different field split.
+// the same key, and with it the same simulated jitter. The encoding
+// frames every field with a length or tag, so no concatenation of
+// adjacent fields can collide with a different field split.
 func ContentKey(g *graph.Graph, nodes []*graph.Node, kind string) string {
 	refs := 0
 	for _, n := range nodes {
@@ -97,10 +95,10 @@ func ReformatKey(t *graph.Tensor) string {
 	return hexKey(appendTensor(b, t))
 }
 
-// Binding is the execution-environment half of a unit signature: the
-// same layer content behaves differently per backend, platform
-// descriptor, data type, batch, metrics mode, jitter seed and clock
-// configuration, so all of them key the cache.
+// Binding is the execution-environment half of a plan key: the same
+// model behaves differently per backend, platform descriptor, data
+// type, batch, metrics mode, jitter seed and clock configuration, so
+// all of them key the cache.
 type Binding struct {
 	// Backend is the runtime key ("trtsim", ...).
 	Backend string
@@ -119,15 +117,6 @@ type Binding struct {
 	// MeasuredRoofline (peak-test ceilings) is framed only when set, so
 	// every key derived without it keeps its encoding.
 	MeasuredRoofline bool
-}
-
-// UnitSignature combines a layer content key with its execution binding
-// into the cache key of one memoized unit.
-func UnitSignature(contentKey string, b Binding) Signature {
-	var stack [keyStackBytes]byte
-	buf := appendStr(stack[:0], "proof-sig-v1")
-	buf = appendStr(buf, contentKey)
-	return sha256.Sum256(appendBinding(buf, b))
 }
 
 // PlanKey keys a whole profiling point: source identifies the model

@@ -2,7 +2,6 @@ package memo
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"proof/internal/graph"
@@ -179,41 +178,43 @@ func baseBinding() Binding {
 	}
 }
 
-// TestUnitSignatureSensitivity: every binding field keys the cache —
-// the same layer content behaves differently per platform, dtype,
-// batch, mode, seed and clock configuration.
-func TestUnitSignatureSensitivity(t *testing.T) {
-	ck := contentKeyOf(convGraph(""))
-	base := UnitSignature(ck, baseBinding())
+func TestPlanKeySensitivity(t *testing.T) {
+	b := baseBinding()
+	base := PlanKey("resnet-50", "zoo:resnet-50", b)
+	if PlanKey("resnet-50-renamed", "zoo:resnet-50", b) == base {
+		t.Error("model display name does not key the plan")
+	}
+	if PlanKey("resnet-50", "graph:deadbeef", b) == base {
+		t.Error("content source does not key the plan")
+	}
+	// Every binding field keys the plan: the same model behaves
+	// differently per platform, dtype, batch, mode, seed and clock
+	// configuration.
 	mutations := map[string]func(b *Binding){
-		"backend":        func(b *Binding) { b.Backend = "other" },
-		"platform key":   func(b *Binding) { b.PlatformKey = "agx" },
-		"platform hash":  func(b *Binding) { b.PlatformHash = "def456" },
-		"dtype":          func(b *Binding) { b.DType = graph.Int8 },
-		"batch":          func(b *Binding) { b.Batch = 16 },
-		"mode":           func(b *Binding) { b.Mode = "measured" },
-		"seed":           func(b *Binding) { b.Seed = 2 },
-		"gpu clock":      func(b *Binding) { b.Clocks.GPUMHz = 900 },
-		"emc clock":      func(b *Binding) { b.Clocks.EMCMHz = 1600 },
-		"cpu clock":      func(b *Binding) { b.Clocks.CPUMHz = 1200 },
-		"cpu clusters":   func(b *Binding) { b.Clocks.CPUClusters = 2 },
-		"gpu capacity":   func(b *Binding) { b.Clocks.GPUCapacity = 0.5 },
-		"content change": func(b *Binding) {}, // handled below
+		"backend":           func(b *Binding) { b.Backend = "other" },
+		"platform key":      func(b *Binding) { b.PlatformKey = "agx" },
+		"platform hash":     func(b *Binding) { b.PlatformHash = "def456" },
+		"dtype":             func(b *Binding) { b.DType = graph.Int8 },
+		"batch":             func(b *Binding) { b.Batch = 32 },
+		"mode":              func(b *Binding) { b.Mode = "measured" },
+		"seed":              func(b *Binding) { b.Seed = 2 },
+		"gpu clock":         func(b *Binding) { b.Clocks.GPUMHz = 900 },
+		"emc clock":         func(b *Binding) { b.Clocks.EMCMHz = 1600 },
+		"cpu clock":         func(b *Binding) { b.Clocks.CPUMHz = 1200 },
+		"cpu clusters":      func(b *Binding) { b.Clocks.CPUClusters = 2 },
+		"gpu capacity":      func(b *Binding) { b.Clocks.GPUCapacity = 0.5 },
+		"measured roofline": func(b *Binding) { b.MeasuredRoofline = true },
 	}
 	for name, mutate := range mutations {
 		b := baseBinding()
 		mutate(&b)
-		sig := UnitSignature(ck, b)
-		if name == "content change" {
-			sig = UnitSignature(ck+"x", b)
-		}
-		if sig == base {
-			t.Errorf("mutation %q did not change the unit signature", name)
+		if PlanKey("resnet-50", "zoo:resnet-50", b) == base {
+			t.Errorf("binding field %q does not key the plan", name)
 		}
 	}
 }
 
-func TestUnitSignatureUsesDescriptorHash(t *testing.T) {
+func TestPlanKeyUsesDescriptorHash(t *testing.T) {
 	p, ok := hardware.Lookup("a100")
 	if !ok {
 		t.Fatal("platform a100 missing")
@@ -226,33 +227,8 @@ func TestUnitSignatureUsesDescriptorHash(t *testing.T) {
 	if b1.PlatformHash == b2.PlatformHash {
 		t.Fatal("editing MemBW did not change the descriptor hash")
 	}
-	ck := contentKeyOf(convGraph(""))
-	if UnitSignature(ck, b1) == UnitSignature(ck, b2) {
-		t.Fatal("edited platform descriptor did not change the unit signature")
-	}
-}
-
-func TestPlanKeySensitivity(t *testing.T) {
-	b := baseBinding()
-	base := PlanKey("resnet-50", "zoo:resnet-50", b)
-	if PlanKey("resnet-50-renamed", "zoo:resnet-50", b) == base {
-		t.Error("model display name does not key the plan")
-	}
-	if PlanKey("resnet-50", "graph:deadbeef", b) == base {
-		t.Error("content source does not key the plan")
-	}
-	b2 := b
-	b2.Batch = 32
-	if PlanKey("resnet-50", "zoo:resnet-50", b2) == base {
-		t.Error("binding does not key the plan")
-	}
-}
-
-func TestSignatureString(t *testing.T) {
-	sig := UnitSignature("ck", baseBinding())
-	s := sig.String()
-	if len(s) != 64 || strings.Trim(s, "0123456789abcdef") != "" {
-		t.Fatalf("signature string is not 64 hex chars: %q", s)
+	if PlanKey("resnet-50", "zoo:resnet-50", b1) == PlanKey("resnet-50", "zoo:resnet-50", b2) {
+		t.Fatal("edited platform descriptor did not change the plan key")
 	}
 }
 
@@ -310,7 +286,6 @@ func TestKeyEncodingsKnownAnswer(t *testing.T) {
 		{"ContentKey", ck, "a53b07fe5692d067a4dc5e59cbe253559891025cb13b364068bdc4e26362e773"},
 		{"ContentKey myelin", ContentKey(g, g.Nodes, "myelin"), "0dd7d2426044a7a00608256b0c59a6c1f294276b70740be1885fb52f08bb4641"},
 		{"ReformatKey", ReformatKey(g.Tensor("shape")), "70c3a7f00480b891f11bb7be2f99cf7cc18e08290114fe843e3821e34194cbb8"},
-		{"UnitSignature", UnitSignature(ck, b).String(), "2b225080938000ba4ea520e0732304605a5c55c8d8f7f0d75babe70cc3ed576e"},
 		{"PlanKey", PlanKey("resnet-50", "zoo:resnet-50", b), "1ee6165b0de17aad1997610b6dab4a7693b76547e4c63715010427dd8d942928"},
 	} {
 		if c.got != c.want {

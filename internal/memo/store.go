@@ -1,18 +1,18 @@
 package memo
 
 import (
-	"context"
+	"sync/atomic"
 	"time"
 
 	"proof/internal/cache"
 	"proof/internal/graph"
 )
 
-// Unit is the result of profiling one layer unit: everything the
-// report needs per layer that cannot be recomputed from the signature
-// alone. Every profiling run resolves one Unit per backend layer, with
-// or without a store. Values only — no pointers — so a cached Unit can
-// be handed to any number of concurrent readers.
+// Unit is the result of profiling one backend layer: everything the
+// report needs per layer beyond the layer's names. Every profiling run
+// resolves one Unit per backend layer, with or without a store. Values
+// only — no pointers — so a cached Unit can be handed to any number of
+// concurrent readers.
 type Unit struct {
 	// Latency is the simulated wall time; ComputeTime and MemoryTime
 	// are its roofline components (inputs to sim.Utilization).
@@ -38,25 +38,22 @@ type PlanKernel struct {
 	Share float64
 }
 
-// PlanLayer is the identity metadata of one backend layer in a plan:
-// everything a report carries that is not a function of the unit
-// signature (names are model-specific; units are name-free).
+// PlanLayer is one backend layer of a plan: its identity (names are
+// model-specific) and its profiled unit.
 type PlanLayer struct {
 	Name          string
 	IsReformat    bool
 	OriginalNodes []string
 	OpTypes       []string
 	Kernels       []PlanKernel
-	// Sig keys the layer's unit in the unit store.
-	Sig Signature
+	Unit          Unit
 }
 
-// Plan is the assembly skeleton of one whole profiling point: the
-// resolved configuration echo plus the ordered layer identities. Every
-// report is assembled from a plan and its units; a cached plan lets a
-// repeated point skip model build, backend build, profiling and layer
-// mapping entirely. Plans are immutable after PutPlan — assembly copies
-// every slice it exposes.
+// Plan is one whole profiling point: the resolved configuration echo
+// plus the ordered layers with their units. Every report is assembled
+// from a plan; a cached plan lets a repeated point skip model build,
+// backend build, profiling and layer mapping entirely. Plans are
+// immutable after PutPlan — assembly copies every slice it exposes.
 type Plan struct {
 	Model    string
 	Platform string
@@ -72,42 +69,26 @@ type Plan struct {
 	Layers         []PlanLayer
 }
 
-// Outcome classifies one unit lookup.
-type Outcome = cache.Outcome
-
-const (
-	// OutcomeHit served a cached unit.
-	OutcomeHit = cache.Hit
-	// OutcomeMiss computed and cached a new unit.
-	OutcomeMiss = cache.Miss
-	// OutcomeDedup waited for a concurrent computation of the same
-	// signature (singleflight).
-	OutcomeDedup = cache.Dedup
-)
-
 // StoreConfig bounds a Store.
 type StoreConfig struct {
-	// UnitCapacity bounds the unit LRU (<=0 = DefaultUnitCapacity).
+	// UnitCapacity bounds the layer units the cached plans hold
+	// together (<=0 = DefaultUnitCapacity).
 	UnitCapacity int
-	// PlanCapacity bounds the plan LRU (<=0 = DefaultPlanCapacity).
-	PlanCapacity int
 }
 
-// Default capacities: a full 23-model × 7-platform × batch-grid sweep
-// holds well under 16k unique units (models share most of them — that
-// is the point), and one plan per sweep point.
-const (
-	DefaultUnitCapacity = 16384
-	DefaultPlanCapacity = 1024
-)
+// DefaultUnitCapacity bounds a default store at 16,384 layer units:
+// about 160 plans of 103 layers, or 330 of 50.
+const DefaultUnitCapacity = 16384
 
-// Store is the layer-unit memo store: a cache of Units keyed by
-// Signature, whose concurrent misses of one signature compute once,
-// and a cache of Plans keyed by plan key. All methods are safe for
-// concurrent use.
+// Store is the memo store: an LRU of plans keyed by plan key, bounded
+// by the layer units they hold. A plan weighs its layer count (at
+// least 1), and a plan heavier than the whole capacity is not kept.
+// All methods are safe for concurrent use.
 type Store struct {
-	units *cache.LRU[Signature, Unit]
 	plans *cache.LRU[string, *Plan]
+	// hits counts units served by plan hits; misses counts units
+	// profiled into recorded plans.
+	hits, misses atomic.Int64
 }
 
 // NewStore creates a bounded store.
@@ -115,66 +96,45 @@ func NewStore(cfg StoreConfig) *Store {
 	if cfg.UnitCapacity <= 0 {
 		cfg.UnitCapacity = DefaultUnitCapacity
 	}
-	if cfg.PlanCapacity <= 0 {
-		cfg.PlanCapacity = DefaultPlanCapacity
-	}
-	return &Store{
-		units: cache.New[Signature, Unit](cfg.UnitCapacity),
-		plans: cache.New[string, *Plan](cfg.PlanCapacity),
-	}
+	return &Store{plans: cache.NewWeighted[string](cfg.UnitCapacity, func(p *Plan) int { return len(p.Layers) })}
 }
 
-// Unit returns the cached unit for sig, if present. It is used on a
-// plan hit and counts a hit or a miss like every other unit lookup; a
-// miss there sends the caller down the full pipeline, whose
-// GetOrCompute counts the unit's lookup again.
-func (s *Store) Unit(sig Signature) (Unit, bool) {
-	return s.units.Get(sig)
-}
-
-// GetOrCompute returns the cached unit for sig or computes it exactly
-// once across concurrent callers: the first miss becomes the leader and
-// runs compute; callers arriving while it runs wait and share the
-// result (OutcomeDedup). Failed computations are never cached — the
-// leader's error propagates to its waiters, and the next caller retries
-// fresh. A waiter whose ctx ends returns ctx.Err() without disturbing
-// the computation.
-func (s *Store) GetOrCompute(ctx context.Context, sig Signature, compute func() (Unit, error)) (Unit, Outcome, error) {
-	return s.units.Do(ctx, sig, compute)
-}
-
-// Plan returns the cached assembly plan for key. The returned plan is
-// shared and must not be modified.
+// Plan returns the cached plan for key. The returned plan is shared and
+// must not be modified.
 func (s *Store) Plan(key string) (*Plan, bool) {
-	return s.plans.Get(key)
+	p, ok := s.plans.Get(key)
+	if ok {
+		s.hits.Add(int64(len(p.Layers)))
+	}
+	return p, ok
 }
 
-// PutPlan caches the assembly plan of one profiling point. The store
-// takes ownership of p, which must not be modified afterwards.
+// PutPlan caches the plan of one freshly profiled point, evicting the
+// least recently used plans until the units held fit the capacity. The
+// store takes ownership of p, which must not be modified afterwards.
 func (s *Store) PutPlan(key string, p *Plan) {
+	s.misses.Add(int64(len(p.Layers)))
 	s.plans.Put(key, p)
 }
 
 // Stats is a point-in-time snapshot of store counters.
 type Stats struct {
-	// Units and Plans are current entry counts.
+	// Units is the number of layer units the cached plans hold; Plans
+	// is the number of cached plans.
 	Units int `json:"units"`
 	Plans int `json:"plans"`
-	// Hits/Misses/Dedups count unit lookups; Failures counts unit
-	// computations that errored (and were not cached).
-	Hits     int64 `json:"hits"`
-	Misses   int64 `json:"misses"`
-	Dedups   int64 `json:"dedups"`
-	Failures int64 `json:"failures"`
-	// Evictions counts capacity evictions.
+	// Hits counts units served by plan hits; Misses counts units
+	// profiled into recorded plans.
+	Hits   int64 `json:"hits"`
+	Misses int64 `json:"misses"`
+	// Evictions counts plans dropped by the unit bound.
 	Evictions int64 `json:"evictions"`
-	// PlanHits/PlanMisses/PlanEvictions count plan lookups.
-	PlanHits      int64 `json:"plan_hits"`
-	PlanMisses    int64 `json:"plan_misses"`
-	PlanEvictions int64 `json:"plan_evictions"`
+	// PlanHits/PlanMisses count plan lookups.
+	PlanHits   int64 `json:"plan_hits"`
+	PlanMisses int64 `json:"plan_misses"`
 }
 
-// HitRatio returns hits/(hits+misses) over unit lookups, or 0.
+// HitRatio returns hits/(hits+misses) over units, or 0.
 func (st Stats) HitRatio() float64 {
 	total := st.Hits + st.Misses
 	if total == 0 {
@@ -185,17 +145,14 @@ func (st Stats) HitRatio() float64 {
 
 // Stats returns a snapshot of the store counters.
 func (s *Store) Stats() Stats {
-	u, p := s.units.Stats(), s.plans.Stats()
+	p := s.plans.Stats()
 	return Stats{
-		Units:         u.Len,
-		Plans:         p.Len,
-		Hits:          u.Hits,
-		Misses:        u.Misses,
-		Dedups:        u.Dedups,
-		Failures:      u.Failures,
-		Evictions:     u.Evictions,
-		PlanHits:      p.Hits,
-		PlanMisses:    p.Misses,
-		PlanEvictions: p.Evictions,
+		Units:      p.Weight,
+		Plans:      p.Len,
+		Hits:       s.hits.Load(),
+		Misses:     s.misses.Load(),
+		Evictions:  p.Evictions,
+		PlanHits:   p.Hits,
+		PlanMisses: p.Misses,
 	}
 }

@@ -1,0 +1,162 @@
+package memo_test
+
+import (
+	"context"
+	"encoding/json"
+	"sync"
+	"testing"
+
+	"proof/internal/core"
+	"proof/internal/graph"
+	"proof/internal/memo"
+)
+
+// plainReports profiles each point without a store and returns the
+// report JSON by point index.
+func plainReports(t *testing.T, points []core.Options) [][]byte {
+	t.Helper()
+	out := make([][]byte, len(points))
+	for i, opts := range points {
+		raw, err := reportJSON(t, opts)
+		if err != nil {
+			t.Fatalf("%s/%s batch %d: %v", opts.Model, opts.Platform, opts.Batch, err)
+		}
+		out[i] = raw
+	}
+	return out
+}
+
+// TestStoreBoundHoldsInUnits fills a store past its unit capacity: the
+// units held never exceed it after any recorded plan, least recently
+// used plans are evicted, and points evicted and recorded again still
+// report byte-identically to their plain runs.
+func TestStoreBoundHoldsInUnits(t *testing.T) {
+	var points []core.Options
+	for _, m := range []string{"resnet-18", "mobilenetv2-0.5", "vit-t"} {
+		for _, b := range []int{1, 2, 4} {
+			points = append(points, core.Options{Model: m, Platform: "a100", Batch: b})
+		}
+	}
+	want := plainReports(t, points)
+	// 150 units hold about three of these plans (25, 56 and 42 layers).
+	const capacity = 150
+	store := memo.NewStore(memo.StoreConfig{UnitCapacity: capacity})
+	profile := func(i int) {
+		t.Helper()
+		opts := points[i]
+		opts.Memo = store
+		got, err := reportJSON(t, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want[i]) {
+			t.Fatalf("point %d (%s batch %d) differs from its plain run", i, opts.Model, opts.Batch)
+		}
+		if st := store.Stats(); st.Units > capacity {
+			t.Fatalf("after point %d the store holds %d units, capacity %d", i, st.Units, capacity)
+		}
+	}
+	for i := range points {
+		profile(i)
+	}
+	// Walk back: the newest plans hit, the older ones were evicted and
+	// are recorded again.
+	for i := len(points) - 1; i >= 0; i-- {
+		profile(i)
+	}
+	st := store.Stats()
+	if st.Evictions == 0 || st.PlanHits == 0 || st.PlanMisses <= int64(len(points)) {
+		t.Fatalf("the walk did not both hit and re-record evicted plans: %+v", st)
+	}
+}
+
+// TestStoreConcurrentSweeps: goroutines profile overlapping points
+// through one shared store, with no session in front. The store holds
+// two or three of the four plans, so plans are evicted while other
+// goroutines assemble reports from them. Every report must be
+// byte-identical to its plain run (CI runs this under -race -count=2).
+func TestStoreConcurrentSweeps(t *testing.T) {
+	const goroutines, rounds = 6, 3
+	var points []core.Options
+	for _, m := range []string{"resnet-18", "vit-t"} {
+		for _, b := range []int{1, 2} {
+			points = append(points, core.Options{Model: m, Platform: "a100", Batch: b})
+		}
+	}
+	want := plainReports(t, points)
+	// The four plans hold 134 units (25, 25, 42, 42 layers).
+	const capacity = 100
+	store := memo.NewStore(memo.StoreConfig{UnitCapacity: capacity})
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for i := range points {
+					n := (g + i) % len(points)
+					opts := points[n]
+					opts.Memo = store
+					rep, err := core.ProfileCtx(context.Background(), opts)
+					if err != nil {
+						t.Errorf("goroutine %d point %d: %v", g, n, err)
+						return
+					}
+					if got, _ := json.Marshal(rep); string(got) != string(want[n]) {
+						t.Errorf("goroutine %d point %d: report differs from its plain run", g, n)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	st := store.Stats()
+	if st.Units > capacity || st.Evictions == 0 || st.PlanHits == 0 {
+		t.Fatalf("store after the sweeps: %+v, want hits, evictions and at most %d units", st, capacity)
+	}
+	if lookups := st.PlanHits + st.PlanMisses; lookups != goroutines*rounds*int64(len(points)) {
+		t.Fatalf("%d plan lookups for %d profiles", lookups, goroutines*rounds*len(points))
+	}
+}
+
+// reshapeGraph is a graph whose Reshape target fixes batch 1, so it
+// profiles at batch 1 and fails shape inference at any other batch.
+func reshapeGraph() *graph.Graph {
+	g := graph.New("fixed-batch")
+	g.AddTensor(&graph.Tensor{Name: "in", DType: graph.Float32, Shape: graph.Shape{1, 256}})
+	g.AddTensor(&graph.Tensor{Name: "w", DType: graph.Float32, Shape: graph.Shape{256, 256}, Param: true})
+	g.AddTensor(&graph.Tensor{Name: "mid", DType: graph.Float32, Shape: graph.Shape{1, 256}})
+	g.AddTensor(&graph.Tensor{Name: "shape", DType: graph.Int64, Shape: graph.Shape{2}, Param: true, IntData: []int64{1, 256}})
+	g.AddTensor(&graph.Tensor{Name: "out", DType: graph.Float32, Shape: graph.Shape{1, 256}})
+	g.AddNode(&graph.Node{Name: "fc", OpType: "Gemm", Inputs: []string{"in", "w"}, Outputs: []string{"mid"}})
+	g.AddNode(&graph.Node{Name: "flat", OpType: "Reshape", Inputs: []string{"mid", "shape"}, Outputs: []string{"out"}})
+	g.Inputs = []string{"in"}
+	g.Outputs = []string{"out"}
+	return g
+}
+
+// TestStoreErrorNeverCached: a run that fails after missing the store
+// records no plan and counts no units; the point's next successful run
+// records one.
+func TestStoreErrorNeverCached(t *testing.T) {
+	store := memo.NewStore(memo.StoreConfig{})
+	opts := core.Options{Graph: reshapeGraph(), Platform: "a100", Batch: 2, Memo: store}
+	_, err := core.ProfileCtx(context.Background(), opts)
+	if _, ok := graph.AsValidationError(err); !ok {
+		t.Fatalf("batch 2: err = %v, want a shape-inference defect", err)
+	}
+	if st := store.Stats(); st != (memo.Stats{PlanMisses: 1}) {
+		t.Fatalf("after a failed run: %+v, want one plan miss and nothing recorded", st)
+	}
+	opts.Batch = 1
+	for pass := 0; pass < 2; pass++ {
+		if _, err := core.ProfileCtx(context.Background(), opts); err != nil {
+			t.Fatalf("batch 1 pass %d: %v", pass, err)
+		}
+	}
+	st := store.Stats()
+	if st.Plans != 1 || st.PlanHits != 1 || st.Misses == 0 || st.Hits != st.Misses {
+		t.Fatalf("after a successful record and hit: %+v", st)
+	}
+}

@@ -101,6 +101,7 @@ func FuzzValidateCorruptGraph(f *testing.F) {
 	f.Add([]byte(`{"name":"g","nodes":[{"name":"a","op_type":"Add","inputs":["p","q"],"outputs":["r"]}],` +
 		`"tensors":{"p":{"name":"p","dtype":1,"shape":[2,3]},"q":{"name":"q","dtype":1,"shape":[4]},"r":{"name":"r","dtype":1,"shape":[2,3]}}}`))
 	f.Add([]byte(`{"name":"g","tensors":{"w":{"name":"w","dtype":1,"param":true,"int_data":[1,2,3]}}}`))
+	f.Add([]byte(`{"name":"g","nodes":[null]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var g graph.Graph

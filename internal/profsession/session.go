@@ -94,11 +94,10 @@ type Config struct {
 	Retry RetryPolicy
 	// Breaker enables the per-(model, platform) circuit breaker.
 	Breaker BreakerConfig
-	// Memo optionally attaches a shared layer-unit memo store
-	// (internal/memo) to every executed request: report-cache misses
-	// that re-profile overlapping models then reuse memoized layer
-	// units instead of re-simulating them. Requests that bring their
-	// own Options.Memo keep it.
+	// Memo optionally attaches a shared memo store (internal/memo) to
+	// every executed request: each report-cache miss records its plan
+	// there, and a repeated point is assembled from that plan. Requests
+	// that bring their own Options.Memo keep it.
 	Memo *memo.Store
 }
 

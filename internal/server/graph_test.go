@@ -294,3 +294,27 @@ func TestRebatchedIntDataRefused(t *testing.T) {
 		t.Fatalf("batch 1: status = %d, want 200 (body %s)", resp.StatusCode, b)
 	}
 }
+
+// TestNullGraphNodeRefused: an inline graph whose node list holds a
+// JSON null answers 400 invalid_model with a typed defect naming the
+// node's index, the same as a null tensor does, instead of panicking
+// in validation and dropping the connection.
+func TestNullGraphNodeRefused(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp := postJSON(t, ts.URL+"/v1/profile", `{"graph":{"name":"g","nodes":[null]},"platform":"a100"}`)
+	if resp.StatusCode != 400 {
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		t.Fatalf("status = %d, want 400 (body %s)", resp.StatusCode, b)
+	}
+	env := decodeEnvelope(t, resp)
+	if env.Error.Code != "invalid_model" {
+		t.Fatalf("envelope code = %q, want invalid_model", env.Error.Code)
+	}
+	details, _ := json.Marshal(env.Error.Details)
+	var defects []*graph.ValidationError
+	if err := json.Unmarshal(details, &defects); err != nil || len(defects) != 1 ||
+		defects[0].Code != graph.ErrEmptyNodeName || defects[0].Detail != "node 0 is null" {
+		t.Fatalf("details %s, want one %s defect on node 0", details, graph.ErrEmptyNodeName)
+	}
+}

@@ -131,28 +131,29 @@ func FingerprintOptions(opts Options) (string, error) { return profsession.Finge
 // or "dedup".
 type CacheOutcome = profsession.Outcome
 
-// MemoStore is a layer-unit memo store: per-layer profiling results
-// keyed by canonical layer signature (op type, attributes, tensor
-// shapes/dtypes, batch, mode and platform descriptor hash), shared
-// across models, platforms and batch sizes. See internal/memo.
+// MemoStore is a memo store: the plans of profiled points — each
+// backend layer's identity and its profiled result — keyed by the
+// resolved configuration (platform descriptor hash included) and
+// bounded by the layer units they hold. A point repeated with an
+// identical configuration is assembled from its plan without building
+// the model. See internal/memo.
 type MemoStore = memo.Store
 
-// MemoStats is a snapshot of a MemoStore's hit/miss/eviction counters.
+// MemoStats is a snapshot of a MemoStore's counters: units served by
+// plan hits, units profiled into recorded plans, units held, plan hits,
+// plan misses and plan evictions.
 type MemoStats = memo.Stats
 
-// NewMemoStore creates a layer-unit memo store with the given unit
-// capacity (<= 0 selects the default of 16384 units).
+// NewMemoStore creates a memo store that holds at most capacity layer
+// units across its plans (<= 0 selects the default of 16384 units).
 func NewMemoStore(capacity int) *MemoStore {
-	if capacity <= 0 {
-		capacity = memo.DefaultUnitCapacity
-	}
 	return memo.NewStore(memo.StoreConfig{UnitCapacity: capacity})
 }
 
 // NewMemoSession creates a profiling session whose cache-miss
-// executions share the given layer-unit memo store: structurally
-// identical layers across requests, sweeps and batch grids are
-// profiled once. A nil store yields a plain session.
+// executions share the given memo store: each one records its plan
+// there, and a repeated point is assembled from that plan. A nil store
+// yields a plain session.
 func NewMemoSession(capacity int, st *MemoStore) *Session {
 	return profsession.NewWithConfig(profsession.Config{Capacity: capacity, Memo: st})
 }
