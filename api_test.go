@@ -4,6 +4,7 @@ package proof_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 )
 
 func TestPublicProfileAndRenderers(t *testing.T) {
-	r, err := proof.Profile(proof.Options{Model: "resnet-50", Platform: "a100", Batch: 8})
+	r, err := proof.ProfileCtx(context.Background(), proof.Options{Model: "resnet-50", Platform: "a100", Batch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestPublicModelSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := proof.Profile(proof.Options{Graph: back, Platform: "rpi4b", Batch: 1})
+	r, err := proof.ProfileCtx(context.Background(), proof.Options{Graph: back, Platform: "rpi4b", Batch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestPublicGraphTransforms(t *testing.T) {
 	if _, err := proof.QuantizeInt8(g2); err != nil {
 		t.Fatal(err)
 	}
-	r, err := proof.Profile(proof.Options{Graph: g2, Platform: "a100", Batch: 4})
+	r, err := proof.ProfileCtx(context.Background(), proof.Options{Graph: g2, Platform: "a100", Batch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,14 +108,14 @@ func TestPublicGraphTransforms(t *testing.T) {
 }
 
 func TestPublicPowerWorkflow(t *testing.T) {
-	peak, err := proof.MeasurePeak("orin-nx", proof.Float16, proof.Clocks{GPUMHz: 918, EMCMHz: 3199, CPUClusters: 1})
+	peak, err := proof.MeasurePeakCtx(context.Background(), "orin-nx", proof.Float16, proof.Clocks{GPUMHz: 918, EMCMHz: 3199, CPUClusters: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if peak.FLOPS < 1e12 || peak.BW < 1e10 {
 		t.Errorf("peak = %+v", peak)
 	}
-	res, err := proof.TuneClocks("orin-nx", "efficientnetv2-t", 8, proof.Float16, 15, 0.45)
+	res, err := proof.TuneClocks(context.Background(), "orin-nx", "efficientnetv2-t", 8, proof.Float16, 15, 0.45)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,15 +128,15 @@ func TestPublicPowerWorkflow(t *testing.T) {
 }
 
 func TestPublicBatchAndDistributed(t *testing.T) {
-	best, points, err := proof.OptimalBatch(proof.Options{Model: "mobilenetv2-1.0", Platform: "a100"},
-		[]int{1, 16, 128})
+	best, points, err := proof.OptimalBatchCtx(context.Background(), proof.Options{Model: "mobilenetv2-1.0", Platform: "a100"},
+		[]int{1, 16, 128}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if best < 16 || len(points) == 0 {
 		t.Errorf("best batch = %d", best)
 	}
-	curve, err := proof.DistributedScalingCurve(proof.DistributedOptions{
+	curve, err := proof.DistributedScalingCurve(context.Background(), proof.DistributedOptions{
 		Model: "resnet-50", Platform: "a100", GlobalBatch: 64,
 	}, []int{1, 4})
 	if err != nil {
@@ -175,22 +176,22 @@ func TestPublicFileFormats(t *testing.T) {
 }
 
 func TestPublicSweepsAndStats(t *testing.T) {
-	results, err := proof.PlatformSweep("mobilenetv2-0.5", proof.ModePredicted)
+	results, err := proof.PlatformSweepCtx(context.Background(), "mobilenetv2-0.5", proof.ModePredicted, nil)
 	if err != nil || len(results) != 7 {
 		t.Fatalf("sweep: %v, %d", err, len(results))
 	}
-	stats, err := proof.ProfileRuns(proof.Options{Model: "mobilenetv2-0.5", Platform: "a100", Batch: 4}, 3)
+	stats, err := proof.ProfileRunsCtx(context.Background(), proof.Options{Model: "mobilenetv2-0.5", Platform: "a100", Batch: 4}, 3, nil)
 	if err != nil || stats.Runs != 3 {
 		t.Fatalf("runs: %v", err)
 	}
-	w, err := proof.EvaluatePowerProfile("orin-nx", "mobilenetv2-1.0", 8, proof.Float16, proof.StockPowerProfiles()[0])
+	w, err := proof.EvaluatePowerProfile(context.Background(), "orin-nx", "mobilenetv2-1.0", 8, proof.Float16, proof.StockPowerProfiles()[0])
 	if err != nil || w.PowerW <= 0 || w.EnergyJ <= 0 {
 		t.Fatalf("power profile: %v, %+v", err, w)
 	}
 }
 
 func TestPublicRenderExtras(t *testing.T) {
-	r, err := proof.Profile(proof.Options{Model: "mobilenetv2-0.5", Platform: "a100", Batch: 4})
+	r, err := proof.ProfileCtx(context.Background(), proof.Options{Model: "mobilenetv2-0.5", Platform: "a100", Batch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestPublicRenderExtras(t *testing.T) {
 	if !strings.Contains(buf.String(), "traceEvents") {
 		t.Error("chrome trace broken")
 	}
-	r2, err := proof.Profile(proof.Options{Model: "mobilenetv2-1.0", Platform: "a100", Batch: 4})
+	r2, err := proof.ProfileCtx(context.Background(), proof.Options{Model: "mobilenetv2-1.0", Platform: "a100", Batch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestPublicRenderExtras(t *testing.T) {
 }
 
 func TestPublicKernelAttribution(t *testing.T) {
-	r, err := proof.Profile(proof.Options{Model: "resnet-50", Platform: "a100", Batch: 4})
+	r, err := proof.ProfileCtx(context.Background(), proof.Options{Model: "resnet-50", Platform: "a100", Batch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

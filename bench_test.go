@@ -58,7 +58,7 @@ func BenchmarkTable4PredictionAccuracy(b *testing.B) {
 	var rows []experiments.Table4Row
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = experiments.Table4WithBatch(16)
+		rows, err = experiments.Table4WithBatchCtx(context.Background(), 16)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -77,7 +77,7 @@ func BenchmarkTable5ShuffleNetSpeedup(b *testing.B) {
 	var rows []experiments.Table5Row
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = experiments.Table5([]int{1, 128, 2048})
+		rows, err = experiments.Table5(context.Background(), []int{1, 128, 2048})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func BenchmarkTable6PeakVsClocks(b *testing.B) {
 	var rows []struct{}
 	_ = rows
 	for i := 0; i < b.N; i++ {
-		got, err := experiments.Table6()
+		got, err := experiments.Table6Ctx(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func BenchmarkTable6PeakVsClocks(b *testing.B) {
 // Table 7 power profiles including the tuned one.
 func BenchmarkTable7PowerProfiles(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, tune, err := experiments.Table7(16)
+		rows, tune, err := experiments.Table7(context.Background(), 16)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func BenchmarkTable7PowerProfiles(b *testing.B) {
 // across all seven platforms.
 func BenchmarkFigure4EndToEnd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series, err := experiments.Figure4All()
+		series, err := experiments.Figure4AllCtx(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func BenchmarkFigure4EndToEnd(b *testing.B) {
 // (ResNet-50, ViT-t, EfficientNet B4, EfficientNetV2-T on A100).
 func BenchmarkFigure5LayerWise(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		reports, err := experiments.Figure5(16)
+		reports, err := experiments.Figure5(context.Background(), 16)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func BenchmarkFigure6ShuffleNet(b *testing.B) {
 	var f *experiments.Figure6Result
 	var err error
 	for i := 0; i < b.N; i++ {
-		f, err = experiments.Figure6(256)
+		f, err = experiments.Figure6(context.Background(), 256)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -177,7 +177,7 @@ func BenchmarkFigure8OrinLayerWise(b *testing.B) {
 	var f *experiments.Figure8Result
 	var err error
 	for i := 0; i < b.N; i++ {
-		f, err = experiments.Figure8(16)
+		f, err = experiments.Figure8(context.Background(), 16)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -314,7 +314,7 @@ func BenchmarkAblationMappingStrategies(b *testing.B) {
 func BenchmarkAblationProfilingOverhead(b *testing.B) {
 	var overhead float64
 	for i := 0; i < b.N; i++ {
-		r, err := proof.Profile(proof.Options{
+		r, err := proof.ProfileCtx(context.Background(), proof.Options{
 			Model: "resnet-50", Platform: "a100", Batch: 16, Mode: proof.ModeMeasured,
 		})
 		if err != nil {
@@ -370,7 +370,7 @@ func BenchmarkAnalyzeRepresentation(b *testing.B) {
 // optimize, profile, map, roofline).
 func BenchmarkFullPipeline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := proof.Profile(proof.Options{Model: "resnet-50", Platform: "a100", Batch: 16}); err != nil {
+		if _, err := proof.ProfileCtx(context.Background(), proof.Options{Model: "resnet-50", Platform: "a100", Batch: 16}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -411,7 +411,7 @@ func BenchmarkGraphOptimize(b *testing.B) {
 
 // BenchmarkAdvisor measures report analysis plus the advisor rules.
 func BenchmarkAdvisor(b *testing.B) {
-	r, err := proof.Profile(proof.Options{Model: "shufflenetv2-1.0", Platform: "a100", Batch: 128})
+	r, err := proof.ProfileCtx(context.Background(), proof.Options{Model: "shufflenetv2-1.0", Platform: "a100", Batch: 128})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -427,7 +427,7 @@ func BenchmarkAdvisor(b *testing.B) {
 // (the §5 future-work exploration).
 func BenchmarkDistributedScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		points, err := proof.DistributedScalingCurve(proof.DistributedOptions{
+		points, err := proof.DistributedScalingCurve(context.Background(), proof.DistributedOptions{
 			Model: "resnet-50", Platform: "a100", GlobalBatch: 128,
 		}, []int{1, 2, 4, 8})
 		if err != nil {

@@ -31,9 +31,9 @@ func main() {
 	)
 	flag.Parse()
 
-	// Ctrl-C cancels the figure-4 fan-out instead of killing the
-	// process mid-chart; the remaining experiments run serially and
-	// finish their current table.
+	// Ctrl-C cancels ctx, which every experiment receives: the running
+	// experiment stops at its next stage boundary and the command exits
+	// with the cancellation error instead of dying mid-chart.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
@@ -112,7 +112,7 @@ func main() {
 		if b == 0 {
 			b = 128
 		}
-		reports, err := experiments.Figure5(b)
+		reports, err := experiments.Figure5(ctx, b)
 		if err != nil {
 			fatal(err)
 		}
@@ -125,7 +125,7 @@ func main() {
 		ran++
 	}
 	if all || want["table5"] {
-		rows, err := experiments.Table5(nil)
+		rows, err := experiments.Table5(ctx, nil)
 		if err != nil {
 			fatal(err)
 		}
@@ -137,7 +137,7 @@ func main() {
 		if b == 0 {
 			b = 2048
 		}
-		f, err := experiments.Figure6(b)
+		f, err := experiments.Figure6(ctx, b)
 		if err != nil {
 			fatal(err)
 		}
@@ -169,7 +169,7 @@ func main() {
 		if b == 0 {
 			b = 128
 		}
-		rows, tune, err := experiments.Table7(b)
+		rows, tune, err := experiments.Table7(ctx, b)
 		if err != nil {
 			fatal(err)
 		}
@@ -183,7 +183,7 @@ func main() {
 		if b == 0 {
 			b = 128
 		}
-		f, err := experiments.Figure8(b)
+		f, err := experiments.Figure8(ctx, b)
 		if err != nil {
 			fatal(err)
 		}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -34,11 +35,12 @@ func main() {
 	fmt.Printf("%-22s %10s %12s %12s %10s %8s\n",
 		"model", "latency", "AI(F/B)", "TFLOP/s", "GB/s", "bound")
 
+	ctx := context.Background()
 	var points []proof.RooflinePoint
 	var model proof.RooflineModel
 	for _, key := range strings.Split(*modelArg, ",") {
 		key = strings.TrimSpace(key)
-		r, err := proof.Profile(proof.Options{Model: key, Platform: *platform})
+		r, err := proof.ProfileCtx(ctx, proof.Options{Model: key, Platform: *platform})
 		if err != nil {
 			log.Fatalf("%s: %v", key, err)
 		}

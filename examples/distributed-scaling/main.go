@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -27,14 +28,15 @@ func main() {
 	fmt.Printf("%8s %12s %14s %14s %14s %11s\n",
 		"devices", "per-device", "device lat", "transfer", "global img/s", "efficiency")
 
-	points, err := proof.DistributedScalingCurve(proof.DistributedOptions{
+	ctx := context.Background()
+	points, err := proof.DistributedScalingCurve(ctx, proof.DistributedOptions{
 		Model: *model, Platform: *platform, GlobalBatch: *batch,
 	}, []int{1, 2, 4, 8, 16})
 	if err != nil {
 		log.Fatal(err)
 	}
 	for _, p := range points {
-		r, err := proof.ProfileDistributed(proof.DistributedOptions{
+		r, err := proof.ProfileDistributed(ctx, proof.DistributedOptions{
 			Model: *model, Platform: *platform, GlobalBatch: *batch, Devices: p.Devices,
 		})
 		if err != nil {

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -21,12 +22,14 @@ const (
 )
 
 func main() {
+	ctx := context.Background()
+
 	// Step 1: establish the achieved roofline baseline at candidate
 	// clock configurations with the peak-test pseudo model (Table 6).
 	fmt.Println("Step 1: achieved roofline peaks at candidate clocks (peak-test pseudo model)")
 	fmt.Printf("%10s %10s %12s %12s\n", "GPU(MHz)", "EMC(MHz)", "TFLOP/s", "BW GB/s")
 	for _, pair := range [][2]int{{918, 3199}, {918, 2133}, {510, 3199}, {510, 665}} {
-		peak, err := proof.MeasurePeak(platform, proof.Float16,
+		peak, err := proof.MeasurePeakCtx(ctx, platform, proof.Float16,
 			proof.Clocks{GPUMHz: pair[0], EMCMHz: pair[1], CPUClusters: 1})
 		if err != nil {
 			log.Fatal(err)
@@ -37,7 +40,7 @@ func main() {
 	// Step 2+3: run the full tuning workflow — layer-wise roofline
 	// analysis picks the memory clock (Figure 8's bandwidth lines),
 	// then a binary search finds the best GPU clock under the budget.
-	res, err := proof.TuneClocks(platform, workload, batch, proof.Float16, budgetW, 0.45)
+	res, err := proof.TuneClocks(ctx, platform, workload, batch, proof.Float16, budgetW, 0.45)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,7 +62,7 @@ func main() {
 	fmt.Println("\nStep 4: comparison with stock power profiles")
 	fmt.Printf("%-16s %6s %6s %12s %8s\n", "profile", "GPU", "EMC", "latency", "power")
 	for _, p := range proof.StockPowerProfiles() {
-		w, err := proof.EvaluatePowerProfile(platform, workload, batch, proof.Float16, p)
+		w, err := proof.EvaluatePowerProfile(ctx, platform, workload, batch, proof.Float16, p)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -14,7 +15,7 @@ import (
 )
 
 func main() {
-	report, err := proof.Profile(proof.Options{
+	report, err := proof.ProfileCtx(context.Background(), proof.Options{
 		Model:    "resnet-50",
 		Platform: "a100",
 		Batch:    128,

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -20,10 +21,11 @@ import (
 
 func main() {
 	const platform = "a100"
+	ctx := context.Background()
 
 	// Step 1: end-to-end profiling shows the original model's low
 	// hardware efficiency.
-	orig, err := proof.Profile(proof.Options{Model: "shufflenetv2-1.0", Platform: platform, Batch: 2048})
+	orig, err := proof.ProfileCtx(ctx, proof.Options{Model: "shufflenetv2-1.0", Platform: platform, Batch: 2048})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,11 +51,11 @@ func main() {
 	fmt.Printf("\nModified model (shuffle removed, pw-conv channels doubled, residual Add):\n")
 	fmt.Printf("%8s %14s %14s %14s %9s\n", "batch", "orig latency", "mod latency", "mod img/s", "speedup")
 	for _, batch := range []int{1, 128, 2048} {
-		o, err := proof.Profile(proof.Options{Model: "shufflenetv2-1.0", Platform: platform, Batch: batch})
+		o, err := proof.ProfileCtx(ctx, proof.Options{Model: "shufflenetv2-1.0", Platform: platform, Batch: batch})
 		if err != nil {
 			log.Fatal(err)
 		}
-		m, err := proof.Profile(proof.Options{Model: "shufflenetv2-1.0-mod", Platform: platform, Batch: batch})
+		m, err := proof.ProfileCtx(ctx, proof.Options{Model: "shufflenetv2-1.0-mod", Platform: platform, Batch: batch})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -62,7 +64,7 @@ func main() {
 			m.Throughput, float64(o.TotalLatency)/float64(m.TotalLatency))
 	}
 
-	mod, err := proof.Profile(proof.Options{Model: "shufflenetv2-1.0-mod", Platform: platform, Batch: 2048})
+	mod, err := proof.ProfileCtx(ctx, proof.Options{Model: "shufflenetv2-1.0-mod", Platform: platform, Batch: 2048})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -165,7 +165,7 @@ func checkOverheadBound(r *core.Report) []Finding {
 		Rule:     "launch-overhead-bound",
 		Summary:  fmt.Sprintf("%d of %d layers are dominated by launch overhead", overheadish, len(r.Layers)),
 		Detail: "Per-layer work is too small for this platform at the profiled batch size. " +
-			"Raise the batch size (see the OptimalBatch sweep) or deploy on a smaller device.",
+			"Raise the batch size (see the OptimalBatchCtx sweep) or deploy on a smaller device.",
 	}}
 }
 

@@ -1,6 +1,7 @@
 package advisor
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 
 func profile(t *testing.T, model string, batch int) *core.Report {
 	t.Helper()
-	r, err := core.Profile(core.Options{Model: model, Platform: "a100", Batch: batch})
+	r, err := core.ProfileCtx(context.Background(), core.Options{Model: model, Platform: "a100", Batch: batch})
 	if err != nil {
 		t.Fatal(err)
 	}

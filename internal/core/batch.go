@@ -19,28 +19,15 @@ type BatchPoint struct {
 // DefaultBatchCandidates are the powers of two the sweep tries.
 var DefaultBatchCandidates = []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048}
 
-// OptimalBatch sweeps batch sizes and returns the one that maximizes
+// OptimalBatchCtx sweeps batch sizes through profile (ProfileCtx,
+// or a caching session's ProfileCtx so repeated sweeps over overlapping
+// batch grids reuse cached points) and returns the one that maximizes
 // throughput — how the paper selects "the batch size reached maximum
 // throughput" for Table 5. The sweep stops early once throughput
-// saturates (two consecutive candidates within 1%).
-func OptimalBatch(opts Options, candidates []int) (int, []BatchPoint, error) {
-	return OptimalBatchCtx(context.Background(), opts, candidates)
-}
-
-// OptimalBatchCtx is OptimalBatch with cancellation: the sweep checks
-// ctx before each batch point and aborts with ctx.Err() when cancelled,
+// saturates (two consecutive candidates within 1%). It checks ctx
+// before each batch point and aborts with ctx.Err() when cancelled,
 // returning the points measured so far.
-func OptimalBatchCtx(ctx context.Context, opts Options, candidates []int) (int, []BatchPoint, error) {
-	return OptimalBatchWith(ctx, opts, candidates, ProfileCtx)
-}
-
-// OptimalBatchWith runs the batch sweep through a custom profiling
-// function (typically a caching session's ProfileCtx), so repeated
-// sweeps over overlapping batch grids reuse cached points.
-func OptimalBatchWith(ctx context.Context, opts Options, candidates []int, profile func(context.Context, Options) (*Report, error)) (int, []BatchPoint, error) {
-	if profile == nil {
-		profile = ProfileCtx
-	}
+func OptimalBatchCtx(ctx context.Context, opts Options, candidates []int, profile ProfileFunc) (int, []BatchPoint, error) {
 	if candidates == nil {
 		candidates = DefaultBatchCandidates
 	}

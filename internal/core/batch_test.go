@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"proof/internal/graphops"
@@ -8,8 +9,8 @@ import (
 )
 
 func TestOptimalBatch(t *testing.T) {
-	best, points, err := OptimalBatch(Options{Model: "resnet-50", Platform: "a100"},
-		[]int{1, 8, 64, 256, 512})
+	best, points, err := OptimalBatchCtx(context.Background(), Options{Model: "resnet-50", Platform: "a100"},
+		[]int{1, 8, 64, 256, 512}, ProfileCtx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func TestOptimalBatch(t *testing.T) {
 			t.Error("reported best batch does not hold the best throughput")
 		}
 	}
-	if _, _, err := OptimalBatch(Options{Model: "resnet-50", Platform: "a100"}, []int{}); err == nil {
+	if _, _, err := OptimalBatchCtx(context.Background(), Options{Model: "resnet-50", Platform: "a100"}, []int{}, ProfileCtx); err == nil {
 		t.Error("empty candidates must error")
 	}
 }
@@ -45,7 +46,7 @@ func TestProfileQuantizedGraph(t *testing.T) {
 	if _, err := graphops.QuantizeInt8(g); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Profile(Options{Graph: g, Platform: "a100", Batch: 16})
+	r, err := ProfileCtx(context.Background(), Options{Graph: g, Platform: "a100", Batch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestProfileQuantizedGraph(t *testing.T) {
 		t.Error("Q/DQ nodes missing from the mapped layers")
 	}
 	// Int8 on A100 doubles the compute ceiling vs fp16.
-	fp16, err := Profile(Options{Model: "resnet-50", Platform: "a100", Batch: 16})
+	fp16, err := ProfileCtx(context.Background(), Options{Model: "resnet-50", Platform: "a100", Batch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestProfileQuantizedGraph(t *testing.T) {
 }
 
 func TestKernelReportsPresent(t *testing.T) {
-	r, err := Profile(Options{Model: "resnet-50", Platform: "a100", Batch: 8})
+	r, err := ProfileCtx(context.Background(), Options{Model: "resnet-50", Platform: "a100", Batch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

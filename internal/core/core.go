@@ -175,11 +175,6 @@ type Report struct {
 // against this type rather than the concrete function.
 type ProfileFunc func(context.Context, Options) (*Report, error)
 
-// Profile runs the full PRoof pipeline.
-func Profile(opts Options) (*Report, error) {
-	return ProfileCtx(context.Background(), opts)
-}
-
 // ProfileCtx runs the full PRoof pipeline, honoring cancellation and
 // deadline between pipeline stages (model build, backend build, layer
 // mapping, metric collection). The pipeline stages themselves are

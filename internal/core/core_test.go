@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"testing"
@@ -10,7 +11,7 @@ import (
 )
 
 func TestProfileResNetPredicted(t *testing.T) {
-	r, err := Profile(Options{Model: "resnet-50", Platform: "a100", Batch: 32})
+	r, err := ProfileCtx(context.Background(), Options{Model: "resnet-50", Platform: "a100", Batch: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +52,11 @@ func TestProfileResNetPredicted(t *testing.T) {
 }
 
 func TestProfileMeasuredMode(t *testing.T) {
-	pred, err := Profile(Options{Model: "resnet-50", Platform: "a100", Batch: 8})
+	pred, err := ProfileCtx(context.Background(), Options{Model: "resnet-50", Platform: "a100", Batch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	meas, err := Profile(Options{Model: "resnet-50", Platform: "a100", Batch: 8, Mode: ModeMeasured})
+	meas, err := ProfileCtx(context.Background(), Options{Model: "resnet-50", Platform: "a100", Batch: 8, Mode: ModeMeasured})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestProfileCustomGraph(t *testing.T) {
 	g.Inputs = []string{"x"}
 	g.Outputs = []string{"y"}
 
-	r, err := Profile(Options{Graph: g, Platform: "rpi4b", Batch: 2})
+	r, err := ProfileCtx(context.Background(), Options{Graph: g, Platform: "rpi4b", Batch: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,35 +99,35 @@ func TestProfileCustomGraph(t *testing.T) {
 }
 
 func TestNPUModelSupportGate(t *testing.T) {
-	if _, err := Profile(Options{Model: "vit-t", Platform: "npu3720"}); err == nil {
+	if _, err := ProfileCtx(context.Background(), Options{Model: "vit-t", Platform: "npu3720"}); err == nil {
 		t.Error("NPU should refuse transformer models (as in §4.3)")
 	}
-	if _, err := Profile(Options{Model: "vit-t", Platform: "npu3720", IgnoreSupport: true, Batch: 1}); err != nil {
+	if _, err := ProfileCtx(context.Background(), Options{Model: "vit-t", Platform: "npu3720", IgnoreSupport: true, Batch: 1}); err != nil {
 		t.Errorf("IgnoreSupport should force the run: %v", err)
 	}
-	if _, err := Profile(Options{Model: "resnet-50", Platform: "npu3720"}); err != nil {
+	if _, err := ProfileCtx(context.Background(), Options{Model: "resnet-50", Platform: "npu3720"}); err != nil {
 		t.Errorf("NPU should run CNNs: %v", err)
 	}
 }
 
 func TestProfileErrors(t *testing.T) {
-	if _, err := Profile(Options{Model: "nope", Platform: "a100"}); err == nil {
+	if _, err := ProfileCtx(context.Background(), Options{Model: "nope", Platform: "a100"}); err == nil {
 		t.Error("unknown model must error")
 	}
-	if _, err := Profile(Options{Model: "resnet-50", Platform: "h100"}); err == nil {
+	if _, err := ProfileCtx(context.Background(), Options{Model: "resnet-50", Platform: "h100"}); err == nil {
 		t.Error("unknown platform must error")
 	}
-	if _, err := Profile(Options{Model: "resnet-50", Platform: "a100", Backend: "tvm"}); err == nil {
+	if _, err := ProfileCtx(context.Background(), Options{Model: "resnet-50", Platform: "a100", Backend: "tvm"}); err == nil {
 		t.Error("unknown backend must error")
 	}
 }
 
 func TestBatchAffectsThroughputAndLatency(t *testing.T) {
-	r1, err := Profile(Options{Model: "resnet-50", Platform: "a100", Batch: 1})
+	r1, err := ProfileCtx(context.Background(), Options{Model: "resnet-50", Platform: "a100", Batch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r128, err := Profile(Options{Model: "resnet-50", Platform: "a100", Batch: 128})
+	r128, err := ProfileCtx(context.Background(), Options{Model: "resnet-50", Platform: "a100", Batch: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +143,11 @@ func TestBatchAffectsThroughputAndLatency(t *testing.T) {
 }
 
 func TestOrinClockOptionsAffectLatency(t *testing.T) {
-	fast, err := Profile(Options{Model: "efficientnetv2-t", Platform: "orin-nx", Batch: 16})
+	fast, err := ProfileCtx(context.Background(), Options{Model: "efficientnetv2-t", Platform: "orin-nx", Batch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := Profile(Options{Model: "efficientnetv2-t", Platform: "orin-nx", Batch: 16,
+	slow, err := ProfileCtx(context.Background(), Options{Model: "efficientnetv2-t", Platform: "orin-nx", Batch: 16,
 		Clocks: clocksFor(t, 510, 665)})
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +161,7 @@ func TestOrinClockOptionsAffectLatency(t *testing.T) {
 }
 
 func TestMeasuredRoofline(t *testing.T) {
-	r, err := Profile(Options{Model: "resnet-50", Platform: "a100", Batch: 8, MeasuredRoofline: true})
+	r, err := ProfileCtx(context.Background(), Options{Model: "resnet-50", Platform: "a100", Batch: 8, MeasuredRoofline: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestMeasuredRoofline(t *testing.T) {
 }
 
 func TestReportJSONRoundTrip(t *testing.T) {
-	r, err := Profile(Options{Model: "mobilenetv2-1.0", Platform: "a100", Batch: 4})
+	r, err := ProfileCtx(context.Background(), Options{Model: "mobilenetv2-1.0", Platform: "a100", Batch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +189,7 @@ func TestReportJSONRoundTrip(t *testing.T) {
 }
 
 func TestShuffleNetCategoriesPresent(t *testing.T) {
-	r, err := Profile(Options{Model: "shufflenetv2-1.0", Platform: "a100", Batch: 128})
+	r, err := ProfileCtx(context.Background(), Options{Model: "shufflenetv2-1.0", Platform: "a100", Batch: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestProfileEinsumAttention(t *testing.T) {
 	g.Inputs = []string{"q", "k", "v"}
 	g.Outputs = []string{"ctx"}
 
-	r, err := Profile(Options{Graph: g, Platform: "a100", Batch: 4})
+	r, err := ProfileCtx(context.Background(), Options{Graph: g, Platform: "a100", Batch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

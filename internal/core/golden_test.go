@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -38,7 +39,7 @@ var goldenConfigs = []struct {
 func TestGoldenReports(t *testing.T) {
 	for _, cfg := range goldenConfigs {
 		t.Run(cfg.name, func(t *testing.T) {
-			r, err := Profile(cfg.opts)
+			r, err := ProfileCtx(context.Background(), cfg.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,11 +74,11 @@ func TestGoldenReports(t *testing.T) {
 // bit-for-bit reproducible — the property the golden fixtures rely on.
 func TestGoldenDeterminism(t *testing.T) {
 	opts := goldenConfigs[0].opts
-	a, err := Profile(opts)
+	a, err := ProfileCtx(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Profile(opts)
+	b, err := ProfileCtx(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

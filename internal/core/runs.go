@@ -27,26 +27,13 @@ type RunStats struct {
 	Best *Report `json:"best"`
 }
 
-// ProfileRuns profiles the same configuration `runs` times with
-// different jitter seeds and aggregates the latency statistics.
-func ProfileRuns(opts Options, runs int) (*RunStats, error) {
-	return ProfileRunsCtx(context.Background(), opts, runs)
-}
-
-// ProfileRunsCtx is ProfileRuns with cancellation: ctx is checked
-// before each run and passed to the profiling pipeline.
-func ProfileRunsCtx(ctx context.Context, opts Options, runs int) (*RunStats, error) {
-	return ProfileRunsWith(ctx, opts, runs, ProfileCtx)
-}
-
-// ProfileRunsWith aggregates repeated runs through a custom profiling
-// function (typically a caching session's ProfileCtx). Each run varies
-// the jitter seed, so distinct runs are distinct cache entries; a
-// repeated best-of-N over the same base seed is fully cache-served.
-func ProfileRunsWith(ctx context.Context, opts Options, runs int, profile func(context.Context, Options) (*Report, error)) (*RunStats, error) {
-	if profile == nil {
-		profile = ProfileCtx
-	}
+// ProfileRunsCtx profiles the same configuration `runs` times through
+// profile (ProfileCtx, or a caching session's ProfileCtx) with
+// different jitter seeds and aggregates the latency statistics. Each
+// run varies the jitter seed, so distinct runs are distinct cache
+// entries; a repeated best-of-N over the same base seed is fully
+// cache-served. ctx is checked before each run and passed to profile.
+func ProfileRunsCtx(ctx context.Context, opts Options, runs int, profile ProfileFunc) (*RunStats, error) {
 	if runs < 1 {
 		return nil, fmt.Errorf("core: runs must be >= 1")
 	}

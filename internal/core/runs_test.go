@@ -1,9 +1,12 @@
 package core
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestProfileRuns(t *testing.T) {
-	stats, err := ProfileRuns(Options{Model: "resnet-50", Platform: "a100", Batch: 8}, 5)
+	stats, err := ProfileRunsCtx(context.Background(), Options{Model: "resnet-50", Platform: "a100", Batch: 8}, 5, ProfileCtx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +24,7 @@ func TestProfileRuns(t *testing.T) {
 	if stats.CV <= 0 || stats.CV > 0.05 {
 		t.Errorf("CV = %v, want small positive run-to-run variance", stats.CV)
 	}
-	if _, err := ProfileRuns(Options{Model: "resnet-50", Platform: "a100"}, 0); err == nil {
+	if _, err := ProfileRunsCtx(context.Background(), Options{Model: "resnet-50", Platform: "a100"}, 0, ProfileCtx); err == nil {
 		t.Error("zero runs must error")
 	}
 }

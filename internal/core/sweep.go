@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"sort"
 	"time"
 
@@ -15,10 +16,11 @@ import (
 type PlatformResult struct {
 	// Platform is the platform key.
 	Platform string `json:"platform"`
-	// Supported is false when the platform cannot run the model (the
-	// coverage holes of Figure 4); the remaining fields are zero.
+	// Supported is false when the platform cannot run the model: its
+	// profile failed with ErrUnsupported (the coverage holes of Figure
+	// 4). The remaining fields are then zero.
 	Supported bool `json:"supported"`
-	// Reason explains a skip.
+	// Reason is the ErrUnsupported error's text for an unsupported row.
 	Reason string `json:"reason,omitempty"`
 	// Batch and DType echo the platform defaults used.
 	Batch int    `json:"batch,omitempty"`
@@ -31,33 +33,15 @@ type PlatformResult struct {
 	Bound         string  `json:"bound,omitempty"`
 }
 
-// PlatformSweep profiles a model across every platform (the deployment
-// question behind Figure 4: where does this model run best?). Results
-// are ordered by throughput, descending, with unsupported platforms
-// last.
-func PlatformSweep(model string, mode Mode) ([]PlatformResult, error) {
-	return PlatformSweepCtx(context.Background(), model, mode)
-}
-
-// PlatformSweepCtx is PlatformSweep with cancellation: cancelling ctx
-// stops dispatching platforms and returns ctx.Err(). The per-platform
-// profiling runs receive the same context. Profiler is the pluggable
-// profiling function used for each platform point (nil = ProfileCtx),
-// which lets a cached session serve the sweep.
-func PlatformSweepCtx(ctx context.Context, model string, mode Mode) ([]PlatformResult, error) {
-	return platformSweep(ctx, model, mode, ProfileCtx)
-}
-
-// PlatformSweepWith runs the sweep through a custom profiling function
-// (typically a caching session's ProfileCtx).
-func PlatformSweepWith(ctx context.Context, model string, mode Mode, profile ProfileFunc) ([]PlatformResult, error) {
-	if profile == nil {
-		profile = ProfileCtx
-	}
-	return platformSweep(ctx, model, mode, profile)
-}
-
-func platformSweep(ctx context.Context, model string, mode Mode, profile ProfileFunc) (_ []PlatformResult, err error) {
+// PlatformSweepCtx profiles a model across every platform (the
+// deployment question behind Figure 4: where does this model run best?)
+// through profile: ProfileCtx, or a caching session's ProfileCtx so
+// the session serves the sweep. Results are ordered by throughput,
+// descending, with unsupported platforms last. A platform that fails
+// with ErrUnsupported becomes an unsupported row; any other error fails
+// the sweep. Cancelling ctx stops dispatching platforms and returns
+// ctx.Err(); the per-platform runs receive the same context.
+func PlatformSweepCtx(ctx context.Context, model string, mode Mode, profile ProfileFunc) (_ []PlatformResult, err error) {
 	ctx, sp := obs.Start(ctx, "sweep")
 	sp.SetAttr("model", model)
 	sp.SetAttr("mode", string(mode))
@@ -71,11 +55,11 @@ func platformSweep(ctx context.Context, model string, mode Mode, profile Profile
 	sp.SetAttrInt("platforms", int64(len(platforms)))
 	results, err := parallel.MapCtx(ctx, platforms, 0, func(ctx context.Context, p *hardware.Platform) (PlatformResult, error) {
 		r, err := profile(ctx, Options{Model: model, Platform: p.Key, Mode: mode})
-		if err != nil {
-			if ctx.Err() != nil {
-				return PlatformResult{}, ctx.Err()
-			}
+		if errors.Is(err, ErrUnsupported) {
 			return PlatformResult{Platform: p.Key, Reason: err.Error()}, nil
+		}
+		if err != nil {
+			return PlatformResult{}, err
 		}
 		return PlatformResult{
 			Platform:      p.Key,

@@ -28,7 +28,7 @@ func TestSweepBuildsModelOnce(t *testing.T) {
 	}
 	for pass, wantAdmits := range []int{1, 0} {
 		tr := obs.NewTracer("sweep")
-		results, err := PlatformSweepWith(obs.WithTracer(context.Background(), tr), "resnet-18", ModePredicted, profile)
+		results, err := PlatformSweepCtx(obs.WithTracer(context.Background(), tr), "resnet-18", ModePredicted, profile)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +64,7 @@ func countSpans(tr *obs.Trace, name string) int {
 // produce the same rows as a plain sweep, and a repeat sweep must be
 // served from cached plans.
 func TestSweepMemoizedMatchesPlain(t *testing.T) {
-	plain, err := PlatformSweepWith(context.Background(), "resnet-18", ModePredicted, nil)
+	plain, err := PlatformSweepCtx(context.Background(), "resnet-18", ModePredicted, ProfileCtx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestSweepMemoizedMatchesPlain(t *testing.T) {
 		return ProfileCtx(ctx, opts)
 	}
 	for pass := 0; pass < 2; pass++ {
-		got, err := PlatformSweepWith(context.Background(), "resnet-18", ModePredicted, memoProfile)
+		got, err := PlatformSweepCtx(context.Background(), "resnet-18", ModePredicted, memoProfile)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,9 +1,15 @@
 package core
 
-import "testing"
+import (
+	"context"
+	"errors"
+	"testing"
+
+	"proof/internal/faults"
+)
 
 func TestPlatformSweepCNN(t *testing.T) {
-	results, err := PlatformSweep("resnet-50", ModePredicted)
+	results, err := PlatformSweepCtx(context.Background(), "resnet-50", ModePredicted, ProfileCtx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +35,7 @@ func TestPlatformSweepCNN(t *testing.T) {
 }
 
 func TestPlatformSweepTransformerSkips(t *testing.T) {
-	results, err := PlatformSweep("vit-b", ModePredicted)
+	results, err := PlatformSweepCtx(context.Background(), "vit-b", ModePredicted, ProfileCtx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +60,27 @@ func TestPlatformSweepTransformerSkips(t *testing.T) {
 }
 
 func TestPlatformSweepUnknownModel(t *testing.T) {
-	if _, err := PlatformSweep("nope", ModePredicted); err == nil {
+	if _, err := PlatformSweepCtx(context.Background(), "nope", ModePredicted, ProfileCtx); err == nil {
 		t.Error("unknown model must error")
+	}
+}
+
+// A platform that fails for any reason other than ErrUnsupported fails
+// the sweep: a transient device fault must not read as "this platform
+// cannot run the model".
+func TestPlatformSweepFailsOnTransientError(t *testing.T) {
+	reset := faults.Transient(errors.New("device reset"))
+	profile := func(ctx context.Context, o Options) (*Report, error) {
+		if o.Platform == "a100" {
+			return nil, reset
+		}
+		return ProfileCtx(ctx, o)
+	}
+	results, err := PlatformSweepCtx(context.Background(), "resnet-50", ModePredicted, profile)
+	if !errors.Is(err, reset) || !faults.IsTransient(err) {
+		t.Fatalf("err = %v, want the transient a100 failure", err)
+	}
+	if results != nil {
+		t.Errorf("results = %v, want none", results)
 	}
 }

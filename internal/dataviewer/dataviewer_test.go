@@ -1,6 +1,7 @@
 package dataviewer
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -12,7 +13,7 @@ import (
 
 func sampleReport(t *testing.T) *core.Report {
 	t.Helper()
-	r, err := core.Profile(core.Options{Model: "shufflenetv2-1.0", Platform: "a100", Batch: 32})
+	r, err := core.ProfileCtx(context.Background(), core.Options{Model: "shufflenetv2-1.0", Platform: "a100", Batch: 32})
 	if err != nil {
 		t.Fatal(err)
 	}

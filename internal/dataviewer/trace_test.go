@@ -2,6 +2,7 @@ package dataviewer
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -10,7 +11,7 @@ import (
 )
 
 func TestWriteFullStackTrace(t *testing.T) {
-	r, err := core.Profile(core.Options{Model: "resnet-50", Platform: "a100", Batch: 8})
+	r, err := core.ProfileCtx(context.Background(), core.Options{Model: "resnet-50", Platform: "a100", Batch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestWriteFullStackTrace(t *testing.T) {
 }
 
 func TestAttributeKernel(t *testing.T) {
-	r, err := core.Profile(core.Options{Model: "resnet-50", Platform: "a100", Batch: 8})
+	r, err := core.ProfileCtx(context.Background(), core.Options{Model: "resnet-50", Platform: "a100", Batch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestAttributeKernel(t *testing.T) {
 }
 
 func TestWriteCSV(t *testing.T) {
-	r, err := core.Profile(core.Options{Model: "mobilenetv2-1.0", Platform: "a100", Batch: 4})
+	r, err := core.ProfileCtx(context.Background(), core.Options{Model: "mobilenetv2-1.0", Platform: "a100", Batch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestWriteCSV(t *testing.T) {
 }
 
 func TestWriteChromeTrace(t *testing.T) {
-	r, err := core.Profile(core.Options{Model: "mobilenetv2-1.0", Platform: "a100", Batch: 4})
+	r, err := core.ProfileCtx(context.Background(), core.Options{Model: "mobilenetv2-1.0", Platform: "a100", Batch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +124,11 @@ func TestWriteChromeTrace(t *testing.T) {
 }
 
 func TestCompareReports(t *testing.T) {
-	orig, err := core.Profile(core.Options{Model: "shufflenetv2-1.0", Platform: "a100", Batch: 64})
+	orig, err := core.ProfileCtx(context.Background(), core.Options{Model: "shufflenetv2-1.0", Platform: "a100", Batch: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mod, err := core.Profile(core.Options{Model: "shufflenetv2-1.0-mod", Platform: "a100", Batch: 64})
+	mod, err := core.ProfileCtx(context.Background(), core.Options{Model: "shufflenetv2-1.0-mod", Platform: "a100", Batch: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package distributed
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -52,7 +53,7 @@ type Result struct {
 const defaultHostLinkBW = 25e9 // PCIe 4.0 x16 effective
 
 // Profile simulates data-parallel inference of one global batch.
-func Profile(opts Options) (*Result, error) {
+func Profile(ctx context.Context, opts Options) (*Result, error) {
 	if opts.Devices < 1 {
 		return nil, fmt.Errorf("distributed: need at least 1 device")
 	}
@@ -65,7 +66,7 @@ func Profile(opts Options) (*Result, error) {
 			opts.GlobalBatch, opts.Devices)
 	}
 	perDevice := opts.GlobalBatch / opts.Devices
-	report, err := core.Profile(core.Options{
+	report, err := core.ProfileCtx(ctx, core.Options{
 		Model:    opts.Model,
 		Platform: opts.Platform,
 		Batch:    perDevice,
@@ -114,9 +115,8 @@ func boundaryBytes(r *core.Report) int64 {
 	return bytes
 }
 
-// ScalingCurve profiles the same global batch across several device
-// counts and reports throughput and scaling efficiency relative to one
-// device.
+// ScalingPoint is one device count of a ScalingCurve: the global
+// throughput there and its scaling efficiency relative to one device.
 type ScalingPoint struct {
 	// Devices is the device count.
 	Devices int `json:"devices"`
@@ -134,11 +134,12 @@ type ScalingPoint struct {
 	BaselineBatch int `json:"baseline_batch"`
 }
 
-// ScalingCurve sweeps device counts (each must divide globalBatch).
-// Each point's baseline is a single device running that point's
-// per-device batch, so efficiency isolates pure scaling loss (the
-// host-link transfer) and is provably <= 1.
-func ScalingCurve(opts Options, deviceCounts []int) ([]ScalingPoint, error) {
+// ScalingCurve profiles the same global batch across several device
+// counts (each must divide opts.GlobalBatch). Each point's baseline is
+// a single device running that point's per-device batch, so efficiency
+// isolates pure scaling loss (the host-link transfer) and is provably
+// <= 1.
+func ScalingCurve(ctx context.Context, opts Options, deviceCounts []int) ([]ScalingPoint, error) {
 	// One-device baselines keyed by per-device batch: device counts
 	// sharing a per-device batch share a baseline run.
 	baselines := map[int]*Result{}
@@ -146,13 +147,13 @@ func ScalingCurve(opts Options, deviceCounts []int) ([]ScalingPoint, error) {
 	for _, n := range deviceCounts {
 		o := opts
 		o.Devices = n
-		r, err := Profile(o)
+		r, err := Profile(ctx, o)
 		if err != nil {
 			return nil, err
 		}
 		base, ok := baselines[r.PerDeviceBatch]
 		if !ok {
-			base, err = Profile(Options{
+			base, err = Profile(ctx, Options{
 				Model: opts.Model, Platform: opts.Platform, Devices: 1,
 				GlobalBatch: r.PerDeviceBatch, DType: opts.DType, HostLinkBW: opts.HostLinkBW,
 			})

@@ -1,12 +1,13 @@
 package distributed
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestProfileDataParallel(t *testing.T) {
-	r, err := Profile(Options{
+	r, err := Profile(context.Background(), Options{
 		Model: "resnet-50", Platform: "a100", Devices: 4, GlobalBatch: 128,
 	})
 	if err != nil {
@@ -27,11 +28,11 @@ func TestProfileDataParallel(t *testing.T) {
 }
 
 func TestDistributedThroughputScales(t *testing.T) {
-	one, err := Profile(Options{Model: "resnet-50", Platform: "a100", Devices: 1, GlobalBatch: 256})
+	one, err := Profile(context.Background(), Options{Model: "resnet-50", Platform: "a100", Devices: 1, GlobalBatch: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
-	four, err := Profile(Options{Model: "resnet-50", Platform: "a100", Devices: 4, GlobalBatch: 256})
+	four, err := Profile(context.Background(), Options{Model: "resnet-50", Platform: "a100", Devices: 4, GlobalBatch: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestDistributedThroughputScales(t *testing.T) {
 }
 
 func TestScalingCurve(t *testing.T) {
-	points, err := ScalingCurve(Options{Model: "resnet-50", Platform: "a100", GlobalBatch: 256},
+	points, err := ScalingCurve(context.Background(), Options{Model: "resnet-50", Platform: "a100", GlobalBatch: 256},
 		[]int{1, 2, 4, 8})
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +75,7 @@ func TestScalingCurve(t *testing.T) {
 // efficiencies that were not comparable across device counts.
 func TestScalingCurveBaselineIsPerDeviceBatch(t *testing.T) {
 	opts := Options{Model: "resnet-50", Platform: "a100", GlobalBatch: 256}
-	points, err := ScalingCurve(opts, []int{2, 4, 8})
+	points, err := ScalingCurve(context.Background(), opts, []int{2, 4, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestScalingCurveBaselineIsPerDeviceBatch(t *testing.T) {
 		// exactly (the simulator is deterministic). The old code's
 		// full-batch baseline yields a different value for every
 		// point here.
-		base, err := Profile(Options{
+		base, err := Profile(context.Background(), Options{
 			Model: opts.Model, Platform: opts.Platform, Devices: 1,
 			GlobalBatch: p.BaselineBatch,
 		})
@@ -151,7 +152,7 @@ func TestDistributedEdgeCases(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			r, err := Profile(tt.opts)
+			r, err := Profile(context.Background(), tt.opts)
 			if tt.wantErr == "" {
 				if err != nil {
 					t.Fatalf("Profile: %v", err)
@@ -177,13 +178,13 @@ func TestDistributedEdgeCases(t *testing.T) {
 // transfers, and the default (0) means PCIe 4.0 x16.
 func TestHostLinkBWOverride(t *testing.T) {
 	base := Options{Model: "resnet-50", Platform: "a100", Devices: 4, GlobalBatch: 128}
-	slow, err := Profile(base)
+	slow, err := Profile(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fast4x := base
 	fast4x.HostLinkBW = 4 * defaultHostLinkBW
-	fast, err := Profile(fast4x)
+	fast, err := Profile(context.Background(), fast4x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestHostLinkBWOverride(t *testing.T) {
 
 	explicitDefault := base
 	explicitDefault.HostLinkBW = defaultHostLinkBW
-	dflt, err := Profile(explicitDefault)
+	dflt, err := Profile(context.Background(), explicitDefault)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"proof/internal/obs"
 )
 
 func TestTable2(t *testing.T) {
@@ -42,7 +45,7 @@ func TestTable3ShapeHolds(t *testing.T) {
 }
 
 func TestTable4ShapeHolds(t *testing.T) {
-	rows, err := Table4WithBatch(16)
+	rows, err := Table4WithBatchCtx(context.Background(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +86,7 @@ func TestTable4ShapeHolds(t *testing.T) {
 }
 
 func TestFigure4A100ShapeHolds(t *testing.T) {
-	s, err := Figure4("a100")
+	s, err := Figure4(context.Background(), "a100")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +132,7 @@ func TestFigure4A100ShapeHolds(t *testing.T) {
 }
 
 func TestFigure4EdgeAndNPUSkips(t *testing.T) {
-	s, err := Figure4("rpi4b")
+	s, err := Figure4(context.Background(), "rpi4b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +144,7 @@ func TestFigure4EdgeAndNPUSkips(t *testing.T) {
 	if len(s.Skipped) == 0 {
 		t.Error("edge platform should record skips")
 	}
-	npu, err := Figure4("npu3720")
+	npu, err := Figure4(context.Background(), "npu3720")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,11 +154,11 @@ func TestFigure4EdgeAndNPUSkips(t *testing.T) {
 }
 
 func TestFigure4PlatformOrdering(t *testing.T) {
-	a100, err := Figure4("a100")
+	a100, err := Figure4(context.Background(), "a100")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rpi, err := Figure4("rpi4b")
+	rpi, err := Figure4(context.Background(), "rpi4b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,8 +178,40 @@ func TestFigure4PlatformOrdering(t *testing.T) {
 	}
 }
 
+// TestFigure4AllTracesEveryPoint asserts that a tracer in the caller's
+// ctx sees every point Figure4AllCtx profiles: one session span per
+// point and one pipeline span per session miss.
+func TestFigure4AllTracesEveryPoint(t *testing.T) {
+	ResetSession()
+	before := SessionStats().Misses
+	tr := obs.NewTracer("figure4")
+	series, err := Figure4AllCtx(obs.WithTracer(context.Background(), tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	misses := int(SessionStats().Misses - before)
+	points := 0
+	for _, s := range series {
+		points += len(s.Points)
+	}
+	trace := tr.Snapshot()
+	if trace.Dropped != 0 {
+		t.Fatalf("tracer dropped %d spans", trace.Dropped)
+	}
+	spans := map[string]int{}
+	for _, sp := range trace.Spans {
+		spans[sp.Name]++
+	}
+	if spans["session"] != points {
+		t.Errorf("%d session spans for %d profiled points", spans["session"], points)
+	}
+	if misses == 0 || spans["pipeline"] != misses {
+		t.Errorf("%d pipeline spans for %d session misses", spans["pipeline"], misses)
+	}
+}
+
 func TestFigure5ShapeHolds(t *testing.T) {
-	reports, err := Figure5(16)
+	reports, err := Figure5(context.Background(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +248,7 @@ func TestFigure5ShapeHolds(t *testing.T) {
 }
 
 func TestTable5ShapeHolds(t *testing.T) {
-	rows, err := Table5([]int{1, 128, 2048})
+	rows, err := Table5(context.Background(), []int{1, 128, 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +278,7 @@ func TestTable5ShapeHolds(t *testing.T) {
 }
 
 func TestFigure6ShapeHolds(t *testing.T) {
-	f, err := Figure6(256)
+	f, err := Figure6(context.Background(), 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +303,7 @@ func TestFigure6ShapeHolds(t *testing.T) {
 }
 
 func TestTable6ShapeHolds(t *testing.T) {
-	rows, err := Table6()
+	rows, err := Table6Ctx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +325,7 @@ func TestTable6ShapeHolds(t *testing.T) {
 }
 
 func TestTable7ShapeHolds(t *testing.T) {
-	rows, tune, err := Table7(16)
+	rows, tune, err := Table7(context.Background(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +369,7 @@ func TestTable7ShapeHolds(t *testing.T) {
 }
 
 func TestFigure8ShapeHolds(t *testing.T) {
-	f, err := Figure8(16)
+	f, err := Figure8(context.Background(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +403,7 @@ func TestFigure8ShapeHolds(t *testing.T) {
 }
 
 func TestPerLayerTable4(t *testing.T) {
-	rows, err := PerLayerTable4(8)
+	rows, err := PerLayerTable4Ctx(context.Background(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}

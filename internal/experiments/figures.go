@@ -63,7 +63,7 @@ func figure4Skip(plat *hardware.Platform, info models.Info) string {
 
 // Figure4 profiles every applicable model on one platform and returns
 // the end-to-end roofline series.
-func Figure4(platform string) (*Figure4Series, error) {
+func Figure4(ctx context.Context, platform string) (*Figure4Series, error) {
 	plat, err := hardware.Get(platform)
 	if err != nil {
 		return nil, err
@@ -83,7 +83,7 @@ func Figure4(platform string) (*Figure4Series, error) {
 			series.Skipped[info.Key] = reason
 			continue
 		}
-		r, err := profileFor(info.Key, platform, figure4Batch(plat, info.Key), core.Options{})
+		r, err := profileFor(ctx, info.Key, platform, figure4Batch(plat, info.Key), core.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("figure4: %s on %s: %w", info.Key, platform, err)
 		}
@@ -94,13 +94,8 @@ func Figure4(platform string) (*Figure4Series, error) {
 	return series, nil
 }
 
-// Figure4All runs Figure 4 for every platform, fanning the independent
-// platform sweeps across workers.
-func Figure4All() ([]*Figure4Series, error) {
-	return Figure4AllCtx(context.Background())
-}
-
-// Figure4AllCtx is Figure4All with cancellation: cancelling ctx stops
+// Figure4AllCtx runs Figure 4 for every platform, fanning the
+// independent platform sweeps across workers. Cancelling ctx stops
 // dispatching platforms and unwinds the fan-out with ctx.Err(). Every
 // per-model profiling point goes through the shared session, so a
 // regeneration that already profiled an overlapping point (say Figure 5
@@ -110,7 +105,7 @@ func Figure4AllCtx(ctx context.Context) ([]*Figure4Series, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		return Figure4(p.Key)
+		return Figure4(ctx, p.Key)
 	})
 }
 
@@ -150,10 +145,10 @@ var Figure5Models = []struct {
 
 // Figure5 runs the layer-wise roofline analysis of §4.4 on the A100
 // (fp16, batch 128 in the paper; batch is a parameter for test speed).
-func Figure5(batch int) (map[string]*core.Report, error) {
+func Figure5(ctx context.Context, batch int) (map[string]*core.Report, error) {
 	out := map[string]*core.Report{}
 	for _, m := range Figure5Models {
-		r, err := profileFor(m.Key, "a100", batch, core.Options{Mode: m.Mode, DType: graph.Float16})
+		r, err := profileFor(ctx, m.Key, "a100", batch, core.Options{Mode: m.Mode, DType: graph.Float16})
 		if err != nil {
 			return nil, fmt.Errorf("figure5: %s: %w", m.Key, err)
 		}

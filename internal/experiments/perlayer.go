@@ -33,12 +33,6 @@ type PerLayerAccuracy struct {
 	FLOPErrP50, FLOPErrP90 float64
 }
 
-// PerLayerTable4 is the context-free convenience form of
-// PerLayerTable4Ctx.
-func PerLayerTable4(batch int) ([]PerLayerAccuracy, error) {
-	return PerLayerTable4Ctx(context.Background(), batch)
-}
-
 // PerLayerTable4Ctx measures per-layer accuracy for the Table 4
 // models; ctx cancels the per-model backend builds between models.
 func PerLayerTable4Ctx(ctx context.Context, batch int) ([]PerLayerAccuracy, error) {

@@ -28,11 +28,6 @@ var Table6Paper = [][3]float64{
 	{7.359, 15.177, 11.5},
 }
 
-// Table6 is the context-free convenience form of Table6Ctx.
-func Table6() ([]power.PeakRow, error) {
-	return power.PeakSweep("orin-nx", graph.Float16, Table6Pairs)
-}
-
 // Table6Ctx measures the achieved roofline peak and power on the Orin
 // NX at the paper's clock configurations.
 func Table6Ctx(ctx context.Context) ([]power.PeakRow, error) {
@@ -71,14 +66,14 @@ type Table7Row struct {
 
 // Table7 evaluates EfficientNetV2-T under the stock, comparison and
 // tuned power profiles on the Orin NX.
-func Table7(batch int) ([]Table7Row, *power.TuneResult, error) {
+func Table7(ctx context.Context, batch int) ([]Table7Row, *power.TuneResult, error) {
 	const (
 		platform = "orin-nx"
 		workload = "efficientnetv2-t"
 	)
 	var rows []Table7Row
 	add := func(p power.Profile) error {
-		w, err := power.EvaluateProfile(platform, workload, batch, graph.Float16, p)
+		w, err := power.EvaluateProfile(ctx, platform, workload, batch, graph.Float16, p)
 		if err != nil {
 			return err
 		}
@@ -103,7 +98,7 @@ func Table7(batch int) ([]Table7Row, *power.TuneResult, error) {
 			return nil, nil, err
 		}
 	}
-	tune, err := power.Tune(platform, workload, batch, graph.Float16, 15.0, 0.45)
+	tune, err := power.Tune(ctx, platform, workload, batch, graph.Float16, 15.0, 0.45)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -143,12 +138,12 @@ type Figure8Result struct {
 
 // Figure8 reproduces §4.6's layer-wise analysis (fp16; the paper uses
 // batch 128).
-func Figure8(batch int) (*Figure8Result, error) {
+func Figure8(ctx context.Context, batch int) (*Figure8Result, error) {
 	plat, err := hardware.Get("orin-nx")
 	if err != nil {
 		return nil, err
 	}
-	analyses, report, err := power.AnalyzeEMC("orin-nx", "efficientnetv2-t", batch, graph.Float16, []int{3199, 2133, 665})
+	analyses, report, err := power.AnalyzeEMC(ctx, "orin-nx", "efficientnetv2-t", batch, graph.Float16, []int{3199, 2133, 665})
 	if err != nil {
 		return nil, err
 	}

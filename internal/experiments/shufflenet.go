@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -40,7 +41,7 @@ var paperAccuracy = map[string]float64{
 
 // Table5 reproduces the §4.5 effectiveness study: original vs modified
 // ShuffleNetV2 x1.0 on the A100 at fp16 across batch sizes.
-func Table5(batches []int) ([]Table5Row, error) {
+func Table5(ctx context.Context, batches []int) ([]Table5Row, error) {
 	if batches == nil {
 		batches = Table5Batches
 	}
@@ -48,7 +49,7 @@ func Table5(batches []int) ([]Table5Row, error) {
 	originalLatency := map[int]time.Duration{}
 	for _, key := range []string{"shufflenetv2-1.0", "shufflenetv2-1.0-mod"} {
 		for _, batch := range batches {
-			r, err := profileFor(key, "a100", batch, core.Options{DType: graph.Float16})
+			r, err := profileFor(ctx, key, "a100", batch, core.Options{DType: graph.Float16})
 			if err != nil {
 				return nil, fmt.Errorf("table5: %s bs%d: %w", key, batch, err)
 			}
@@ -103,12 +104,12 @@ type Figure6Result struct {
 
 // Figure6 runs the layer-wise roofline analysis of §4.5 (prediction
 // mode, fp16; the paper uses batch 2048).
-func Figure6(batch int) (*Figure6Result, error) {
-	orig, err := profileFor("shufflenetv2-1.0", "a100", batch, core.Options{DType: graph.Float16})
+func Figure6(ctx context.Context, batch int) (*Figure6Result, error) {
+	orig, err := profileFor(ctx, "shufflenetv2-1.0", "a100", batch, core.Options{DType: graph.Float16})
 	if err != nil {
 		return nil, err
 	}
-	mod, err := profileFor("shufflenetv2-1.0-mod", "a100", batch, core.Options{DType: graph.Float16})
+	mod, err := profileFor(ctx, "shufflenetv2-1.0-mod", "a100", batch, core.Options{DType: graph.Float16})
 	if err != nil {
 		return nil, err
 	}

@@ -151,21 +151,11 @@ var table4Models = []struct {
 	{"vit-t", +0.0979, +0.0608},
 }
 
-// Table4 reproduces the prediction-accuracy experiment: A100, fp16,
-// batch 128, analytical model vs simulated NCU.
-func Table4() ([]Table4Row, error) {
-	return Table4WithBatch(128)
-}
-
-// Table4WithBatch is the context-free convenience form of
-// Table4WithBatchCtx.
-func Table4WithBatch(batch int) ([]Table4Row, error) {
-	return Table4WithBatchCtx(context.Background(), batch)
-}
-
-// Table4WithBatchCtx runs Table 4 at a custom batch size (smaller
-// batches keep the test suite fast; the ratios are batch-independent).
-// ctx cancels the per-model backend builds between models.
+// Table4WithBatchCtx reproduces the prediction-accuracy experiment:
+// A100, fp16, analytical model vs simulated NCU. The paper uses batch
+// 128; smaller batches keep the test suite fast, and the ratios are
+// batch-independent. ctx cancels the per-model backend builds between
+// models.
 func Table4WithBatchCtx(ctx context.Context, batch int) ([]Table4Row, error) {
 	plat, err := hardware.Get("a100")
 	if err != nil {
@@ -264,9 +254,9 @@ func SessionStats() profsession.Stats { return session.Stats() }
 func ResetSession() { session.Reset() }
 
 // profileFor wraps the shared session with experiment conventions.
-func profileFor(model, platform string, batch int, opts core.Options) (*core.Report, error) {
+func profileFor(ctx context.Context, model, platform string, batch int, opts core.Options) (*core.Report, error) {
 	opts.Model = model
 	opts.Platform = platform
 	opts.Batch = batch
-	return session.Profile(opts)
+	return session.ProfileCtx(ctx, opts)
 }

@@ -86,7 +86,7 @@ func TestDerivedCeilingsMatchTable6(t *testing.T) {
 // internal/experiments — the measured peak test, not just the derived
 // ceilings — and checks the achieved peaks against the paper.
 func TestCalibratedTable6DeltasHold(t *testing.T) {
-	rows, err := experiments.Table6()
+	rows, err := experiments.Table6Ctx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestCalibratedTable6DeltasHold(t *testing.T) {
 // the paper's published diff — the calibration must not skew the
 // analytical-vs-counters comparison.
 func TestCalibratedTable4DeltasHold(t *testing.T) {
-	rows, err := experiments.Table4WithBatch(16)
+	rows, err := experiments.Table4WithBatchCtx(context.Background(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}

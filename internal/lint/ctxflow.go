@@ -13,10 +13,9 @@ import (
 //     minting context.Background()/context.TODO() there severs the
 //     caller's cancellation and deadline chain;
 //   - context.Background()/context.TODO() are forbidden everywhere
-//     else except main, init, tests, and single-statement
-//     compatibility wrappers (a no-ctx function whose whole body
-//     forwards to the ctx variant is the sanctioned bridge for old
-//     call sites);
+//     else except main, init and tests: a function without a ctx
+//     parameter that needs one gains it, so every caller's
+//     cancellation and tracer reach the work;
 //   - nil must never be passed where a callee expects a
 //     context.Context (ctx.Done() on a nil interface panics at use,
 //     far from the call site that caused it).
@@ -30,7 +29,7 @@ func (*CtxFlow) Name() string { return "ctxflow" }
 
 // Doc implements Analyzer.
 func (*CtxFlow) Doc() string {
-	return "thread held contexts to callees; context.Background()/TODO() only in main, tests and compatibility wrappers"
+	return "thread held contexts to callees; context.Background()/TODO() only in main, init and tests"
 }
 
 // Check implements Analyzer; ctxflow works only at program scope.
@@ -55,9 +54,9 @@ func (a *CtxFlow) checkFunc(prog *Program, node *FuncNode, r *Reporter) {
 			switch {
 			case hasCtx:
 				r.Report(site.Pos, "context.%s() in a function that has a ctx parameter; thread ctx instead", callee.Name())
-			case isEntryPoint(node.Fn), isForwardingWrapper(node.Decl):
-				// main, init and single-statement compatibility
-				// wrappers are where root contexts legitimately start.
+			case isEntryPoint(node.Fn):
+				// main and init are where root contexts legitimately
+				// start.
 			default:
 				r.Report(site.Pos, "context.%s() outside main or tests; accept a ctx parameter and thread it", callee.Name())
 			}
@@ -133,26 +132,6 @@ func isEntryPoint(fn *types.Func) bool {
 		return fn.Pkg() != nil && fn.Pkg().Name() == "main"
 	case "init":
 		return true
-	}
-	return false
-}
-
-// isForwardingWrapper reports whether fd's whole body is one
-// forwarding statement — the shape of a compatibility shim like
-//
-//	func Profile(m Model) (Report, error) { return ProfileCtx(context.Background(), m) }
-//
-// which exists precisely to mint a root context for legacy callers.
-func isForwardingWrapper(fd *ast.FuncDecl) bool {
-	if fd.Body == nil || len(fd.Body.List) != 1 {
-		return false
-	}
-	switch stmt := fd.Body.List[0].(type) {
-	case *ast.ReturnStmt:
-		return true
-	case *ast.ExprStmt:
-		_, ok := stmt.X.(*ast.CallExpr)
-		return ok
 	}
 	return false
 }

@@ -20,19 +20,19 @@ func NoCtxBackground() error {
 	return process(ctx, "x")
 }
 
-// UsesTODO is the same violation through context.TODO (two
-// statements, so the compatibility-wrapper exemption does not apply).
+// UsesTODO is the same violation through context.TODO, minted in a
+// statement of its own.
 func UsesTODO() error {
 	ctx := context.TODO()
 	return process(ctx, "x")
 }
 
-// Process is a sanctioned single-statement compatibility wrapper.
+// Process is a single-statement wrapper that mints a root context.
 func Process(s string) error {
 	return process(context.Background(), s)
 }
 
-// Fire is a sanctioned wrapper without a result.
+// Fire is the same wrapper without a result.
 func Fire() {
 	fire(context.Background())
 }

@@ -1,10 +1,10 @@
 // Package parallel provides the small bounded-concurrency primitives the
 // experiment sweeps use: independent profiling runs (different models,
 // platforms, clock points) fan out across workers while preserving
-// result order and failing fast on the first error. The *Ctx variants
-// additionally honor context cancellation and deadlines, so a sweep can
-// be abandoned mid-flight (Ctrl-C on the CLI, a timed-out service
-// request) without leaking goroutines.
+// result order and failing fast on the first error. MapCtx and
+// ForEachCtx honor context cancellation and deadlines, so a sweep can be
+// abandoned mid-flight (Ctrl-C on the CLI, a timed-out service request)
+// without leaking goroutines.
 package parallel
 
 import (
@@ -153,24 +153,6 @@ dispatch:
 func ForEachCtx[T any](ctx context.Context, items []T, workers int, f func(context.Context, T) error) error {
 	_, err := MapCtx(ctx, items, workers, func(ctx context.Context, t T) (struct{}, error) {
 		return struct{}{}, f(ctx, t)
-	})
-	return err
-}
-
-// Map applies f to every item using at most workers goroutines,
-// returning results in input order. The first error (or captured worker
-// panic) cancels the remaining work (in-flight calls still finish) and
-// is returned. workers <= 0 selects GOMAXPROCS.
-func Map[T, R any](items []T, workers int, f func(T) (R, error)) ([]R, error) {
-	return MapCtx(context.Background(), items, workers, func(_ context.Context, t T) (R, error) {
-		return f(t)
-	})
-}
-
-// ForEach is Map without results.
-func ForEach[T any](items []T, workers int, f func(T) error) error {
-	_, err := Map(items, workers, func(t T) (struct{}, error) {
-		return struct{}{}, f(t)
 	})
 	return err
 }

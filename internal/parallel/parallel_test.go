@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"errors"
 	"sync/atomic"
 	"testing"
@@ -13,7 +14,7 @@ func TestMapPreservesOrder(t *testing.T) {
 		for i := range items {
 			items[i] = i
 		}
-		out, err := Map(items, 4, func(x int) (int, error) { return x * x, nil })
+		out, err := MapCtx(context.Background(), items, 4, func(_ context.Context, x int) (int, error) { return x * x, nil })
 		if err != nil {
 			return false
 		}
@@ -32,7 +33,7 @@ func TestMapPreservesOrder(t *testing.T) {
 func TestMapPropagatesFirstError(t *testing.T) {
 	boom := errors.New("boom")
 	items := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	_, err := Map(items, 3, func(x int) (int, error) {
+	_, err := MapCtx(context.Background(), items, 3, func(_ context.Context, x int) (int, error) {
 		if x == 4 {
 			return 0, boom
 		}
@@ -47,7 +48,7 @@ func TestMapBoundsConcurrency(t *testing.T) {
 	const workers = 3
 	var inFlight, peak atomic.Int64
 	items := make([]int, 64)
-	_, err := Map(items, workers, func(int) (int, error) {
+	_, err := MapCtx(context.Background(), items, workers, func(context.Context, int) (int, error) {
 		cur := inFlight.Add(1)
 		for {
 			p := peak.Load()
@@ -71,17 +72,17 @@ func TestMapBoundsConcurrency(t *testing.T) {
 }
 
 func TestMapEdgeCases(t *testing.T) {
-	out, err := Map(nil, 4, func(int) (int, error) { return 1, nil })
+	out, err := MapCtx(context.Background(), []int(nil), 4, func(context.Context, int) (int, error) { return 1, nil })
 	if err != nil || len(out) != 0 {
 		t.Error("empty input")
 	}
 	// Single worker path.
-	out, err = Map([]int{1, 2, 3}, 1, func(x int) (int, error) { return x + 1, nil })
+	out, err = MapCtx(context.Background(), []int{1, 2, 3}, 1, func(_ context.Context, x int) (int, error) { return x + 1, nil })
 	if err != nil || out[2] != 4 {
 		t.Error("serial path")
 	}
 	// workers <= 0 defaults.
-	out, err = Map([]int{5}, 0, func(x int) (int, error) { return x, nil })
+	out, err = MapCtx(context.Background(), []int{5}, 0, func(_ context.Context, x int) (int, error) { return x, nil })
 	if err != nil || out[0] != 5 {
 		t.Error("default workers")
 	}
@@ -89,7 +90,7 @@ func TestMapEdgeCases(t *testing.T) {
 
 func TestForEach(t *testing.T) {
 	var count atomic.Int64
-	if err := ForEach([]int{1, 2, 3, 4}, 2, func(int) error {
+	if err := ForEachCtx(context.Background(), []int{1, 2, 3, 4}, 2, func(context.Context, int) error {
 		count.Add(1)
 		return nil
 	}); err != nil {
@@ -98,7 +99,7 @@ func TestForEach(t *testing.T) {
 	if count.Load() != 4 {
 		t.Errorf("count = %d", count.Load())
 	}
-	if err := ForEach([]int{1}, 2, func(int) error { return errors.New("x") }); err == nil {
+	if err := ForEachCtx(context.Background(), []int{1}, 2, func(context.Context, int) error { return errors.New("x") }); err == nil {
 		t.Error("error not propagated")
 	}
 }

@@ -77,8 +77,8 @@ type WorkloadResult struct {
 
 // EvaluateProfile profiles the workload on the platform under the given
 // clock profile.
-func EvaluateProfile(platform, model string, batch int, dt graph.DataType, p Profile) (WorkloadResult, error) {
-	r, err := core.Profile(core.Options{
+func EvaluateProfile(ctx context.Context, platform, model string, batch int, dt graph.DataType, p Profile) (WorkloadResult, error) {
+	r, err := core.ProfileCtx(ctx, core.Options{
 		Model:    model,
 		Platform: platform,
 		Batch:    batch,
@@ -103,11 +103,6 @@ type PeakRow struct {
 	FLOPS, BW float64
 	// PowerW is the draw during the peak test (full utilization).
 	PowerW float64
-}
-
-// PeakSweep is the context-free convenience form of PeakSweepCtx.
-func PeakSweep(platform string, dt graph.DataType, pairs [][2]int) ([]PeakRow, error) {
-	return PeakSweepCtx(context.Background(), platform, dt, pairs)
 }
 
 // PeakSweepCtx measures the achieved roofline peak and power at each
@@ -149,12 +144,12 @@ type EMCAnalysis struct {
 
 // AnalyzeEMC runs the layer-wise analysis at maximum clocks and
 // evaluates each candidate memory clock.
-func AnalyzeEMC(platform, model string, batch int, dt graph.DataType, candidates []int) ([]EMCAnalysis, *core.Report, error) {
+func AnalyzeEMC(ctx context.Context, platform, model string, batch int, dt graph.DataType, candidates []int) ([]EMCAnalysis, *core.Report, error) {
 	plat, err := hardware.Get(platform)
 	if err != nil {
 		return nil, nil, err
 	}
-	r, err := core.Profile(core.Options{Model: model, Platform: platform, Batch: batch, DType: dt})
+	r, err := core.ProfileCtx(ctx, core.Options{Model: model, Platform: platform, Batch: batch, DType: dt})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -215,7 +210,7 @@ func ChooseEMC(analyses []EMCAnalysis, fallbackMHz int, threshold float64) int {
 // power budget. affectedThreshold is the maximum tolerable latency
 // share above a candidate memory clock's bandwidth line (the paper
 // accepts the small clip of EMC 2133 and rejects EMC 665).
-func Tune(platform, model string, batch int, dt graph.DataType, budgetW, affectedThreshold float64) (*TuneResult, error) {
+func Tune(ctx context.Context, platform, model string, batch int, dt graph.DataType, budgetW, affectedThreshold float64) (*TuneResult, error) {
 	plat, err := hardware.Get(platform)
 	if err != nil {
 		return nil, err
@@ -227,7 +222,7 @@ func Tune(platform, model string, batch int, dt graph.DataType, budgetW, affecte
 	// Step 1+2: pick the memory clock via bandwidth-line analysis.
 	candidates := append([]int(nil), plat.Clocks.EMCOptionsMHz...)
 	sort.Sort(sort.Reverse(sort.IntSlice(candidates)))
-	analyses, _, err := AnalyzeEMC(platform, model, batch, dt, candidates)
+	analyses, _, err := AnalyzeEMC(ctx, platform, model, batch, dt, candidates)
 	if err != nil {
 		return nil, err
 	}
@@ -249,7 +244,7 @@ func Tune(platform, model string, batch int, dt graph.DataType, budgetW, affecte
 			CPU:    "729/off",
 			Clocks: hardware.Clocks{GPUMHz: opts[mid], EMCMHz: res.ChosenEMCMHz, CPUMHz: 729, CPUClusters: 1},
 		}
-		w, err := EvaluateProfile(platform, model, batch, dt, p)
+		w, err := EvaluateProfile(ctx, platform, model, batch, dt, p)
 		if err != nil {
 			return nil, err
 		}
@@ -271,7 +266,7 @@ func Tune(platform, model string, batch int, dt graph.DataType, budgetW, affecte
 		CPU:    "729/off",
 		Clocks: hardware.Clocks{GPUMHz: res.ChosenGPUMHz, EMCMHz: res.ChosenEMCMHz, CPUMHz: 729, CPUClusters: 1},
 	}
-	res.Optimal, err = EvaluateProfile(platform, model, batch, dt, optimal)
+	res.Optimal, err = EvaluateProfile(ctx, platform, model, batch, dt, optimal)
 	if err != nil {
 		return nil, err
 	}

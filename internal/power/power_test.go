@@ -1,6 +1,7 @@
 package power
 
 import (
+	"context"
 	"testing"
 
 	"proof/internal/graph"
@@ -13,7 +14,7 @@ const (
 )
 
 func TestPeakSweepMonotone(t *testing.T) {
-	rows, err := PeakSweep(platform, graph.Float16, [][2]int{
+	rows, err := PeakSweepCtx(context.Background(), platform, graph.Float16, [][2]int{
 		{918, 3199}, {918, 2133}, {510, 3199}, {510, 2133}, {510, 665},
 	})
 	if err != nil {
@@ -43,7 +44,7 @@ func TestPeakSweepMonotone(t *testing.T) {
 }
 
 func TestAnalyzeEMC(t *testing.T) {
-	analyses, report, err := AnalyzeEMC(platform, workload, batch, graph.Float16, []int{3199, 2133, 665})
+	analyses, report, err := AnalyzeEMC(context.Background(), platform, workload, batch, graph.Float16, []int{3199, 2133, 665})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestAnalyzeEMC(t *testing.T) {
 }
 
 func TestTuneMatchesPaperChoice(t *testing.T) {
-	res, err := Tune(platform, workload, batch, graph.Float16, 15.0, 0.45)
+	res, err := Tune(context.Background(), platform, workload, batch, graph.Float16, 15.0, 0.45)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,14 +131,14 @@ func TestChooseEMCStopsAtFirstUnacceptable(t *testing.T) {
 }
 
 func TestTuneBeatsStockProfiles(t *testing.T) {
-	res, err := Tune(platform, workload, batch, graph.Float16, 15.0, 0.45)
+	res, err := Tune(context.Background(), platform, workload, batch, graph.Float16, 15.0, 0.45)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Table 7: the tuned profile is faster than every stock profile
 	// that fits the budget.
 	for _, p := range StockProfiles() {
-		w, err := EvaluateProfile(platform, workload, batch, graph.Float16, p)
+		w, err := EvaluateProfile(context.Background(), platform, workload, batch, graph.Float16, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,13 +150,13 @@ func TestTuneBeatsStockProfiles(t *testing.T) {
 }
 
 func TestEvaluateProfileErrors(t *testing.T) {
-	if _, err := EvaluateProfile("nope", workload, batch, graph.Float16, StockProfiles()[0]); err == nil {
+	if _, err := EvaluateProfile(context.Background(), "nope", workload, batch, graph.Float16, StockProfiles()[0]); err == nil {
 		t.Error("unknown platform must error")
 	}
-	if _, err := Tune("a100", workload, batch, graph.Float16, 100, 0.3); err == nil {
+	if _, err := Tune(context.Background(), "a100", workload, batch, graph.Float16, 100, 0.3); err == nil {
 		t.Error("fixed-clock platform must refuse tuning")
 	}
-	if _, err := Tune(platform, workload, batch, graph.Float16, 1.0, 0.3); err == nil {
+	if _, err := Tune(context.Background(), platform, workload, batch, graph.Float16, 1.0, 0.3); err == nil {
 		t.Error("impossible budget must error")
 	}
 }

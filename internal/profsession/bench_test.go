@@ -1,6 +1,7 @@
 package profsession
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -16,12 +17,12 @@ var benchOpts = core.Options{Model: "resnet-50", Platform: "a100", Batch: 32, Se
 // subsystem is a >=10x speedup, and TestCacheHitSpeedup enforces it.
 func BenchmarkSessionCacheHit(b *testing.B) {
 	s := New(0)
-	if _, err := s.Profile(benchOpts); err != nil {
+	if _, err := s.ProfileCtx(context.Background(), benchOpts); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Profile(benchOpts); err != nil {
+		if _, err := s.ProfileCtx(context.Background(), benchOpts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -31,7 +32,7 @@ func BenchmarkSessionCacheHit(b *testing.B) {
 // call.
 func BenchmarkUncachedProfile(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Profile(benchOpts); err != nil {
+		if _, err := core.ProfileCtx(context.Background(), benchOpts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -45,13 +46,13 @@ func BenchmarkUncachedProfile(b *testing.B) {
 func TestCacheHitSpeedup(t *testing.T) {
 	const rounds = 25
 	s := New(0)
-	if _, err := s.Profile(benchOpts); err != nil {
+	if _, err := s.ProfileCtx(context.Background(), benchOpts); err != nil {
 		t.Fatal(err)
 	}
 
 	uncachedStart := time.Now()
 	for i := 0; i < rounds; i++ {
-		if _, err := core.Profile(benchOpts); err != nil {
+		if _, err := core.ProfileCtx(context.Background(), benchOpts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -59,7 +60,7 @@ func TestCacheHitSpeedup(t *testing.T) {
 
 	cachedStart := time.Now()
 	for i := 0; i < rounds; i++ {
-		if _, err := s.Profile(benchOpts); err != nil {
+		if _, err := s.ProfileCtx(context.Background(), benchOpts); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -72,7 +72,7 @@ func TestRetrySkipsPermanentAndUnclassified(t *testing.T) {
 				},
 				Retry: RetryPolicy{Attempts: 5, Base: time.Millisecond},
 			})
-			if _, err := s.Profile(baseOpts); err == nil {
+			if _, err := s.ProfileCtx(context.Background(), baseOpts); err == nil {
 				t.Fatal("want error")
 			}
 			if got := calls.Load(); got != 1 {
@@ -95,7 +95,7 @@ func TestRetryExhaustionCountsAndDoesNotCache(t *testing.T) {
 		},
 		Retry: RetryPolicy{Attempts: 3, Base: time.Millisecond},
 	})
-	if _, err := s.Profile(baseOpts); !faults.IsTransient(err) {
+	if _, err := s.ProfileCtx(context.Background(), baseOpts); !faults.IsTransient(err) {
 		t.Fatalf("err = %v, want the transient failure", err)
 	}
 	if got := calls.Load(); got != 3 {
@@ -124,7 +124,7 @@ func TestAttemptTimeoutBoundsHungAttempts(t *testing.T) {
 		Retry: RetryPolicy{Attempts: 2, Base: time.Millisecond, AttemptTimeout: 20 * time.Millisecond},
 	})
 	start := time.Now()
-	rep, err := s.Profile(baseOpts)
+	rep, err := s.ProfileCtx(context.Background(), baseOpts)
 	if err != nil || rep == nil {
 		t.Fatalf("Profile = %v, %v", rep, err)
 	}
@@ -179,7 +179,7 @@ func TestRetryInsideSingleflight(t *testing.T) {
 	})
 	done := make(chan error, 1)
 	go func() {
-		_, err := s.Profile(baseOpts)
+		_, err := s.ProfileCtx(context.Background(), baseOpts)
 		done <- err
 	}()
 	<-firstAttempted // leader is now in backoff
@@ -220,7 +220,7 @@ func TestBreakerOpensFastFailsAndRecovers(t *testing.T) {
 	opts := baseOpts
 	for i := 0; i < 3; i++ {
 		opts.Batch = i + 1 // distinct fingerprints, same breaker key
-		if _, err := s.Profile(opts); err == nil {
+		if _, err := s.ProfileCtx(context.Background(), opts); err == nil {
 			t.Fatal("want failure")
 		}
 	}
@@ -255,14 +255,14 @@ func TestBreakerOpensFastFailsAndRecovers(t *testing.T) {
 	other := baseOpts
 	other.Platform = "orin-nx"
 	failing.Store(false)
-	if _, err := s.Profile(other); err != nil {
+	if _, err := s.ProfileCtx(context.Background(), other); err != nil {
 		t.Errorf("other platform blocked by open circuit: %v", err)
 	}
 
 	// After cooldown, a half-open probe closes the circuit.
 	now = now.Add(2 * time.Minute)
 	opts.Batch = 100
-	if _, err := s.Profile(opts); err != nil {
+	if _, err := s.ProfileCtx(context.Background(), opts); err != nil {
 		t.Fatalf("probe after cooldown: %v", err)
 	}
 	opens, reopens, closes, fastFails := s.breakers.snapshot()
@@ -271,7 +271,7 @@ func TestBreakerOpensFastFailsAndRecovers(t *testing.T) {
 	}
 	// Closed again: requests flow normally.
 	opts.Batch = 101
-	if _, err := s.Profile(opts); err != nil {
+	if _, err := s.ProfileCtx(context.Background(), opts); err != nil {
 		t.Errorf("closed circuit rejected: %v", err)
 	}
 }
@@ -288,7 +288,7 @@ func TestBreakerFailedProbeReopens(t *testing.T) {
 	s.breakers.now = func() time.Time { return now }
 
 	opts := baseOpts
-	if _, err := s.Profile(opts); err == nil {
+	if _, err := s.ProfileCtx(context.Background(), opts); err == nil {
 		t.Fatal("want failure")
 	}
 	now = now.Add(2 * time.Minute)
@@ -333,7 +333,7 @@ func TestPanickingProbeReleasesKeyAndCircuit(t *testing.T) {
 	s.breakers.now = func() time.Time { return now }
 
 	mode.Store(1)
-	if _, err := s.Profile(baseOpts); err == nil { // opens the circuit
+	if _, err := s.ProfileCtx(context.Background(), baseOpts); err == nil { // opens the circuit
 		t.Fatal("want failure")
 	}
 	now = now.Add(2 * time.Minute)
@@ -346,7 +346,7 @@ func TestPanickingProbeReleasesKeyAndCircuit(t *testing.T) {
 				t.Errorf("recovered %v, want the profiler's panic", r)
 			}
 		}()
-		s.Profile(probe)
+		s.ProfileCtx(context.Background(), probe)
 	}()
 	if st := s.Stats(); st.Inflight != 0 {
 		t.Errorf("Inflight = %d after a panicking execution, want 0", st.Inflight)
@@ -358,7 +358,7 @@ func TestPanickingProbeReleasesKeyAndCircuit(t *testing.T) {
 	now = now.Add(2 * time.Minute)
 	other := baseOpts
 	other.Batch = 3
-	if _, err := s.Profile(other); err != nil {
+	if _, err := s.ProfileCtx(context.Background(), other); err != nil {
 		t.Errorf("circuit still rejecting after the panicking probe: %v", err)
 	}
 	// The panicked key executes afresh instead of waiting on its dead
@@ -421,14 +421,14 @@ func TestBreakerIgnoresGraphDefects(t *testing.T) {
 
 	// Seed the stale store, then fail on graph defects past the threshold.
 	opts := baseOpts
-	if _, err := s.Profile(opts); err != nil {
+	if _, err := s.ProfileCtx(context.Background(), opts); err != nil {
 		t.Fatal(err)
 	}
 	defective.Store(true)
 	for i := 0; i < 3; i++ {
 		opts.Batch = i + 2
 		before := calls.Load()
-		_, err := s.Profile(opts)
+		_, err := s.ProfileCtx(context.Background(), opts)
 		if _, ok := graph.AsValidationError(err); !ok {
 			t.Fatalf("err = %v, want the graph defect", err)
 		}
@@ -447,18 +447,18 @@ func TestBreakerIgnoresGraphDefects(t *testing.T) {
 	// defect takes the half-open probe and must hand it back.
 	defective.Store(false)
 	opts.Batch = 10
-	if _, err := s.Profile(opts); err == nil {
+	if _, err := s.ProfileCtx(context.Background(), opts); err == nil {
 		t.Fatal("want failure")
 	}
 	now = now.Add(2 * time.Minute)
 	defective.Store(true)
 	opts.Batch = 11
-	if _, err := s.Profile(opts); err == nil {
+	if _, err := s.ProfileCtx(context.Background(), opts); err == nil {
 		t.Fatal("want the graph defect")
 	}
 	defective.Store(false)
 	opts.Batch = 12
-	if _, err := s.Profile(opts); err != nil {
+	if _, err := s.ProfileCtx(context.Background(), opts); err != nil {
 		t.Fatalf("valid request after a defective probe: %v, want the probe slot released", err)
 	}
 }
@@ -473,11 +473,11 @@ func TestStaleStoreSurvivesEvictionAndReset(t *testing.T) {
 	})
 	a, b := baseOpts, baseOpts
 	b.Batch = 99
-	repA, err := s.Profile(a)
+	repA, err := s.ProfileCtx(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Profile(b); err != nil { // evicts a from the main cache
+	if _, err := s.ProfileCtx(context.Background(), b); err != nil { // evicts a from the main cache
 		t.Fatal(err)
 	}
 	if st := s.Stats(); st.Evictions != 1 || st.StaleSize != 2 {
@@ -517,7 +517,7 @@ func TestStaleStoreLRUBound(t *testing.T) {
 	opts := baseOpts
 	for i := 0; i < 3; i++ {
 		opts.Batch = i + 1
-		if _, err := s.Profile(opts); err != nil {
+		if _, err := s.ProfileCtx(context.Background(), opts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -547,7 +547,7 @@ func TestResilienceMetricsExposed(t *testing.T) {
 	if err := RegisterMetrics(reg, "proofd", s); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Profile(baseOpts); err != nil {
+	if _, err := s.ProfileCtx(context.Background(), baseOpts); err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder

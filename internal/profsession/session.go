@@ -205,11 +205,6 @@ func NewWithConfig(cfg Config) *Session {
 	return s
 }
 
-// Profile is ProfileCtx with a background context.
-func (s *Session) Profile(opts core.Options) (*core.Report, error) {
-	return s.ProfileCtx(context.Background(), opts)
-}
-
 // ProfileCtx serves a profiling request, from cache when an identical
 // request (same Fingerprint) has run before, otherwise by
 // executing the pipeline once — concurrent identical requests share

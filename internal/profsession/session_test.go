@@ -20,11 +20,11 @@ var baseOpts = core.Options{Model: "mobilenetv2-0.5", Platform: "a100", Batch: 8
 
 func TestCacheHitDeepEqual(t *testing.T) {
 	s := New(0)
-	r1, err := s.Profile(baseOpts)
+	r1, err := s.ProfileCtx(context.Background(), baseOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := s.Profile(baseOpts)
+	r2, err := s.ProfileCtx(context.Background(), baseOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestCacheHitDeepEqual(t *testing.T) {
 	// Mutating a returned report must not corrupt the cache.
 	r2.Layers[0].Name = "corrupted"
 	r2.Layers[0].OriginalNodes = append(r2.Layers[0].OriginalNodes, "junk")
-	r3, err := s.Profile(baseOpts)
+	r3, err := s.ProfileCtx(context.Background(), baseOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestCacheHitDeepEqual(t *testing.T) {
 
 func TestCacheMissOnDifferingOptions(t *testing.T) {
 	s := New(0)
-	if _, err := s.Profile(baseOpts); err != nil {
+	if _, err := s.ProfileCtx(context.Background(), baseOpts); err != nil {
 		t.Fatal(err)
 	}
 	variants := map[string]core.Options{}
@@ -77,7 +77,7 @@ func TestCacheMissOnDifferingOptions(t *testing.T) {
 
 	misses := s.Stats().Misses
 	for name, v := range variants {
-		if _, err := s.Profile(v); err != nil {
+		if _, err := s.ProfileCtx(context.Background(), v); err != nil {
 			t.Fatalf("%s variant: %v", name, err)
 		}
 		st := s.Stats()
@@ -109,7 +109,7 @@ func TestCacheGraphContent(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := core.Options{Graph: g1, Platform: "a100", Batch: 4, DType: graph.Float32}
-	if _, err := s.Profile(opts); err != nil {
+	if _, err := s.ProfileCtx(context.Background(), opts); err != nil {
 		t.Fatal(err)
 	}
 	after, err := memo.GraphDigest(g1)
@@ -122,7 +122,7 @@ func TestCacheGraphContent(t *testing.T) {
 	// Same content, different pointer: hit.
 	opts2 := opts
 	opts2.Graph = build()
-	if _, err := s.Profile(opts2); err != nil {
+	if _, err := s.ProfileCtx(context.Background(), opts2); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.Stats(); st.Hits != 1 {
@@ -133,7 +133,7 @@ func TestCacheGraphContent(t *testing.T) {
 	g3.Name = "renamed"
 	opts3 := opts
 	opts3.Graph = g3
-	if _, err := s.Profile(opts3); err != nil {
+	if _, err := s.ProfileCtx(context.Background(), opts3); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.Stats(); st.Misses != 2 {
@@ -176,12 +176,12 @@ func TestGraphRequestKeepsModelName(t *testing.T) {
 	}
 	s := New(0)
 	named := core.Options{Model: "mobilenetv2-1.0", Graph: g, Platform: "a100", Batch: 1}
-	if _, err := s.Profile(named); err != nil {
+	if _, err := s.ProfileCtx(context.Background(), named); err != nil {
 		t.Fatal(err)
 	}
 	unnamed := named
 	unnamed.Model = ""
-	got, err := s.Profile(unnamed)
+	got, err := s.ProfileCtx(context.Background(), unnamed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestGraphDigestComputedOnce(t *testing.T) {
 		got = opts.Graph
 		return stubRep(opts), nil
 	})
-	if _, err := s.Profile(core.Options{Graph: g, Platform: "a100", Batch: 1}); err != nil {
+	if _, err := s.ProfileCtx(context.Background(), core.Options{Graph: g, Platform: "a100", Batch: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if got != g {
@@ -284,7 +284,7 @@ func TestSingleflightDedup(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			started <- struct{}{}
-			reports[i], errs[i] = s.Profile(baseOpts)
+			reports[i], errs[i] = s.ProfileCtx(context.Background(), baseOpts)
 		}(i)
 	}
 	for i := 0; i < waiters; i++ {
@@ -322,7 +322,7 @@ func TestWaiterCancellation(t *testing.T) {
 	})
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, err := s.Profile(baseOpts)
+		_, err := s.ProfileCtx(context.Background(), baseOpts)
 		leaderDone <- err
 	}()
 	<-leaderIn
@@ -356,10 +356,10 @@ func TestErrorsNotCached(t *testing.T) {
 		}
 		return core.ProfileCtx(ctx, opts)
 	})
-	if _, err := s.Profile(baseOpts); !errors.Is(err, sentinel) {
+	if _, err := s.ProfileCtx(context.Background(), baseOpts); !errors.Is(err, sentinel) {
 		t.Fatalf("first call err = %v, want sentinel", err)
 	}
-	if _, err := s.Profile(baseOpts); err != nil {
+	if _, err := s.ProfileCtx(context.Background(), baseOpts); err != nil {
 		t.Fatalf("second call err = %v, want retried success", err)
 	}
 	if n := execs.Load(); n != 2 {
@@ -373,7 +373,7 @@ func TestLRUEviction(t *testing.T) {
 	for _, seed := range seeds {
 		o := baseOpts
 		o.Seed = seed
-		if _, err := s.Profile(o); err != nil {
+		if _, err := s.ProfileCtx(context.Background(), o); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -385,14 +385,14 @@ func TestLRUEviction(t *testing.T) {
 	// miss; seed 3 must hit.
 	o := baseOpts
 	o.Seed = 3
-	if _, err := s.Profile(o); err != nil {
+	if _, err := s.ProfileCtx(context.Background(), o); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Stats(); got.Hits != st.Hits+1 {
 		t.Fatalf("recent entry missed: %+v", got)
 	}
 	o.Seed = 1
-	if _, err := s.Profile(o); err != nil {
+	if _, err := s.ProfileCtx(context.Background(), o); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Stats(); got.Misses != st.Misses+1 {
@@ -402,7 +402,7 @@ func TestLRUEviction(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	s := New(0)
-	if _, err := s.Profile(baseOpts); err != nil {
+	if _, err := s.ProfileCtx(context.Background(), baseOpts); err != nil {
 		t.Fatal(err)
 	}
 	s.Reset()
@@ -410,7 +410,7 @@ func TestReset(t *testing.T) {
 	if st.Size != 0 {
 		t.Fatalf("size after reset = %d", st.Size)
 	}
-	if _, err := s.Profile(baseOpts); err != nil {
+	if _, err := s.ProfileCtx(context.Background(), baseOpts); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Stats(); got.Misses != 2 {

@@ -649,7 +649,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	results, err := core.PlatformSweepWith(ctx, req.Model, mode, s.sess.ProfileCtx)
+	results, err := core.PlatformSweepCtx(ctx, req.Model, mode, s.sess.ProfileCtx)
 	if err != nil {
 		s.writeProfilingError(w, r, err)
 		return

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"log/slog"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"proof/internal/core"
+	"proof/internal/faults"
 	"proof/internal/hardware"
 	"proof/internal/profsession"
 )
@@ -164,7 +166,7 @@ func TestHandlers(t *testing.T) {
 }
 
 // TestProfileMatchesCore locks the service to the library: the
-// /v1/profile body must be byte-identical to the JSON of core.Profile
+// /v1/profile body must be byte-identical to the JSON of core.ProfileCtx
 // with the same options.
 func TestProfileMatchesCore(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
@@ -179,7 +181,7 @@ func TestProfileMatchesCore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want, err := core.Profile(core.Options{
+	want, err := core.ProfileCtx(context.Background(), core.Options{
 		Model: "resnet-18", Platform: "a100", Batch: 4, Seed: 7,
 		Clocks: hardware.Clocks{CPUClusters: 1},
 	})
@@ -192,7 +194,7 @@ func TestProfileMatchesCore(t *testing.T) {
 	}
 	wantJSON = append(wantJSON, '\n')
 	if !bytes.Equal(got, wantJSON) {
-		t.Fatalf("service response differs from core.Profile output\nservice: %.200s\nlibrary: %.200s", got, wantJSON)
+		t.Fatalf("service response differs from core.ProfileCtx output\nservice: %.200s\nlibrary: %.200s", got, wantJSON)
 	}
 }
 
@@ -267,6 +269,36 @@ func TestSweepBody(t *testing.T) {
 			t.Errorf("sweep results not sorted by throughput: %v after %v", r.Throughput, last)
 		}
 		last = r.Throughput
+	}
+}
+
+// TestSweepPlatformFailureIsNotUnsupported asserts that only
+// core.ErrUnsupported makes a sweep row unsupported: a platform that
+// fails transiently fails the sweep with 503 upstream_transient, and
+// once that failure opens its circuit, with 503 circuit_open. Neither
+// may answer 200 claiming the platform cannot run the model.
+func TestSweepPlatformFailureIsNotUnsupported(t *testing.T) {
+	sess := profsession.NewWithConfig(profsession.Config{
+		Profile: func(ctx context.Context, opts core.Options) (*core.Report, error) {
+			if opts.Platform == "a100" {
+				return nil, faults.Transient(errors.New("device reset"))
+			}
+			return stubReport(opts), nil
+		},
+		Breaker: profsession.BreakerConfig{Threshold: 1, Cooldown: time.Hour},
+	})
+	_, ts := newTestServer(t, Config{Session: sess})
+	for _, want := range []string{"upstream_transient", "circuit_open"} {
+		resp := postJSON(t, ts.URL+"/v1/sweep", `{"model":"resnet-50"}`)
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("%s: status = %d, want 503", want, resp.StatusCode)
+		}
+		if resp.Header.Get("Retry-After") == "" {
+			t.Errorf("%s: 503 without Retry-After", want)
+		}
+		if env := decodeEnvelope(t, resp); env.Error.Code != want {
+			t.Errorf("code = %q, want %s", env.Error.Code, want)
+		}
 	}
 }
 

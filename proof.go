@@ -11,7 +11,7 @@
 //
 // Quick start:
 //
-//	report, err := proof.Profile(proof.Options{
+//	report, err := proof.ProfileCtx(ctx, proof.Options{
 //		Model:    "resnet-50",
 //		Platform: "a100",
 //		Batch:    128,
@@ -95,19 +95,16 @@ type RooflineModel = roofline.Model
 // RooflinePoint is one roofline chart point.
 type RooflinePoint = roofline.Point
 
-// Profile runs the full PRoof pipeline: build → optimize on the backend
-// → profile → layer mapping → metrics → roofline analysis.
-func Profile(opts Options) (*Report, error) { return core.Profile(opts) }
-
-// ProfileCtx is Profile with cancellation: ctx is checked between
-// pipeline stages, so an abandoned request (Ctrl-C, timed-out service
-// call) stops doing work at the next stage boundary.
+// ProfileCtx runs the full PRoof pipeline: build → optimize on the
+// backend → profile → layer mapping → metrics → roofline analysis. ctx
+// is checked between pipeline stages, so an abandoned request (Ctrl-C,
+// timed-out service call) stops doing work at the next stage boundary.
 func ProfileCtx(ctx context.Context, opts Options) (*Report, error) {
 	return core.ProfileCtx(ctx, opts)
 }
 
 // Session is a cached, deduplicated profiling front-end: repeated
-// Profile calls with an identical configuration are served from a
+// ProfileCtx calls with an identical configuration are served from a
 // content-addressed LRU report cache, and concurrent identical requests
 // share one pipeline execution. See NewSession.
 type Session = profsession.Session
@@ -275,54 +272,42 @@ type BatchPoint = core.BatchPoint
 // PlatformResult is one row of a cross-platform sweep.
 type PlatformResult = core.PlatformResult
 
-// PlatformSweep profiles a model on every platform at its default
+// PlatformSweepCtx profiles a model on every platform at its default
 // configuration and ranks the results by throughput — the deployment
-// question behind Figure 4.
-func PlatformSweep(model string, mode Mode) ([]PlatformResult, error) {
-	return core.PlatformSweep(model, mode)
+// question behind Figure 4. When sess is non-nil the per-platform
+// profiling points are served through its cache, so repeated sweeps
+// over overlapping configurations are cheap.
+func PlatformSweepCtx(ctx context.Context, model string, mode Mode, sess *Session) ([]PlatformResult, error) {
+	return core.PlatformSweepCtx(ctx, model, mode, profileFunc(sess))
 }
 
-// PlatformSweepCtx is PlatformSweep with cancellation; when sess is
-// non-nil the per-platform profiling points are served through its
-// cache, so repeated sweeps over overlapping configurations are cheap.
-func PlatformSweepCtx(ctx context.Context, model string, mode Mode, sess *Session) ([]PlatformResult, error) {
-	if sess != nil {
-		return core.PlatformSweepWith(ctx, model, mode, sess.ProfileCtx)
+// profileFunc is sess's ProfileCtx, or the plain pipeline for a nil
+// sess.
+func profileFunc(sess *Session) core.ProfileFunc {
+	if sess == nil {
+		return core.ProfileCtx
 	}
-	return core.PlatformSweepCtx(ctx, model, mode)
+	return sess.ProfileCtx
 }
 
 // RunStats aggregates repeated profiling runs.
 type RunStats = core.RunStats
 
-// ProfileRuns profiles the same configuration several times with
+// ProfileRunsCtx profiles the same configuration several times with
 // different jitter seeds and reports latency statistics (best-of-N).
-func ProfileRuns(opts Options, runs int) (*RunStats, error) { return core.ProfileRuns(opts, runs) }
-
-// ProfileRunsCtx is ProfileRuns with cancellation; when sess is
-// non-nil the per-seed runs are served through its cache, so a repeated
-// best-of-N over the same base configuration is fully cache-served.
+// When sess is non-nil the per-seed runs are served through its cache,
+// so a repeated best-of-N over the same base configuration is fully
+// cache-served.
 func ProfileRunsCtx(ctx context.Context, opts Options, runs int, sess *Session) (*RunStats, error) {
-	if sess != nil {
-		return core.ProfileRunsWith(ctx, opts, runs, sess.ProfileCtx)
-	}
-	return core.ProfileRunsCtx(ctx, opts, runs)
+	return core.ProfileRunsCtx(ctx, opts, runs, profileFunc(sess))
 }
 
-// OptimalBatch sweeps batch sizes and returns the throughput-optimal
+// OptimalBatchCtx sweeps batch sizes and returns the throughput-optimal
 // one (how the paper picks the Table 5 batch sizes). nil candidates =
-// powers of two up to 2048.
-func OptimalBatch(opts Options, candidates []int) (int, []BatchPoint, error) {
-	return core.OptimalBatch(opts, candidates)
-}
-
-// OptimalBatchCtx is OptimalBatch with cancellation; when sess is
-// non-nil the batch points are served through its cache.
+// powers of two up to 2048. When sess is non-nil the batch points are
+// served through its cache.
 func OptimalBatchCtx(ctx context.Context, opts Options, candidates []int, sess *Session) (int, []BatchPoint, error) {
-	if sess != nil {
-		return core.OptimalBatchWith(ctx, opts, candidates, sess.ProfileCtx)
-	}
-	return core.OptimalBatchCtx(ctx, opts, candidates)
+	return core.OptimalBatchCtx(ctx, opts, candidates, profileFunc(sess))
 }
 
 // DistributedOptions configures a data-parallel profiling run (§5
@@ -337,14 +322,14 @@ type ScalingPoint = distributed.ScalingPoint
 
 // ProfileDistributed simulates data-parallel inference of a global
 // batch across N identical devices.
-func ProfileDistributed(opts DistributedOptions) (*DistributedResult, error) {
-	return distributed.Profile(opts)
+func ProfileDistributed(ctx context.Context, opts DistributedOptions) (*DistributedResult, error) {
+	return distributed.Profile(ctx, opts)
 }
 
 // DistributedScalingCurve sweeps device counts and reports throughput
 // and scaling efficiency.
-func DistributedScalingCurve(opts DistributedOptions, deviceCounts []int) ([]ScalingPoint, error) {
-	return distributed.ScalingCurve(opts, deviceCounts)
+func DistributedScalingCurve(ctx context.Context, opts DistributedOptions, deviceCounts []int) ([]ScalingPoint, error) {
+	return distributed.ScalingCurve(ctx, opts, deviceCounts)
 }
 
 // RenderHTML renders a report as a self-contained HTML page with SVG
@@ -401,20 +386,15 @@ func StockPowerProfiles() []PowerProfile { return power.StockProfiles() }
 
 // EvaluatePowerProfile profiles a workload under a clock profile and
 // returns latency and power.
-func EvaluatePowerProfile(platform, model string, batch int, dt DataType, p PowerProfile) (PowerResult, error) {
-	return power.EvaluateProfile(platform, model, batch, dt, p)
+func EvaluatePowerProfile(ctx context.Context, platform, model string, batch int, dt DataType, p PowerProfile) (PowerResult, error) {
+	return power.EvaluateProfile(ctx, platform, model, batch, dt, p)
 }
 
 // TuneClocks runs the §4.6 tuning workflow: pick the memory clock via
 // roofline bandwidth-line analysis, then binary-search the GPU clock
 // under the power budget.
-func TuneClocks(platform, model string, batch int, dt DataType, budgetW, affectedThreshold float64) (*TuneResult, error) {
-	return power.Tune(platform, model, batch, dt, budgetW, affectedThreshold)
-}
-
-// MeasurePeak is the context-free convenience form of MeasurePeakCtx.
-func MeasurePeak(platform string, dt DataType, clk Clocks) (PeakResult, error) {
-	return MeasurePeakCtx(context.Background(), platform, dt, clk)
+func TuneClocks(ctx context.Context, platform, model string, batch int, dt DataType, budgetW, affectedThreshold float64) (*TuneResult, error) {
+	return power.Tune(ctx, platform, model, batch, dt, budgetW, affectedThreshold)
 }
 
 // MeasurePeakCtx measures the achieved roofline peak of a platform
