@@ -13,6 +13,11 @@ import (
 type ValidationCode string
 
 const (
+	// ErrEmptyGraph: the graph has neither nodes nor outputs: it
+	// computes nothing and returns nothing, so there is nothing to
+	// profile. (A graph that only passes an input through to its
+	// output has no nodes but is a graph.)
+	ErrEmptyGraph ValidationCode = "empty_graph"
 	// ErrEmptyNodeName: a node is null or has no name.
 	ErrEmptyNodeName ValidationCode = "empty_node_name"
 	// ErrDuplicateNode: two nodes share a name.
@@ -85,7 +90,7 @@ func (g *Graph) Validate() error {
 }
 
 // ValidateAll runs the full structural verification and returns every
-// defect found: node-name uniqueness, single-producer consistency,
+// defect found: a graph without nodes or outputs, node-name uniqueness, single-producer consistency,
 // dangling tensor references, graph IO registration and producedness,
 // per-tensor sanity (name/registration agreement, positive dimensions,
 // concrete parameter shapes and dtypes, int-data length), element-wise
@@ -138,6 +143,9 @@ func (g *Graph) validate() ([]*ValidationError, []*Node) {
 
 	// Node pass: names, producer uniqueness, tensor references. A null
 	// node is reported here, and the later passes skip it.
+	if len(g.Nodes) == 0 && len(g.Outputs) == 0 {
+		report(ErrEmptyGraph, "", "", "graph has no nodes and no outputs")
+	}
 	names := make(map[string]bool, len(g.Nodes))
 	produced := make(map[string]string)
 	for i, n := range g.Nodes {

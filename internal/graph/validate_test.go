@@ -66,6 +66,10 @@ func TestValidateCorruptionClasses(t *testing.T) {
 		{"unbroadcastable binary inputs", func(g *Graph) {
 			g.Tensors["w"].Shape = Shape{3}
 		}, ErrShapeContradiction},
+		{"no nodes and no outputs", func(g *Graph) {
+			g.Nodes, g.Outputs = nil, nil
+			delete(g.Tensors, "w")
+		}, ErrEmptyGraph},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

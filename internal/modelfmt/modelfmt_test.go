@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"proof/internal/analysis"
+	"proof/internal/graph"
 	"proof/internal/models"
 )
 
@@ -96,5 +97,12 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	bad := `{"format_version":1,"graph":{"name":"x","nodes":[{"name":"n","op_type":"Relu","inputs":["ghost"],"outputs":["y"]}],"tensors":{"y":{"name":"y","dtype":1}},"inputs":[],"outputs":[]}}`
 	if _, err := Load(strings.NewReader(bad)); err == nil {
 		t.Error("invalid graph must be rejected")
+	}
+	// A graph with nothing to profile: proof -model-file refuses it.
+	for _, empty := range []string{`{"format_version":1,"graph":{}}`, `{"format_version":1,"graph":{"name":"e","nodes":[]}}`} {
+		_, err := Load(strings.NewReader(empty))
+		if ve, ok := graph.AsValidationError(err); !ok || ve.Code != graph.ErrEmptyGraph {
+			t.Errorf("Load(%s) = %v, want an %s defect", empty, err, graph.ErrEmptyGraph)
+		}
 	}
 }

@@ -7,10 +7,11 @@
 package roofline
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
+	"strconv"
 	"time"
+	"unicode/utf8"
 
 	"proof/internal/graph"
 	"proof/internal/hardware"
@@ -114,27 +115,121 @@ type Point struct {
 // MarshalJSON renders the point with a nullable AI: a zero-byte point
 // carries AI = +Inf, which encoding/json cannot represent — without
 // this, one such layer would turn a whole valid report into an
-// encoding error at the service edge. Finite AIs encode as plain
-// numbers, byte-identical to the default encoding.
+// encoding error at the service edge. Every other field is appended
+// directly, byte-identical to encoding/json's form of the struct
+// (same order, same tags, same escaping); like encoding/json, it
+// refuses a non-finite FLOPS, Bandwidth or Share.
 func (p Point) MarshalJSON() ([]byte, error) {
-	// Mirrors Point field-for-field (same order, same tags) so finite
-	// points keep their exact wire form; keep in sync with the struct.
-	wire := struct {
-		Name      string        `json:"name"`
-		AI        *float64      `json:"ai"`
-		FLOPS     float64       `json:"flops"`
-		Bandwidth float64       `json:"bandwidth"`
-		Latency   time.Duration `json:"latency_ns"`
-		Share     float64       `json:"share"`
-		FLOP      int64         `json:"flop"`
-		Bytes     int64         `json:"bytes"`
-		Category  string        `json:"category,omitempty"`
-		Bound     string        `json:"bound"`
-	}{p.Name, nil, p.FLOPS, p.Bandwidth, p.Latency, p.Share, p.FLOP, p.Bytes, p.Category, p.Bound}
-	if !math.IsInf(p.AI, 0) && !math.IsNaN(p.AI) {
-		wire.AI = &p.AI
+	if !finite(p.FLOPS) || !finite(p.Bandwidth) || !finite(p.Share) {
+		return nil, fmt.Errorf("roofline: point %q: non-finite flops %v, bandwidth %v or share %v",
+			p.Name, p.FLOPS, p.Bandwidth, p.Share)
 	}
-	return json.Marshal(wire)
+	// A point with a usual name fits the stack buffer; the result is
+	// copied out once, at its length.
+	var buf [320]byte
+	b := append(buf[:0], `{"name":`...)
+	b = appendString(b, p.Name)
+	b = append(b, `,"ai":`...)
+	if finite(p.AI) {
+		b = appendFloat(b, p.AI)
+	} else {
+		b = append(b, "null"...)
+	}
+	b = append(b, `,"flops":`...)
+	b = appendFloat(b, p.FLOPS)
+	b = append(b, `,"bandwidth":`...)
+	b = appendFloat(b, p.Bandwidth)
+	b = append(b, `,"latency_ns":`...)
+	b = strconv.AppendInt(b, int64(p.Latency), 10)
+	b = append(b, `,"share":`...)
+	b = appendFloat(b, p.Share)
+	b = append(b, `,"flop":`...)
+	b = strconv.AppendInt(b, p.FLOP, 10)
+	b = append(b, `,"bytes":`...)
+	b = strconv.AppendInt(b, p.Bytes, 10)
+	if p.Category != "" {
+		b = append(b, `,"category":`...)
+		b = appendString(b, p.Category)
+	}
+	b = append(b, `,"bound":`...)
+	b = appendString(b, p.Bound)
+	b = append(b, '}')
+	return append([]byte(nil), b...), nil
+}
+
+func finite(f float64) bool { return !math.IsInf(f, 0) && !math.IsNaN(f) }
+
+// appendFloat appends a finite f as encoding/json encodes a float64:
+// the shortest form that round-trips, in exponent notation below 1e-6
+// and from 1e21 on, with a one-digit negative exponent unpadded.
+func appendFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
+}
+
+// appendString appends s quoted as encoding/json quotes it with HTML
+// escaping on: '"' and '\\' and the control bytes escaped (short forms
+// for \b, \f, \n, \r and \t), '<', '>' and '&' as \u003c, \u003e and
+// \u0026, U+2028 and U+2029 escaped, and each invalid UTF-8 byte as
+// \ufffd.
+func appendString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
 }
 
 // NewPoint derives a roofline point from raw measurements. A point

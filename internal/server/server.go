@@ -18,13 +18,13 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -40,6 +40,7 @@ import (
 	"proof/internal/graph"
 	"proof/internal/hardware"
 	"proof/internal/histstore"
+	"proof/internal/jsonread"
 	"proof/internal/models"
 	"proof/internal/obs"
 	"proof/internal/profsession"
@@ -335,27 +336,58 @@ func (s *Server) requireMethod(w http.ResponseWriter, r *http.Request, method st
 	return false
 }
 
-// decodeBody strictly decodes a JSON request body into v, translating
-// the failure modes into envelope responses (true = decoded).
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+// readRequest reads a request body once, whole, and decodes it with
+// decode, under a "decode" span, answering 413 or 400 itself on
+// failure (true = decoded).
+func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, decode func([]byte) error) bool {
+	_, sp := obs.Start(r.Context(), "decode")
+	defer sp.End()
+	data, err := readBody(r, s.cfg.MaxBodyBytes)
+	sp.SetAttrInt("bytes", int64(len(data)))
+	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			s.writeError(w, r, http.StatusRequestEntityTooLarge, "payload_too_large",
 				fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
 			return false
 		}
+		s.writeError(w, r, http.StatusBadRequest, "bad_request", "reading body: "+err.Error())
+		return false
+	}
+	if err := decode(data); err != nil {
 		s.writeError(w, r, http.StatusBadRequest, "bad_request", "malformed JSON body: "+err.Error())
 		return false
 	}
-	// Trailing garbage after the JSON value is also malformed.
-	if dec.More() {
-		s.writeError(w, r, http.StatusBadRequest, "bad_request", "unexpected data after JSON body")
-		return false
-	}
 	return true
+}
+
+// readBody reads the whole body: at most limit bytes (the Handler's
+// MaxBytesReader enforces it while reading; a declared Content-Length
+// beyond it is refused unread), into one buffer presized from
+// Content-Length.
+func readBody(r *http.Request, limit int64) ([]byte, error) {
+	if r.ContentLength > limit {
+		return nil, &http.MaxBytesError{Limit: limit}
+	}
+	size := r.ContentLength
+	if size < 0 {
+		size = 512
+	}
+	// One spare byte lets the read that meets EOF run without growing.
+	b := make([]byte, 0, size+1)
+	for {
+		n, err := r.Body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 // admit runs the admission controller for a profiling endpoint,
@@ -388,25 +420,74 @@ const statusClientClosedRequest = 499
 
 // ProfileRequest is the POST /v1/profile body. Fields mirror
 // core.Options with wire-friendly types. Exactly one of Model (a zoo
-// key) or Graph (an inline modelfmt JSON graph) selects the model;
-// inline graphs pass the static verifier before admission, so a
-// corrupt one is rejected with 400 invalid_model and never consumes
-// an execution slot.
+// key) or Graph (an inline model graph, decoded with the body) selects
+// the model; inline graphs pass the static verifier before admission,
+// so a corrupt one is rejected with 400 invalid_model and never
+// consumes an execution slot.
 type ProfileRequest struct {
-	Model            string          `json:"model,omitempty"`
-	Graph            json.RawMessage `json:"graph,omitempty"`
-	Platform         string          `json:"platform"`
-	Backend          string          `json:"backend,omitempty"`
-	Batch            int             `json:"batch,omitempty"`
-	DType            string          `json:"dtype,omitempty"`
-	Mode             string          `json:"mode,omitempty"`
-	Seed             uint64          `json:"seed,omitempty"`
-	GPUClockMHz      int             `json:"gpu_clock_mhz,omitempty"`
-	EMCClockMHz      int             `json:"emc_clock_mhz,omitempty"`
-	GPUCapacity      float64         `json:"gpu_capacity,omitempty"`
-	CPUClusters      int             `json:"cpu_clusters,omitempty"`
-	MeasuredRoofline bool            `json:"measured_roofline,omitempty"`
-	IgnoreSupport    bool            `json:"ignore_support,omitempty"`
+	Model            string       `json:"model,omitempty"`
+	Graph            *graph.Graph `json:"graph,omitempty"`
+	Platform         string       `json:"platform"`
+	Backend          string       `json:"backend,omitempty"`
+	Batch            int          `json:"batch,omitempty"`
+	DType            string       `json:"dtype,omitempty"`
+	Mode             string       `json:"mode,omitempty"`
+	Seed             uint64       `json:"seed,omitempty"`
+	GPUClockMHz      int          `json:"gpu_clock_mhz,omitempty"`
+	EMCClockMHz      int          `json:"emc_clock_mhz,omitempty"`
+	GPUCapacity      float64      `json:"gpu_capacity,omitempty"`
+	CPUClusters      int          `json:"cpu_clusters,omitempty"`
+	MeasuredRoofline bool         `json:"measured_roofline,omitempty"`
+	IgnoreSupport    bool         `json:"ignore_support,omitempty"`
+}
+
+// profileFields are ProfileRequest's json names in field order
+// (TestRequestFieldsMirrorTags holds them to the tags).
+var profileFields = jsonread.Fields{"model", "graph", "platform", "backend", "batch", "dtype", "mode", "seed",
+	"gpu_clock_mhz", "emc_clock_mhz", "gpu_capacity", "cpu_clusters", "measured_roofline", "ignore_support"}
+
+// decodeProfileRequest decodes a /v1/profile body in one strict pass,
+// an inline graph included (see jsonread for the accept set; null
+// leaves any field, the graph too, absent).
+func decodeProfileRequest(data []byte) (ProfileRequest, error) {
+	var req ProfileRequest
+	r := jsonread.NewReader(data)
+	if r.Object() {
+		var seen uint64
+		for f := r.Field(profileFields, &seen); f >= 0; f = r.Field(profileFields, &seen) {
+			switch f {
+			case 0:
+				req.Model = r.String()
+			case 1:
+				req.Graph = graph.ReadJSON(r)
+			case 2:
+				req.Platform = r.String()
+			case 3:
+				req.Backend = r.String()
+			case 4:
+				req.Batch = r.Int()
+			case 5:
+				req.DType = r.String()
+			case 6:
+				req.Mode = r.String()
+			case 7:
+				req.Seed = r.Uint64()
+			case 8:
+				req.GPUClockMHz = r.Int()
+			case 9:
+				req.EMCClockMHz = r.Int()
+			case 10:
+				req.GPUCapacity = r.Float64()
+			case 11:
+				req.CPUClusters = r.Int()
+			case 12:
+				req.MeasuredRoofline = r.Bool()
+			case 13:
+				req.IgnoreSupport = r.Bool()
+			}
+		}
+	}
+	return req, r.End()
 }
 
 // validateProfile parses the request into core.Options and checks them
@@ -414,16 +495,16 @@ type ProfileRequest struct {
 // *Server receiver is for error writing only).
 func (s *Server) validateProfile(w http.ResponseWriter, r *http.Request, req ProfileRequest) (core.Options, bool) {
 	var zero core.Options
-	if req.Model == "" && len(req.Graph) == 0 {
+	if req.Model == "" && req.Graph == nil {
 		s.writeError(w, r, http.StatusBadRequest, "bad_request", "model or graph is required")
 		return zero, false
 	}
-	if req.Model != "" && len(req.Graph) > 0 {
+	if req.Model != "" && req.Graph != nil {
 		s.writeError(w, r, http.StatusBadRequest, "bad_request", "model and graph are mutually exclusive")
 		return zero, false
 	}
 	var inline *graph.Graph
-	if len(req.Graph) > 0 {
+	if req.Graph != nil {
 		g, ok := s.admitGraph(w, r, req.Graph)
 		if !ok {
 			return zero, false
@@ -468,24 +549,17 @@ func (s *Server) validateProfile(w http.ResponseWriter, r *http.Request, req Pro
 }
 
 // admitGraph admits an inline model graph once, at the edge, answering
-// 400 itself on failure: it strictly decodes the graph, verifies it
-// (graph.Admit runs ValidateAll and hashes the graph as posted) and
-// runs shape inference on the admitted graph before anything else can
-// see it, so semantic defects also answer 400 before the request takes
-// an execution slot. The whole defect list (not just the first) rides
-// in the envelope's details so a client can fix a corrupt export in
-// one round trip. The session and the pipeline take the admitted graph
-// as is: neither verifies nor copies it again.
-func (s *Server) admitGraph(w http.ResponseWriter, r *http.Request, raw json.RawMessage) (*graph.Graph, bool) {
+// 400 itself on failure: it defaults the decoded graph's name and
+// tensor map, verifies it (graph.Admit runs ValidateAll and hashes the
+// graph as posted) and runs shape inference on the admitted graph
+// before anything else can see it, so semantic defects also answer 400
+// before the request takes an execution slot. The whole defect list
+// (not just the first) rides in the envelope's details so a client can
+// fix a corrupt export in one round trip. The session and the pipeline
+// take the admitted graph as is: neither verifies nor copies it again.
+func (s *Server) admitGraph(w http.ResponseWriter, r *http.Request, g *graph.Graph) (*graph.Graph, bool) {
 	_, sp := obs.Start(r.Context(), "admit")
 	defer sp.End()
-	g := &graph.Graph{}
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(g); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "bad_request", "malformed graph: "+err.Error())
-		return nil, false
-	}
 	if g.Tensors == nil {
 		g.Tensors = map[string]*graph.Tensor{}
 	}
@@ -511,7 +585,10 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ProfileRequest
-	if !s.decodeBody(w, r, &req) {
+	if !s.readRequest(w, r, func(data []byte) (err error) {
+		req, err = decodeProfileRequest(data)
+		return err
+	}) {
 		return
 	}
 	opts, ok := s.validateProfile(w, r, req)
@@ -613,6 +690,27 @@ type SweepRequest struct {
 	Mode  string `json:"mode,omitempty"`
 }
 
+// sweepFields are SweepRequest's json names in field order.
+var sweepFields = jsonread.Fields{"model", "mode"}
+
+// decodeSweepRequest decodes a /v1/sweep body in one strict pass.
+func decodeSweepRequest(data []byte) (SweepRequest, error) {
+	var req SweepRequest
+	r := jsonread.NewReader(data)
+	if r.Object() {
+		var seen uint64
+		for f := r.Field(sweepFields, &seen); f >= 0; f = r.Field(sweepFields, &seen) {
+			switch f {
+			case 0:
+				req.Model = r.String()
+			case 1:
+				req.Mode = r.String()
+			}
+		}
+	}
+	return req, r.End()
+}
+
 // SweepResponse is the POST /v1/sweep result.
 type SweepResponse struct {
 	Model   string                `json:"model"`
@@ -625,7 +723,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SweepRequest
-	if !s.decodeBody(w, r, &req) {
+	if !s.readRequest(w, r, func(data []byte) (err error) {
+		req, err = decodeSweepRequest(data)
+		return err
+	}) {
 		return
 	}
 	if req.Model == "" {

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -171,5 +172,72 @@ func TestStageMetricsExposition(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics exposition missing %q\n%s", want, text)
 		}
+	}
+}
+
+// TestInlineGraphEdgeSpans: an inline-graph request records a decode
+// span (the body read and decoded in one pass, sized in bytes) and an
+// admit span, both children of the request span, in the ?trace=1
+// response and in the trace ring.
+func TestInlineGraphEdgeSpans(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	body := graphBody(t, tinyServerGraph(), "")
+	resp := postJSON(t, ts.URL+"/v1/profile?trace=1", body)
+	defer resp.Body.Close()
+	if resp.StatusCode != 200 {
+		b, _ := io.ReadAll(resp.Body)
+		t.Fatalf("status = %d: %s", resp.StatusCode, b)
+	}
+	var env struct {
+		Trace struct {
+			TraceEvents []struct {
+				Name  string            `json:"name"`
+				Phase string            `json:"ph"`
+				Args  map[string]string `json:"args"`
+			} `json:"traceEvents"`
+		} `json:"trace"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	args := map[string]map[string]string{}
+	for _, ev := range env.Trace.TraceEvents {
+		if ev.Phase == "X" {
+			args[ev.Name] = ev.Args
+		}
+	}
+	decode, admit := args["decode"], args["admit"]
+	if decode == nil || admit == nil {
+		t.Fatalf("trace lacks a decode or admit span: %v", args)
+	}
+	if want := strconv.Itoa(len(body)); decode["bytes"] != want {
+		t.Errorf("decode bytes = %q, want %s", decode["bytes"], want)
+	}
+	if admit["nodes"] != "2" {
+		t.Errorf("admit nodes = %q, want 2", admit["nodes"])
+	}
+
+	traces, err := http.Get(ts.URL + "/debug/traces")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer traces.Body.Close()
+	var tr TracesResponse
+	if err := json.NewDecoder(traces.Body).Decode(&tr); err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Traces) != 1 {
+		t.Fatalf("ring holds %d traces, want 1", len(tr.Traces))
+	}
+	parent := map[string]uint64{}
+	var root uint64
+	for _, s := range tr.Traces[0].Spans {
+		parent[s.Name] = s.ParentID
+		if s.Name == "request" {
+			root = s.ID
+		}
+	}
+	if root == 0 || parent["decode"] != root || parent["admit"] != root {
+		t.Errorf("decode and admit parents = %d, %d; want the request span %d", parent["decode"], parent["admit"], root)
 	}
 }
