@@ -37,10 +37,10 @@ func usage(stderr io.Writer) int {
 
 commands:
   query    list stored reports (filters: -model, -platform, -git-rev; -show <id> prints one report)
-  drift    roofline drift detection per (model, platform); exit 1 when any key drifted
+  drift    roofline drift detection per series (model at one configuration); exit 1 when any drifted
   verify   re-read every segment checking frames and CRCs; exit 1 on any defect
   compact  rewrite live records into fresh segments, dropping corrupt records and dead bytes
-  stats    store summary (segments, records, bytes, index depth)
+  stats    store summary (segments, records, bytes, recovery, last append)
 
 run 'proofhist <command> -h' for the command's flags
 `)
@@ -191,7 +191,7 @@ func cmdDrift(args []string, stdout, stderr io.Writer) int {
 		}
 	} else {
 		tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(tw, "MODEL\tPLATFORM\tBASELINE\tLATEST\tBOUND\tATTN%\tP50%\tDRIFT")
+		fmt.Fprintln(tw, "MODEL\tPLATFORM\tCONFIG\tBASELINE\tLATEST\tBOUND\tATTN%\tP50%\tDRIFT")
 		for _, k := range rep.Keys {
 			bound := k.Baseline.Bound
 			if k.Latest.Bound != k.Baseline.Bound {
@@ -204,16 +204,16 @@ func cmdDrift(args []string, stdout, stderr io.Writer) int {
 			case k.Drifted:
 				verdict = "DRIFTED"
 			}
-			fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%+.1f\t%+.1f\t%s\n",
-				k.Model, k.Platform, revLabel(k.Baseline), revLabel(k.Latest),
+			fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\t%+.1f\t%+.1f\t%s\n",
+				k.Model, k.Platform, configLabel(k), revLabel(k.Baseline), revLabel(k.Latest),
 				bound, 100*k.AttainableDelta, 100*k.LatencyP50Delta, verdict)
 		}
 		tw.Flush()
-		fmt.Fprintf(stdout, "%d of %d key(s) drifted (threshold %.0f%%)\n",
+		fmt.Fprintf(stdout, "%d of %d series drifted (threshold %.0f%%)\n",
 			rep.DriftedKeys, len(rep.Keys), 100*rep.Threshold)
 		for _, k := range rep.Keys {
 			for _, reason := range k.Reasons {
-				fmt.Fprintf(stdout, "  %s/%s: %s\n", k.Model, k.Platform, reason)
+				fmt.Fprintf(stdout, "  %s/%s %s: %s\n", k.Model, k.Platform, configLabel(k), reason)
 			}
 		}
 	}
@@ -221,6 +221,11 @@ func cmdDrift(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// configLabel names a series by the configuration it echoes.
+func configLabel(k histstore.KeyDrift) string {
+	return fmt.Sprintf("%s/bs%d/%s/%s", k.Backend, k.Batch, k.DType, k.Mode)
 }
 
 func revLabel(rs histstore.RevisionStats) string {
@@ -310,7 +315,6 @@ func cmdStats(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "segments     %d\n", stats.Segments)
 	fmt.Fprintf(stdout, "records      %d\n", stats.Records)
 	fmt.Fprintf(stdout, "bytes        %d\n", stats.Bytes)
-	fmt.Fprintf(stdout, "index depth  %d\n", stats.IndexDepth)
 	if stats.SkippedRecords > 0 || stats.TruncatedBytes > 0 {
 		fmt.Fprintf(stdout, "recovered    skipped %d corrupt record(s), truncated %d torn byte(s)\n",
 			stats.SkippedRecords, stats.TruncatedBytes)

@@ -48,6 +48,45 @@ type Resolved struct {
 	runtime backend.Backend
 }
 
+// Series is the request's identity without its seed and its platform
+// descriptor hash: runs of one series differ only in code or hardware
+// revision, or in jitter samples, so drift compares them. It is Key's
+// hash over the same fields with those two left out, and is hashed on
+// every call.
+func (r Resolved) Series() string {
+	b := r.binding()
+	b.Seed, b.PlatformHash = 0, ""
+	return memo.PlanKey(r.Model, r.source(), b)
+}
+
+// source names the model content: the zoo key, or the graph's digest
+// (an admitted graph carries it; a raw one is hashed). It is derived
+// on use rather than kept, so a zoo request's source stays off the
+// heap.
+func (r Resolved) source() string {
+	if r.Graph != nil {
+		return "graph:" + r.Graph.Digest()
+	}
+	return "zoo:" + r.Model
+}
+
+// binding is the resolved configuration Key frames. It carries the
+// *requested* data type: a quantized graph runs at int8, but that
+// follows from its content, which the source covers.
+func (r Resolved) binding() memo.Binding {
+	return memo.Binding{
+		Backend:          r.Backend,
+		PlatformKey:      r.Plat.Key,
+		PlatformHash:     r.Plat.DescriptorHash(),
+		DType:            r.DType,
+		Batch:            r.Batch,
+		Mode:             string(r.Mode),
+		Seed:             r.Seed,
+		Clocks:           r.Clocks,
+		MeasuredRoofline: r.MeasuredRoofline,
+	}
+}
+
 // Resolve is the one place a request's platform defaults are applied
 // and its key derived; the API edge, the session and the pipeline each
 // call it on the Options they hold. It looks up the platform, the
@@ -64,13 +103,10 @@ func Resolve(opts Options) (Resolved, error) {
 	}
 	r := Resolved{Options: opts}
 	var info models.Info
-	source := "zoo:" + opts.Model
 	if opts.Graph != nil {
 		if r.Model == "" {
 			r.Model = opts.Graph.Name
 		}
-		// An admitted graph carries its digest; a raw one is hashed.
-		source = "graph:" + opts.Graph.Digest()
 	} else {
 		var err error
 		if info, err = lookupModel(opts.Model); err != nil {
@@ -105,20 +141,7 @@ func Resolve(opts Options) (Resolved, error) {
 		r.DType = plat.DefaultDType
 	}
 	r.Clocks.CPUClusters = max(r.Clocks.CPUClusters, 1)
-	// The binding carries the *requested* data type: a quantized graph
-	// runs at int8, but that follows from its content, which the
-	// source covers.
-	r.Key = memo.PlanKey(r.Model, source, memo.Binding{
-		Backend:          r.Backend,
-		PlatformKey:      plat.Key,
-		PlatformHash:     plat.DescriptorHash(),
-		DType:            r.DType,
-		Batch:            r.Batch,
-		Mode:             string(r.Mode),
-		Seed:             r.Seed,
-		Clocks:           r.Clocks,
-		MeasuredRoofline: r.MeasuredRoofline,
-	})
+	r.Key = memo.PlanKey(r.Model, r.source(), r.binding())
 	return r, nil
 }
 

@@ -76,3 +76,76 @@ func FuzzResolve(f *testing.F) {
 		}
 	})
 }
+
+// TestSeriesIdentity holds Series to Resolve's identity without the
+// seed and the descriptor hash: it is shared by requests that differ
+// only in those, and split by a change to any other field Key frames.
+func TestSeriesIdentity(t *testing.T) {
+	base := Options{Model: "resnet-18", Platform: "a100", Backend: "trtsim", Batch: 4, DType: graph.Float16,
+		Mode: ModePredicted, Seed: 1,
+		Clocks: hardware.Clocks{GPUMHz: 1100, EMCMHz: 1200, CPUMHz: 900, CPUClusters: 1, GPUCapacity: 0.5}}
+	resolve := func(opts Options) Resolved {
+		t.Helper()
+		r, err := Resolve(opts)
+		if err != nil {
+			t.Fatalf("Resolve(%+v): %v", opts, err)
+		}
+		return r
+	}
+	r := resolve(base)
+	series := r.Series()
+	if len(series) != 64 || series == r.Key {
+		t.Fatalf("series %q: want a 64-hex hash apart from the key %q", series, r.Key)
+	}
+
+	reseeded := base
+	reseeded.Seed = 99
+	if rs := resolve(reseeded); rs.Key == r.Key || rs.Series() != series {
+		t.Errorf("another seed: want a new key and the same series")
+	}
+	edited := *r.Plat
+	edited.MemBW *= 2
+	redesc := r
+	redesc.Plat = &edited
+	if edited.DescriptorHash() == r.Plat.DescriptorHash() || redesc.Series() != series {
+		t.Errorf("an edited descriptor: want a new descriptor hash and the same series")
+	}
+
+	g, err := models.Build("resnet-18")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inline := base
+	inline.Model, inline.Graph = "net", g
+	other, err := models.Build("resnet-34")
+	if err != nil {
+		t.Fatal(err)
+	}
+	split := map[string]func(*Options){
+		"display name":      func(o *Options) { o.Model = "alias" },
+		"zoo key":           func(o *Options) { o.Model = "resnet-34" },
+		"graph digest":      func(o *Options) { o.Graph = other },
+		"platform":          func(o *Options) { o.Platform = "rtx4090" },
+		"backend":           func(o *Options) { o.Backend = "ortsim" },
+		"batch":             func(o *Options) { o.Batch = 8 },
+		"dtype":             func(o *Options) { o.DType = graph.Float32 },
+		"mode":              func(o *Options) { o.Mode = ModeMeasured },
+		"gpu clock":         func(o *Options) { o.Clocks.GPUMHz++ },
+		"emc clock":         func(o *Options) { o.Clocks.EMCMHz++ },
+		"cpu clock":         func(o *Options) { o.Clocks.CPUMHz++ },
+		"cpu clusters":      func(o *Options) { o.Clocks.CPUClusters++ },
+		"gpu capacity":      func(o *Options) { o.Clocks.GPUCapacity = 0.75 },
+		"measured roofline": func(o *Options) { o.MeasuredRoofline = true },
+	}
+	for name, edit := range split {
+		from := base
+		if name == "display name" || name == "graph digest" {
+			from = inline
+		}
+		to := from
+		edit(&to)
+		if a, b := resolve(from).Series(), resolve(to).Series(); a == b {
+			t.Errorf("%s: changing it kept the series %s", name, a)
+		}
+	}
+}

@@ -10,11 +10,11 @@ import (
 	"proof/internal/obs"
 )
 
-// Drift detection compares, per (model, platform) key, the newest
-// revision's stored reports against a baseline revision's. A revision
-// is a (git-rev, descriptor-hash) pair: either the code or the
-// hardware descriptor changing starts a new one. Three signals flag
-// drift:
+// Drift detection compares, per series (one model at one resolved
+// configuration, see Meta.Series), the newest revision's stored
+// reports against a baseline revision's. A revision is a (git-rev,
+// descriptor-hash) pair: either the code or the hardware descriptor
+// changing starts a new one. Three signals flag drift:
 //
 //   - the end-to-end roofline verdict flipped (compute <-> memory <->
 //     ridge) — the headline regression a roofline profiler exists to
@@ -32,7 +32,7 @@ type DriftOptions struct {
 	RelThreshold float64
 	// BaselineGitRev / BaselineDescHash pin the baseline revision.
 	// Either may be a prefix; empty means "the earliest revision with
-	// records for the key".
+	// records for the series".
 	BaselineGitRev   string
 	BaselineDescHash string
 }
@@ -44,7 +44,7 @@ func (o DriftOptions) withDefaults() DriftOptions {
 	return o
 }
 
-// RevisionStats summarizes one revision's records for one key.
+// RevisionStats summarizes one revision's records for one series.
 type RevisionStats struct {
 	GitRev         string    `json:"git_rev,omitempty"`
 	DescriptorHash string    `json:"descriptor_hash,omitempty"`
@@ -69,12 +69,19 @@ func (r RevisionStats) rev() string {
 	return m.Revision()
 }
 
-// KeyDrift is the verdict for one (model, platform) key.
+// KeyDrift is the verdict for one series.
 type KeyDrift struct {
 	Model    string `json:"model"`
 	Platform string `json:"platform"`
+	// Series names the series compared; Backend, Batch, DType and Mode
+	// echo its configuration.
+	Series  string `json:"series"`
+	Backend string `json:"backend,omitempty"`
+	Batch   int    `json:"batch,omitempty"`
+	DType   string `json:"dtype,omitempty"`
+	Mode    string `json:"mode,omitempty"`
 	// Baseline and Latest are the two revisions compared. Latest is
-	// the revision holding the key's newest record.
+	// the revision holding the series' newest record.
 	Baseline RevisionStats `json:"baseline"`
 	Latest   RevisionStats `json:"latest"`
 	// Drifted is the headline bit; Reasons says why, one line per
@@ -88,7 +95,7 @@ type KeyDrift struct {
 	AttainableDelta float64 `json:"attainable_delta,omitempty"`
 	LatencyP50Delta float64 `json:"latency_p50_delta,omitempty"`
 	LatencyP99Delta float64 `json:"latency_p99_delta,omitempty"`
-	// SingleRevision marks keys with no second revision to compare —
+	// SingleRevision marks series with no second revision to compare —
 	// never drifted, listed so the caller can tell "stable" from
 	// "uncomparable".
 	SingleRevision bool `json:"single_revision,omitempty"`
@@ -101,8 +108,8 @@ type DriftReport struct {
 	// Threshold echoes the relative threshold applied.
 	Threshold float64 `json:"threshold"`
 	// LatencyP50 / LatencyP99 are store-wide percentiles across every
-	// record examined (all keys' digests merged) — the fleet context a
-	// single key's shift is judged against.
+	// record examined (all series' digests merged) — the fleet context
+	// a single series' shift is judged against.
 	LatencyP50 time.Duration `json:"latency_p50_ns,omitempty"`
 	LatencyP99 time.Duration `json:"latency_p99_ns,omitempty"`
 }
@@ -111,34 +118,38 @@ type DriftReport struct {
 type revKey struct{ gitRev, descHash string }
 
 // ComputeDrift runs drift detection over a set of history metas
-// (typically Store.Metas of a query). Metas lacking a model or
-// platform are ignored.
+// (typically Store.Metas of a query), one KeyDrift per series, ordered
+// by model, platform and series. Metas lacking a model or platform are
+// ignored.
 func ComputeDrift(metas []Meta, opts DriftOptions) DriftReport {
 	opts = opts.withDefaults()
-	type mpKey struct{ model, platform string }
-	byKey := map[mpKey][]Meta{}
-	var order []mpKey
+	bySeries := map[string][]Meta{}
+	var order []string
 	for _, m := range metas {
 		if m.Model == "" || m.Platform == "" {
 			continue
 		}
-		k := mpKey{m.Model, m.Platform}
-		if _, ok := byKey[k]; !ok {
-			order = append(order, k)
+		s := m.series()
+		if _, ok := bySeries[s]; !ok {
+			order = append(order, s)
 		}
-		byKey[k] = append(byKey[k], m)
+		bySeries[s] = append(bySeries[s], m)
 	}
 	sort.Slice(order, func(i, j int) bool {
-		if order[i].model != order[j].model {
-			return order[i].model < order[j].model
+		a, b := bySeries[order[i]][0], bySeries[order[j]][0]
+		if a.Model != b.Model {
+			return a.Model < b.Model
 		}
-		return order[i].platform < order[j].platform
+		if a.Platform != b.Platform {
+			return a.Platform < b.Platform
+		}
+		return order[i] < order[j]
 	})
 
 	rep := DriftReport{Threshold: opts.RelThreshold}
 	all := obs.NewDigest()
-	for _, k := range order {
-		kd := compareKeyRevisions(k.model, k.platform, byKey[k], opts)
+	for _, s := range order {
+		kd := compareSeriesRevisions(s, bySeries[s], opts)
 		if kd.Baseline.digest != nil {
 			all.Merge(kd.Baseline.digest)
 		}
@@ -157,10 +168,12 @@ func ComputeDrift(metas []Meta, opts DriftOptions) DriftReport {
 	return rep
 }
 
-// compareKeyRevisions groups one key's metas by revision and compares
-// baseline vs latest.
-func compareKeyRevisions(model, platform string, metas []Meta, opts DriftOptions) KeyDrift {
-	kd := KeyDrift{Model: model, Platform: platform}
+// compareSeriesRevisions groups one series' metas by revision and
+// compares baseline vs latest.
+func compareSeriesRevisions(series string, metas []Meta, opts DriftOptions) KeyDrift {
+	first := metas[0]
+	kd := KeyDrift{Model: first.Model, Platform: first.Platform, Series: series,
+		Backend: first.Backend, Batch: first.Batch, DType: first.DType, Mode: first.Mode}
 	groups := map[revKey][]Meta{}
 	for _, m := range metas {
 		rk := revKey{m.GitRev, m.DescriptorHash}
@@ -196,7 +209,7 @@ func compareKeyRevisions(model, platform string, metas []Meta, opts DriftOptions
 		return gs[i].key.descHash < gs[j].key.descHash
 	})
 
-	// Latest = the revision holding the key's globally newest record.
+	// Latest = the revision holding the series' newest record.
 	latest := 0
 	for i := range gs {
 		if gs[i].last >= gs[latest].last {

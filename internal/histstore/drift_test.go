@@ -156,3 +156,71 @@ func TestDriftStoreWideDigest(t *testing.T) {
 		t.Errorf("p99 %s < p50 %s", rep.LatencyP99, rep.LatencyP50)
 	}
 }
+
+// TestDriftComparesLikeWithLike: resnet-50/a100 stored at batch 1
+// under one git revision and at batch 128 under the next, with the
+// descriptor unchanged, is two series that each hold one revision, not
+// a drifted pair (p50 435 µs -> 11.09 ms and the ceiling +91% are the
+// batch, not the code). The records carry no series, as a store
+// written before series existed does, so each falls into the legacy
+// series of its stored configuration.
+func TestDriftComparesLikeWithLike(t *testing.T) {
+	rep := ComputeDrift(batchProbeMetas(), DriftOptions{})
+	if rep.DriftedKeys != 0 || len(rep.Keys) != 2 {
+		t.Fatalf("drift = %d drifted of %d keys, want 0 of 2: %+v", rep.DriftedKeys, len(rep.Keys), rep.Keys)
+	}
+	for _, k := range rep.Keys {
+		if !k.SingleRevision {
+			t.Errorf("key = %+v, want a single-revision series", k)
+		}
+	}
+}
+
+// batchProbeMetas is resnet-50/a100 at batch 1 under revA and at batch
+// 128 under revB, one descriptor, no stored series.
+func batchProbeMetas() []Meta {
+	var metas []Meta
+	for i := 0; i < 3; i++ {
+		m := driftMeta("resnet-50", "a100", "revA", "d1", "memory", 1.6e14, 435*time.Microsecond, i)
+		m.Backend, m.Batch, m.DType, m.Mode = "trtsim", 1, "fp16", "predicted"
+		metas = append(metas, m)
+	}
+	for i := 10; i < 13; i++ {
+		m := driftMeta("resnet-50", "a100", "revB", "d1", "compute", 3.05e14, 11090*time.Microsecond, i)
+		m.Backend, m.Batch, m.DType, m.Mode = "trtsim", 128, "fp16", "predicted"
+		metas = append(metas, m)
+	}
+	return metas
+}
+
+// TestDriftSeries: each key names its series and echoes its
+// configuration, and a stored series splits records that share every
+// legacy field (two clock settings, say).
+func TestDriftSeries(t *testing.T) {
+	metas := batchProbeMetas()
+	batches := map[int]bool{}
+	for _, k := range ComputeDrift(metas, DriftOptions{}).Keys {
+		if k.Series == "" || k.Backend != "trtsim" || k.DType != "fp16" || k.Mode != "predicted" {
+			t.Errorf("key = %+v, want a named series echoing its configuration", k)
+		}
+		batches[k.Batch] = true
+	}
+	if !batches[1] || !batches[128] {
+		t.Errorf("series batches = %v, want 1 and 128", batches)
+	}
+
+	for i := range metas {
+		metas[i].Batch = 1
+		metas[i].Series = "clocks-a"
+		if i >= 3 {
+			metas[i].Series = "clocks-b"
+		}
+	}
+	rep := ComputeDrift(metas, DriftOptions{})
+	if rep.DriftedKeys != 0 || len(rep.Keys) != 2 {
+		t.Fatalf("stored series: %d drifted of %d keys, want 0 of 2", rep.DriftedKeys, len(rep.Keys))
+	}
+	if rep.Keys[0].Series != "clocks-a" || rep.Keys[1].Series != "clocks-b" {
+		t.Errorf("series = %q, %q, want clocks-a, clocks-b in order", rep.Keys[0].Series, rep.Keys[1].Series)
+	}
+}

@@ -12,6 +12,7 @@ import (
 // bytes it was parsed from (the store's read path depends on that).
 func FuzzDecodeRecord(f *testing.F) {
 	f.Add(encodeRecord([]byte(`{"model":"m","platform":"p"}`), []byte(`{"ok":true}`)))
+	f.Add(encodeRecord([]byte(`{"model":"m","platform":"p","batch":8,"series":"5f0c9e1d2b3a4c5d6e7f8091a2b3c4d5e6f708192a3b4c5d6e7f8091a2b3c4d5"}`), []byte(`{"ok":true}`)))
 	f.Add(encodeRecord(nil, nil))
 	f.Add(encodeRecord([]byte(`{}`), bytes.Repeat([]byte("x"), 1000)))
 	f.Add([]byte{})

@@ -1,10 +1,10 @@
 // Package histstore is the persistent profile-history store: an
-// on-disk, append-only chunked log of profiling reports with a
-// compacted B-tree-style index over (model, platform, descriptor-hash,
-// git-rev, timestamp). It is what turns the serving stack's ephemeral
-// JSON into longitudinal observability — "has this model's roofline
-// verdict drifted since last week?" becomes an indexed query instead
-// of archaeology.
+// on-disk, append-only chunked log of profiling reports with a sorted
+// index over (model, platform, descriptor-hash, git-rev, timestamp).
+// It is what turns the serving stack's ephemeral JSON into
+// longitudinal observability — "has this model's roofline verdict
+// drifted since last week?" becomes an indexed query instead of
+// archaeology.
 //
 // Design, in one paragraph: reports append to fixed-size segment files
 // as length-framed binary records with a per-record CRC; an index file
@@ -13,9 +13,10 @@
 // reads only the index, and crash recovery scans only the bytes past
 // the watermark — truncating a torn tail and skipping (but counting)
 // CRC-corrupt records without losing earlier ones. Reads are partial:
-// a query walks the in-memory B-tree and Get reads exactly one
-// record's byte range, so paging a single (model, platform) key out of
-// a 10k-report history touches only the matching segments.
+// a query binary-searches the in-memory sorted index and Get reads
+// exactly one record's byte range, so paging a single (model,
+// platform) key out of a 10k-report history touches only the matching
+// segments.
 package histstore
 
 import (
@@ -24,6 +25,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -31,7 +33,6 @@ import (
 	"time"
 
 	"proof/internal/core"
-	"proof/internal/hardware"
 )
 
 // Meta is the indexed summary of one stored report — everything
@@ -46,6 +47,10 @@ type Meta struct {
 	Batch          int    `json:"batch,omitempty"`
 	DType          string `json:"dtype,omitempty"`
 	Mode           string `json:"mode,omitempty"`
+	// Series is the request's core.Resolved.Series: the records drift
+	// may compare. Records stored before it existed have none; see
+	// series.
+	Series string `json:"series,omitempty"`
 	// Bound is the end-to-end roofline verdict ("compute", "memory",
 	// "ridge") — the drift detector's primary signal.
 	Bound string `json:"bound,omitempty"`
@@ -78,29 +83,39 @@ func (m Meta) Revision() string {
 	return h
 }
 
-// MetaFromReport derives the indexed summary of a report, stamping the
-// producing git revision and append time. The platform's current
-// descriptor hash is recorded so a descriptor edit starts a new
-// revision even under one git rev.
-func MetaFromReport(r *core.Report, gitRev string, now time.Time) Meta {
-	m := Meta{
-		Model:         r.Model,
-		Platform:      r.Platform,
-		GitRev:        gitRev,
-		TimestampNS:   now.UnixNano(),
-		Backend:       r.Backend,
-		Batch:         r.Batch,
-		DType:         r.DType,
-		Mode:          string(r.Mode),
-		Bound:         r.EndToEnd.Bound,
-		AttainedFLOPS: r.EndToEnd.FLOPS,
-		LatencyNS:     int64(r.TotalLatency),
+// series is the record's series, or for a record stored without one a
+// legacy series built from its stored identity fields, so a store
+// written before series existed still compares like with like.
+func (m Meta) series() string {
+	if m.Series != "" {
+		return m.Series
 	}
-	m.AttainableFLOPS = r.Roofline.AttainableFLOPS(r.EndToEnd.AI)
-	if p, ok := hardware.Lookup(r.Platform); ok {
-		m.DescriptorHash = p.DescriptorHash()
+	return fmt.Sprintf("legacy %q %q %q %d %q %q", m.Model, m.Platform, m.Backend, m.Batch, m.DType, m.Mode)
+}
+
+// NewMeta builds the record of one report: its identity (series,
+// descriptor hash and the resolved configuration, the requested dtype
+// included) from the request r that produced it, its roofline summary
+// from the report, stamped with the producing git revision and append
+// time. The descriptor hash starts a new revision when a descriptor is
+// edited under one git rev.
+func NewMeta(r *core.Resolved, rep *core.Report, gitRev string, now time.Time) Meta {
+	return Meta{
+		Model:           r.Model,
+		Platform:        r.Plat.Key,
+		DescriptorHash:  r.Plat.DescriptorHash(),
+		GitRev:          gitRev,
+		TimestampNS:     now.UnixNano(),
+		Backend:         r.Backend,
+		Batch:           r.Batch,
+		DType:           r.DType.String(),
+		Mode:            string(r.Mode),
+		Series:          r.Series(),
+		Bound:           rep.EndToEnd.Bound,
+		AttainableFLOPS: rep.Roofline.AttainableFLOPS(rep.EndToEnd.AI),
+		AttainedFLOPS:   rep.EndToEnd.FLOPS,
+		LatencyNS:       int64(rep.TotalLatency),
 	}
-	return m
 }
 
 // Options tunes a store; the zero value is production-usable.
@@ -125,8 +140,6 @@ type Stats struct {
 	Segments int   `json:"segments"`
 	Records  int   `json:"records"`
 	Bytes    int64 `json:"bytes"`
-	// IndexDepth is the B-tree height a lookup descends.
-	IndexDepth int `json:"index_depth"`
 	// Appends/AppendBytes count successful appends this process.
 	Appends     int64 `json:"appends"`
 	AppendBytes int64 `json:"append_bytes"`
@@ -150,7 +163,7 @@ type Store struct {
 	opts Options
 
 	mu      sync.RWMutex
-	tree    *btree
+	entries []*ixEntry       // sorted by compareKey
 	covered map[uint32]int64 // segment id -> bytes covered by the index
 	nextSeq uint64
 	active  uint32   // id of the segment Append writes to
@@ -247,7 +260,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 
 	sort.Slice(entries, func(i, j int) bool { return compareKey(entries[i], entries[j]) < 0 })
-	s.tree = buildTree(entries)
+	s.entries = entries
 	for _, e := range entries {
 		if e.meta.TimestampNS > s.lastAppendNS.Load() {
 			s.lastAppendNS.Store(e.meta.TimestampNS)
@@ -447,15 +460,10 @@ func (s *Store) Append(meta Meta, report []byte) error {
 	return nil
 }
 
-// insertLocked places e into the sorted entry slice and rebuilds the
-// tree levels (cheap: the levels are O(n/fanout) ints).
+// insertLocked places e into the sorted entry slice.
 func (s *Store) insertLocked(e *ixEntry) {
-	entries := s.tree.entries
-	i := sort.Search(len(entries), func(i int) bool { return compareKey(entries[i], e) >= 0 })
-	entries = append(entries, nil)
-	copy(entries[i+1:], entries[i:])
-	entries[i] = e
-	s.tree = buildTree(entries)
+	i := sort.Search(len(s.entries), func(i int) bool { return compareKey(s.entries[i], e) >= 0 })
+	s.entries = slices.Insert(s.entries, i, e)
 }
 
 // rotateLocked closes the active segment and starts the next one.
@@ -501,10 +509,9 @@ func (s *Store) Query(q Query) ([]Entry, int, error) {
 	// and the platform (like git-rev and the time bounds) is a filter.
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	start, end := s.tree.prefixRange(q.Model, q.Platform)
+	start, end := prefixRange(s.entries, q.Model, q.Platform)
 	var matches []*ixEntry
-	for i := start; i < end; i++ {
-		e := s.tree.entries[i]
+	for _, e := range s.entries[start:end] {
 		if q.Platform != "" && e.meta.Platform != q.Platform {
 			continue
 		}
@@ -589,7 +596,7 @@ func (s *Store) GetID(id string) (Meta, []byte, error) {
 	}
 	s.mu.RLock()
 	var found *ixEntry
-	for _, e := range s.tree.entries {
+	for _, e := range s.entries {
 		if e.seg == seg && e.off == off {
 			found = e
 			break
@@ -623,14 +630,12 @@ func (s *Store) readHandle(id uint32) (*os.File, error) {
 func (s *Store) Stats() Stats {
 	s.mu.RLock()
 	segs := len(s.covered)
-	records := len(s.tree.entries)
-	depth := s.tree.depth()
+	records := len(s.entries)
 	s.mu.RUnlock()
 	st := Stats{
 		Segments:       segs,
 		Records:        records,
 		Bytes:          s.segBytes.Load(),
-		IndexDepth:     depth,
 		Appends:        s.appends.Load(),
 		AppendBytes:    s.appendBytes.Load(),
 		ReadBytes:      s.readBytes.Load(),
@@ -651,7 +656,7 @@ func (s *Store) FlushIndex() error {
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return writeIndexFile(s.dir, s.nextSeq, s.covered, s.tree.entries)
+	return writeIndexFile(s.dir, s.nextSeq, s.covered, s.entries)
 }
 
 // Close flushes the index and releases every file handle. The store is
@@ -663,7 +668,7 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	err := writeIndexFile(s.dir, s.nextSeq, s.covered, s.tree.entries)
+	err := writeIndexFile(s.dir, s.nextSeq, s.covered, s.entries)
 	s.indexDirty.Store(false)
 	werr := s.w.Close()
 	s.mu.Unlock()
@@ -702,7 +707,7 @@ func (r VerifyReport) Ok() bool {
 func (s *Store) Verify() (VerifyReport, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	rep := VerifyReport{IndexedRecords: len(s.tree.entries)}
+	rep := VerifyReport{IndexedRecords: len(s.entries)}
 	segs, err := listSegments(s.dir)
 	if err != nil {
 		return rep, err
@@ -773,8 +778,8 @@ func (s *Store) Compact() error {
 		e   *ixEntry
 		rec []byte
 	}
-	live := make([]liveRec, 0, len(s.tree.entries))
-	for _, e := range s.tree.entries {
+	live := make([]liveRec, 0, len(s.entries))
+	for _, e := range s.entries {
 		f, err := s.readHandle(e.seg)
 		if err != nil {
 			return err
@@ -816,7 +821,7 @@ func (s *Store) Compact() error {
 		s.covered[s.active] = off + int64(len(lr.rec))
 		s.segBytes.Add(int64(len(lr.rec)))
 	}
-	if err := writeIndexFile(s.dir, s.nextSeq, s.covered, s.tree.entries); err != nil {
+	if err := writeIndexFile(s.dir, s.nextSeq, s.covered, s.entries); err != nil {
 		return err
 	}
 	s.indexDirty.Store(false)

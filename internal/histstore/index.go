@@ -64,116 +64,23 @@ func cmpStr(a, b string) int {
 	return 0
 }
 
-// btreeFanout is the node width of the static B-tree. 32 keeps the
-// tree three levels deep at 32k records while the per-level binary
-// search stays cache-friendly.
-const btreeFanout = 32
-
-// btree is a compacted, static B-tree over the sorted entry slice:
-// level 0 groups the entries into leaf blocks of btreeFanout; each
-// higher level indexes the first key of every block below, again in
-// blocks of btreeFanout, until one root block remains. It is rebuilt
-// whole on every index mutation batch (append, compact, load) —
-// read-optimized, like an on-disk B-tree after compaction, without
-// rebalancing machinery.
-type btree struct {
-	entries []*ixEntry
-	// levels[l][i] is the entry index of the first entry of block i at
-	// level l; level 0 is the leaf-block level, the last level is the
-	// root. Empty when there are no entries.
-	levels [][]int32
-}
-
-func buildTree(entries []*ixEntry) *btree {
-	t := &btree{entries: entries}
-	if len(entries) == 0 {
-		return t
-	}
-	// Leaf-block level.
-	level := make([]int32, 0, (len(entries)+btreeFanout-1)/btreeFanout)
-	for i := 0; i < len(entries); i += btreeFanout {
-		level = append(level, int32(i))
-	}
-	t.levels = append(t.levels, level)
-	// Interior levels, until one block of block-firsts remains.
-	for len(level) > btreeFanout {
-		up := make([]int32, 0, (len(level)+btreeFanout-1)/btreeFanout)
-		for i := 0; i < len(level); i += btreeFanout {
-			up = append(up, level[i])
-		}
-		level = up
-		t.levels = append(t.levels, level)
-	}
-	return t
-}
-
-// depth is the number of levels a lookup descends, counting the entry
-// array itself; 0 for an empty tree.
-func (t *btree) depth() int {
-	if len(t.entries) == 0 {
-		return 0
-	}
-	return len(t.levels) + 1
-}
-
-// lowerBound returns the index of the first entry >= key (by
-// compareKey), descending the tree: at each level it binary-searches
-// one node's children, narrowing the window for the level below.
-func (t *btree) lowerBound(key *ixEntry) int {
-	if len(t.entries) == 0 {
-		return 0
-	}
-	// Window of block positions under consideration at the current
-	// level, starting with the whole root block.
-	lo, hi := 0, len(t.levels[len(t.levels)-1])
-	for l := len(t.levels) - 1; l >= 0; l-- {
-		level := t.levels[l]
-		// Last block in [lo, hi) whose first entry is < key; the lower
-		// bound cannot precede that block.
-		i := sort.Search(hi-lo, func(i int) bool {
-			return compareKey(t.entries[level[lo+i]], key) >= 0
-		})
-		blk := lo + i - 1
-		if blk < lo {
-			blk = lo
-		}
-		if l == 0 {
-			// Scan the leaf block (and run into the next one if the
-			// bound sits exactly on a block boundary).
-			start := int(level[blk])
-			end := len(t.entries)
-			if blk+1 < len(level) {
-				end = int(level[blk+1])
-			}
-			j := sort.Search(end-start, func(i int) bool {
-				return compareKey(t.entries[start+i], key) >= 0
-			})
-			return start + j
-		}
-		// Children of block blk at the level below.
-		lo = blk * btreeFanout
-		hi = lo + btreeFanout
-		if hi > len(t.levels[l-1]) {
-			hi = len(t.levels[l-1])
-		}
-	}
-	return len(t.entries) // unreachable
-}
-
-// prefixRange returns the half-open entry range matching a
-// (model[, platform]) prefix. Platform may only narrow the range when
-// model is set (it follows model in the key order).
-func (t *btree) prefixRange(model, platform string) (int, int) {
+// prefixRange returns the half-open range of the sorted entries
+// matching a (model[, platform]) prefix. Platform narrows the range
+// only when model is set: it follows model in the key order.
+func prefixRange(entries []*ixEntry, model, platform string) (int, int) {
 	if model == "" {
-		return 0, len(t.entries)
+		return 0, len(entries)
 	}
-	low := &ixEntry{meta: Meta{Model: model, Platform: platform}}
-	start := t.lowerBound(low)
-	highMeta := Meta{Model: model + "\x00"}
-	if platform != "" {
-		highMeta = Meta{Model: model, Platform: platform + "\x00"}
+	// Entries sharing the prefix compare equal to it.
+	cmp := func(i int) int {
+		m := entries[i].meta
+		if c := cmpStr(m.Model, model); c != 0 || platform == "" {
+			return c
+		}
+		return cmpStr(m.Platform, platform)
 	}
-	end := t.lowerBound(&ixEntry{meta: highMeta})
+	start := sort.Search(len(entries), func(i int) bool { return cmp(i) >= 0 })
+	end := sort.Search(len(entries), func(i int) bool { return cmp(i) > 0 })
 	return start, end
 }
 

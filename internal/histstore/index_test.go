@@ -4,70 +4,107 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
+	"time"
 )
 
-// TestBtreeLowerBoundMatchesLinear drives the B-tree descent against
-// sort.Search over the flat entry slice — the ground truth it must
-// reproduce — across sizes straddling every level-count transition.
-func TestBtreeLowerBoundMatchesLinear(t *testing.T) {
+// TestQueryMatchesLinear holds Query, which binary-searches the sorted
+// index for its (model[, platform]) range, to the ground truth: a
+// linear filter over every indexed entry, sorted newest first with the
+// sequence number as tiebreaker, then paged. Random stores of up to
+// 5,000 records, with model names that prefix one another and with
+// timestamp ties, are queried with every filter combination.
+func TestQueryMatchesLinear(t *testing.T) {
 	rng := rand.New(rand.NewPCG(21, 22))
-	for _, n := range []int{0, 1, 2, 31, 32, 33, 1023, 1024, 1025, 5000} {
-		entries := make([]*ixEntry, 0, n)
+	models := []string{"alex", "alexa", "alexb", "m1", "m10", "m2", "zeta"}
+	platforms := []string{"a10", "a100", "h100"}
+	revs := []string{"r1", "r2", "r3"}
+	pick := func(xs []string) string { return xs[rng.IntN(len(xs))] }
+	for _, n := range []int{0, 1, 2, 33, 1000, 5000} {
+		s := mustOpen(t, t.TempDir(), Options{})
 		for i := 0; i < n; i++ {
-			entries = append(entries, &ixEntry{
-				meta: Meta{
-					Model:       fmt.Sprintf("model-%02d", rng.IntN(20)),
-					Platform:    fmt.Sprintf("plat-%d", rng.IntN(5)),
-					TimestampNS: int64(rng.IntN(1000)),
-				},
-				seq: uint64(i),
-			})
-		}
-		sort.Slice(entries, func(i, j int) bool { return compareKey(entries[i], entries[j]) < 0 })
-		tree := buildTree(entries)
-
-		probe := func(key *ixEntry) {
-			t.Helper()
-			want := sort.Search(len(entries), func(i int) bool {
-				return compareKey(entries[i], key) >= 0
-			})
-			if got := tree.lowerBound(key); got != want {
-				t.Fatalf("n=%d lowerBound(%+v) = %d, want %d", n, key.meta, got, want)
+			m := testMeta(pick(models), pick(platforms), pick(revs), rng.IntN(200))
+			m.DescriptorHash = fmt.Sprintf("d%d", rng.IntN(2))
+			if err := s.Append(m, testReport(m.Model, m.Platform, i)); err != nil {
+				t.Fatal(err)
 			}
 		}
-		// Every existing key, plus synthetic probes around the space.
-		for _, e := range entries {
-			probe(e)
+		if len(s.entries) != n {
+			t.Fatalf("n=%d: index holds %d entries", n, len(s.entries))
 		}
-		for i := 0; i < 200; i++ {
-			probe(&ixEntry{meta: Meta{
-				Model:       fmt.Sprintf("model-%02d", rng.IntN(22)-1),
-				Platform:    fmt.Sprintf("plat-%d", rng.IntN(7)-1),
-				TimestampNS: int64(rng.IntN(1200) - 100),
-			}})
-		}
-		probe(&ixEntry{})                            // before everything
-		probe(&ixEntry{meta: Meta{Model: "zzzzzz"}}) // after everything
-	}
-}
 
-func TestBtreeDepthGrows(t *testing.T) {
-	if d := buildTree(nil).depth(); d != 0 {
-		t.Errorf("empty tree depth = %d, want 0", d)
-	}
-	mk := func(n int) []*ixEntry {
-		es := make([]*ixEntry, n)
-		for i := range es {
-			es[i] = &ixEntry{meta: Meta{Model: fmt.Sprintf("m%06d", i)}, seq: uint64(i)}
+		linear := func(q Query) ([]string, int) {
+			var ms []*ixEntry
+			for _, e := range s.entries {
+				m := e.meta
+				if (q.Model == "" || m.Model == q.Model) &&
+					(q.Platform == "" || m.Platform == q.Platform) &&
+					(q.GitRev == "" || m.GitRev == q.GitRev) &&
+					(q.Since.IsZero() || m.TimestampNS >= q.Since.UnixNano()) &&
+					(q.Until.IsZero() || m.TimestampNS <= q.Until.UnixNano()) {
+					ms = append(ms, e)
+				}
+			}
+			sort.Slice(ms, func(i, j int) bool {
+				if ms[i].meta.TimestampNS != ms[j].meta.TimestampNS {
+					return ms[i].meta.TimestampNS > ms[j].meta.TimestampNS
+				}
+				return ms[i].seq > ms[j].seq
+			})
+			total := len(ms)
+			ms = ms[min(q.Offset, len(ms)):]
+			if q.Limit > 0 {
+				ms = ms[:min(q.Limit, len(ms))]
+			}
+			ids := make([]string, len(ms))
+			for i, e := range ms {
+				ids[i] = entryID(e.seg, e.off)
+			}
+			return ids, total
 		}
-		return es
-	}
-	small := buildTree(mk(10)).depth()
-	big := buildTree(mk(5000)).depth()
-	if small < 2 || big <= small {
-		t.Errorf("depth(10) = %d, depth(5000) = %d; want depth to grow with size", small, big)
+
+		at := func(i int) time.Time { return time.Unix(0, tsBase+int64(i)*int64(time.Second)) }
+		var queries []Query
+		for _, model := range append([]string{"", "al", "alexab", "m"}, models...) {
+			for _, platform := range append([]string{"", "a1", "b200"}, platforms...) {
+				for _, rev := range []string{"", "r2", "r9"} {
+					queries = append(queries, Query{Model: model, Platform: platform, GitRev: rev})
+				}
+			}
+		}
+		for i := 0; i < 100; i++ {
+			q := Query{
+				Model:    pick(append([]string{""}, models...)),
+				Platform: pick(append([]string{""}, platforms...)),
+				GitRev:   pick(append([]string{""}, revs...)),
+				Offset:   rng.IntN(3) * rng.IntN(50),
+				Limit:    rng.IntN(3) * rng.IntN(50),
+			}
+			if rng.IntN(2) == 0 {
+				q.Since = at(rng.IntN(220) - 10)
+			}
+			if rng.IntN(2) == 0 {
+				q.Until = at(rng.IntN(220) - 10)
+			}
+			queries = append(queries, q)
+		}
+		for _, q := range queries {
+			wantIDs, wantTotal := linear(q)
+			got, total, err := s.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotIDs := make([]string, len(got))
+			for i, e := range got {
+				gotIDs[i] = e.ID
+			}
+			if total != wantTotal || !slices.Equal(gotIDs, wantIDs) {
+				t.Fatalf("n=%d Query(%+v) = %d entries, total %d; linear gives %d entries, total %d",
+					n, q, len(gotIDs), total, len(wantIDs), wantTotal)
+			}
+		}
 	}
 }
 
@@ -84,14 +121,13 @@ func TestPrefixRange(t *testing.T) {
 		}
 	}
 	sort.Slice(entries, func(i, j int) bool { return compareKey(entries[i], entries[j]) < 0 })
-	tree := buildTree(entries)
 
 	check := func(model, platform string, want int) {
 		t.Helper()
-		start, end := tree.prefixRange(model, platform)
+		start, end := prefixRange(entries, model, platform)
 		got := 0
 		for i := start; i < end; i++ {
-			e := tree.entries[i]
+			e := entries[i]
 			if e.meta.Model != model || (platform != "" && e.meta.Platform != platform) {
 				t.Fatalf("prefixRange(%q, %q) included %+v", model, platform, e.meta)
 			}
@@ -106,7 +142,7 @@ func TestPrefixRange(t *testing.T) {
 	check("alexa", "", 6)
 	check("bert", "a100", 3)
 	check("nope", "", 0)
-	if start, end := tree.prefixRange("", ""); start != 0 || end != len(entries) {
+	if start, end := prefixRange(entries, "", ""); start != 0 || end != len(entries) {
 		t.Errorf("empty-model range = [%d, %d), want the whole index", start, end)
 	}
 }

@@ -31,9 +31,6 @@ func RegisterMetrics(reg *obs.Registry, s *Store, w *Writer) error {
 		reg.GaugeFunc("proofd_store_bytes",
 			"Total on-disk size of history segments.",
 			func() float64 { return float64(s.segBytes.Load()) }),
-		reg.GaugeFunc("proofd_store_index_depth",
-			"Levels a history index lookup descends (B-tree height).",
-			func() float64 { return float64(s.Stats().IndexDepth) }),
 		reg.CounterFunc("proofd_store_skipped_records_total",
 			"CRC-corrupt records skipped by recovery scans.",
 			func() float64 { return float64(s.skipped.Load()) }),

@@ -10,14 +10,12 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // This file is the type-aware tier of the engine: it layers go/types
-// over the Loader's parsed files to produce per-package *types.Info, a
-// Program the interprocedural analyzers (ctxflow, hotalloc, lockorder)
-// share, and a Facts store for cross-package conclusions. Everything
-// stays stdlib: module packages are type-checked from source through
+// over the Loader's parsed files to produce per-package *types.Info and
+// a Program the interprocedural analyzers (ctxflow, hotalloc,
+// lockorder) share. Everything stays stdlib: module packages are type-checked from source through
 // the same AST cache the syntactic tier uses, and out-of-module
 // imports (the standard library) go through go/importer's source
 // importer, which shares the Loader's FileSet so every position in the
@@ -39,18 +37,11 @@ type Program struct {
 	// function, with interface calls conservatively resolved to all
 	// implementing types in the program.
 	Graph *CallGraph
-	// Facts lets analyzers publish and consume cross-package
-	// conclusions keyed by types.Object. Analyzers must namespace
-	// their keys ("ctxflow.dropsCtx") and may only consume facts they
-	// published themselves: analyzers run concurrently.
-	Facts *Facts
 
 	// inScope is the set of file paths diagnostics may be reported in:
 	// the requested load set. The call graph may reach dependency
 	// packages outside it; findings there are not this run's business.
 	inScope map[string]bool
-
-	pkgOf map[*types.Package]*sourcePkg
 }
 
 // InScope reports whether a file belongs to the requested load set
@@ -60,22 +51,6 @@ func (p *Program) InScope(filename string) bool {
 	return p.inScope[filepath.ToSlash(filename)]
 }
 
-// FileFor returns the loaded File containing pos, or nil.
-func (p *Program) FileFor(pos token.Pos) *File {
-	if !pos.IsValid() {
-		return nil
-	}
-	name := filepath.ToSlash(p.Fset.Position(pos).Filename)
-	for _, sp := range p.pkgOf {
-		for _, f := range sp.pkg.Files {
-			if f.Path == name {
-				return f
-			}
-		}
-	}
-	return nil
-}
-
 // sourcePkg is one package type-checked from source: a requested
 // package or a module dependency pulled in by an import.
 type sourcePkg struct {
@@ -83,36 +58,6 @@ type sourcePkg struct {
 	pkg       *Package
 	tpkg      *types.Package
 	requested bool
-}
-
-// Facts is a concurrency-safe map from (object, key) to analyzer
-// conclusions. Keys are namespaced by the publishing analyzer.
-type Facts struct {
-	mu sync.Mutex
-	m  map[types.Object]map[string]any
-}
-
-// NewFacts returns an empty store.
-func NewFacts() *Facts { return &Facts{m: map[types.Object]map[string]any{}} }
-
-// Publish records a fact about obj.
-func (f *Facts) Publish(obj types.Object, key string, v any) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	facts := f.m[obj]
-	if facts == nil {
-		facts = map[string]any{}
-		f.m[obj] = facts
-	}
-	facts[key] = v
-}
-
-// Lookup returns the fact published for (obj, key), if any.
-func (f *Facts) Lookup(obj types.Object, key string) (any, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	v, ok := f.m[obj][key]
-	return v, ok
 }
 
 // maxTypeErrors bounds the cascading-error noise from one broken
@@ -136,9 +81,7 @@ func buildProgram(pkgs []*Package, diags *[]Diagnostic) *Program {
 		Fset:     c.fset,
 		Packages: pkgs,
 		Info:     c.info,
-		Facts:    NewFacts(),
 		inScope:  map[string]bool{},
-		pkgOf:    map[*types.Package]*sourcePkg{},
 	}
 	var srcs []*sourcePkg
 	for _, sp := range c.src {
@@ -146,7 +89,6 @@ func buildProgram(pkgs []*Package, diags *[]Diagnostic) *Program {
 			continue
 		}
 		srcs = append(srcs, sp)
-		prog.pkgOf[sp.tpkg] = sp
 	}
 	sort.Slice(srcs, func(i, j int) bool { return srcs[i].path < srcs[j].path })
 	for _, pkg := range pkgs {

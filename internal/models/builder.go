@@ -191,17 +191,6 @@ func (b *Builder) Conv(x string, cout, k, stride, pad, groups int, bias bool, na
 	})
 }
 
-// DWConv adds a depth-wise convolution (groups == channels).
-func (b *Builder) DWConv(x string, k, stride, pad int, name string) string {
-	c := b.Channels(x)
-	return b.Conv(x, c, k, stride, pad, c, false, name)
-}
-
-// PWConv adds a point-wise (1x1) convolution.
-func (b *Builder) PWConv(x string, cout int, name string) string {
-	return b.Conv(x, cout, 1, 1, 0, 1, false, name)
-}
-
 // BN adds inference-mode batch normalization with per-channel params.
 func (b *Builder) BN(x, name string) string {
 	if b.err != nil {
@@ -218,14 +207,6 @@ func (b *Builder) BN(x, name string) string {
 		b.Param(name+"_mean", c),
 		b.Param(name+"_var", c),
 	}, nil)
-}
-
-// ConvBN is Conv (bias-free) followed by BN.
-func (b *Builder) ConvBN(x string, cout, k, stride, pad, groups int, name string) string {
-	if name == "" {
-		name = b.fresh("conv")
-	}
-	return b.BN(b.Conv(x, cout, k, stride, pad, groups, false, name), name+"_bn")
 }
 
 // Relu adds a ReLU.
@@ -250,11 +231,6 @@ func (b *Builder) SiLU(x, name string) string {
 	}
 	s := b.op1("Sigmoid", name+"_sig", []string{x}, nil)
 	return b.op1("Mul", name+"_mul", []string{x, s}, nil)
-}
-
-// HSwish adds a HardSwish.
-func (b *Builder) HSwish(x, name string) string {
-	return b.op1("HardSwish", name, []string{x}, nil)
 }
 
 // Gelu adds the erf-based GELU expansion PyTorch exports:
@@ -296,15 +272,6 @@ func (b *Builder) Div(x, y, name string) string { return b.op1("Div", name, []st
 // MaxPool adds a max pooling layer.
 func (b *Builder) MaxPool(x string, k, stride, pad int, name string) string {
 	return b.op1("MaxPool", name, []string{x}, graph.Attrs{
-		"kernel_shape": graph.IntsAttr(k, k),
-		"strides":      graph.IntsAttr(stride, stride),
-		"pads":         graph.IntsAttr(pad, pad, pad, pad),
-	})
-}
-
-// AvgPool adds an average pooling layer.
-func (b *Builder) AvgPool(x string, k, stride, pad int, name string) string {
-	return b.op1("AveragePool", name, []string{x}, graph.Attrs{
 		"kernel_shape": graph.IntsAttr(k, k),
 		"strides":      graph.IntsAttr(stride, stride),
 		"pads":         graph.IntsAttr(pad, pad, pad, pad),

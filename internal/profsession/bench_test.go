@@ -2,6 +2,7 @@ package profsession
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -42,7 +43,10 @@ func BenchmarkUncachedProfile(b *testing.B) {
 // repeat Profile of identical Options through a session is at least
 // 10x faster than the uncached pipeline. The real margin is orders of
 // magnitude (a hit is a map lookup plus a report copy), so the 10x
-// bar stays safe even under the race detector.
+// bar stays safe even under the race detector. Each call is timed on
+// its own, cached and uncached calls alternate, and the medians are
+// compared, so a scheduler stall on a loaded host costs one sample
+// rather than the verdict.
 func TestCacheHitSpeedup(t *testing.T) {
 	const rounds = 25
 	s := New(0)
@@ -50,29 +54,31 @@ func TestCacheHitSpeedup(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	uncachedStart := time.Now()
+	uncached := make([]time.Duration, rounds)
+	cached := make([]time.Duration, rounds)
 	for i := 0; i < rounds; i++ {
+		start := time.Now()
 		if _, err := core.ProfileCtx(context.Background(), benchOpts); err != nil {
 			t.Fatal(err)
 		}
-	}
-	uncached := time.Since(uncachedStart)
-
-	cachedStart := time.Now()
-	for i := 0; i < rounds; i++ {
+		uncached[i] = time.Since(start)
+		start = time.Now()
 		if _, err := s.ProfileCtx(context.Background(), benchOpts); err != nil {
 			t.Fatal(err)
 		}
+		cached[i] = time.Since(start)
 	}
-	cached := time.Since(cachedStart)
 
 	if st := s.Stats(); st.Hits != rounds {
 		t.Fatalf("stats = %+v, want %d hits", st, rounds)
 	}
-	if cached*10 > uncached {
-		t.Fatalf("cache hit not >=10x faster: cached %v vs uncached %v over %d rounds",
-			cached, uncached, rounds)
+	slices.Sort(uncached)
+	slices.Sort(cached)
+	u, c := uncached[rounds/2], cached[rounds/2]
+	if c*10 > u {
+		t.Fatalf("cache hit not >=10x faster: median cached %v vs uncached %v over %d rounds",
+			c, u, rounds)
 	}
-	t.Logf("speedup: uncached %v / cached %v = %.0fx over %d rounds",
-		uncached, cached, float64(uncached)/float64(cached), rounds)
+	t.Logf("speedup: median uncached %v / cached %v = %.0fx over %d rounds",
+		u, c, float64(u)/float64(c), rounds)
 }

@@ -37,7 +37,7 @@ func (s *Server) wireHistory(cfg Config) {
 		panic(err)
 	}
 	s.driftGauge = cfg.Registry.GaugeVec("proofd_roofline_drift",
-		"1 when the (model, platform) key's latest revision drifted from baseline at the last /v1/drift evaluation, else 0.",
+		"1 when a series of the (model, platform) pair drifted from its baseline at the last /v1/drift evaluation, else 0.",
 		"model", "platform")
 }
 
@@ -69,14 +69,16 @@ func wireBuildInfo(reg *obs.Registry, gitRev string) {
 		"go_version", "git_rev").With(runtime.Version(), gitRev).Set(1)
 }
 
-// persistReport enqueues one freshly profiled report for history.
-// data is the exact JSON the response serves — the store's read path
-// returns it byte-identical.
-func (s *Server) persistReport(report *core.Report, data []byte) {
+// persistReport enqueues one freshly profiled report for history,
+// under the request res it answers. data is the exact JSON the
+// response serves — the store's read path returns it byte-identical.
+// The record is built here, so a server without a store hashes no
+// series.
+func (s *Server) persistReport(res *core.Resolved, report *core.Report, data []byte) {
 	if s.histW == nil {
 		return
 	}
-	s.histW.Enqueue(histstore.MetaFromReport(report, s.gitRev, time.Now()), data)
+	s.histW.Enqueue(histstore.NewMeta(res, report, s.gitRev, time.Now()), data)
 }
 
 // FlushHistory blocks until every history record enqueued so far is
@@ -172,9 +174,12 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 	if query.Limit, ok = s.parseIntParam(w, r, q.Get("limit"), "limit", historyDefaultLimit); !ok {
 		return
 	}
-	if query.Limit > historyMaxLimit {
-		query.Limit = historyMaxLimit
+	// The store reads limit 0 as "no limit", which would bypass the
+	// cap: here it asks for the default page, as an absent limit does.
+	if query.Limit == 0 {
+		query.Limit = historyDefaultLimit
 	}
+	query.Limit = min(query.Limit, historyMaxLimit)
 	entries, total, err := s.hist.Query(query)
 	if err != nil {
 		s.writeError(w, r, http.StatusInternalServerError, "internal", err.Error())
@@ -216,12 +221,18 @@ func (s *Server) handleDrift(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rep := histstore.ComputeDrift(metas, opts)
+	// A (model, platform) pair drifted when any of its series did.
+	drifted := map[[2]string]bool{}
 	for _, k := range rep.Keys {
+		pair := [2]string{k.Model, k.Platform}
+		drifted[pair] = drifted[pair] || k.Drifted
+	}
+	for pair, d := range drifted {
 		v := 0.0
-		if k.Drifted {
+		if d {
 			v = 1
 		}
-		s.driftGauge.With(k.Model, k.Platform).Set(v)
+		s.driftGauge.With(pair[0], pair[1]).Set(v)
 	}
 	s.writeJSON(w, http.StatusOK, rep)
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"proof/internal/core"
+	"proof/internal/hardware"
 	"proof/internal/histstore"
 	"proof/internal/profsession"
 )
@@ -111,6 +112,135 @@ func TestHistoryDifferentialByteIdentity(t *testing.T) {
 	}
 }
 
+// TestHistoryRecordIdentity: every record proofd stores takes its
+// identity from the request the edge resolved: the descriptor hash of
+// the resolved platform, the series and the resolved configuration,
+// for a zoo request, an inline graph and a measured, clocked one.
+func TestHistoryRecordIdentity(t *testing.T) {
+	st := openTestStore(t)
+	srv, ts := newTestServer(t, Config{History: st})
+	for _, tc := range []struct {
+		body string
+		opts core.Options
+	}{
+		{`{"model":"mobilenetv2-0.5","platform":"a100","batch":8,"seed":3}`,
+			core.Options{Model: "mobilenetv2-0.5", Platform: "a100", Batch: 8, Seed: 3}},
+		{graphBody(t, tinyServerGraph(), `,"seed":5`),
+			core.Options{Graph: tinyServerGraph(), Platform: "a100", Batch: 2, Seed: 5}},
+		{`{"model":"resnet-18","platform":"a100","mode":"measured","gpu_clock_mhz":1100,"measured_roofline":true}`,
+			core.Options{Model: "resnet-18", Platform: "a100", Mode: core.ModeMeasured,
+				Clocks: hardware.Clocks{GPUMHz: 1100}, MeasuredRoofline: true}},
+	} {
+		resp := postJSON(t, ts.URL+"/v1/profile", tc.body)
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != 200 {
+			t.Fatalf("%s: status %d", tc.body, resp.StatusCode)
+		}
+		srv.FlushHistory(context.Background())
+		newest, _, err := st.Query(histstore.Query{Limit: 1})
+		if err != nil || len(newest) != 1 {
+			t.Fatalf("%s: newest record: %v (err %v)", tc.body, newest, err)
+		}
+		r, err := core.Resolve(tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := newest[0].Meta
+		if got.Bound == "" || got.LatencyNS <= 0 {
+			t.Errorf("%s: stored meta missing roofline fields: %+v", tc.body, got)
+		}
+		// Compare the identity alone: clear the stamps and measures.
+		got.GitRev, got.TimestampNS, got.Bound, got.AttainableFLOPS, got.AttainedFLOPS, got.LatencyNS = "", 0, "", 0, 0, 0
+		want := histstore.Meta{Model: r.Model, Platform: r.Plat.Key, DescriptorHash: r.Plat.DescriptorHash(),
+			Backend: r.Backend, Batch: r.Batch, DType: r.DType.String(), Mode: string(r.Mode), Series: r.Series()}
+		if got != want {
+			t.Errorf("%s: stored identity\n got %+v\nwant %+v", tc.body, got, want)
+		}
+	}
+}
+
+// TestDriftEndpointComparesLikeWithLike is the batch probe end to end:
+// resnet-50/a100 profiled at batch 1 under revA, then at batch 128 and
+// batch 1 under revB, one descriptor throughout. The two batches are
+// two series; batch 1 compares its two revisions and has not drifted.
+func TestDriftEndpointComparesLikeWithLike(t *testing.T) {
+	st := openTestStore(t)
+	profile := func(rev string, batches ...int) {
+		srv, ts := newTestServer(t, Config{History: st, GitRev: rev})
+		for _, b := range batches {
+			resp := postJSON(t, ts.URL+"/v1/profile", fmt.Sprintf(`{"model":"resnet-50","platform":"a100","batch":%d}`, b))
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != 200 {
+				t.Fatalf("%s batch %d: status %d", rev, b, resp.StatusCode)
+			}
+		}
+		srv.FlushHistory(context.Background())
+	}
+	profile("revA", 1)
+	profile("revB", 128, 1)
+
+	_, ts := newTestServer(t, Config{History: st})
+	resp, err := http.Get(ts.URL + "/v1/drift")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep histstore.DriftReport
+	err = json.NewDecoder(resp.Body).Decode(&rep)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.DriftedKeys != 0 || len(rep.Keys) != 2 {
+		t.Fatalf("drift = %d drifted of %d keys, want 0 of 2: %+v", rep.DriftedKeys, len(rep.Keys), rep.Keys)
+	}
+	for _, k := range rep.Keys {
+		if (k.Batch != 1 && k.Batch != 128) || k.Series == "" {
+			t.Fatalf("key = %+v, want a named series at batch 1 or 128", k)
+		}
+		// Only batch 1 was profiled under both revisions.
+		if wantSingle := k.Batch == 128; k.SingleRevision != wantSingle {
+			t.Errorf("batch %d: SingleRevision = %v, want %v", k.Batch, k.SingleRevision, wantSingle)
+		}
+	}
+}
+
+// TestDriftGaugeAnySeries: proofd_roofline_drift keeps its (model,
+// platform) labels and reads 1 when any series of the pair drifted,
+// whichever series the report lists last.
+func TestDriftGaugeAnySeries(t *testing.T) {
+	st := openTestStore(t)
+	for i, bound := range []string{"compute", "memory"} {
+		flip := driftSeedMeta("resnet-50", "a100", fmt.Sprintf("rev%d", i), "d1", bound, 10*i)
+		flip.Series = "a-flips"
+		seedHistory(t, st, flip, `{}`)
+		stable := driftSeedMeta("resnet-50", "a100", fmt.Sprintf("rev%d", i), "d1", "compute", 10*i)
+		stable.Series = "b-stable"
+		seedHistory(t, st, stable, `{}`)
+	}
+	_, ts := newTestServer(t, Config{History: st})
+	resp, err := http.Get(ts.URL + "/v1/drift")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep histstore.DriftReport
+	err = json.NewDecoder(resp.Body).Decode(&rep)
+	resp.Body.Close()
+	if err != nil || rep.DriftedKeys != 1 || len(rep.Keys) != 2 {
+		t.Fatalf("drift = %d drifted of %d keys (err %v), want 1 of 2", rep.DriftedKeys, len(rep.Keys), err)
+	}
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	page, _ := io.ReadAll(mresp.Body)
+	mresp.Body.Close()
+	if want := `proofd_roofline_drift{model="resnet-50",platform="a100"} 1`; !strings.Contains(string(page), want) {
+		t.Errorf("metrics page missing %s", want)
+	}
+}
+
 // TestHistoryOnlyMissesPersisted: cache hits replay stored work and
 // must not duplicate history records.
 func TestHistoryOnlyMissesPersisted(t *testing.T) {
@@ -164,6 +294,12 @@ func TestHistoryQueryEndpoint(t *testing.T) {
 	}
 	if _, hr := get("/v1/history?model=resnet-50"); hr.Total != 8 {
 		t.Fatalf("model filter total = %d, want 8", hr.Total)
+	}
+	// limit=0 is the default page, as no limit is: the store reads
+	// Limit 0 as "everything", which must not bypass the 500 cap.
+	if code, hr := get("/v1/history?limit=0"); code != 200 || hr.Limit != historyDefaultLimit || len(hr.Entries) != 12 {
+		t.Fatalf("limit=0 = %d entries, limit %d (status %d), want 12 entries, limit %d",
+			len(hr.Entries), hr.Limit, code, historyDefaultLimit)
 	}
 	if _, hr := get("/v1/history?model=resnet-50&limit=3&offset=6"); len(hr.Entries) != 2 || hr.Total != 8 {
 		t.Fatalf("page = %d entries / total %d, want 2/8", len(hr.Entries), hr.Total)

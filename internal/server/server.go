@@ -490,11 +490,11 @@ func decodeProfileRequest(data []byte) (ProfileRequest, error) {
 	return req, r.End()
 }
 
-// validateProfile parses the request into core.Options and checks them
-// with core.Resolve, answering the envelope itself on failure (the
-// *Server receiver is for error writing only).
-func (s *Server) validateProfile(w http.ResponseWriter, r *http.Request, req ProfileRequest) (core.Options, bool) {
-	var zero core.Options
+// validateProfile parses the request into core.Options and resolves
+// them, answering the envelope itself on failure (the *Server receiver
+// is for error writing only).
+func (s *Server) validateProfile(w http.ResponseWriter, r *http.Request, req ProfileRequest) (core.Resolved, bool) {
+	var zero core.Resolved
 	if req.Model == "" && req.Graph == nil {
 		s.writeError(w, r, http.StatusBadRequest, "bad_request", "model or graph is required")
 		return zero, false
@@ -541,11 +541,12 @@ func (s *Server) validateProfile(w http.ResponseWriter, r *http.Request, req Pro
 		MeasuredRoofline: req.MeasuredRoofline,
 		IgnoreSupport:    req.IgnoreSupport,
 	}
-	if _, err := core.Resolve(opts); err != nil {
+	res, err := core.Resolve(opts)
+	if err != nil {
 		s.writeProfilingError(w, r, err)
 		return zero, false
 	}
-	return opts, true
+	return res, true
 }
 
 // admitGraph admits an inline model graph once, at the edge, answering
@@ -591,7 +592,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	}) {
 		return
 	}
-	opts, ok := s.validateProfile(w, r, req)
+	res, ok := s.validateProfile(w, r, req)
 	if !ok {
 		return
 	}
@@ -602,15 +603,15 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	report, outcome, err := s.sess.ProfileOutcome(ctx, opts)
+	report, outcome, err := s.sess.ProfileOutcome(ctx, res.Options)
 	if err != nil {
-		if stale, ok := s.staleFallback(r, opts, err); ok {
+		if stale, ok := s.staleFallback(r, res.Options, err); ok {
 			s.metrics.degraded.Inc()
 			w.Header().Set("X-Cache", "stale")
 			w.Header().Set("X-Degraded", "stale-report")
 			// Degraded responses are replays of old runs; persisting
 			// them would pollute history with duplicates.
-			s.writeProfileReport(w, r, ctx, stale, false)
+			s.writeProfileReport(w, r, ctx, stale, nil)
 			return
 		}
 		s.writeProfilingError(w, r, err)
@@ -619,21 +620,27 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Cache", string(outcome))
 	// Only cache misses executed the pipeline and produced a new
 	// result; hits and dedups would store the same report again.
-	s.writeProfileReport(w, r, ctx, report, outcome == profsession.OutcomeMiss)
+	var persist *core.Resolved
+	if outcome == profsession.OutcomeMiss {
+		persist = &res
+	}
+	s.writeProfileReport(w, r, ctx, report, persist)
 }
 
-// writeProfileReport renders a profile response, honoring ?trace=1.
-// The report is marshaled exactly once: the bytes on the wire are the
-// bytes handed to the history store (the differential suite asserts a
-// stored report reads back byte-identical to the response).
-func (s *Server) writeProfileReport(w http.ResponseWriter, r *http.Request, ctx context.Context, report *core.Report, persist bool) {
+// writeProfileReport renders a profile response, honoring ?trace=1,
+// and stores the report in the history under persist, the request it
+// answers, unless persist is nil. The report is marshaled exactly
+// once: the bytes on the wire are the bytes handed to the history
+// store (the differential suite asserts a stored report reads back
+// byte-identical to the response).
+func (s *Server) writeProfileReport(w http.ResponseWriter, r *http.Request, ctx context.Context, report *core.Report, persist *core.Resolved) {
 	data, err := json.Marshal(report)
 	if err != nil {
 		s.writeError(w, r, http.StatusInternalServerError, "internal", "encoding report failed: "+err.Error())
 		return
 	}
-	if persist {
-		s.persistReport(report, data)
+	if persist != nil {
+		s.persistReport(persist, report, data)
 	}
 	if r.URL.Query().Get("trace") == "1" {
 		s.writeJSON(w, http.StatusOK, TracedProfileResponse{
