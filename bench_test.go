@@ -267,7 +267,7 @@ func BenchmarkAblationConvStride(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		c, _ := rep.NodeCost("c")
+		c, _ := rep.Cost(rep.Graph.Node("c"))
 		inputBytes := g.Tensor("x").Bytes()
 		paramBytes := g.Tensor("w").Bytes()
 		withRule := c.ReadBytes - paramBytes

@@ -12,14 +12,15 @@ import (
 type Rep struct {
 	// Graph is the analyzed model. Shapes are inferred.
 	Graph *graph.Graph
-	// costs maps node name to its predicted cost.
-	costs map[string]Cost
 	// order caches the topological node order; pos is its inverse,
-	// each node's index in order. Fusion and layer mapping both sort
-	// node sets by pos, so it is built once here, or once per admitted
-	// graph and shared by the Reps of its views.
+	// each node's index in order. It is built once here, or once per
+	// admitted graph and shared by the Reps of its views. Per-run
+	// state — costs here, fused ownership in OptimizedRep, claims in
+	// backend fusion — is addressed by that index.
 	order []*graph.Node
 	pos   map[*graph.Node]int
+	// costs holds each node's predicted cost, by position.
+	costs []Cost
 }
 
 // NewRep builds the Analyze Representation for a graph: validates it,
@@ -49,13 +50,13 @@ func NewRep(g *graph.Graph) (*Rep, error) {
 			pos[n] = i
 		}
 	}
-	r := &Rep{Graph: g, costs: make(map[string]Cost, len(g.Nodes)), order: order, pos: pos}
+	r := &Rep{Graph: g, order: order, pos: pos, costs: make([]Cost, len(order))}
 	for _, n := range g.Nodes {
 		c, err := NodeCost(n, g)
 		if err != nil {
 			return nil, err
 		}
-		r.costs[n.Name] = c
+		r.costs[pos[n]] = c
 	}
 	return r, nil
 }
@@ -96,18 +97,24 @@ func runGraph(g *graph.Graph) *graph.Graph {
 	return g
 }
 
-// NodeCost returns the predicted cost of the named node.
-func (r *Rep) NodeCost(name string) (Cost, bool) {
-	c, ok := r.costs[name]
-	return c, ok
+// Cost returns the predicted cost of a node of the graph; ok is false
+// for a node outside it.
+//
+//lint:hotpath
+func (r *Rep) Cost(n *graph.Node) (c Cost, ok bool) {
+	i := r.TopoPos(n)
+	if i < 0 {
+		return Cost{}, false
+	}
+	return r.costs[i], true
 }
 
 // TotalCost returns the summed cost of all nodes — the model-level FLOP
 // and memory prediction (Table 3's GFLOP column at batch 1).
 func (r *Rep) TotalCost() Cost {
 	var total Cost
-	for _, n := range r.order {
-		total = total.Add(r.costs[n.Name])
+	for _, c := range r.costs {
+		total = total.Add(c)
 	}
 	return total
 }
@@ -117,6 +124,8 @@ func (r *Rep) Nodes() []*graph.Node { return r.order }
 
 // TopoPos returns the node's index in Nodes(), or -1 for a node that
 // is not in the graph.
+//
+//lint:hotpath
 func (r *Rep) TopoPos(n *graph.Node) int {
 	if i, ok := r.pos[n]; ok {
 		return i
@@ -124,9 +133,23 @@ func (r *Rep) TopoPos(n *graph.Node) int {
 	return -1
 }
 
-// SortTopo sorts nodes of the graph into topological order in place.
+// SortTopo sorts nodes of the graph into topological order in place,
+// looking each node's position up once. A node outside the graph sorts
+// first.
 func (r *Rep) SortTopo(nodes []*graph.Node) {
-	slices.SortFunc(nodes, func(a, b *graph.Node) int { return r.TopoPos(a) - r.TopoPos(b) })
+	type ranked struct {
+		pos  int
+		node *graph.Node
+	}
+	var stack [32]ranked
+	rs := stack[:0]
+	for _, n := range nodes {
+		rs = append(rs, ranked{r.TopoPos(n), n})
+	}
+	slices.SortFunc(rs, func(a, b ranked) int { return a.pos - b.pos })
+	for i, x := range rs {
+		nodes[i] = x.node
+	}
 }
 
 // NodeCount returns the number of operators in the model (Table 3's

@@ -1,18 +1,25 @@
 package analysis_test
 
 import (
+	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"proof/internal/analysis"
+	"proof/internal/backend"
 	"proof/internal/graph"
 	"proof/internal/models"
 )
 
-// reluChain builds x -> Relu -> Relu -> Relu -> Relu -> y.
-func reluChain() *graph.Graph {
-	g := graph.New("chain")
-	names := []string{"x", "t1", "t2", "t3", "y"}
+// reluChain builds x -> Relu -> ... -> Relu -> y from relus Relus.
+func reluChain(relus int) *graph.Graph {
+	g := graph.New(fmt.Sprintf("chain-%d", relus))
+	names := []string{"x"}
+	for i := 1; i < relus; i++ {
+		names = append(names, fmt.Sprintf("t%d", i))
+	}
+	names = append(names, "y")
 	for _, n := range names {
 		g.AddTensor(&graph.Tensor{Name: n, DType: graph.Float32, Shape: graph.Shape{1, 4}})
 	}
@@ -55,24 +62,65 @@ func bytesPerCall(n int, call func(i int)) uint64 {
 	return (after.TotalAlloc - before.TotalAlloc) / uint64(n)
 }
 
-// TestLayerMappingAllocsIndependentOfGraphSize: fusing a two-node group
-// and searching it back by its boundary tensors allocate the same small
-// amount on a four-node chain as on sd-unet (1590 nodes). Rebuilding a position
-// index over every node on each call would grow with the graph.
+// myelinGroup returns the first Myelin region backend.Fuse forms on
+// rep whose nodes reference more than eight distinct tensors.
+func myelinGroup(t *testing.T, rep *analysis.Rep) []*graph.Node {
+	t.Helper()
+	for _, gr := range backend.Fuse(rep, backend.FusionRules{Myelin: true}) {
+		tensors := map[string]bool{}
+		for _, n := range gr.Nodes {
+			for _, tn := range append(append([]string(nil), n.Inputs...), n.Outputs...) {
+				tensors[tn] = true
+			}
+		}
+		if gr.Kind == backend.KindMyelin && len(tensors) > 8 {
+			return gr.Nodes
+		}
+	}
+	t.Fatalf("%s: no Myelin region over more than eight tensors", rep.Graph.Name)
+	return nil
+}
+
+// TestLayerMappingAllocsIndependentOfGraphSize: fusing a group and
+// searching it back by its boundary tensors allocate the same small
+// amount however large the graph around it is. The groups are a
+// two-node pair, on a four-node chain and on sd-unet (1590 nodes), and
+// a Myelin-sized group over more than eight tensors, on a twelve-node
+// chain and on vit-b — past the eight entries a scratch map holds
+// before it grows. Rebuilding a position index over every node on each
+// call would grow with the graph.
 func TestLayerMappingAllocsIndependentOfGraphSize(t *testing.T) {
 	const calls = 64
-	const maxBytes = 2048
-	unet, err := models.Build("sd-unet")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range []*graph.Graph{reluChain(), unet} {
+	const maxBytes = 1024
+	pairOf := func(t *testing.T, rep *analysis.Rep) []*graph.Node { return adjacentPair(t, rep) }
+	chainOf := func(t *testing.T, rep *analysis.Rep) []*graph.Node { return rep.Nodes()[1:11] }
+	for _, tc := range []struct {
+		model string
+		group func(*testing.T, *analysis.Rep) []*graph.Node
+	}{
+		{"chain-4", pairOf},
+		{"sd-unet", pairOf},
+		{"chain-12", chainOf},
+		{"vit-b", myelinGroup},
+	} {
+		var g *graph.Graph
+		switch tc.model {
+		case "chain-4":
+			g = reluChain(4)
+		case "chain-12":
+			g = reluChain(12)
+		default:
+			var err error
+			if g, err = models.Build(tc.model); err != nil {
+				t.Fatal(err)
+			}
+		}
 		rep, err := analysis.NewRep(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pair := adjacentPair(t, rep)
-		probe, err := analysis.NewOptimizedRep(rep).SetFusedOp("probe", pair)
+		group := tc.group(t, rep)
+		probe, err := analysis.NewOptimizedRep(rep).SetFusedOp("probe", group)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,17 +134,17 @@ func TestLayerMappingAllocsIndependentOfGraphSize(t *testing.T) {
 			found, searchErr = opts[i].GetSubgraphOpsByIO(probe.Inputs, probe.Outputs)
 		})
 		fuse := bytesPerCall(calls, func(i int) {
-			_, fuseErr = opts[i].SetFusedOp("pair", pair)
+			_, fuseErr = opts[i].SetFusedOp("group", group)
 		})
 		if searchErr != nil || fuseErr != nil {
-			t.Fatalf("%s: search %v, fuse %v", g.Name, searchErr, fuseErr)
+			t.Fatalf("%s: search %v, fuse %v", tc.model, searchErr, fuseErr)
 		}
-		if len(found) != 2 || found[0] != pair[0] || found[1] != pair[1] {
-			t.Fatalf("%s: search found %v, want %v", g.Name, found, pair)
+		if !slices.Equal(found, probe.Nodes) {
+			t.Fatalf("%s: search found %v, want %v", tc.model, found, probe.Nodes)
 		}
 		if search > maxBytes || fuse > maxBytes {
-			t.Errorf("%s (%d nodes): GetSubgraphOpsByIO %d B/call, SetFusedOp %d B/call, want <= %d each",
-				g.Name, rep.NodeCount(), search, fuse, maxBytes)
+			t.Errorf("%s (%d nodes), %d-node group: GetSubgraphOpsByIO %d B/call, SetFusedOp %d B/call, want <= %d each",
+				tc.model, rep.NodeCount(), len(group), search, fuse, maxBytes)
 		}
 	}
 }

@@ -13,6 +13,7 @@ package backend
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"proof/internal/analysis"
@@ -130,17 +131,6 @@ func List() []string {
 	return keys
 }
 
-// execLayer couples the public layer info with the engine's internal
-// ground truth (hidden from the mapping code).
-type execLayer struct {
-	public Layer
-	// truth is the optimized-representation layer (nil for
-	// reformats).
-	truth *analysis.Layer
-	// work is the simulation workload.
-	work sim.Work
-}
-
 // Engine is a built (optimized) model on a backend, ready to execute.
 // The public surface (Layers with their kernels, per-layer timings)
 // models what a real runtime and its built-in profiler expose; the
@@ -155,7 +145,13 @@ type Engine struct {
 	// internalOpt is the runtime's own fused structure — the ground
 	// truth that layer mapping must reconstruct from public info.
 	internalOpt *analysis.OptimizedRep
-	layers      []*execLayer
+	// layers is the public layer info in execution order. truths and
+	// works run parallel to it: each layer's optimized-representation
+	// layer (nil for reformats), hidden from the mapping code, and its
+	// simulation workload.
+	layers []Layer
+	truths []*analysis.Layer
+	works  []sim.Work
 }
 
 // BackendName returns the owning backend key.
@@ -165,13 +161,9 @@ func (e *Engine) BackendName() string { return e.backendName }
 func (e *Engine) Config() Config { return e.cfg }
 
 // Layers returns the public per-layer information in execution order.
-func (e *Engine) Layers() []Layer {
-	out := make([]Layer, len(e.layers))
-	for i, l := range e.layers {
-		out[i] = l.public
-	}
-	return out
-}
+// The slice is the engine's own: callers must not modify it or the
+// layers in it.
+func (e *Engine) Layers() []Layer { return e.layers }
 
 // Timings runs the simulator and returns the detailed per-layer timing
 // records (compute/memory split, actual traffic) in execution order —
@@ -188,12 +180,12 @@ func (e *Engine) Timings(seed uint64) []sim.Timing {
 //lint:hotpath
 func (e *Engine) TimingsInto(dst []sim.Timing, seed uint64) []sim.Timing {
 	cfg := e.simConfig(seed)
-	if cap(dst) < len(e.layers) {
-		dst = make([]sim.Timing, len(e.layers)) //lint:ignore hotalloc cold grow branch: runs once per engine per pool buffer; TestTimingsIntoZeroAlloc pins the warm path at 0 allocs/op
+	if cap(dst) < len(e.works) {
+		dst = make([]sim.Timing, len(e.works)) //lint:ignore hotalloc cold grow branch: runs once per engine per pool buffer; TestTimingsIntoZeroAlloc pins the warm path at 0 allocs/op
 	}
-	dst = dst[:len(e.layers)]
-	for i, l := range e.layers {
-		dst[i] = sim.SimulateLayer(l.work, cfg)
+	dst = dst[:len(e.works)]
+	for i, w := range e.works {
+		dst[i] = sim.SimulateLayer(w, cfg)
 	}
 	return dst
 }
@@ -202,27 +194,23 @@ func (e *Engine) TimingsInto(dst []sim.Timing, seed uint64) []sim.Timing {
 // built-in profiler's per-layer latency. The pipeline tail profiles
 // each layer's unit with it.
 func (e *Engine) LayerTiming(i int, seed uint64) sim.Timing {
-	return sim.SimulateLayer(e.layers[i].work, e.simConfig(seed))
+	return sim.SimulateLayer(e.works[i], e.simConfig(seed))
 }
 
 // Works returns the per-layer simulation workloads in execution order.
 // Only the measurement path (ncusim) may consult this — it corresponds
 // to what hardware performance counters observe.
 func (e *Engine) Works() []sim.Work {
-	out := make([]sim.Work, len(e.layers))
-	for i, l := range e.layers {
-		out[i] = l.work
-	}
-	return out
+	return slices.Clone(e.works)
 }
 
 // GroundTruth returns the runtime's internal fused layer for a backend
 // layer name (nil for reformat layers). Exposed for validation tests;
 // PRoof's mapping code must not use it.
 func (e *Engine) GroundTruth(layerName string) *analysis.Layer {
-	for _, l := range e.layers {
-		if l.public.Name == layerName {
-			return l.truth
+	for i, l := range e.layers {
+		if l.Name == layerName {
+			return e.truths[i]
 		}
 	}
 	return nil

@@ -96,11 +96,15 @@ func BuildEngine(ctx context.Context, spec BuildSpec, rep *analysis.Rep, cfg Con
 		byPos[r.BeforeGroup] = append(byPos[r.BeforeGroup], r)
 	}
 
+	n := len(groups) + len(reformats)
 	e := &Engine{
 		backendName: spec.BackendName,
 		cfg:         cfg,
 		rep:         rep,
 		internalOpt: internalOpt,
+		layers:      make([]Layer, 0, n),
+		truths:      make([]*analysis.Layer, 0, n),
+		works:       make([]sim.Work, 0, n),
 	}
 	alias := map[string]string{} // original tensor -> runtime alias
 
@@ -123,14 +127,11 @@ func BuildEngine(ctx context.Context, spec BuildSpec, rep *analysis.Rep, cfg Con
 				LayerName:    r.Name,
 				ShareOfLayer: 1,
 			}}
-			e.layers = append(e.layers, &execLayer{
-				public: pub,
-				work: sim.Work{
-					Name:  r.Name,
-					Key:   memo.ReformatKey(t),
-					Class: sim.ClassMemCopy,
-					Bytes: bytes,
-				},
+			e.add(pub, nil, sim.Work{
+				Name:  r.Name,
+				Key:   memo.ReformatKey(t),
+				Class: sim.ClassMemCopy,
+				Bytes: bytes,
 			})
 		}
 		return nil
@@ -151,17 +152,24 @@ func BuildEngine(ctx context.Context, spec BuildSpec, rep *analysis.Rep, cfg Con
 			Name:      pub.Name,
 			Key:       memo.ContentKey(rep.Graph, gr.Nodes, groupKindKey(gr.Kind)),
 			Class:     class,
-			HWFLOP:    sim.HardwareFLOPForNodes(gr.Nodes, rep.Graph, cfg.Platform),
+			HWFLOP:    sim.HardwareFLOPForNodes(rep, gr.Nodes, cfg.Platform),
 			ModelFLOP: cost.FLOP,
 			Bytes:     cost.MemoryBytes(),
 		}
 		pub.Kernels = lowerKernels(gr, pub.Name, class, cfg.Platform, cfg.DType, rep.Graph)
-		e.layers = append(e.layers, &execLayer{public: pub, truth: truth, work: work})
+		e.add(pub, truth, work)
 	}
 	if err := emitReformats(len(groups)); err != nil {
 		return nil, err
 	}
 	return e, nil
+}
+
+// add appends one layer in execution order.
+func (e *Engine) add(pub Layer, truth *analysis.Layer, work sim.Work) {
+	e.layers = append(e.layers, pub)
+	e.truths = append(e.truths, truth)
+	e.works = append(e.works, work)
 }
 
 // groupKindKey names a fusion-group kind inside content keys: Myelin

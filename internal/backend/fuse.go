@@ -100,41 +100,40 @@ func IsMetadataNode(n *graph.Node, g *graph.Graph) bool {
 func Fuse(rep *analysis.Rep, rules FusionRules) []*Group {
 	g := rep.Graph
 	order := rep.Nodes()
-	claimed := make(map[*graph.Node]*Group, len(order))
-	var groups []*Group
-
-	newGroup := func(kind GroupKind, anchor *graph.Node, nodes ...*graph.Node) *Group {
-		gr := &Group{Kind: kind, Anchor: anchor}
+	// claimed records each node's group by topological position.
+	claimed := make([]*Group, len(order))
+	claimedBy := func(n *graph.Node) *Group { return claimed[rep.TopoPos(n)] }
+	claim := func(gr *Group, nodes ...*graph.Node) {
 		for _, n := range nodes {
 			gr.Nodes = append(gr.Nodes, n)
-			claimed[n] = gr
+			claimed[rep.TopoPos(n)] = gr
 		}
+	}
+	var groups []*Group
+	newGroup := func(kind GroupKind, anchor *graph.Node, nodes ...*graph.Node) *Group {
+		gr := &Group{Kind: kind, Anchor: anchor}
+		claim(gr, nodes...)
 		groups = append(groups, gr)
 		return gr
 	}
-	isOutput := func(t string) bool {
-		for _, out := range g.Outputs {
-			if out == t {
-				return true
-			}
-		}
-		return false
-	}
+	isOutput := func(t string) bool { return slices.Contains(g.Outputs, t) }
 
 	// Pass 1: Myelin regions — maximal topo-contiguous runs of
 	// myelin-able nodes containing at least two matrix multiplies,
 	// flushed at LayerNorm boundaries to keep per-attention/per-MLP
-	// granularity.
+	// granularity. A segment is the run of positions [start, i), so a
+	// tensor was produced inside it when its producer sits at start or
+	// later.
 	if rules.Myelin {
 		var segment []*graph.Node
-		produced := map[string]bool{}
+		start := 0
 		matmuls := 0
-		flush := func() {
+		flush := func(next int) {
 			if matmuls >= 2 {
 				newGroup(KindMyelin, nil, segment...)
 			}
 			segment = nil
-			produced = map[string]bool{}
+			start = next
 			matmuls = 0
 		}
 		connects := func(n *graph.Node) bool {
@@ -142,7 +141,7 @@ func Fuse(rep *analysis.Rep, rules FusionRules) []*Group {
 				return true // fresh segment, or a Constant
 			}
 			for _, in := range n.Inputs {
-				if produced[in] {
+				if p := g.Producer(in); p != nil && rep.TopoPos(p) >= start {
 					return true
 				}
 			}
@@ -152,40 +151,37 @@ func Fuse(rep *analysis.Rep, rules FusionRules) []*Group {
 			// produced input, except for metadata.
 			return IsMetadataNode(n, g)
 		}
-		for _, n := range order {
+		for i, n := range order {
 			if !myelinOps[n.OpType] {
-				flush()
+				flush(i + 1)
 				continue
 			}
 			if n.OpType == "LayerNormalization" && matmuls >= 1 {
-				flush()
+				flush(i)
 			}
 			// Cap regions at two matrix multiplies: Myelin emits one
 			// kernel per GEMM with fused pointwise epilogues, and
 			// large intermediates between GEMM pairs spill to DRAM,
 			// so region granularity tracks the GEMM structure.
 			if (n.OpType == "MatMul" || n.OpType == "Gemm" || n.OpType == "Einsum") && matmuls >= 2 {
-				flush()
+				flush(i)
 			}
 			if !connects(n) {
-				flush()
+				flush(i)
 			}
 			segment = append(segment, n)
-			for _, out := range n.Outputs {
-				produced[out] = true
-			}
 			if n.OpType == "MatMul" || n.OpType == "Gemm" || n.OpType == "Einsum" {
 				matmuls++
 			}
 		}
-		flush()
+		flush(len(order))
 	}
 
 	// Pass 2: anchored chains. From each unclaimed anchor, absorb the
 	// single-consumer chain of absorbable ops (plus the SiLU and GELU
-	// multi-node patterns).
-	for _, n := range order {
-		if claimed[n] != nil || !anchorOps[n.OpType] || IsMetadataNode(n, g) {
+	// multi-node patterns), as long as no consumer is claimed already.
+	for i, n := range order {
+		if claimed[i] != nil || !anchorOps[n.OpType] || IsMetadataNode(n, g) {
 			continue
 		}
 		gr := newGroup(KindNormal, n, n)
@@ -195,31 +191,25 @@ func Fuse(rep *analysis.Rep, rules FusionRules) []*Group {
 				break
 			}
 			out := tail.Outputs[0]
-			consumers := unclaimedConsumers(g, out, claimed)
-			if len(consumers) != len(g.Consumers(out)) {
+			consumers := g.Consumers(out)
+			if slices.ContainsFunc(consumers, func(c *graph.Node) bool { return claimedBy(c) != nil }) {
 				break // someone else already owns a consumer
 			}
 			if next, ok := matchSingle(consumers, rules.AbsorbOps); ok {
-				gr.Nodes = append(gr.Nodes, next)
-				claimed[next] = gr
+				claim(gr, next)
 				tail = next
 				continue
 			}
 			if rules.AbsorbSiLU {
 				if sig, mul, ok := matchSiLU(g, out, consumers); ok {
-					gr.Nodes = append(gr.Nodes, sig, mul)
-					claimed[sig] = gr
-					claimed[mul] = gr
+					claim(gr, sig, mul)
 					tail = mul
 					continue
 				}
 			}
 			if rules.AbsorbGelu {
-				if nodes, last, ok := matchGelu(g, out, consumers, claimed); ok {
-					for _, gn := range nodes {
-						gr.Nodes = append(gr.Nodes, gn)
-						claimed[gn] = gr
-					}
+				if nodes, last, ok := matchGelu(g, out, consumers, claimedBy); ok {
+					claim(gr, nodes...)
 					tail = last
 					continue
 				}
@@ -230,31 +220,30 @@ func Fuse(rep *analysis.Rep, rules FusionRules) []*Group {
 
 	// Pass 3: pointwise runs.
 	if rules.PointwiseRuns {
-		for _, n := range order {
-			if claimed[n] != nil || !pointwiseOps[n.OpType] || IsMetadataNode(n, g) {
+		for i, n := range order {
+			if claimed[i] != nil || !pointwiseOps[n.OpType] || IsMetadataNode(n, g) {
 				continue
 			}
 			gr := newGroup(KindNormal, nil, n)
 			tail := n
 			for len(tail.Outputs) == 1 && !isOutput(tail.Outputs[0]) {
-				consumers := unclaimedConsumers(g, tail.Outputs[0], claimed)
-				if len(consumers) != 1 || len(g.Consumers(tail.Outputs[0])) != 1 {
+				consumers := g.Consumers(tail.Outputs[0])
+				if len(consumers) != 1 || claimedBy(consumers[0]) != nil {
 					break
 				}
 				next := consumers[0]
 				if !pointwiseOps[next.OpType] || IsMetadataNode(next, g) {
 					break
 				}
-				gr.Nodes = append(gr.Nodes, next)
-				claimed[next] = gr
+				claim(gr, next)
 				tail = next
 			}
 		}
 	}
 
 	// Pass 4: every remaining non-metadata node is its own layer.
-	for _, n := range order {
-		if claimed[n] == nil && !IsMetadataNode(n, g) {
+	for i, n := range order {
+		if claimed[i] == nil && !IsMetadataNode(n, g) {
 			newGroup(KindNormal, nil, n)
 		}
 	}
@@ -264,13 +253,13 @@ func Fuse(rep *analysis.Rep, rules FusionRules) []*Group {
 	// of their producer, or a singleton group as a last resort.
 	for i := len(order) - 1; i >= 0; i-- {
 		n := order[i]
-		if claimed[n] != nil || !IsMetadataNode(n, g) {
+		if claimed[i] != nil || !IsMetadataNode(n, g) {
 			continue
 		}
 		var target *Group
 		for _, out := range n.Outputs {
 			for _, c := range g.Consumers(out) {
-				if gr := claimed[c]; gr != nil {
+				if gr := claimedBy(c); gr != nil {
 					target = gr
 					break
 				}
@@ -281,8 +270,8 @@ func Fuse(rep *analysis.Rep, rules FusionRules) []*Group {
 		}
 		if target == nil {
 			for _, in := range n.Inputs {
-				if p := g.Producer(in); p != nil && claimed[p] != nil {
-					target = claimed[p]
+				if p := g.Producer(in); p != nil && claimedBy(p) != nil {
+					target = claimedBy(p)
 					break
 				}
 			}
@@ -291,29 +280,24 @@ func Fuse(rep *analysis.Rep, rules FusionRules) []*Group {
 			newGroup(KindNormal, nil, n)
 			continue
 		}
-		target.Nodes = append(target.Nodes, n)
-		claimed[n] = target
+		claim(target, n)
 	}
 
-	// Normalize: sort each group's nodes and the group list by topo
-	// position.
+	// Normalize: every node is claimed now, so one walk in topological
+	// order lists each group's nodes in order, and the groups in the
+	// order of their first nodes.
 	for _, gr := range groups {
-		rep.SortTopo(gr.Nodes)
+		gr.Nodes = gr.Nodes[:0]
 	}
-	slices.SortFunc(groups, func(a, b *Group) int {
-		return rep.TopoPos(a.Nodes[0]) - rep.TopoPos(b.Nodes[0])
-	})
-	return groups
-}
-
-func unclaimedConsumers(g *graph.Graph, tensor string, claimed map[*graph.Node]*Group) []*graph.Node {
-	var out []*graph.Node
-	for _, c := range g.Consumers(tensor) {
-		if claimed[c] == nil {
-			out = append(out, c)
+	sorted := groups[:0]
+	for i, n := range order {
+		gr := claimed[i]
+		if len(gr.Nodes) == 0 {
+			sorted = append(sorted, gr)
 		}
+		gr.Nodes = append(gr.Nodes, n)
 	}
-	return out
+	return sorted
 }
 
 func matchSingle(consumers []*graph.Node, absorb map[string]bool) (*graph.Node, bool) {
@@ -357,7 +341,7 @@ func matchSiLU(g *graph.Graph, tensor string, consumers []*graph.Node) (sig, mul
 //	t -> Div(t,c) -> Erf -> Add(e,1) -> Mul(t,a) -> Mul(m, 0.5)
 //
 // and returns the five compute nodes in order plus the final node.
-func matchGelu(g *graph.Graph, tensor string, consumers []*graph.Node, claimed map[*graph.Node]*Group) ([]*graph.Node, *graph.Node, bool) {
+func matchGelu(g *graph.Graph, tensor string, consumers []*graph.Node, claimedBy func(*graph.Node) *Group) ([]*graph.Node, *graph.Node, bool) {
 	var div, mul1 *graph.Node
 	for _, c := range consumers {
 		switch c.OpType {
@@ -375,7 +359,7 @@ func matchGelu(g *graph.Graph, tensor string, consumers []*graph.Node, claimed m
 			return nil
 		}
 		cs := g.Consumers(n.Outputs[0])
-		if len(cs) != 1 || cs[0].OpType != op || claimed[cs[0]] != nil {
+		if len(cs) != 1 || cs[0].OpType != op || claimedBy(cs[0]) != nil {
 			return nil
 		}
 		return cs[0]

@@ -15,7 +15,6 @@ import (
 
 	"proof/internal/analysis"
 	"proof/internal/backend"
-	"proof/internal/graph"
 	"proof/internal/obs"
 )
 
@@ -74,10 +73,10 @@ func ortInfo(idx int, gr *backend.Group, truth *analysis.Layer, alias map[string
 // reorder_1.
 func ortReorders(rep *analysis.Rep, groups []*backend.Group) []backend.ReformatSpec {
 	g := rep.Graph
-	groupOf := map[*graph.Node]*backend.Group{}
+	groupOf := make([]*backend.Group, rep.NodeCount()) // by topological position
 	for _, gr := range groups {
 		for _, n := range gr.Nodes {
-			groupOf[n] = gr
+			groupOf[rep.TopoPos(n)] = gr
 		}
 	}
 	isConvGroup := func(gr *backend.Group) bool {
@@ -96,7 +95,7 @@ func ortReorders(rep *analysis.Rep, groups []*backend.Group) []backend.ReformatS
 			continue
 		}
 		prod := g.Producer(t)
-		if prod != nil && isConvGroup(groupOf[prod]) {
+		if prod != nil && isConvGroup(groupOf[rep.TopoPos(prod)]) {
 			continue
 		}
 		seen[t] = true

@@ -46,7 +46,7 @@ func TestViewSharesNodesCopiesTensors(t *testing.T) {
 	if v.Admitted() || &v.Nodes[0] != &g.Nodes[0] {
 		t.Fatal("a view must share the admitted nodes without being admitted itself")
 	}
-	if v.View().Tensors["x"] == v.Tensors["x"] {
+	if v.View().Tensor("x") == v.Tensor("x") {
 		t.Fatal("each view must own its tensors")
 	}
 	v.Tensor("x").Shape[0] = 4
@@ -75,4 +75,29 @@ func TestViewSharesNodesCopiesTensors(t *testing.T) {
 		}
 	}()
 	raw.View()
+}
+
+// TestViewLookupsZeroAlloc: a view resolves tensor names through the
+// admission's slot table and node names through its name table, and
+// neither lookup allocates.
+func TestViewLookupsZeroAlloc(t *testing.T) {
+	raw := New("pair")
+	raw.AddTensor(&Tensor{Name: "x", DType: Float32, Shape: Shape{1, 8}})
+	raw.AddTensor(&Tensor{Name: "y", DType: Float32})
+	raw.AddNode(&Node{Name: "relu", OpType: "Relu", Inputs: []string{"x"}, Outputs: []string{"y"}})
+	raw.Inputs, raw.Outputs = []string{"x"}, []string{"y"}
+	g, errs := Admit(raw)
+	if len(errs) > 0 {
+		t.Fatal(errs[0])
+	}
+	v := g.View()
+	if v.Tensor("y") == nil || v.Tensor("y") == g.Tensor("y") || v.Tensor("nope") != nil {
+		t.Fatal("a view must resolve each registered name to its own copy, and nothing else")
+	}
+	if v.Node("relu") != g.Nodes[0] || v.Node("nope") != nil {
+		t.Fatal("a view must resolve node names to the admitted nodes")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = v.Tensor("y"), v.Node("relu") }); allocs != 0 {
+		t.Errorf("view lookups: %.0f allocs, want 0", allocs)
+	}
 }

@@ -22,18 +22,22 @@ func (g *Graph) Digest() string {
 	if g.Admitted() {
 		return g.adm.digest
 	}
-	b := make([]byte, 0, 64*(len(g.Nodes)+len(g.Tensors)))
+	return g.digest(g.SortedTensorNames())
+}
+
+// digest is Digest over the graph's tensor names, sorted.
+func (g *Graph) digest(names []string) string {
+	b := make([]byte, 0, 64*(len(g.Nodes)+len(names)))
 	b = appendStr(b, "proof-graph-v1")
 	b = appendStr(b, g.Name)
 	b = binary.AppendUvarint(b, uint64(len(g.Nodes)))
 	for _, n := range g.Nodes {
 		b = appendNode(b, n)
 	}
-	names := g.SortedTensorNames()
 	b = binary.AppendUvarint(b, uint64(len(names)))
 	for _, name := range names {
 		b = appendStr(b, name)
-		b = appendTensor(b, g.Tensors[name])
+		b = appendTensor(b, g.Tensor(name))
 	}
 	b = appendStrs(b, g.Inputs)
 	b = appendStrs(b, g.Outputs)

@@ -85,6 +85,9 @@ type Graph struct {
 	idx *graphIndex
 	// adm is set on an admitted graph and on its views; see Admit.
 	adm *admission
+	// tensors holds a view's own tensor copies, by admission slot; see
+	// View.
+	tensors []Tensor
 }
 
 // New creates an empty graph with the given name.
@@ -98,9 +101,33 @@ func (g *Graph) AddTensor(t *Tensor) {
 	g.Tensors[t.Name] = t
 }
 
-// Tensor returns the named tensor or nil.
+// Tensor returns the named tensor or nil. A view resolves the name
+// through its admission's slot table to its own copy.
+//
+//lint:hotpath
 func (g *Graph) Tensor(name string) *Tensor {
+	if g.isView() {
+		if i, ok := g.adm.slots[name]; ok {
+			return &g.tensors[i]
+		}
+		return nil
+	}
 	return g.Tensors[name]
+}
+
+// eachTensor calls f with every registered tensor and the name it is
+// registered under: a view's own copies in slot order, or any other
+// graph's Tensors map.
+func (g *Graph) eachTensor(f func(name string, t *Tensor)) {
+	if g.isView() {
+		for i := range g.tensors {
+			f(g.adm.tensors[i].Name, &g.tensors[i])
+		}
+		return
+	}
+	for name, t := range g.Tensors {
+		f(name, t)
+	}
 }
 
 // AddNode appends a node to the graph.
@@ -108,8 +135,13 @@ func (g *Graph) AddNode(n *Node) {
 	g.Nodes = append(g.Nodes, n)
 }
 
-// Node returns the node with the given name, or nil.
+// Node returns the node with the given name, or nil. An admitted graph
+// and its views look the name up in the admission's name table; a raw
+// graph scans its nodes.
 func (g *Graph) Node(name string) *Node {
+	if g.adm != nil {
+		return g.adm.nodes[name]
+	}
 	for _, n := range g.Nodes {
 		if n.Name == name {
 			return n
@@ -165,26 +197,27 @@ func (g *Graph) index() *graphIndex {
 // (M)" column of Table 3 divides this by 1e6).
 func (g *Graph) ParamCount() int64 {
 	var n int64
-	for _, t := range g.Tensors {
+	g.eachTensor(func(_ string, t *Tensor) {
 		if t.Param {
 			n += t.Shape.NumElements()
 		}
-	}
+	})
 	return n
 }
 
 // ParamBytes returns the total parameter size in bytes.
 func (g *Graph) ParamBytes() int64 {
 	var n int64
-	for _, t := range g.Tensors {
+	g.eachTensor(func(_ string, t *Tensor) {
 		if t.Param {
 			n += t.Bytes()
 		}
-	}
+	})
 	return n
 }
 
-// Clone deep-copies the graph (nodes, tensors, IO lists).
+// Clone deep-copies the graph (nodes, tensors, IO lists) into a raw
+// graph; a view's clone carries the view's own tensors.
 func (g *Graph) Clone() *Graph {
 	c := New(g.Name)
 	c.Inputs = append([]string(nil), g.Inputs...)
@@ -192,9 +225,9 @@ func (g *Graph) Clone() *Graph {
 	for _, n := range g.Nodes {
 		c.Nodes = append(c.Nodes, n.Clone())
 	}
-	for name, t := range g.Tensors {
+	g.eachTensor(func(name string, t *Tensor) {
 		c.Tensors[name] = t.Clone()
-	}
+	})
 	return c
 }
 
@@ -292,11 +325,11 @@ func (h *declHeap) pop() int {
 // (graph inputs, outputs, and intermediates).
 func (g *Graph) ActivationBytes() int64 {
 	var n int64
-	for _, t := range g.Tensors {
+	g.eachTensor(func(_ string, t *Tensor) {
 		if !t.Param {
 			n += t.Bytes()
 		}
-	}
+	})
 	return n
 }
 
@@ -306,21 +339,22 @@ func (g *Graph) ActivationBytes() int64 {
 // untouched. Re-run shape inference afterwards if nodes carry
 // dtype-sensitive semantics.
 func (g *Graph) ConvertFloatTensors(dt DataType) {
-	for _, t := range g.Tensors {
+	g.eachTensor(func(_ string, t *Tensor) {
 		switch t.DType {
 		case Float32, Float16, BFloat16:
 			t.DType = dt
 		}
-	}
+	})
 }
 
 // SortedTensorNames returns all tensor names sorted, for deterministic
 // iteration.
 func (g *Graph) SortedTensorNames() []string {
-	names := make([]string, 0, len(g.Tensors))
-	for name := range g.Tensors {
+	// A view's tensors are in g.tensors, any other graph's in g.Tensors.
+	names := make([]string, 0, len(g.Tensors)+len(g.tensors))
+	g.eachTensor(func(name string, _ *Tensor) {
 		names = append(names, name)
-	}
+	})
 	sort.Strings(names)
 	return names
 }

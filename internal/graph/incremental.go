@@ -20,7 +20,7 @@ func (inf *Inference) InferNode(n *Node) error {
 		if _, ok := inf.ctx.values[in]; ok {
 			continue
 		}
-		if t := inf.ctx.g.Tensors[in]; t != nil && t.IntData != nil {
+		if t := inf.ctx.g.Tensor(in); t != nil && t.IntData != nil {
 			inf.ctx.values[in] = t.IntData
 		}
 	}

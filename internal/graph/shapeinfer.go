@@ -28,11 +28,11 @@ func (g *Graph) InferShapes() error {
 	}
 	ctx := &inferCtx{g: g, values: map[string][]int64{}}
 	// Seed known values from constant parameter tensors.
-	for _, t := range g.Tensors {
+	g.eachTensor(func(_ string, t *Tensor) {
 		if t.IntData != nil {
 			ctx.values[t.Name] = t.IntData
 		}
-	}
+	})
 	for _, n := range order {
 		if err := ctx.inferNode(n); err != nil {
 			return &ValidationError{
@@ -53,7 +53,7 @@ func (c *inferCtx) in(n *Node, i int) (*Tensor, error) {
 	if i >= len(n.Inputs) {
 		return nil, fmt.Errorf("missing input %d", i)
 	}
-	t := c.g.Tensors[n.Inputs[i]]
+	t := c.g.Tensor(n.Inputs[i])
 	if t == nil {
 		return nil, fmt.Errorf("input tensor %q not registered", n.Inputs[i])
 	}
@@ -68,7 +68,7 @@ func (c *inferCtx) setOut(n *Node, i int, shape Shape, dt DataType) error {
 	if i >= len(n.Outputs) {
 		return fmt.Errorf("missing output %d", i)
 	}
-	t := c.g.Tensors[n.Outputs[i]]
+	t := c.g.Tensor(n.Outputs[i])
 	if t == nil {
 		return fmt.Errorf("output tensor %q not registered", n.Outputs[i])
 	}

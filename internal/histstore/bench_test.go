@@ -40,3 +40,30 @@ func BenchmarkStoreAppendQuery(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkGetID resolves record IDs in a store of 10k records: the
+// address lookup plus the read of one report.
+func BenchmarkGetID(b *testing.B) {
+	s, err := Open(b.TempDir(), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { s.Close() })
+	const records = 10_000
+	for i := 0; i < records; i++ {
+		model := fmt.Sprintf("model-%02d", i%50)
+		if err := s.Append(testMeta(model, "a100", "r", i), testReport(model, "a100", i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	entries, _, err := s.Query(Query{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := s.GetID(entries[i*7919%len(entries)].ID); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -163,8 +163,9 @@ type Store struct {
 	opts Options
 
 	mu      sync.RWMutex
-	entries []*ixEntry       // sorted by compareKey
-	covered map[uint32]int64 // segment id -> bytes covered by the index
+	entries []*ixEntry           // sorted by compareKey
+	byAddr  map[recAddr]*ixEntry // every entry by its address, for GetID
+	covered map[uint32]int64     // segment id -> bytes covered by the index
 	nextSeq uint64
 	active  uint32   // id of the segment Append writes to
 	handles sync.Map // segment id (uint32) -> *os.File, read handles
@@ -261,7 +262,9 @@ func Open(dir string, opts Options) (*Store, error) {
 
 	sort.Slice(entries, func(i, j int) bool { return compareKey(entries[i], entries[j]) < 0 })
 	s.entries = entries
+	s.byAddr = make(map[recAddr]*ixEntry, len(entries))
 	for _, e := range entries {
+		s.byAddr[e.addr()] = e
 		if e.meta.TimestampNS > s.lastAppendNS.Load() {
 			s.lastAppendNS.Store(e.meta.TimestampNS)
 		}
@@ -460,10 +463,12 @@ func (s *Store) Append(meta Meta, report []byte) error {
 	return nil
 }
 
-// insertLocked places e into the sorted entry slice.
+// insertLocked places e into the sorted entry slice and the address
+// lookup.
 func (s *Store) insertLocked(e *ixEntry) {
 	i := sort.Search(len(s.entries), func(i int) bool { return compareKey(s.entries[i], e) >= 0 })
 	s.entries = slices.Insert(s.entries, i, e)
+	s.byAddr[e.addr()] = e
 }
 
 // rotateLocked closes the active segment and starts the next one.
@@ -595,13 +600,7 @@ func (s *Store) GetID(id string) (Meta, []byte, error) {
 		return Meta{}, nil, fmt.Errorf("histstore: malformed record id %q (want \"segment:offset\")", id)
 	}
 	s.mu.RLock()
-	var found *ixEntry
-	for _, e := range s.entries {
-		if e.seg == seg && e.off == off {
-			found = e
-			break
-		}
-	}
+	found := s.byAddr[recAddr{seg, off}]
 	s.mu.RUnlock()
 	if found == nil {
 		return Meta{}, nil, fmt.Errorf("histstore: no record %q", id)
@@ -816,8 +815,12 @@ func (s *Store) Compact() error {
 		if _, err := s.w.Write(lr.rec); err != nil {
 			return err
 		}
+		// New segment ids follow every old one, so a moved entry's new
+		// address never collides with one not yet moved.
+		delete(s.byAddr, lr.e.addr())
 		lr.e.seg = s.active
 		lr.e.off = off
+		s.byAddr[lr.e.addr()] = lr.e
 		s.covered[s.active] = off + int64(len(lr.rec))
 		s.segBytes.Add(int64(len(lr.rec)))
 	}

@@ -115,6 +115,58 @@ func TestStoreGetID(t *testing.T) {
 	}
 }
 
+// TestGetIDMatchesGetAcrossCompact: every entry's ID resolves through
+// GetID to the meta and bytes Get returns for it, before and after
+// Compact moves every record; an ID from before Compact, naming an
+// address no record has any more, resolves to nothing.
+func TestGetIDMatchesGetAcrossCompact(t *testing.T) {
+	s := mustOpen(t, t.TempDir(), Options{SegmentBytes: 4 << 10})
+	for i := 0; i < 40; i++ {
+		model := fmt.Sprintf("model-%d", i%4)
+		if err := s.Append(testMeta(model, "a100", "r", i), testReport(model, "a100", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resolveAll := func(stage string) []Entry {
+		t.Helper()
+		entries, total, err := s.Query(Query{})
+		if err != nil || total != 40 {
+			t.Fatalf("%s: Query: %d entries, %v", stage, total, err)
+		}
+		for _, e := range entries {
+			want, err := s.Get(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			meta, got, err := s.GetID(e.ID)
+			if err != nil {
+				t.Fatalf("%s: GetID(%s): %v", stage, e.ID, err)
+			}
+			if meta != e.Meta || !bytes.Equal(got, want) {
+				t.Errorf("%s: GetID(%s) = %+v and %d bytes, Get = %+v and %d bytes", stage, e.ID, meta, len(got), e.Meta, len(want))
+			}
+		}
+		return entries
+	}
+	before := resolveAll("before Compact")
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	after := resolveAll("after Compact")
+	moved := map[string]bool{}
+	for _, e := range after {
+		moved[e.ID] = true
+	}
+	for _, e := range before {
+		if moved[e.ID] {
+			t.Fatalf("Compact left record %s at its address", e.ID)
+		}
+		if _, _, err := s.GetID(e.ID); err == nil {
+			t.Errorf("GetID(%s), an address from before Compact, still resolves", e.ID)
+		}
+	}
+}
+
 func TestStorePaging(t *testing.T) {
 	s := mustOpen(t, t.TempDir(), Options{})
 	for i := 0; i < 30; i++ {

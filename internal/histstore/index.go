@@ -23,6 +23,15 @@ type ixEntry struct {
 	plen    uint32
 }
 
+// recAddr is a record's address, the segment and offset an Entry.ID
+// spells.
+type recAddr struct {
+	seg uint32
+	off int64
+}
+
+func (e *ixEntry) addr() recAddr { return recAddr{e.seg, e.off} }
+
 // compareKey orders entries by the composite index key
 // (model, platform, descriptor-hash, git-rev, timestamp, seq) — the
 // tuple the issue's queries and drift grouping walk.

@@ -1,0 +1,41 @@
+package memo
+
+import "proof/internal/graph"
+
+// ContentKeyByMap is ContentKey as it was first written, numbering
+// tensor slots through a name → slot map. Key bytes must never change
+// (they seed the simulator's jitter), so the parity test holds
+// ContentKey to it.
+func ContentKeyByMap(g *graph.Graph, nodes []*graph.Node, kind string) string {
+	slots := map[string]int{}
+	slot := func(name string) int64 {
+		if i, ok := slots[name]; ok {
+			return int64(i)
+		}
+		i := len(slots)
+		slots[name] = i
+		return int64(i)
+	}
+	b := appendStr(nil, "proof-unit-v1")
+	b = appendStr(b, kind)
+	b = appendInt(b, int64(len(nodes)))
+	for _, n := range nodes {
+		if n == nil {
+			b = appendStr(b, "nil-node")
+			continue
+		}
+		b = appendStr(b, n.OpType)
+		b = appendAttrs(b, n.Attrs)
+		b = appendInt(b, int64(len(n.Inputs)))
+		for _, in := range n.Inputs {
+			b = appendInt(b, slot(in))
+			b = appendTensor(b, tensorOf(g, in))
+		}
+		b = appendInt(b, int64(len(n.Outputs)))
+		for _, out := range n.Outputs {
+			b = appendInt(b, slot(out))
+			b = appendTensor(b, tensorOf(g, out))
+		}
+	}
+	return hexKey(b)
+}

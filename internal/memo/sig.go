@@ -31,6 +31,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"slices"
+	"strings"
 
 	"proof/internal/graph"
 	"proof/internal/hardware"
@@ -46,25 +48,21 @@ import (
 // frames every field with a length or tag, so no concatenation of
 // adjacent fields can collide with a different field split.
 func ContentKey(g *graph.Graph, nodes []*graph.Node, kind string) string {
-	refs := 0
+	var refStack [keyStackRefs]string
+	refs := refStack[:0]
 	for _, n := range nodes {
 		if n != nil {
-			refs += len(n.Inputs) + len(n.Outputs)
+			refs = append(refs, n.Inputs...)
+			refs = append(refs, n.Outputs...)
 		}
 	}
-	slots := make(map[string]int, refs) // tensor name -> first-reference slot
-	slot := func(name string) int64 {
-		if i, ok := slots[name]; ok {
-			return int64(i)
-		}
-		i := len(slots)
-		slots[name] = i
-		return int64(i)
-	}
+	var slotStack, sortStack [keyStackRefs]int32
+	slots := firstRefSlots(refs, slotStack[:0], sortStack[:0])
 	var stack [keyStackBytes]byte
 	b := appendStr(stack[:0], "proof-unit-v1")
 	b = appendStr(b, kind)
 	b = appendInt(b, int64(len(nodes)))
+	ref := 0
 	for _, n := range nodes {
 		if n == nil {
 			b = appendStr(b, "nil-node")
@@ -74,16 +72,53 @@ func ContentKey(g *graph.Graph, nodes []*graph.Node, kind string) string {
 		b = appendAttrs(b, n.Attrs)
 		b = appendInt(b, int64(len(n.Inputs)))
 		for _, in := range n.Inputs {
-			b = appendInt(b, slot(in))
+			b = appendInt(b, int64(slots[ref]))
 			b = appendTensor(b, tensorOf(g, in))
+			ref++
 		}
 		b = appendInt(b, int64(len(n.Outputs)))
 		for _, out := range n.Outputs {
-			b = appendInt(b, slot(out))
+			b = appendInt(b, int64(slots[ref]))
 			b = appendTensor(b, tensorOf(g, out))
+			ref++
 		}
 	}
 	return hexKey(b)
+}
+
+// firstRefSlots numbers tensor references by first reference: the
+// i-th distinct name in refs gets slot i, and every reference to a
+// name gets that name's slot. It sorts the reference indices by name
+// (in byIdx) rather than keeping a set of the names seen, and returns
+// the slots in slots' backing array.
+func firstRefSlots(refs []string, slots, byIdx []int32) []int32 {
+	for i := range refs {
+		slots = append(slots, int32(i))
+		byIdx = append(byIdx, int32(i))
+	}
+	slices.SortFunc(byIdx, func(a, b int32) int {
+		if c := strings.Compare(refs[a], refs[b]); c != 0 {
+			return c
+		}
+		return int(a - b)
+	})
+	// Point every reference at the first reference to its name...
+	for k := 1; k < len(byIdx); k++ {
+		if refs[byIdx[k]] == refs[byIdx[k-1]] {
+			slots[byIdx[k]] = slots[byIdx[k-1]]
+		}
+	}
+	// ...then number the first references in order of appearance.
+	next := int32(0)
+	for i, first := range slots {
+		if first == int32(i) {
+			slots[i] = next
+			next++
+		} else {
+			slots[i] = slots[first]
+		}
+	}
+	return slots
 }
 
 // ReformatKey fingerprints a runtime-inserted reformat/reorder layer,
@@ -142,11 +177,14 @@ func GraphDigest(g *graph.Graph) (string, error) {
 
 // Every key is the SHA-256 of one buffer of framed fields. The append
 // helpers build that buffer, starting in a keyStackBytes array on the
-// caller's stack, so a key's allocations do not grow with its field
-// count: its hex string, ContentKey's slot map once a group references
-// more than eight tensors, and buffer growth only for keys longer than
-// the array.
-const keyStackBytes = 1024
+// caller's stack, and ContentKey numbers a group's tensor references in
+// keyStackRefs-long arrays there too, so a key's allocations do not
+// grow with its field count: its hex string, and growth only for keys
+// longer than the arrays.
+const (
+	keyStackBytes = 1024
+	keyStackRefs  = 128
+)
 
 // hexKey hashes the encoded fields and returns the digest in hex.
 func hexKey(b []byte) string {

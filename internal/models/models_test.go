@@ -285,7 +285,7 @@ func TestPeakTestModel(t *testing.T) {
 	}
 	var haveMatMul, haveCopy bool
 	for _, n := range rep.Nodes() {
-		c, _ := rep.NodeCost(n.Name)
+		c, _ := rep.Cost(n)
 		switch n.OpType {
 		case "MatMul":
 			haveMatMul = true

@@ -149,12 +149,12 @@ func ClassifyNode(n *graph.Node, g *graph.Graph) Class {
 
 // ClassifyNodes returns the dominant class of a set of (fused) nodes.
 func ClassifyNodes(nodes []*graph.Node, g *graph.Graph) Class {
-	present := map[Class]bool{}
+	var present uint64 // bit c is set when class c occurs
 	for _, n := range nodes {
-		present[ClassifyNode(n, g)] = true
+		present |= 1 << ClassifyNode(n, g)
 	}
 	for _, c := range classPriority {
-		if present[c] {
+		if present&(1<<c) != 0 {
 			return c
 		}
 	}
@@ -166,9 +166,14 @@ func ClassifyNodes(nodes []*graph.Node, g *graph.Graph) Class {
 // style of cuDNN/cuBLAS kernels ("sm80_xmma_fprop_implicit_gemm_...").
 // Used by the trtsim kernel lowering and the simulated Nsight trace.
 func KernelNameFor(arch string, class Class, dt graph.DataType, name string) string {
-	sm := map[string]string{"ampere": "sm80", "ada": "sm89", "volta": "sm72"}[arch]
-	if sm == "" {
-		sm = "generic"
+	sm := "generic"
+	switch arch {
+	case "ampere":
+		sm = "sm80"
+	case "ada":
+		sm = "sm89"
+	case "volta":
+		sm = "sm72"
 	}
 	var stem string
 	switch class {

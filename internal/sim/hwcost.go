@@ -18,11 +18,9 @@ import (
 //     instructions performance counters do not count as FLOP, deflating
 //     the count relative to the analytical weights (why ViT's predicted
 //     FLOP lands *above* NCU in Table 4).
-func HardwareFLOP(n *graph.Node, g *graph.Graph, plat *hardware.Platform) int64 {
-	c, err := analysis.NodeCost(n, g)
-	if err != nil {
-		return 0
-	}
+//
+// c is the node's analytical cost (Rep.Cost).
+func HardwareFLOP(n *graph.Node, c analysis.Cost, g *graph.Graph, plat *hardware.Platform) int64 {
 	granule := padGranule(plat)
 	switch n.OpType {
 	case "Conv", "ConvTranspose":
@@ -102,11 +100,14 @@ func convHardwareFLOP(n *graph.Node, g *graph.Graph, granule int64) int64 {
 }
 
 // HardwareFLOPForNodes sums the hardware FLOP over the nodes of a
-// (fused) backend layer.
-func HardwareFLOPForNodes(nodes []*graph.Node, g *graph.Graph, plat *hardware.Platform) int64 {
+// (fused) backend layer, from the costs rep already holds. A node
+// outside rep's graph counts 0.
+func HardwareFLOPForNodes(rep *analysis.Rep, nodes []*graph.Node, plat *hardware.Platform) int64 {
 	var total int64
 	for _, n := range nodes {
-		total += HardwareFLOP(n, g, plat)
+		if c, ok := rep.Cost(n); ok {
+			total += HardwareFLOP(n, c, rep.Graph, plat)
+		}
 	}
 	return total
 }

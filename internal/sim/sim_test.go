@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"proof/internal/analysis"
 	"proof/internal/graph"
 	"proof/internal/hardware"
 )
@@ -254,6 +255,16 @@ func TestClassifyNodeAllBranches(t *testing.T) {
 	}
 }
 
+// hardwareFLOP is HardwareFLOP of n at its analytical cost.
+func hardwareFLOP(t *testing.T, n *graph.Node, g *graph.Graph, plat *hardware.Platform) int64 {
+	t.Helper()
+	c, err := analysis.NodeCost(n, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return HardwareFLOP(n, c, g, plat)
+}
+
 func TestHardwareFLOPForNodesSums(t *testing.T) {
 	plat, _ := hardware.Get("a100")
 	g := graph.New("sum")
@@ -267,11 +278,12 @@ func TestHardwareFLOPForNodesSums(t *testing.T) {
 	g.AddNode(n2)
 	g.Inputs = []string{"a"}
 	g.Outputs = []string{"d"}
-	if err := g.InferShapes(); err != nil {
+	rep, err := analysis.NewRep(g)
+	if err != nil {
 		t.Fatal(err)
 	}
-	sum := HardwareFLOPForNodes([]*graph.Node{n1, n2}, g, plat)
-	if sum != HardwareFLOP(n1, g, plat)+HardwareFLOP(n2, g, plat) {
+	sum := HardwareFLOPForNodes(rep, []*graph.Node{n1, n2}, plat)
+	if sum != hardwareFLOP(t, n1, g, plat)+hardwareFLOP(t, n2, g, plat) {
 		t.Error("HardwareFLOPForNodes must sum per-node values")
 	}
 	if sum <= 0 {
@@ -295,7 +307,7 @@ func TestHardwareFLOPPadding(t *testing.T) {
 	if err := g.InferShapes(); err != nil {
 		t.Fatal(err)
 	}
-	hw := HardwareFLOP(n, g, plat)
+	hw := hardwareFLOP(t, n, g, plat)
 	model := int64(2) * 112 * 112 * 64 * 3 * 7 * 7
 	if hw <= model {
 		t.Errorf("padded hardware FLOP %d should exceed model FLOP %d", hw, model)
@@ -317,7 +329,7 @@ func TestHardwareFLOPTranscendentalDeflation(t *testing.T) {
 	if err := g.InferShapes(); err != nil {
 		t.Fatal(err)
 	}
-	hw := HardwareFLOP(n, g, plat)
+	hw := hardwareFLOP(t, n, g, plat)
 	// Analytical weight is 10 FLOP/element; counters see at most ~2.
 	if hw > 2*1024 {
 		t.Errorf("erf hardware FLOP = %d, counters should see <= 2/element", hw)
