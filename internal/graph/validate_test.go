@@ -35,6 +35,8 @@ func TestValidateCorruptionClasses(t *testing.T) {
 		{"empty node name", func(g *Graph) { g.Nodes[0].Name = "" }, ErrEmptyNodeName},
 		{"null node", func(g *Graph) { g.Nodes[1] = nil }, ErrEmptyNodeName},
 		{"duplicate node name", func(g *Graph) { g.Nodes[1].Name = "add" }, ErrDuplicateNode},
+		// Five overlapping occurrences of " + ", two apart.
+		{"name holds the layer-name separator too often", func(g *Graph) { g.Nodes[1].Name = "p + + + + + q" }, ErrNameSeparators},
 		{"two producers of one tensor", func(g *Graph) {
 			g.AddNode(&Node{Name: "dup", OpType: "Relu", Inputs: []string{"in"}, Outputs: []string{"out"}})
 		}, ErrMultiProducer},
