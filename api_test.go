@@ -115,7 +115,7 @@ func TestPublicPowerWorkflow(t *testing.T) {
 	if peak.FLOPS < 1e12 || peak.BW < 1e10 {
 		t.Errorf("peak = %+v", peak)
 	}
-	res, err := proof.TuneClocks(context.Background(), "orin-nx", "efficientnetv2-t", 8, proof.Float16, 15, 0.45)
+	res, err := proof.TuneClocks(context.Background(), "orin-nx", "efficientnetv2-t", 8, proof.Float16, 15, 0.45, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,12 +138,43 @@ func TestPublicBatchAndDistributed(t *testing.T) {
 	}
 	curve, err := proof.DistributedScalingCurve(context.Background(), proof.DistributedOptions{
 		Model: "resnet-50", Platform: "a100", GlobalBatch: 64,
-	}, []int{1, 4})
+	}, []int{1, 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(curve) != 2 || curve[1].Efficiency >= 1 {
 		t.Errorf("scaling curve = %+v", curve)
+	}
+}
+
+// TestPublicWorkflowsThroughSession: the power and distributed entry
+// points route every profile through the session they are given, so a
+// repeat executes no pipeline.
+func TestPublicWorkflowsThroughSession(t *testing.T) {
+	ctx := context.Background()
+	sess := proof.NewSession(0)
+	run := func() {
+		t.Helper()
+		if _, err := proof.TuneClocks(ctx, "orin-nx", "mobilenetv2-1.0", 8, proof.Float16, 15, 0.45, sess); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := proof.EvaluatePowerProfile(ctx, "orin-nx", "mobilenetv2-1.0", 8, proof.Float16, proof.StockPowerProfiles()[0], sess); err != nil {
+			t.Fatal(err)
+		}
+		opts := proof.DistributedOptions{Model: "resnet-50", Platform: "a100", GlobalBatch: 64}
+		if _, err := proof.DistributedScalingCurve(ctx, opts, []int{1, 4}, sess); err != nil {
+			t.Fatal(err)
+		}
+		opts.Devices = 4
+		if _, err := proof.ProfileDistributed(ctx, opts, sess); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	before := sess.Stats()
+	run()
+	if st := sess.Stats(); st.Misses != before.Misses || st.Hits <= before.Hits {
+		t.Errorf("repeat: stats %+v after %+v, want hits only", st, before)
 	}
 }
 
@@ -184,7 +215,7 @@ func TestPublicSweepsAndStats(t *testing.T) {
 	if err != nil || stats.Runs != 3 {
 		t.Fatalf("runs: %v", err)
 	}
-	w, err := proof.EvaluatePowerProfile(context.Background(), "orin-nx", "mobilenetv2-1.0", 8, proof.Float16, proof.StockPowerProfiles()[0])
+	w, err := proof.EvaluatePowerProfile(context.Background(), "orin-nx", "mobilenetv2-1.0", 8, proof.Float16, proof.StockPowerProfiles()[0], nil)
 	if err != nil || w.PowerW <= 0 || w.EnergyJ <= 0 {
 		t.Fatalf("power profile: %v, %+v", err, w)
 	}

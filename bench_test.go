@@ -429,7 +429,7 @@ func BenchmarkDistributedScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		points, err := proof.DistributedScalingCurve(context.Background(), proof.DistributedOptions{
 			Model: "resnet-50", Platform: "a100", GlobalBatch: 128,
-		}, []int{1, 2, 4, 8})
+		}, []int{1, 2, 4, 8}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -97,21 +97,16 @@ func main() {
 		}()
 	}
 
-	// All profiling in this invocation goes through one cached session
-	// backed by a shared memo store: a -compare or -runs invocation
-	// revisiting the same configuration is served from the report
-	// cache, the store keeps each profiled point's plan, and
-	// -cache-stats shows both sets of counters.
-	memoStore := proof.NewMemoStore(0)
-	sess := proof.NewMemoSession(0, memoStore)
+	// All profiling in this invocation goes through one cached session:
+	// a -compare or -runs invocation revisiting the same configuration
+	// is served from its report store, and -cache-stats shows its
+	// counters.
+	sess := proof.NewSession(0)
 	if *cacheStats {
 		defer func() {
 			st := sess.Stats()
 			fmt.Fprintf(os.Stderr, "session cache: %d hits, %d misses, %d dedups, %d evictions, %d cached\n",
 				st.Hits, st.Misses, st.Dedups, st.Evictions, st.Size)
-			ms := memoStore.Stats()
-			fmt.Fprintf(os.Stderr, "memo: %d units served, %d profiled, %d held; %d plan hits, %d plan misses\n",
-				ms.Hits, ms.Misses, ms.Units, ms.PlanHits, ms.PlanMisses)
 		}()
 	}
 

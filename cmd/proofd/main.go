@@ -1,6 +1,6 @@
 // Command proofd is the PRoof profiling service: a long-running HTTP
 // server exposing the profiling pipeline as a JSON API, with a shared
-// report cache, admission control, per-request timeouts and graceful
+// report store, admission control, per-request timeouts and graceful
 // SIGTERM shutdown.
 //
 // Endpoints:
@@ -34,7 +34,6 @@ import (
 	"proof/internal/core"
 	"proof/internal/faults"
 	"proof/internal/histstore"
-	"proof/internal/memo"
 	"proof/internal/profsession"
 	"proof/internal/server"
 )
@@ -48,8 +47,7 @@ func main() {
 		reqTimeout   = flag.Duration("request-timeout", 60*time.Second, "per-request profiling budget")
 		maxBody      = flag.Int64("max-body-bytes", 1<<20, "request body size cap")
 		drainTimeout = flag.Duration("shutdown-timeout", 15*time.Second, "graceful drain budget on SIGTERM/SIGINT")
-		cacheCap     = flag.Int("cache-capacity", 0, "session report-cache capacity (0 = default 256)")
-		memoCap      = flag.Int("memo-capacity", memo.DefaultUnitCapacity, "memo store capacity in layer units, summed over the cached plans (0 disables memoization)")
+		cacheCap     = flag.Int("cache-capacity", 0, "session report-store capacity in reports, degraded-serving fallbacks included (0 = default 1024)")
 		logLevel     = flag.String("log-level", "info", "log level: debug, info, warn, error")
 		debugAddr    = flag.String("debug-addr", "", "serve net/http/pprof and /debug/traces on this private address (empty = disabled)")
 		traceRing    = flag.Int("trace-ring", 0, "recent request traces retained for GET /debug/traces (0 = default 16)")
@@ -65,9 +63,8 @@ func main() {
 		retryBase      = flag.Duration("retry-base", 50*time.Millisecond, "delay before the first retry (doubles per attempt, jittered)")
 		retryMaxDelay  = flag.Duration("retry-max-delay", 2*time.Second, "cap on the grown retry delay")
 		attemptTimeout = flag.Duration("attempt-timeout", 0, "per-attempt timeout (0 = attempts share the request budget)")
-		breakThresh    = flag.Int("breaker-threshold", 5, "consecutive failures per (model, platform) that open its circuit (0 disables)")
+		breakThresh    = flag.Int("breaker-threshold", 5, "consecutive failures per (zoo model, platform), or per platform for inline graphs, that open a circuit (0 disables)")
 		breakCooldown  = flag.Duration("breaker-cooldown", 10*time.Second, "open-circuit cooldown before a half-open probe")
-		staleCap       = flag.Int("stale-capacity", 0, "last-known-good store capacity for degraded serving (0 = 4x cache-capacity)")
 
 		// Chaos: inject faults into the live pipeline (testing only).
 		faultRate        = flag.Float64("fault-rate", 0, "inject an error into this fraction of pipeline executions (chaos testing; 0 disables)")
@@ -102,17 +99,9 @@ func main() {
 			"latency_rate", *faultLatencyRate, "blowthrough_rate", *faultBlowRate,
 			"seed", *faultSeed)
 	}
-	// One memo store is shared by every request, sweep and batch grid
-	// the daemon serves.
-	var memoStore *memo.Store
-	if *memoCap > 0 {
-		memoStore = memo.NewStore(memo.StoreConfig{UnitCapacity: *memoCap})
-	}
 	sess := profsession.NewWithConfig(profsession.Config{
-		Capacity:      *cacheCap,
-		StaleCapacity: *staleCap,
-		Profile:       profile,
-		Memo:          memoStore,
+		Capacity: *cacheCap,
+		Profile:  profile,
 		Retry: profsession.RetryPolicy{
 			Attempts:       *retryAttempts,
 			Base:           *retryBase,
@@ -155,12 +144,6 @@ func main() {
 		HistoryQueue:    *storeQueue,
 		GitRev:          *gitRev,
 	})
-	if memoStore != nil {
-		if err := memo.RegisterMetrics(srv.Registry(), "proofd", memoStore); err != nil {
-			logger.Warn("memo metrics registration failed", "err", err.Error())
-		}
-	}
-
 	// SIGTERM (orchestrator stop) and SIGINT (Ctrl-C) both trigger the
 	// graceful drain; a second signal kills the process the usual way.
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)

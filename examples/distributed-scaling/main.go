@@ -28,17 +28,20 @@ func main() {
 	fmt.Printf("%8s %12s %14s %14s %14s %11s\n",
 		"devices", "per-device", "device lat", "transfer", "global img/s", "efficiency")
 
+	// One session serves both passes: the per-point runs below repeat
+	// the curve's device profiles and are answered from its cache.
 	ctx := context.Background()
+	sess := proof.NewSession(0)
 	points, err := proof.DistributedScalingCurve(ctx, proof.DistributedOptions{
 		Model: *model, Platform: *platform, GlobalBatch: *batch,
-	}, []int{1, 2, 4, 8, 16})
+	}, []int{1, 2, 4, 8, 16}, sess)
 	if err != nil {
 		log.Fatal(err)
 	}
 	for _, p := range points {
 		r, err := proof.ProfileDistributed(ctx, proof.DistributedOptions{
 			Model: *model, Platform: *platform, GlobalBatch: *batch, Devices: p.Devices,
-		})
+		}, sess)
 		if err != nil {
 			log.Fatal(err)
 		}

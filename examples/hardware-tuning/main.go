@@ -40,7 +40,10 @@ func main() {
 	// Step 2+3: run the full tuning workflow — layer-wise roofline
 	// analysis picks the memory clock (Figure 8's bandwidth lines),
 	// then a binary search finds the best GPU clock under the budget.
-	res, err := proof.TuneClocks(ctx, platform, workload, batch, proof.Float16, budgetW, 0.45)
+	// The session serves every profile below; the workflow's final
+	// evaluation repeats its best probe and is answered from the cache.
+	sess := proof.NewSession(0)
+	res, err := proof.TuneClocks(ctx, platform, workload, batch, proof.Float16, budgetW, 0.45, sess)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,7 +65,7 @@ func main() {
 	fmt.Println("\nStep 4: comparison with stock power profiles")
 	fmt.Printf("%-16s %6s %6s %12s %8s\n", "profile", "GPU", "EMC", "latency", "power")
 	for _, p := range proof.StockPowerProfiles() {
-		w, err := proof.EvaluatePowerProfile(ctx, platform, workload, batch, proof.Float16, p)
+		w, err := proof.EvaluatePowerProfile(ctx, platform, workload, batch, proof.Float16, p, sess)
 		if err != nil {
 			log.Fatal(err)
 		}

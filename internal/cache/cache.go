@@ -2,9 +2,11 @@
 // a bounded, mutex-guarded LRU whose Do collapses concurrent misses of
 // one key into a single computation (singleflight). Its bound is a
 // total weight: every entry weighs 1 in an LRU from New, so the bound
-// is an entry count, and NewWeighted takes a weight function. The
-// session report cache, its last-known-good store, the zoo's admitted
-// graphs and the memo store's plans (weighed by layer count) are all
+// is an entry count, and NewWeighted takes a weight function. Reset
+// starts a new generation: Get and Do hit only entries of the current
+// one, and Peek, a caller's fallback when a computation fails, returns
+// an entry of any. The session report store, the zoo's admitted graphs
+// and the memo store's plans (weighed by layer count) are all
 // instances of it.
 package cache
 
@@ -33,8 +35,9 @@ const (
 // returned an error or panicked (never cached); Evictions counts
 // entries dropped by the capacity bound, an entry too heavy to keep
 // included. These are lifetime totals that survive Reset. Len is the
-// number of cached entries and Weight their total weight, Cap the
-// capacity in weight and Inflight the number of computations running.
+// number of entries of the current generation and Weight the total
+// weight of all entries, Cap the capacity in weight and Inflight the
+// number of computations running.
 type Stats struct {
 	Hits, Misses, Dedups, Failures, Evictions int64
 	Len, Weight, Cap, Inflight                int
@@ -46,6 +49,7 @@ type node[K comparable, V any] struct {
 	key        K
 	val        V
 	weight     int
+	gen        uint64 // the generation val was computed in
 }
 
 // call is one in-flight computation that Do callers of its key wait on.
@@ -53,6 +57,7 @@ type call[V any] struct {
 	done chan struct{}
 	val  V
 	err  error
+	gen  uint64 // the generation the computation started in
 }
 
 // LRU is a bounded least-recently-used cache with singleflight
@@ -64,7 +69,8 @@ type LRU[K comparable, V any] struct {
 	root  node[K, V] // list sentinel: root.next is the most recent entry, root.prev the least
 	calls map[K]*call[V]
 	weigh func(V) int // nil: every entry weighs 1
-	st    Stats       // counters, Weight and Cap; Len and Inflight are filled in by Stats
+	gen   uint64      // the current generation; Reset moves it on
+	st    Stats       // counters, Len, Weight and Cap; Inflight is filled in by Stats
 }
 
 // New returns an empty LRU that holds at most capacity entries.
@@ -104,7 +110,7 @@ func (c *LRU[K, V]) Get(key K) (V, bool) {
 //lint:hotpath
 func (c *LRU[K, V]) hitLocked(key K) (v V, ok bool) {
 	n, ok := c.items[key]
-	if !ok {
+	if !ok || n.gen != c.gen {
 		return v, false
 	}
 	c.unlink(n)
@@ -120,11 +126,11 @@ func (c *LRU[K, V]) hitLocked(key K) (v V, ok bool) {
 // is dropped too.
 func (c *LRU[K, V]) Put(key K, val V) {
 	c.mu.Lock()
-	c.putLocked(key, val)
+	c.putLocked(key, val, c.gen)
 	c.mu.Unlock()
 }
 
-func (c *LRU[K, V]) putLocked(key K, val V) {
+func (c *LRU[K, V]) putLocked(key K, val V, gen uint64) {
 	w := 1
 	if c.weigh != nil {
 		w = max(c.weigh(val), 1)
@@ -132,14 +138,17 @@ func (c *LRU[K, V]) putLocked(key K, val V) {
 	n, ok := c.items[key]
 	if ok {
 		c.unlink(n)
-		c.st.Weight -= n.weight
+		c.drop(n)
 	} else {
 		n = &node[K, V]{key: key}
 		c.items[key] = n
 	}
-	n.val, n.weight = val, w
+	n.val, n.weight, n.gen = val, w, gen
 	c.pushFront(n)
 	c.st.Weight += w
+	if gen == c.gen {
+		c.st.Len++
+	}
 	if w > c.st.Cap {
 		c.evict(n)
 		return
@@ -153,8 +162,16 @@ func (c *LRU[K, V]) putLocked(key K, val V) {
 func (c *LRU[K, V]) evict(n *node[K, V]) {
 	c.unlink(n)
 	delete(c.items, n.key)
-	c.st.Weight -= n.weight
+	c.drop(n)
 	c.st.Evictions++
+}
+
+// drop takes n off the Weight and Len totals.
+func (c *LRU[K, V]) drop(n *node[K, V]) {
+	c.st.Weight -= n.weight
+	if n.gen == c.gen {
+		c.st.Len--
+	}
 }
 
 func (c *LRU[K, V]) pushFront(n *node[K, V]) {
@@ -191,7 +208,7 @@ func (c *LRU[K, V]) Do(ctx context.Context, key K, fn func() (V, error)) (V, Out
 			return zero, Dedup, ctx.Err()
 		}
 	}
-	cl := &call[V]{done: make(chan struct{})}
+	cl := &call[V]{done: make(chan struct{}), gen: c.gen}
 	c.calls[key] = cl
 	c.st.Misses++
 	c.mu.Unlock()
@@ -212,7 +229,7 @@ func (c *LRU[K, V]) lead(key K, cl *call[V], fn func() (V, error)) {
 		c.mu.Lock()
 		delete(c.calls, key)
 		if cl.err == nil {
-			c.putLocked(key, cl.val)
+			c.putLocked(key, cl.val, cl.gen)
 		} else {
 			c.st.Failures++
 		}
@@ -226,15 +243,26 @@ func (c *LRU[K, V]) lead(key K, cl *call[V], fn func() (V, error)) {
 	returned = true
 }
 
-// Reset drops every cached entry. The counters survive, and
-// computations in flight are unaffected: they cache their results when
-// they finish.
+// Reset starts a new generation. Entries stay for Peek, within the
+// capacity, until a computation replaces them, and the counters
+// survive. A computation in flight caches its result under the
+// generation it started in, so no value begun before a Reset hits.
 func (c *LRU[K, V]) Reset() {
 	c.mu.Lock()
-	clear(c.items)
-	c.root.next, c.root.prev = &c.root, &c.root
-	c.st.Weight = 0
+	c.gen++
+	c.st.Len = 0
 	c.mu.Unlock()
+}
+
+// Peek returns the value cached under key, whatever its generation.
+// It counts no hit or miss and leaves recency as it is.
+func (c *LRU[K, V]) Peek(key K) (v V, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if n, ok := c.items[key]; ok {
+		return n.val, true
+	}
+	return v, false
 }
 
 // Stats snapshots the counters and sizes.
@@ -242,6 +270,6 @@ func (c *LRU[K, V]) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := c.st
-	st.Len, st.Inflight = len(c.items), len(c.calls)
+	st.Inflight = len(c.calls)
 	return st
 }

@@ -52,8 +52,10 @@ type Result struct {
 
 const defaultHostLinkBW = 25e9 // PCIe 4.0 x16 effective
 
-// Profile simulates data-parallel inference of one global batch.
-func Profile(ctx context.Context, opts Options) (*Result, error) {
+// Profile simulates data-parallel inference of one global batch. The
+// single-device run goes through profile (core.ProfileCtx, or a caching
+// session's ProfileCtx).
+func Profile(ctx context.Context, opts Options, profile core.ProfileFunc) (*Result, error) {
 	if opts.Devices < 1 {
 		return nil, fmt.Errorf("distributed: need at least 1 device")
 	}
@@ -66,7 +68,7 @@ func Profile(ctx context.Context, opts Options) (*Result, error) {
 			opts.GlobalBatch, opts.Devices)
 	}
 	perDevice := opts.GlobalBatch / opts.Devices
-	report, err := core.ProfileCtx(ctx, core.Options{
+	report, err := profile(ctx, core.Options{
 		Model:    opts.Model,
 		Platform: opts.Platform,
 		Batch:    perDevice,
@@ -138,8 +140,8 @@ type ScalingPoint struct {
 // counts (each must divide opts.GlobalBatch). Each point's baseline is
 // a single device running that point's per-device batch, so efficiency
 // isolates pure scaling loss (the host-link transfer) and is provably
-// <= 1.
-func ScalingCurve(ctx context.Context, opts Options, deviceCounts []int) ([]ScalingPoint, error) {
+// <= 1. Every single-device run goes through profile.
+func ScalingCurve(ctx context.Context, opts Options, deviceCounts []int, profile core.ProfileFunc) ([]ScalingPoint, error) {
 	// One-device baselines keyed by per-device batch: device counts
 	// sharing a per-device batch share a baseline run.
 	baselines := map[int]*Result{}
@@ -147,7 +149,7 @@ func ScalingCurve(ctx context.Context, opts Options, deviceCounts []int) ([]Scal
 	for _, n := range deviceCounts {
 		o := opts
 		o.Devices = n
-		r, err := Profile(ctx, o)
+		r, err := Profile(ctx, o, profile)
 		if err != nil {
 			return nil, err
 		}
@@ -156,7 +158,7 @@ func ScalingCurve(ctx context.Context, opts Options, deviceCounts []int) ([]Scal
 			base, err = Profile(ctx, Options{
 				Model: opts.Model, Platform: opts.Platform, Devices: 1,
 				GlobalBatch: r.PerDeviceBatch, DType: opts.DType, HostLinkBW: opts.HostLinkBW,
-			})
+			}, profile)
 			if err != nil {
 				return nil, err
 			}

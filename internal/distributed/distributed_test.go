@@ -4,12 +4,14 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"proof/internal/core"
 )
 
 func TestProfileDataParallel(t *testing.T) {
 	r, err := Profile(context.Background(), Options{
 		Model: "resnet-50", Platform: "a100", Devices: 4, GlobalBatch: 128,
-	})
+	}, core.ProfileCtx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,11 +30,11 @@ func TestProfileDataParallel(t *testing.T) {
 }
 
 func TestDistributedThroughputScales(t *testing.T) {
-	one, err := Profile(context.Background(), Options{Model: "resnet-50", Platform: "a100", Devices: 1, GlobalBatch: 256})
+	one, err := Profile(context.Background(), Options{Model: "resnet-50", Platform: "a100", Devices: 1, GlobalBatch: 256}, core.ProfileCtx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	four, err := Profile(context.Background(), Options{Model: "resnet-50", Platform: "a100", Devices: 4, GlobalBatch: 256})
+	four, err := Profile(context.Background(), Options{Model: "resnet-50", Platform: "a100", Devices: 4, GlobalBatch: 256}, core.ProfileCtx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +49,7 @@ func TestDistributedThroughputScales(t *testing.T) {
 
 func TestScalingCurve(t *testing.T) {
 	points, err := ScalingCurve(context.Background(), Options{Model: "resnet-50", Platform: "a100", GlobalBatch: 256},
-		[]int{1, 2, 4, 8})
+		[]int{1, 2, 4, 8}, core.ProfileCtx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +77,7 @@ func TestScalingCurve(t *testing.T) {
 // efficiencies that were not comparable across device counts.
 func TestScalingCurveBaselineIsPerDeviceBatch(t *testing.T) {
 	opts := Options{Model: "resnet-50", Platform: "a100", GlobalBatch: 256}
-	points, err := ScalingCurve(context.Background(), opts, []int{2, 4, 8})
+	points, err := ScalingCurve(context.Background(), opts, []int{2, 4, 8}, core.ProfileCtx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +94,7 @@ func TestScalingCurveBaselineIsPerDeviceBatch(t *testing.T) {
 		base, err := Profile(context.Background(), Options{
 			Model: opts.Model, Platform: opts.Platform, Devices: 1,
 			GlobalBatch: p.BaselineBatch,
-		})
+		}, core.ProfileCtx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +154,7 @@ func TestDistributedEdgeCases(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			r, err := Profile(context.Background(), tt.opts)
+			r, err := Profile(context.Background(), tt.opts, core.ProfileCtx)
 			if tt.wantErr == "" {
 				if err != nil {
 					t.Fatalf("Profile: %v", err)
@@ -178,13 +180,13 @@ func TestDistributedEdgeCases(t *testing.T) {
 // transfers, and the default (0) means PCIe 4.0 x16.
 func TestHostLinkBWOverride(t *testing.T) {
 	base := Options{Model: "resnet-50", Platform: "a100", Devices: 4, GlobalBatch: 128}
-	slow, err := Profile(context.Background(), base)
+	slow, err := Profile(context.Background(), base, core.ProfileCtx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fast4x := base
 	fast4x.HostLinkBW = 4 * defaultHostLinkBW
-	fast, err := Profile(context.Background(), fast4x)
+	fast, err := Profile(context.Background(), fast4x, core.ProfileCtx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +207,7 @@ func TestHostLinkBWOverride(t *testing.T) {
 
 	explicitDefault := base
 	explicitDefault.HostLinkBW = defaultHostLinkBW
-	dflt, err := Profile(context.Background(), explicitDefault)
+	dflt, err := Profile(context.Background(), explicitDefault, core.ProfileCtx)
 	if err != nil {
 		t.Fatal(err)
 	}

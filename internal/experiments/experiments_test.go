@@ -1,10 +1,14 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 
+	"proof/internal/core"
+	"proof/internal/graph"
 	"proof/internal/obs"
 )
 
@@ -399,6 +403,59 @@ func TestFigure8ShapeHolds(t *testing.T) {
 	}
 	if !strings.Contains(FormatFigure8(f), "Figure 8") {
 		t.Error("formatting broken")
+	}
+}
+
+// TestTable7AndFigure8ServedBySession: every Table 7 and Figure 8 point
+// goes through the shared session. A second run of both executes no
+// pipeline: the session serves each of its points, with results
+// byte-identical to the first run's, and Figure 8's report is
+// byte-identical to the plain pipeline's.
+func TestTable7AndFigure8ServedBySession(t *testing.T) {
+	ctx := context.Background()
+	ResetSession()
+	run := func() (raw []byte, points int) {
+		t.Helper()
+		rows, tune, err := Table7(ctx, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fig, err := Figure8(ctx, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if raw, err = json.Marshal([]any{rows, tune, fig}); err != nil {
+			t.Fatal(err)
+		}
+		// Every row (the last is the tuning's optimum), the tuning's
+		// memory-clock analysis and probes, and Figure 8.
+		return raw, len(rows) + 1 + len(tune.Evaluations) + 1
+	}
+	first, _ := run()
+	before := SessionStats()
+	second, points := run()
+	after := SessionStats()
+	if n := after.Misses - before.Misses; n != 0 {
+		t.Errorf("the second run executed %d pipelines, want 0", n)
+	}
+	if n := after.Hits - before.Hits; n != int64(points) {
+		t.Errorf("the session served %d of the second run's %d points", n, points)
+	}
+	if !bytes.Equal(first, second) {
+		t.Error("the session-served run differs from the first")
+	}
+	fig, err := Figure8(ctx, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := core.ProfileCtx(ctx, core.Options{Model: "efficientnetv2-t", Platform: "orin-nx", Batch: 8, DType: graph.Float16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := json.Marshal(fig.Report)
+	want, _ := json.Marshal(plain)
+	if !bytes.Equal(got, want) {
+		t.Error("Figure 8's session-served report differs from the plain pipeline's")
 	}
 }
 

@@ -65,7 +65,8 @@ type Table7Row struct {
 }
 
 // Table7 evaluates EfficientNetV2-T under the stock, comparison and
-// tuned power profiles on the Orin NX.
+// tuned power profiles on the Orin NX, every point through the shared
+// session.
 func Table7(ctx context.Context, batch int) ([]Table7Row, *power.TuneResult, error) {
 	const (
 		platform = "orin-nx"
@@ -73,7 +74,7 @@ func Table7(ctx context.Context, batch int) ([]Table7Row, *power.TuneResult, err
 	)
 	var rows []Table7Row
 	add := func(p power.Profile) error {
-		w, err := power.EvaluateProfile(ctx, platform, workload, batch, graph.Float16, p)
+		w, err := power.EvaluateProfile(ctx, platform, workload, batch, graph.Float16, p, session.ProfileCtx)
 		if err != nil {
 			return err
 		}
@@ -98,7 +99,7 @@ func Table7(ctx context.Context, batch int) ([]Table7Row, *power.TuneResult, err
 			return nil, nil, err
 		}
 	}
-	tune, err := power.Tune(ctx, platform, workload, batch, graph.Float16, 15.0, 0.45)
+	tune, err := power.Tune(ctx, platform, workload, batch, graph.Float16, 15.0, 0.45, session.ProfileCtx)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -137,13 +138,13 @@ type Figure8Result struct {
 }
 
 // Figure8 reproduces §4.6's layer-wise analysis (fp16; the paper uses
-// batch 128).
+// batch 128) through the shared session.
 func Figure8(ctx context.Context, batch int) (*Figure8Result, error) {
 	plat, err := hardware.Get("orin-nx")
 	if err != nil {
 		return nil, err
 	}
-	analyses, report, err := power.AnalyzeEMC(ctx, "orin-nx", "efficientnetv2-t", batch, graph.Float16, []int{3199, 2133, 665})
+	analyses, report, err := power.AnalyzeEMC(ctx, "orin-nx", "efficientnetv2-t", batch, graph.Float16, []int{3199, 2133, 665}, session.ProfileCtx)
 	if err != nil {
 		return nil, err
 	}

@@ -249,8 +249,9 @@ var session = profsession.New(512)
 // CLI's observability output.
 func SessionStats() profsession.Stats { return session.Stats() }
 
-// ResetSession empties the shared report cache (tests use this to make
-// experiments hermetic).
+// ResetSession ends the shared session's generation, so every point
+// runs its pipeline again (tests use this to make experiments
+// hermetic).
 func ResetSession() { session.Reset() }
 
 // profileFor wraps the shared session with experiment conventions.

@@ -76,9 +76,10 @@ type WorkloadResult struct {
 }
 
 // EvaluateProfile profiles the workload on the platform under the given
-// clock profile.
-func EvaluateProfile(ctx context.Context, platform, model string, batch int, dt graph.DataType, p Profile) (WorkloadResult, error) {
-	r, err := core.ProfileCtx(ctx, core.Options{
+// clock profile, through profile (core.ProfileCtx, or a caching
+// session's ProfileCtx).
+func EvaluateProfile(ctx context.Context, platform, model string, batch int, dt graph.DataType, p Profile, profile core.ProfileFunc) (WorkloadResult, error) {
+	r, err := profile(ctx, core.Options{
 		Model:    model,
 		Platform: platform,
 		Batch:    batch,
@@ -142,14 +143,14 @@ type EMCAnalysis struct {
 	AffectedShare float64
 }
 
-// AnalyzeEMC runs the layer-wise analysis at maximum clocks and
-// evaluates each candidate memory clock.
-func AnalyzeEMC(ctx context.Context, platform, model string, batch int, dt graph.DataType, candidates []int) ([]EMCAnalysis, *core.Report, error) {
+// AnalyzeEMC runs the layer-wise analysis at maximum clocks, through
+// profile, and evaluates each candidate memory clock.
+func AnalyzeEMC(ctx context.Context, platform, model string, batch int, dt graph.DataType, candidates []int, profile core.ProfileFunc) ([]EMCAnalysis, *core.Report, error) {
 	plat, err := hardware.Get(platform)
 	if err != nil {
 		return nil, nil, err
 	}
-	r, err := core.ProfileCtx(ctx, core.Options{Model: model, Platform: platform, Batch: batch, DType: dt})
+	r, err := profile(ctx, core.Options{Model: model, Platform: platform, Batch: batch, DType: dt})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -209,8 +210,9 @@ func ChooseEMC(analyses []EMCAnalysis, fallbackMHz int, threshold float64) int {
 // Tune runs the §4.6 workflow for a workload on a DVFS platform under a
 // power budget. affectedThreshold is the maximum tolerable latency
 // share above a candidate memory clock's bandwidth line (the paper
-// accepts the small clip of EMC 2133 and rejects EMC 665).
-func Tune(ctx context.Context, platform, model string, batch int, dt graph.DataType, budgetW, affectedThreshold float64) (*TuneResult, error) {
+// accepts the small clip of EMC 2133 and rejects EMC 665). Every
+// profile the workflow runs goes through profile.
+func Tune(ctx context.Context, platform, model string, batch int, dt graph.DataType, budgetW, affectedThreshold float64, profile core.ProfileFunc) (*TuneResult, error) {
 	plat, err := hardware.Get(platform)
 	if err != nil {
 		return nil, err
@@ -222,7 +224,7 @@ func Tune(ctx context.Context, platform, model string, batch int, dt graph.DataT
 	// Step 1+2: pick the memory clock via bandwidth-line analysis.
 	candidates := append([]int(nil), plat.Clocks.EMCOptionsMHz...)
 	sort.Sort(sort.Reverse(sort.IntSlice(candidates)))
-	analyses, _, err := AnalyzeEMC(ctx, platform, model, batch, dt, candidates)
+	analyses, _, err := AnalyzeEMC(ctx, platform, model, batch, dt, candidates, profile)
 	if err != nil {
 		return nil, err
 	}
@@ -244,7 +246,7 @@ func Tune(ctx context.Context, platform, model string, batch int, dt graph.DataT
 			CPU:    "729/off",
 			Clocks: hardware.Clocks{GPUMHz: opts[mid], EMCMHz: res.ChosenEMCMHz, CPUMHz: 729, CPUClusters: 1},
 		}
-		w, err := EvaluateProfile(ctx, platform, model, batch, dt, p)
+		w, err := EvaluateProfile(ctx, platform, model, batch, dt, p, profile)
 		if err != nil {
 			return nil, err
 		}
@@ -266,7 +268,7 @@ func Tune(ctx context.Context, platform, model string, batch int, dt graph.DataT
 		CPU:    "729/off",
 		Clocks: hardware.Clocks{GPUMHz: res.ChosenGPUMHz, EMCMHz: res.ChosenEMCMHz, CPUMHz: 729, CPUClusters: 1},
 	}
-	res.Optimal, err = EvaluateProfile(ctx, platform, model, batch, dt, optimal)
+	res.Optimal, err = EvaluateProfile(ctx, platform, model, batch, dt, optimal, profile)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"proof/internal/core"
 	"proof/internal/graph"
 )
 
@@ -44,7 +45,7 @@ func TestPeakSweepMonotone(t *testing.T) {
 }
 
 func TestAnalyzeEMC(t *testing.T) {
-	analyses, report, err := AnalyzeEMC(context.Background(), platform, workload, batch, graph.Float16, []int{3199, 2133, 665})
+	analyses, report, err := AnalyzeEMC(context.Background(), platform, workload, batch, graph.Float16, []int{3199, 2133, 665}, core.ProfileCtx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestAnalyzeEMC(t *testing.T) {
 }
 
 func TestTuneMatchesPaperChoice(t *testing.T) {
-	res, err := Tune(context.Background(), platform, workload, batch, graph.Float16, 15.0, 0.45)
+	res, err := Tune(context.Background(), platform, workload, batch, graph.Float16, 15.0, 0.45, core.ProfileCtx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,14 +132,14 @@ func TestChooseEMCStopsAtFirstUnacceptable(t *testing.T) {
 }
 
 func TestTuneBeatsStockProfiles(t *testing.T) {
-	res, err := Tune(context.Background(), platform, workload, batch, graph.Float16, 15.0, 0.45)
+	res, err := Tune(context.Background(), platform, workload, batch, graph.Float16, 15.0, 0.45, core.ProfileCtx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Table 7: the tuned profile is faster than every stock profile
 	// that fits the budget.
 	for _, p := range StockProfiles() {
-		w, err := EvaluateProfile(context.Background(), platform, workload, batch, graph.Float16, p)
+		w, err := EvaluateProfile(context.Background(), platform, workload, batch, graph.Float16, p, core.ProfileCtx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,13 +151,13 @@ func TestTuneBeatsStockProfiles(t *testing.T) {
 }
 
 func TestEvaluateProfileErrors(t *testing.T) {
-	if _, err := EvaluateProfile(context.Background(), "nope", workload, batch, graph.Float16, StockProfiles()[0]); err == nil {
+	if _, err := EvaluateProfile(context.Background(), "nope", workload, batch, graph.Float16, StockProfiles()[0], core.ProfileCtx); err == nil {
 		t.Error("unknown platform must error")
 	}
-	if _, err := Tune(context.Background(), "a100", workload, batch, graph.Float16, 100, 0.3); err == nil {
+	if _, err := Tune(context.Background(), "a100", workload, batch, graph.Float16, 100, 0.3, core.ProfileCtx); err == nil {
 		t.Error("fixed-clock platform must refuse tuning")
 	}
-	if _, err := Tune(context.Background(), platform, workload, batch, graph.Float16, 1.0, 0.3); err == nil {
+	if _, err := Tune(context.Background(), platform, workload, batch, graph.Float16, 1.0, 0.3, core.ProfileCtx); err == nil {
 		t.Error("impossible budget must error")
 	}
 }

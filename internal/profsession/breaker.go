@@ -8,8 +8,9 @@ import (
 	"proof/internal/obs"
 )
 
-// BreakerConfig enables a circuit breaker per (model, platform) key:
-// after Threshold consecutive execution failures for one key, further
+// BreakerConfig enables a circuit breaker per (zoo model, platform)
+// key, with one key per platform shared by every inline graph: after
+// Threshold consecutive execution failures for one key, further
 // requests for that key fail fast with a *CircuitOpenError (no
 // pipeline execution) until Cooldown has passed, then a single probe
 // request is let through — success closes the circuit, failure
@@ -28,11 +29,12 @@ type BreakerConfig struct {
 const DefaultBreakerCooldown = 10 * time.Second
 
 // CircuitOpenError is returned (wrapped in the profiling error chain)
-// when the circuit for a (model, platform) key is open: the request
-// failed fast without executing the pipeline. RetryAfter is the
-// remaining cooldown — the natural Retry-After hint for an HTTP edge.
+// when the circuit for a request's key is open: the request failed
+// fast without executing the pipeline. RetryAfter is the remaining
+// cooldown — the natural Retry-After hint for an HTTP edge.
 type CircuitOpenError struct {
-	// Key is the breaker key ("model|platform").
+	// Key is the breaker key ("<zoo key>|<platform>", or
+	// "inline|<platform>" for an inline graph).
 	Key string
 	// RetryAfter is how long until the circuit will admit a probe.
 	RetryAfter time.Duration

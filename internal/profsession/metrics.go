@@ -25,16 +25,13 @@ func RegisterMetrics(reg *obs.Registry, prefix string, s *Session) error {
 			"Executions that failed transiently on every configured attempt.",
 			func() float64 { return float64(s.retriesExhausted.Load()) }),
 		reg.CounterFunc(p+"stale_hits_total",
-			"Degraded reads served from the last-known-good store.",
-			func() float64 { return float64(s.Stats().StaleHits) }),
-		reg.GaugeFunc(p+"stale_size",
-			"Reports in the last-known-good store.",
-			func() float64 { return float64(s.Stats().StaleSize) }),
+			"Degraded reads: stored reports served in place of a failed live profile.",
+			func() float64 { return float64(s.staleHits.Load()) }),
 	}
 	if bs := s.breakers; bs != nil {
 		bs.mu.Lock()
 		bs.gauge = reg.GaugeVec(p+"breaker_state",
-			"Circuit state per model|platform key: 0 closed, 1 half-open, 2 open.", "key")
+			"Circuit state per zoo-model|platform or inline|platform key: 0 closed, 1 half-open, 2 open.", "key")
 		bs.mu.Unlock()
 		errs = append(errs,
 			reg.CounterFunc(p+"breaker_opens_total",
@@ -53,13 +50,13 @@ func RegisterMetrics(reg *obs.Registry, prefix string, s *Session) error {
 	}
 	errs = append(errs,
 		reg.CounterFunc(p+"hits_total",
-			"Profiling requests served from the report cache.",
+			"Profiling requests served from the report store.",
 			func() float64 { return float64(s.Stats().Hits) }),
 		reg.CounterFunc(p+"misses_total",
 			"Profiling requests that executed the pipeline.",
 			func() float64 { return float64(s.Stats().Misses) }),
 		reg.CounterFunc(p+"evictions_total",
-			"Reports dropped by the LRU policy.",
+			"Reports dropped by the LRU policy, reports stored before a reset included.",
 			func() float64 { return float64(s.Stats().Evictions) }),
 		reg.CounterFunc(p+"dedups_total",
 			"Requests that attached to an identical in-flight execution.",
@@ -68,10 +65,10 @@ func RegisterMetrics(reg *obs.Registry, prefix string, s *Session) error {
 			"Pipeline executions running right now.",
 			func() float64 { return float64(s.Stats().Inflight) }),
 		reg.GaugeFunc(p+"cache_size",
-			"Reports currently cached.",
+			"Reports a request would hit: those stored since the last reset.",
 			func() float64 { return float64(s.Stats().Size) }),
 		reg.GaugeFunc(p+"cache_capacity",
-			"Report cache capacity.",
+			"Report store capacity, in reports.",
 			func() float64 { return float64(s.Stats().Capacity) }),
 		reg.GaugeFunc(p+"cache_hit_ratio",
 			"Lifetime cache hit ratio: hits / (hits + misses + dedups).",

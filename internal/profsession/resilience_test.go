@@ -15,6 +15,9 @@ import (
 	"proof/internal/obs"
 )
 
+// errDown is a service failure, which may degrade to a stored report.
+var errDown = faults.Transient(errors.New("backend down"))
+
 // stubRep builds a minimal valid report for a stub profiler.
 func stubRep(opts core.Options) *core.Report {
 	return &core.Report{Model: opts.Model, Platform: opts.Platform, Batch: opts.Batch}
@@ -105,8 +108,11 @@ func TestRetryExhaustionCountsAndDoesNotCache(t *testing.T) {
 	if st.RetriesExhausted != 1 {
 		t.Errorf("RetriesExhausted = %d, want 1", st.RetriesExhausted)
 	}
-	if st.Size != 0 || st.StaleSize != 0 {
-		t.Errorf("failed execution reached a cache: %+v", st)
+	if st.Size != 0 {
+		t.Errorf("failed execution reached the store: %+v", st)
+	}
+	if _, ok := s.FallbackFor(baseOpts, errDown); ok {
+		t.Error("failed execution left a fallback report")
 	}
 }
 
@@ -419,7 +425,7 @@ func TestBreakerIgnoresGraphDefects(t *testing.T) {
 	now := time.Unix(0, 0)
 	s.breakers.now = func() time.Time { return now }
 
-	// Seed the stale store, then fail on graph defects past the threshold.
+	// Store a report, then fail on graph defects past the threshold.
 	opts := baseOpts
 	if _, err := s.ProfileCtx(context.Background(), opts); err != nil {
 		t.Fatal(err)
@@ -463,11 +469,19 @@ func TestBreakerIgnoresGraphDefects(t *testing.T) {
 	}
 }
 
-func TestStaleStoreSurvivesEvictionAndReset(t *testing.T) {
+// TestFallbackSurvivesReset: Reset ends what the store serves as
+// fresh, not what it falls back on. After a Reset a stored report no
+// longer hits, yet FallbackFor still serves a deep copy of it; a failed
+// run leaves it in place, and a successful one replaces it and hits
+// again.
+func TestFallbackSurvivesReset(t *testing.T) {
+	var failing atomic.Bool
 	s := NewWithConfig(Config{
-		Capacity:      1,
-		StaleCapacity: 8,
+		Capacity: 2,
 		Profile: func(ctx context.Context, opts core.Options) (*core.Report, error) {
+			if failing.Load() {
+				return nil, errDown
+			}
 			return stubRep(opts), nil
 		},
 	})
@@ -477,43 +491,54 @@ func TestStaleStoreSurvivesEvictionAndReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ProfileCtx(context.Background(), b); err != nil { // evicts a from the main cache
+	if _, err := s.ProfileCtx(context.Background(), b); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.Evictions != 1 || st.StaleSize != 2 {
-		t.Fatalf("stats = %+v, want 1 eviction and stale size 2", st)
+	s.Reset()
+	if st := s.Stats(); st.Size != 0 || st.Evictions != 0 {
+		t.Fatalf("stats after Reset = %+v, want nothing a request would hit and nothing evicted", st)
 	}
-	// a was evicted, but its last-known-good copy is servable.
-	got, ok := s.StaleFor(a)
+	failing.Store(true)
+	_, out, err := s.ProfileOutcome(context.Background(), a)
+	if err == nil || out != OutcomeMiss {
+		t.Fatalf("request after Reset: outcome %v err %v, want a failed miss", out, err)
+	}
+	got, ok := s.FallbackFor(a, err)
 	if !ok {
-		t.Fatal("StaleFor missed an evicted report")
+		t.Fatal("Reset or a failed run dropped the fallback report")
 	}
 	if got.Batch != repA.Batch || got.Model != repA.Model {
-		t.Errorf("stale report = %+v, want the original", got)
+		t.Errorf("fallback report = %+v, want the original", got)
 	}
 	if got == repA {
-		t.Error("StaleFor returned a shared pointer; want a deep copy")
+		t.Error("FallbackFor returned a shared pointer; want a deep copy")
 	}
-	// Reset flushes the cache but not the stale store.
-	s.Reset()
-	if _, ok := s.StaleFor(b); !ok {
-		t.Error("Reset emptied the last-known-good store")
-	}
-	// Unknown options: no stale report.
+	// Unknown options: no fallback report.
 	c := baseOpts
 	c.Batch = 12345
-	if _, ok := s.StaleFor(c); ok {
-		t.Error("StaleFor invented a report")
+	if _, ok := s.FallbackFor(c, errDown); ok {
+		t.Error("FallbackFor invented a report")
 	}
-	if st := s.Stats(); st.StaleHits != 2 {
-		t.Errorf("StaleHits = %d, want 2", st.StaleHits)
+	failing.Store(false)
+	if _, out, err := s.ProfileOutcome(context.Background(), b); err != nil || out != OutcomeMiss {
+		t.Fatalf("healthy request after Reset: outcome %v err %v, want a miss", out, err)
+	}
+	if _, out, err := s.ProfileOutcome(context.Background(), b); err != nil || out != OutcomeHit {
+		t.Fatalf("repeat after the replacing run: outcome %v err %v, want a hit", out, err)
+	}
+	if st := s.Stats(); st.StaleHits != 1 || st.Size != 1 || st.Evictions != 0 {
+		t.Errorf("stats = %+v, want 1 stale hit, size 1 and nothing evicted", st)
 	}
 }
 
-func TestStaleStoreLRUBound(t *testing.T) {
-	s := NewWithConfig(Config{Capacity: 1, StaleCapacity: 2, Profile: func(ctx context.Context, opts core.Options) (*core.Report, error) {
+// TestOneBoundForHitsAndFallbacks: hits and fallbacks share the one
+// Capacity bound. The least recently stored report leaves both, and a
+// report stored before a Reset counts against the bound until the LRU
+// evicts it.
+func TestOneBoundForHitsAndFallbacks(t *testing.T) {
+	s := NewWithProfiler(2, func(ctx context.Context, opts core.Options) (*core.Report, error) {
 		return stubRep(opts), nil
-	}})
+	})
 	opts := baseOpts
 	for i := 0; i < 3; i++ {
 		opts.Batch = i + 1
@@ -521,12 +546,51 @@ func TestStaleStoreLRUBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := s.Stats(); st.StaleSize != 2 {
-		t.Errorf("StaleSize = %d, want bound 2", st.StaleSize)
+	if st := s.Stats(); st.Size != 2 || st.Capacity != 2 || st.Evictions != 1 {
+		t.Errorf("stats = %+v, want size 2 of capacity 2 and 1 eviction", st)
 	}
 	opts.Batch = 1
-	if _, ok := s.StaleFor(opts); ok {
-		t.Error("oldest stale entry not evicted at capacity")
+	if _, ok := s.FallbackFor(opts, errDown); ok {
+		t.Error("an evicted report still served as a fallback")
+	}
+	s.Reset()
+	opts.Batch = 4
+	if _, err := s.ProfileCtx(context.Background(), opts); err != nil {
+		t.Fatal(err)
+	}
+	opts.Batch = 2 // the oldest report, stored before the Reset
+	if _, ok := s.FallbackFor(opts, errDown); ok {
+		t.Error("a report stored before Reset outlived the bound")
+	}
+	opts.Batch = 3
+	if _, ok := s.FallbackFor(opts, errDown); !ok {
+		t.Error("a report within the bound lost its fallback")
+	}
+	if st := s.Stats(); st.Size != 1 || st.Evictions != 2 {
+		t.Errorf("stats = %+v, want size 1 and 2 evictions", st)
+	}
+}
+
+// TestDefaultCapacityHoldsAThousandReports: with the default capacity
+// the store holds 1,024 reports, so the first of 1,024 distinct
+// requests is still a hit.
+func TestDefaultCapacityHoldsAThousandReports(t *testing.T) {
+	s := NewWithProfiler(0, func(ctx context.Context, opts core.Options) (*core.Report, error) {
+		return stubRep(opts), nil
+	})
+	opts := baseOpts
+	for i := 0; i < 1024; i++ {
+		opts.Seed = uint64(i + 1)
+		if _, err := s.ProfileCtx(context.Background(), opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	opts.Seed = 1
+	if _, out, err := s.ProfileOutcome(context.Background(), opts); err != nil || out != OutcomeHit {
+		t.Fatalf("first of 1,024 keys: outcome %v err %v, want a hit", out, err)
+	}
+	if st := s.Stats(); st.Size != 1024 || st.Evictions != 0 || st.Capacity != DefaultCapacity {
+		t.Errorf("stats = %+v, want 1,024 reports held and none evicted", st)
 	}
 }
 
@@ -556,7 +620,8 @@ func TestResilienceMetricsExposed(t *testing.T) {
 	for _, want := range []string{
 		"proofd_session_retries_total 1",
 		"proofd_session_retries_exhausted_total 0",
-		"proofd_session_stale_size 1",
+		"proofd_session_cache_size 1",
+		"proofd_session_cache_capacity 4",
 		"proofd_session_breaker_opens_total 0",
 		"proofd_session_breaker_fast_fails_total 0",
 		fmt.Sprintf("proofd_session_breaker_state{key=%q} 0", baseOpts.Model+"|"+baseOpts.Platform),
@@ -564,5 +629,9 @@ func TestResilienceMetricsExposed(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q\n%s", want, text)
 		}
+	}
+	// One store, one bound: the second store's gauge is gone.
+	if strings.Contains(text, "stale_size") {
+		t.Errorf("metrics still expose a stale-store size\n%s", text)
 	}
 }

@@ -3,10 +3,11 @@
 // observation (Dooly, XSP) that profiling-based analysis only scales
 // when repeated runs over the same model/hardware configuration are
 // amortized. A Session keys every request by its resolved identity
-// (core.Resolve, see Fingerprint) and serves it through an
-// internal/cache LRU: repeats are cache hits, and concurrent identical
-// requests collapse into a single pipeline execution, with
-// hit/miss/eviction/in-flight counters for observability.
+// (core.Resolve, see Fingerprint) and serves it through one
+// internal/cache LRU of reports, which also backs degraded serving:
+// repeats are cache hits, and concurrent identical requests collapse
+// into a single pipeline execution, with hit/miss/eviction/in-flight
+// counters for observability.
 package profsession
 
 import (
@@ -24,9 +25,9 @@ import (
 	"proof/internal/parallel"
 )
 
-// DefaultCapacity is the report-cache capacity used when a Session is
-// created with capacity <= 0.
-const DefaultCapacity = 256
+// DefaultCapacity is the report-store capacity, in reports, used when
+// a Session is created with capacity <= 0.
+const DefaultCapacity = 1024
 
 // RetryPolicy configures transient-failure retries of pipeline
 // executions. Retries happen below the cache and inside the
@@ -80,22 +81,17 @@ func (p RetryPolicy) retryableClass(err error) bool {
 // value of every field selects a sane default; Session s built by New
 // use a zero Retry (no retries) and no breaker.
 type Config struct {
-	// Capacity is the report-cache capacity (<= 0 selects
-	// DefaultCapacity).
+	// Capacity bounds the report store in reports, hits and fallbacks
+	// alike (<= 0 selects DefaultCapacity).
 	Capacity int
-	// StaleCapacity bounds the last-known-good store that backs
-	// degraded serving (<= 0 selects 4x Capacity). Unlike the main
-	// cache it survives Reset, so a flushed or crashed-over cache can
-	// still serve stale reports while live profiling recovers.
-	StaleCapacity int
 	// Profile executes a cache miss (nil selects core.ProfileCtx).
 	Profile core.ProfileFunc
 	// Retry is the transient-failure retry policy.
 	Retry RetryPolicy
-	// Breaker enables the per-(model, platform) circuit breaker.
+	// Breaker enables the circuit breaker (see BreakerConfig).
 	Breaker BreakerConfig
 	// Memo optionally attaches a shared memo store (internal/memo) to
-	// every executed request: each report-cache miss records its plan
+	// every executed request: each report-store miss records its plan
 	// there, and a repeated point is assembled from that plan. Requests
 	// that bring their own Options.Memo keep it.
 	Memo *memo.Store
@@ -114,21 +110,19 @@ type Stats struct {
 	Dedups int64 `json:"dedups"`
 	// Inflight is the number of pipeline executions running right now.
 	Inflight int64 `json:"inflight"`
-	// Size is the number of cached reports.
+	// Size is the number of reports a request would hit: those stored
+	// since the last Reset.
 	Size int `json:"size"`
-	// Capacity is the cache capacity.
+	// Capacity is the store's capacity in reports.
 	Capacity int `json:"capacity"`
 	// Retries counts re-attempts of transiently failed executions.
 	Retries int64 `json:"retries"`
 	// RetriesExhausted counts executions that failed transiently on
 	// every configured attempt.
 	RetriesExhausted int64 `json:"retries_exhausted"`
-	// StaleHits counts degraded reads served from the
-	// last-known-good store.
+	// StaleHits counts degraded reads: stored reports served in place
+	// of a failed live profile (FallbackFor).
 	StaleHits int64 `json:"stale_hits"`
-	// StaleSize is the number of reports in the last-known-good
-	// store.
-	StaleSize int `json:"stale_size"`
 }
 
 // Outcome classifies how a request was served — the per-request
@@ -138,7 +132,7 @@ type Stats struct {
 type Outcome string
 
 const (
-	// OutcomeHit: served from the report cache.
+	// OutcomeHit: served from the report store.
 	OutcomeHit Outcome = "hit"
 	// OutcomeMiss: this request executed the pipeline.
 	OutcomeMiss Outcome = "miss"
@@ -157,17 +151,16 @@ type Session struct {
 	breakers *breakerSet // nil when the breaker is disabled
 	memo     *memo.Store // nil when memoization is disabled
 
-	// reports is the report cache. stale is the last-known-good store
-	// for degraded serving, deliberately decoupled from the report
-	// cache's eviction and Reset (same *core.Report values — reports
-	// are immutable once cached, cloned on the way out).
+	// reports is the one report store. A request hits only a report of
+	// the current generation, which Reset ends; a failed live profile
+	// falls back to a report of any generation (FallbackFor). Reports
+	// are immutable once stored and cloned on the way out.
 	reports *cache.LRU[string, *core.Report]
-	stale   *cache.LRU[string, *core.Report]
 
-	retries, retriesExhausted atomic.Int64
+	retries, retriesExhausted, staleHits atomic.Int64
 }
 
-// New creates a session with the given report-cache capacity
+// New creates a session with the given report-store capacity
 // (<= 0 selects DefaultCapacity), no retries and no breaker.
 func New(capacity int) *Session {
 	return NewWithConfig(Config{Capacity: capacity})
@@ -181,13 +174,10 @@ func NewWithProfiler(capacity int, profile core.ProfileFunc) *Session {
 }
 
 // NewWithConfig creates a session with the full resilience
-// configuration: retry policy, circuit breaker and stale-store bound.
+// configuration: store bound, retry policy and circuit breaker.
 func NewWithConfig(cfg Config) *Session {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = DefaultCapacity
-	}
-	if cfg.StaleCapacity <= 0 {
-		cfg.StaleCapacity = 4 * cfg.Capacity
 	}
 	if cfg.Profile == nil {
 		cfg.Profile = core.ProfileCtx
@@ -197,7 +187,6 @@ func NewWithConfig(cfg Config) *Session {
 		retry:   cfg.Retry,
 		memo:    cfg.Memo,
 		reports: cache.New[string, *core.Report](cfg.Capacity),
-		stale:   cache.New[string, *core.Report](cfg.StaleCapacity),
 	}
 	if cfg.Breaker.Threshold > 0 {
 		s.breakers = newBreakerSet(cfg.Breaker)
@@ -259,18 +248,19 @@ func (s *Session) profileOutcome(ctx context.Context, opts core.Options) (*core.
 	return cloneReport(rep), Outcome(out), nil
 }
 
-// lead runs one report-cache miss: only a would-be leader consults the
-// circuit of the request's display name and platform. A panicking
-// execution counts as a breaker failure, so a half-open probe that
-// panics re-opens its circuit instead of leaving it probing forever. A graph defect (*graph.ValidationError, e.g. an
-// inline graph whose shapes do not compose at the requested batch) is
-// the caller's fault, not the service's: it moves no circuit, so one
-// client's broken graph cannot block valid requests sharing its key,
-// and a half-open probe slot it took is released.
+// lead runs one report-store miss: only a would-be leader consults
+// its circuit (see breakerKey). A panicking execution counts as a
+// breaker failure, so a half-open probe that panics re-opens its
+// circuit instead of leaving it probing forever. A graph defect
+// (*graph.ValidationError, e.g. an inline graph whose shapes do not
+// compose at the requested batch) is the caller's fault, not the
+// service's: it moves no circuit, so one client's broken graph cannot
+// block valid requests sharing its key, and a half-open probe slot it
+// took is released.
 func (s *Session) lead(ctx context.Context, r core.Resolved, opts core.Options) (*core.Report, error) {
 	verdict := verdictFailure // kept when the execution panics
 	if s.breakers != nil {
-		bkey := r.Model + "|" + r.Plat.Key
+		bkey := breakerKey(r)
 		if after, ok := s.breakers.allow(bkey); !ok {
 			return nil, &CircuitOpenError{Key: bkey, RetryAfter: after}
 		}
@@ -283,7 +273,6 @@ func (s *Session) lead(ctx context.Context, r core.Resolved, opts core.Options) 
 	switch {
 	case err == nil:
 		verdict = verdictSuccess
-		s.stale.Put(r.Key, rep)
 	case ctx.Err() != nil:
 		// The requester is gone; cancellation races any real
 		// failure, so don't let an abandoned request move the
@@ -295,6 +284,17 @@ func (s *Session) lead(ctx context.Context, r core.Resolved, opts core.Options) 
 		}
 	}
 	return rep, err
+}
+
+// breakerKey names a request's circuit: "<zoo key>|<platform>", or
+// "inline|<platform>" for every inline graph. A graph's name is the
+// client's choice: keyed by it, clients could grow the circuits without
+// bound, or open a zoo model's circuit by naming a graph after it.
+func breakerKey(r core.Resolved) string {
+	if r.Graph != nil {
+		return "inline|" + r.Plat.Key
+	}
+	return r.Model + "|" + r.Plat.Key
 }
 
 // execute runs one pipeline execution under the session's retry
@@ -341,35 +341,27 @@ func (s *Session) execute(ctx context.Context, run core.Options) (*core.Report, 
 }
 
 // FallbackFor decides whether a failed live profile may degrade to the
-// last-known-good report for opts. Degradation is for service failures
-// only: caller bugs (invalid models) keep their error, a cancelled
-// request wants no body at all, and without a prior success there is
-// nothing to serve. Timeouts, circuit-open rejections, exhausted
-// retries and other internal failures all degrade — a slightly stale
-// analysis beats an error page for a read-mostly workload. Both the
-// proofd HTTP edge and the in-process workload target route their
-// degrade decision through here, so the two serving paths cannot
-// drift.
+// report stored for opts, of any generation, and returns a deep copy
+// of it. Degradation is for service failures only: caller bugs
+// (invalid models) keep their error, a cancelled request wants no body
+// at all, and without a stored report there is nothing to serve.
+// Timeouts, circuit-open rejections, exhausted retries and other
+// internal failures all degrade — a slightly stale analysis beats an
+// error page for a read-mostly workload. Both the proofd HTTP edge and
+// the in-process workload target route their degrade decision through
+// here, so the two serving paths cannot drift.
 func (s *Session) FallbackFor(opts core.Options, err error) (*core.Report, bool) {
-	if _, ok := graph.AsValidationError(err); ok {
+	if _, ok := graph.AsValidationError(err); ok || errors.Is(err, context.Canceled) {
 		return nil, false
 	}
-	if errors.Is(err, context.Canceled) {
-		return nil, false
-	}
-	return s.StaleFor(opts)
-}
-
-// StaleFor returns the last successful report for an options value, if
-// any — the degraded-serving fallback when live profiling fails. The
-// store survives cache Reset and main-LRU eviction (within its own,
-// larger bound), and the returned report is a deep copy.
-func (s *Session) StaleFor(opts core.Options) (*core.Report, bool) {
 	key, err := Fingerprint(opts)
 	if err != nil {
 		return nil, false
 	}
-	rep, ok := s.stale.Get(key)
+	rep, ok := s.reports.Peek(key)
+	if ok {
+		s.staleHits.Add(1)
+	}
 	return cloneReport(rep), ok
 }
 
@@ -384,14 +376,14 @@ func Fingerprint(opts core.Options) (string, error) {
 
 // Stats snapshots the session counters.
 func (s *Session) Stats() Stats {
-	// Each fast fail is a leader that took a report-cache miss without
+	// Each fast fail is a leader that took a report-store miss without
 	// executing. Reading fast fails first means every rejection counted
 	// already has its miss counted below.
 	var rejected int64
 	if s.breakers != nil {
 		_, _, _, rejected = s.breakers.snapshot()
 	}
-	rs, ss := s.reports.Stats(), s.stale.Stats()
+	rs := s.reports.Stats()
 	return Stats{
 		Hits:             rs.Hits,
 		Misses:           rs.Misses - rejected,
@@ -402,15 +394,14 @@ func (s *Session) Stats() Stats {
 		Capacity:         rs.Cap,
 		Retries:          s.retries.Load(),
 		RetriesExhausted: s.retriesExhausted.Load(),
-		StaleHits:        ss.Hits,
-		StaleSize:        ss.Len,
+		StaleHits:        s.staleHits.Load(),
 	}
 }
 
-// Reset empties the cache. Counters are preserved (they are lifetime
-// totals); in-flight executions are unaffected. The last-known-good
-// store deliberately survives: Reset flushes what the session will
-// serve as fresh, not what it can fall back on when profiling breaks.
+// Reset ends the store's generation: no report stored before it, or by
+// an execution begun before it, hits again, but each stays the
+// fallback FallbackFor serves until a new run replaces it or the LRU
+// evicts it. Counters are preserved (they are lifetime totals).
 func (s *Session) Reset() {
 	s.reports.Reset()
 }

@@ -276,7 +276,7 @@ func TestChaosDegradedStaleResponse(t *testing.T) {
 		t.Fatalf("healthy profile: status %d", resp.StatusCode)
 	}
 
-	// Reset evicts the live cache; the last-known-good store survives.
+	// Reset ends the store's generation; its reports stay as fallbacks.
 	sess.Reset()
 	failing.Store(true)
 

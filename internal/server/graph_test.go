@@ -1,7 +1,9 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -9,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"proof/internal/core"
 	"proof/internal/graph"
 	"proof/internal/models"
 	"proof/internal/profsession"
@@ -246,6 +249,106 @@ func TestBatchOnlyGraphDefectIsCallerError(t *testing.T) {
 	if resp.StatusCode != 200 {
 		b, _ := io.ReadAll(resp.Body)
 		t.Fatalf("valid batch-1 request after the defects: status = %d, want 200 (body %s)", resp.StatusCode, b)
+	}
+}
+
+// TestInlineGraphCircuitsPerPlatform: every inline graph moves its
+// platform's one "inline|<platform>" circuit, whatever the graph's
+// name. Names are the client's choice, so 120 graphs with distinct
+// 1 KiB names on two platforms leave two circuits, and /metrics (which
+// exports one breaker_state series per circuit) does not grow with
+// the names: it keeps its series count and names none of the graphs.
+func TestInlineGraphCircuitsPerPlatform(t *testing.T) {
+	sess := profsession.NewWithConfig(profsession.Config{
+		Profile: func(ctx context.Context, opts core.Options) (*core.Report, error) {
+			return stubReport(opts), nil
+		},
+		Breaker: profsession.BreakerConfig{Threshold: 5, Cooldown: 10 * time.Second},
+	})
+	_, ts := newTestServer(t, Config{Session: sess})
+	platforms := []string{"a100", "xeon-6330"}
+	post := func(i int, platform string) {
+		t.Helper()
+		g := tinyServerGraph()
+		g.Name = fmt.Sprintf("%04d-%s", i, strings.Repeat("n", 1019))
+		raw, err := json.Marshal(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp := postJSON(t, ts.URL+"/v1/profile", fmt.Sprintf(`{"platform":%q,"graph":%s}`, platform, raw))
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != 200 {
+			t.Fatalf("graph %d on %s: status %d: %.200s", i, platform, resp.StatusCode, b)
+		}
+	}
+	for _, p := range platforms {
+		post(0, p)
+	}
+	scrapeMetrics(t, ts.URL) // the first scrape adds /metrics's own series
+	before := strings.Count(scrapeMetrics(t, ts.URL), "\n")
+	for i := 1; i < 120; i++ {
+		post(i, platforms[i%len(platforms)])
+	}
+	page := scrapeMetrics(t, ts.URL)
+	var circuits []string
+	for _, line := range strings.Split(page, "\n") {
+		if strings.HasPrefix(line, "proofd_session_breaker_state{") {
+			circuits = append(circuits, line)
+		}
+	}
+	if len(circuits) != len(platforms) {
+		t.Errorf("%d circuits for %d platforms:\n%s", len(circuits), len(platforms), strings.Join(circuits, "\n"))
+	}
+	for _, p := range platforms {
+		if v := metricValue(t, page, fmt.Sprintf("proofd_session_breaker_state{key=%q}", "inline|"+p)); v != 0 {
+			t.Errorf("inline|%s circuit state = %v, want 0 (closed)", p, v)
+		}
+	}
+	if after := strings.Count(page, "\n"); after != before || strings.Contains(page, "nnnn") {
+		t.Errorf("/metrics went from %d to %d lines over 118 inline graph names", before, after)
+	}
+}
+
+// TestInlineGraphNamedLikeZooModel: an inline graph named "resnet-18"
+// whose runs fail must not open the zoo model's circuit. Five such
+// failures open "inline|a100" and leave {"model":"resnet-18"} served.
+func TestInlineGraphNamedLikeZooModel(t *testing.T) {
+	sess := profsession.NewWithConfig(profsession.Config{
+		Profile: func(ctx context.Context, opts core.Options) (*core.Report, error) {
+			if opts.Graph != nil {
+				return nil, errors.New("backend down")
+			}
+			return stubReport(opts), nil
+		},
+		Breaker: profsession.BreakerConfig{Threshold: 5, Cooldown: time.Minute},
+	})
+	_, ts := newTestServer(t, Config{Session: sess})
+	g := tinyServerGraph()
+	g.Name = "resnet-18"
+	raw, err := json.Marshal(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := 0; seed < 5; seed++ {
+		resp := postJSON(t, ts.URL+"/v1/profile", fmt.Sprintf(`{"platform":"a100","seed":%d,"graph":%s}`, seed, raw))
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("failing inline graph, seed %d: status %d, want 500", seed, resp.StatusCode)
+		}
+	}
+	resp := postJSON(t, ts.URL+"/v1/profile", `{"model":"resnet-18","platform":"a100"}`)
+	b, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("zoo resnet-18 after five failing inline graphs of its name: status %d: %.200s", resp.StatusCode, b)
+	}
+	page := scrapeMetrics(t, ts.URL)
+	if v := metricValue(t, page, `proofd_session_breaker_state{key="inline|a100"}`); v != 2 {
+		t.Errorf("inline|a100 circuit state = %v, want 2 (open)", v)
+	}
+	if v := metricValue(t, page, `proofd_session_breaker_state{key="resnet-18|a100"}`); v != 0 {
+		t.Errorf("resnet-18|a100 circuit state = %v, want 0 (closed)", v)
 	}
 }
 

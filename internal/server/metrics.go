@@ -39,7 +39,7 @@ func wireMetrics(reg *obs.Registry, adm *admission, sess *profsession.Session) *
 		duration: reg.HistogramVec("proofd_request_duration_seconds",
 			"Request latency by path.", latencyBuckets, "path"),
 		degraded: reg.Counter("proofd_degraded_responses_total",
-			"Responses served from the last-known-good store after a live profiling failure."),
+			"Responses served from a stored last-known-good report after a live profiling failure."),
 	}
 	err := errors.Join(
 		reg.GaugeFunc("proofd_inflight_profiles",

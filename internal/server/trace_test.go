@@ -167,7 +167,7 @@ func TestStageMetricsExposition(t *testing.T) {
 		"proofd_session_hits_total 1",
 		"proofd_session_misses_total 1",
 		"proofd_session_cache_hit_ratio 0.5",
-		"proofd_session_cache_capacity 256",
+		"proofd_session_cache_capacity 1024",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics exposition missing %q\n%s", want, text)

@@ -55,8 +55,8 @@ type Class int
 const (
 	// ClassOK: a fresh 200 (cache hit, miss or dedup).
 	ClassOK Class = iota
-	// ClassDegraded: a 200 served from the last-known-good store
-	// (X-Degraded over HTTP, a stale fallback in process).
+	// ClassDegraded: a 200 served from a stored last-known-good
+	// report (X-Degraded over HTTP, a stale fallback in process).
 	ClassDegraded
 	// ClassShed: backpressure — 429 over HTTP.
 	ClassShed

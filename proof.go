@@ -38,7 +38,6 @@ import (
 	"proof/internal/graphops"
 	"proof/internal/hardware"
 	"proof/internal/hardware/characterize"
-	"proof/internal/memo"
 	"proof/internal/modelfmt"
 	"proof/internal/models"
 	"proof/internal/obs"
@@ -105,7 +104,7 @@ func ProfileCtx(ctx context.Context, opts Options) (*Report, error) {
 
 // Session is a cached, deduplicated profiling front-end: repeated
 // ProfileCtx calls with an identical configuration are served from a
-// content-addressed LRU report cache, and concurrent identical requests
+// content-addressed LRU report store, and concurrent identical requests
 // share one pipeline execution. See NewSession.
 type Session = profsession.Session
 
@@ -113,8 +112,8 @@ type Session = profsession.Session
 // counters.
 type SessionStats = profsession.Stats
 
-// NewSession creates a profiling session with the given report-cache
-// capacity (<= 0 selects the default of 256 reports).
+// NewSession creates a profiling session with the given report-store
+// capacity (<= 0 selects the default of 1024 reports).
 func NewSession(capacity int) *Session { return profsession.New(capacity) }
 
 // FingerprintOptions returns the key a Session caches a profiling
@@ -127,33 +126,6 @@ func FingerprintOptions(opts Options) (string, error) { return profsession.Finge
 // CacheOutcome reports how a Session served one request: "hit", "miss"
 // or "dedup".
 type CacheOutcome = profsession.Outcome
-
-// MemoStore is a memo store: the plans of profiled points — each
-// backend layer's identity and its profiled result — keyed by the
-// resolved configuration (platform descriptor hash included) and
-// bounded by the layer units they hold. A point repeated with an
-// identical configuration is assembled from its plan without building
-// the model. See internal/memo.
-type MemoStore = memo.Store
-
-// MemoStats is a snapshot of a MemoStore's counters: units served by
-// plan hits, units profiled into recorded plans, units held, plan hits,
-// plan misses and plan evictions.
-type MemoStats = memo.Stats
-
-// NewMemoStore creates a memo store that holds at most capacity layer
-// units across its plans (<= 0 selects the default of 16384 units).
-func NewMemoStore(capacity int) *MemoStore {
-	return memo.NewStore(memo.StoreConfig{UnitCapacity: capacity})
-}
-
-// NewMemoSession creates a profiling session whose cache-miss
-// executions share the given memo store: each one records its plan
-// there, and a repeated point is assembled from that plan. A nil store
-// yields a plain session.
-func NewMemoSession(capacity int, st *MemoStore) *Session {
-	return profsession.NewWithConfig(profsession.Config{Capacity: capacity, Memo: st})
-}
 
 // Server is the proofd HTTP profiling service (JSON API over a shared
 // Session, admission control, request timeouts, graceful drain). See
@@ -321,15 +293,17 @@ type DistributedResult = distributed.Result
 type ScalingPoint = distributed.ScalingPoint
 
 // ProfileDistributed simulates data-parallel inference of a global
-// batch across N identical devices.
-func ProfileDistributed(ctx context.Context, opts DistributedOptions) (*DistributedResult, error) {
-	return distributed.Profile(ctx, opts)
+// batch across N identical devices. When sess is non-nil the device
+// profile is served through its cache.
+func ProfileDistributed(ctx context.Context, opts DistributedOptions, sess *Session) (*DistributedResult, error) {
+	return distributed.Profile(ctx, opts, profileFunc(sess))
 }
 
 // DistributedScalingCurve sweeps device counts and reports throughput
-// and scaling efficiency.
-func DistributedScalingCurve(ctx context.Context, opts DistributedOptions, deviceCounts []int) ([]ScalingPoint, error) {
-	return distributed.ScalingCurve(ctx, opts, deviceCounts)
+// and scaling efficiency. When sess is non-nil the device profiles are
+// served through its cache.
+func DistributedScalingCurve(ctx context.Context, opts DistributedOptions, deviceCounts []int, sess *Session) ([]ScalingPoint, error) {
+	return distributed.ScalingCurve(ctx, opts, deviceCounts, profileFunc(sess))
 }
 
 // RenderHTML renders a report as a self-contained HTML page with SVG
@@ -385,16 +359,18 @@ type PeakResult = roofline.PeakResult
 func StockPowerProfiles() []PowerProfile { return power.StockProfiles() }
 
 // EvaluatePowerProfile profiles a workload under a clock profile and
-// returns latency and power.
-func EvaluatePowerProfile(ctx context.Context, platform, model string, batch int, dt DataType, p PowerProfile) (PowerResult, error) {
-	return power.EvaluateProfile(ctx, platform, model, batch, dt, p)
+// returns latency and power. When sess is non-nil the profile is
+// served through its cache.
+func EvaluatePowerProfile(ctx context.Context, platform, model string, batch int, dt DataType, p PowerProfile, sess *Session) (PowerResult, error) {
+	return power.EvaluateProfile(ctx, platform, model, batch, dt, p, profileFunc(sess))
 }
 
 // TuneClocks runs the §4.6 tuning workflow: pick the memory clock via
 // roofline bandwidth-line analysis, then binary-search the GPU clock
-// under the power budget.
-func TuneClocks(ctx context.Context, platform, model string, batch int, dt DataType, budgetW, affectedThreshold float64) (*TuneResult, error) {
-	return power.Tune(ctx, platform, model, batch, dt, budgetW, affectedThreshold)
+// under the power budget. When sess is non-nil every profile the
+// workflow runs is served through its cache.
+func TuneClocks(ctx context.Context, platform, model string, batch int, dt DataType, budgetW, affectedThreshold float64, sess *Session) (*TuneResult, error) {
+	return power.Tune(ctx, platform, model, batch, dt, budgetW, affectedThreshold, profileFunc(sess))
 }
 
 // MeasurePeakCtx measures the achieved roofline peak of a platform
