@@ -1,12 +1,11 @@
 // Command dataviewer renders a saved PRoof report (JSON, as produced by
 // `proof -json`) into a self-contained HTML page with SVG roofline
-// charts, or prints the text summary. It can also read reports straight
-// out of a proofd history store (-store), paging through what is there
-// and rendering one record by id.
+// charts, or prints the text summary. It can also read one report
+// straight out of a proofd history store (-store) by record id; list
+// the ids with `proofhist query -dir DIR`.
 //
 //	dataviewer -in report.json -out report.html
 //	dataviewer -in report.json -text
-//	dataviewer -store /var/lib/proofd/history -model resnet-50    # list a page
 //	dataviewer -store /var/lib/proofd/history -id 3:1024 -out report.html
 package main
 
@@ -15,8 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"text/tabwriter"
-	"time"
 
 	"proof"
 	"proof/internal/histstore"
@@ -29,31 +26,25 @@ func main() {
 		text = flag.Bool("text", false, "print the text summary instead")
 		topN = flag.Int("top", 15, "layers to show with -text")
 
-		// History-store sourcing: list a page of stored reports, or
-		// render one record by id instead of reading -in.
-		storeDir = flag.String("store", "", "read from this proofd history store instead of -in")
-		recordID = flag.String("id", "", "render this stored record (ID column of the listing)")
-		model    = flag.String("model", "", "listing filter: model key")
-		platform = flag.String("platform", "", "listing filter: platform key")
-		page     = flag.Int("page", 0, "listing page number (0-based)")
-		pageSize = flag.Int("page-size", 20, "listing page size")
+		// History-store sourcing: render one record by id instead of
+		// reading -in.
+		storeDir = flag.String("store", "", "read from this proofd history store instead of -in (needs -id)")
+		recordID = flag.String("id", "", "render this stored record (ID column of proofhist query)")
 	)
 	flag.Parse()
 
 	var data []byte
 	switch {
 	case *storeDir != "":
+		if *recordID == "" {
+			fmt.Fprintf(os.Stderr, "dataviewer: -store needs -id; list the record ids with: proofhist query -dir %s\n", *storeDir)
+			os.Exit(2)
+		}
 		st, err := histstore.Open(*storeDir, histstore.Options{})
 		if err != nil {
 			fatal(err)
 		}
 		defer st.Close()
-		if *recordID == "" {
-			if err := listStore(st, *model, *platform, *page, *pageSize); err != nil {
-				fatal(err)
-			}
-			return
-		}
 		if _, data, err = st.GetID(*recordID); err != nil {
 			fatal(err)
 		}
@@ -80,32 +71,6 @@ func main() {
 		}
 		fmt.Printf("wrote %s\n", *out)
 	}
-}
-
-// listStore prints one page of the history so the user can pick an -id.
-func listStore(st *histstore.Store, model, platform string, page, pageSize int) error {
-	if pageSize <= 0 {
-		pageSize = 20
-	}
-	entries, total, err := st.Query(histstore.Query{
-		Model: model, Platform: platform,
-		Offset: page * pageSize, Limit: pageSize,
-	})
-	if err != nil {
-		return err
-	}
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "ID\tTIME\tMODEL\tPLATFORM\tREV\tBOUND\tLATENCY")
-	for _, e := range entries {
-		m := e.Meta
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\t%s\n",
-			e.ID, m.Time().UTC().Format(time.RFC3339), m.Model, m.Platform,
-			m.Revision(), m.Bound, time.Duration(m.LatencyNS))
-	}
-	tw.Flush()
-	pages := (total + pageSize - 1) / pageSize
-	fmt.Printf("page %d of %d (%d record(s)); rerun with -id <ID> to render one\n", page, pages, total)
-	return nil
 }
 
 func fatal(err error) {

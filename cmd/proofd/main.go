@@ -47,7 +47,7 @@ func main() {
 		reqTimeout   = flag.Duration("request-timeout", 60*time.Second, "per-request profiling budget")
 		maxBody      = flag.Int64("max-body-bytes", 1<<20, "request body size cap")
 		drainTimeout = flag.Duration("shutdown-timeout", 15*time.Second, "graceful drain budget on SIGTERM/SIGINT")
-		cacheCap     = flag.Int("cache-capacity", 0, "session report-store capacity in reports, degraded-serving fallbacks included (0 = default 1024)")
+		cacheCap     = flag.Int("cache-capacity", 0, "session report-store capacity in reports (0 = default 1024)")
 		logLevel     = flag.String("log-level", "info", "log level: debug, info, warn, error")
 		debugAddr    = flag.String("debug-addr", "", "serve net/http/pprof and /debug/traces on this private address (empty = disabled)")
 		traceRing    = flag.Int("trace-ring", 0, "recent request traces retained for GET /debug/traces (0 = default 16)")

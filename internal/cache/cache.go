@@ -3,11 +3,9 @@
 // one key into a single computation (singleflight). Its bound is a
 // total weight: every entry weighs 1 in an LRU from New, so the bound
 // is an entry count, and NewWeighted takes a weight function. Reset
-// starts a new generation: Get and Do hit only entries of the current
-// one, and Peek, a caller's fallback when a computation fails, returns
-// an entry of any. The session report store, the zoo's admitted graphs
-// and the memo store's plans (weighed by layer count) are all
-// instances of it.
+// empties the LRU, and no computation begun before it caches its
+// result. The session report store, the zoo's admitted graphs and the
+// memo store's plans (weighed by layer count) are all instances of it.
 package cache
 
 import (
@@ -35,9 +33,8 @@ const (
 // returned an error or panicked (never cached); Evictions counts
 // entries dropped by the capacity bound, an entry too heavy to keep
 // included. These are lifetime totals that survive Reset. Len is the
-// number of entries of the current generation and Weight the total
-// weight of all entries, Cap the capacity in weight and Inflight the
-// number of computations running.
+// number of cached entries and Weight their total weight, Cap the
+// capacity in weight and Inflight the number of computations running.
 type Stats struct {
 	Hits, Misses, Dedups, Failures, Evictions int64
 	Len, Weight, Cap, Inflight                int
@@ -49,7 +46,6 @@ type node[K comparable, V any] struct {
 	key        K
 	val        V
 	weight     int
-	gen        uint64 // the generation val was computed in
 }
 
 // call is one in-flight computation that Do callers of its key wait on.
@@ -57,7 +53,7 @@ type call[V any] struct {
 	done chan struct{}
 	val  V
 	err  error
-	gen  uint64 // the generation the computation started in
+	gen  uint64 // the LRU's generation when the computation started
 }
 
 // LRU is a bounded least-recently-used cache with singleflight
@@ -69,8 +65,8 @@ type LRU[K comparable, V any] struct {
 	root  node[K, V] // list sentinel: root.next is the most recent entry, root.prev the least
 	calls map[K]*call[V]
 	weigh func(V) int // nil: every entry weighs 1
-	gen   uint64      // the current generation; Reset moves it on
-	st    Stats       // counters, Len, Weight and Cap; Inflight is filled in by Stats
+	gen   uint64      // Reset moves it on; a computation begun in an older one caches nothing
+	st    Stats       // counters, Weight and Cap; Len and Inflight are filled in by Stats
 }
 
 // New returns an empty LRU that holds at most capacity entries.
@@ -110,7 +106,7 @@ func (c *LRU[K, V]) Get(key K) (V, bool) {
 //lint:hotpath
 func (c *LRU[K, V]) hitLocked(key K) (v V, ok bool) {
 	n, ok := c.items[key]
-	if !ok || n.gen != c.gen {
+	if !ok {
 		return v, false
 	}
 	c.unlink(n)
@@ -126,11 +122,11 @@ func (c *LRU[K, V]) hitLocked(key K) (v V, ok bool) {
 // is dropped too.
 func (c *LRU[K, V]) Put(key K, val V) {
 	c.mu.Lock()
-	c.putLocked(key, val, c.gen)
+	c.putLocked(key, val)
 	c.mu.Unlock()
 }
 
-func (c *LRU[K, V]) putLocked(key K, val V, gen uint64) {
+func (c *LRU[K, V]) putLocked(key K, val V) {
 	w := 1
 	if c.weigh != nil {
 		w = max(c.weigh(val), 1)
@@ -138,17 +134,14 @@ func (c *LRU[K, V]) putLocked(key K, val V, gen uint64) {
 	n, ok := c.items[key]
 	if ok {
 		c.unlink(n)
-		c.drop(n)
+		c.st.Weight -= n.weight
 	} else {
 		n = &node[K, V]{key: key}
 		c.items[key] = n
 	}
-	n.val, n.weight, n.gen = val, w, gen
+	n.val, n.weight = val, w
 	c.pushFront(n)
 	c.st.Weight += w
-	if gen == c.gen {
-		c.st.Len++
-	}
 	if w > c.st.Cap {
 		c.evict(n)
 		return
@@ -162,16 +155,8 @@ func (c *LRU[K, V]) putLocked(key K, val V, gen uint64) {
 func (c *LRU[K, V]) evict(n *node[K, V]) {
 	c.unlink(n)
 	delete(c.items, n.key)
-	c.drop(n)
-	c.st.Evictions++
-}
-
-// drop takes n off the Weight and Len totals.
-func (c *LRU[K, V]) drop(n *node[K, V]) {
 	c.st.Weight -= n.weight
-	if n.gen == c.gen {
-		c.st.Len--
-	}
+	c.st.Evictions++
 }
 
 func (c *LRU[K, V]) pushFront(n *node[K, V]) {
@@ -189,8 +174,10 @@ func (c *LRU[K, V]) unlink(n *node[K, V]) {
 // fn and caching its result. Errors are never cached: the leader's
 // error goes to the waiters it has, and the next caller leads afresh.
 // A waiter whose ctx ends returns ctx.Err() and leaves the leader
-// running. If fn panics, Do releases key, caches nothing, hands the
-// waiters an error naming the panic and re-panics in the leader.
+// running. A computation that began before a Reset answers its leader
+// and waiters but caches nothing. If fn panics, Do releases key,
+// caches nothing, hands the waiters an error naming the panic and
+// re-panics in the leader.
 func (c *LRU[K, V]) Do(ctx context.Context, key K, fn func() (V, error)) (V, Outcome, error) {
 	c.mu.Lock()
 	if v, ok := c.hitLocked(key); ok {
@@ -228,10 +215,11 @@ func (c *LRU[K, V]) lead(key K, cl *call[V], fn func() (V, error)) {
 		}
 		c.mu.Lock()
 		delete(c.calls, key)
-		if cl.err == nil {
-			c.putLocked(key, cl.val, cl.gen)
-		} else {
+		switch {
+		case cl.err != nil:
 			c.st.Failures++
+		case cl.gen == c.gen:
+			c.putLocked(key, cl.val)
 		}
 		c.mu.Unlock()
 		close(cl.done)
@@ -243,26 +231,17 @@ func (c *LRU[K, V]) lead(key K, cl *call[V], fn func() (V, error)) {
 	returned = true
 }
 
-// Reset starts a new generation. Entries stay for Peek, within the
-// capacity, until a computation replaces them, and the counters
-// survive. A computation in flight caches its result under the
-// generation it started in, so no value begun before a Reset hits.
+// Reset drops every cached entry; the drops are not evictions, and
+// the counters survive. It also moves the generation on, so a
+// computation in flight caches nothing when it finishes: no value
+// begun before a Reset is a hit after it.
 func (c *LRU[K, V]) Reset() {
 	c.mu.Lock()
+	clear(c.items)
+	c.root.next, c.root.prev = &c.root, &c.root
+	c.st.Weight = 0
 	c.gen++
-	c.st.Len = 0
 	c.mu.Unlock()
-}
-
-// Peek returns the value cached under key, whatever its generation.
-// It counts no hit or miss and leaves recency as it is.
-func (c *LRU[K, V]) Peek(key K) (v V, ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if n, ok := c.items[key]; ok {
-		return n.val, true
-	}
-	return v, false
 }
 
 // Stats snapshots the counters and sizes.
@@ -270,6 +249,6 @@ func (c *LRU[K, V]) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := c.st
-	st.Inflight = len(c.calls)
+	st.Len, st.Inflight = len(c.items), len(c.calls)
 	return st
 }

@@ -251,77 +251,46 @@ func TestDoPanicReleasesKey(t *testing.T) {
 	}
 }
 
+// TestResetKeepsCountersAndInflight: Reset empties the LRU without
+// counting evictions and keeps the lifetime counters. A computation in
+// flight across it still answers its leader, but caches nothing, so
+// neither the old entry nor the in-flight value hits afterwards.
 func TestResetKeepsCountersAndInflight(t *testing.T) {
 	c := New[string, int](4)
 	c.Put("a", 1)
 	c.Get("a")
 	release := make(chan struct{})
-	done := make(chan struct{})
+	type led struct {
+		v   int
+		out Outcome
+		err error
+	}
+	done := make(chan led, 1)
 	go func() {
-		defer close(done)
-		c.Do(context.Background(), "b", func() (int, error) {
+		v, out, err := c.Do(context.Background(), "b", func() (int, error) {
 			<-release
 			return 2, nil
 		})
+		done <- led{v, out, err}
 	}()
 	waitFor(t, "the leader", func() bool { return c.Stats().Inflight == 1 })
 	c.Reset()
+	if st := c.Stats(); st.Len != 0 || st.Weight != 0 {
+		t.Fatalf("stats after Reset = %+v, want nothing cached", st)
+	}
 	if _, ok := c.Get("a"); ok {
-		t.Fatal("an entry of the old generation hit after Reset")
+		t.Fatal("an entry cached before Reset hit after it")
 	}
 	close(release)
-	<-done
-	// b's computation began before the Reset: it is cached, but as an
-	// entry of the old generation.
+	if got := <-done; got.v != 2 || got.out != Miss || got.err != nil {
+		t.Fatalf("leader across Reset: %d %v %v, want its own value as a miss", got.v, got.out, got.err)
+	}
 	if _, ok := c.Get("b"); ok {
 		t.Fatal("a value computed before Reset hit after it")
 	}
-	for k, want := range map[string]int{"a": 1, "b": 2} {
-		if v, ok := c.Peek(k); !ok || v != want {
-			t.Fatalf("Peek(%s) after Reset = %d, %v, want %d", k, v, ok, want)
-		}
-	}
-	if st := c.Stats(); st.Hits != 1 || st.Misses != 3 || st.Len != 0 || st.Weight != 2 {
-		t.Fatalf("stats = %+v, want lifetime counters kept, no entry of the new generation and both weights held", st)
-	}
-}
-
-// TestGenerations pins what an older entry is after Reset: it never
-// hits, a successful computation replaces it, a failed one leaves it
-// in place for Peek, and it counts against the capacity until then.
-func TestGenerations(t *testing.T) {
-	ctx := context.Background()
-	c := New[string, int](3)
-	c.Put("a", 1)
-	c.Put("b", 2)
-	c.Reset()
-	if _, out, err := c.Do(ctx, "a", func() (int, error) { return 0, errors.New("down") }); out != Miss || err == nil {
-		t.Fatalf("failing Do over an older entry: %v %v, want a failed miss", out, err)
-	}
-	if v, ok := c.Peek("a"); !ok || v != 1 {
-		t.Fatalf("Peek(a) after a failed Do = %d, %v: the older entry must stay", v, ok)
-	}
-	if v, out, err := c.Do(ctx, "a", func() (int, error) { return 10, nil }); v != 10 || out != Miss || err != nil {
-		t.Fatalf("Do over an older entry: %d %v %v, want a fresh miss", v, out, err)
-	}
-	if v, out, _ := c.Do(ctx, "a", func() (int, error) { return 0, nil }); v != 10 || out != Hit {
-		t.Fatalf("Do after the replacement: %d %v, want a hit on 10", v, out)
-	}
-	if st := c.Stats(); st.Len != 1 || st.Weight != 2 {
-		t.Fatalf("stats = %+v, want one entry of this generation among two", st)
-	}
-	// Older entries share the one bound: two new keys evict b, the
-	// least recently used of any generation.
-	c.Put("c", 3)
-	c.Put("d", 4)
-	if _, ok := c.Peek("b"); ok {
-		t.Fatal("an older entry outlived the capacity")
-	}
-	if got := fmt.Sprint(c.keys()); got != "[d c a]" {
-		t.Fatalf("keys %s, want [d c a]", got)
-	}
-	if st := c.Stats(); st.Len != 3 || st.Weight != 3 || st.Evictions != 1 {
-		t.Fatalf("stats = %+v", st)
+	want := Stats{Hits: 1, Misses: 3, Cap: 4}
+	if st := c.Stats(); st != want {
+		t.Fatalf("stats = %+v, want %+v: lifetime counters kept, nothing cached or evicted", st, want)
 	}
 }
 
@@ -329,8 +298,7 @@ func TestGenerations(t *testing.T) {
 // counts the Resets done; it moves with each Reset under mu, so a
 // value's epoch is at least the generation its computation started in.
 // No hit may return a value older than the epoch its caller saw before
-// calling Do, and every key that ever cached a value keeps one for
-// Peek: the capacity holds every key, so nothing is evicted.
+// calling Do.
 func TestResetRacesDo(t *testing.T) {
 	const goroutines, ops, keys = 8, 300, 6
 	c := New[int, int](keys)
@@ -341,7 +309,6 @@ func TestResetRacesDo(t *testing.T) {
 		defer mu.RUnlock()
 		return epoch
 	}
-	var cached [keys]atomic.Bool
 	var hits atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -358,31 +325,23 @@ func TestResetRacesDo(t *testing.T) {
 					continue
 				}
 				seen := readEpoch()
-				v, out, err := c.Do(context.Background(), k, func() (int, error) {
+				v, out, _ := c.Do(context.Background(), k, func() (int, error) {
 					if i%5 == 0 {
 						return 0, fmt.Errorf("key %d fails", k)
 					}
 					return readEpoch(), nil
 				})
-				if err == nil {
-					cached[k].Store(true)
-				}
 				if out == Hit {
 					hits.Add(1)
 					if v < seen {
 						t.Errorf("key %d: a hit served a value of epoch %d after Reset %d", k, v, seen)
 					}
 				}
-				if cached[k].Load() {
-					if _, ok := c.Peek(k); !ok {
-						t.Errorf("key %d lost its entry", k)
-					}
-				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	if st := c.Stats(); st.Evictions != 0 || st.Inflight != 0 || st.Len > st.Weight || st.Weight > keys {
+	if st := c.Stats(); st.Evictions != 0 || st.Inflight != 0 || st.Len != st.Weight || st.Weight > keys {
 		t.Errorf("after the race: %+v", st)
 	}
 	if hits.Load() == 0 {

@@ -41,8 +41,7 @@ type Resolved struct {
 	Plat *hardware.Platform
 	// Key is memo.PlanKey over the display name, the model source (zoo
 	// key or graph digest) and the resolved memo.Binding. The session's
-	// report store (hits and degraded fallbacks alike) and the
-	// pipeline's memo plans both use it.
+	// report store and the pipeline's memo plans both use it.
 	Key string
 
 	runtime backend.Backend

@@ -249,8 +249,8 @@ var session = profsession.New(512)
 // CLI's observability output.
 func SessionStats() profsession.Stats { return session.Stats() }
 
-// ResetSession ends the shared session's generation, so every point
-// runs its pipeline again (tests use this to make experiments
+// ResetSession empties the shared session's report store, so every
+// point runs its pipeline again (tests use this to make experiments
 // hermetic).
 func ResetSession() { session.Reset() }
 

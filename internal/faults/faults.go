@@ -3,9 +3,10 @@
 //
 // The taxonomy half is production code: backends and profilers wrap
 // errors with Transient or Permanent so the resilience layer
-// (profsession retries, the circuit breaker, proofd's degraded
-// responses) can tell "try again" failures from "this will never
-// work" ones. IsTransient is the single classification point.
+// (profsession retries, the circuit breaker, proofd's 503
+// upstream_transient with Retry-After) can tell "try again" failures
+// from "this will never work" ones. IsTransient is the single
+// classification point.
 //
 // The injector half is a chaos harness: a seedable, concurrency-safe
 // Injector wraps any profile-func-shaped seam (see Wrap) and injects

@@ -24,9 +24,6 @@ func RegisterMetrics(reg *obs.Registry, prefix string, s *Session) error {
 		reg.CounterFunc(p+"retries_exhausted_total",
 			"Executions that failed transiently on every configured attempt.",
 			func() float64 { return float64(s.retriesExhausted.Load()) }),
-		reg.CounterFunc(p+"stale_hits_total",
-			"Degraded reads: stored reports served in place of a failed live profile.",
-			func() float64 { return float64(s.staleHits.Load()) }),
 	}
 	if bs := s.breakers; bs != nil {
 		bs.mu.Lock()
@@ -56,7 +53,7 @@ func RegisterMetrics(reg *obs.Registry, prefix string, s *Session) error {
 			"Profiling requests that executed the pipeline.",
 			func() float64 { return float64(s.Stats().Misses) }),
 		reg.CounterFunc(p+"evictions_total",
-			"Reports dropped by the LRU policy, reports stored before a reset included.",
+			"Reports dropped by the LRU policy.",
 			func() float64 { return float64(s.Stats().Evictions) }),
 		reg.CounterFunc(p+"dedups_total",
 			"Requests that attached to an identical in-flight execution.",
@@ -65,7 +62,7 @@ func RegisterMetrics(reg *obs.Registry, prefix string, s *Session) error {
 			"Pipeline executions running right now.",
 			func() float64 { return float64(s.Stats().Inflight) }),
 		reg.GaugeFunc(p+"cache_size",
-			"Reports a request would hit: those stored since the last reset.",
+			"Reports stored.",
 			func() float64 { return float64(s.Stats().Size) }),
 		reg.GaugeFunc(p+"cache_capacity",
 			"Report store capacity, in reports.",

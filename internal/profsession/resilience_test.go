@@ -15,9 +15,6 @@ import (
 	"proof/internal/obs"
 )
 
-// errDown is a service failure, which may degrade to a stored report.
-var errDown = faults.Transient(errors.New("backend down"))
-
 // stubRep builds a minimal valid report for a stub profiler.
 func stubRep(opts core.Options) *core.Report {
 	return &core.Report{Model: opts.Model, Platform: opts.Platform, Batch: opts.Batch}
@@ -110,9 +107,6 @@ func TestRetryExhaustionCountsAndDoesNotCache(t *testing.T) {
 	}
 	if st.Size != 0 {
 		t.Errorf("failed execution reached the store: %+v", st)
-	}
-	if _, ok := s.FallbackFor(baseOpts, errDown); ok {
-		t.Error("failed execution left a fallback report")
 	}
 }
 
@@ -401,9 +395,9 @@ func TestBreakerIgnoresAbandonedExecutions(t *testing.T) {
 }
 
 // TestBreakerIgnoresGraphDefects: a graph defect is the caller's error.
-// It is not retried, it never opens a circuit, it never degrades to a
-// stale report, and a half-open probe it took is released, so the next
-// valid request for the key is let through.
+// It is not retried, it never opens a circuit, and a half-open probe it
+// took is released, so the next valid request for the key is let
+// through.
 func TestBreakerIgnoresGraphDefects(t *testing.T) {
 	var defective atomic.Bool
 	var calls atomic.Int64
@@ -441,9 +435,6 @@ func TestBreakerIgnoresGraphDefects(t *testing.T) {
 		if n := calls.Load() - before; n != 1 {
 			t.Errorf("graph defect executed %d times, want 1 (no retry)", n)
 		}
-		if _, ok := s.FallbackFor(opts, err); ok {
-			t.Error("graph defect degraded to a stale report")
-		}
 	}
 	if opens, _, _, _ := s.breakers.snapshot(); opens != 0 {
 		t.Fatalf("opens = %d after graph defects, want 0", opens)
@@ -466,108 +457,6 @@ func TestBreakerIgnoresGraphDefects(t *testing.T) {
 	opts.Batch = 12
 	if _, err := s.ProfileCtx(context.Background(), opts); err != nil {
 		t.Fatalf("valid request after a defective probe: %v, want the probe slot released", err)
-	}
-}
-
-// TestFallbackSurvivesReset: Reset ends what the store serves as
-// fresh, not what it falls back on. After a Reset a stored report no
-// longer hits, yet FallbackFor still serves a deep copy of it; a failed
-// run leaves it in place, and a successful one replaces it and hits
-// again.
-func TestFallbackSurvivesReset(t *testing.T) {
-	var failing atomic.Bool
-	s := NewWithConfig(Config{
-		Capacity: 2,
-		Profile: func(ctx context.Context, opts core.Options) (*core.Report, error) {
-			if failing.Load() {
-				return nil, errDown
-			}
-			return stubRep(opts), nil
-		},
-	})
-	a, b := baseOpts, baseOpts
-	b.Batch = 99
-	repA, err := s.ProfileCtx(context.Background(), a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.ProfileCtx(context.Background(), b); err != nil {
-		t.Fatal(err)
-	}
-	s.Reset()
-	if st := s.Stats(); st.Size != 0 || st.Evictions != 0 {
-		t.Fatalf("stats after Reset = %+v, want nothing a request would hit and nothing evicted", st)
-	}
-	failing.Store(true)
-	_, out, err := s.ProfileOutcome(context.Background(), a)
-	if err == nil || out != OutcomeMiss {
-		t.Fatalf("request after Reset: outcome %v err %v, want a failed miss", out, err)
-	}
-	got, ok := s.FallbackFor(a, err)
-	if !ok {
-		t.Fatal("Reset or a failed run dropped the fallback report")
-	}
-	if got.Batch != repA.Batch || got.Model != repA.Model {
-		t.Errorf("fallback report = %+v, want the original", got)
-	}
-	if got == repA {
-		t.Error("FallbackFor returned a shared pointer; want a deep copy")
-	}
-	// Unknown options: no fallback report.
-	c := baseOpts
-	c.Batch = 12345
-	if _, ok := s.FallbackFor(c, errDown); ok {
-		t.Error("FallbackFor invented a report")
-	}
-	failing.Store(false)
-	if _, out, err := s.ProfileOutcome(context.Background(), b); err != nil || out != OutcomeMiss {
-		t.Fatalf("healthy request after Reset: outcome %v err %v, want a miss", out, err)
-	}
-	if _, out, err := s.ProfileOutcome(context.Background(), b); err != nil || out != OutcomeHit {
-		t.Fatalf("repeat after the replacing run: outcome %v err %v, want a hit", out, err)
-	}
-	if st := s.Stats(); st.StaleHits != 1 || st.Size != 1 || st.Evictions != 0 {
-		t.Errorf("stats = %+v, want 1 stale hit, size 1 and nothing evicted", st)
-	}
-}
-
-// TestOneBoundForHitsAndFallbacks: hits and fallbacks share the one
-// Capacity bound. The least recently stored report leaves both, and a
-// report stored before a Reset counts against the bound until the LRU
-// evicts it.
-func TestOneBoundForHitsAndFallbacks(t *testing.T) {
-	s := NewWithProfiler(2, func(ctx context.Context, opts core.Options) (*core.Report, error) {
-		return stubRep(opts), nil
-	})
-	opts := baseOpts
-	for i := 0; i < 3; i++ {
-		opts.Batch = i + 1
-		if _, err := s.ProfileCtx(context.Background(), opts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := s.Stats(); st.Size != 2 || st.Capacity != 2 || st.Evictions != 1 {
-		t.Errorf("stats = %+v, want size 2 of capacity 2 and 1 eviction", st)
-	}
-	opts.Batch = 1
-	if _, ok := s.FallbackFor(opts, errDown); ok {
-		t.Error("an evicted report still served as a fallback")
-	}
-	s.Reset()
-	opts.Batch = 4
-	if _, err := s.ProfileCtx(context.Background(), opts); err != nil {
-		t.Fatal(err)
-	}
-	opts.Batch = 2 // the oldest report, stored before the Reset
-	if _, ok := s.FallbackFor(opts, errDown); ok {
-		t.Error("a report stored before Reset outlived the bound")
-	}
-	opts.Batch = 3
-	if _, ok := s.FallbackFor(opts, errDown); !ok {
-		t.Error("a report within the bound lost its fallback")
-	}
-	if st := s.Stats(); st.Size != 1 || st.Evictions != 2 {
-		t.Errorf("stats = %+v, want size 1 and 2 evictions", st)
 	}
 }
 
@@ -630,8 +519,11 @@ func TestResilienceMetricsExposed(t *testing.T) {
 			t.Errorf("metrics missing %q\n%s", want, text)
 		}
 	}
-	// One store, one bound: the second store's gauge is gone.
-	if strings.Contains(text, "stale_size") {
-		t.Errorf("metrics still expose a stale-store size\n%s", text)
+	// One store and no stale serving: neither the second store's
+	// gauge nor the stale-read counter is exposed.
+	for _, gone := range []string{"stale_size", "stale_hits"} {
+		if strings.Contains(text, gone) {
+			t.Errorf("metrics still expose %s\n%s", gone, text)
+		}
 	}
 }

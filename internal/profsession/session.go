@@ -4,10 +4,10 @@
 // when repeated runs over the same model/hardware configuration are
 // amortized. A Session keys every request by its resolved identity
 // (core.Resolve, see Fingerprint) and serves it through one
-// internal/cache LRU of reports, which also backs degraded serving:
-// repeats are cache hits, and concurrent identical requests collapse
-// into a single pipeline execution, with hit/miss/eviction/in-flight
-// counters for observability.
+// internal/cache LRU of reports: repeats are cache hits, and
+// concurrent identical requests collapse into a single pipeline
+// execution, with hit/miss/eviction/in-flight counters for
+// observability.
 package profsession
 
 import (
@@ -81,8 +81,8 @@ func (p RetryPolicy) retryableClass(err error) bool {
 // value of every field selects a sane default; Session s built by New
 // use a zero Retry (no retries) and no breaker.
 type Config struct {
-	// Capacity bounds the report store in reports, hits and fallbacks
-	// alike (<= 0 selects DefaultCapacity).
+	// Capacity bounds the report store in reports (<= 0 selects
+	// DefaultCapacity).
 	Capacity int
 	// Profile executes a cache miss (nil selects core.ProfileCtx).
 	Profile core.ProfileFunc
@@ -110,8 +110,7 @@ type Stats struct {
 	Dedups int64 `json:"dedups"`
 	// Inflight is the number of pipeline executions running right now.
 	Inflight int64 `json:"inflight"`
-	// Size is the number of reports a request would hit: those stored
-	// since the last Reset.
+	// Size is the number of reports stored.
 	Size int `json:"size"`
 	// Capacity is the store's capacity in reports.
 	Capacity int `json:"capacity"`
@@ -120,9 +119,6 @@ type Stats struct {
 	// RetriesExhausted counts executions that failed transiently on
 	// every configured attempt.
 	RetriesExhausted int64 `json:"retries_exhausted"`
-	// StaleHits counts degraded reads: stored reports served in place
-	// of a failed live profile (FallbackFor).
-	StaleHits int64 `json:"stale_hits"`
 }
 
 // Outcome classifies how a request was served — the per-request
@@ -151,13 +147,11 @@ type Session struct {
 	breakers *breakerSet // nil when the breaker is disabled
 	memo     *memo.Store // nil when memoization is disabled
 
-	// reports is the one report store. A request hits only a report of
-	// the current generation, which Reset ends; a failed live profile
-	// falls back to a report of any generation (FallbackFor). Reports
-	// are immutable once stored and cloned on the way out.
+	// reports is the one report store. Reports are immutable once
+	// stored and cloned on the way out.
 	reports *cache.LRU[string, *core.Report]
 
-	retries, retriesExhausted, staleHits atomic.Int64
+	retries, retriesExhausted atomic.Int64
 }
 
 // New creates a session with the given report-store capacity
@@ -231,18 +225,21 @@ func (s *Session) profileOutcome(ctx context.Context, opts core.Options) (*core.
 	if err != nil {
 		return nil, "", err
 	}
-	rep, out, err := s.reports.Do(ctx, r.Key, func() (*core.Report, error) {
-		return s.lead(ctx, r, opts)
-	})
+	fn := func() (*core.Report, error) { return s.lead(ctx, r, opts) }
+	rep, out, err := s.reports.Do(ctx, r.Key, fn)
+	// A waiter whose leader's caller hung up has not failed: while its
+	// own ctx lives, it leads or joins the key afresh.
+	for out == cache.Dedup && errors.Is(err, context.Canceled) && ctx.Err() == nil {
+		rep, out, err = s.reports.Do(ctx, r.Key, fn)
+	}
 	if err != nil {
 		var coe *CircuitOpenError
 		if errors.As(err, &coe) {
 			return nil, OutcomeRejected, err
 		}
-		// A dedup waiter reports the leader's error (possibly from
-		// the leader's own cancelled context) rather than retrying:
-		// errors are never cached, and retry policy belongs to the
-		// caller.
+		// A dedup waiter reports any other error of the leader rather
+		// than retrying: errors are never cached, and retry policy
+		// belongs to the caller.
 		return nil, Outcome(out), err
 	}
 	return cloneReport(rep), Outcome(out), nil
@@ -340,31 +337,6 @@ func (s *Session) execute(ctx context.Context, run core.Options) (*core.Report, 
 	return rep, err
 }
 
-// FallbackFor decides whether a failed live profile may degrade to the
-// report stored for opts, of any generation, and returns a deep copy
-// of it. Degradation is for service failures only: caller bugs
-// (invalid models) keep their error, a cancelled request wants no body
-// at all, and without a stored report there is nothing to serve.
-// Timeouts, circuit-open rejections, exhausted retries and other
-// internal failures all degrade — a slightly stale analysis beats an
-// error page for a read-mostly workload. Both the proofd HTTP edge and
-// the in-process workload target route their degrade decision through
-// here, so the two serving paths cannot drift.
-func (s *Session) FallbackFor(opts core.Options, err error) (*core.Report, bool) {
-	if _, ok := graph.AsValidationError(err); ok || errors.Is(err, context.Canceled) {
-		return nil, false
-	}
-	key, err := Fingerprint(opts)
-	if err != nil {
-		return nil, false
-	}
-	rep, ok := s.reports.Peek(key)
-	if ok {
-		s.staleHits.Add(1)
-	}
-	return cloneReport(rep), ok
-}
-
 // Fingerprint returns the key a Session caches a request under, its
 // core.Resolve key: two spellings of one experiment (batch 0 or the
 // platform's default batch, ...) share it. A request Resolve refuses
@@ -394,14 +366,12 @@ func (s *Session) Stats() Stats {
 		Capacity:         rs.Cap,
 		Retries:          s.retries.Load(),
 		RetriesExhausted: s.retriesExhausted.Load(),
-		StaleHits:        s.staleHits.Load(),
 	}
 }
 
-// Reset ends the store's generation: no report stored before it, or by
-// an execution begun before it, hits again, but each stays the
-// fallback FallbackFor serves until a new run replaces it or the LRU
-// evicts it. Counters are preserved (they are lifetime totals).
+// Reset empties the report store: no report stored before it, or by an
+// execution begun before it, hits again. Counters are preserved (they
+// are lifetime totals).
 func (s *Session) Reset() {
 	s.reports.Reset()
 }

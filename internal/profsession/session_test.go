@@ -347,6 +347,55 @@ func TestWaiterCancellation(t *testing.T) {
 	}
 }
 
+// TestWaiterOutlivesCancelledLeader: when the caller that leads a key
+// hangs up, its waiters have not failed. A waiter whose own context is
+// live leads the key afresh and gets the report, instead of the
+// leader's context.Canceled (which proofd would answer as a 499 to a
+// client that is still there).
+func TestWaiterOutlivesCancelledLeader(t *testing.T) {
+	var execs atomic.Int64
+	s := NewWithProfiler(0, func(ctx context.Context, opts core.Options) (*core.Report, error) {
+		if execs.Add(1) == 1 {
+			<-ctx.Done() // the first leader runs until its caller hangs up
+			return nil, ctx.Err()
+		}
+		return &core.Report{Model: opts.Model, Platform: opts.Platform}, nil
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	leaderDone := make(chan error, 1)
+	go func() {
+		_, err := s.ProfileCtx(ctx, baseOpts)
+		leaderDone <- err
+	}()
+	for s.Stats().Inflight == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	type served struct {
+		rep *core.Report
+		out Outcome
+		err error
+	}
+	waiterDone := make(chan served, 1)
+	go func() {
+		rep, out, err := s.ProfileOutcome(context.Background(), baseOpts)
+		waiterDone <- served{rep, out, err}
+	}()
+	for s.Stats().Dedups == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if err := <-leaderDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader err = %v, want context.Canceled", err)
+	}
+	got := <-waiterDone
+	if got.err != nil || got.rep == nil || got.rep.Model != baseOpts.Model || got.out != OutcomeMiss {
+		t.Fatalf("waiter: outcome %v err %v, want the report from an execution it led", got.out, got.err)
+	}
+	if n := execs.Load(); n != 2 {
+		t.Errorf("executions = %d, want 2", n)
+	}
+}
+
 func TestErrorsNotCached(t *testing.T) {
 	var execs atomic.Int64
 	sentinel := errors.New("transient")
@@ -407,14 +456,18 @@ func TestReset(t *testing.T) {
 	}
 	s.Reset()
 	st := s.Stats()
-	if st.Size != 0 {
-		t.Fatalf("size after reset = %d", st.Size)
+	if st.Size != 0 || st.Evictions != 0 {
+		t.Fatalf("stats after reset = %+v, want nothing stored and nothing evicted", st)
 	}
 	if _, err := s.ProfileCtx(context.Background(), baseOpts); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Stats(); got.Misses != 2 {
 		t.Fatalf("stats after reset = %+v, want second miss", got)
+	}
+	// A run after the Reset stores its report again.
+	if _, out, err := s.ProfileOutcome(context.Background(), baseOpts); err != nil || out != OutcomeHit {
+		t.Fatalf("repeat after the re-run: outcome %v err %v, want a hit", out, err)
 	}
 }
 

@@ -97,14 +97,3 @@ func (a *admission) release() {
 	a.inflight.Add(-1)
 	<-a.slots
 }
-
-// retryAfter estimates how long a rejected client should back off:
-// one full queue drain at the configured wait budget, floored at 1s —
-// coarse, but monotone in configured pressure and cheap to compute.
-func (a *admission) retryAfter() time.Duration {
-	d := a.queueWait
-	if d < time.Second {
-		d = time.Second
-	}
-	return d
-}

@@ -127,6 +127,53 @@ func TestAdmissionBoundsConcurrency(t *testing.T) {
 	waitFor(t, "slots drained", func() bool { return s.adm.inflight.Load() == 0 })
 }
 
+// TestShedRetryAfterRoundsUpQueueWait: a shed request is told to back
+// off for one full queue wait, rounded up to whole seconds like every
+// other Retry-After, so a 1.5 s wait answers 2, never less than the
+// wait it estimates.
+func TestShedRetryAfterRoundsUpQueueWait(t *testing.T) {
+	release := make(chan struct{})
+	sess := profsession.NewWithProfiler(0, func(ctx context.Context, opts core.Options) (*core.Report, error) {
+		select {
+		case <-release:
+			return stubReport(opts), nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	})
+	s, ts := newTestServer(t, Config{
+		Session:     sess,
+		MaxInflight: 1,
+		MaxQueue:    1,
+		QueueWait:   1500 * time.Millisecond,
+	})
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			body := fmt.Sprintf(`{"model":"resnet-50","platform":"a100","seed":%d}`, i+1)
+			if resp, err := http.Post(ts.URL+"/v1/profile", "application/json", strings.NewReader(body)); err == nil {
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+		}(i)
+	}
+	waitFor(t, "slot and queue full", func() bool { return s.adm.inflight.Load() == 1 && s.adm.queued.Load() == 1 })
+	resp := postJSON(t, ts.URL+"/v1/profile", `{"model":"resnet-50","platform":"a100","seed":3}`)
+	close(release)
+	wg.Wait()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("third request: status %d, want 429", resp.StatusCode)
+	}
+	if got := resp.Header.Get("Retry-After"); got != "2" {
+		t.Errorf("Retry-After = %q, want 2 (1.5 s queue wait rounded up)", got)
+	}
+	if env := decodeEnvelope(t, resp); env.Error.Code != "too_many_requests" {
+		t.Errorf("code %q, want too_many_requests", env.Error.Code)
+	}
+}
+
 // TestConcurrentIdenticalRequestsDedup hammers one configuration from
 // many clients at once and asserts the session collapses them into a
 // single pipeline execution.

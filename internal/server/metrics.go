@@ -22,7 +22,6 @@ type metrics struct {
 	reg      *obs.Registry
 	requests *obs.CounterVec
 	duration *obs.HistogramVec
-	degraded *obs.Counter
 }
 
 // wireMetrics registers the server's metric families into reg. The
@@ -38,8 +37,6 @@ func wireMetrics(reg *obs.Registry, adm *admission, sess *profsession.Session) *
 			"Finished HTTP requests by path and status code.", "path", "code"),
 		duration: reg.HistogramVec("proofd_request_duration_seconds",
 			"Request latency by path.", latencyBuckets, "path"),
-		degraded: reg.Counter("proofd_degraded_responses_total",
-			"Responses served from a stored last-known-good report after a live profiling failure."),
 	}
 	err := errors.Join(
 		reg.GaugeFunc("proofd_inflight_profiles",

@@ -394,13 +394,15 @@ func readBody(r *http.Request, limit int64) ([]byte, error) {
 // answering 429/503 itself when the request cannot proceed.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 	if s.draining.Load() {
+		setRetryAfter(w, time.Second)
 		s.writeError(w, r, http.StatusServiceUnavailable, "draining", "server is shutting down")
 		return false
 	}
 	if err := s.adm.acquire(r.Context()); err != nil {
 		switch {
 		case errors.Is(err, ErrQueueFull), errors.Is(err, ErrQueueTimeout):
-			w.Header().Set("Retry-After", strconv.Itoa(int(s.adm.retryAfter().Seconds())))
+			// One full queue wait: the estimate of when a slot frees.
+			setRetryAfter(w, s.cfg.QueueWait)
 			s.writeError(w, r, http.StatusTooManyRequests, "too_many_requests", err.Error())
 		default:
 			// Client went away while queued; nothing useful to write.
@@ -605,15 +607,6 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	report, outcome, err := s.sess.ProfileOutcome(ctx, res.Options)
 	if err != nil {
-		if stale, ok := s.staleFallback(r, res.Options, err); ok {
-			s.metrics.degraded.Inc()
-			w.Header().Set("X-Cache", "stale")
-			w.Header().Set("X-Degraded", "stale-report")
-			// Degraded responses are replays of old runs; persisting
-			// them would pollute history with duplicates.
-			s.writeProfileReport(w, r, ctx, stale, nil)
-			return
-		}
 		s.writeProfilingError(w, r, err)
 		return
 	}
@@ -652,18 +645,6 @@ func (s *Server) writeProfileReport(w http.ResponseWriter, r *http.Request, ctx 
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	w.Write(append(data, '\n'))
-}
-
-// staleFallback decides whether a failed live profile may degrade to
-// the session's last-known-good report. The policy (no degrading of
-// caller bugs or cancelled requests) lives in
-// profsession.FallbackFor, shared with the in-process workload
-// target; the HTTP edge only adds its own gone-client check.
-func (s *Server) staleFallback(r *http.Request, opts core.Options, err error) (*core.Report, bool) {
-	if r.Context().Err() != nil {
-		return nil, false
-	}
-	return s.sess.FallbackFor(opts, err)
 }
 
 // TracedProfileResponse is the POST /v1/profile?trace=1 body: the

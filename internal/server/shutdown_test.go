@@ -118,6 +118,24 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}
 }
 
+// TestDrainingCarriesRetryAfter: the fail-fast 503 a draining server
+// answers is a 503 like any other, so it tells the client when to
+// retry (against another replica, or this one once it restarts).
+func TestDrainingCarriesRetryAfter(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	s.draining.Store(true)
+	resp := postJSON(t, ts.URL+"/v1/profile", `{"model":"resnet-50","platform":"a100"}`)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("status %d, want 503", resp.StatusCode)
+	}
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Errorf("Retry-After = %q, want 1", got)
+	}
+	if env := decodeEnvelope(t, resp); env.Error.Code != "draining" {
+		t.Errorf("code %q, want draining", env.Error.Code)
+	}
+}
+
 // TestShutdownHonorsDeadline pins the other half of the contract: a
 // request that never finishes cannot hold shutdown hostage past
 // ShutdownTimeout.

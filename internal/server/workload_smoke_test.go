@@ -12,7 +12,7 @@ import (
 // TestWorkloadSmokeAgainstProofd runs the builtin closed-loop smoke
 // scenario against a healthy in-process proofd over HTTP and grades
 // the SLO verdict: every request must succeed (the smoke SLO declares
-// zero error and degraded budgets), the contract must hold, and the
+// a zero error budget), the contract must hold, and the
 // same seed must always pin the same schedule. This is the CI gate
 // that keeps the workload engine and the serving stack compatible.
 func TestWorkloadSmokeAgainstProofd(t *testing.T) {

@@ -95,10 +95,10 @@ type engine struct {
 	rec     *recorder
 	started time.Time
 
-	lat *obs.Digest // ok + degraded latencies
+	lat *obs.Digest // ok latencies
 
-	requests, ok, degraded, shed, failed, canceled atomic.Int64
-	violationCount                                 atomic.Int64
+	requests, ok, shed, failed, canceled atomic.Int64
+	violationCount                       atomic.Int64
 
 	mu         sync.Mutex
 	violations []string
@@ -132,9 +132,6 @@ func (e *engine) issue(ctx context.Context, pl planned) {
 	case ClassOK:
 		e.ok.Add(1)
 		e.lat.Observe(elapsed)
-	case ClassDegraded:
-		e.degraded.Add(1)
-		e.lat.Observe(elapsed)
 	case ClassShed:
 		e.shed.Add(1)
 	case ClassCanceled:
@@ -157,10 +154,9 @@ func (e *engine) issue(ctx context.Context, pl planned) {
 // result snapshots the tallies into a Result.
 func (e *engine) result(p *Plan) *Result {
 	elapsed := time.Since(e.started)
-	completed := e.ok.Load() + e.degraded.Load()
 	rps := 0.0
 	if elapsed > 0 {
-		rps = float64(completed) / elapsed.Seconds()
+		rps = float64(e.ok.Load()) / elapsed.Seconds()
 	}
 	e.mu.Lock()
 	viol := append([]string(nil), e.violations...)
@@ -171,7 +167,6 @@ func (e *engine) result(p *Plan) *Result {
 		ScheduleDigest: p.Digest(),
 		Requests:       e.requests.Load(),
 		OK:             e.ok.Load(),
-		Degraded:       e.degraded.Load(),
 		Shed:           e.shed.Load(),
 		Failed:         e.failed.Load(),
 		Canceled:       e.canceled.Load(),

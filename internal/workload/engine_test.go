@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"sort"
 	"sync"
@@ -132,10 +133,8 @@ func TestRunTalliesEveryClass(t *testing.T) {
 	// Classify deterministically off the request's profile seed.
 	tgt := &fakeTarget{respond: func(ctx context.Context, req Request) Response {
 		switch req.Seed {
-		case 1:
+		case 1, 2:
 			return Response{Class: ClassOK}
-		case 2:
-			return Response{Class: ClassDegraded}
 		case 3:
 			return Response{Class: ClassShed, Status: 429}
 		default:
@@ -146,15 +145,15 @@ func TestRunTalliesEveryClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.OK+res.Degraded+res.Shed+res.Failed+res.Canceled != res.Requests {
+	if res.OK+res.Shed+res.Failed+res.Canceled != res.Requests {
 		t.Errorf("classes do not partition requests: %+v", res)
 	}
-	if res.OK == 0 || res.Degraded == 0 || res.Shed == 0 || res.Failed == 0 {
+	if res.OK == 0 || res.Shed == 0 || res.Failed == 0 {
 		t.Errorf("expected every class to appear under seed fan 4: %+v", res)
 	}
 	// Latency is only measured over successful responses.
-	if res.Latency.Count != res.OK+res.Degraded {
-		t.Errorf("latency count %d, want ok+degraded = %d", res.Latency.Count, res.OK+res.Degraded)
+	if res.Latency.Count != res.OK {
+		t.Errorf("latency count %d, want ok = %d", res.Latency.Count, res.OK)
 	}
 }
 
@@ -333,7 +332,7 @@ func TestScenarioLoadRoundTrip(t *testing.T) {
     {"model": "resnet-18", "platform": "a100", "seeds": 4}
   ]},
   "behavior": {"cancel_every": 7, "cancel_after": "1ms"},
-  "slo": {"p99": "250ms", "error_budget": 0.01, "degraded_budget": 0.05}
+  "slo": {"p99": "250ms", "error_budget": 0.01}
 }`
 	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
@@ -352,13 +351,19 @@ func TestScenarioLoadRoundTrip(t *testing.T) {
 		t.Errorf("mix/behavior did not round-trip")
 	}
 
-	// A typoed field must be rejected, not silently ignored.
-	bad := path + ".bad"
-	if err := os.WriteFile(bad, []byte(`{"name":"x","arivals":{"kind":"closed"}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(bad); err == nil {
-		t.Error("Load accepted a scenario with an unknown field")
+	// A typoed field must be rejected, not silently ignored, and so
+	// must a budget for an outcome the server no longer has.
+	for i, src := range []string{
+		`{"name":"x","arivals":{"kind":"closed"}}`,
+		`{"name":"x","slo":{"error_budget":0.01,"degraded_budget":0.05}}`,
+	} {
+		bad := fmt.Sprintf("%s.bad%d", path, i)
+		if err := os.WriteFile(bad, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(bad); err == nil {
+			t.Errorf("Load accepted a scenario with an unknown field: %s", src)
+		}
 	}
 }
 

@@ -10,13 +10,9 @@ import (
 
 // SLO declares the budgets a scenario is graded against. Zero-valued
 // fields are ungraded (a scenario with no SLO always passes on
-// budgets; contract violations still fail it). Degraded responses are
-// deliberately budgeted SEPARATELY from errors: a degraded 200 kept a
-// user working on stale data, an error did not — conflating them
-// either hides real failures behind successful fallbacks or punishes
-// the fallback that is doing exactly its job.
+// budgets; contract violations still fail it).
 type SLO struct {
-	// Latency budgets over successful responses (fresh + degraded).
+	// Latency budgets over successful responses.
 	P50  Duration `json:"p50,omitempty"`
 	P99  Duration `json:"p99,omitempty"`
 	P999 Duration `json:"p999,omitempty"`
@@ -25,9 +21,6 @@ type SLO struct {
 	// means "no errors tolerated" only when a sibling field marks the
 	// SLO non-empty; use Grade's semantics below.
 	ErrorBudget float64 `json:"error_budget"`
-	// DegradedBudget is the largest tolerable degraded fraction of
-	// completed requests.
-	DegradedBudget float64 `json:"degraded_budget"`
 	// ShedBudget is the largest tolerable shed (429) fraction of
 	// completed requests; zero tolerates any shedding (backpressure
 	// is not an error unless a scenario says so) — set it explicitly
@@ -39,7 +32,7 @@ type SLO struct {
 }
 
 // LatencySummary is the measured latency distribution over successful
-// (fresh + degraded) responses.
+// responses.
 type LatencySummary struct {
 	Count int64    `json:"count"`
 	Mean  Duration `json:"mean"`
@@ -51,14 +44,13 @@ type LatencySummary struct {
 
 // Result is the raw outcome of one run: what was issued, how it
 // resolved, how fast. Every issued request lands in exactly one of
-// OK/Degraded/Shed/Failed/Canceled.
+// OK/Shed/Failed/Canceled.
 type Result struct {
 	Scenario       string         `json:"scenario"`
 	Seed           uint64         `json:"seed"`
 	ScheduleDigest string         `json:"schedule_digest"`
 	Requests       int64          `json:"requests"`
 	OK             int64          `json:"ok"`
-	Degraded       int64          `json:"degraded"`
 	Shed           int64          `json:"shed"`
 	Failed         int64          `json:"failed"`
 	Canceled       int64          `json:"canceled"`
@@ -100,7 +92,7 @@ type Verdict struct {
 
 // Grade evaluates a result against an SLO. The contract check
 // (violation_count == 0) is always graded; latency percentiles,
-// error/degraded/shed budgets and throughput only when declared.
+// error/shed budgets and throughput only when declared.
 func Grade(res *Result, slo SLO) *Verdict {
 	v := &Verdict{Scenario: res.Scenario, Pass: true, Result: res}
 	add := func(c Check) {
@@ -145,12 +137,11 @@ func Grade(res *Result, slo SLO) *Verdict {
 			Pass:     rate <= budget,
 		})
 	}
-	// Error and degraded budgets are always graded when the scenario
-	// declares any SLO at all: "no budget named" means zero tolerance,
-	// not unlimited. A completely zero SLO grades only the contract.
+	// The error budget is always graded when the scenario declares any
+	// SLO at all: "no budget named" means zero tolerance, not
+	// unlimited. A completely zero SLO grades only the contract.
 	if slo != (SLO{}) {
 		ratio("error_budget", res.Failed, slo.ErrorBudget)
-		ratio("degraded_budget", res.Degraded, slo.DegradedBudget)
 	}
 	if slo.ShedBudget > 0 {
 		ratio("shed_budget", res.Shed, slo.ShedBudget)
@@ -183,8 +174,8 @@ func (v *Verdict) WriteTable(w io.Writer) {
 	fmt.Fprintf(w, "scenario %s  seed %d  schedule %.12s\n", res.Scenario, res.Seed, res.ScheduleDigest)
 	fmt.Fprintf(w, "%d requests in %s  (%.1f successful req/s)\n",
 		res.Requests, roundDur(res.Elapsed.D()), res.ThroughputRPS)
-	fmt.Fprintf(w, "  ok %d  degraded %d  shed %d  failed %d  canceled %d\n",
-		res.OK, res.Degraded, res.Shed, res.Failed, res.Canceled)
+	fmt.Fprintf(w, "  ok %d  shed %d  failed %d  canceled %d\n",
+		res.OK, res.Shed, res.Failed, res.Canceled)
 	fmt.Fprintf(w, "  latency p50 %s  p99 %s  p999 %s  max %s  (n=%d)\n",
 		roundDur(res.Latency.P50.D()), roundDur(res.Latency.P99.D()),
 		roundDur(res.Latency.P999.D()), roundDur(res.Latency.Max.D()), res.Latency.Count)

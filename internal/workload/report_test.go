@@ -19,8 +19,7 @@ func fixtureResult() *Result {
 		Seed:           7,
 		ScheduleDigest: "f00dfacecafe0123456789abcdef0123456789abcdef0123456789abcdef0123",
 		Requests:       1000,
-		OK:             950,
-		Degraded:       30,
+		OK:             980,
 		Shed:           8,
 		Failed:         7,
 		Canceled:       5,
@@ -39,12 +38,11 @@ func fixtureResult() *Result {
 
 func fixtureSLO() SLO {
 	return SLO{
-		P50:            Duration(5 * time.Millisecond),
-		P99:            Duration(100 * time.Millisecond),
-		P999:           Duration(500 * time.Millisecond),
-		ErrorBudget:    0.01,
-		DegradedBudget: 0.05,
-		ShedBudget:     0.02,
+		P50:         Duration(5 * time.Millisecond),
+		P99:         Duration(100 * time.Millisecond),
+		P999:        Duration(500 * time.Millisecond),
+		ErrorBudget: 0.01,
+		ShedBudget:  0.02,
 	}
 }
 
@@ -113,8 +111,8 @@ func TestGradeBudgetEdges(t *testing.T) {
 		t.Error("clean result failed a contract-only grade")
 	}
 
-	// Any declared SLO turns the error/degraded budgets on — with zero
-	// budget meaning zero tolerance.
+	// Any declared SLO turns the error budget on — with zero budget
+	// meaning zero tolerance.
 	strict := Grade(res, SLO{P99: Duration(time.Second)})
 	var sawError, errorPassed bool
 	for _, c := range strict.Checks {

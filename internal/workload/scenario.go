@@ -99,7 +99,7 @@ func zooMix(seeds int) Mix {
 var builtins = map[string]*Scenario{
 	// smoke: the CI scenario — a short closed loop over cached
 	// configurations with tight-but-safe budgets. Everything must
-	// succeed; nothing may degrade.
+	// succeed.
 	"smoke": {
 		Name:        "smoke",
 		Description: "short closed-loop sanity run over three cached configurations",
@@ -107,9 +107,8 @@ var builtins = map[string]*Scenario{
 		Arrivals:    Arrivals{Kind: KindClosed, Clients: 4, Requests: 12},
 		Mix:         zooMix(2),
 		SLO: SLO{
-			P99:            Duration(5 * time.Second),
-			ErrorBudget:    0,
-			DegradedBudget: 0,
+			P99:         Duration(5 * time.Second),
+			ErrorBudget: 0,
 		},
 	},
 	// bench-serving: the committed perf-trajectory point
@@ -125,11 +124,10 @@ var builtins = map[string]*Scenario{
 			{Model: "mobilenetv2-0.5", Platform: "a100", Batch: 8, Seeds: 1},
 		}},
 		SLO: SLO{
-			P50:            Duration(50 * time.Millisecond),
-			P99:            Duration(250 * time.Millisecond),
-			P999:           Duration(time.Second),
-			ErrorBudget:    0,
-			DegradedBudget: 0,
+			P50:         Duration(50 * time.Millisecond),
+			P99:         Duration(250 * time.Millisecond),
+			P999:        Duration(time.Second),
+			ErrorBudget: 0,
 		},
 	},
 	// poisson: sustained open-loop arrivals at a fixed rate.
@@ -140,9 +138,8 @@ var builtins = map[string]*Scenario{
 		Arrivals:    Arrivals{Kind: KindPoisson, Rate: 300, Duration: Duration(2 * time.Second)},
 		Mix:         zooMix(4),
 		SLO: SLO{
-			P99:            Duration(5 * time.Second),
-			ErrorBudget:    0.01,
-			DegradedBudget: 0.05,
+			P99:         Duration(5 * time.Second),
+			ErrorBudget: 0.01,
 		},
 	},
 	// hot-key: one (model, platform) takes 90% of open-loop traffic.
@@ -160,9 +157,8 @@ var builtins = map[string]*Scenario{
 			},
 		},
 		SLO: SLO{
-			P99:            Duration(5 * time.Second),
-			ErrorBudget:    0.01,
-			DegradedBudget: 0.05,
+			P99:         Duration(5 * time.Second),
+			ErrorBudget: 0.01,
 		},
 	},
 	// ramp: a compressed diurnal curve, trough to peak.
@@ -173,9 +169,8 @@ var builtins = map[string]*Scenario{
 		Arrivals:    Arrivals{Kind: KindRamp, StartRate: 50, EndRate: 500, Duration: Duration(2 * time.Second)},
 		Mix:         zooMix(4),
 		SLO: SLO{
-			P99:            Duration(5 * time.Second),
-			ErrorBudget:    0.01,
-			DegradedBudget: 0.05,
+			P99:         Duration(5 * time.Second),
+			ErrorBudget: 0.01,
 		},
 	},
 	// flash-crowd: steady state with a 10x burst in the middle.
@@ -189,9 +184,8 @@ var builtins = map[string]*Scenario{
 		},
 		Mix: zooMix(4),
 		SLO: SLO{
-			P99:            Duration(5 * time.Second),
-			ErrorBudget:    0.02,
-			DegradedBudget: 0.05,
+			P99:         Duration(5 * time.Second),
+			ErrorBudget: 0.02,
 		},
 	},
 	// slow-loris: closed loop where a third of clients dribble their
@@ -209,9 +203,8 @@ var builtins = map[string]*Scenario{
 			CancelAfter: Duration(time.Millisecond),
 		},
 		SLO: SLO{
-			P99:            Duration(5 * time.Second),
-			ErrorBudget:    0,
-			DegradedBudget: 0,
+			P99:         Duration(5 * time.Second),
+			ErrorBudget: 0,
 		},
 	},
 	// chaos-storm: the seeded 30%-transient fault storm the chaos

@@ -20,7 +20,7 @@ import (
 // HTTPTarget drives a live proofd over HTTP: each request becomes a
 // POST /v1/profile, and the response is classified against the
 // serving contract (status codes, Retry-After discipline, structured
-// envelopes, degraded headers). Safe for concurrent use.
+// envelopes). Safe for concurrent use.
 type HTTPTarget struct {
 	// BaseURL is the proofd base, e.g. "http://127.0.0.1:8080".
 	BaseURL string
@@ -118,11 +118,7 @@ func classifyHTTP(req Request, resp *http.Response, raw []byte) Response {
 			out.Violation = fmt.Sprintf("asked %q, got report for %q", req.Model, rep.Model)
 			return out
 		}
-		if resp.Header.Get("X-Degraded") != "" {
-			out.Class = ClassDegraded
-		} else {
-			out.Class = ClassOK
-		}
+		out.Class = ClassOK
 	case http.StatusTooManyRequests:
 		out.Class = ClassShed
 		if resp.Header.Get("Retry-After") == "" {
@@ -176,8 +172,8 @@ func (r *slowReader) Read(p []byte) (int, error) {
 
 // SessionTarget drives a profsession.Session directly — the
 // no-network path for benchmarking the serving stack itself (cache,
-// retries, breaker, stale fallback) without HTTP overhead, and for
-// running proofload scenarios in process (proofload without -url).
+// retries, breaker) without HTTP overhead, and for running proofload
+// scenarios in process (proofload without -url).
 type SessionTarget struct {
 	Session *profsession.Session
 	// Timeout bounds one request (0 = 60s, mirroring proofd's
@@ -186,8 +182,8 @@ type SessionTarget struct {
 }
 
 // Do executes one request against the session and classifies the
-// outcome with the same policy the HTTP edge applies: fresh success,
-// degraded stale fallback, structured failure, or canceled.
+// outcome with the same policy the HTTP edge applies: success,
+// structured failure, or canceled.
 func (t *SessionTarget) Do(ctx context.Context, req Request) Response {
 	mode, err := core.ParseMode(req.Mode)
 	if err != nil {
@@ -212,9 +208,6 @@ func (t *SessionTarget) Do(ctx context.Context, req Request) Response {
 	}
 	if ctx.Err() != nil {
 		return Response{Class: ClassCanceled}
-	}
-	if _, ok := t.Session.FallbackFor(opts, err); ok {
-		return Response{Class: ClassDegraded}
 	}
 	var coe *profsession.CircuitOpenError
 	switch {

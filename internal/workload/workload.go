@@ -53,11 +53,8 @@ type Request struct {
 type Class int
 
 const (
-	// ClassOK: a fresh 200 (cache hit, miss or dedup).
+	// ClassOK: a 200 (cache hit, miss or dedup).
 	ClassOK Class = iota
-	// ClassDegraded: a 200 served from a stored last-known-good
-	// report (X-Degraded over HTTP, a stale fallback in process).
-	ClassDegraded
 	// ClassShed: backpressure — 429 over HTTP.
 	ClassShed
 	// ClassFailed: a structured 5xx (transient exhaustion, open
@@ -73,8 +70,6 @@ func (c Class) String() string {
 	switch c {
 	case ClassOK:
 		return "ok"
-	case ClassDegraded:
-		return "degraded"
 	case ClassShed:
 		return "shed"
 	case ClassFailed:
