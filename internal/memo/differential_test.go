@@ -22,6 +22,10 @@ import (
 	"proof/internal/models"
 )
 
+// reportJSON profiles opts and returns the report's reflective
+// encoding/json form, after asserting that the hand-written encoder
+// proofd serves with (Report.AppendJSON) writes the same bytes: the
+// matrix and the digests below then pin both.
 func reportJSON(t *testing.T, opts core.Options) ([]byte, error) {
 	t.Helper()
 	r, err := core.ProfileCtx(context.Background(), opts)
@@ -31,6 +35,9 @@ func reportJSON(t *testing.T, opts core.Options) ([]byte, error) {
 	raw, err := json.Marshal(r)
 	if err != nil {
 		t.Fatalf("marshal report: %v", err)
+	}
+	if appended, err := r.AppendJSON(nil); err != nil || string(appended) != string(raw) {
+		t.Fatalf("Report.AppendJSON (err %v) differs from encoding/json:\n  append: %.300s\n  json:   %.300s", err, appended, raw)
 	}
 	return raw, nil
 }

@@ -1,7 +1,6 @@
 package memo_test
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -113,13 +112,7 @@ func TestReportDigestsMeasured(t *testing.T) {
 				opts.Model, opts.Platform, opts.Batch = info.Key, plat, 1
 				name := fmt.Sprintf("%s/%s/%s", info.Key, plat, c.label)
 				t.Run(name, func(t *testing.T) {
-					r, err := core.ProfileCtx(context.Background(), opts)
-					var raw []byte
-					if err == nil {
-						if raw, err = json.Marshal(r); err != nil {
-							t.Fatalf("marshal report: %v", err)
-						}
-					}
+					raw, err := reportJSON(t, opts)
 					reportDigests.check(t, "TestReportDigestsMeasured/"+name, raw, err)
 				})
 			}

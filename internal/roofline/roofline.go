@@ -11,10 +11,10 @@ import (
 	"math"
 	"strconv"
 	"time"
-	"unicode/utf8"
 
 	"proof/internal/graph"
 	"proof/internal/hardware"
+	"proof/internal/jsonwrite"
 )
 
 // Model is the set of roofline ceilings for one platform configuration.
@@ -112,124 +112,103 @@ type Point struct {
 	Bound string `json:"bound"`
 }
 
-// MarshalJSON renders the point with a nullable AI: a zero-byte point
-// carries AI = +Inf, which encoding/json cannot represent — without
-// this, one such layer would turn a whole valid report into an
-// encoding error at the service edge. Every other field is appended
-// directly, byte-identical to encoding/json's form of the struct
-// (same order, same tags, same escaping); like encoding/json, it
-// refuses a non-finite FLOPS, Bandwidth or Share.
-func (p Point) MarshalJSON() ([]byte, error) {
-	if !finite(p.FLOPS) || !finite(p.Bandwidth) || !finite(p.Share) {
-		return nil, fmt.Errorf("roofline: point %q: non-finite flops %v, bandwidth %v or share %v",
+// AppendJSON appends the point's JSON encoding to b, byte-identical to
+// encoding/json's form of the struct (same order, same tags, same
+// escaping) but with a nullable AI: a zero-byte point carries
+// AI = +Inf, which encoding/json cannot represent — without this, one
+// such layer would turn a whole valid report into an encoding error at
+// the service edge. Like encoding/json, it refuses a non-finite FLOPS,
+// Bandwidth or Share; on failure it returns b unchanged.
+func (p Point) AppendJSON(b []byte) ([]byte, error) {
+	if !jsonwrite.Finite(p.FLOPS) || !jsonwrite.Finite(p.Bandwidth) || !jsonwrite.Finite(p.Share) {
+		return b, fmt.Errorf("roofline: point %q: non-finite flops %v, bandwidth %v or share %v",
 			p.Name, p.FLOPS, p.Bandwidth, p.Share)
 	}
-	// A point with a usual name fits the stack buffer; the result is
-	// copied out once, at its length.
-	var buf [320]byte
-	b := append(buf[:0], `{"name":`...)
-	b = appendString(b, p.Name)
+	b = append(b, `{"name":`...)
+	b = jsonwrite.String(b, p.Name)
 	b = append(b, `,"ai":`...)
-	if finite(p.AI) {
-		b = appendFloat(b, p.AI)
+	if jsonwrite.Finite(p.AI) {
+		b = jsonwrite.Float(b, p.AI)
 	} else {
 		b = append(b, "null"...)
 	}
 	b = append(b, `,"flops":`...)
-	b = appendFloat(b, p.FLOPS)
+	b = jsonwrite.Float(b, p.FLOPS)
 	b = append(b, `,"bandwidth":`...)
-	b = appendFloat(b, p.Bandwidth)
+	b = jsonwrite.Float(b, p.Bandwidth)
 	b = append(b, `,"latency_ns":`...)
 	b = strconv.AppendInt(b, int64(p.Latency), 10)
 	b = append(b, `,"share":`...)
-	b = appendFloat(b, p.Share)
+	b = jsonwrite.Float(b, p.Share)
 	b = append(b, `,"flop":`...)
 	b = strconv.AppendInt(b, p.FLOP, 10)
 	b = append(b, `,"bytes":`...)
 	b = strconv.AppendInt(b, p.Bytes, 10)
 	if p.Category != "" {
 		b = append(b, `,"category":`...)
-		b = appendString(b, p.Category)
+		b = jsonwrite.String(b, p.Category)
 	}
 	b = append(b, `,"bound":`...)
-	b = appendString(b, p.Bound)
-	b = append(b, '}')
+	b = jsonwrite.String(b, p.Bound)
+	return append(b, '}'), nil
+}
+
+// MarshalJSON is AppendJSON for encoding/json's reflective callers. A
+// report does not come through here: core.Report.AppendJSON encodes its
+// points directly, with no copy and no re-compaction.
+func (p Point) MarshalJSON() ([]byte, error) {
+	// A point with a usual name fits the stack buffer; the result is
+	// copied out once, at its length.
+	var buf [320]byte
+	b, err := p.AppendJSON(buf[:0])
+	if err != nil {
+		return nil, err
+	}
 	return append([]byte(nil), b...), nil
 }
 
-func finite(f float64) bool { return !math.IsInf(f, 0) && !math.IsNaN(f) }
-
-// appendFloat appends a finite f as encoding/json encodes a float64:
-// the shortest form that round-trips, in exponent notation below 1e-6
-// and from 1e21 on, with a one-digit negative exponent unpadded.
-func appendFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
+// AppendJSON appends the ceiling set's JSON encoding to b, exactly as
+// encoding/json writes the struct. Like encoding/json, it refuses a
+// non-finite ceiling or bandwidth line; on failure it returns b
+// unchanged.
+func (m Model) AppendJSON(b []byte) ([]byte, error) {
+	if !jsonwrite.Finite(m.PeakFLOPS) || !jsonwrite.Finite(m.PeakBW) ||
+		!jsonwrite.Finite(m.TheoreticalFLOPS) || !jsonwrite.Finite(m.TheoreticalBW) {
+		return b, fmt.Errorf("roofline: ceilings %s/%s: non-finite peak_flops %v, peak_bw %v, theoretical_flops %v or theoretical_bw %v",
+			m.Platform, m.DType, m.PeakFLOPS, m.PeakBW, m.TheoreticalFLOPS, m.TheoreticalBW)
 	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
+	for _, l := range m.ExtraBWLines {
+		if !jsonwrite.Finite(l.BW) {
+			return b, fmt.Errorf("roofline: ceilings %s/%s: non-finite bw %v of line %q", m.Platform, m.DType, l.BW, l.Label)
 		}
 	}
-	return b
-}
-
-// appendString appends s quoted as encoding/json quotes it with HTML
-// escaping on: '"' and '\\' and the control bytes escaped (short forms
-// for \b, \f, \n, \r and \t), '<', '>' and '&' as \u003c, \u003e and
-// \u0026, U+2028 and U+2029 escaped, and each invalid UTF-8 byte as
-// \ufffd.
-func appendString(b []byte, s string) []byte {
-	const hex = "0123456789abcdef"
-	b = append(b, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if c := s[i]; c < utf8.RuneSelf {
-			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
+	b = append(b, `{"platform":`...)
+	b = jsonwrite.String(b, m.Platform)
+	b = append(b, `,"dtype":`...)
+	b = jsonwrite.String(b, m.DType)
+	b = append(b, `,"peak_flops":`...)
+	b = jsonwrite.Float(b, m.PeakFLOPS)
+	b = append(b, `,"peak_bw":`...)
+	b = jsonwrite.Float(b, m.PeakBW)
+	b = append(b, `,"theoretical_flops":`...)
+	b = jsonwrite.Float(b, m.TheoreticalFLOPS)
+	b = append(b, `,"theoretical_bw":`...)
+	b = jsonwrite.Float(b, m.TheoreticalBW)
+	if len(m.ExtraBWLines) > 0 {
+		b = append(b, `,"extra_bw_lines":[`...)
+		for i, l := range m.ExtraBWLines {
+			if i > 0 {
+				b = append(b, ',')
 			}
-			b = append(b, s[start:i]...)
-			switch c {
-			case '"', '\\':
-				b = append(b, '\\', c)
-			case '\b':
-				b = append(b, '\\', 'b')
-			case '\f':
-				b = append(b, '\\', 'f')
-			case '\n':
-				b = append(b, '\\', 'n')
-			case '\r':
-				b = append(b, '\\', 'r')
-			case '\t':
-				b = append(b, '\\', 't')
-			default:
-				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
-			}
-			i++
-			start = i
-			continue
+			b = append(b, `{"label":`...)
+			b = jsonwrite.String(b, l.Label)
+			b = append(b, `,"bw":`...)
+			b = jsonwrite.Float(b, l.BW)
+			b = append(b, '}')
 		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case r == utf8.RuneError && size == 1:
-			b = append(b, s[start:i]...)
-			b = append(b, `\ufffd`...)
-		case r == '\u2028' || r == '\u2029':
-			b = append(b, s[start:i]...)
-			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xF])
-		default:
-			i += size
-			continue
-		}
-		i += size
-		start = i
+		b = append(b, ']')
 	}
-	b = append(b, s[start:]...)
-	return append(b, '"')
+	return append(b, '}'), nil
 }
 
 // NewPoint derives a roofline point from raw measurements. A point

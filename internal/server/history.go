@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http"
@@ -72,13 +73,15 @@ func wireBuildInfo(reg *obs.Registry, gitRev string) {
 // persistReport enqueues one freshly profiled report for history,
 // under the request res it answers. data is the exact JSON the
 // response serves — the store's read path returns it byte-identical.
-// The record is built here, so a server without a store hashes no
-// series.
+// The record and its copy of data are made here, so a server without a
+// store hashes no series and copies no bytes.
 func (s *Server) persistReport(res *core.Resolved, report *core.Report, data []byte) {
 	if s.histW == nil {
 		return
 	}
-	s.histW.Enqueue(histstore.NewMeta(res, report, s.gitRev, time.Now()), data)
+	// data is the response's pooled buffer, reused once the response
+	// is written; the async writer keeps its own copy.
+	s.histW.Enqueue(histstore.NewMeta(res, report, s.gitRev, time.Now()), bytes.Clone(data))
 }
 
 // FlushHistory blocks until every history record enqueued so far is
@@ -135,7 +138,7 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.hist == nil {
-		s.writeError(w, r, http.StatusServiceUnavailable, "history_disabled",
+		s.writeError(w, r, http.StatusNotFound, "history_disabled",
 			"no history store configured (start proofd with -store-dir)")
 		return
 	}
@@ -197,7 +200,7 @@ func (s *Server) handleDrift(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.hist == nil {
-		s.writeError(w, r, http.StatusServiceUnavailable, "history_disabled",
+		s.writeError(w, r, http.StatusNotFound, "history_disabled",
 			"no history store configured (start proofd with -store-dir)")
 		return
 	}

@@ -413,8 +413,10 @@ func TestDriftEndpointVerdictFlip(t *testing.T) {
 	}
 }
 
-// TestHistoryDisabled: without a store the endpoints answer a clear
-// 503 (and still echo the request ID).
+// TestHistoryDisabled: without a store the endpoints answer 404
+// history_disabled, with no Retry-After: a missing store is the
+// server's configuration, not an outage to wait out. The request ID is
+// still echoed.
 func TestHistoryDisabled(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for _, path := range []string{"/v1/history", "/v1/drift"} {
@@ -427,8 +429,11 @@ func TestHistoryDisabled(t *testing.T) {
 		if got := resp.Header.Get("X-Request-ID"); got != "client-id-7" {
 			t.Errorf("%s X-Request-ID = %q, want the client's echoed", path, got)
 		}
-		if env := decodeEnvelope(t, resp); resp.StatusCode != 503 || env.Error.Code != "history_disabled" {
-			t.Errorf("%s = %d %s, want 503 history_disabled", path, resp.StatusCode, env.Error.Code)
+		if got := resp.Header.Get("Retry-After"); got != "" {
+			t.Errorf("%s Retry-After = %q, want none", path, got)
+		}
+		if env := decodeEnvelope(t, resp); resp.StatusCode != 404 || env.Error.Code != "history_disabled" {
+			t.Errorf("%s = %d %s, want 404 history_disabled", path, resp.StatusCode, env.Error.Code)
 		}
 	}
 }
@@ -496,7 +501,7 @@ func TestBuildInfoMetric(t *testing.T) {
 
 // TestRequestIDEchoedEverywhere locks the header contract on the error
 // paths the middleware table cannot reach: a client-supplied ID must
-// come back on 200, 400, 404, 413, 429 and 503 alike.
+// come back on 200, 400, 404, 405, 413 and 429 alike.
 func TestRequestIDEchoedEverywhere(t *testing.T) {
 	release := make(chan struct{})
 	sess := profsession.NewWithProfiler(0, func(ctx context.Context, opts core.Options) (*core.Report, error) {
@@ -565,7 +570,7 @@ func TestRequestIDEchoedEverywhere(t *testing.T) {
 		{"unknown model 404", "POST", "/v1/profile", `{"model":"nope","platform":"a100"}`, 404},
 		{"unknown path 404", "GET", "/v1/zzz", "", 404},
 		{"oversized body 413", "POST", "/v1/profile", `{"model":"` + strings.Repeat("x", 600) + `"}`, 413},
-		{"history disabled 503", "GET", "/v1/history", "", 503},
+		{"history disabled 404", "GET", "/v1/history", "", 404},
 		{"wrong method 405", "GET", "/v1/profile", "", 405},
 	}
 	for _, tc := range cases {
@@ -579,5 +584,60 @@ func TestRequestIDEchoedEverywhere(t *testing.T) {
 				t.Errorf("X-Request-ID = %q, want %q echoed", got, id)
 			}
 		})
+	}
+}
+
+// TestHistoryBytesSurviveBufferReuse: every response is encoded into a
+// pooled buffer that later responses reuse, while the history writer
+// appends asynchronously. With 16 distinct profiles from 4 concurrent
+// clients, every stored record must still be the exact body served for
+// its request, so no pooled buffer reaches the writer uncopied.
+func TestHistoryBytesSurviveBufferReuse(t *testing.T) {
+	st := openTestStore(t)
+	srv, ts := newTestServer(t, Config{History: st})
+	const clients, perClient = 4, 4
+	served := make([][]byte, clients*perClient) // by batch - 1
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				batch := c*perClient + i + 1
+				resp, err := http.Post(ts.URL+"/v1/profile", "application/json",
+					strings.NewReader(fmt.Sprintf(`{"model":"mobilenetv2-0.5","platform":"a100","batch":%d}`, batch)))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != 200 {
+					t.Errorf("batch %d: status %d (err %v)", batch, resp.StatusCode, err)
+					return
+				}
+				served[batch-1] = body
+			}
+		}(c)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if err := srv.FlushHistory(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	entries, total, err := st.Query(histstore.Query{Model: "mobilenetv2-0.5", Limit: 100})
+	if err != nil || total != len(served) {
+		t.Fatalf("store holds %d records (err %v), want %d", total, err, len(served))
+	}
+	for _, e := range entries {
+		stored, err := st.Get(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := served[e.Meta.Batch-1]; string(stored)+"\n" != string(want) {
+			t.Errorf("batch %d: stored record differs from the body served\nserved: %.120s\nstored: %.120s", e.Meta.Batch, want, stored)
+		}
 	}
 }

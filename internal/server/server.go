@@ -32,6 +32,7 @@ import (
 	"os"
 	"runtime"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -620,18 +621,30 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	s.writeProfileReport(w, r, ctx, report, persist)
 }
 
+// reportBufs recycles the buffers profile responses are encoded into.
+// A buffer holds one response only until its handler has written it:
+// persistReport copies what the history keeps, and writeJSON what the
+// ?trace=1 envelope wraps.
+var reportBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // writeProfileReport renders a profile response, honoring ?trace=1,
 // and stores the report in the history under persist, the request it
-// answers, unless persist is nil. The report is marshaled exactly
-// once: the bytes on the wire are the bytes handed to the history
-// store (the differential suite asserts a stored report reads back
-// byte-identical to the response).
+// answers, unless persist is nil. The report is encoded exactly once,
+// under a "marshal" span, into a pooled buffer: the bytes on the wire
+// are the bytes handed to the history store (the differential suite
+// asserts a stored report reads back byte-identical to the response).
 func (s *Server) writeProfileReport(w http.ResponseWriter, r *http.Request, ctx context.Context, report *core.Report, persist *core.Resolved) {
-	data, err := json.Marshal(report)
+	buf := reportBufs.Get().(*[]byte)
+	defer reportBufs.Put(buf)
+	_, sp := obs.Start(ctx, "marshal")
+	data, err := report.AppendJSON((*buf)[:0])
+	sp.SetAttrInt("bytes", int64(len(data)))
+	sp.EndErr(err)
 	if err != nil {
 		s.writeError(w, r, http.StatusInternalServerError, "internal", "encoding report failed: "+err.Error())
 		return
 	}
+	*buf = append(data, '\n') // the pool keeps the buffer as this response grew it
 	if persist != nil {
 		s.persistReport(persist, report, data)
 	}
@@ -644,7 +657,7 @@ func (s *Server) writeProfileReport(w http.ResponseWriter, r *http.Request, ctx 
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	w.Write(append(data, '\n'))
+	w.Write(*buf)
 }
 
 // TracedProfileResponse is the POST /v1/profile?trace=1 body: the

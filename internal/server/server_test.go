@@ -7,6 +7,7 @@ import (
 	"errors"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -17,6 +18,7 @@ import (
 	"proof/internal/faults"
 	"proof/internal/hardware"
 	"proof/internal/profsession"
+	"proof/internal/roofline"
 )
 
 // quietLogger drops the per-request log lines during tests.
@@ -120,9 +122,9 @@ func TestHandlers(t *testing.T) {
 		{"models wrong method", "POST", "/v1/models", `{}`, 405, "method_not_allowed"},
 		{"platforms success", "GET", "/v1/platforms", "", 200, ""},
 		{"platforms wrong method", "DELETE", "/v1/platforms", "", 405, "method_not_allowed"},
-		{"history without store", "GET", "/v1/history", "", 503, "history_disabled"},
+		{"history without store", "GET", "/v1/history", "", 404, "history_disabled"},
 		{"history wrong method", "POST", "/v1/history", `{}`, 405, "method_not_allowed"},
-		{"drift without store", "GET", "/v1/drift", "", 503, "history_disabled"},
+		{"drift without store", "GET", "/v1/drift", "", 404, "history_disabled"},
 		{"drift wrong method", "PUT", "/v1/drift", `{}`, 405, "method_not_allowed"},
 		{"healthz success", "GET", "/healthz", "", 200, ""},
 		{"metrics success", "GET", "/metrics", "", 200, ""},
@@ -363,5 +365,41 @@ func TestMetricsExposition(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics exposition missing %q\n%s", want, text)
 		}
+	}
+}
+
+// TestNonFiniteReportAnswers500: a report that JSON cannot carry (a
+// non-finite throughput, ceiling or point rate) answers 500 internal
+// with the encoder's reason, and the marshal span records the failure.
+func TestNonFiniteReportAnswers500(t *testing.T) {
+	for name, spoil := range map[string]func(*core.Report){
+		"throughput": func(r *core.Report) { r.Throughput = math.Inf(1) },
+		"ceiling":    func(r *core.Report) { r.Roofline.PeakBW = math.NaN() },
+		"point":      func(r *core.Report) { r.Layers = []core.LayerReport{{Point: roofline.Point{Share: math.NaN()}}} },
+	} {
+		t.Run(name, func(t *testing.T) {
+			sess := profsession.NewWithConfig(profsession.Config{
+				Profile: func(ctx context.Context, opts core.Options) (*core.Report, error) {
+					rep := stubReport(opts)
+					spoil(rep)
+					return rep, nil
+				},
+			})
+			_, ts := newTestServer(t, Config{Session: sess})
+			resp := postJSON(t, ts.URL+"/v1/profile", `{"model":"resnet-50","platform":"a100"}`)
+			env := decodeEnvelope(t, resp)
+			if resp.StatusCode != 500 || env.Error.Code != "internal" ||
+				!strings.HasPrefix(env.Error.Message, "encoding report failed: ") || !strings.Contains(env.Error.Message, "non-finite") {
+				t.Fatalf("= %d %s %q, want 500 internal: encoding report failed: ... non-finite ...", resp.StatusCode, env.Error.Code, env.Error.Message)
+			}
+			spans := debugTraces(t, ts.URL).Traces[0].Spans
+			failed := false
+			for _, s := range spans {
+				failed = failed || s.Name == "marshal" && s.Error != ""
+			}
+			if !failed {
+				t.Errorf("no marshal span records the failure: %+v", spans)
+			}
+		})
 	}
 }

@@ -241,3 +241,60 @@ func TestInlineGraphEdgeSpans(t *testing.T) {
 		t.Errorf("decode and admit parents = %d, %d; want the request span %d", parent["decode"], parent["admit"], root)
 	}
 }
+
+// TestMarshalSpan: a profile response is encoded under a "marshal"
+// span, a child of the request span, whose bytes attr is the length of
+// the body without its trailing newline; /metrics attributes the stage.
+func TestMarshalSpan(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp := postJSON(t, ts.URL+"/v1/profile", `{"model":"mobilenetv2-0.5","platform":"a100","batch":2}`)
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != 200 {
+		t.Fatalf("status = %d (err %v): %.200s", resp.StatusCode, err, body)
+	}
+
+	tr := debugTraces(t, ts.URL)
+	if len(tr.Traces) != 1 {
+		t.Fatalf("ring holds %d traces, want 1", len(tr.Traces))
+	}
+	var root, parent uint64
+	bytesAttr := ""
+	for _, s := range tr.Traces[0].Spans {
+		switch s.Name {
+		case "request":
+			root = s.ID
+		case "marshal":
+			parent = s.ParentID
+			for _, a := range s.Attrs {
+				if a.Key == "bytes" {
+					bytesAttr = a.Value
+				}
+			}
+		}
+	}
+	if root == 0 || parent != root {
+		t.Errorf("marshal span parent = %d, want the request span %d", parent, root)
+	}
+	if want := strconv.Itoa(len(body) - 1); bytesAttr != want {
+		t.Errorf("marshal bytes = %q, want %s (the body without its newline)", bytesAttr, want)
+	}
+	if page := scrapeMetrics(t, ts.URL); !strings.Contains(page, `proofd_stage_duration_seconds_count{stage="marshal"} 1`) {
+		t.Errorf("metrics exposition lacks the marshal stage:\n%s", page)
+	}
+}
+
+// debugTraces fetches the server's trace ring.
+func debugTraces(t *testing.T, baseURL string) TracesResponse {
+	t.Helper()
+	resp, err := http.Get(baseURL + "/debug/traces")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var tr TracesResponse
+	if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
