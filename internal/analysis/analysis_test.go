@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -415,9 +417,10 @@ func TestLayerHelpers(t *testing.T) {
 }
 
 // TestPerRunLookupsZeroAlloc: the lookups every cold profile repeats
-// per node and tensor — a node's position, its cost, and a tensor name
-// through the alias table (absent, chained and looping; a loop ends) —
-// allocate nothing.
+// per node and tensor — a node's position, its cost, its input and
+// output tensors, its input's producer and its output's consumers (read
+// by slot), and a tensor name through the alias table (absent, chained
+// and looping; a loop ends) — allocate nothing.
 func TestPerRunLookupsZeroAlloc(t *testing.T) {
 	r, err := NewRep(fourOpChain(t))
 	if err != nil {
@@ -435,17 +438,57 @@ func TestPerRunLookupsZeroAlloc(t *testing.T) {
 			t.Errorf("ResolveTensor(%q) = %q, want %q", name, got, want)
 		}
 	}
-	if c, ok := r.Cost(c2); !ok || c.FLOP == 0 || r.TopoPos(c2) != 2 {
-		t.Fatalf("c2: cost %v %v, position %d", c, ok, r.TopoPos(c2))
+	g := r.Graph
+	if c, ok := r.Cost(c2); !ok || c.FLOP == 0 || g.Pos(c2) != 2 {
+		t.Fatalf("c2: cost %v %v, position %d", c, ok, g.Pos(c2))
+	}
+	if g.In(c2, 0) != g.Tensor(c2.Inputs[0]) || g.Out(c2, 0) != g.Tensor(c2.Outputs[0]) ||
+		g.InProducer(c2, 0) != g.Producer(c2.Inputs[0]) ||
+		!slices.Equal(g.OutConsumers(c2, 0), g.Consumers(c2.Outputs[0])) {
+		t.Fatal("c2: slot and name lookups disagree")
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		_ = r.TopoPos(c2)
+		_ = g.Pos(c2)
 		_, _ = r.Cost(c2)
+		_, _ = g.In(c2, 0), g.Out(c2, 0)
+		_, _ = g.InProducer(c2, 0), g.OutConsumers(c2, 0)
 		_ = o.ResolveTensor("t2")
 		_ = o.ResolveTensor("t2_rr")
 		_ = o.ResolveTensor("into_loop")
 	})
 	if allocs != 0 {
 		t.Errorf("per-run lookups: %.0f allocs, want 0", allocs)
+	}
+}
+
+// TestGetSubgraphOpsByIOWideLayer: a layer declaring more inputs than
+// the search keeps in its stack array (a 12-way Concat) stops at every
+// declared input, and without them walks back to the graph input.
+func TestGetSubgraphOpsByIOWideLayer(t *testing.T) {
+	g := graph.New("wide")
+	g.AddTensor(&graph.Tensor{Name: "x", DType: graph.Float32, Shape: graph.Shape{1, 4}})
+	g.AddTensor(&graph.Tensor{Name: "y", DType: graph.Float32})
+	var outs []string
+	for i := 0; i < 12; i++ {
+		r := fmt.Sprintf("r%d", i)
+		g.AddTensor(&graph.Tensor{Name: r, DType: graph.Float32})
+		g.AddNode(&graph.Node{Name: "relu" + r, OpType: "Relu", Inputs: []string{"x"}, Outputs: []string{r}})
+		outs = append(outs, r)
+	}
+	g.AddNode(&graph.Node{Name: "cat", OpType: "Concat", Inputs: outs, Outputs: []string{"y"},
+		Attrs: graph.Attrs{"axis": graph.IntAttr(1)}})
+	g.Inputs, g.Outputs = []string{"x"}, []string{"y"}
+	r, err := NewRep(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := NewOptimizedRep(r)
+	nodes, err := o.GetSubgraphOpsByIO(outs, []string{"y"})
+	if err != nil || len(nodes) != 1 || nodes[0].Name != "cat" {
+		t.Fatalf("declared relu outputs: got %v, %v; want [cat]", nodes, err)
+	}
+	nodes, err = o.GetSubgraphOpsByIO([]string{"x"}, []string{"y"})
+	if err != nil || len(nodes) != 13 || nodes[12].Name != "cat" {
+		t.Fatalf("declared graph input: got %d nodes, %v; want the 12 relus and cat", len(nodes), err)
 	}
 }

@@ -55,9 +55,20 @@ func opRule(typ string, fn func(n *graph.Node, g *graph.Graph) (Cost, error)) {
 	RegisterOp(opFunc{typ: typ, fn: fn})
 }
 
-// tensorOf fetches a named tensor, erroring on unknown shape.
-func tensorOf(g *graph.Graph, name string) (*graph.Tensor, error) {
-	t := g.Tensor(name)
+// inOf fetches node n's i-th input tensor and outOf its i-th output
+// tensor, by slot on an admitted graph; both error on an unregistered
+// tensor or an unknown shape.
+func inOf(g *graph.Graph, n *graph.Node, i int) (*graph.Tensor, error) {
+	return shaped(g.In(n, i), n.Inputs[i])
+}
+
+func outOf(g *graph.Graph, n *graph.Node, i int) (*graph.Tensor, error) {
+	return shaped(g.Out(n, i), n.Outputs[i])
+}
+
+// shaped returns t, the tensor named name, or an error when it is not
+// registered or has no shape yet.
+func shaped(t *graph.Tensor, name string) (*graph.Tensor, error) {
 	if t == nil {
 		return nil, fmt.Errorf("analysis: tensor %q not registered", name)
 	}
@@ -71,8 +82,8 @@ func tensorOf(g *graph.Graph, name string) (*graph.Tensor, error) {
 // parameters, write all outputs. Shapes already carry the batch size, so
 // the batch multiplication of Eq. 1 is implicit.
 func defaultMemory(n *graph.Node, g *graph.Graph) (read, write, param int64, err error) {
-	for _, in := range n.Inputs {
-		t, terr := tensorOf(g, in)
+	for i := range n.Inputs {
+		t, terr := inOf(g, n, i)
 		if terr != nil {
 			return 0, 0, 0, terr
 		}
@@ -81,8 +92,8 @@ func defaultMemory(n *graph.Node, g *graph.Graph) (read, write, param int64, err
 			param += t.Bytes()
 		}
 	}
-	for _, out := range n.Outputs {
-		t, terr := tensorOf(g, out)
+	for i := range n.Outputs {
+		t, terr := outOf(g, n, i)
 		if terr != nil {
 			return 0, 0, 0, terr
 		}
@@ -95,7 +106,7 @@ func defaultMemory(n *graph.Node, g *graph.Graph) (read, write, param int64, err
 // is the per-element weight times output elements; memory follows Eq. 1.
 func elementwiseCost(weight int64) func(n *graph.Node, g *graph.Graph) (Cost, error) {
 	return func(n *graph.Node, g *graph.Graph) (Cost, error) {
-		out, err := tensorOf(g, n.Outputs[0])
+		out, err := outOf(g, n, 0)
 		if err != nil {
 			return Cost{}, err
 		}
@@ -173,15 +184,15 @@ func init() {
 // the stride special case from §3.2.1: with stride larger than the
 // kernel, part of the input tensor is never loaded.
 func convCost(n *graph.Node, g *graph.Graph) (Cost, error) {
-	x, err := tensorOf(g, n.Inputs[0])
+	x, err := inOf(g, n, 0)
 	if err != nil {
 		return Cost{}, err
 	}
-	w, err := tensorOf(g, n.Inputs[1])
+	w, err := inOf(g, n, 1)
 	if err != nil {
 		return Cost{}, err
 	}
-	out, err := tensorOf(g, n.Outputs[0])
+	out, err := outOf(g, n, 0)
 	if err != nil {
 		return Cost{}, err
 	}
@@ -201,8 +212,8 @@ func convCost(n *graph.Node, g *graph.Graph) (Cost, error) {
 	readElems := convInputReadElems(x.Shape, out.Shape, int(kh), int(kw), strides)
 	read := readElems * int64(x.DType.Size())
 	var param int64
-	for _, in := range n.Inputs[1:] {
-		t, terr := tensorOf(g, in)
+	for i := 1; i < len(n.Inputs); i++ {
+		t, terr := inOf(g, n, i)
 		if terr != nil {
 			return Cost{}, terr
 		}
@@ -243,15 +254,15 @@ func convInputReadElems(in, out graph.Shape, kh, kw int, strides []int) int64 {
 }
 
 func convTransposeCost(n *graph.Node, g *graph.Graph) (Cost, error) {
-	x, err := tensorOf(g, n.Inputs[0])
+	x, err := inOf(g, n, 0)
 	if err != nil {
 		return Cost{}, err
 	}
-	w, err := tensorOf(g, n.Inputs[1])
+	w, err := inOf(g, n, 1)
 	if err != nil {
 		return Cost{}, err
 	}
-	out, err := tensorOf(g, n.Outputs[0])
+	out, err := outOf(g, n, 0)
 	if err != nil {
 		return Cost{}, err
 	}
@@ -270,11 +281,11 @@ func convTransposeCost(n *graph.Node, g *graph.Graph) (Cost, error) {
 }
 
 func matMulCost(n *graph.Node, g *graph.Graph) (Cost, error) {
-	a, err := tensorOf(g, n.Inputs[0])
+	a, err := inOf(g, n, 0)
 	if err != nil {
 		return Cost{}, err
 	}
-	out, err := tensorOf(g, n.Outputs[0])
+	out, err := outOf(g, n, 0)
 	if err != nil {
 		return Cost{}, err
 	}
@@ -288,11 +299,11 @@ func matMulCost(n *graph.Node, g *graph.Graph) (Cost, error) {
 }
 
 func gemmCost(n *graph.Node, g *graph.Graph) (Cost, error) {
-	a, err := tensorOf(g, n.Inputs[0])
+	a, err := inOf(g, n, 0)
 	if err != nil {
 		return Cost{}, err
 	}
-	out, err := tensorOf(g, n.Outputs[0])
+	out, err := outOf(g, n, 0)
 	if err != nil {
 		return Cost{}, err
 	}
@@ -325,7 +336,7 @@ func softmaxCost(n *graph.Node, g *graph.Graph) (Cost, error) {
 }
 
 func poolCost(n *graph.Node, g *graph.Graph) (Cost, error) {
-	out, err := tensorOf(g, n.Outputs[0])
+	out, err := outOf(g, n, 0)
 	if err != nil {
 		return Cost{}, err
 	}
@@ -342,7 +353,7 @@ func poolCost(n *graph.Node, g *graph.Graph) (Cost, error) {
 }
 
 func globalPoolCost(n *graph.Node, g *graph.Graph) (Cost, error) {
-	x, err := tensorOf(g, n.Inputs[0])
+	x, err := inOf(g, n, 0)
 	if err != nil {
 		return Cost{}, err
 	}
@@ -354,7 +365,7 @@ func globalPoolCost(n *graph.Node, g *graph.Graph) (Cost, error) {
 }
 
 func reduceCost(n *graph.Node, g *graph.Graph) (Cost, error) {
-	x, err := tensorOf(g, n.Inputs[0])
+	x, err := inOf(g, n, 0)
 	if err != nil {
 		return Cost{}, err
 	}
@@ -368,11 +379,11 @@ func reduceCost(n *graph.Node, g *graph.Graph) (Cost, error) {
 // einsumCost treats the contraction as dense math: MACs are the product
 // of every distinct index dimension.
 func einsumCost(n *graph.Node, g *graph.Graph) (Cost, error) {
-	a, err := tensorOf(g, n.Inputs[0])
+	a, err := inOf(g, n, 0)
 	if err != nil {
 		return Cost{}, err
 	}
-	b, err := tensorOf(g, n.Inputs[1])
+	b, err := inOf(g, n, 1)
 	if err != nil {
 		return Cost{}, err
 	}
@@ -389,7 +400,7 @@ func einsumCost(n *graph.Node, g *graph.Graph) (Cost, error) {
 
 // topKCost charges ~2 comparisons per input element (heap selection).
 func topKCost(n *graph.Node, g *graph.Graph) (Cost, error) {
-	x, err := tensorOf(g, n.Inputs[0])
+	x, err := inOf(g, n, 0)
 	if err != nil {
 		return Cost{}, err
 	}
@@ -402,7 +413,7 @@ func topKCost(n *graph.Node, g *graph.Graph) (Cost, error) {
 
 // sumCost charges one add per element per extra operand.
 func sumCost(n *graph.Node, g *graph.Graph) (Cost, error) {
-	out, err := tensorOf(g, n.Outputs[0])
+	out, err := outOf(g, n, 0)
 	if err != nil {
 		return Cost{}, err
 	}
@@ -421,15 +432,15 @@ func sumCost(n *graph.Node, g *graph.Graph) (Cost, error) {
 // the full embedding table of an NLP model would wildly overestimate
 // DRAM traffic.
 func gatherCost(n *graph.Node, g *graph.Graph) (Cost, error) {
-	idx, err := tensorOf(g, n.Inputs[1])
+	idx, err := inOf(g, n, 1)
 	if err != nil {
 		return Cost{}, err
 	}
-	out, err := tensorOf(g, n.Outputs[0])
+	out, err := outOf(g, n, 0)
 	if err != nil {
 		return Cost{}, err
 	}
-	data, err := tensorOf(g, n.Inputs[0])
+	data, err := inOf(g, n, 0)
 	if err != nil {
 		return Cost{}, err
 	}

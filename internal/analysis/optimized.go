@@ -23,6 +23,12 @@ type FusedOp struct {
 	// Outputs are the tensors produced by the subgraph and consumed
 	// outside it (or graph outputs).
 	Outputs []string
+
+	// readBytes and writeBytes total the Inputs' and Outputs' sizes,
+	// summed once by SetFusedOp from the tensors it resolved by slot;
+	// missing names the first boundary tensor it found unregistered.
+	readBytes, writeBytes int64
+	missing               string
 }
 
 // Layer is one entry of the optimized model: either an original node that
@@ -72,7 +78,7 @@ type OptimizedRep struct {
 	// Base is the underlying Analyze Representation.
 	Base *Rep
 	// fused records the FusedOp that owns each absorbed node, by the
-	// node's topological position (Rep.TopoPos); nil for a node no
+	// node's topological position (graph.Graph.Pos); nil for a node no
 	// fused operator owns.
 	fused []*FusedOp
 	// fusedOps lists the fused operators in creation order.
@@ -116,19 +122,33 @@ func (o *OptimizedRep) ResolveTensor(name string) string {
 
 // GetSubgraphOpsByIO finds the set of original nodes that exactly
 // computes the given outputs from the given inputs (Figure 2's
-// get_subgraph_ops_by_io interface). Tensor names are alias-resolved.
-// The search walks the producer chain backward from the outputs and
-// stops at the declared inputs, parameters, and graph inputs; it errors
-// when the closure requires an activation tensor that is not among the
-// declared inputs. The nodes come back in topological order.
+// get_subgraph_ops_by_io interface). The declared tensor names are the
+// runtime's and are alias-resolved; the search itself follows nodes'
+// inputs by slot, so a node's inputs are never alias-resolved: they are
+// model tensors, whose names no alias takes (see backend.BuildEngine).
+// It walks the producer chain backward from the outputs
+// and stops at the declared inputs, parameters, and graph inputs; it
+// errors when the closure requires an activation tensor that is not
+// among the declared inputs. The nodes come back in topological order.
 func (o *OptimizedRep) GetSubgraphOpsByIO(inputs, outputs []string) ([]*graph.Node, error) {
 	g := o.Base.Graph
-	var inBuf [8]string
+	// The declared inputs, told apart by identity. A wide layer, which a
+	// posted graph can make arbitrarily wide, keeps them in a set so the
+	// walk stays linear.
+	var inBuf [8]*graph.Tensor
 	ins := inBuf[:0]
 	for _, in := range inputs {
-		ins = append(ins, o.ResolveTensor(in))
+		if t := g.Tensor(o.ResolveTensor(in)); t != nil {
+			ins = append(ins, t)
+		}
 	}
-	slices.Sort(ins)
+	var wide map[*graph.Tensor]bool
+	if len(ins) > len(inBuf) {
+		wide = make(map[*graph.Tensor]bool, len(ins))
+		for _, t := range ins {
+			wide[t] = true
+		}
+	}
 	// The walk keeps a max-heap of producer positions. A node's
 	// producers sit before it in topological order, so each node pops
 	// after every consumer that pushed it, and its repeated pushes pop
@@ -136,14 +156,13 @@ func (o *OptimizedRep) GetSubgraphOpsByIO(inputs, outputs []string) ([]*graph.No
 	// list the closure in reverse topological order.
 	var heapBuf [16]int
 	h := heapBuf[:0]
-	push := func(tensor string) error {
-		tn := o.ResolveTensor(tensor)
-		if _, declared := slices.BinarySearch(ins, tn); declared {
+	// push queues prod, the producer of tensor t named tn, unless t is
+	// a declared input or a parameter.
+	push := func(tn string, t *graph.Tensor, prod *graph.Node) error {
+		if t != nil && (wide[t] || wide == nil && slices.Contains(ins, t)) {
 			return nil
 		}
-		prod := g.Producer(tn)
 		if prod == nil {
-			t := g.Tensor(tn)
 			if t != nil && t.Param {
 				return nil // parameters live inside the subgraph
 			}
@@ -152,11 +171,13 @@ func (o *OptimizedRep) GetSubgraphOpsByIO(inputs, outputs []string) ([]*graph.No
 			}
 			return fmt.Errorf("analysis: tensor %q has no producer", tn)
 		}
-		h = pushPos(h, o.Base.TopoPos(prod))
+		h = pushPos(h, g.Pos(prod))
 		return nil
 	}
 	for _, out := range outputs {
-		if err := push(out); err != nil {
+		tn := o.ResolveTensor(out)
+		t, prod := g.Lookup(tn)
+		if err := push(tn, t, prod); err != nil {
 			return nil, err
 		}
 	}
@@ -170,8 +191,8 @@ func (o *OptimizedRep) GetSubgraphOpsByIO(inputs, outputs []string) ([]*graph.No
 		last = p
 		n := o.Base.order[p]
 		nodes = append(nodes, n)
-		for _, in := range n.Inputs {
-			if err := push(in); err != nil {
+		for i, in := range n.Inputs {
+			if err := push(in, g.In(n, i), g.InProducer(n, i)); err != nil {
 				return nil, err
 			}
 		}
@@ -227,7 +248,7 @@ func (o *OptimizedRep) SetFusedOp(name string, nodes []*graph.Node) (*FusedOp, e
 		return nil, fmt.Errorf("analysis: SetFusedOp(%q) with no nodes", name)
 	}
 	for _, n := range nodes {
-		i := o.Base.TopoPos(n)
+		i := o.Base.Graph.Pos(n)
 		if i < 0 {
 			return nil, fmt.Errorf("analysis: SetFusedOp(%q): node %q is not in the graph", name, n.Name)
 		}
@@ -238,27 +259,29 @@ func (o *OptimizedRep) SetFusedOp(name string, nodes []*graph.Node) (*FusedOp, e
 	ordered := append([]*graph.Node(nil), nodes...)
 	o.Base.SortTopo(ordered)
 	f := &FusedOp{Name: name, Nodes: ordered}
+	g := o.Base.Graph
 	// From here on the ownership table tells the subgraph apart: a node
 	// is inside exactly when f owns it.
 	for _, n := range ordered {
-		o.fused[o.Base.TopoPos(n)] = f
+		o.fused[g.Pos(n)] = f
 	}
-	g := o.Base.Graph
 	for _, n := range nodes {
-		for _, in := range n.Inputs {
-			t := g.Tensor(in)
+		for i, in := range n.Inputs {
+			t := g.In(n, i)
 			if t != nil && t.Param {
 				continue
 			}
-			if !o.owns(f, g.Producer(in)) && !slices.Contains(f.Inputs, in) {
+			if !o.owns(f, g.InProducer(n, i)) && !slices.Contains(f.Inputs, in) {
 				f.Inputs = append(f.Inputs, in)
+				f.readBytes += f.boundaryBytes(in, t)
 			}
 		}
 	}
 	for _, n := range nodes {
-		for _, out := range n.Outputs {
-			if o.tensorEscapes(f, out) {
+		for i, out := range n.Outputs {
+			if o.escapes(f, n, i) {
 				f.Outputs = append(f.Outputs, out)
+				f.writeBytes += f.boundaryBytes(out, g.Out(n, i))
 			}
 		}
 	}
@@ -266,19 +289,31 @@ func (o *OptimizedRep) SetFusedOp(name string, nodes []*graph.Node) (*FusedOp, e
 	return f, nil
 }
 
-// owns reports whether f owns node n (false for a nil n).
-func (o *OptimizedRep) owns(f *FusedOp, n *graph.Node) bool {
-	return n != nil && o.fused[o.Base.TopoPos(n)] == f
+// boundaryBytes returns the size of boundary tensor t, named name,
+// noting it as missing when it is not registered.
+func (f *FusedOp) boundaryBytes(name string, t *graph.Tensor) int64 {
+	if t == nil {
+		if f.missing == "" {
+			f.missing = name
+		}
+		return 0
+	}
+	return t.Bytes()
 }
 
-// tensorEscapes reports whether the tensor is consumed outside f or is
-// a graph output.
-func (o *OptimizedRep) tensorEscapes(f *FusedOp, tensor string) bool {
+// owns reports whether f owns node n (false for a nil n).
+func (o *OptimizedRep) owns(f *FusedOp, n *graph.Node) bool {
+	return n != nil && o.fused[o.Base.Graph.Pos(n)] == f
+}
+
+// escapes reports whether node n's i-th output is consumed outside f or
+// is a graph output.
+func (o *OptimizedRep) escapes(f *FusedOp, n *graph.Node, i int) bool {
 	g := o.Base.Graph
-	if slices.Contains(g.Outputs, tensor) {
+	if slices.Contains(g.Outputs, n.Outputs[i]) {
 		return true
 	}
-	for _, c := range g.Consumers(tensor) {
+	for _, c := range g.OutConsumers(n, i) {
 		if !o.owns(f, c) {
 			return true
 		}
@@ -324,7 +359,9 @@ func (o *OptimizedRep) LayerCost(l *Layer) (Cost, error) {
 }
 
 func (o *OptimizedRep) fusedCost(f *FusedOp) (Cost, error) {
-	g := o.Base.Graph
+	if f.missing != "" {
+		return Cost{}, fmt.Errorf("analysis: fused boundary tensor %q not registered", f.missing)
+	}
 	var c Cost
 	for _, n := range f.Nodes {
 		nc, ok := o.Base.Cost(n)
@@ -335,24 +372,8 @@ func (o *OptimizedRep) fusedCost(f *FusedOp) (Cost, error) {
 		c.MACs += nc.MACs
 		c.ParamBytes += nc.ParamBytes
 	}
-	var read, write int64
-	read = c.ParamBytes
-	for _, in := range f.Inputs {
-		t := g.Tensor(in)
-		if t == nil {
-			return Cost{}, fmt.Errorf("analysis: fused input %q not registered", in)
-		}
-		read += t.Bytes()
-	}
-	for _, out := range f.Outputs {
-		t := g.Tensor(out)
-		if t == nil {
-			return Cost{}, fmt.Errorf("analysis: fused output %q not registered", out)
-		}
-		write += t.Bytes()
-	}
-	c.ReadBytes = read
-	c.WriteBytes = write
+	c.ReadBytes = c.ParamBytes + f.readBytes
+	c.WriteBytes = f.writeBytes
 	return c, nil
 }
 

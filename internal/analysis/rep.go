@@ -10,53 +10,46 @@ import (
 // Rep is the Analyze Representation (§3.2.2): the model graph plus the
 // per-node predicted costs from the operator defines.
 type Rep struct {
-	// Graph is the analyzed model. Shapes are inferred.
+	// Graph is the analyzed model, admitted: a view of an admitted
+	// graph, or the admission of a raw graph. Shapes are inferred.
 	Graph *graph.Graph
-	// order caches the topological node order; pos is its inverse,
-	// each node's index in order. It is built once here, or once per
-	// admitted graph and shared by the Reps of its views. Per-run
-	// state — costs here, fused ownership in OptimizedRep, claims in
-	// backend fusion — is addressed by that index.
+	// order is the admitted topological order. Per-run state — costs
+	// here, fused ownership in OptimizedRep, claims in backend fusion —
+	// is addressed by a node's index in it, graph.Graph.Pos.
 	order []*graph.Node
-	pos   map[*graph.Node]int
 	// costs holds each node's predicted cost, by position.
 	costs []Cost
 }
 
-// NewRep builds the Analyze Representation for a graph: validates it,
-// runs shape inference, and evaluates every node's operator define. A
-// view of an admitted graph (graph.Admit) was validated and sorted at
-// admission, so it is neither validated nor sorted again: the Rep takes
-// the admitted order. An admitted graph itself is analyzed through a
-// fresh view, so the shared graph is never written.
+// NewRep builds the Analyze Representation for a graph: runs shape
+// inference and evaluates every node's operator define. A view of an
+// admitted graph (graph.Admit) was validated and sorted at admission,
+// so it is neither validated nor sorted again, and an admitted graph is
+// analyzed through a fresh view, so the shared graph is never written.
+// A raw graph is admitted here, which verifies it, and analyzed as
+// admitted: its tensors are shared, so shape inference writes the raw
+// graph's shapes, as it always has.
 func NewRep(g *graph.Graph) (*Rep, error) {
-	g = runGraph(g)
-	order, pos, admitted := g.AdmittedOrder()
-	if !admitted {
-		if err := g.Validate(); err != nil {
-			return nil, err
-		}
+	g, err := runGraph(g)
+	if err != nil {
+		return nil, err
 	}
+	return analyze(g)
+}
+
+// analyze builds the Rep of g, an admitted graph runGraph returned.
+func analyze(g *graph.Graph) (*Rep, error) {
 	if err := g.InferShapes(); err != nil {
 		return nil, err
 	}
-	if !admitted {
-		var err error
-		if order, err = g.TopoSort(); err != nil {
-			return nil, err
-		}
-		pos = make(map[*graph.Node]int, len(order))
-		for i, n := range order {
-			pos[n] = i
-		}
-	}
-	r := &Rep{Graph: g, order: order, pos: pos, costs: make([]Cost, len(order))}
+	order, _ := g.AdmittedOrder()
+	r := &Rep{Graph: g, order: order, costs: make([]Cost, len(order))}
 	for _, n := range g.Nodes {
 		c, err := NodeCost(n, g)
 		if err != nil {
 			return nil, err
 		}
-		r.costs[pos[n]] = c
+		r.costs[g.Pos(n)] = c
 	}
 	return r, nil
 }
@@ -64,12 +57,15 @@ func NewRep(g *graph.Graph) (*Rep, error) {
 // NewRepWithBatch rebuilds the representation after setting the leading
 // dimension of every graph input to batch. Int64 index inputs (e.g.
 // token ids) are rebatched too. Like NewRep, it writes a view of an
-// admitted graph, never the admitted graph.
+// admitted graph, never the admitted graph, and a raw graph in place.
 func NewRepWithBatch(g *graph.Graph, batch int) (*Rep, error) {
 	if batch < 1 {
 		return nil, fmt.Errorf("analysis: batch must be >= 1, got %d", batch)
 	}
-	g = runGraph(g)
+	g, err := runGraph(g)
+	if err != nil {
+		return nil, err
+	}
 	for _, in := range g.Inputs {
 		t := g.Tensor(in)
 		if t == nil {
@@ -80,21 +76,30 @@ func NewRepWithBatch(g *graph.Graph, batch int) (*Rep, error) {
 		}
 		t.Shape[0] = batch
 	}
-	// A view skips NewRep's validation, which an input's constant int
-	// data may now contradict.
+	// Admission verified the graph at its own batch; an input's constant
+	// int data may contradict the rebatched shape.
 	if err := g.ValidateInputData(); err != nil {
 		return nil, err
 	}
-	return NewRep(g)
+	return analyze(g)
 }
 
-// runGraph returns the graph a Rep may write: a fresh view of an
-// admitted graph, or g itself.
-func runGraph(g *graph.Graph) *graph.Graph {
+// runGraph returns the admitted graph a Rep may write: a fresh view of
+// an admitted graph, g itself when it is a view, and a raw g admitted,
+// which shares g's tensors. Admitting a raw graph verifies it, and its
+// first defect is the error.
+func runGraph(g *graph.Graph) (*graph.Graph, error) {
 	if g.Admitted() {
-		return g.View()
+		return g.View(), nil
 	}
-	return g
+	if _, ok := g.AdmittedOrder(); ok {
+		return g, nil
+	}
+	a, errs := graph.Admit(g)
+	if len(errs) > 0 {
+		return nil, errs[0]
+	}
+	return a, nil
 }
 
 // Cost returns the predicted cost of a node of the graph; ok is false
@@ -102,7 +107,7 @@ func runGraph(g *graph.Graph) *graph.Graph {
 //
 //lint:hotpath
 func (r *Rep) Cost(n *graph.Node) (c Cost, ok bool) {
-	i := r.TopoPos(n)
+	i := r.Graph.Pos(n)
 	if i < 0 {
 		return Cost{}, false
 	}
@@ -119,19 +124,9 @@ func (r *Rep) TotalCost() Cost {
 	return total
 }
 
-// Nodes returns the nodes in topological order.
+// Nodes returns the nodes in topological order; a node's index in it is
+// Graph.Pos.
 func (r *Rep) Nodes() []*graph.Node { return r.order }
-
-// TopoPos returns the node's index in Nodes(), or -1 for a node that
-// is not in the graph.
-//
-//lint:hotpath
-func (r *Rep) TopoPos(n *graph.Node) int {
-	if i, ok := r.pos[n]; ok {
-		return i
-	}
-	return -1
-}
 
 // SortTopo sorts nodes of the graph into topological order in place,
 // looking each node's position up once. A node outside the graph sorts
@@ -144,7 +139,7 @@ func (r *Rep) SortTopo(nodes []*graph.Node) {
 	var stack [32]ranked
 	rs := stack[:0]
 	for _, n := range nodes {
-		rs = append(rs, ranked{r.TopoPos(n), n})
+		rs = append(rs, ranked{r.Graph.Pos(n), n})
 	}
 	slices.SortFunc(rs, func(a, b ranked) int { return a.pos - b.pos })
 	for i, x := range rs {

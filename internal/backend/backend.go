@@ -76,10 +76,13 @@ type Layer struct {
 	Kernels []Kernel
 }
 
-// Mapping is the result of layer mapping: backend layer name to the
-// optimized-representation layer it corresponds to. Reformat layers map
-// to nil (they have no original nodes).
-type Mapping map[string]*analysis.Layer
+// Mapping is the result of layer mapping: the optimized-representation
+// layer each backend layer corresponds to, one entry per engine layer
+// in execution order (Engine.Layers). Reformat layers map to nil (they
+// have no original nodes). Runtimes do not promise unique layer names —
+// a model node may carry the name a runtime gives a reformat layer — so
+// a mapping goes by position, never by name.
+type Mapping []*analysis.Layer
 
 // Backend is one simulated DNN inference runtime. Both operations take
 // a context so that the obs tracing layer can attribute time to the
@@ -204,17 +207,10 @@ func (e *Engine) Works() []sim.Work {
 	return slices.Clone(e.works)
 }
 
-// GroundTruth returns the runtime's internal fused layer for a backend
-// layer name (nil for reformat layers). Exposed for validation tests;
-// PRoof's mapping code must not use it.
-func (e *Engine) GroundTruth(layerName string) *analysis.Layer {
-	for i, l := range e.layers {
-		if l.Name == layerName {
-			return e.truths[i]
-		}
-	}
-	return nil
-}
+// GroundTruth returns the runtime's internal fused layer for backend
+// layer i in execution order (nil for reformat layers). Exposed for
+// validation tests; PRoof's mapping code must not use it.
+func (e *Engine) GroundTruth(i int) *analysis.Layer { return e.truths[i] }
 
 // Rep returns the engine's internal analysis representation (re-typed
 // and re-batched model).

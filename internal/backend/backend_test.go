@@ -86,8 +86,9 @@ func TestMappingReconstructsGroundTruth(t *testing.T) {
 
 				var totalFLOP int64
 				mappedNodes := 0
-				for name, layer := range mapping {
-					truth := eng.GroundTruth(name)
+				for i, layer := range mapping {
+					name := eng.Layers()[i].Name
+					truth := eng.GroundTruth(i)
 					if (layer == nil) != (truth == nil) {
 						t.Fatalf("layer %q: mapped nil=%v, truth nil=%v", name, layer == nil, truth == nil)
 					}

@@ -3,6 +3,8 @@ package backend
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strconv"
 
 	"proof/internal/analysis"
 	"proof/internal/graph"
@@ -107,6 +109,7 @@ func BuildEngine(ctx context.Context, spec BuildSpec, rep *analysis.Rep, cfg Con
 		works:       make([]sim.Work, 0, n),
 	}
 	alias := map[string]string{} // original tensor -> runtime alias
+	var given []string           // every alias handed out, in order
 
 	emitReformats := func(pos int) error {
 		for _, r := range byPos[pos] {
@@ -114,12 +117,14 @@ func BuildEngine(ctx context.Context, spec BuildSpec, rep *analysis.Rep, cfg Con
 			if t == nil {
 				return fmt.Errorf("backend %s: reformat of unknown tensor %q", spec.BackendName, r.Tensor)
 			}
-			alias[r.Tensor] = r.Alias
+			name := freeAlias(rep.Graph, r.Alias, given)
+			given = append(given, name)
+			alias[r.Tensor] = name
 			bytes := 2 * t.Bytes()
 			pub := Layer{
 				Name:          r.Name,
 				InputTensors:  []string{r.Tensor},
-				OutputTensors: []string{r.Alias},
+				OutputTensors: []string{name},
 				IsReformat:    true,
 			}
 			pub.Kernels = []Kernel{{
@@ -163,6 +168,19 @@ func BuildEngine(ctx context.Context, spec BuildSpec, rep *analysis.Rep, cfg Con
 		return nil, err
 	}
 	return e, nil
+}
+
+// freeAlias returns the name a runtime gives a converted tensor: want,
+// unless a tensor of the graph or an alias already given holds it, and
+// then the first of want_1, want_2, ... that neither holds. A runtime
+// names its own tensors uniquely; an alias that took a model tensor's
+// name would hide that tensor from layer mapping.
+func freeAlias(g *graph.Graph, want string, given []string) string {
+	name := want
+	for i := 1; g.Tensor(name) != nil || slices.Contains(given, name); i++ {
+		name = want + "_" + strconv.Itoa(i)
+	}
+	return name
 }
 
 // add appends one layer in execution order.

@@ -86,7 +86,7 @@ func IsMetadataNode(n *graph.Node, g *graph.Graph) bool {
 	// Small integer tensors are shape computations (Gather/Concat/
 	// Add on Shape results), not data movement.
 	if len(n.Outputs) == 1 {
-		t := g.Tensor(n.Outputs[0])
+		t := g.Out(n, 0)
 		if t != nil && t.DType == graph.Int64 && t.Shape != nil && t.Shape.NumElements() <= 64 {
 			return true
 		}
@@ -102,11 +102,11 @@ func Fuse(rep *analysis.Rep, rules FusionRules) []*Group {
 	order := rep.Nodes()
 	// claimed records each node's group by topological position.
 	claimed := make([]*Group, len(order))
-	claimedBy := func(n *graph.Node) *Group { return claimed[rep.TopoPos(n)] }
+	claimedBy := func(n *graph.Node) *Group { return claimed[g.Pos(n)] }
 	claim := func(gr *Group, nodes ...*graph.Node) {
 		for _, n := range nodes {
 			gr.Nodes = append(gr.Nodes, n)
-			claimed[rep.TopoPos(n)] = gr
+			claimed[g.Pos(n)] = gr
 		}
 	}
 	var groups []*Group
@@ -140,8 +140,8 @@ func Fuse(rep *analysis.Rep, rules FusionRules) []*Group {
 			if len(segment) == 0 || len(n.Inputs) == 0 {
 				return true // fresh segment, or a Constant
 			}
-			for _, in := range n.Inputs {
-				if p := g.Producer(in); p != nil && rep.TopoPos(p) >= start {
+			for i := range n.Inputs {
+				if p := g.InProducer(n, i); p != nil && g.Pos(p) >= start {
 					return true
 				}
 			}
@@ -190,8 +190,7 @@ func Fuse(rep *analysis.Rep, rules FusionRules) []*Group {
 			if len(tail.Outputs) != 1 || isOutput(tail.Outputs[0]) {
 				break
 			}
-			out := tail.Outputs[0]
-			consumers := g.Consumers(out)
+			consumers := g.OutConsumers(tail, 0)
 			if slices.ContainsFunc(consumers, func(c *graph.Node) bool { return claimedBy(c) != nil }) {
 				break // someone else already owns a consumer
 			}
@@ -201,14 +200,14 @@ func Fuse(rep *analysis.Rep, rules FusionRules) []*Group {
 				continue
 			}
 			if rules.AbsorbSiLU {
-				if sig, mul, ok := matchSiLU(g, out, consumers); ok {
+				if sig, mul, ok := matchSiLU(g, consumers); ok {
 					claim(gr, sig, mul)
 					tail = mul
 					continue
 				}
 			}
 			if rules.AbsorbGelu {
-				if nodes, last, ok := matchGelu(g, out, consumers, claimedBy); ok {
+				if nodes, last, ok := matchGelu(g, consumers, claimedBy); ok {
 					claim(gr, nodes...)
 					tail = last
 					continue
@@ -227,7 +226,7 @@ func Fuse(rep *analysis.Rep, rules FusionRules) []*Group {
 			gr := newGroup(KindNormal, nil, n)
 			tail := n
 			for len(tail.Outputs) == 1 && !isOutput(tail.Outputs[0]) {
-				consumers := g.Consumers(tail.Outputs[0])
+				consumers := g.OutConsumers(tail, 0)
 				if len(consumers) != 1 || claimedBy(consumers[0]) != nil {
 					break
 				}
@@ -257,8 +256,8 @@ func Fuse(rep *analysis.Rep, rules FusionRules) []*Group {
 			continue
 		}
 		var target *Group
-		for _, out := range n.Outputs {
-			for _, c := range g.Consumers(out) {
+		for o := range n.Outputs {
+			for _, c := range g.OutConsumers(n, o) {
 				if gr := claimedBy(c); gr != nil {
 					target = gr
 					break
@@ -269,8 +268,8 @@ func Fuse(rep *analysis.Rep, rules FusionRules) []*Group {
 			}
 		}
 		if target == nil {
-			for _, in := range n.Inputs {
-				if p := g.Producer(in); p != nil && claimedBy(p) != nil {
+			for i := range n.Inputs {
+				if p := g.InProducer(n, i); p != nil && claimedBy(p) != nil {
 					target = claimedBy(p)
 					break
 				}
@@ -314,7 +313,9 @@ func matchSingle(consumers []*graph.Node, absorb map[string]bool) (*graph.Node, 
 // matchSiLU detects   t -> Sigmoid -> s
 //
 //	t ----------------> Mul(t, s)
-func matchSiLU(g *graph.Graph, tensor string, consumers []*graph.Node) (sig, mul *graph.Node, ok bool) {
+//
+// among t's consumers.
+func matchSiLU(g *graph.Graph, consumers []*graph.Node) (sig, mul *graph.Node, ok bool) {
 	if len(consumers) != 2 {
 		return nil, nil, false
 	}
@@ -329,7 +330,7 @@ func matchSiLU(g *graph.Graph, tensor string, consumers []*graph.Node) (sig, mul
 	if sig == nil || mul == nil || len(sig.Outputs) != 1 {
 		return nil, nil, false
 	}
-	sc := g.Consumers(sig.Outputs[0])
+	sc := g.OutConsumers(sig, 0)
 	if len(sc) != 1 || sc[0] != mul {
 		return nil, nil, false
 	}
@@ -340,8 +341,9 @@ func matchSiLU(g *graph.Graph, tensor string, consumers []*graph.Node) (sig, mul
 //
 //	t -> Div(t,c) -> Erf -> Add(e,1) -> Mul(t,a) -> Mul(m, 0.5)
 //
-// and returns the five compute nodes in order plus the final node.
-func matchGelu(g *graph.Graph, tensor string, consumers []*graph.Node, claimedBy func(*graph.Node) *Group) ([]*graph.Node, *graph.Node, bool) {
+// among t's consumers, and returns the five compute nodes in order plus
+// the final node.
+func matchGelu(g *graph.Graph, consumers []*graph.Node, claimedBy func(*graph.Node) *Group) ([]*graph.Node, *graph.Node, bool) {
 	var div, mul1 *graph.Node
 	for _, c := range consumers {
 		switch c.OpType {
@@ -358,7 +360,7 @@ func matchGelu(g *graph.Graph, tensor string, consumers []*graph.Node, claimedBy
 		if len(n.Outputs) != 1 {
 			return nil
 		}
-		cs := g.Consumers(n.Outputs[0])
+		cs := g.OutConsumers(n, 0)
 		if len(cs) != 1 || cs[0].OpType != op || claimedBy(cs[0]) != nil {
 			return nil
 		}

@@ -43,15 +43,14 @@ func FuseMapped(opt *analysis.OptimizedRep, layerName string, nodes []*graph.Nod
 // Myelin fallback: register aliases from reformat layers, then recover
 // every layer's node set with a boundary-tensor subgraph search.
 func MapByIO(e *Engine, opt *analysis.OptimizedRep) (Mapping, error) {
-	m := Mapping{}
 	layers := e.Layers()
+	m := make(Mapping, len(layers))
 	for _, l := range layers {
 		if l.IsReformat {
 			opt.SetTensorAlias(l.OutputTensors[0], l.InputTensors[0])
-			m[l.Name] = nil
 		}
 	}
-	for _, l := range layers {
+	for i, l := range layers {
 		if l.IsReformat {
 			continue
 		}
@@ -63,7 +62,7 @@ func MapByIO(e *Engine, opt *analysis.OptimizedRep) (Mapping, error) {
 		if err != nil {
 			return nil, err
 		}
-		m[l.Name] = layer
+		m[i] = layer
 	}
 	return m, nil
 }

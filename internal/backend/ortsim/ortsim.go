@@ -76,7 +76,7 @@ func ortReorders(rep *analysis.Rep, groups []*backend.Group) []backend.ReformatS
 	groupOf := make([]*backend.Group, rep.NodeCount()) // by topological position
 	for _, gr := range groups {
 		for _, n := range gr.Nodes {
-			groupOf[rep.TopoPos(n)] = gr
+			groupOf[g.Pos(n)] = gr
 		}
 	}
 	isConvGroup := func(gr *backend.Group) bool {
@@ -94,8 +94,8 @@ func ortReorders(rep *analysis.Rep, groups []*backend.Group) []backend.ReformatS
 		if seen[t] {
 			continue
 		}
-		prod := g.Producer(t)
-		if prod != nil && isConvGroup(groupOf[rep.TopoPos(prod)]) {
+		prod := g.InProducer(gr.Anchor, 0)
+		if prod != nil && isConvGroup(groupOf[g.Pos(prod)]) {
 			continue
 		}
 		seen[t] = true

@@ -89,11 +89,11 @@ func (o OpenVINO) MapLayers(ctx context.Context, e *backend.Engine, opt *analysi
 }
 
 func (OpenVINO) mapLayers(e *backend.Engine, opt *analysis.OptimizedRep) (backend.Mapping, error) {
-	m := backend.Mapping{}
-	for _, l := range e.Layers() {
+	layers := e.Layers()
+	m := make(backend.Mapping, len(layers))
+	for i, l := range layers {
 		if l.IsReformat {
 			opt.SetTensorAlias(l.OutputTensors[0], l.InputTensors[0])
-			m[l.Name] = nil
 			continue
 		}
 		nodes, err := backend.NodesByName(opt, l.FusedNodeNames)
@@ -104,7 +104,7 @@ func (OpenVINO) mapLayers(e *backend.Engine, opt *analysis.OptimizedRep) (backen
 		if err != nil {
 			return nil, err
 		}
-		m[l.Name] = layer
+		m[i] = layer
 	}
 	return m, nil
 }

@@ -113,16 +113,15 @@ func (t TensorRT) MapLayers(ctx context.Context, e *backend.Engine, opt *analysi
 
 func (TensorRT) mapLayers(e *backend.Engine, opt *analysis.OptimizedRep) (backend.Mapping, int64, error) {
 	var opaque int64
-	m := backend.Mapping{}
 	var cuts []int
 	layers := e.Layers()
+	m := make(backend.Mapping, len(layers))
 	for _, l := range layers {
 		if l.IsReformat {
 			opt.SetTensorAlias(l.OutputTensors[0], l.InputTensors[0])
-			m[l.Name] = nil
 		}
 	}
-	for _, l := range layers {
+	for i, l := range layers {
 		if l.IsReformat {
 			continue
 		}
@@ -136,7 +135,7 @@ func (TensorRT) mapLayers(e *backend.Engine, opt *analysis.OptimizedRep) (backen
 			if err != nil {
 				return nil, opaque, fmt.Errorf("trtsim: fusing %q: %w", l.Name, err)
 			}
-			m[l.Name] = &analysis.Layer{Fused: f}
+			m[i] = &analysis.Layer{Fused: f}
 			continue
 		}
 		cuts = graph.NameSeps(l.Name, cuts[:0])
@@ -148,7 +147,7 @@ func (TensorRT) mapLayers(e *backend.Engine, opt *analysis.OptimizedRep) (backen
 		if err != nil {
 			return nil, opaque, err
 		}
-		m[l.Name] = layer
+		m[i] = layer
 	}
 	return m, opaque, nil
 }

@@ -27,7 +27,9 @@ func admittedGraph(ctx context.Context, opts Options) (*graph.Graph, error) {
 		if opts.Graph.Admitted() {
 			return opts.Graph, nil
 		}
-		return admit(ctx, opts.Graph.Name, func() (*graph.Graph, error) { return opts.Graph, nil })
+		// Admission stamps the nodes it takes, and the caller's graph may
+		// be profiled by other goroutines at once: admit a copy.
+		return admit(ctx, opts.Graph.Name, func() (*graph.Graph, error) { return opts.Graph.Clone(), nil })
 	}
 	g, _, err := zooGraphs.Do(ctx, opts.Model, func() (*graph.Graph, error) {
 		info, err := lookupModel(opts.Model)

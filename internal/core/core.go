@@ -369,7 +369,7 @@ func categorize(layer *analysis.Layer, g *graph.Graph) string {
 			if n.OpType != "Conv" {
 				continue
 			}
-			if w := g.Tensor(n.Inputs[1]); w != nil && w.Shape.Rank() == 4 &&
+			if w := g.In(n, 1); w != nil && w.Shape.Rank() == 4 &&
 				w.Shape[2] == 1 && w.Shape[3] == 1 {
 				return "pwconv"
 			}

@@ -121,3 +121,52 @@ func TestAdmittedGraphsNeverWritten(t *testing.T) {
 		}
 	}
 }
+
+// TestConcurrentRunsShareRawGraph profiles one raw (never admitted)
+// Options.Graph from four goroutines at batches 1–4, on each runtime's
+// platform, before any other run has seen it. Each run admits the graph
+// for itself, and admission stamps the nodes it takes, so a run that
+// admitted the caller's own nodes would race with the others. Every
+// report must equal the report of the same run made alone afterwards,
+// and the caller's graph must marshal to the bytes it had before.
+func TestConcurrentRunsShareRawGraph(t *testing.T) {
+	ctx := context.Background()
+	batches := []int{1, 2, 3, 4}
+	for _, plat := range sharedPlatforms {
+		raw, err := models.Build("resnet-18")
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, err := json.Marshal(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		profile := func(ctx context.Context, b int) ([]byte, error) {
+			r, err := ProfileCtx(ctx, Options{Graph: raw, Platform: plat, Batch: b, IgnoreSupport: true, Seed: 3})
+			if err != nil {
+				return nil, err
+			}
+			return json.Marshal(r)
+		}
+		got, err := parallel.MapCtx(ctx, batches, len(batches), profile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, b := range batches {
+			want, err := profile(ctx, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got[i], want) {
+				t.Errorf("%s batch %d: the concurrent report differs from the sequential one", plat, b)
+			}
+		}
+		after, err := json.Marshal(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(after, before) {
+			t.Errorf("%s: a run wrote into the caller's raw graph", plat)
+		}
+	}
+}

@@ -46,7 +46,7 @@ func (s *layerSource) unit(i int, bl backend.Layer) (memo.Unit, error) {
 		ExecutionBound: t.Bound,
 		Category:       "copy",
 	}
-	layer := s.mapping[bl.Name]
+	layer := s.mapping[i]
 	switch {
 	case s.measured != nil:
 		u.FLOP, u.Bytes = s.measured[i].CorrectedFLOP, s.measured[i].Bytes
@@ -76,7 +76,7 @@ func resolveUnits(src *layerSource, plan *memo.Plan) error {
 	layers := src.eng.Layers()
 	plan.Layers = make([]memo.PlanLayer, len(layers))
 	for i, bl := range layers {
-		layer := src.mapping[bl.Name]
+		layer := src.mapping[i]
 		// Measured mode takes its metrics from the counters and accepts
 		// unmapped layers.
 		if src.measured == nil && !bl.IsReformat && layer == nil {

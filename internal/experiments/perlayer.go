@@ -68,18 +68,12 @@ func PerLayerTable4Ctx(ctx context.Context, batch int) ([]PerLayerAccuracy, erro
 		if err != nil {
 			return nil, err
 		}
-		measByName := map[string]ncusim.LayerMeasurement{}
-		for _, lm := range meas.Layers {
-			measByName[lm.LayerName] = lm
-		}
-
+		// The mapping and the measurements both run one entry per engine
+		// layer in execution order; layer names need not be unique.
 		var memErrs, flopErrs []float64
-		for name, layer := range mapping {
-			if layer == nil {
-				continue
-			}
-			lm, ok := measByName[name]
-			if !ok || lm.Bytes == 0 {
+		for i, layer := range mapping {
+			lm := meas.Layers[i]
+			if layer == nil || lm.Bytes == 0 {
 				continue
 			}
 			c, err := opt.LayerCost(layer)

@@ -1,21 +1,25 @@
 package graph
 
-// Admission is the one place a graph is verified. Admit runs
-// ValidateAll, builds the producer/consumer index and the topological
-// order, and fingerprints the content once; the admitted graph is
-// read-only from then on and may be shared across goroutines. Every
-// profiling run works on its own View, which shares the nodes and
-// copies only what a run writes.
+// Admission is the one place a graph is verified and its names are
+// resolved. Admit runs ValidateAll, which resolves every tensor name a
+// node or the graph IO lists reference to a slot, and keeps what that
+// resolution found: each node's topological position and tensor slots,
+// stamped on the node, and every tensor's producer and consumers by
+// slot. The admitted graph is read-only from then on and may be shared
+// across goroutines. Every profiling run works on its own View, which
+// shares the nodes and copies only what a run writes, and reads tensors
+// by slot and nodes by position; names are looked up only where a
+// runtime hands them over.
 
 // admission is what Admit computes once per graph. Every view of the
 // admitted graph shares it, and nothing writes it after Admit.
 type admission struct {
 	// base is the admitted graph itself.
 	base *Graph
-	// order is the topological order; pos is its inverse, each node's
-	// index in order. Per-run state is addressed by that index.
+	// order is the topological order. Each node's index in it is
+	// stamped on the node (Node.pos), and per-run state is addressed by
+	// that index.
 	order []*Node
-	pos   map[*Node]int
 	// nodes is the name → node table.
 	nodes map[string]*Node
 	// slots is the name → tensor-slot table: tensors[slots[name]] is
@@ -23,41 +27,82 @@ type admission struct {
 	// sits at the same slot. Slots follow the sorted tensor names.
 	slots   map[string]int
 	tensors []*Tensor
+	// producer holds each slot's producing node (nil for graph inputs
+	// and parameters). consumers lists every slot's consumers, once per
+	// consuming reference in declaration order: slot s's are
+	// consumers[cstart[s]:cstart[s+1]].
+	producer  []*Node
+	consumers []*Node
+	cstart    []int32
 	// digest is base's Digest as admitted.
 	digest string
 }
 
+// consumersOf returns slot s's consumers, capped so an append cannot
+// write into the next slot's.
+func (a *admission) consumersOf(s int32) []*Node {
+	lo, hi := a.cstart[s], a.cstart[s+1]
+	return a.consumers[lo:hi:hi]
+}
+
 // Admit verifies g and returns it admitted, or every defect ValidateAll
-// finds. The admitted graph shares g's nodes, tensors and IO lists, so
-// neither g nor the admitted graph may be modified afterwards; runs
-// write only to views (View). The one exception is an edge that runs
-// InferShapes on a freshly admitted graph before anything else can see
-// it. Admitting an admitted graph returns it unchanged.
+// finds. The admitted graph shares g's tensors and IO lists, so neither
+// g nor the admitted graph may be modified afterwards; runs write only
+// to views (View). The one exception is an edge that runs InferShapes
+// on a freshly admitted graph before anything else can see it.
+// Admitting an admitted graph returns it unchanged.
+//
+// A node belongs to one admission: Admit stamps g's nodes with their
+// positions and slots, so g's nodes must be the caller's own, reachable
+// by no other goroutine while Admit runs. Admit never re-stamps a node
+// an earlier admission took: when g's nodes were admitted before, the
+// admitted graph gets copies of them instead. Clone a graph that other
+// goroutines share before admitting it.
 func Admit(g *Graph) (*Graph, []*ValidationError) {
 	if g.Admitted() {
 		return g, nil
 	}
-	errs, order, nodes := g.validate()
+	names := g.SortedTensorNames()
+	errs, r := g.validate(names)
 	if len(errs) > 0 {
 		return nil, errs
 	}
-	a := &Graph{Name: g.Name, Nodes: g.Nodes, Tensors: g.Tensors, Inputs: g.Inputs, Outputs: g.Outputs, idx: g.index()}
-	names := g.SortedTensorNames()
+	nodes := g.Nodes
+	for _, n := range nodes {
+		if n.adm != nil {
+			nodes = make([]*Node, len(g.Nodes))
+			for i, n := range g.Nodes {
+				nodes[i] = &Node{Name: n.Name, OpType: n.OpType, Inputs: n.Inputs, Outputs: n.Outputs, Attrs: n.Attrs}
+				r.nodes[n.Name] = nodes[i]
+			}
+			break
+		}
+	}
+	a := &Graph{Name: g.Name, Nodes: nodes, Tensors: g.Tensors, Inputs: g.Inputs, Outputs: g.Outputs}
 	adm := &admission{
-		base:    a,
-		order:   order,
-		pos:     make(map[*Node]int, len(order)),
-		nodes:   nodes,
-		slots:   make(map[string]int, len(names)),
-		tensors: make([]*Tensor, len(names)),
-		digest:  g.digest(names),
+		base:      a,
+		order:     make([]*Node, len(r.order)),
+		nodes:     r.nodes,
+		slots:     r.slots,
+		tensors:   r.tensors,
+		producer:  make([]*Node, len(names)),
+		consumers: make([]*Node, len(r.consumers)),
+		cstart:    r.cstart,
+		digest:    g.digest(names, r.tensors),
 	}
-	for i, n := range order {
-		adm.pos[n] = i
+	for p, i := range r.order {
+		n := nodes[i]
+		adm.order[p] = n
+		n.adm, n.pos = adm, p
+		n.refs = r.refs[r.refAt[i]:r.refAt[i+1]:r.refAt[i+1]]
 	}
-	for i, name := range names {
-		adm.slots[name] = i
-		adm.tensors[i] = g.Tensors[name]
+	for s, i := range r.producer {
+		if i >= 0 {
+			adm.producer[s] = nodes[i]
+		}
+	}
+	for k, i := range r.consumers {
+		adm.consumers[k] = nodes[i]
 	}
 	a.adm = adm
 	return a, nil
@@ -73,28 +118,28 @@ func (g *Graph) isView() bool {
 	return g.adm != nil && g.adm.base != g
 }
 
-// AdmittedOrder returns the topological order computed at admission
-// and each node's index in it, for an admitted graph or any of its
-// views; ok is false for a graph that was never admitted. Callers must
-// not modify either.
-func (g *Graph) AdmittedOrder() (order []*Node, pos map[*Node]int, ok bool) {
+// AdmittedOrder returns the topological order computed at admission,
+// for an admitted graph or any of its views; ok is false for a graph
+// that was never admitted. Each node's index in it is Pos. Callers must
+// not modify the order.
+func (g *Graph) AdmittedOrder() (order []*Node, ok bool) {
 	if g.adm == nil {
-		return nil, nil, false
+		return nil, false
 	}
-	return g.adm.order, g.adm.pos, true
+	return g.adm.order, true
 }
 
 // View returns a per-run view of an admitted graph (of the admitted
 // graph a view came from, when called on a view). The view shares the
-// admitted nodes — names, op types, IO lists, attributes — the graph
-// IO lists, the index, the order and the name tables; none of those
-// may be written. It owns a copy of every Tensor struct, in one slice
-// addressed through the admission's slot table, because rebatching,
-// dtype conversion and shape inference write shapes and data types,
-// and a copy of each graph input's shape, which rebatching writes in
-// place. A view's Tensors field is nil: read its tensors through Tensor
-// and the other Graph methods, and Clone it for a raw graph. View
-// panics on a graph that was never admitted.
+// admitted nodes — names, op types, IO lists, attributes, positions and
+// slots — the graph IO lists, the order and the name and slot tables;
+// none of those may be written. It owns a copy of every Tensor struct,
+// in one slice addressed by slot, because rebatching, dtype conversion
+// and shape inference write shapes and data types, and a copy of each
+// graph input's shape, which rebatching writes in place. A view's
+// Tensors field is nil: read its tensors through Tensor, In, Out and
+// the other Graph methods, and Clone it for a raw graph. View panics on
+// a graph that was never admitted.
 func (g *Graph) View() *Graph {
 	a := g.adm
 	if a == nil {
@@ -103,7 +148,6 @@ func (g *Graph) View() *Graph {
 	base := a.base
 	v := &Graph{
 		Name: base.Name, Nodes: base.Nodes, Inputs: base.Inputs, Outputs: base.Outputs,
-		idx:     base.idx,
 		adm:     a,
 		tensors: make([]Tensor, len(a.tensors)),
 	}

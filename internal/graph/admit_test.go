@@ -64,7 +64,7 @@ func TestViewSharesNodesCopiesTensors(t *testing.T) {
 	if string(after) != string(before) {
 		t.Errorf("writing a view changed the admitted graph:\n%s\n%s", before, after)
 	}
-	order, _, ok := v.AdmittedOrder()
+	order, ok := v.AdmittedOrder()
 	if !ok || len(order) != 2 || order[0].Name != "r0" {
 		t.Errorf("view order = %v, want the admitted [r0 r1]", order)
 	}

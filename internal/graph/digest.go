@@ -22,11 +22,17 @@ func (g *Graph) Digest() string {
 	if g.Admitted() {
 		return g.adm.digest
 	}
-	return g.digest(g.SortedTensorNames())
+	names := g.SortedTensorNames()
+	ts := make([]*Tensor, len(names))
+	for i, name := range names {
+		ts[i] = g.Tensor(name)
+	}
+	return g.digest(names, ts)
 }
 
-// digest is Digest over the graph's tensor names, sorted.
-func (g *Graph) digest(names []string) string {
+// digest is Digest over the graph's tensor names, sorted, and the
+// tensors registered under them.
+func (g *Graph) digest(names []string, ts []*Tensor) string {
 	b := make([]byte, 0, 64*(len(g.Nodes)+len(names)))
 	b = appendStr(b, "proof-graph-v1")
 	b = appendStr(b, g.Name)
@@ -35,9 +41,9 @@ func (g *Graph) digest(names []string) string {
 		b = appendNode(b, n)
 	}
 	b = binary.AppendUvarint(b, uint64(len(names)))
-	for _, name := range names {
+	for i, name := range names {
 		b = appendStr(b, name)
-		b = appendTensor(b, g.Tensor(name))
+		b = appendTensor(b, ts[i])
 	}
 	b = appendStrs(b, g.Inputs)
 	b = appendStrs(b, g.Outputs)

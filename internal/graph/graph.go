@@ -35,8 +35,11 @@ func (t *Tensor) Bytes() int64 {
 	return t.Shape.NumElements() * int64(t.DType.Size())
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy; the copy of a nil tensor is nil.
 func (t *Tensor) Clone() *Tensor {
+	if t == nil {
+		return nil
+	}
 	c := *t
 	c.Shape = t.Shape.Clone()
 	c.IntData = append([]int64(nil), t.IntData...)
@@ -51,10 +54,22 @@ type Node struct {
 	Inputs  []string `json:"inputs"`
 	Outputs []string `json:"outputs"`
 	Attrs   Attrs    `json:"attrs,omitempty"`
+
+	// adm, pos and refs are written once, by the Admit that takes the
+	// node (see admission): the admission that owns it, its index in
+	// the admitted topological order, and the tensor slots of its
+	// Inputs followed by its Outputs. A raw node has none of them.
+	adm  *admission
+	pos  int
+	refs []int32
 }
 
-// Clone returns a deep copy of the node.
+// Clone returns a deep copy of the node, which no admission owns; the
+// copy of a nil node is nil.
 func (n *Node) Clone() *Node {
+	if n == nil {
+		return nil
+	}
 	c := &Node{
 		Name:    n.Name,
 		OpType:  n.OpType,
@@ -81,7 +96,8 @@ type Graph struct {
 	Inputs  []string `json:"inputs"`
 	Outputs []string `json:"outputs"`
 
-	// idx memoizes the producer/consumer index; see index().
+	// idx memoizes a raw graph's producer/consumer index; see index().
+	// An admitted graph and its views keep theirs by slot instead.
 	idx *graphIndex
 	// adm is set on an admitted graph and on its views; see Admit.
 	adm *admission
@@ -113,6 +129,77 @@ func (g *Graph) Tensor(name string) *Tensor {
 		return nil
 	}
 	return g.Tensors[name]
+}
+
+// tensorAt returns the tensor in admission slot s: a view's own copy,
+// or the admitted tensor.
+func (g *Graph) tensorAt(s int32) *Tensor {
+	if g.tensors != nil {
+		return &g.tensors[s]
+	}
+	return g.adm.tensors[s]
+}
+
+// owns reports whether n was admitted with g (g is its admitted graph
+// or a view of it), so its positions and slots index g's tables.
+func (g *Graph) owns(n *Node) bool {
+	return n != nil && g.adm != nil && n.adm == g.adm
+}
+
+// In returns node n's i-th input tensor, or nil when it is not
+// registered. A node admitted with g reads it by slot; any other node
+// resolves the name.
+//
+//lint:hotpath
+func (g *Graph) In(n *Node, i int) *Tensor {
+	if g.owns(n) {
+		return g.tensorAt(n.refs[i])
+	}
+	return g.Tensor(n.Inputs[i])
+}
+
+// Out returns node n's i-th output tensor, or nil when it is not
+// registered; see In.
+//
+//lint:hotpath
+func (g *Graph) Out(n *Node, i int) *Tensor {
+	if g.owns(n) {
+		return g.tensorAt(n.refs[len(n.Inputs)+i])
+	}
+	return g.Tensor(n.Outputs[i])
+}
+
+// InProducer returns the node producing node n's i-th input, or nil for
+// a graph input or parameter; see In.
+//
+//lint:hotpath
+func (g *Graph) InProducer(n *Node, i int) *Node {
+	if g.owns(n) {
+		return g.adm.producer[n.refs[i]]
+	}
+	return g.Producer(n.Inputs[i])
+}
+
+// OutConsumers returns the nodes consuming node n's i-th output; see
+// In. Callers must not modify the slice.
+//
+//lint:hotpath
+func (g *Graph) OutConsumers(n *Node, i int) []*Node {
+	if g.owns(n) {
+		return g.adm.consumersOf(n.refs[len(n.Inputs)+i])
+	}
+	return g.Consumers(n.Outputs[i])
+}
+
+// Pos returns node n's index in the admitted topological order, or -1
+// for a node not admitted with g.
+//
+//lint:hotpath
+func (g *Graph) Pos(n *Node) int {
+	if g.owns(n) {
+		return n.pos
+	}
+	return -1
 }
 
 // eachTensor calls f with every registered tensor and the name it is
@@ -151,21 +238,49 @@ func (g *Graph) Node(name string) *Node {
 }
 
 // Producer returns the node producing the named tensor, or nil for graph
-// inputs and parameters. O(1) via the index built by BuildIndex; falls
-// back to a scan when the index is stale.
+// inputs and parameters. An admitted graph and its views resolve the
+// name to its slot; a raw graph keeps a name index, rebuilt when nodes
+// are appended.
 func (g *Graph) Producer(name string) *Node {
-	idx := g.index()
-	return idx.producer[name]
+	if a := g.adm; a != nil {
+		if s, ok := a.slots[name]; ok {
+			return a.producer[s]
+		}
+		return nil
+	}
+	return g.index().producer[name]
 }
 
-// Consumers returns the nodes consuming the named tensor.
+// Lookup resolves a tensor name once, to the tensor registered under it
+// and the node producing it (nil for a graph input or parameter); both
+// are nil for a name that is not registered. It serves the names a
+// runtime hands over, such as a layer's boundary tensors.
+func (g *Graph) Lookup(name string) (*Tensor, *Node) {
+	if a := g.adm; a != nil {
+		s, ok := a.slots[name]
+		if !ok {
+			return nil, nil
+		}
+		return g.tensorAt(int32(s)), a.producer[s]
+	}
+	return g.Tensor(name), g.Producer(name)
+}
+
+// Consumers returns the nodes consuming the named tensor; see Producer.
+// Callers must not modify the slice.
 func (g *Graph) Consumers(name string) []*Node {
-	idx := g.index()
-	return idx.consumers[name]
+	if a := g.adm; a != nil {
+		if s, ok := a.slots[name]; ok {
+			return a.consumersOf(int32(s))
+		}
+		return nil
+	}
+	return g.index().consumers[name]
 }
 
-// graphIndex memoizes producer/consumer maps; invalidated by node-count
-// change (nodes are appended, never mutated in place by builders).
+// graphIndex memoizes a raw graph's producer/consumer maps; invalidated
+// by node-count change (nodes are appended, never mutated in place by
+// builders).
 type graphIndex struct {
 	nodeCount int
 	producer  map[string]*Node
@@ -176,6 +291,7 @@ func (g *Graph) index() *graphIndex {
 	if g.idx != nil && g.idx.nodeCount == len(g.Nodes) {
 		return g.idx
 	}
+	//lint:ignore hotalloc a raw graph's index is built once per node count; an admitted graph's accessors never reach it
 	idx := &graphIndex{
 		nodeCount: len(g.Nodes),
 		producer:  make(map[string]*Node, len(g.Nodes)),
@@ -186,6 +302,7 @@ func (g *Graph) index() *graphIndex {
 			idx.producer[o] = n
 		}
 		for _, i := range n.Inputs {
+			//lint:ignore hotalloc built once per raw graph, as above
 			idx.consumers[i] = append(idx.consumers[i], n)
 		}
 	}

@@ -19,20 +19,28 @@ import (
 // input shapes: the error is a *ValidationError with code
 // ErrShapeInference.
 func (g *Graph) InferShapes() error {
-	order, _, ok := g.AdmittedOrder()
+	ctx := newInferCtx(g)
+	order, ok := g.AdmittedOrder()
 	if !ok {
 		var err error
 		if order, err = g.TopoSort(); err != nil {
 			return err
 		}
 	}
-	ctx := &inferCtx{g: g, values: map[string][]int64{}}
 	// Seed known values from constant parameter tensors.
-	g.eachTensor(func(_ string, t *Tensor) {
-		if t.IntData != nil {
-			ctx.values[t.Name] = t.IntData
+	if ctx.valAt != nil {
+		for s := range ctx.valAt {
+			if t := g.tensorAt(int32(s)); t.IntData != nil {
+				ctx.setVal(int32(s), t.IntData)
+			}
 		}
-	})
+	} else {
+		g.eachTensor(func(_ string, t *Tensor) {
+			if t.IntData != nil {
+				ctx.byName[t.Name] = t.IntData
+			}
+		})
+	}
 	for _, n := range order {
 		if err := ctx.inferNode(n); err != nil {
 			return &ValidationError{
@@ -44,16 +52,62 @@ func (g *Graph) InferShapes() error {
 	return nil
 }
 
+// inferCtx carries one inference pass and the constant int values it
+// propagates. On an admitted graph or view, whose every node reads its
+// tensors by slot, the few known values sit in vals, and valAt maps
+// each slot to one more than its value's index there (0: unknown); a
+// raw graph keys them by tensor name in byName.
 type inferCtx struct {
 	g      *Graph
-	values map[string][]int64
+	valAt  []int32
+	vals   [][]int64
+	byName map[string][]int64
+}
+
+func newInferCtx(g *Graph) *inferCtx {
+	if g.adm != nil {
+		return &inferCtx{g: g, valAt: make([]int32, len(g.adm.tensors))}
+	}
+	return &inferCtx{g: g, byName: map[string][]int64{}}
+}
+
+// inVal returns the propagated value of node n's i-th input.
+func (c *inferCtx) inVal(n *Node, i int) ([]int64, bool) {
+	if c.valAt != nil {
+		k := c.valAt[n.refs[i]]
+		if k == 0 {
+			return nil, false
+		}
+		return c.vals[k-1], true
+	}
+	v, ok := c.byName[n.Inputs[i]]
+	return v, ok
+}
+
+// setOutVal records the propagated value of node n's i-th output.
+func (c *inferCtx) setOutVal(n *Node, i int, v []int64) {
+	if c.valAt != nil {
+		c.setVal(n.refs[len(n.Inputs)+i], v)
+		return
+	}
+	c.byName[n.Outputs[i]] = v
+}
+
+// setVal records the value of the tensor in slot s.
+func (c *inferCtx) setVal(s int32, v []int64) {
+	if k := c.valAt[s]; k != 0 {
+		c.vals[k-1] = v
+		return
+	}
+	c.vals = append(c.vals, v)
+	c.valAt[s] = int32(len(c.vals))
 }
 
 func (c *inferCtx) in(n *Node, i int) (*Tensor, error) {
 	if i >= len(n.Inputs) {
 		return nil, fmt.Errorf("missing input %d", i)
 	}
-	t := c.g.Tensor(n.Inputs[i])
+	t := c.g.In(n, i)
 	if t == nil {
 		return nil, fmt.Errorf("input tensor %q not registered", n.Inputs[i])
 	}
@@ -68,7 +122,7 @@ func (c *inferCtx) setOut(n *Node, i int, shape Shape, dt DataType) error {
 	if i >= len(n.Outputs) {
 		return fmt.Errorf("missing output %d", i)
 	}
-	t := c.g.Tensor(n.Outputs[i])
+	t := c.g.Out(n, i)
 	if t == nil {
 		return fmt.Errorf("output tensor %q not registered", n.Outputs[i])
 	}
@@ -208,10 +262,10 @@ func (c *inferCtx) inferNode(n *Node) error {
 		}
 		// Propagate constant integer values through arithmetic on
 		// shape-computation chains.
-		if va, ok := c.values[n.Inputs[0]]; ok {
-			if vb, ok2 := c.values[n.Inputs[1]]; ok2 && len(va) == len(vb) {
+		if va, ok := c.inVal(n, 0); ok {
+			if vb, ok2 := c.inVal(n, 1); ok2 && len(va) == len(vb) {
 				if v := evalIntBinary(n.OpType, va, vb); v != nil {
-					c.values[n.Outputs[0]] = v
+					c.setOutVal(n, 0, v)
 				}
 			}
 		}
@@ -326,7 +380,7 @@ func (c *inferCtx) inferConstant(n *Node) error {
 		for i, x := range v.Ints {
 			vals[i] = int64(x)
 		}
-		c.values[n.Outputs[0]] = vals
+		c.setOutVal(n, 0, vals)
 		return c.setOut(n, 0, Shape{len(vals)}, Int64)
 	}
 	if _, ok := n.Attrs["value_float"]; ok {
@@ -545,7 +599,7 @@ func (c *inferCtx) reshapeTarget(n *Node) ([]int, error) {
 		return tgt, nil
 	}
 	if len(n.Inputs) >= 2 {
-		if v, ok := c.values[n.Inputs[1]]; ok {
+		if v, ok := c.inVal(n, 1); ok {
 			out := make([]int, len(v))
 			for i, x := range v {
 				out[i] = int(x)
@@ -635,7 +689,7 @@ func (c *inferCtx) inferConcat(n *Node) error {
 	out := first.Shape.Clone()
 	allKnown := true
 	var vals []int64
-	if v, ok := c.values[n.Inputs[0]]; ok {
+	if v, ok := c.inVal(n, 0); ok {
 		vals = append(vals, v...)
 	} else {
 		allKnown = false
@@ -654,14 +708,14 @@ func (c *inferCtx) inferConcat(n *Node) error {
 			}
 		}
 		out[axis] += t.Shape[axis]
-		if v, ok := c.values[n.Inputs[i]]; ok {
+		if v, ok := c.inVal(n, i); ok {
 			vals = append(vals, v...)
 		} else {
 			allKnown = false
 		}
 	}
 	if allKnown && out.Rank() == 1 {
-		c.values[n.Outputs[0]] = vals
+		c.setOutVal(n, 0, vals)
 	}
 	return c.setOut(n, 0, out, first.DType)
 }
@@ -718,7 +772,7 @@ func (c *inferCtx) inferSlice(n *Node) error {
 		if i >= len(n.Inputs) {
 			return nil
 		}
-		v, ok := c.values[n.Inputs[i]]
+		v, ok := c.inVal(n, i)
 		if !ok {
 			return nil
 		}
@@ -779,7 +833,7 @@ func (c *inferCtx) inferSlice(n *Node) error {
 		out[ax] = sz
 	}
 	// Value propagation for 1-D int tensors.
-	if v, ok := c.values[n.Inputs[0]]; ok && x.Shape.Rank() == 1 && len(axes) == 1 && (steps == nil || steps[0] == 1) {
+	if v, ok := c.inVal(n, 0); ok && x.Shape.Rank() == 1 && len(axes) == 1 && (steps == nil || steps[0] == 1) {
 		st, en := starts[0], ends[0]
 		if st < 0 {
 			st += len(v)
@@ -791,7 +845,7 @@ func (c *inferCtx) inferSlice(n *Node) error {
 			en = len(v)
 		}
 		if st >= 0 && st <= en {
-			c.values[n.Outputs[0]] = v[st:en]
+			c.setOutVal(n, 0, v[st:en])
 		}
 	}
 	return c.setOut(n, 0, out, x.DType)
@@ -827,8 +881,8 @@ func (c *inferCtx) inferSqueeze(n *Node) error {
 	if out == nil {
 		out = Shape{}
 	}
-	if v, ok := c.values[n.Inputs[0]]; ok {
-		c.values[n.Outputs[0]] = v
+	if v, ok := c.inVal(n, 0); ok {
+		c.setOutVal(n, 0, v)
 	}
 	return c.setOut(n, 0, out, x.DType)
 }
@@ -864,8 +918,8 @@ func (c *inferCtx) inferUnsqueeze(n *Node) error {
 			src++
 		}
 	}
-	if v, ok := c.values[n.Inputs[0]]; ok {
-		c.values[n.Outputs[0]] = v
+	if v, ok := c.inVal(n, 0); ok {
+		c.setOutVal(n, 0, v)
 	}
 	return c.setOut(n, 0, out, x.DType)
 }
@@ -889,8 +943,8 @@ func (c *inferCtx) inferGather(n *Node) error {
 	out = append(out, data.Shape[axis+1:]...)
 	// Value propagation: gathering from a known 1-D value with known
 	// scalar/1-D indices.
-	if v, ok := c.values[n.Inputs[0]]; ok && axis == 0 {
-		if iv, ok2 := c.values[n.Inputs[1]]; ok2 {
+	if v, ok := c.inVal(n, 0); ok && axis == 0 {
+		if iv, ok2 := c.inVal(n, 1); ok2 {
 			res := make([]int64, 0, len(iv))
 			okAll := true
 			for _, i := range iv {
@@ -904,7 +958,7 @@ func (c *inferCtx) inferGather(n *Node) error {
 				res = append(res, v[i])
 			}
 			if okAll {
-				c.values[n.Outputs[0]] = res
+				c.setOutVal(n, 0, res)
 			}
 		}
 	}
@@ -920,7 +974,7 @@ func (c *inferCtx) inferShapeOp(n *Node) error {
 	for i, d := range x.Shape {
 		v[i] = int64(d)
 	}
-	c.values[n.Outputs[0]] = v
+	c.setOutVal(n, 0, v)
 	return c.setOut(n, 0, Shape{x.Shape.Rank()}, Int64)
 }
 
@@ -1023,8 +1077,8 @@ func (c *inferCtx) inferCast(n *Node) error {
 	if err != nil {
 		return fmt.Errorf("Cast: %w", err)
 	}
-	if v, ok := c.values[n.Inputs[0]]; ok {
-		c.values[n.Outputs[0]] = v
+	if v, ok := c.inVal(n, 0); ok {
+		c.setOutVal(n, 0, v)
 	}
 	return c.setOut(n, 0, x.Shape.Clone(), dt)
 }
@@ -1057,7 +1111,7 @@ func (c *inferCtx) inferConstantOfShape(n *Node) error {
 	tgt, err := c.reshapeTarget(n)
 	if err != nil {
 		// ConstantOfShape takes the shape from input 0 in ONNX.
-		if v, ok := c.values[n.Inputs[0]]; ok {
+		if v, ok := c.inVal(n, 0); ok {
 			tgt = make([]int, len(v))
 			for i, x := range v {
 				tgt[i] = int(x)
@@ -1106,7 +1160,7 @@ func (c *inferCtx) inferTopK(n *Node) error {
 	}
 	k := n.Attrs.Int("k", 0)
 	if k == 0 && len(n.Inputs) >= 2 {
-		if v, ok := c.values[n.Inputs[1]]; ok && len(v) == 1 {
+		if v, ok := c.inVal(n, 1); ok && len(v) == 1 {
 			k = int(v[0])
 		}
 	}

@@ -3,7 +3,7 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -134,7 +134,7 @@ func (g *Graph) Validate() error {
 // shaped tensors are skipped for tensors whose shape is still unknown,
 // so ValidateAll is safe both before and after shape inference.
 func (g *Graph) ValidateAll() []*ValidationError {
-	errs, _, _ := g.validate()
+	errs, _ := g.validate(g.SortedTensorNames())
 	return errs
 }
 
@@ -143,17 +143,16 @@ func (g *Graph) ValidateAll() []*ValidationError {
 // data must match its shape. It returns the first bad_tensor defect.
 func (g *Graph) ValidateInputData() error {
 	for _, in := range g.Inputs {
-		if e := g.intDataDefect(in); e != nil {
+		if e := g.intDataDefect(in, g.Tensor(in)); e != nil {
 			return e
 		}
 	}
 	return nil
 }
 
-// intDataDefect reports the tensor registered under key when its
-// constant int data contradicts its known shape.
-func (g *Graph) intDataDefect(key string) *ValidationError {
-	t := g.Tensor(key)
+// intDataDefect reports t, registered under key, when its constant int
+// data contradicts its known shape.
+func (g *Graph) intDataDefect(key string, t *Tensor) *ValidationError {
 	if t == nil || t.IntData == nil || !t.Shape.Valid() || int64(len(t.IntData)) == t.Shape.NumElements() {
 		return nil
 	}
@@ -164,11 +163,36 @@ func (g *Graph) intDataDefect(key string) *ValidationError {
 	}
 }
 
-// validate is ValidateAll returning also the topological order its
-// acyclicity check computed (nil when it found a defect) and the
-// name → node table its duplicate check built, so Admit sorts and
-// indexes the graph once.
-func (g *Graph) validate() ([]*ValidationError, []*Node, map[string]*Node) {
+// resolution is what validate resolves on the way to its verdict, so
+// Admit keeps it rather than resolving the graph again. Slot s is
+// names[s], registered as tensors[s]; an unregistered (or nil) tensor
+// reference resolves to slot -1. Nodes are named by declaration index.
+type resolution struct {
+	slots   map[string]int
+	tensors []*Tensor
+	// refs holds every node's Inputs then Outputs slots, node after
+	// node: node i's are refs[refAt[i]:refAt[i+1]].
+	refs  []int32
+	refAt []int32
+	// producer holds each slot's producing node, or -1. consumers lists
+	// each slot's consuming nodes, once per consuming reference:
+	// consumers[cstart[s]:cstart[s+1]].
+	producer  []int32
+	consumers []int32
+	cstart    []int32
+	// nodes is the name → node table; order is the topological order,
+	// nil when validate found a defect.
+	nodes map[string]*Node
+	order []int32
+}
+
+// validate is ValidateAll over the tensors registered under names,
+// which it resolves to slots in that order. It returns also the
+// resolution: every reference's slot, producers and consumers by slot,
+// the name → node table its duplicate check built, and the topological
+// order its acyclicity check computed, so Admit resolves, indexes and
+// sorts the graph once.
+func (g *Graph) validate(names []string) ([]*ValidationError, *resolution) {
 	var errs []*ValidationError
 	report := func(code ValidationCode, node, tensor, format string, args ...any) {
 		errs = append(errs, &ValidationError{
@@ -176,14 +200,72 @@ func (g *Graph) validate() ([]*ValidationError, []*Node, map[string]*Node) {
 			Detail: fmt.Sprintf(format, args...),
 		})
 	}
+	r := &resolution{
+		slots:    make(map[string]int, len(names)),
+		tensors:  make([]*Tensor, len(names)),
+		refAt:    make([]int32, len(g.Nodes)+1),
+		producer: make([]int32, len(names)),
+		cstart:   make([]int32, len(names)+1),
+		nodes:    make(map[string]*Node, len(g.Nodes)),
+	}
+	for s, name := range names {
+		r.slots[name] = s
+		r.tensors[s] = g.Tensor(name)
+		r.producer[s] = -1
+	}
+	slot := func(name string) int32 {
+		if s, ok := r.slots[name]; ok && r.tensors[s] != nil {
+			return int32(s)
+		}
+		return -1
+	}
+	tensor := func(s int32) *Tensor {
+		if s < 0 {
+			return nil
+		}
+		return r.tensors[s]
+	}
+
+	// Resolve every reference of every node; count consumers by slot
+	// (cstart[s+1] for now).
+	nrefs := 0
+	for _, n := range g.Nodes {
+		if n != nil {
+			nrefs += len(n.Inputs) + len(n.Outputs)
+		}
+	}
+	r.refs = make([]int32, 0, nrefs)
+	for i, n := range g.Nodes {
+		r.refAt[i] = int32(len(r.refs))
+		if n == nil {
+			continue
+		}
+		for _, in := range n.Inputs {
+			s := slot(in)
+			r.refs = append(r.refs, s)
+			if s >= 0 {
+				r.cstart[s+1]++
+			}
+		}
+		for _, o := range n.Outputs {
+			r.refs = append(r.refs, slot(o))
+		}
+	}
+	r.refAt[len(g.Nodes)] = int32(len(r.refs))
+	refs := func(i int) (ins, outs []int32) {
+		n := g.Nodes[i]
+		all := r.refs[r.refAt[i]:r.refAt[i+1]]
+		return all[:len(n.Inputs)], all[len(n.Inputs):]
+	}
 
 	// Node pass: names, producer uniqueness, tensor references. A null
 	// node is reported here, and the later passes skip it.
 	if len(g.Nodes) == 0 && len(g.Outputs) == 0 {
 		report(ErrEmptyGraph, "", "", "graph has no nodes and no outputs")
 	}
-	nodes := make(map[string]*Node, len(g.Nodes))
-	produced := make(map[string]string)
+	// unregistered records the producer of each unregistered tensor
+	// name, which has no slot.
+	var unregistered map[string]string
 	var seps []int
 	for i, n := range g.Nodes {
 		if n == nil {
@@ -198,54 +280,68 @@ func (g *Graph) validate() ([]*ValidationError, []*Node, map[string]*Node) {
 			report(ErrNameSeparators, n.Name, "",
 				"node %d's name holds %q %d times, more than %d", i, LayerNameSep, len(seps), MaxNameSeps)
 		}
-		if _, dup := nodes[n.Name]; dup {
+		if _, dup := r.nodes[n.Name]; dup {
 			report(ErrDuplicateNode, n.Name, "", "duplicate node name %q", n.Name)
 		}
-		nodes[n.Name] = n
-		for _, o := range n.Outputs {
-			if prev, ok := produced[o]; ok {
+		r.nodes[n.Name] = n
+		ins, outs := refs(i)
+		for k, o := range n.Outputs {
+			s := outs[k]
+			prev, produced := "", false
+			if s >= 0 {
+				if p := r.producer[s]; p >= 0 {
+					prev, produced = g.Nodes[p].Name, true
+				}
+				r.producer[s] = int32(i)
+			} else {
+				if unregistered == nil {
+					unregistered = map[string]string{}
+				}
+				prev, produced = unregistered[o]
+				unregistered[o] = n.Name
+			}
+			if produced {
 				report(ErrMultiProducer, n.Name, o,
 					"tensor %q produced by both %q and %q", o, prev, n.Name)
 			}
-			produced[o] = n.Name
-			if g.Tensor(o) == nil {
+			if s < 0 {
 				report(ErrDanglingTensor, n.Name, o,
 					"node %q output tensor %q not registered", n.Name, o)
 			}
 		}
-		for _, i := range n.Inputs {
-			if g.Tensor(i) == nil {
-				report(ErrDanglingTensor, n.Name, i,
-					"node %q input tensor %q not registered", n.Name, i)
+		for k, in := range n.Inputs {
+			if ins[k] < 0 {
+				report(ErrDanglingTensor, n.Name, in,
+					"node %q input tensor %q not registered", n.Name, in)
 			}
 		}
 	}
 
 	// Graph IO pass.
-	inputs := make(map[string]bool, len(g.Inputs))
 	for _, in := range g.Inputs {
-		inputs[in] = true
-		if g.Tensor(in) == nil {
+		if slot(in) < 0 {
 			report(ErrDanglingTensor, "", in, "graph input %q not registered", in)
 		}
 	}
-	outputs := make(map[string]bool, len(g.Outputs))
+	isOutput := make([]bool, len(names))
 	for _, out := range g.Outputs {
-		outputs[out] = true
-		if g.Tensor(out) == nil {
+		s := slot(out)
+		if s < 0 {
 			report(ErrDanglingTensor, "", out, "graph output %q not registered", out)
 			continue
 		}
-		if produced[out] == "" && !inputs[out] {
+		isOutput[s] = true
+		if r.producer[s] < 0 && !slices.Contains(g.Inputs, out) {
 			report(ErrMissingProducer, "", out, "graph output %q has no producer", out)
 		}
 	}
 
 	// Tensor sanity pass.
-	g.eachTensor(func(key string, t *Tensor) {
+	for s, key := range names {
+		t := r.tensors[s]
 		if t == nil {
 			report(ErrBadTensor, "", key, "tensor %q registered as nil", key)
-			return
+			continue
 		}
 		if t.Name != key {
 			report(ErrBadTensor, "", key,
@@ -270,48 +366,38 @@ func (g *Graph) validate() ([]*ValidationError, []*Node, map[string]*Node) {
 					"parameter tensor %q has invalid dtype %v", key, t.DType)
 			}
 		}
-		if e := g.intDataDefect(key); e != nil {
+		if e := g.intDataDefect(key, t); e != nil {
 			errs = append(errs, e)
 		}
-	})
+	}
 
 	// Unused initializers: params no node consumes and the graph does
 	// not output. (Activations may legitimately dangle — builders and
 	// optimizers leave unconsumed intermediates — but dead weights
-	// inflate ParamBytes and the Eq. 1 memory model.)
-	consumed := make(map[string]bool)
-	for _, n := range g.Nodes {
-		if n == nil {
-			continue
+	// inflate ParamBytes and the Eq. 1 memory model.) Slots follow
+	// names, so the defects come in names' order.
+	for s, key := range names {
+		if t := r.tensors[s]; t != nil && t.Param && r.cstart[s+1] == 0 && !isOutput[s] {
+			report(ErrUnusedParam, "", key,
+				"parameter tensor %q is consumed by no node", key)
 		}
-		for _, i := range n.Inputs {
-			consumed[i] = true
-		}
-	}
-	var unused []string
-	g.eachTensor(func(key string, t *Tensor) {
-		if t != nil && t.Param && !consumed[key] && !outputs[key] {
-			unused = append(unused, key)
-		}
-	})
-	sort.Strings(unused)
-	for _, key := range unused {
-		report(ErrUnusedParam, "", key,
-			"parameter tensor %q is consumed by no node", key)
 	}
 
 	// Shape-contradiction pass: element-wise operator semantics pin
 	// output ranks to input ranks; declared shapes that disagree can
 	// only come from a corrupt file or a buggy builder. Tensors with
 	// unknown (nil) shapes are skipped — inference has not run yet.
-	for _, n := range g.Nodes {
+	for i, n := range g.Nodes {
+		if n == nil {
+			continue
+		}
+		ins, outs := refs(i)
 		switch {
-		case n == nil:
 		case elementwiseUnary[n.OpType]:
 			if len(n.Inputs) == 0 || len(n.Outputs) == 0 {
 				continue
 			}
-			in, out := g.Tensor(n.Inputs[0]), g.Tensor(n.Outputs[0])
+			in, out := tensor(ins[0]), tensor(outs[0])
 			if in == nil || out == nil || in.Shape == nil || out.Shape == nil {
 				continue
 			}
@@ -324,7 +410,7 @@ func (g *Graph) validate() ([]*ValidationError, []*Node, map[string]*Node) {
 			if len(n.Inputs) < 2 || len(n.Outputs) == 0 {
 				continue
 			}
-			a, b := g.Tensor(n.Inputs[0]), g.Tensor(n.Inputs[1])
+			a, b := tensor(ins[0]), tensor(ins[1])
 			if a == nil || b == nil || a.Shape == nil || b.Shape == nil {
 				continue
 			}
@@ -335,7 +421,7 @@ func (g *Graph) validate() ([]*ValidationError, []*Node, map[string]*Node) {
 					n.OpType, n.Name, a.Shape, b.Shape)
 				continue
 			}
-			if out := g.Tensor(n.Outputs[0]); out != nil && out.Shape != nil &&
+			if out := tensor(outs[0]); out != nil && out.Shape != nil &&
 				out.Shape.Rank() != bc.Rank() {
 				report(ErrShapeContradiction, n.Name, n.Outputs[0],
 					"%s node %q: output %v contradicts broadcast shape %v",
@@ -345,24 +431,54 @@ func (g *Graph) validate() ([]*ValidationError, []*Node, map[string]*Node) {
 	}
 
 	// Acyclicity — only meaningful once every reference resolves;
-	// TopoSort on a graph with dangling refs would double-report.
-	var order []*Node
+	// sorting a graph with dangling refs would double-report.
 	if len(errs) == 0 {
-		var err error
-		if order, err = g.TopoSort(); err != nil {
-			report(ErrCycle, "", "", "%v", cycleDetail(err, g.Name))
+		r.index(g)
+		if len(r.order) != len(g.Nodes) {
+			report(ErrCycle, "", "", "cycle detected (%d of %d nodes sorted)", len(r.order), len(g.Nodes))
+			r.order = nil
 		}
 	}
-	return errs, order, nodes
+	return errs, r
 }
 
-// cycleDetail strips the "graph <name>: " prefix TopoSort puts on its
-// error so the ValidationError formatting does not repeat it.
-func cycleDetail(err error, name string) string {
-	s := err.Error()
-	prefix := fmt.Sprintf("graph %s: ", name)
-	if len(s) > len(prefix) && s[:len(prefix)] == prefix {
-		return s[len(prefix):]
+// index fills the consumer lists from the counts in cstart and sorts
+// the nodes topologically: among ready nodes, declaration order wins,
+// as in TopoSort. On a cyclic graph the order stops short.
+func (r *resolution) index(g *Graph) {
+	for s := 1; s < len(r.cstart); s++ {
+		r.cstart[s] += r.cstart[s-1]
 	}
-	return s
+	r.consumers = make([]int32, r.cstart[len(r.cstart)-1])
+	next := make([]int32, len(r.cstart)-1)
+	copy(next, r.cstart)
+	indeg := make([]int, len(g.Nodes))
+	for i, n := range g.Nodes {
+		for _, s := range r.refs[r.refAt[i] : r.refAt[i]+int32(len(n.Inputs))] {
+			r.consumers[next[s]] = int32(i)
+			next[s]++
+			if r.producer[s] >= 0 {
+				indeg[i]++
+			}
+		}
+	}
+	var ready declHeap
+	for i, d := range indeg {
+		if d == 0 {
+			ready.push(i)
+		}
+	}
+	r.order = make([]int32, 0, len(g.Nodes))
+	for len(ready) > 0 {
+		i := ready.pop()
+		r.order = append(r.order, int32(i))
+		for _, s := range r.refs[r.refAt[i]+int32(len(g.Nodes[i].Inputs)) : r.refAt[i+1]] {
+			for _, c := range r.consumers[r.cstart[s]:r.cstart[s+1]] {
+				indeg[c]--
+				if indeg[c] == 0 {
+					ready.push(int(c))
+				}
+			}
+		}
+	}
 }

@@ -29,13 +29,22 @@ func ContentKeyByMap(g *graph.Graph, nodes []*graph.Node, kind string) string {
 		b = appendInt(b, int64(len(n.Inputs)))
 		for _, in := range n.Inputs {
 			b = appendInt(b, slot(in))
-			b = appendTensor(b, tensorOf(g, in))
+			b = appendTensor(b, tensorByName(g, in))
 		}
 		b = appendInt(b, int64(len(n.Outputs)))
 		for _, out := range n.Outputs {
 			b = appendInt(b, slot(out))
-			b = appendTensor(b, tensorOf(g, out))
+			b = appendTensor(b, tensorByName(g, out))
 		}
 	}
 	return hexKey(b)
+}
+
+// tensorByName resolves a tensor by name, as ContentKey did before it
+// read tensors by slot; a nil g resolves nothing.
+func tensorByName(g *graph.Graph, name string) *graph.Tensor {
+	if g == nil {
+		return nil
+	}
+	return g.Tensor(name)
 }

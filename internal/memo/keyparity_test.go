@@ -3,6 +3,7 @@ package memo_test
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"proof/internal/analysis"
@@ -21,7 +22,10 @@ import (
 // graph with the bytes it builds on a raw copy of the same run, and
 // each group's ContentKey equals the map-numbered ContentKeyByMap. The
 // keys seed the simulator's jitter, so a changed byte would move every
-// report.
+// report. The view and the copy also agree on what the slot tables
+// feed besides keys: each layer's fusion group, its fused boundary
+// tensors, and every node's Rep.Cost, which must equal NodeCost
+// resolved by name on an unadmitted copy.
 func TestKeysUnchangedOnViews(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds every zoo model on every backend")
@@ -53,6 +57,8 @@ func TestKeysUnchangedOnViews(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				point := fmt.Sprintf("%s/%v/bs%d", info.Key, dt, batch)
+				checkCostsByName(t, point, rep)
 				for _, name := range backend.List() {
 					be, err := backend.Get(name)
 					if err != nil {
@@ -67,15 +73,29 @@ func TestKeysUnchangedOnViews(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					point := fmt.Sprintf("%s/%v/bs%d on %s", info.Key, dt, batch, name)
+					point := point + " on " + name
 					works, rawWorks := eng.Works(), rawEng.Works()
+					if len(works) != len(rawWorks) {
+						t.Fatalf("%s: %d layers on the view, %d on a raw copy", point, len(works), len(rawWorks))
+					}
 					for i, l := range eng.Layers() {
 						if works[i].Key != rawWorks[i].Key {
 							t.Fatalf("%s layer %q: key %s on the view, %s on a raw copy", point, l.Name, works[i].Key, rawWorks[i].Key)
 						}
-						truth := eng.GroundTruth(l.Name)
+						truth, rawTruth := eng.GroundTruth(i), rawEng.GroundTruth(i)
+						if (truth == nil) != (rawTruth == nil) {
+							t.Fatalf("%s layer %q: a reformat on one side only", point, l.Name)
+						}
 						if truth == nil {
 							continue // a reformat
+						}
+						if got, want := nodeNames(truth.OriginalNodes()), nodeNames(rawTruth.OriginalNodes()); !slices.Equal(got, want) {
+							t.Fatalf("%s layer %q: group %v on the view, %v on a raw copy", point, l.Name, got, want)
+						}
+						if truth.Fused != nil && (!slices.Equal(truth.Fused.Inputs, rawTruth.Fused.Inputs) ||
+							!slices.Equal(truth.Fused.Outputs, rawTruth.Fused.Outputs)) {
+							t.Fatalf("%s layer %q: boundary %v -> %v on the view, %v -> %v on a raw copy", point, l.Name,
+								truth.Fused.Inputs, truth.Fused.Outputs, rawTruth.Fused.Inputs, rawTruth.Fused.Outputs)
 						}
 						kind := "normal"
 						if l.Opaque {
@@ -89,4 +109,32 @@ func TestKeysUnchangedOnViews(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkCostsByName holds every node's Rep.Cost, which the operator
+// defines computed reading tensors by slot, to NodeCost over an
+// unadmitted copy of the run's graph, which resolves every tensor by
+// name.
+func checkCostsByName(t *testing.T, point string, rep *analysis.Rep) {
+	t.Helper()
+	raw := rep.Graph.Clone()
+	byName := make(map[string]*graph.Node, len(raw.Nodes))
+	for _, n := range raw.Nodes {
+		byName[n.Name] = n
+	}
+	for _, n := range rep.Nodes() {
+		got, ok := rep.Cost(n)
+		want, err := analysis.NodeCost(byName[n.Name], raw)
+		if !ok || err != nil || got != want {
+			t.Fatalf("%s node %q: Rep.Cost %+v (ok %v), by name %+v (%v)", point, n.Name, got, ok, want, err)
+		}
+	}
+}
+
+func nodeNames(nodes []*graph.Node) []string {
+	names := make([]string, len(nodes))
+	for i, n := range nodes {
+		names[i] = n.Name
+	}
+	return names
 }

@@ -31,8 +31,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
-	"slices"
-	"strings"
 
 	"proof/internal/graph"
 	"proof/internal/hardware"
@@ -48,16 +46,21 @@ import (
 // frames every field with a length or tag, so no concatenation of
 // adjacent fields can collide with a different field split.
 func ContentKey(g *graph.Graph, nodes []*graph.Node, kind string) string {
-	var refStack [keyStackRefs]string
+	var refStack [keyStackRefs]*graph.Tensor
 	refs := refStack[:0]
 	for _, n := range nodes {
-		if n != nil {
-			refs = append(refs, n.Inputs...)
-			refs = append(refs, n.Outputs...)
+		if n == nil {
+			continue
+		}
+		for i := range n.Inputs {
+			refs = append(refs, tensorIn(g, n, i))
+		}
+		for i := range n.Outputs {
+			refs = append(refs, tensorOut(g, n, i))
 		}
 	}
-	var slotStack, sortStack [keyStackRefs]int32
-	slots := firstRefSlots(refs, slotStack[:0], sortStack[:0])
+	var slotStack [keyStackRefs]int32
+	slots := firstRefSlots(refs, slotStack[:0])
 	var stack [keyStackBytes]byte
 	b := appendStr(stack[:0], "proof-unit-v1")
 	b = appendStr(b, kind)
@@ -71,52 +74,55 @@ func ContentKey(g *graph.Graph, nodes []*graph.Node, kind string) string {
 		b = appendStr(b, n.OpType)
 		b = appendAttrs(b, n.Attrs)
 		b = appendInt(b, int64(len(n.Inputs)))
-		for _, in := range n.Inputs {
+		for range n.Inputs {
 			b = appendInt(b, int64(slots[ref]))
-			b = appendTensor(b, tensorOf(g, in))
+			b = appendTensor(b, refs[ref])
 			ref++
 		}
 		b = appendInt(b, int64(len(n.Outputs)))
-		for _, out := range n.Outputs {
+		for range n.Outputs {
 			b = appendInt(b, int64(slots[ref]))
-			b = appendTensor(b, tensorOf(g, out))
+			b = appendTensor(b, refs[ref])
 			ref++
 		}
 	}
 	return hexKey(b)
 }
 
-// firstRefSlots numbers tensor references by first reference: the
-// i-th distinct name in refs gets slot i, and every reference to a
-// name gets that name's slot. It sorts the reference indices by name
-// (in byIdx) rather than keeping a set of the names seen, and returns
-// the slots in slots' backing array.
-func firstRefSlots(refs []string, slots, byIdx []int32) []int32 {
-	for i := range refs {
-		slots = append(slots, int32(i))
-		byIdx = append(byIdx, int32(i))
+// firstRefSlots numbers tensor references by first reference: the i-th
+// distinct tensor in refs gets slot i, and every reference to a tensor
+// gets that tensor's slot. A graph resolves each name to one tensor, so
+// tensors are told apart by identity, with no name compared; unresolved
+// references (nil) share one slot. A group that fits the stack arrays
+// scans the earlier references; a larger one, which a posted graph can
+// make arbitrarily large, keeps a map so numbering stays linear. It
+// returns the slots in slots' backing array.
+func firstRefSlots(refs []*graph.Tensor, slots []int32) []int32 {
+	var seen map[*graph.Tensor]int32
+	if len(refs) > keyStackRefs {
+		seen = make(map[*graph.Tensor]int32, len(refs))
 	}
-	slices.SortFunc(byIdx, func(a, b int32) int {
-		if c := strings.Compare(refs[a], refs[b]); c != 0 {
-			return c
-		}
-		return int(a - b)
-	})
-	// Point every reference at the first reference to its name...
-	for k := 1; k < len(byIdx); k++ {
-		if refs[byIdx[k]] == refs[byIdx[k-1]] {
-			slots[byIdx[k]] = slots[byIdx[k-1]]
-		}
-	}
-	// ...then number the first references in order of appearance.
 	next := int32(0)
-	for i, first := range slots {
-		if first == int32(i) {
-			slots[i] = next
-			next++
+	for i, t := range refs {
+		slot := next
+		if seen != nil {
+			if s, ok := seen[t]; ok {
+				slot = s
+			} else {
+				seen[t] = next
+			}
 		} else {
-			slots[i] = slots[first]
+			for j := 0; j < i; j++ {
+				if refs[j] == t {
+					slot = slots[j]
+					break
+				}
+			}
 		}
+		if slot == next {
+			next++
+		}
+		slots = append(slots, slot)
 	}
 	return slots
 }
@@ -213,11 +219,20 @@ func appendBinding(buf []byte, b Binding) []byte {
 	return buf
 }
 
-func tensorOf(g *graph.Graph, name string) *graph.Tensor {
+// tensorIn and tensorOut resolve node n's i-th input and output in g,
+// by slot on an admitted graph; a nil g resolves nothing.
+func tensorIn(g *graph.Graph, n *graph.Node, i int) *graph.Tensor {
 	if g == nil {
 		return nil
 	}
-	return g.Tensor(name)
+	return g.In(n, i)
+}
+
+func tensorOut(g *graph.Graph, n *graph.Node, i int) *graph.Tensor {
+	if g == nil {
+		return nil
+	}
+	return g.Out(n, i)
 }
 
 func appendTensor(b []byte, t *graph.Tensor) []byte {

@@ -320,3 +320,25 @@ func TestContentKeyAllocsConstant(t *testing.T) {
 		}
 	}
 }
+
+// TestContentKeyLargeGroupMatchesMap: a group with more tensor
+// references than the stack arrays hold numbers them through a map
+// instead of a scan; both must match the map-numbered reference, with
+// repeated references at every distance.
+func TestContentKeyLargeGroupMatchesMap(t *testing.T) {
+	for _, width := range []int{keyStackRefs / 4, 2 * keyStackRefs} {
+		g := graph.New("wide")
+		g.AddTensor(&graph.Tensor{Name: "y", DType: graph.Float32, Shape: graph.Shape{1, width}})
+		var ins []string
+		for i := 0; i < width; i++ {
+			name := fmt.Sprintf("x%d", i)
+			g.AddTensor(&graph.Tensor{Name: name, DType: graph.Float32, Shape: graph.Shape{1, 1}})
+			ins = append(ins, name, fmt.Sprintf("x%d", i/3))
+		}
+		g.AddNode(&graph.Node{Name: "cat", OpType: "Concat", Inputs: ins, Outputs: []string{"y"}})
+		g.AddNode(&graph.Node{Name: "relu", OpType: "Relu", Inputs: []string{"y"}, Outputs: []string{"x0"}})
+		if got, want := ContentKey(g, g.Nodes, "normal"), ContentKeyByMap(g, g.Nodes, "normal"); got != want {
+			t.Errorf("%d-wide group: ContentKey %s, map-numbered %s", width, got, want)
+		}
+	}
+}

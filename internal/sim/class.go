@@ -82,7 +82,7 @@ func IsDepthwise(n *graph.Node, g *graph.Graph) bool {
 	if n.OpType != "Conv" {
 		return false
 	}
-	w := g.Tensor(n.Inputs[1])
+	w := g.In(n, 1)
 	if w == nil || w.Shape.Rank() != 4 {
 		return false
 	}
@@ -105,7 +105,7 @@ func isShapeMath(n *graph.Node, g *graph.Graph) bool {
 	if len(n.Outputs) != 1 {
 		return false
 	}
-	t := g.Tensor(n.Outputs[0])
+	t := g.Out(n, 0)
 	return t != nil && t.DType == graph.Int64 && t.Shape != nil && t.Shape.NumElements() <= 64
 }
 

@@ -38,7 +38,7 @@ func HardwareFLOP(n *graph.Node, c analysis.Cost, g *graph.Graph, plat *hardware
 	if c.FLOP == 0 {
 		return 0
 	}
-	out := g.Tensor(n.Outputs[0])
+	out := g.Out(n, 0)
 	if out == nil || out.Shape == nil {
 		return c.FLOP
 	}
@@ -66,9 +66,7 @@ func roundUp(v, granule int64) int64 {
 }
 
 func convHardwareFLOP(n *graph.Node, g *graph.Graph, granule int64) int64 {
-	x := g.Tensor(n.Inputs[0])
-	w := g.Tensor(n.Inputs[1])
-	out := g.Tensor(n.Outputs[0])
+	x, w, out := g.In(n, 0), g.In(n, 1), g.Out(n, 0)
 	if x == nil || w == nil || out == nil || !out.Shape.Valid() {
 		return 0
 	}
