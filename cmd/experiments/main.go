@@ -18,6 +18,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"proof/internal/core"
 	"proof/internal/dataviewer"
 	"proof/internal/experiments"
 )
@@ -117,11 +118,7 @@ func main() {
 			fatal(err)
 		}
 		fmt.Println(experiments.FormatFigure5(reports))
-		for key, r := range reports {
-			writeSVG(*outdir, "figure5_"+key+".svg",
-				dataviewer.RooflineSVG(r.Roofline, experiments.Figure6Points(r),
-					dataviewer.ChartOptions{Title: "Figure 5: " + key + " layer-wise roofline (A100)"}))
-		}
+		writeFigure5(*outdir, reports)
 		ran++
 	}
 	if all || want["table5"] {
@@ -202,6 +199,21 @@ func main() {
 		os.Exit(2)
 	}
 	writeGallery(*outdir)
+}
+
+// writeFigure5 writes one layer-wise roofline chart per Figure 5
+// model, in experiments.Figure5Models order, as FormatFigure5 lists
+// them.
+func writeFigure5(dir string, reports map[string]*core.Report) {
+	for _, m := range experiments.Figure5Models {
+		r := reports[m.Key]
+		if r == nil {
+			continue
+		}
+		writeSVG(dir, "figure5_"+m.Key+".svg",
+			dataviewer.RooflineSVG(r.Roofline, experiments.Figure6Points(r),
+				dataviewer.ChartOptions{Title: "Figure 5: " + m.Key + " layer-wise roofline (A100)"}))
+	}
 }
 
 // writtenCharts accumulates chart files for the gallery index.

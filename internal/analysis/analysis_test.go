@@ -328,6 +328,39 @@ func TestSetFusedOpAndLayers(t *testing.T) {
 	}
 }
 
+// TestSetFusedOpNodeOrder: a node list given in topological order
+// becomes the fused operator's list as is, capped; a list out of that
+// order, or one that repeats a node, is refused and fuses nothing.
+func TestSetFusedOpNodeOrder(t *testing.T) {
+	r, err := NewRep(fourOpChain(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes, err := NewOptimizedRep(r).GetSubgraphOpsByIO([]string{"x"}, []string{"t2"})
+	if err != nil || len(nodes) != 2 {
+		t.Fatalf("GetSubgraphOpsByIO = %v, %v", nodes, err)
+	}
+	f, err := NewOptimizedRep(r).SetFusedOp("sorted", nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &f.Nodes[0] != &nodes[0] || cap(f.Nodes) != len(nodes) {
+		t.Error("a list in topological order was copied, or kept uncapped")
+	}
+	for _, bad := range [][]*graph.Node{
+		{nodes[1], nodes[0]},
+		{nodes[0], nodes[0]},
+	} {
+		o := NewOptimizedRep(r)
+		if _, err := o.SetFusedOp("bad", bad); err == nil {
+			t.Errorf("SetFusedOp(%v) succeeded; want an order error", bad)
+		}
+		if _, err := o.SetFusedOp("after", nodes); err != nil {
+			t.Errorf("a refused list left nodes fused: %v", err)
+		}
+	}
+}
+
 func TestFusedCostElidesIntermediates(t *testing.T) {
 	r, err := NewRep(fourOpChain(t))
 	if err != nil {
@@ -395,9 +428,9 @@ func TestLayerHelpers(t *testing.T) {
 	nodes, _ := o.GetSubgraphOpsByIO([]string{"x"}, []string{"t2"})
 	f, _ := o.SetFusedOp("f", nodes)
 	l := &Layer{Fused: f}
-	types := l.OpTypes()
+	types := l.AppendOpTypes(nil)
 	if len(types) != 2 {
-		t.Errorf("OpTypes = %v", types)
+		t.Errorf("AppendOpTypes = %v", types)
 	}
 	if len(l.OriginalNodes()) != 2 {
 		t.Error("OriginalNodes")

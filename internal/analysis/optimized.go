@@ -46,19 +46,19 @@ func (l *Layer) Name() string {
 	return l.Node.Name
 }
 
-// OpTypes returns the distinct original operator types in the layer,
-// in node order.
-func (l *Layer) OpTypes() []string {
+// AppendOpTypes appends the distinct original operator types in the
+// layer, in node order, to dst and returns the extended slice.
+func (l *Layer) AppendOpTypes(dst []string) []string {
 	if l.Fused == nil {
-		return []string{l.Node.OpType}
+		return append(dst, l.Node.OpType)
 	}
-	var out []string
+	start := len(dst)
 	for _, n := range l.Fused.Nodes {
-		if !slices.Contains(out, n.OpType) {
-			out = append(out, n.OpType)
+		if !slices.Contains(dst[start:], n.OpType) {
+			dst = append(dst, n.OpType)
 		}
 	}
-	return out
+	return dst
 }
 
 // OriginalNodes returns the original model nodes this layer maps to —
@@ -240,39 +240,48 @@ func popPos(h []int) (int, []int) {
 
 // SetFusedOp fuses the given original nodes into a single fused operator
 // named name (Figure 2's set_fused_op interface). Each node may belong
-// to at most one fused operator. The fused subgraph's boundary inputs
-// and outputs are derived automatically, in the order the nodes are
-// given.
+// to at most one fused operator. The nodes must be given in topological
+// order, as every runtime's mapping and the fusion pass give them; the
+// list becomes the fused operator's node list as it is, so the caller
+// must not modify it afterwards. The fused subgraph's boundary inputs
+// and outputs are derived automatically, in node order.
 func (o *OptimizedRep) SetFusedOp(name string, nodes []*graph.Node) (*FusedOp, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("analysis: SetFusedOp(%q) with no nodes", name)
 	}
+	g := o.Base.Graph
+	last := -1
 	for _, n := range nodes {
-		i := o.Base.Graph.Pos(n)
+		i := g.Pos(n)
 		if i < 0 {
 			return nil, fmt.Errorf("analysis: SetFusedOp(%q): node %q is not in the graph", name, n.Name)
 		}
 		if prev := o.fused[i]; prev != nil {
 			return nil, fmt.Errorf("analysis: node %q already fused into %q", n.Name, prev.Name)
 		}
+		if i <= last {
+			return nil, fmt.Errorf("analysis: SetFusedOp(%q): node %q is repeated or out of topological order", name, n.Name)
+		}
+		last = i
 	}
-	ordered := append([]*graph.Node(nil), nodes...)
-	o.Base.SortTopo(ordered)
-	f := &FusedOp{Name: name, Nodes: ordered}
-	g := o.Base.Graph
+	f := &FusedOp{Name: name, Nodes: nodes[:len(nodes):len(nodes)]}
 	// From here on the ownership table tells the subgraph apart: a node
 	// is inside exactly when f owns it.
-	for _, n := range ordered {
+	for _, n := range nodes {
 		o.fused[g.Pos(n)] = f
 	}
+	// The boundary lists are collected on the stack, then share one
+	// allocation of exactly their size.
+	var inBuf, outBuf [16]string
+	ins, outs := inBuf[:0], outBuf[:0]
 	for _, n := range nodes {
 		for i, in := range n.Inputs {
 			t := g.In(n, i)
 			if t != nil && t.Param {
 				continue
 			}
-			if !o.owns(f, g.InProducer(n, i)) && !slices.Contains(f.Inputs, in) {
-				f.Inputs = append(f.Inputs, in)
+			if !o.owns(f, g.InProducer(n, i)) && !slices.Contains(ins, in) {
+				ins = append(ins, in)
 				f.readBytes += f.boundaryBytes(in, t)
 			}
 		}
@@ -280,11 +289,13 @@ func (o *OptimizedRep) SetFusedOp(name string, nodes []*graph.Node) (*FusedOp, e
 	for _, n := range nodes {
 		for i, out := range n.Outputs {
 			if o.escapes(f, n, i) {
-				f.Outputs = append(f.Outputs, out)
+				outs = append(outs, out)
 				f.writeBytes += f.boundaryBytes(out, g.Out(n, i))
 			}
 		}
 	}
+	io := append(append(make([]string, 0, len(ins)+len(outs)), ins...), outs...)
+	f.Inputs, f.Outputs = io[:len(ins):len(ins)], io[len(ins):]
 	o.fusedOps = append(o.fusedOps, f)
 	return f, nil
 }

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"slices"
 
 	"proof/internal/graph"
 )
@@ -127,25 +126,6 @@ func (r *Rep) TotalCost() Cost {
 // Nodes returns the nodes in topological order; a node's index in it is
 // Graph.Pos.
 func (r *Rep) Nodes() []*graph.Node { return r.order }
-
-// SortTopo sorts nodes of the graph into topological order in place,
-// looking each node's position up once. A node outside the graph sorts
-// first.
-func (r *Rep) SortTopo(nodes []*graph.Node) {
-	type ranked struct {
-		pos  int
-		node *graph.Node
-	}
-	var stack [32]ranked
-	rs := stack[:0]
-	for _, n := range nodes {
-		rs = append(rs, ranked{r.Graph.Pos(n), n})
-	}
-	slices.SortFunc(rs, func(a, b ranked) int { return a.pos - b.pos })
-	for i, x := range rs {
-		nodes[i] = x.node
-	}
-}
 
 // NodeCount returns the number of operators in the model (Table 3's
 // "ONNX Nodes" column).

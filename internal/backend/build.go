@@ -75,7 +75,7 @@ func BuildEngine(ctx context.Context, spec BuildSpec, rep *analysis.Rep, cfg Con
 			truths[i] = &analysis.Layer{Node: gr.Nodes[0]}
 			continue
 		}
-		f, err := internalOpt.SetFusedOp(fmt.Sprintf("%s_group_%d", spec.BackendName, i), gr.Nodes)
+		f, err := internalOpt.SetFusedOp(spec.BackendName+"_group_"+strconv.Itoa(i), gr.Nodes)
 		if err != nil {
 			err = fmt.Errorf("backend %s: fusing group %d: %w", spec.BackendName, i, err)
 			fsp.EndErr(err)

@@ -10,7 +10,7 @@ package ortsim
 
 import (
 	"context"
-	"fmt"
+	"strconv"
 	"strings"
 
 	"proof/internal/analysis"
@@ -56,12 +56,12 @@ func ortInfo(idx int, gr *backend.Group, truth *analysis.Layer, alias map[string
 	} else if len(gr.Nodes) > 0 {
 		kind = strings.ToLower(gr.Nodes[0].OpType)
 	}
-	name := fmt.Sprintf("%s_%d", kind, idx)
+	prefix := ""
 	if len(gr.Nodes) > 1 {
-		name = fmt.Sprintf("fused_%s_%d", kind, idx)
+		prefix = "fused_"
 	}
 	return backend.Layer{
-		Name:          name,
+		Name:          prefix + kind + "_" + strconv.Itoa(idx),
 		InputTensors:  ins,
 		OutputTensors: outs,
 	}
@@ -104,7 +104,7 @@ func ortReorders(rep *analysis.Rep, groups []*backend.Group) []backend.ReformatS
 			BeforeGroup: i,
 			Tensor:      t,
 			Alias:       t + "_r",
-			Name:        fmt.Sprintf("reorder_%d", idx),
+			Name:        "reorder_" + strconv.Itoa(idx),
 		})
 	}
 	return specs

@@ -9,6 +9,7 @@ package ovsim
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"proof/internal/analysis"
 	"proof/internal/backend"
@@ -71,7 +72,7 @@ func ovReformats(rep *analysis.Rep, groups []*backend.Group) []backend.ReformatS
 			BeforeGroup: 0,
 			Tensor:      in,
 			Alias:       in + "_cvt",
-			Name:        fmt.Sprintf("Convert_%d", i),
+			Name:        "Convert_" + strconv.Itoa(i),
 		})
 	}
 	return specs

@@ -13,6 +13,7 @@ package trtsim
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"proof/internal/analysis"
@@ -59,7 +60,7 @@ func trtInfo(idx int, gr *backend.Group, truth *analysis.Layer, alias map[string
 	ins, outs := backend.BoundaryIO(truth, alias)
 	if gr.Kind == backend.KindMyelin {
 		return backend.Layer{
-			Name:          fmt.Sprintf("{ForeignNode[myelin_region_%d]}", idx),
+			Name:          "{ForeignNode[myelin_region_" + strconv.Itoa(idx) + "]}",
 			Opaque:        true,
 			InputTensors:  ins,
 			OutputTensors: outs,
@@ -83,7 +84,7 @@ func trtReformats(rep *analysis.Rep, groups []*backend.Group) []backend.Reformat
 			BeforeGroup: 0,
 			Tensor:      in,
 			Alias:       in + "_rf",
-			Name:        fmt.Sprintf("Reformat_input_%d", i),
+			Name:        "Reformat_input_" + strconv.Itoa(i),
 		})
 	}
 	for i, out := range rep.Graph.Outputs {
@@ -91,7 +92,7 @@ func trtReformats(rep *analysis.Rep, groups []*backend.Group) []backend.Reformat
 			BeforeGroup: len(groups),
 			Tensor:      out,
 			Alias:       out + "_rf",
-			Name:        fmt.Sprintf("Reformat_output_%d", i),
+			Name:        "Reformat_output_" + strconv.Itoa(i),
 		})
 	}
 	return specs

@@ -233,7 +233,7 @@ func profilePipeline(ctx context.Context, opts Options, pipe *obs.Span) (*Report
 			_, asp := obs.Start(ctx, "analysis")
 			defer asp.End()
 			rl := roofline.NewModel(plat, plan.EffectiveDType, r.Clocks)
-			return assemble(plan, rl, r.Mode, plat, r.Clocks), nil
+			return assemble(plan.Clone(), rl, r.Mode, plat, r.Clocks), nil
 		}
 	}
 
@@ -345,8 +345,8 @@ func profilePipeline(ctx context.Context, opts Options, pipe *obs.Span) (*Report
 	report := assemble(plan, rl, r.Mode, plat, r.Clocks)
 	report.ProfilingOverhead = overhead
 	if store != nil {
-		// The store takes ownership of plan.
-		store.PutPlan(r.Key, plan)
+		// The report owns plan's lists, so the store keeps a copy.
+		store.PutPlan(r.Key, plan.Clone())
 		pipe.SetAttr("memo", "record")
 	}
 	return report, nil

@@ -72,8 +72,21 @@ func (s *layerSource) unit(i int, bl backend.Layer) (memo.Unit, error) {
 
 // resolveUnits is the tail's first step. It fills plan.Layers with
 // each backend layer's identity and profiled unit, in execution order.
+// Every layer's original-node names and op types go into one []string
+// and every kernel into one array, both sized before they are filled;
+// each layer holds a capped sub-slice of them.
 func resolveUnits(src *layerSource, plan *memo.Plan) error {
 	layers := src.eng.Layers()
+	var nNames, nKernels int
+	var opTypes [16]string
+	for i, bl := range layers {
+		if layer := src.mapping[i]; layer != nil {
+			nNames += len(layer.OriginalNodes()) + len(layer.AppendOpTypes(opTypes[:0]))
+		}
+		nKernels += len(bl.Kernels)
+	}
+	names := make([]string, 0, nNames)
+	kernels := make([]memo.PlanKernel, 0, nKernels)
 	plan.Layers = make([]memo.PlanLayer, len(layers))
 	for i, bl := range layers {
 		layer := src.mapping[i]
@@ -85,18 +98,21 @@ func resolveUnits(src *layerSource, plan *memo.Plan) error {
 		pl := &plan.Layers[i]
 		pl.Name, pl.IsReformat = bl.Name, bl.IsReformat
 		if layer != nil {
-			nodes := layer.OriginalNodes()
-			pl.OriginalNodes = make([]string, len(nodes))
-			for j, n := range nodes {
-				pl.OriginalNodes[j] = n.Name
+			start := len(names)
+			for _, n := range layer.OriginalNodes() {
+				names = append(names, n.Name)
 			}
-			pl.OpTypes = layer.OpTypes()
+			pl.OriginalNodes = names[start:len(names):len(names)]
+			start = len(names)
+			names = layer.AppendOpTypes(names)
+			pl.OpTypes = names[start:len(names):len(names)]
 		}
 		if len(bl.Kernels) > 0 {
-			pl.Kernels = make([]memo.PlanKernel, len(bl.Kernels))
-			for j, k := range bl.Kernels {
-				pl.Kernels[j] = memo.PlanKernel{Name: k.Name, Share: k.ShareOfLayer}
+			start := len(kernels)
+			for _, k := range bl.Kernels {
+				kernels = append(kernels, memo.PlanKernel{Name: k.Name, Share: k.ShareOfLayer})
 			}
+			pl.Kernels = kernels[start:len(kernels):len(kernels)]
 		}
 		var err error
 		if pl.Unit, err = src.unit(i, bl); err != nil {
@@ -109,8 +125,10 @@ func resolveUnits(src *layerSource, plan *memo.Plan) error {
 // assemble is the tail's second step and the only place a Report's
 // layers are built: per-layer roofline points and kernel latencies,
 // latency shares, the end-to-end point, throughput, aggregate
-// utilization and the power estimate. The report copies every slice it
-// takes from the plan, which a memo store may share across runs.
+// utilization and the power estimate. It owns plan: the report takes
+// over the plan's name lists instead of copying them, so a plan a memo
+// store keeps is assembled only through a Clone. Every layer's kernels
+// go into one array, each layer holding a capped sub-slice.
 func assemble(plan *memo.Plan, rl roofline.Model, mode Mode, plat *hardware.Platform, clocks hardware.Clocks) *Report {
 	report := &Report{
 		Model:     plan.Model,
@@ -126,6 +144,11 @@ func assemble(plan *memo.Plan, rl roofline.Model, mode Mode, plat *hardware.Plat
 	}
 	lw := &roofline.LayerWise{Model: rl, Points: make([]roofline.Point, len(plan.Layers))}
 	timings := make([]sim.Timing, len(plan.Layers))
+	var nKernels int
+	for i := range plan.Layers {
+		nKernels += len(plan.Layers[i].Kernels)
+	}
+	kernels := make([]KernelReport, nKernels)
 	var total time.Duration
 	for i := range plan.Layers {
 		pl := &plan.Layers[i]
@@ -133,15 +156,15 @@ func assemble(plan *memo.Plan, rl roofline.Model, mode Mode, plat *hardware.Plat
 		lr := LayerReport{
 			Name:           pl.Name,
 			IsReformat:     pl.IsReformat,
-			OriginalNodes:  cloneStrings(pl.OriginalNodes),
-			OpTypes:        cloneStrings(pl.OpTypes),
+			OriginalNodes:  pl.OriginalNodes,
+			OpTypes:        pl.OpTypes,
 			Category:       unit.Category,
 			ExecutionBound: unit.ExecutionBound,
 		}
 		lw.Points[i] = roofline.NewPoint(pl.Name, unit.FLOP, unit.Bytes, unit.Latency, rl)
 		lw.Points[i].Category = unit.Category
-		if len(pl.Kernels) > 0 {
-			lr.Kernels = make([]KernelReport, len(pl.Kernels))
+		if n := len(pl.Kernels); n > 0 {
+			lr.Kernels, kernels = kernels[:n:n], kernels[n:]
 			for j, k := range pl.Kernels {
 				lr.Kernels[j] = KernelReport{
 					Name:    k.Name,
@@ -195,11 +218,4 @@ func assemble(plan *memo.Plan, rl roofline.Model, mode Mode, plat *hardware.Plat
 		}
 	}
 	return report
-}
-
-func cloneStrings(s []string) []string {
-	if s == nil {
-		return nil
-	}
-	return append([]string(nil), s...)
 }

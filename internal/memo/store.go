@@ -1,6 +1,7 @@
 package memo
 
 import (
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -52,8 +53,10 @@ type PlanLayer struct {
 // Plan is one whole profiling point: the resolved configuration echo
 // plus the ordered layers with their units. Every report is assembled
 // from a plan; a cached plan lets a repeated point skip model build,
-// backend build, profiling and layer mapping entirely. Plans are
-// immutable after PutPlan — assembly copies every slice it exposes.
+// backend build, profiling and layer mapping entirely. A report takes
+// over the lists of the plan it is assembled from, so a stored plan is
+// never assembled itself: the pipeline stores one Clone and assembles
+// from another. Plans are immutable after PutPlan.
 type Plan struct {
 	Model    string
 	Platform string
@@ -67,6 +70,19 @@ type Plan struct {
 	NodeCount      int
 	ParamsM        float64
 	Layers         []PlanLayer
+}
+
+// Clone returns a deep copy of p that shares no slice with it.
+func (p *Plan) Clone() *Plan {
+	c := *p
+	c.Layers = slices.Clone(p.Layers)
+	for i := range c.Layers {
+		l := &c.Layers[i]
+		l.OriginalNodes = slices.Clone(l.OriginalNodes)
+		l.OpTypes = slices.Clone(l.OpTypes)
+		l.Kernels = slices.Clone(l.Kernels)
+	}
+	return &c
 }
 
 // StoreConfig bounds a Store.

@@ -148,7 +148,7 @@ type Session struct {
 	memo     *memo.Store // nil when memoization is disabled
 
 	// reports is the one report store. Reports are immutable once
-	// stored and cloned on the way out.
+	// stored: ProfileOutcome shares them and ProfileCtx copies them.
 	reports *cache.LRU[string, *core.Report]
 
 	retries, retriesExhausted atomic.Int64
@@ -200,16 +200,18 @@ func NewWithConfig(cfg Config) *Session {
 // content fingerprint stay unchanged.
 func (s *Session) ProfileCtx(ctx context.Context, opts core.Options) (*core.Report, error) {
 	rep, _, err := s.ProfileOutcome(ctx, opts)
-	return rep, err
+	return cloneReport(rep), err
 }
 
-// ProfileOutcome is ProfileCtx reporting additionally how the request
-// was served: from cache (OutcomeHit), by executing the pipeline
-// (OutcomeMiss), or by sharing an identical in-flight execution
-// (OutcomeDedup). On error the outcome still describes the path taken
-// (a failed execution reports OutcomeMiss). A request core.Resolve
-// refuses fails before the cache: it reports no outcome (""), counts
-// no miss and moves no circuit.
+// ProfileOutcome is ProfileCtx without the copy, reporting additionally
+// how the request was served: from cache (OutcomeHit), by executing the
+// pipeline (OutcomeMiss), or by sharing an identical in-flight
+// execution (OutcomeDedup). The returned report is the stored one,
+// shared with every other caller of its key: it is read-only, and a
+// caller that may write it calls ProfileCtx instead. On error the
+// outcome still describes the path taken (a failed execution reports
+// OutcomeMiss). A request core.Resolve refuses fails before the cache:
+// it reports no outcome (""), counts no miss and moves no circuit.
 func (s *Session) ProfileOutcome(ctx context.Context, opts core.Options) (*core.Report, Outcome, error) {
 	ctx, sp := obs.Start(ctx, "session")
 	sp.SetAttr("model", opts.Model)
@@ -242,7 +244,7 @@ func (s *Session) profileOutcome(ctx context.Context, opts core.Options) (*core.
 		// belongs to the caller.
 		return nil, Outcome(out), err
 	}
-	return cloneReport(rep), Outcome(out), nil
+	return rep, Outcome(out), nil
 }
 
 // lead runs one report-store miss: only a would-be leader consults

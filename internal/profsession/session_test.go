@@ -10,16 +10,33 @@ import (
 	"time"
 
 	"proof/internal/core"
+	"proof/internal/core/coretest"
 	"proof/internal/graph"
 	"proof/internal/hardware"
 	"proof/internal/memo"
 	"proof/internal/models"
+	"proof/internal/roofline"
 )
 
 var baseOpts = core.Options{Model: "mobilenetv2-0.5", Platform: "a100", Batch: 8, Seed: 1}
 
+// hitAllocBudget caps the objects one report-store hit allocates: its
+// resolved key, not a copy of the report.
+const hitAllocBudget = 4
+
+// withBWLine profiles through the pipeline and adds one extra roofline
+// ceiling, so every slice a report holds is non-empty.
+func withBWLine(ctx context.Context, opts core.Options) (*core.Report, error) {
+	rep, err := core.ProfileCtx(ctx, opts)
+	if err != nil {
+		return nil, err
+	}
+	rep.Roofline.ExtraBWLines = []roofline.BWLine{{Label: "EMC 2133 MHz", BW: 68e9}}
+	return rep, nil
+}
+
 func TestCacheHitDeepEqual(t *testing.T) {
-	s := New(0)
+	s := NewWithProfiler(0, withBWLine)
 	r1, err := s.ProfileCtx(context.Background(), baseOpts)
 	if err != nil {
 		t.Fatal(err)
@@ -38,15 +55,61 @@ func TestCacheHitDeepEqual(t *testing.T) {
 	if st.Hits != 1 || st.Misses != 1 || st.Size != 1 {
 		t.Fatalf("stats = %+v, want 1 hit / 1 miss / size 1", st)
 	}
-	// Mutating a returned report must not corrupt the cache.
-	r2.Layers[0].Name = "corrupted"
-	r2.Layers[0].OriginalNodes = append(r2.Layers[0].OriginalNodes, "junk")
+	want, err := r1.AppendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Mutating every slice of a returned copy must not corrupt the
+	// stored report, which ProfileOutcome shares.
+	coretest.WriteEverySlice(r2)
 	r3, err := s.ProfileCtx(context.Background(), baseOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(r1, r3) {
 		t.Fatal("mutating a cache-hit result leaked into the cache")
+	}
+	shared, out, err := s.ProfileOutcome(context.Background(), baseOpts)
+	if err != nil || out != OutcomeHit {
+		t.Fatalf("ProfileOutcome = %v, %v", out, err)
+	}
+	if got, err := shared.AppendJSON(nil); err != nil || string(got) != string(want) {
+		t.Fatalf("after a caller wrote its copy, the stored report encodes differently (err %v)", err)
+	}
+}
+
+// TestProfileOutcomeSharesStoredReport: ProfileOutcome serves the
+// stored report itself. Two hits on one key return one pointer, and a
+// hit allocates a small constant (resolving the key) rather than a copy
+// of the report, which costs hundreds of allocations.
+func TestProfileOutcomeSharesStoredReport(t *testing.T) {
+	s := New(0)
+	ctx := context.Background()
+	if _, out, err := s.ProfileOutcome(ctx, baseOpts); err != nil || out != OutcomeMiss {
+		t.Fatalf("first ProfileOutcome = %v, %v", out, err)
+	}
+	r1, _, err := s.ProfileOutcome(ctx, baseOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, out, err := s.ProfileOutcome(ctx, baseOpts)
+	if err != nil || out != OutcomeHit {
+		t.Fatalf("ProfileOutcome = %v, %v", out, err)
+	}
+	if r1 != r2 {
+		t.Fatal("two hits on one key returned different reports; want the stored one")
+	}
+	if c, err := s.ProfileCtx(ctx, baseOpts); err != nil || c == r1 {
+		t.Fatalf("ProfileCtx returned the stored report (err %v); want a copy", err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, _, err := s.ProfileOutcome(ctx, baseOpts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocs per hit, %d layers", allocs, len(r1.Layers))
+	if allocs > hitAllocBudget {
+		t.Errorf("a hit allocates %.0f objects, budget %d", allocs, hitAllocBudget)
 	}
 }
 
