@@ -53,11 +53,14 @@ func BenchmarkTable3Models(b *testing.B) {
 
 // BenchmarkTable4PredictionAccuracy runs the analytical-vs-counters
 // comparison (A100, fp16). Reports the ResNet-50 FLOP diff (paper:
-// -2.03%) as a metric.
+// -2.03%) as a metric. Each iteration empties the experiments session
+// first, so it times Table 4's ten pipeline runs (five models, two
+// modes each), not session hits.
 func BenchmarkTable4PredictionAccuracy(b *testing.B) {
 	var rows []experiments.Table4Row
 	var err error
 	for i := 0; i < b.N; i++ {
+		experiments.ResetSession()
 		rows, err = experiments.Table4WithBatchCtx(context.Background(), 16)
 		if err != nil {
 			b.Fatal(err)

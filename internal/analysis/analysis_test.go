@@ -441,12 +441,6 @@ func TestLayerHelpers(t *testing.T) {
 	if _, err := o.SetFusedOp("again", nodes[:1]); err == nil {
 		t.Error("a node f owns must not fuse again")
 	}
-	if o.FindNodeByOutput("t3").Name != "c2" {
-		t.Error("FindNodeByOutput")
-	}
-	if len(o.FusedOps()) != 1 {
-		t.Error("FusedOps")
-	}
 }
 
 // TestPerRunLookupsZeroAlloc: the lookups every cold profile repeats

@@ -81,8 +81,6 @@ type OptimizedRep struct {
 	// node's topological position (graph.Graph.Pos); nil for a node no
 	// fused operator owns.
 	fused []*FusedOp
-	// fusedOps lists the fused operators in creation order.
-	fusedOps []*FusedOp
 	// aliases maps backend tensor names (e.g. "t2_r" created by a
 	// reorder layer) to original tensor names.
 	aliases map[string]string
@@ -296,7 +294,6 @@ func (o *OptimizedRep) SetFusedOp(name string, nodes []*graph.Node) (*FusedOp, e
 	}
 	io := append(append(make([]string, 0, len(ins)+len(outs)), ins...), outs...)
 	f.Inputs, f.Outputs = io[:len(ins):len(ins)], io[len(ins):]
-	o.fusedOps = append(o.fusedOps, f)
 	return f, nil
 }
 
@@ -402,12 +399,3 @@ func (o *OptimizedRep) NaiveFusedCost(f *FusedOp) (Cost, error) {
 	}
 	return c, nil
 }
-
-// FindNodeByOutput returns the original node producing the (alias
-// resolved) tensor, or nil.
-func (o *OptimizedRep) FindNodeByOutput(tensor string) *graph.Node {
-	return o.Base.Graph.Producer(o.ResolveTensor(tensor))
-}
-
-// FusedOps returns all fused operators in creation order.
-func (o *OptimizedRep) FusedOps() []*FusedOp { return o.fusedOps }

@@ -145,9 +145,6 @@ type Engine struct {
 	// rep is the engine's internal analysis of the (re-typed,
 	// re-batched) model.
 	rep *analysis.Rep
-	// internalOpt is the runtime's own fused structure — the ground
-	// truth that layer mapping must reconstruct from public info.
-	internalOpt *analysis.OptimizedRep
 	// layers is the public layer info in execution order. truths and
 	// works run parallel to it: each layer's optimized-representation
 	// layer (nil for reformats), hidden from the mapping code, and its

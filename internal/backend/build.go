@@ -103,7 +103,6 @@ func BuildEngine(ctx context.Context, spec BuildSpec, rep *analysis.Rep, cfg Con
 		backendName: spec.BackendName,
 		cfg:         cfg,
 		rep:         rep,
-		internalOpt: internalOpt,
 		layers:      make([]Layer, 0, n),
 		truths:      make([]*analysis.Layer, 0, n),
 		works:       make([]sim.Work, 0, n),

@@ -6,13 +6,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-
-	"proof/internal/analysis"
-	"proof/internal/backend"
-	"proof/internal/graph"
-	"proof/internal/hardware"
-	"proof/internal/models"
-	"proof/internal/ncusim"
 )
 
 // PerLayerAccuracy extends Table 4 below the model level: the
@@ -34,55 +27,24 @@ type PerLayerAccuracy struct {
 }
 
 // PerLayerTable4Ctx measures per-layer accuracy for the Table 4
-// models; ctx cancels the per-model backend builds between models.
+// models from the same session reports as Table 4: layer i of the
+// predicted report against layer i of the measured one.
 func PerLayerTable4Ctx(ctx context.Context, batch int) ([]PerLayerAccuracy, error) {
-	plat, err := hardware.Get("a100")
-	if err != nil {
-		return nil, err
-	}
-	be, err := backend.Get(plat.Runtime)
-	if err != nil {
-		return nil, err
-	}
 	var out []PerLayerAccuracy
 	for _, m := range table4Models {
-		g, err := buildModel(m.key)
+		pred, meas, err := table4Reports(ctx, m.key, batch)
 		if err != nil {
 			return nil, err
 		}
-		g.ConvertFloatTensors(graph.Float16)
-		rep, err := analysis.NewRepWithBatch(g, batch)
-		if err != nil {
-			return nil, err
-		}
-		eng, err := be.Build(ctx, rep, backend.Config{Platform: plat, DType: graph.Float16, Batch: batch})
-		if err != nil {
-			return nil, err
-		}
-		opt := analysis.NewOptimizedRep(rep)
-		mapping, err := be.MapLayers(ctx, eng, opt)
-		if err != nil {
-			return nil, err
-		}
-		meas, err := ncusim.Measure(eng, 1)
-		if err != nil {
-			return nil, err
-		}
-		// The mapping and the measurements both run one entry per engine
-		// layer in execution order; layer names need not be unique.
 		var memErrs, flopErrs []float64
-		for i, layer := range mapping {
-			lm := meas.Layers[i]
-			if layer == nil || lm.Bytes == 0 {
+		for i, l := range pred.Layers {
+			p, q := l.Point, meas.Layers[i].Point
+			if l.IsReformat || q.Bytes == 0 {
 				continue
 			}
-			c, err := opt.LayerCost(layer)
-			if err != nil {
-				return nil, err
-			}
-			memErrs = append(memErrs, math.Abs(float64(c.MemoryBytes())/float64(lm.Bytes)-1))
-			if c.FLOP > 0 && lm.CorrectedFLOP > 0 {
-				flopErrs = append(flopErrs, math.Abs(float64(c.FLOP)/float64(lm.CorrectedFLOP)-1))
+			memErrs = append(memErrs, math.Abs(float64(p.Bytes)/float64(q.Bytes)-1))
+			if p.FLOP > 0 && q.FLOP > 0 {
+				flopErrs = append(flopErrs, math.Abs(float64(p.FLOP)/float64(q.FLOP)-1))
 			}
 		}
 		acc := PerLayerAccuracy{Model: m.key, Layers: len(memErrs)}
@@ -94,11 +56,6 @@ func PerLayerTable4Ctx(ctx context.Context, batch int) ([]PerLayerAccuracy, erro
 		out = append(out, acc)
 	}
 	return out, nil
-}
-
-// buildModel builds a zoo model (indirection kept for tests).
-func buildModel(key string) (*graph.Graph, error) {
-	return models.Build(key)
 }
 
 func quantile(vals []float64, q float64) float64 {

@@ -12,12 +12,10 @@ import (
 	"time"
 
 	"proof/internal/analysis"
-	"proof/internal/backend"
 	"proof/internal/core"
 	"proof/internal/graph"
 	"proof/internal/hardware"
 	"proof/internal/models"
-	"proof/internal/ncusim"
 	"proof/internal/profsession"
 )
 
@@ -151,66 +149,56 @@ var table4Models = []struct {
 	{"vit-t", +0.0979, +0.0608},
 }
 
+// table4Reports profiles one Table 4 model through the shared session
+// in both metric modes (A100, fp16, seed 1) and returns the predicted
+// and the measured report. Both modes build the same engine, so layer i
+// of one report is layer i of the other.
+func table4Reports(ctx context.Context, model string, batch int) (pred, meas *core.Report, err error) {
+	opts := core.Options{DType: graph.Float16, Seed: 1, Mode: core.ModePredicted}
+	if pred, err = profileFor(ctx, model, "a100", batch, opts); err != nil {
+		return nil, nil, err
+	}
+	opts.Mode = core.ModeMeasured
+	if meas, err = profileFor(ctx, model, "a100", batch, opts); err != nil {
+		return nil, nil, err
+	}
+	if len(pred.Layers) != len(meas.Layers) {
+		return nil, nil, fmt.Errorf("table4: %s: predicted report has %d layers, measured %d",
+			model, len(pred.Layers), len(meas.Layers))
+	}
+	return pred, meas, nil
+}
+
 // Table4WithBatchCtx reproduces the prediction-accuracy experiment:
-// A100, fp16, analytical model vs simulated NCU. The paper uses batch
+// PRoof's predicted mode (the analytical model) against its measured
+// mode (simulated NCU counters) on A100 in fp16. The paper uses batch
 // 128; smaller batches keep the test suite fast, and the ratios are
-// batch-independent. ctx cancels the per-model backend builds between
-// models.
+// batch-independent.
 func Table4WithBatchCtx(ctx context.Context, batch int) ([]Table4Row, error) {
-	plat, err := hardware.Get("a100")
-	if err != nil {
-		return nil, err
-	}
-	be, err := backend.Get(plat.Runtime)
-	if err != nil {
-		return nil, err
-	}
 	var rows []Table4Row
 	for _, m := range table4Models {
-		g, err := models.Build(m.key)
+		pred, meas, err := table4Reports(ctx, m.key, batch)
 		if err != nil {
 			return nil, err
 		}
-		g.ConvertFloatTensors(graph.Float16)
-		rep, err := analysis.NewRepWithBatch(g, batch)
-		if err != nil {
-			return nil, err
-		}
-		eng, err := be.Build(ctx, rep, backend.Config{Platform: plat, DType: graph.Float16, Batch: batch})
-		if err != nil {
-			return nil, err
-		}
-		// Analytical prediction at backend-layer granularity: sum of
-		// fused-layer costs via the mapping.
-		opt := analysis.NewOptimizedRep(rep)
-		mapping, err := be.MapLayers(ctx, eng, opt)
-		if err != nil {
-			return nil, err
-		}
-		var pred analysis.Cost
-		for _, layer := range mapping {
-			if layer == nil {
-				continue
+		// The analytical prediction covers the mapped layers; reformats
+		// have no counterpart in the model.
+		var predFLOP, predBytes int64
+		for _, l := range pred.Layers {
+			if !l.IsReformat {
+				predFLOP += l.Point.FLOP
+				predBytes += l.Point.Bytes
 			}
-			c, err := opt.LayerCost(layer)
-			if err != nil {
-				return nil, err
-			}
-			pred = pred.Add(c)
-		}
-		meas, err := ncusim.Measure(eng, 1)
-		if err != nil {
-			return nil, err
 		}
 		row := Table4Row{
 			Model:           m.key,
-			LatencyMS:       float64(meas.InferenceTime) / float64(time.Millisecond),
-			Nodes:           rep.NodeCount(),
-			PredGFLOP:       float64(pred.FLOP) / 1e9,
-			PredMemoryMB:    float64(pred.MemoryBytes()) / 1e6,
-			MeasGFLOP:       float64(meas.CorrectedFLOP) / 1e9,
-			MeasMemoryMB:    float64(meas.Bytes) / 1e6,
-			ProfTimeSec:     meas.ProfilingTime.Seconds(),
+			LatencyMS:       float64(meas.TotalLatency) / float64(time.Millisecond),
+			Nodes:           meas.NodeCount,
+			PredGFLOP:       float64(predFLOP) / 1e9,
+			PredMemoryMB:    float64(predBytes) / 1e6,
+			MeasGFLOP:       float64(meas.EndToEnd.FLOP) / 1e9,
+			MeasMemoryMB:    float64(meas.EndToEnd.Bytes) / 1e6,
+			ProfTimeSec:     meas.ProfilingOverhead.Seconds(),
 			PaperFLOPDiff:   m.paperFLOP,
 			PaperMemoryDiff: m.paperMem,
 		}
@@ -239,10 +227,11 @@ func FormatTable4(rows []Table4Row) string {
 
 // session is the shared profiling session of the experiments package:
 // tables and figures overlap heavily in the (model, platform, batch)
-// points they profile (Figure 5 revisits Figure 4's A100 points, the
-// shufflenet experiments revisit Figure 6's, a full `-run all` touches
-// many points twice), so routing them through one cache makes a full
-// regeneration pay for each unique configuration once.
+// points they profile (Table 4's per-layer extension reads Table 4's
+// reports, Figure 5 revisits Figure 4's A100 points, the shufflenet
+// experiments revisit Figure 6's, a full `-run all` touches many points
+// twice), so routing them through one cache makes a full regeneration
+// pay for each unique configuration once.
 var session = profsession.New(512)
 
 // SessionStats snapshots the shared session's cache counters, for the

@@ -322,17 +322,6 @@ func (g *Graph) ParamCount() int64 {
 	return n
 }
 
-// ParamBytes returns the total parameter size in bytes.
-func (g *Graph) ParamBytes() int64 {
-	var n int64
-	g.eachTensor(func(_ string, t *Tensor) {
-		if t.Param {
-			n += t.Bytes()
-		}
-	})
-	return n
-}
-
 // Clone deep-copies the graph (nodes, tensors, IO lists) into a raw
 // graph; a view's clone carries the view's own tensors.
 func (g *Graph) Clone() *Graph {
@@ -436,18 +425,6 @@ func (h *declHeap) pop() int {
 		i = smallest
 	}
 	return top
-}
-
-// ActivationBytes returns the total bytes of all non-parameter tensors
-// (graph inputs, outputs, and intermediates).
-func (g *Graph) ActivationBytes() int64 {
-	var n int64
-	g.eachTensor(func(_ string, t *Tensor) {
-		if !t.Param {
-			n += t.Bytes()
-		}
-	})
-	return n
 }
 
 // ConvertFloatTensors retargets every floating-point tensor (parameters

@@ -168,12 +168,6 @@ func TestParamAccounting(t *testing.T) {
 	if g.ParamCount() != 100 {
 		t.Errorf("ParamCount = %d", g.ParamCount())
 	}
-	if g.ParamBytes() != 400 {
-		t.Errorf("ParamBytes = %d", g.ParamBytes())
-	}
-	if g.ActivationBytes() != 40 {
-		t.Errorf("ActivationBytes = %d", g.ActivationBytes())
-	}
 }
 
 func TestBroadcast(t *testing.T) {

@@ -374,8 +374,8 @@ func (g *Graph) validate(names []string) ([]*ValidationError, *resolution) {
 	// Unused initializers: params no node consumes and the graph does
 	// not output. (Activations may legitimately dangle — builders and
 	// optimizers leave unconsumed intermediates — but dead weights
-	// inflate ParamBytes and the Eq. 1 memory model.) Slots follow
-	// names, so the defects come in names' order.
+	// inflate the parameter count and the Eq. 1 memory model.) Slots
+	// follow names, so the defects come in names' order.
 	for s, key := range names {
 		if t := r.tensors[s]; t != nil && t.Param && r.cstart[s+1] == 0 && !isOutput[s] {
 			report(ErrUnusedParam, "", key,

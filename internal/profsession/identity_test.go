@@ -69,6 +69,7 @@ func checkIdentity(t *testing.T, model string, plat *hardware.Platform) {
 		func(o *core.Options) { o.IgnoreSupport = true },
 		func(o *core.Options) { o.DType = other },
 		func(o *core.Options) { o.MeasuredRoofline = true },
+		func(o *core.Options) { o.Seed += 1 << 32 },
 	} {
 		o := base
 		vary(&o)

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -172,19 +171,6 @@ func SimulateLayer(w Work, cfg Config) Timing {
 	}
 }
 
-// Simulate runs all layers sequentially (DNN inference runtimes execute
-// the graph serially per stream) and returns per-layer timings plus the
-// end-to-end latency.
-func Simulate(ws []Work, cfg Config) ([]Timing, time.Duration) {
-	timings := make([]Timing, len(ws))
-	var total time.Duration
-	for i, w := range ws {
-		timings[i] = SimulateLayer(w, cfg)
-		total += timings[i].Latency
-	}
-	return timings, total
-}
-
 // Utilization aggregates the GPU-compute and memory utilization of a
 // simulated run — the inputs to the platform power model (§4.6).
 func Utilization(ts []Timing) (utilCompute, utilMem float64) {
@@ -234,7 +220,9 @@ func jitter(name string, seed uint64, scale float64) float64 {
 // escapes to the heap and its Write takes []byte, which costs one
 // allocation per string conversion — on the per-request hot path that
 // is two allocations per simulated layer. The inline fold below is
-// byte-identical to fnv.New64a().Write(name+suffix+seedBytes).
+// byte-identical to fnv.New64a().Write(name+suffix+seedBytes), where
+// seedBytes are the seed's little-endian bytes: four below 2^32, all
+// eight from 2^32 on.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
@@ -256,23 +244,19 @@ func jitter2(name, suffix string, seed uint64, scale float64) float64 {
 	h = (h ^ uint64(byte(seed>>8))) * fnvPrime64
 	h = (h ^ uint64(byte(seed>>16))) * fnvPrime64
 	h = (h ^ uint64(byte(seed>>24))) * fnvPrime64
+	// The upper four bytes are folded only when set: every seed below
+	// 2^32 keeps its four-byte jitter, and a larger seed no longer
+	// jitters like its low half.
+	if seed>>32 != 0 {
+		h = (h ^ uint64(byte(seed>>32))) * fnvPrime64
+		h = (h ^ uint64(byte(seed>>40))) * fnvPrime64
+		h = (h ^ uint64(byte(seed>>48))) * fnvPrime64
+		h = (h ^ uint64(byte(seed>>56))) * fnvPrime64
+	}
 	u := float64(h%1_000_000)/500_000 - 1 // [-1, 1)
 	return u * scale
 }
 
 func secToDur(s float64) time.Duration {
 	return time.Duration(s * float64(time.Second))
-}
-
-// FormatRate renders FLOP/s or B/s values human-readably for reports.
-func FormatRate(v float64, unit string) string {
-	switch {
-	case v >= 1e12:
-		return fmt.Sprintf("%.3f T%s", v/1e12, unit)
-	case v >= 1e9:
-		return fmt.Sprintf("%.3f G%s", v/1e9, unit)
-	case v >= 1e6:
-		return fmt.Sprintf("%.3f M%s", v/1e6, unit)
-	}
-	return fmt.Sprintf("%.3f %s", v, unit)
 }

