@@ -30,8 +30,8 @@ type Config struct {
 	DType graph.DataType
 	// Batch is the inference batch size.
 	Batch int
-	// Clocks optionally overrides the platform clock configuration
-	// (zero = platform defaults).
+	// Clocks is the clock configuration; BuildEngine resolves it with
+	// Platform.ResolveClocks.
 	Clocks hardware.Clocks
 }
 
@@ -214,13 +214,9 @@ func (e *Engine) GroundTruth(i int) *analysis.Layer { return e.truths[i] }
 func (e *Engine) Rep() *analysis.Rep { return e.rep }
 
 func (e *Engine) simConfig(seed uint64) sim.Config {
-	clk := e.cfg.Clocks
-	if clk.GPUMHz == 0 && clk.EMCMHz == 0 && e.cfg.Platform.Clocks != nil {
-		clk = e.cfg.Platform.DefaultClocks()
-	}
 	return sim.Config{
 		Platform: e.cfg.Platform,
-		Clocks:   clk,
+		Clocks:   e.cfg.Clocks,
 		DType:    e.cfg.DType,
 		Seed:     seed,
 	}

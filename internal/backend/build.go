@@ -50,12 +50,14 @@ type BuildSpec struct {
 // BuildEngine runs the shared backend build pipeline: fuse the graph,
 // derive the internal ground-truth optimized representation, insert
 // reformats, compute per-layer simulation workloads and lowered kernels,
-// and assemble the engine. The fusion and assembly phases are recorded
+// and assemble the engine. The engine simulates cfg.Clocks as the
+// platform resolves them. The fusion and assembly phases are recorded
 // as "fuse" and "assemble" spans when ctx carries an obs tracer.
 func BuildEngine(ctx context.Context, spec BuildSpec, rep *analysis.Rep, cfg Config) (*Engine, error) {
 	if cfg.Platform == nil {
 		return nil, fmt.Errorf("backend: config requires a platform")
 	}
+	cfg.Clocks = cfg.Platform.ResolveClocks(cfg.Clocks)
 	if !cfg.DType.Valid() {
 		cfg.DType = cfg.Platform.DefaultDType
 	}

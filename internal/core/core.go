@@ -79,8 +79,10 @@ type Options struct {
 	DType graph.DataType
 	// Mode selects predicted vs measured metrics ("" = predicted).
 	Mode Mode
-	// Clocks overrides the platform clock configuration (CPUClusters 0
-	// = one cluster; the other fields are keyed as given).
+	// Clocks is the clock configuration, read by the platform's clock
+	// rule (hardware.Platform.ResolveClocks: an unset clock is the
+	// domain's maximum on a DVFS platform). A GPU, EMC or CPU clock
+	// above its domain's maximum is an error.
 	Clocks hardware.Clocks
 	// Seed varies the simulated run-to-run jitter.
 	Seed uint64
@@ -233,7 +235,7 @@ func profilePipeline(ctx context.Context, opts Options, pipe *obs.Span) (*Report
 			_, asp := obs.Start(ctx, "analysis")
 			defer asp.End()
 			rl := roofline.NewModel(plat, plan.EffectiveDType, r.Clocks)
-			return assemble(plan.Clone(), rl, r.Mode, plat, r.Clocks), nil
+			return assemble(plan.Clone(), rl, &r), nil
 		}
 	}
 
@@ -330,19 +332,14 @@ func profilePipeline(ctx context.Context, opts Options, pipe *obs.Span) (*Report
 	_, asp := obs.Start(ctx, "analysis")
 	defer asp.End()
 	plan := &memo.Plan{
-		Model:          r.Model,
-		Platform:       plat.Key,
-		Backend:        r.Backend,
-		DType:          dt.String(),
 		EffectiveDType: dt,
-		Batch:          r.Batch,
 		NodeCount:      rep.NodeCount(),
 		ParamsM:        float64(g.ParamCount()) / 1e6,
 	}
 	if err := resolveUnits(src, plan); err != nil {
 		return nil, err
 	}
-	report := assemble(plan, rl, r.Mode, plat, r.Clocks)
+	report := assemble(plan, rl, &r)
 	report.ProfilingOverhead = overhead
 	if store != nil {
 		// The report owns plan's lists, so the store keeps a copy.

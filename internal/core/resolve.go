@@ -14,7 +14,8 @@ import (
 // an API edge maps a refused request to its status without reading the
 // message. ErrUnsupported means the platform does not run the zoo
 // model's family (see Options.IgnoreSupport); ErrInvalidOption is a
-// negative batch or an unknown mode.
+// negative batch, an unknown mode or a clock above the platform's
+// maximum.
 var (
 	ErrUnknownModel    = errors.New("unknown model")
 	ErrUnknownPlatform = errors.New("unknown platform")
@@ -34,8 +35,8 @@ func (e *resolveError) Unwrap() []error { return []error{e.kind, e.cause} }
 type Resolved struct {
 	// Options is the request as it runs: Model is the display name
 	// (Graph.Name when a graph comes without one), and Backend, Batch,
-	// DType, Mode and Clocks.CPUClusters hold the applied defaults, so
-	// resolving Options again gives the same Resolved.
+	// DType, Mode and Clocks hold the applied defaults, so resolving
+	// Options again gives the same Resolved.
 	Options
 	// Plat is the platform Options.Platform names.
 	Plat *hardware.Platform
@@ -93,9 +94,9 @@ func (r Resolved) binding() memo.Binding {
 // model and the platform's support for its family (unless
 // IgnoreSupport, which is not keyed: it changes nothing on a supported
 // pair). It applies batch 0 = DefaultBatch, an invalid dtype =
-// DefaultDType, mode "" = ModePredicted and fewer than one CPU cluster
-// = one, as the power model reads it. The other clock fields are kept
-// as given: they feed the power model even on fixed-clock platforms.
+// DefaultDType, mode "" = ModePredicted and the platform's clock rule
+// (hardware.Platform.ResolveClocks), after refusing a GPU, EMC or CPU
+// clock above its domain's maximum.
 func Resolve(opts Options) (Resolved, error) {
 	fail := func(kind, cause error) (Resolved, error) {
 		return Resolved{}, &resolveError{kind, cause}
@@ -129,6 +130,10 @@ func Resolve(opts Options) (Resolved, error) {
 	if r.Mode, err = ParseMode(string(r.Mode)); err != nil {
 		return fail(ErrInvalidOption, err)
 	}
+	if c, d := r.Clocks, plat.Clocks; d != nil && (c.GPUMHz > d.GPUMaxMHz || c.EMCMHz > d.EMCMaxMHz || c.CPUMHz > d.CPUMaxMHz) {
+		return fail(ErrInvalidOption, fmt.Errorf("core: gpu/emc/cpu clocks %d/%d/%d MHz exceed %s's maxima of %d/%d/%d MHz",
+			c.GPUMHz, c.EMCMHz, c.CPUMHz, plat.Key, d.GPUMaxMHz, d.EMCMaxMHz, d.CPUMaxMHz))
+	}
 	if opts.Graph == nil && !r.IgnoreSupport && !plat.Supports(info.Type) {
 		return fail(ErrUnsupported, fmt.Errorf("core: platform %s does not support %s models (model %s failed to run in the paper's evaluation as well)",
 			plat.Key, info.Type, info.Key))
@@ -139,7 +144,7 @@ func Resolve(opts Options) (Resolved, error) {
 	if !r.DType.Valid() {
 		r.DType = plat.DefaultDType
 	}
-	r.Clocks.CPUClusters = max(r.Clocks.CPUClusters, 1)
+	r.Clocks = plat.ResolveClocks(r.Clocks)
 	r.Key = memo.PlanKey(r.Model, r.source(), r.binding())
 	return r, nil
 }

@@ -15,9 +15,11 @@ import (
 // FuzzResolve pairs arbitrary bytes, strictly decoded as an inline
 // graph the way proofd's edge decodes one (bytes that do not decode
 // name a zoo model instead), with an arbitrary platform, backend,
-// batch, dtype, mode, CPU cluster count and seed. Resolve must never
-// panic: it returns an error matching one of its sentinels or a 64-hex
-// key, and resolving its own resolved options gives the same key.
+// batch, dtype, mode, clocks and seed. Resolve must never panic: it
+// returns an error matching one of its sentinels or a 64-hex key, its
+// resolved clocks follow the clock rule (hardware.Platform.ResolveClocks,
+// spelled out again here), and resolving its own resolved options
+// gives the same key.
 func FuzzResolve(f *testing.F) {
 	for _, key := range []string{"peak-test", "resnet-18"} {
 		g, err := models.Build(key)
@@ -28,16 +30,21 @@ func FuzzResolve(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(raw, "a100", "", 0, 0, "", 0, uint64(1))
+		f.Add(raw, "a100", "", 0, 0, "", 0, 0, 0, 0, 0.0, uint64(1))
 	}
 	// FuzzLayerSignature's nil-node and nil-tensor graphs.
 	f.Add([]byte(`{"name":"nils","nodes":[null,{"attrs":null,"inputs":null}],"tensors":{"t":null,"u":{"shape":[]}},"inputs":null}`),
-		"orin-nx", "trtsim", 4, int(graph.Float32), "measured", 2, uint64(7))
-	f.Add([]byte(`{"nodes":null,"tensors":null,"outputs":[]}`), "rpi4b", "ortsim", 1, 0, "predicted", 0, uint64(0))
-	f.Add([]byte("distilbert"), "npu3720", "", 0, 0, "", 0, uint64(3))
-	f.Add([]byte("resnet-18"), "nope", "nope", -1, 99, "psychic", -3, uint64(0))
+		"orin-nx", "trtsim", 4, int(graph.Float32), "measured", 2, 0, 0, 0, 0.0, uint64(7))
+	f.Add([]byte(`{"nodes":null,"tensors":null,"outputs":[]}`), "rpi4b", "ortsim", 1, 0, "predicted", 0, 0, 0, 0, 0.0, uint64(0))
+	f.Add([]byte("distilbert"), "npu3720", "", 0, 0, "", 0, 0, 0, 0, 0.0, uint64(3))
+	f.Add([]byte("resnet-18"), "nope", "nope", -1, 99, "psychic", -3, 0, 0, 0, 0.0, uint64(0))
+	// Partial clocks on the DVFS platform, one spelled negative, and a
+	// clock above its domain's maximum.
+	f.Add([]byte("resnet-18"), "orin-nx", "", 8, 0, "", 0, 612, -1, 729, 0.5, uint64(5))
+	f.Add([]byte("resnet-18"), "orin-nx", "", 0, 0, "", 1, 0, 4000, 0, 1.5, uint64(6))
 
-	f.Fuzz(func(t *testing.T, raw []byte, platform, backend string, batch, dtype int, mode string, clusters int, seed uint64) {
+	f.Fuzz(func(t *testing.T, raw []byte, platform, backend string, batch, dtype int, mode string,
+		clusters, gpuMHz, emcMHz, cpuMHz int, capacity float64, seed uint64) {
 		opts := Options{
 			Platform: platform,
 			Backend:  backend,
@@ -45,7 +52,8 @@ func FuzzResolve(f *testing.F) {
 			DType:    graph.DataType(dtype),
 			Mode:     Mode(mode),
 			Seed:     seed,
-			Clocks:   hardware.Clocks{CPUClusters: clusters},
+			Clocks: hardware.Clocks{GPUMHz: gpuMHz, EMCMHz: emcMHz, CPUMHz: cpuMHz,
+				CPUClusters: clusters, GPUCapacity: capacity},
 		}
 		g := &graph.Graph{}
 		dec := json.NewDecoder(bytes.NewReader(raw))
@@ -67,6 +75,34 @@ func FuzzResolve(f *testing.F) {
 		if len(r.Key) != 64 || strings.Trim(r.Key, "0123456789abcdef") != "" {
 			t.Fatalf("key %q is not 64 hex digits", r.Key)
 		}
+		in, c := opts.Clocks, r.Clocks
+		if d := r.Plat.Clocks; d != nil {
+			for _, v := range [...]struct{ in, got, max int }{
+				{in.GPUMHz, c.GPUMHz, d.GPUMaxMHz}, {in.EMCMHz, c.EMCMHz, d.EMCMaxMHz}, {in.CPUMHz, c.CPUMHz, d.CPUMaxMHz},
+			} {
+				want := v.in
+				if want <= 0 {
+					want = v.max
+				}
+				if v.got != want || v.got > v.max {
+					t.Fatalf("%s: clock %d MHz resolved to %d, want %d (maximum %d)", r.Plat.Key, v.in, v.got, want, v.max)
+				}
+			}
+		} else if c.GPUMHz != 0 || c.EMCMHz != 0 || c.CPUMHz != 0 {
+			t.Fatalf("fixed-clock %s kept clocks %+v", r.Plat.Key, c)
+		}
+		wantClusters := in.CPUClusters
+		if wantClusters < 1 || r.Plat.Power == nil {
+			wantClusters = 1
+		}
+		wantCapacity := 0.0
+		if in.GPUCapacity > 0 && in.GPUCapacity < 1 {
+			wantCapacity = in.GPUCapacity
+		}
+		if c.CPUClusters != wantClusters || c.GPUCapacity != wantCapacity {
+			t.Fatalf("%s: clusters %d and capacity %v resolved to %d and %v, want %d and %v",
+				r.Plat.Key, in.CPUClusters, in.GPUCapacity, c.CPUClusters, c.GPUCapacity, wantClusters, wantCapacity)
+		}
 		again, err := Resolve(r.Options)
 		if err != nil {
 			t.Fatalf("resolved options refused: %v", err)
@@ -80,10 +116,11 @@ func FuzzResolve(f *testing.F) {
 // TestSeriesIdentity holds Series to Resolve's identity without the
 // seed and the descriptor hash: it is shared by requests that differ
 // only in those, and split by a change to any other field Key frames.
+// The base runs on orin-nx, whose clocks are all read.
 func TestSeriesIdentity(t *testing.T) {
-	base := Options{Model: "resnet-18", Platform: "a100", Backend: "trtsim", Batch: 4, DType: graph.Float16,
+	base := Options{Model: "resnet-18", Platform: "orin-nx", Backend: "trtsim", Batch: 4, DType: graph.Float16,
 		Mode: ModePredicted, Seed: 1,
-		Clocks: hardware.Clocks{GPUMHz: 1100, EMCMHz: 1200, CPUMHz: 900, CPUClusters: 1, GPUCapacity: 0.5}}
+		Clocks: hardware.Clocks{GPUMHz: 510, EMCMHz: 2133, CPUMHz: 729, CPUClusters: 1, GPUCapacity: 0.5}}
 	resolve := func(opts Options) Resolved {
 		t.Helper()
 		r, err := Resolve(opts)

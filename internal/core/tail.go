@@ -6,7 +6,6 @@ import (
 
 	"proof/internal/analysis"
 	"proof/internal/backend"
-	"proof/internal/hardware"
 	"proof/internal/memo"
 	"proof/internal/ncusim"
 	"proof/internal/roofline"
@@ -125,18 +124,19 @@ func resolveUnits(src *layerSource, plan *memo.Plan) error {
 // assemble is the tail's second step and the only place a Report's
 // layers are built: per-layer roofline points and kernel latencies,
 // latency shares, the end-to-end point, throughput, aggregate
-// utilization and the power estimate. It owns plan: the report takes
-// over the plan's name lists instead of copying them, so a plan a memo
-// store keeps is assembled only through a Clone. Every layer's kernels
-// go into one array, each layer holding a capped sub-slice.
-func assemble(plan *memo.Plan, rl roofline.Model, mode Mode, plat *hardware.Platform, clocks hardware.Clocks) *Report {
+// utilization and the power estimate. The configuration comes from r,
+// under whose key plan is stored. It owns plan: the report takes over
+// the plan's name lists instead of copying them, so a plan a memo store
+// keeps is assembled only through a Clone. Every layer's kernels go
+// into one array, each layer holding a capped sub-slice.
+func assemble(plan *memo.Plan, rl roofline.Model, r *Resolved) *Report {
 	report := &Report{
-		Model:     plan.Model,
-		Platform:  plan.Platform,
-		Backend:   plan.Backend,
-		Batch:     plan.Batch,
-		DType:     plan.DType,
-		Mode:      mode,
+		Model:     r.Model,
+		Platform:  r.Plat.Key,
+		Backend:   r.Backend,
+		Batch:     r.Batch,
+		DType:     plan.EffectiveDType.String(),
+		Mode:      r.Mode,
 		Roofline:  rl,
 		NodeCount: plan.NodeCount,
 		ParamsM:   plan.ParamsM,
@@ -192,15 +192,7 @@ func assemble(plan *memo.Plan, rl roofline.Model, mode Mode, plat *hardware.Plat
 	// Aggregate utilization and power, as an external monitor (jtop)
 	// would observe them.
 	report.UtilCompute, report.UtilMem = sim.Utilization(timings)
-	if plat.Power != nil {
-		clk := clocks
-		if clk.GPUMHz == 0 && plat.Clocks != nil {
-			base := plat.DefaultClocks()
-			base.GPUCapacity = clk.GPUCapacity
-			base.CPUClusters = clk.CPUClusters
-			base.CPUMHz = clk.CPUMHz
-			clk = base
-		}
+	if r.Plat.Power != nil {
 		// Activity model: a GPU executing kernels draws most of its
 		// load power whether the kernels are compute- or memory-
 		// bound; the compute fraction modulates the rest. Severe
@@ -213,7 +205,7 @@ func assemble(plan *memo.Plan, rl roofline.Model, mode Mode, plat *hardware.Plat
 		}
 		utilGPU := 0.78 + 0.22*cf
 		utilMem := 0.60 + 0.40*(1-cf)
-		if w, err := plat.EstimatePower(clk, utilGPU, utilMem); err == nil {
+		if w, err := r.Plat.EstimatePower(r.Clocks, utilGPU, utilMem); err == nil {
 			report.PowerW = w
 		}
 	}

@@ -72,7 +72,7 @@ func Figure4(ctx context.Context, platform string) (*Figure4Series, error) {
 		Platform: plat.Key,
 		DType:    plat.DefaultDType.String(),
 		Batch:    plat.DefaultBatch,
-		Model:    roofline.NewModel(plat, plat.DefaultDType, hardware.Clocks{}),
+		Model:    roofline.NewModel(plat, plat.DefaultDType, plat.ResolveClocks(hardware.Clocks{})),
 		Skipped:  map[string]string{},
 	}
 	for _, info := range models.List() {

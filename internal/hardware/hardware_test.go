@@ -86,15 +86,34 @@ func TestBWAtClockScaling(t *testing.T) {
 	}
 }
 
+// TestDefaultClocks holds ResolveClocks to its rule: on the DVFS
+// orin-nx an unset clock is its domain's maximum, on the fixed-clock
+// a100 the clocks no model reads are zero and clusters one, and a
+// capacity outside (0, 1) is zero everywhere. Resolving twice changes
+// nothing.
 func TestDefaultClocks(t *testing.T) {
-	p, _ := Get("orin-nx")
-	clk := p.DefaultClocks()
-	if clk.GPUMHz != 918 || clk.EMCMHz != 3199 {
-		t.Errorf("DefaultClocks = %+v", clk)
-	}
-	a, _ := Get("a100")
-	if a.DefaultClocks().GPUMHz != 0 {
-		t.Error("fixed platform default clocks should be zero")
+	orin, _ := Get("orin-nx")
+	a100, _ := Get("a100")
+	for _, c := range []struct {
+		plat     *Platform
+		in, want Clocks
+	}{
+		{orin, Clocks{}, Clocks{GPUMHz: 918, EMCMHz: 3199, CPUMHz: 1984, CPUClusters: 1}},
+		{orin, Clocks{GPUMHz: -1, EMCMHz: 665, CPUMHz: 729, CPUClusters: 2, GPUCapacity: 0.5},
+			Clocks{GPUMHz: 918, EMCMHz: 665, CPUMHz: 729, CPUClusters: 2, GPUCapacity: 0.5}},
+		{orin, Clocks{GPUMHz: 612, CPUClusters: -3, GPUCapacity: 1}, Clocks{GPUMHz: 612, EMCMHz: 3199, CPUMHz: 1984, CPUClusters: 1}},
+		{orin, Clocks{GPUCapacity: 1.5}, Clocks{GPUMHz: 918, EMCMHz: 3199, CPUMHz: 1984, CPUClusters: 1}},
+		{orin, Clocks{GPUCapacity: math.NaN()}, Clocks{GPUMHz: 918, EMCMHz: 3199, CPUMHz: 1984, CPUClusters: 1}},
+		{a100, Clocks{GPUMHz: 1100, EMCMHz: 1200, CPUMHz: 900, CPUClusters: 3, GPUCapacity: -1}, Clocks{CPUClusters: 1}},
+		{a100, Clocks{GPUCapacity: 0.5}, Clocks{CPUClusters: 1, GPUCapacity: 0.5}},
+	} {
+		got := c.plat.ResolveClocks(c.in)
+		if got != c.want {
+			t.Errorf("%s: ResolveClocks(%+v) = %+v, want %+v", c.plat.Key, c.in, got, c.want)
+		}
+		if again := c.plat.ResolveClocks(got); again != got {
+			t.Errorf("%s: resolving %+v again gave %+v", c.plat.Key, got, again)
+		}
 	}
 }
 
@@ -167,15 +186,6 @@ func TestPowerScalesWithCPUClock(t *testing.T) {
 	def, _ := p.EstimatePower(clk, 1, 1)
 	if def != high {
 		t.Errorf("CPUMHz 0 should price the default clock: %.4f vs %.4f W", def, high)
-	}
-}
-
-func TestRidgeAI(t *testing.T) {
-	a, _ := Get("a100")
-	ridge := a.RidgeAI(graph.Float16)
-	// 312e12 / 1555e9 ~ 200 FLOP/byte.
-	if ridge < 150 || ridge > 250 {
-		t.Errorf("A100 fp16 ridge = %.1f", ridge)
 	}
 }
 

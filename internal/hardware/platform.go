@@ -49,29 +49,32 @@ type ClockDomains struct {
 	CPUMaxMHz int
 }
 
-// Clocks is one concrete clock configuration.
+// Clocks is one clock configuration; Platform.ResolveClocks gives each
+// field its meaning on a platform.
 type Clocks struct {
-	// GPUMHz and EMCMHz are the GPU and memory clocks.
+	// GPUMHz, EMCMHz and CPUMHz are the GPU, memory and CPU cluster
+	// clocks. On a DVFS platform zero or less means the domain's
+	// maximum; fixed-clock platforms ignore them.
 	GPUMHz int
 	EMCMHz int
-	// CPUMHz is the CPU cluster clock (0 = default).
 	CPUMHz int
 	// CPUClusters is the number of powered CPU clusters (Table 7's
-	// "729/off" = 1, "729/729" = 2).
+	// "729/off" = 1, "729/729" = 2; fewer than one = one).
 	CPUClusters int
-	// GPUCapacity is the fraction of GPU TPCs enabled (0 = all). The
-	// Jetson stock "15W" profile sets the undocumented TPC_PG_MASK to
-	// 252, disabling part of the GPU — slower but lower-power than
-	// the same clocks with all TPCs (§4.6, Table 7 #2 vs #7).
+	// GPUCapacity is the fraction of GPU TPCs enabled (outside (0, 1) =
+	// all). The Jetson stock "15W" profile sets the undocumented
+	// TPC_PG_MASK to 252, disabling part of the GPU — slower but
+	// lower-power than the same clocks with all TPCs (§4.6, Table 7 #2
+	// vs #7).
 	GPUCapacity float64
 }
 
 // Capacity returns the effective GPU capacity fraction in (0, 1].
 func (c Clocks) Capacity() float64 {
-	if c.GPUCapacity <= 0 || c.GPUCapacity > 1 {
-		return 1
+	if c.GPUCapacity > 0 && c.GPUCapacity < 1 {
+		return c.GPUCapacity
 	}
-	return c.GPUCapacity
+	return 1
 }
 
 // PowerModel estimates platform power draw for a clock configuration
@@ -183,22 +186,45 @@ func (p *Platform) IssueBWLimit(gpuMHz int) float64 {
 	return p.IssueBWPerMHz * float64(gpuMHz)
 }
 
-// DefaultClocks returns the maximum-performance clock configuration.
-func (p *Platform) DefaultClocks() Clocks {
-	if p.Clocks == nil {
-		return Clocks{CPUClusters: 1}
+// ResolveClocks gives each clock field of c its one meaning on this
+// platform, and is the only code that defaults a clock:
+//   - On a DVFS platform (Clocks != nil), a GPU, EMC or CPU clock of
+//     zero or less means that domain's maximum. On a fixed-clock
+//     platform no model reads those three clocks, so they resolve to
+//     zero.
+//   - Fewer than one CPU cluster means one. Only the power model reads
+//     clusters, so on a platform without one they resolve to one.
+//   - A GPU capacity outside (0, 1) means every TPC is enabled and
+//     resolves to 0, the value Capacity reads as all TPCs, so a request
+//     that leaves it unset keeps its key.
+//
+// Resolving resolved clocks returns them unchanged.
+func (p *Platform) ResolveClocks(c Clocks) Clocks {
+	if d := p.Clocks; d != nil {
+		if c.GPUMHz <= 0 {
+			c.GPUMHz = d.GPUMaxMHz
+		}
+		if c.EMCMHz <= 0 {
+			c.EMCMHz = d.EMCMaxMHz
+		}
+		if c.CPUMHz <= 0 {
+			c.CPUMHz = d.CPUMaxMHz
+		}
+	} else {
+		c.GPUMHz, c.EMCMHz, c.CPUMHz = 0, 0, 0
 	}
-	return Clocks{
-		GPUMHz:      p.Clocks.GPUMaxMHz,
-		EMCMHz:      p.Clocks.EMCMaxMHz,
-		CPUMHz:      p.Clocks.CPUMaxMHz,
-		CPUClusters: 1,
+	if c.CPUClusters < 1 || p.Power == nil {
+		c.CPUClusters = 1
 	}
+	if c.Capacity() == 1 {
+		c.GPUCapacity = 0
+	}
+	return c
 }
 
 // EstimatePower returns the estimated power draw in watts for a clock
-// configuration at the given GPU and memory utilizations (each in
-// [0,1]).
+// configuration, resolved by ResolveClocks, at the given GPU and memory
+// utilizations (each in [0,1]).
 func (p *Platform) EstimatePower(clk Clocks, utilGPU, utilMem float64) (float64, error) {
 	if p.Power == nil {
 		return 0, fmt.Errorf("hardware: no power model for %s", p.Key)
@@ -206,36 +232,23 @@ func (p *Platform) EstimatePower(clk Clocks, utilGPU, utilMem float64) (float64,
 	pm := p.Power
 	clamp := func(v float64) float64 { return math.Max(0, math.Min(1, v)) }
 	utilGPU, utilMem = clamp(utilGPU), clamp(utilMem)
-
-	w := pm.StaticW
-	clusters := clk.CPUClusters
-	if clusters <= 0 {
-		clusters = 1
-	}
+	clk = p.ResolveClocks(clk)
 	// CPUClusterW is the per-cluster draw at CPUMaxMHz; a down-clocked
 	// cluster draws proportionally less (Table 7 runs at 729 of 1984
-	// MHz). 0 means default = maximum clock.
-	cpuW := float64(clusters) * pm.CPUClusterW
-	if p.Clocks != nil && p.Clocks.CPUMaxMHz > 0 && clk.CPUMHz > 0 {
-		cpuW *= float64(clk.CPUMHz) / float64(p.Clocks.CPUMaxMHz)
+	// MHz).
+	cpuScale, gpuScale, emc := 1.0, 1.0, 0.0
+	if d := p.Clocks; d != nil {
+		cpuScale = float64(clk.CPUMHz) / float64(d.CPUMaxMHz)
+		gpuScale = float64(clk.GPUMHz) / float64(d.GPUMaxMHz)
+		emc = float64(clk.EMCMHz)
 	}
-	w += cpuW
+	w := pm.StaticW + float64(clk.CPUClusters)*pm.CPUClusterW*cpuScale
 
-	gpuMax := 1.0
-	if p.Clocks != nil && p.Clocks.GPUMaxMHz > 0 && clk.GPUMHz > 0 {
-		gpuMax = float64(clk.GPUMHz) / float64(p.Clocks.GPUMaxMHz)
-	}
-	gpuW := pm.GPUMaxW * math.Pow(gpuMax, pm.GPUExp)
+	gpuW := pm.GPUMaxW * math.Pow(gpuScale, pm.GPUExp)
 	// Power-gated TPCs draw (almost) nothing.
 	gpuW *= 0.45 + 0.55*clk.Capacity()
 	w += gpuW * (pm.GPUIdleFrac + (1-pm.GPUIdleFrac)*utilGPU)
 
-	emc := 0.0
-	if clk.EMCMHz > 0 {
-		emc = float64(clk.EMCMHz)
-	} else if p.Clocks != nil {
-		emc = float64(p.Clocks.EMCMaxMHz)
-	}
 	emcW := pm.EMCWPerMHz * emc
 	w += emcW * (pm.EMCIdleFrac + (1-pm.EMCIdleFrac)*utilMem)
 	return w, nil
@@ -419,20 +432,6 @@ func (p *Platform) Supports(modelType string) bool {
 		return true
 	}
 	return p.SupportedTypes[modelType]
-}
-
-// RidgeAI returns the arithmetic intensity (FLOP/byte) where the
-// roofline's compute and bandwidth ceilings meet at maximum clocks,
-// for the given dtype. It uses the same achievable ceilings as
-// roofline.NewModel (one definition, cross-checked by test), and a
-// degenerate zero-bandwidth descriptor yields +Inf rather than leaking
-// NaN into reports.
-func (p *Platform) RidgeAI(dt graph.DataType) float64 {
-	bw := p.BWCeiling(Clocks{})
-	if bw == 0 {
-		return math.Inf(1)
-	}
-	return p.ComputeCeiling(dt, Clocks{}) / bw
 }
 
 var platforms = map[string]*Platform{}

@@ -50,23 +50,20 @@ type PlanLayer struct {
 	Unit          Unit
 }
 
-// Plan is one whole profiling point: the resolved configuration echo
-// plus the ordered layers with their units. Every report is assembled
-// from a plan; a cached plan lets a repeated point skip model build,
-// backend build, profiling and layer mapping entirely. A report takes
-// over the lists of the plan it is assembled from, so a stored plan is
-// never assembled itself: the pipeline stores one Clone and assembles
-// from another. Plans are immutable after PutPlan.
+// Plan is one whole profiling point: what the run found out about the
+// model beyond its resolved configuration, plus the ordered layers with
+// their units. A plan is stored under its configuration's key, so the
+// configuration itself is not kept. Every report is assembled from a
+// plan; a cached plan lets a repeated point skip model build, backend
+// build, profiling and layer mapping entirely. A report takes over the
+// lists of the plan it is assembled from, so a stored plan is never
+// assembled itself: the pipeline stores one Clone and assembles from
+// another. Plans are immutable after PutPlan.
 type Plan struct {
-	Model    string
-	Platform string
-	Backend  string
-	DType    string
-	// EffectiveDType is the resolved inference data type as a typed
-	// value (quantized graphs run int8 regardless of the requested
-	// type); assembly rebuilds the roofline ceilings from it.
+	// EffectiveDType is the data type the model runs at (quantized
+	// graphs run int8 regardless of the requested type); assembly
+	// rebuilds the roofline ceilings from it.
 	EffectiveDType graph.DataType
-	Batch          int
 	NodeCount      int
 	ParamsM        float64
 	Layers         []PlanLayer

@@ -6,10 +6,10 @@ import (
 	"time"
 )
 
-// planN returns a plan named name with the given number of layers,
-// each carrying a unit distinct from every other layer's.
+// planN returns a plan of the given number of layers, named name/0,
+// name/1, ..., each carrying a unit distinct from every other layer's.
 func planN(name string, layers int) *Plan {
-	p := &Plan{Model: name, Layers: make([]PlanLayer, layers)}
+	p := &Plan{Layers: make([]PlanLayer, layers)}
 	for i := range p.Layers {
 		p.Layers[i] = PlanLayer{
 			Name: fmt.Sprintf("%s/%d", name, i),
@@ -26,7 +26,7 @@ func TestStoreHitAndMiss(t *testing.T) {
 	}
 	s.PutPlan("a", planN("a", 3))
 	for i := 0; i < 2; i++ {
-		if p, ok := s.Plan("a"); !ok || p.Model != "a" || len(p.Layers) != 3 {
+		if p, ok := s.Plan("a"); !ok || p.Layers[0].Name != "a/0" || len(p.Layers) != 3 {
 			t.Fatalf("lookup %d: %+v ok=%v", i, p, ok)
 		}
 	}
@@ -81,7 +81,7 @@ func TestStorePlans(t *testing.T) {
 	s.PutPlan("a", planN("ma", 1))
 	s.PutPlan("b", planN("mb", 1))
 	p, ok := s.Plan("a") // touch "a": "b" becomes the LRU victim
-	if !ok || p.Model != "ma" {
+	if !ok || p.Layers[0].Name != "ma/0" {
 		t.Fatalf("plan a: %+v ok=%v", p, ok)
 	}
 	s.PutPlan("c", planN("mc", 1))

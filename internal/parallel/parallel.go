@@ -1,10 +1,10 @@
 // Package parallel provides the small bounded-concurrency primitives the
 // experiment sweeps use: independent profiling runs (different models,
 // platforms, clock points) fan out across workers while preserving
-// result order and failing fast on the first error. MapCtx and
-// ForEachCtx honor context cancellation and deadlines, so a sweep can be
-// abandoned mid-flight (Ctrl-C on the CLI, a timed-out service request)
-// without leaking goroutines.
+// result order and failing fast on the first error. MapCtx honors
+// context cancellation and deadlines, so a sweep can be abandoned
+// mid-flight (Ctrl-C on the CLI, a timed-out service request) without
+// leaking goroutines.
 package parallel
 
 import (
@@ -147,12 +147,4 @@ dispatch:
 		return nil, err
 	}
 	return results, nil
-}
-
-// ForEachCtx is MapCtx without results.
-func ForEachCtx[T any](ctx context.Context, items []T, workers int, f func(context.Context, T) error) error {
-	_, err := MapCtx(ctx, items, workers, func(ctx context.Context, t T) (struct{}, error) {
-		return struct{}{}, f(ctx, t)
-	})
-	return err
 }

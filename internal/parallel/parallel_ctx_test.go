@@ -174,26 +174,6 @@ func TestMapCtxPreCancelled(t *testing.T) {
 	}
 }
 
-// TestForEachCtx exercises the ForEach wrapper's cancellation path.
-func TestForEachCtx(t *testing.T) {
-	var sum atomic.Int64
-	if err := ForEachCtx(context.Background(), []int{1, 2, 3, 4, 5}, 3, func(_ context.Context, v int) error {
-		sum.Add(int64(v))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 15 {
-		t.Fatalf("sum = %d, want 15", sum.Load())
-	}
-	sentinel := errors.New("nope")
-	if err := ForEachCtx(context.Background(), []int{1, 2, 3}, 2, func(_ context.Context, v int) error {
-		return sentinel
-	}); !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want %v", err, sentinel)
-	}
-}
-
 // TestMapCtxEmptyAndSerial covers the degenerate paths.
 func TestMapCtxEmptyAndSerial(t *testing.T) {
 	res, err := MapCtx(context.Background(), []int{}, 4, func(_ context.Context, v int) (int, error) {

@@ -87,19 +87,3 @@ func TestMapEdgeCases(t *testing.T) {
 		t.Error("default workers")
 	}
 }
-
-func TestForEach(t *testing.T) {
-	var count atomic.Int64
-	if err := ForEachCtx(context.Background(), []int{1, 2, 3, 4}, 2, func(context.Context, int) error {
-		count.Add(1)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if count.Load() != 4 {
-		t.Errorf("count = %d", count.Load())
-	}
-	if err := ForEachCtx(context.Background(), []int{1}, 2, func(context.Context, int) error { return errors.New("x") }); err == nil {
-		t.Error("error not propagated")
-	}
-}

@@ -159,7 +159,7 @@ func AnalyzeEMC(ctx context.Context, platform, model string, batch int, dt graph
 		// Achievable bandwidth at the candidate clock (GPU at max):
 		// the same derivation as the roofline ceilings, so the Figure
 		// 8 lines and the chart's roof come from one model.
-		line := plat.BWCeiling(hardware.Clocks{EMCMHz: emc})
+		line := plat.BWCeiling(plat.ResolveClocks(hardware.Clocks{EMCMHz: emc}))
 		var affected float64
 		for _, l := range r.Layers {
 			if l.Point.Bandwidth > line {

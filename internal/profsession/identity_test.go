@@ -22,8 +22,10 @@ import (
 // defaults (batch 0, the default and twice it; dtype zero and the
 // default; zero and one CPU clusters), plus single-field variants: the
 // backend left empty or named, every mode spelling, ignore_support, a
-// non-default dtype and the measured roofline. Options that differ only
-// in how they spell a default must share a key.
+// non-default dtype, the measured roofline, and clock spellings (GPU
+// capacities in and outside (0, 1), two CPU clusters, clocks left unset,
+// partly set, set to the maxima or below them). Options that differ
+// only in how they spell a default must share a key.
 func TestKeyMatchesReportIdentity(t *testing.T) {
 	smallest := map[string]models.Info{}
 	nodes := map[string]int{}
@@ -70,6 +72,15 @@ func checkIdentity(t *testing.T, model string, plat *hardware.Platform) {
 		func(o *core.Options) { o.DType = other },
 		func(o *core.Options) { o.MeasuredRoofline = true },
 		func(o *core.Options) { o.Seed += 1 << 32 },
+		func(o *core.Options) { o.Clocks.GPUCapacity = 1 },
+		func(o *core.Options) { o.Clocks.GPUCapacity = 1.5 },
+		func(o *core.Options) { o.Clocks.GPUCapacity = 0.5 },
+		func(o *core.Options) { o.Clocks.CPUClusters = 2 },
+		func(o *core.Options) { o.Clocks = hardware.Clocks{GPUMHz: 612, EMCMHz: 2133, CPUMHz: 729} },
+		func(o *core.Options) { o.Clocks = hardware.Clocks{EMCMHz: 665} },
+		func(o *core.Options) { o.Clocks = hardware.Clocks{GPUMHz: 918, EMCMHz: 665} },
+		func(o *core.Options) { o.Clocks = hardware.Clocks{GPUMHz: 918, EMCMHz: 3199, CPUMHz: 1984} },
+		func(o *core.Options) { o.Clocks = hardware.Clocks{GPUMHz: 918, EMCMHz: 3199, GPUCapacity: 0.5} },
 	} {
 		o := base
 		vary(&o)
@@ -77,7 +88,10 @@ func checkIdentity(t *testing.T, model string, plat *hardware.Platform) {
 	}
 
 	// spelled applies the platform defaults by hand, independently of
-	// core.Resolve: options with equal spellings must share a key.
+	// core.Resolve: options with equal spellings must share a key. Only
+	// a DVFS platform reads the three clocks (unset = the maximum), only
+	// a power model reads CPU clusters, and a GPU capacity outside
+	// (0, 1) enables every TPC.
 	spelled := func(o core.Options) core.Options {
 		if o.Batch == 0 {
 			o.Batch = plat.DefaultBatch
@@ -85,8 +99,25 @@ func checkIdentity(t *testing.T, model string, plat *hardware.Platform) {
 		if o.DType == 0 {
 			o.DType = plat.DefaultDType
 		}
-		if o.Clocks.CPUClusters == 0 {
-			o.Clocks.CPUClusters = 1
+		c := &o.Clocks
+		if d := plat.Clocks; d == nil {
+			c.GPUMHz, c.EMCMHz, c.CPUMHz = 0, 0, 0
+		} else {
+			if c.GPUMHz == 0 {
+				c.GPUMHz = d.GPUMaxMHz
+			}
+			if c.EMCMHz == 0 {
+				c.EMCMHz = d.EMCMaxMHz
+			}
+			if c.CPUMHz == 0 {
+				c.CPUMHz = d.CPUMaxMHz
+			}
+		}
+		if c.CPUClusters == 0 || plat.Power == nil {
+			c.CPUClusters = 1
+		}
+		if c.GPUCapacity >= 1 {
+			c.GPUCapacity = 0
 		}
 		if o.Backend == "" {
 			o.Backend = plat.Runtime
@@ -149,6 +180,7 @@ func TestResolutionErrorsBypassCache(t *testing.T) {
 		{core.Options{Model: "distilbert", Platform: "npu3720"}, core.ErrUnsupported},
 		{core.Options{Model: "resnet-18", Platform: "a100", Batch: -1}, core.ErrInvalidOption},
 		{core.Options{Model: "resnet-18", Platform: "a100", Mode: "psychic"}, core.ErrInvalidOption},
+		{core.Options{Model: "resnet-18", Platform: "orin-nx", Clocks: hardware.Clocks{GPUMHz: 5000, EMCMHz: 20000}}, core.ErrInvalidOption},
 	} {
 		t.Run(fmt.Sprint(c.want, " ", c.opts.Model, "/", c.opts.Platform), func(t *testing.T) {
 			_, out, err := s.ProfileOutcome(context.Background(), c.opts)

@@ -123,7 +123,7 @@ func TestCacheMissOnDifferingOptions(t *testing.T) {
 	o.Seed = 2
 	variants["seed"] = o
 	o = baseOpts
-	o.Clocks = hardware.Clocks{GPUMHz: 765}
+	o.Clocks = hardware.Clocks{GPUCapacity: 0.5}
 	variants["clocks"] = o
 	o = baseOpts
 	o.Batch = 16

@@ -43,13 +43,14 @@ type BWLine struct {
 }
 
 // NewModel builds the roofline ceilings for a platform, data type and
-// clock configuration (zero clocks = platform maximum). The ceilings
-// come from the platform's achievable-ceiling derivation — measured
-// calibration when `proof characterize` has produced one, hand-tuned
-// factors otherwise — and the bandwidth roof is capped by the
-// GPU-clock-bound issue limit, matching what the simulated hardware
-// can actually attain at down-clocked configurations (Table 6 #1 vs
-// #3).
+// clock configuration (the pipeline passes clocks resolved by
+// hardware.Platform.ResolveClocks; an unset clock reads as its maximum
+// here too). The ceilings come from the platform's achievable-ceiling
+// derivation — measured calibration when `proof characterize` has
+// produced one, hand-tuned factors otherwise — and the bandwidth roof
+// is capped by the GPU-clock-bound issue limit, matching what the
+// simulated hardware can actually attain at down-clocked
+// configurations (Table 6 #1 vs #3).
 func NewModel(plat *hardware.Platform, dt graph.DataType, clk hardware.Clocks) Model {
 	return Model{
 		Platform:         plat.Key,
@@ -313,22 +314,6 @@ func (lw *LayerWise) FillShares() {
 	for i := range lw.Points {
 		lw.Points[i].Share = lw.Points[i].Latency.Seconds() / total
 	}
-}
-
-// ShareByCategory aggregates latency share per category — the basis of
-// statements like "transpose and data-copy layers take the most time"
-// (§4.5) or "depth-wise and point-wise convolution take about 70% of
-// the latency" (§4.6).
-func (lw *LayerWise) ShareByCategory() map[string]float64 {
-	total := lw.TotalLatency().Seconds()
-	out := map[string]float64{}
-	if total == 0 {
-		return out
-	}
-	for _, p := range lw.Points {
-		out[p.Category] += p.Latency.Seconds() / total
-	}
-	return out
 }
 
 // EndToEnd aggregates layers into a single whole-model point (Figure 4).

@@ -12,7 +12,9 @@ import (
 type Config struct {
 	// Platform is the hardware model to execute on.
 	Platform *hardware.Platform
-	// Clocks is the clock configuration (zero values = defaults).
+	// Clocks is the clock configuration, resolved by
+	// hardware.Platform.ResolveClocks (backend.BuildEngine resolves an
+	// engine's clocks).
 	Clocks hardware.Clocks
 	// DType is the inference data type.
 	DType graph.DataType
