@@ -43,7 +43,7 @@ bench-sweep:
 
 # bench-roofline regenerates BENCH_roofline.json: ns/op and allocs/op
 # for the roofline hot path (point construction, bound classification,
-# the full layer->point mapping pass over a built engine). The writer
+# assemble's per-layer loop over a resnet-18 plan). The writer
 # fails if any of the pinned paths allocates; ns/op moves with the host.
 bench-roofline:
 	$(GO) test ./internal/core -run TestWriteRooflineBenchArtifact -roofline-bench-out=$(CURDIR)/BENCH_roofline.json

@@ -8,43 +8,44 @@ import (
 	"testing"
 	"time"
 
-	"proof/internal/analysis"
-	"proof/internal/backend"
 	"proof/internal/graph"
 	"proof/internal/hardware"
-	"proof/internal/models"
+	"proof/internal/memo"
 	"proof/internal/roofline"
 )
 
 var rooflineBenchOut = flag.String("roofline-bench-out", "", "write the roofline hot-path benchmark artifact (BENCH_roofline.json) to this path")
 
-// benchEngine builds the pinned benchmark engine: resnet-18 on the
-// A100, the same configuration every run so ns/op is comparable across
-// commits.
-func benchEngine(tb testing.TB) *backend.Engine {
+// benchPlan profiles the pinned benchmark configuration, resnet-18 on
+// the A100 at batch 4, the same every run so ns/op is comparable
+// across commits. It returns the plan a memo store keeps for it and the
+// report assembled from that plan.
+func benchPlan(tb testing.TB) (*memo.Plan, *Report) {
 	tb.Helper()
-	g, err := models.Build("resnet-18")
+	store := memo.NewStore(memo.StoreConfig{UnitCapacity: memo.DefaultUnitCapacity})
+	opts := Options{Model: "resnet-18", Platform: "a100", Batch: 4, Memo: store}
+	rep, err := ProfileCtx(context.Background(), opts)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	g.ConvertFloatTensors(graph.Float16)
-	rep, err := analysis.NewRepWithBatch(g, 4)
+	r, err := Resolve(opts)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	plat, err := hardware.Get("a100")
-	if err != nil {
-		tb.Fatal(err)
+	plan, ok := store.Plan(r.Key)
+	if !ok {
+		tb.Fatal("the memo store kept no plan")
 	}
-	be, err := backend.Get(plat.Runtime)
-	if err != nil {
-		tb.Fatal(err)
+	return plan, rep
+}
+
+// planKernels returns an array with room for every kernel of plan.
+func planKernels(plan *memo.Plan) []KernelReport {
+	var n int
+	for i := range plan.Layers {
+		n += len(plan.Layers[i].Kernels)
 	}
-	eng, err := be.Build(context.Background(), rep, backend.Config{Platform: plat, DType: graph.Float16, Batch: 4})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return eng
+	return make([]KernelReport, n)
 }
 
 func benchModel(tb testing.TB) roofline.Model {
@@ -83,53 +84,33 @@ func BenchmarkRooflineClassifyBound(b *testing.B) {
 	}
 }
 
-// BenchmarkLayerPointMapping measures one full layer->point mapping
-// pass over a built engine: pooled timings refill, per-layer point
-// construction and share filling — the steady-state per-request work
-// after the engine caches warm up. Must run allocation-free.
+// BenchmarkLayerPointMapping measures one pass of assemble's per-layer
+// loop (Report.fillLayers) over a resnet-18 plan: per-layer point
+// construction, kernel latencies, share filling, the end-to-end point
+// and aggregate utilization — the steady-state per-request work once a
+// run has its plan. Must run allocation-free.
 func BenchmarkLayerPointMapping(b *testing.B) {
-	eng := benchEngine(b)
-	m := benchModel(b)
-	layers := eng.Layers()
-	timings := eng.TimingsInto(nil, 1)
-	lw := &roofline.LayerWise{Model: m, Points: make([]roofline.Point, 0, len(layers))}
+	plan, rep := benchPlan(b)
+	kernels := planKernels(plan)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		timings = eng.TimingsInto(timings, 1)
-		lw.Points = lw.Points[:0]
-		for j := range layers {
-			t := timings[j]
-			flop := t.ActualHWFLOP
-			lw.Points = append(lw.Points, roofline.NewPoint(layers[j].Name, flop, t.ActualBytes, t.Latency, m))
-		}
-		lw.FillShares()
+		rep.fillLayers(plan, kernels)
 	}
-	if len(lw.Points) != len(layers) {
-		b.Fatalf("mapped %d points for %d layers", len(lw.Points), len(layers))
+	if len(rep.Layers) != len(plan.Layers) {
+		b.Fatalf("mapped %d layers for %d planned", len(rep.Layers), len(plan.Layers))
 	}
 }
 
 // TestLayerPointMappingZeroAlloc is the always-on guard behind the
-// benchmark artifact: the layer->point mapping loop (pooled timings +
-// point construction + share fill) must not allocate per pass.
+// benchmark artifact: assemble's per-layer loop, shares, end-to-end
+// point and utilization included, must not allocate per pass.
 func TestLayerPointMappingZeroAlloc(t *testing.T) {
-	eng := benchEngine(t)
-	m := benchModel(t)
-	layers := eng.Layers()
-	timings := eng.TimingsInto(nil, 1)
-	lw := &roofline.LayerWise{Model: m, Points: make([]roofline.Point, 0, len(layers))}
-	n := testing.AllocsPerRun(50, func() {
-		timings = eng.TimingsInto(timings, 1)
-		lw.Points = lw.Points[:0]
-		for j := range layers {
-			tt := timings[j]
-			lw.Points = append(lw.Points, roofline.NewPoint(layers[j].Name, tt.ActualHWFLOP, tt.ActualBytes, tt.Latency, m))
-		}
-		lw.FillShares()
-	})
+	plan, rep := benchPlan(t)
+	kernels := planKernels(plan)
+	n := testing.AllocsPerRun(50, func() { rep.fillLayers(plan, kernels) })
 	if n != 0 {
-		t.Fatalf("layer->point mapping allocates %v per pass, want 0", n)
+		t.Fatalf("the per-layer loop allocates %v per pass, want 0", n)
 	}
 }
 

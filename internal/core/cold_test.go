@@ -22,22 +22,22 @@ var coldBatches = []int{1, 2, 4, 8, 16, 32}
 // ProfileCtx allocates at batch 8, per cold-zoo pair. The bytes sit
 // about 3% and the objects about 2% above what the pipeline allocates
 // once a report owns its plan's lists, packed into report-wide arrays,
-// fusion keeps ordered node lists and sizes boundary lists exactly, and
-// runtimes name layers without fmt (CHANGES.md lists the figures before
-// and after). Object counts repeat exactly from run to run, under the
+// fusion keeps ordered node lists and sizes boundary lists exactly,
+// runtimes name layers without fmt, and assemble writes each roofline
+// point into its layer (CHANGES.md lists the figures before and after). Object counts repeat exactly from run to run, under the
 // race detector too: no sync.Pool, which it drains at random, sits on
 // the pipeline's path.
 var coldProfileBudget = map[string]struct{ bytes, objects uint64 }{
-	"vit-t|a100":                 {275000, 2215},
-	"vit-s|a100":                 {275000, 2215},
-	"vit-b|a100":                 {275000, 2215},
-	"bert-base|a100":             {270000, 2470},
-	"mlp-mixer|xeon-6330":        {287500, 2625},
-	"shufflenetv2-0.5|xeon-6330": {345500, 3460},
-	"shufflenetv2-1.0|xeon-6330": {345500, 3460},
-	"mlp-mixer|npu3720":          {453500, 4190},
-	"shufflenetv2-0.5|npu3720":   {314500, 3005},
-	"shufflenetv2-1.0|npu3720":   {314500, 3005},
+	"vit-t|a100":                 {265000, 2215},
+	"vit-s|a100":                 {265000, 2215},
+	"vit-b|a100":                 {265000, 2215},
+	"bert-base|a100":             {257500, 2470},
+	"mlp-mixer|xeon-6330":        {263000, 2625},
+	"shufflenetv2-0.5|xeon-6330": {316500, 3460},
+	"shufflenetv2-1.0|xeon-6330": {316500, 3460},
+	"mlp-mixer|npu3720":          {405000, 4190},
+	"shufflenetv2-0.5|npu3720":   {287500, 3005},
+	"shufflenetv2-1.0|npu3720":   {287500, 3005},
 }
 
 // TestColdProfileBytes: one cold profile of each cold-zoo pair at

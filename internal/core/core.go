@@ -82,7 +82,8 @@ type Options struct {
 	// Clocks is the clock configuration, read by the platform's clock
 	// rule (hardware.Platform.ResolveClocks: an unset clock is the
 	// domain's maximum on a DVFS platform). A GPU, EMC or CPU clock
-	// above its domain's maximum is an error.
+	// above its domain's maximum, or more CPU clusters than the
+	// platform has, is an error.
 	Clocks hardware.Clocks
 	// Seed varies the simulated run-to-run jitter.
 	Seed uint64

@@ -5,9 +5,12 @@ import (
 	"encoding/json"
 	"math"
 	"testing"
+	"time"
 
 	"proof/internal/graph"
 	"proof/internal/hardware"
+	"proof/internal/memo"
+	"proof/internal/roofline"
 )
 
 func TestProfileResNetPredicted(t *testing.T) {
@@ -266,6 +269,78 @@ func TestParseMode(t *testing.T) {
 	for _, bad := range []string{"Predicted", "MEASURED", "psychic", "predicted "} {
 		if _, err := ParseMode(bad); err == nil {
 			t.Errorf("ParseMode(%q) succeeded, want error", bad)
+		}
+	}
+}
+
+// TestAssembledReportAggregates: assemble derives each layer's latency
+// share, the end-to-end point, the throughput and the aggregate
+// utilization from the plan's units. Over a hand-built plan the figures
+// are exact, an empty plan reads zero throughout, and over the golden
+// configurations the aggregates agree with the layers.
+func TestAssembledReportAggregates(t *testing.T) {
+	r, err := Resolve(Options{Model: "resnet-18", Platform: "a100", Batch: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rl := roofline.NewModel(r.Plat, r.DType, r.Clocks)
+	const ms = time.Millisecond
+	plan := &memo.Plan{EffectiveDType: r.DType, Layers: []memo.PlanLayer{
+		{Name: "a", Unit: memo.Unit{Latency: 2 * ms, ComputeTime: 1600 * time.Microsecond, MemoryTime: 400 * time.Microsecond,
+			FLOP: 1e9, Bytes: 1e7, Category: "conv"}},
+		{Name: "b", Unit: memo.Unit{Latency: 6 * ms, ComputeTime: 2400 * time.Microsecond, MemoryTime: 9 * ms,
+			FLOP: 3e9, Bytes: 3e7, Category: "matmul"}},
+	}}
+	rep := assemble(plan, rl, &r)
+	if a, b := rep.Layers[0].Point, rep.Layers[1].Point; math.Abs(a.Share-0.25) > 1e-9 || math.Abs(b.Share-0.75) > 1e-9 {
+		t.Errorf("shares = %v, %v, want 0.25, 0.75", a.Share, b.Share)
+	}
+	if c := rep.Layers[1].Point.Category; c != "matmul" {
+		t.Errorf("point category = %q, want the unit's", c)
+	}
+	if rep.TotalLatency != 8*ms {
+		t.Errorf("total latency = %v, want 8ms", rep.TotalLatency)
+	}
+	if e := rep.EndToEnd; e.Name != "resnet-18" || e.FLOP != 4e9 || e.Bytes != 4e7 || e.Latency != 8*ms {
+		t.Errorf("end-to-end point = %+v, want resnet-18 at 4e9 FLOP, 4e7 bytes, 8ms", e)
+	}
+	if want := 4 / 0.008; math.Abs(rep.Throughput-want) > 1e-9 {
+		t.Errorf("throughput = %v, want %v", rep.Throughput, want)
+	}
+	// Compute time is half the latency; memory time exceeds it, so its
+	// utilization caps at 1.
+	if math.Abs(rep.UtilCompute-0.5) > 1e-9 || rep.UtilMem != 1 {
+		t.Errorf("utilization = %v compute, %v memory, want 0.5 and 1", rep.UtilCompute, rep.UtilMem)
+	}
+
+	empty := assemble(&memo.Plan{EffectiveDType: r.DType}, rl, &r)
+	if empty.TotalLatency != 0 || empty.Throughput != 0 || empty.UtilCompute != 0 || empty.UtilMem != 0 || empty.EndToEnd.Latency != 0 {
+		t.Errorf("an empty plan assembled to %+v, want zero latency, throughput and utilization", empty)
+	}
+
+	for _, cfg := range goldenConfigs {
+		rep, err := ProfileCtx(context.Background(), cfg.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var share float64
+		var flop, bytes int64
+		var total time.Duration
+		for _, l := range rep.Layers {
+			share += l.Point.Share
+			flop += l.Point.FLOP
+			bytes += l.Point.Bytes
+			total += l.Point.Latency
+		}
+		if math.Abs(share-1) > 1e-9 {
+			t.Errorf("%s: shares sum to %v, want 1", cfg.name, share)
+		}
+		if e := rep.EndToEnd; e.FLOP != flop || e.Bytes != bytes || e.Latency != total || rep.TotalLatency != total {
+			t.Errorf("%s: end-to-end %d FLOP, %d bytes, %v (total %v); layers sum to %d, %d, %v",
+				cfg.name, e.FLOP, e.Bytes, e.Latency, rep.TotalLatency, flop, bytes, total)
+		}
+		if rep.UtilCompute <= 0 || rep.UtilCompute > 1 || rep.UtilMem <= 0 || rep.UtilMem > 1 {
+			t.Errorf("%s: utilization %v compute, %v memory, want both in (0, 1]", cfg.name, rep.UtilCompute, rep.UtilMem)
 		}
 	}
 }

@@ -14,8 +14,8 @@ import (
 // an API edge maps a refused request to its status without reading the
 // message. ErrUnsupported means the platform does not run the zoo
 // model's family (see Options.IgnoreSupport); ErrInvalidOption is a
-// negative batch, an unknown mode or a clock above the platform's
-// maximum.
+// negative batch, an unknown mode, or a clock or CPU cluster count
+// above the platform's maximum.
 var (
 	ErrUnknownModel    = errors.New("unknown model")
 	ErrUnknownPlatform = errors.New("unknown platform")
@@ -96,7 +96,8 @@ func (r Resolved) binding() memo.Binding {
 // pair). It applies batch 0 = DefaultBatch, an invalid dtype =
 // DefaultDType, mode "" = ModePredicted and the platform's clock rule
 // (hardware.Platform.ResolveClocks), after refusing a GPU, EMC or CPU
-// clock above its domain's maximum.
+// clock above its domain's maximum, or more CPU clusters than the
+// platform has.
 func Resolve(opts Options) (Resolved, error) {
 	fail := func(kind, cause error) (Resolved, error) {
 		return Resolved{}, &resolveError{kind, cause}
@@ -130,9 +131,10 @@ func Resolve(opts Options) (Resolved, error) {
 	if r.Mode, err = ParseMode(string(r.Mode)); err != nil {
 		return fail(ErrInvalidOption, err)
 	}
-	if c, d := r.Clocks, plat.Clocks; d != nil && (c.GPUMHz > d.GPUMaxMHz || c.EMCMHz > d.EMCMaxMHz || c.CPUMHz > d.CPUMaxMHz) {
-		return fail(ErrInvalidOption, fmt.Errorf("core: gpu/emc/cpu clocks %d/%d/%d MHz exceed %s's maxima of %d/%d/%d MHz",
-			c.GPUMHz, c.EMCMHz, c.CPUMHz, plat.Key, d.GPUMaxMHz, d.EMCMaxMHz, d.CPUMaxMHz))
+	if c, d := r.Clocks, plat.Clocks; d != nil &&
+		(c.GPUMHz > d.GPUMaxMHz || c.EMCMHz > d.EMCMaxMHz || c.CPUMHz > d.CPUMaxMHz || c.CPUClusters > d.CPUClusters) {
+		return fail(ErrInvalidOption, fmt.Errorf("core: gpu/emc/cpu clocks %d/%d/%d MHz or %d CPU clusters exceed %s's maxima of %d/%d/%d MHz and %d clusters",
+			c.GPUMHz, c.EMCMHz, c.CPUMHz, c.CPUClusters, plat.Key, d.GPUMaxMHz, d.EMCMaxMHz, d.CPUMaxMHz, d.CPUClusters))
 	}
 	if opts.Graph == nil && !r.IgnoreSupport && !plat.Supports(info.Type) {
 		return fail(ErrUnsupported, fmt.Errorf("core: platform %s does not support %s models (model %s failed to run in the paper's evaluation as well)",

@@ -18,8 +18,8 @@ import (
 // batch, dtype, mode, clocks and seed. Resolve must never panic: it
 // returns an error matching one of its sentinels or a 64-hex key, its
 // resolved clocks follow the clock rule (hardware.Platform.ResolveClocks,
-// spelled out again here), and resolving its own resolved options
-// gives the same key.
+// spelled out again here) and stay within the platform's CPU cluster
+// count, and resolving its own resolved options gives the same key.
 func FuzzResolve(f *testing.F) {
 	for _, key := range []string{"peak-test", "resnet-18"} {
 		g, err := models.Build(key)
@@ -42,6 +42,8 @@ func FuzzResolve(f *testing.F) {
 	// clock above its domain's maximum.
 	f.Add([]byte("resnet-18"), "orin-nx", "", 8, 0, "", 0, 612, -1, 729, 0.5, uint64(5))
 	f.Add([]byte("resnet-18"), "orin-nx", "", 0, 0, "", 1, 0, 4000, 0, 1.5, uint64(6))
+	// More CPU clusters than the DVFS platform has.
+	f.Add([]byte("resnet-18"), "orin-nx", "", 0, 0, "", 1000, 0, 0, 0, 0.0, uint64(8))
 
 	f.Fuzz(func(t *testing.T, raw []byte, platform, backend string, batch, dtype int, mode string,
 		clusters, gpuMHz, emcMHz, cpuMHz int, capacity float64, seed uint64) {
@@ -98,6 +100,9 @@ func FuzzResolve(f *testing.F) {
 		wantCapacity := 0.0
 		if in.GPUCapacity > 0 && in.GPUCapacity < 1 {
 			wantCapacity = in.GPUCapacity
+		}
+		if d := r.Plat.Clocks; d != nil && c.CPUClusters > d.CPUClusters {
+			t.Fatalf("%s: %d CPU clusters resolved, above the platform's %d", r.Plat.Key, c.CPUClusters, d.CPUClusters)
 		}
 		if c.CPUClusters != wantClusters || c.GPUCapacity != wantCapacity {
 			t.Fatalf("%s: clusters %d and capacity %v resolved to %d and %v, want %d and %v",

@@ -47,6 +47,9 @@ type ClockDomains struct {
 	EMCOptionsMHz []int
 	// CPUMaxMHz is the maximum CPU cluster clock.
 	CPUMaxMHz int
+	// CPUClusters is the number of CPU clusters the platform can power
+	// (Table 7's MAXN "729/729" powers two).
+	CPUClusters int
 }
 
 // Clocks is one clock configuration; Platform.ResolveClocks gives each
@@ -358,6 +361,7 @@ func (p *Platform) DescriptorHash() string {
 		hashInt(h, int64(c.EMCMaxMHz))
 		hashInts(h, c.EMCOptionsMHz)
 		hashInt(h, int64(c.CPUMaxMHz))
+		hashInt(h, int64(c.CPUClusters))
 	} else {
 		hashStr(h, "no-dvfs")
 	}

@@ -138,6 +138,7 @@ func init() {
 			EMCMaxMHz:     3199,
 			EMCOptionsMHz: []int{204, 665, 2133, 3199},
 			CPUMaxMHz:     1984,
+			CPUClusters:   2,
 		},
 		// Calibrated against Table 6: 23.6 W at 918/3199 full load,
 		// 11.5 W at 510/665.

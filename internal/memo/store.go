@@ -16,7 +16,8 @@ import (
 // concurrent readers.
 type Unit struct {
 	// Latency is the simulated wall time; ComputeTime and MemoryTime
-	// are its roofline components (inputs to sim.Utilization).
+	// are its roofline components (inputs to the report's aggregate
+	// utilization).
 	Latency     time.Duration
 	ComputeTime time.Duration
 	MemoryTime  time.Duration

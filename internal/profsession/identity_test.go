@@ -181,6 +181,7 @@ func TestResolutionErrorsBypassCache(t *testing.T) {
 		{core.Options{Model: "resnet-18", Platform: "a100", Batch: -1}, core.ErrInvalidOption},
 		{core.Options{Model: "resnet-18", Platform: "a100", Mode: "psychic"}, core.ErrInvalidOption},
 		{core.Options{Model: "resnet-18", Platform: "orin-nx", Clocks: hardware.Clocks{GPUMHz: 5000, EMCMHz: 20000}}, core.ErrInvalidOption},
+		{core.Options{Model: "resnet-18", Platform: "orin-nx", Clocks: hardware.Clocks{CPUClusters: 1000}}, core.ErrInvalidOption},
 	} {
 		t.Run(fmt.Sprint(c.want, " ", c.opts.Model, "/", c.opts.Platform), func(t *testing.T) {
 			_, out, err := s.ProfileOutcome(context.Background(), c.opts)

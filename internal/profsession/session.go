@@ -4,15 +4,17 @@
 // when repeated runs over the same model/hardware configuration are
 // amortized. A Session keys every request by its resolved identity
 // (core.Resolve, see Fingerprint) and serves it through one
-// internal/cache LRU of reports: repeats are cache hits, and
+// internal/cache LRU of encoded reports: repeats are cache hits, and
 // concurrent identical requests collapse into a single pipeline
 // execution, with hit/miss/eviction/in-flight counters for
-// observability.
+// observability. Every report a Session returns is its caller's.
 package profsession
 
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -147,9 +149,11 @@ type Session struct {
 	breakers *breakerSet // nil when the breaker is disabled
 	memo     *memo.Store // nil when memoization is disabled
 
-	// reports is the one report store. Reports are immutable once
-	// stored: ProfileOutcome shares them and ProfileCtx copies them.
-	reports *cache.LRU[string, *core.Report]
+	// reports is the one report store. It keeps each report as its
+	// binary encoding (core.Report.AppendBinary), one pointer-free
+	// string that the garbage collector never scans, and a hit decodes
+	// it into a report of its own.
+	reports *cache.LRU[string, string]
 
 	retries, retriesExhausted atomic.Int64
 }
@@ -180,7 +184,7 @@ func NewWithConfig(cfg Config) *Session {
 		profile: cfg.Profile,
 		retry:   cfg.Retry,
 		memo:    cfg.Memo,
-		reports: cache.New[string, *core.Report](cfg.Capacity),
+		reports: cache.New[string, string](cfg.Capacity),
 	}
 	if cfg.Breaker.Threshold > 0 {
 		s.breakers = newBreakerSet(cfg.Breaker)
@@ -191,27 +195,29 @@ func NewWithConfig(cfg Config) *Session {
 // ProfileCtx serves a profiling request, from cache when an identical
 // request (same Fingerprint) has run before, otherwise by
 // executing the pipeline once — concurrent identical requests share
-// that single execution. The returned report is a deep copy; callers
-// may mutate it freely without corrupting the cache. Errors are never
-// cached: a failed configuration is retried on the next request.
+// that single execution. The returned report is the caller's: it shares
+// nothing another caller can write, so the caller may mutate it freely.
+// Errors are never cached: a failed configuration is retried on the
+// next request.
 //
 // When opts.Graph is set, it is passed on as is: the pipeline never
 // writes it (each run profiles a view), so the caller's graph and its
 // content fingerprint stay unchanged.
 func (s *Session) ProfileCtx(ctx context.Context, opts core.Options) (*core.Report, error) {
 	rep, _, err := s.ProfileOutcome(ctx, opts)
-	return cloneReport(rep), err
+	return rep, err
 }
 
-// ProfileOutcome is ProfileCtx without the copy, reporting additionally
-// how the request was served: from cache (OutcomeHit), by executing the
-// pipeline (OutcomeMiss), or by sharing an identical in-flight
-// execution (OutcomeDedup). The returned report is the stored one,
-// shared with every other caller of its key: it is read-only, and a
-// caller that may write it calls ProfileCtx instead. On error the
-// outcome still describes the path taken (a failed execution reports
-// OutcomeMiss). A request core.Resolve refuses fails before the cache:
-// it reports no outcome (""), counts no miss and moves no circuit.
+// ProfileOutcome is ProfileCtx, reporting additionally how the request
+// was served: from cache (OutcomeHit), by executing the pipeline
+// (OutcomeMiss), or by sharing an identical in-flight execution
+// (OutcomeDedup). A miss returns the pipeline's own report and stores
+// its encoding; a hit or a dedup decodes the stored encoding into a
+// fresh report (core.DecodeReport), whose strings alias the stored
+// string. On error the outcome still describes the path taken (a
+// failed execution reports OutcomeMiss). A request core.Resolve refuses
+// fails before the cache: it reports no outcome (""), counts no miss
+// and moves no circuit.
 func (s *Session) ProfileOutcome(ctx context.Context, opts core.Options) (*core.Report, Outcome, error) {
 	ctx, sp := obs.Start(ctx, "session")
 	sp.SetAttr("model", opts.Model)
@@ -227,12 +233,20 @@ func (s *Session) profileOutcome(ctx context.Context, opts core.Options) (*core.
 	if err != nil {
 		return nil, "", err
 	}
-	fn := func() (*core.Report, error) { return s.lead(ctx, r, opts) }
-	rep, out, err := s.reports.Do(ctx, r.Key, fn)
+	var led *core.Report
+	fn := func() (string, error) {
+		rep, err := s.lead(ctx, r, opts)
+		if err != nil {
+			return "", err
+		}
+		led = rep
+		return encodeReport(rep), nil
+	}
+	enc, out, err := s.reports.Do(ctx, r.Key, fn)
 	// A waiter whose leader's caller hung up has not failed: while its
 	// own ctx lives, it leads or joins the key afresh.
 	for out == cache.Dedup && errors.Is(err, context.Canceled) && ctx.Err() == nil {
-		rep, out, err = s.reports.Do(ctx, r.Key, fn)
+		enc, out, err = s.reports.Do(ctx, r.Key, fn)
 	}
 	if err != nil {
 		var coe *CircuitOpenError
@@ -244,7 +258,27 @@ func (s *Session) profileOutcome(ctx context.Context, opts core.Options) (*core.
 		// belongs to the caller.
 		return nil, Outcome(out), err
 	}
+	if out == cache.Miss {
+		return led, OutcomeMiss, nil
+	}
+	rep, err := core.DecodeReport(enc)
+	if err != nil {
+		return nil, Outcome(out), fmt.Errorf("profsession: stored report %s: %w", r.Key, err)
+	}
 	return rep, Outcome(out), nil
+}
+
+// encodeBufs recycles the scratch a miss encodes its report into, so
+// that the stored string is the only allocation the encoding adds.
+var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// encodeReport returns rep's binary encoding as the string the store
+// keeps.
+func encodeReport(rep *core.Report) string {
+	buf := encodeBufs.Get().(*[]byte)
+	defer encodeBufs.Put(buf)
+	*buf = rep.AppendBinary((*buf)[:0])
+	return string(*buf)
 }
 
 // lead runs one report-store miss: only a would-be leader consults
@@ -376,26 +410,4 @@ func (s *Session) Stats() Stats {
 // are lifetime totals).
 func (s *Session) Reset() {
 	s.reports.Reset()
-}
-
-// cloneReport deep-copies a report so cached state can never be
-// corrupted by a caller mutating its result. A manual copy (rather
-// than a JSON round-trip) keeps cache hits microsecond-cheap.
-func cloneReport(r *core.Report) *core.Report {
-	if r == nil {
-		return nil
-	}
-	c := *r
-	c.Roofline.ExtraBWLines = append(r.Roofline.ExtraBWLines[:0:0], r.Roofline.ExtraBWLines...)
-	if r.Layers != nil {
-		c.Layers = make([]core.LayerReport, len(r.Layers))
-		for i, l := range r.Layers {
-			cl := l
-			cl.OriginalNodes = append(l.OriginalNodes[:0:0], l.OriginalNodes...)
-			cl.OpTypes = append(l.OpTypes[:0:0], l.OpTypes...)
-			cl.Kernels = append(l.Kernels[:0:0], l.Kernels...)
-			c.Layers[i] = cl
-		}
-	}
-	return &c
 }

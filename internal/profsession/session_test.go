@@ -21,8 +21,9 @@ import (
 var baseOpts = core.Options{Model: "mobilenetv2-0.5", Platform: "a100", Batch: 8, Seed: 1}
 
 // hitAllocBudget caps the objects one report-store hit allocates: its
-// resolved key, not a copy of the report.
-const hitAllocBudget = 4
+// resolved key, and the decoded report, its layers, one names array and
+// one kernels array, however many layers the report has.
+const hitAllocBudget = 5
 
 // withBWLine profiles through the pipeline and adds one extra roofline
 // ceiling, so every slice a report holds is non-empty.
@@ -46,7 +47,7 @@ func TestCacheHitDeepEqual(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r1 == r2 {
-		t.Fatal("cache returned the same pointer; want a deep copy")
+		t.Fatal("cache returned the same pointer; want a report of the hit's own")
 	}
 	if !reflect.DeepEqual(r1, r2) {
 		t.Fatal("cached report is not deep-equal to the original")
@@ -59,8 +60,8 @@ func TestCacheHitDeepEqual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Mutating every slice of a returned copy must not corrupt the
-	// stored report, which ProfileOutcome shares.
+	// Mutating every slice of a returned report must not corrupt the
+	// stored one.
 	coretest.WriteEverySlice(r2)
 	r3, err := s.ProfileCtx(context.Background(), baseOpts)
 	if err != nil {
@@ -69,25 +70,35 @@ func TestCacheHitDeepEqual(t *testing.T) {
 	if !reflect.DeepEqual(r1, r3) {
 		t.Fatal("mutating a cache-hit result leaked into the cache")
 	}
-	shared, out, err := s.ProfileOutcome(context.Background(), baseOpts)
+	hit, out, err := s.ProfileOutcome(context.Background(), baseOpts)
 	if err != nil || out != OutcomeHit {
 		t.Fatalf("ProfileOutcome = %v, %v", out, err)
 	}
-	if got, err := shared.AppendJSON(nil); err != nil || string(got) != string(want) {
-		t.Fatalf("after a caller wrote its copy, the stored report encodes differently (err %v)", err)
+	if got, err := hit.AppendJSON(nil); err != nil || string(got) != string(want) {
+		t.Fatalf("after a caller wrote its report, a hit encodes differently (err %v)", err)
 	}
 }
 
-// TestProfileOutcomeSharesStoredReport: ProfileOutcome serves the
-// stored report itself. Two hits on one key return one pointer, and a
-// hit allocates a small constant (resolving the key) rather than a copy
-// of the report, which costs hundreds of allocations.
-func TestProfileOutcomeSharesStoredReport(t *testing.T) {
-	s := New(0)
+// TestHitsReturnOwnedReports: every report a session returns is its
+// caller's. The miss returns the pipeline's report; each hit decodes
+// the stored one afresh, so two hits return distinct reports that are
+// deep-equal and encode to the miss's bytes. Hits from several
+// goroutines, each writing every slice of its report, and a write to
+// the miss's report leave later hits unchanged (under -race, a shared
+// write also fails as a data race). A hit allocates the same small
+// number of objects whatever the report's layer count.
+func TestHitsReturnOwnedReports(t *testing.T) {
 	ctx := context.Background()
-	if _, out, err := s.ProfileOutcome(ctx, baseOpts); err != nil || out != OutcomeMiss {
+	s := New(0)
+	miss, out, err := s.ProfileOutcome(ctx, baseOpts)
+	if err != nil || out != OutcomeMiss {
 		t.Fatalf("first ProfileOutcome = %v, %v", out, err)
 	}
+	want, err := miss.AppendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coretest.WriteEverySlice(miss)
 	r1, _, err := s.ProfileOutcome(ctx, baseOpts)
 	if err != nil {
 		t.Fatal(err)
@@ -96,20 +107,63 @@ func TestProfileOutcomeSharesStoredReport(t *testing.T) {
 	if err != nil || out != OutcomeHit {
 		t.Fatalf("ProfileOutcome = %v, %v", out, err)
 	}
-	if r1 != r2 {
-		t.Fatal("two hits on one key returned different reports; want the stored one")
+	if r1 == r2 || &r1.Layers[0] == &r2.Layers[0] {
+		t.Fatal("two hits on one key share a report; want one each")
 	}
-	if c, err := s.ProfileCtx(ctx, baseOpts); err != nil || c == r1 {
-		t.Fatalf("ProfileCtx returned the stored report (err %v); want a copy", err)
+	if !reflect.DeepEqual(r1, r2) {
+		t.Fatal("two hits on one key returned different reports")
 	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, _, err := s.ProfileOutcome(ctx, baseOpts); err != nil {
+	for _, r := range []*core.Report{r1, r2} {
+		if got, err := r.AppendJSON(nil); err != nil || string(got) != string(want) {
+			t.Fatalf("a hit encodes differently from the miss (err %v)", err)
+		}
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < 5; n++ {
+				rep, out, err := s.ProfileOutcome(ctx, baseOpts)
+				if err != nil || out != OutcomeHit {
+					t.Errorf("concurrent ProfileOutcome = %v, %v", out, err)
+					return
+				}
+				if got, err := rep.AppendJSON(nil); err != nil || string(got) != string(want) {
+					t.Errorf("a concurrent hit encodes differently from the miss (err %v)", err)
+				}
+				coretest.WriteEverySlice(rep)
+			}
+		}()
+	}
+	wg.Wait()
+
+	var first float64
+	for i, opts := range []core.Options{
+		baseOpts,
+		{Model: "vit-t", Platform: "a100", Batch: 8},
+		{Model: "mlp-mixer", Platform: "npu3720", Batch: 8},
+	} {
+		rep, err := s.ProfileCtx(ctx, opts)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	t.Logf("%.0f allocs per hit, %d layers", allocs, len(r1.Layers))
-	if allocs > hitAllocBudget {
-		t.Errorf("a hit allocates %.0f objects, budget %d", allocs, hitAllocBudget)
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, _, err := s.ProfileOutcome(ctx, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s/%s: %.0f allocs per hit, %d layers", opts.Model, opts.Platform, allocs, len(rep.Layers))
+		if allocs > hitAllocBudget {
+			t.Errorf("%s/%s: a hit allocates %.0f objects, budget %d", opts.Model, opts.Platform, allocs, hitAllocBudget)
+		}
+		if i == 0 {
+			first = allocs
+		} else if allocs != first {
+			t.Errorf("%s/%s: a hit allocates %.0f objects, %.0f on %s: the count follows the layers",
+				opts.Model, opts.Platform, allocs, first, baseOpts.Model)
+		}
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 
 // BenchmarkServerProfileCacheHit measures the end-to-end HTTP latency
 // of the service hot path: POST /v1/profile answered from the session
-// report cache (admission, routing, cache-hit deep copy, JSON
+// report cache (admission, routing, decoding the stored report, JSON
 // encoding) — the number a capacity plan for repeated-configuration
 // traffic starts from.
 func BenchmarkServerProfileCacheHit(b *testing.B) {

@@ -109,6 +109,8 @@ func TestHandlers(t *testing.T) {
 			`{"model":"resnet-50","platform":"a100","batch":-1}`, 400, "bad_request"},
 		{"profile clocks above the maxima", "POST", "/v1/profile",
 			`{"model":"resnet-18","platform":"orin-nx","gpu_clock_mhz":5000,"emc_clock_mhz":20000}`, 400, "bad_request"},
+		{"profile CPU clusters above the maximum", "POST", "/v1/profile",
+			`{"model":"resnet-18","platform":"orin-nx","cpu_clusters":1000}`, 400, "bad_request"},
 		{"profile unsupported family", "POST", "/v1/profile",
 			`{"model":"distilbert","platform":"npu3720"}`, 422, "unsupported"},
 		{"profile wrong method", "GET", "/v1/profile", "", 405, "method_not_allowed"},

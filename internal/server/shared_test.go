@@ -14,13 +14,14 @@ import (
 	"proof/internal/profsession"
 )
 
-// TestStoredReportsNeverWritten: on a hit proofd encodes the session's
-// stored report itself, while library callers of the same session get
-// copies they may write. After a few cold-zoo keys are warmed, 8
-// goroutines send /v1/profile hits while 2 others profile the same keys
-// through Session.ProfileCtx and write every slice of their copies.
-// Every response must equal the key's first, byte for byte; under -race
-// a write that reaches a stored report also fails as a data race.
+// TestStoredReportsNeverWritten: every hit decodes a report of its own
+// from the session's stored encoding, which proofd encodes into its
+// response while library callers of the same session may write theirs.
+// After a few cold-zoo keys are warmed, 8 goroutines send /v1/profile
+// hits while 2 others profile the same keys through Session.ProfileCtx
+// and write every slice of their reports. Every response must equal the
+// key's first, byte for byte; under -race a write that reaches another
+// caller's report also fails as a data race.
 func TestStoredReportsNeverWritten(t *testing.T) {
 	sess := profsession.New(0)
 	_, ts := newTestServer(t, Config{Session: sess, MaxInflight: 8})

@@ -105,10 +105,11 @@ func ProfileCtx(ctx context.Context, opts Options) (*Report, error) {
 // Session is a cached, deduplicated profiling front-end: repeated
 // ProfileCtx calls with an identical configuration are served from a
 // content-addressed LRU report store, and concurrent identical requests
-// share one pipeline execution. Stored reports are never written:
-// ProfileCtx returns a deep copy the caller may modify, while
-// ProfileOutcome returns the stored report itself, shared and
-// read-only, for callers that only read it. See NewSession.
+// share one pipeline execution. The store keeps each report encoded, as
+// one compact string, and every call returns a report the caller owns
+// and may modify: a miss returns the pipeline's report, and a hit
+// decodes the stored one afresh. ProfileOutcome also says how the
+// request was served. See NewSession.
 type Session = profsession.Session
 
 // SessionStats is a snapshot of a Session's hit/miss/eviction/in-flight
