@@ -32,18 +32,19 @@ bench-serving:
 	$(GO) run ./cmd/proofload -name bench-serving -seed 1 -json -out BENCH_serving.json
 
 # bench-sweep regenerates BENCH_sweep.json: the pinned-seed 20-model ×
-# all-platform × batch-grid sweep, unmemoized vs memoized (cold
-# recording pass and warm plan-assembly pass) through one shared memo
-# store sized for the grid. Grid, seed, point count and plan hits are
+# all-platform × batch-grid sweep, plain vs through one session whose
+# report store holds the grid (cold pass, which executes every point,
+# and warm pass, which hits). Grid, seed, point count and warm hits are
 # deterministic; only wall times move with the host. The writer fails
-# if the warm pass misses a plan or is less than 5x faster than
-# unmemoized.
+# if the warm pass misses a point or is less than 5x faster than the
+# plain sweep.
 bench-sweep:
 	$(GO) test ./internal/core -run TestWriteSweepBenchArtifact -bench-out=$(CURDIR)/BENCH_sweep.json
 
 # bench-roofline regenerates BENCH_roofline.json: ns/op and allocs/op
-# for the roofline hot path (point construction, bound classification,
-# assemble's per-layer loop over a resnet-18 plan). The writer
-# fails if any of the pinned paths allocates; ns/op moves with the host.
+# for the roofline hot path (point construction, bound classification)
+# and the pipeline's tail on a held resnet-18 engine. The writer fails
+# if the point math allocates or the tail allocates other than its
+# pinned count; ns/op moves with the host.
 bench-roofline:
 	$(GO) test ./internal/core -run TestWriteRooflineBenchArtifact -roofline-bench-out=$(CURDIR)/BENCH_roofline.json

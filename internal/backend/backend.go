@@ -169,30 +169,19 @@ func (e *Engine) Layers() []Layer { return e.layers }
 // records (compute/memory split, actual traffic) in execution order —
 // the ground-truth execution internal/ncusim measures.
 func (e *Engine) Timings(seed uint64) []sim.Timing {
-	return e.TimingsInto(nil, seed)
-}
-
-// TimingsInto is the allocation-free form of Timings: it simulates into
-// dst's backing array when the capacity suffices (growing it otherwise)
-// and returns the filled slice, so a caller that re-simulates an engine
-// can reuse one buffer.
-//
-//lint:hotpath
-func (e *Engine) TimingsInto(dst []sim.Timing, seed uint64) []sim.Timing {
 	cfg := e.simConfig(seed)
-	if cap(dst) < len(e.works) {
-		dst = make([]sim.Timing, len(e.works)) //lint:ignore hotalloc cold grow branch: runs once per engine per pool buffer; TestTimingsIntoZeroAlloc pins the warm path at 0 allocs/op
-	}
-	dst = dst[:len(e.works)]
+	timings := make([]sim.Timing, len(e.works))
 	for i, w := range e.works {
-		dst[i] = sim.SimulateLayer(w, cfg)
+		timings[i] = sim.SimulateLayer(w, cfg)
 	}
-	return dst
+	return timings
 }
 
 // LayerTiming simulates a single layer by execution index — the
-// built-in profiler's per-layer latency. The pipeline tail profiles
-// each layer's unit with it.
+// built-in profiler's per-layer latency. The pipeline tail times each
+// layer with it, so it allocates nothing.
+//
+//lint:hotpath
 func (e *Engine) LayerTiming(i int, seed uint64) sim.Timing {
 	return sim.SimulateLayer(e.works[i], e.simConfig(seed))
 }

@@ -373,11 +373,12 @@ func TestDTypeAffectsLatency(t *testing.T) {
 	}
 }
 
-// TestTimingsIntoZeroAlloc holds the per-request hot path to its
-// //lint:hotpath contract: once a pooled buffer has been sized,
-// re-simulating an engine into it must not allocate — neither in
-// TimingsInto itself nor anywhere inside sim.SimulateLayer.
-func TestTimingsIntoZeroAlloc(t *testing.T) {
+// TestLayerTimingZeroAlloc holds the per-layer timing the pipeline
+// tail calls once per layer to its //lint:hotpath contract: simulating
+// a layer must not allocate, neither in LayerTiming itself nor anywhere
+// inside sim.SimulateLayer, and it must agree with the whole-engine
+// Timings.
+func TestLayerTimingZeroAlloc(t *testing.T) {
 	plat, _ := hardware.Get("a100")
 	rep := buildRep(t, "resnet-18", 4, graph.Float16)
 	be, _ := backend.Get("trtsim")
@@ -385,20 +386,18 @@ func TestTimingsIntoZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := eng.TimingsInto(nil, 1)
-	if len(buf) == 0 {
+	all := eng.Timings(1)
+	if len(all) == 0 {
 		t.Fatal("no layers simulated")
 	}
-	fresh := eng.Timings(1)
-	n := testing.AllocsPerRun(100, func() {
-		buf = eng.TimingsInto(buf, 1)
-	})
-	if n != 0 {
-		t.Errorf("TimingsInto allocates %v per run on a warm buffer, want 0", n)
-	}
-	for i := range buf {
-		if buf[i] != fresh[i] {
-			t.Fatalf("layer %d: reused-buffer timing %+v != fresh %+v", i, buf[i], fresh[i])
+	var tm sim.Timing
+	for i := range all {
+		n := testing.AllocsPerRun(10, func() { tm = eng.LayerTiming(i, 1) })
+		if n != 0 {
+			t.Fatalf("LayerTiming(%d) allocates %v per run, want 0", i, n)
+		}
+		if tm != all[i] {
+			t.Fatalf("layer %d: LayerTiming %+v != Timings %+v", i, tm, all[i])
 		}
 	}
 }

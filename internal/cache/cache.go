@@ -5,7 +5,7 @@
 // is an entry count, and NewWeighted takes a weight function. Reset
 // empties the LRU, and no computation begun before it caches its
 // result. The session report store, the zoo's admitted graphs and the
-// memo store's plans (weighed by layer count) are all instances of it.
+// memo store's reports (weighed by layer count) are all instances of it.
 package cache
 
 import (

@@ -10,43 +10,30 @@ import (
 
 	"proof/internal/graph"
 	"proof/internal/hardware"
-	"proof/internal/memo"
 	"proof/internal/roofline"
 )
 
 var rooflineBenchOut = flag.String("roofline-bench-out", "", "write the roofline hot-path benchmark artifact (BENCH_roofline.json) to this path")
 
-// benchPlan profiles the pinned benchmark configuration, resnet-18 on
-// the A100 at batch 4, the same every run so ns/op is comparable
-// across commits. It returns the plan a memo store keeps for it and the
-// report assembled from that plan.
-func benchPlan(tb testing.TB) (*memo.Plan, *Report) {
+// heldSource builds model on the A100 at batch 4 up to the pipeline's
+// tail and returns it with its resolved request, so the tail can run
+// again and again on one held engine.
+func heldSource(tb testing.TB, model string) (*layerSource, *Resolved) {
 	tb.Helper()
-	store := memo.NewStore(memo.StoreConfig{UnitCapacity: memo.DefaultUnitCapacity})
-	opts := Options{Model: "resnet-18", Platform: "a100", Batch: 4, Memo: store}
-	rep, err := ProfileCtx(context.Background(), opts)
+	r, err := Resolve(Options{Model: model, Platform: "a100", Batch: 4})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	r, err := Resolve(opts)
+	src, err := build(context.Background(), &r)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	plan, ok := store.Plan(r.Key)
-	if !ok {
-		tb.Fatal("the memo store kept no plan")
-	}
-	return plan, rep
+	return &src, &r
 }
 
-// planKernels returns an array with room for every kernel of plan.
-func planKernels(plan *memo.Plan) []KernelReport {
-	var n int
-	for i := range plan.Layers {
-		n += len(plan.Layers[i].Kernels)
-	}
-	return make([]KernelReport, n)
-}
+// tailAllocs is what one tail allocates whatever the model: the
+// report, its layers, one names array and one kernels array.
+const tailAllocs = 4
 
 func benchModel(tb testing.TB) roofline.Model {
 	tb.Helper()
@@ -84,39 +71,45 @@ func BenchmarkRooflineClassifyBound(b *testing.B) {
 	}
 }
 
-// BenchmarkLayerPointMapping measures one pass of assemble's per-layer
-// loop (Report.fillLayers) over a resnet-18 plan: per-layer point
-// construction, kernel latencies, share filling, the end-to-end point
-// and aggregate utilization — the steady-state per-request work once a
-// run has its plan. Must run allocation-free.
-func BenchmarkLayerPointMapping(b *testing.B) {
-	plan, rep := benchPlan(b)
-	kernels := planKernels(plan)
+// BenchmarkReportTail measures the pipeline's tail on a held
+// resnet-18/a100/batch-4 engine, the same every run so ns/op is
+// comparable across commits: each layer's simulated timing, predicted
+// cost, category and roofline point, its names and kernel latencies,
+// then the shares, the end-to-end point, utilization and power — the
+// per-report work once the engine and its mapping are built.
+func BenchmarkReportTail(b *testing.B) {
+	src, r := heldSource(b, "resnet-18")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep.fillLayers(plan, kernels)
-	}
-	if len(rep.Layers) != len(plan.Layers) {
-		b.Fatalf("mapped %d layers for %d planned", len(rep.Layers), len(plan.Layers))
+		if _, err := src.tail(r); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
-// TestLayerPointMappingZeroAlloc is the always-on guard behind the
-// benchmark artifact: assemble's per-layer loop, shares, end-to-end
-// point and utilization included, must not allocate per pass.
-func TestLayerPointMappingZeroAlloc(t *testing.T) {
-	plan, rep := benchPlan(t)
-	kernels := planKernels(plan)
-	n := testing.AllocsPerRun(50, func() { rep.fillLayers(plan, kernels) })
-	if n != 0 {
-		t.Fatalf("the per-layer loop allocates %v per pass, want 0", n)
+// TestTailAllocsIndependentOfModel is the always-on guard behind the
+// benchmark artifact: the tail allocates tailAllocs objects for
+// resnet-18, resnet-50 and vit-t alike (25, 58 and 42 layers at batch
+// 4), so nothing in its per-layer loop allocates.
+func TestTailAllocsIndependentOfModel(t *testing.T) {
+	for _, model := range []string{"resnet-18", "resnet-50", "vit-t"} {
+		src, r := heldSource(t, model)
+		var err error
+		n := testing.AllocsPerRun(20, func() { _, err = src.tail(r) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != tailAllocs {
+			t.Errorf("%s: the tail allocates %v objects over %d layers, want %d", model, n, len(src.eng.Layers()), tailAllocs)
+		}
 	}
 }
 
 // rooflineBenchArtifact is the committed BENCH_roofline.json schema:
-// ns/op and allocs/op for the roofline hot-path micro-benchmarks.
-// Allocs are asserted zero before writing; ns/op moves with the host.
+// ns/op and allocs/op for the roofline micro-benchmarks and the report
+// tail. Allocs are asserted before writing (zero for the point math,
+// tailAllocs for the tail); ns/op moves with the host.
 type rooflineBenchArtifact struct {
 	Name    string               `json:"name"`
 	Seed    uint64               `json:"seed"`
@@ -132,23 +125,25 @@ type rooflineBenchEntry struct {
 
 // TestWriteRooflineBenchArtifact regenerates BENCH_roofline.json when
 // run with -roofline-bench-out (wired to `make bench-roofline`). The
-// writer refuses to pin an artifact whose hot paths allocate.
+// writer refuses to pin an artifact whose point math allocates or whose
+// tail allocates other than tailAllocs objects.
 func TestWriteRooflineBenchArtifact(t *testing.T) {
 	if *rooflineBenchOut == "" {
 		t.Skip("no -roofline-bench-out path; artifact regeneration runs via `make bench-roofline`")
 	}
 	art := rooflineBenchArtifact{Name: "bench-roofline", Seed: 1}
 	for _, bm := range []struct {
-		name string
-		fn   func(*testing.B)
+		name   string
+		fn     func(*testing.B)
+		allocs int64
 	}{
-		{"BenchmarkRooflineNewPoint", BenchmarkRooflineNewPoint},
-		{"BenchmarkRooflineClassifyBound", BenchmarkRooflineClassifyBound},
-		{"BenchmarkLayerPointMapping", BenchmarkLayerPointMapping},
+		{"BenchmarkRooflineNewPoint", BenchmarkRooflineNewPoint, 0},
+		{"BenchmarkRooflineClassifyBound", BenchmarkRooflineClassifyBound, 0},
+		{"BenchmarkReportTail", BenchmarkReportTail, tailAllocs},
 	} {
 		r := testing.Benchmark(bm.fn)
-		if r.AllocsPerOp() != 0 {
-			t.Fatalf("%s allocates %d/op (%d B/op); not writing artifact", bm.name, r.AllocsPerOp(), r.AllocedBytesPerOp())
+		if r.AllocsPerOp() != bm.allocs {
+			t.Fatalf("%s allocates %d/op (%d B/op), want %d; not writing artifact", bm.name, r.AllocsPerOp(), r.AllocedBytesPerOp(), bm.allocs)
 		}
 		art.Results = append(art.Results, rooflineBenchEntry{
 			Benchmark:   bm.name,

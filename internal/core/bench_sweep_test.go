@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"context"
@@ -8,12 +8,13 @@ import (
 	"testing"
 	"time"
 
+	"proof/internal/core"
 	"proof/internal/hardware"
-	"proof/internal/memo"
 	"proof/internal/models"
+	"proof/internal/profsession"
 )
 
-var benchOut = flag.String("bench-out", "", "write the sweep-memo benchmark artifact (BENCH_sweep.json) to this path")
+var benchOut = flag.String("bench-out", "", "write the sweep benchmark artifact (BENCH_sweep.json) to this path")
 
 // benchSweepSeed pins the jitter seed so the benchmark grid is the
 // same workload on every run and every host.
@@ -30,21 +31,19 @@ func benchSweepModels() []models.Info {
 }
 
 // sweepGrid profiles the full benchmark grid — 20 models × every
-// platform × batch {1, platform default} — through one store (nil =
-// unmemoized) and returns the number of successfully profiled points.
-// Unsupported model/platform combinations are skipped, matching what a
-// real sweep does.
-func sweepGrid(store *memo.Store) int {
+// platform × batch {1, platform default} — through profile and returns
+// the number of successfully profiled points. Unsupported model/platform
+// combinations are skipped, matching what a real sweep does.
+func sweepGrid(profile core.ProfileFunc) int {
 	points := 0
 	for _, info := range benchSweepModels() {
 		for _, p := range hardware.List() {
 			for _, batch := range []int{1, 0} {
-				_, err := ProfileCtx(context.Background(), Options{
+				_, err := profile(context.Background(), core.Options{
 					Model:    info.Key,
 					Platform: p.Key,
 					Batch:    batch,
 					Seed:     benchSweepSeed,
-					Memo:     store,
 				})
 				if err == nil {
 					points++
@@ -55,36 +54,32 @@ func sweepGrid(store *memo.Store) int {
 	return points
 }
 
-// sweepStoreUnits sizes the benchmark's memo store. The grid records
-// 264 plans of 43,130 layer units, more than a default store's 16,384,
-// and a warm pass must find every plan.
-const sweepStoreUnits = 1 << 16
-
-// BenchmarkSweepMemo measures the memoized sweep on the 20-model ×
-// all-platform × batch-grid workload. "off" runs the plain pipeline
-// every iteration; "on" shares one memo store across iterations, so
-// the first iteration records (cold) and the rest assemble from cached
-// plans (warm) — the steady state of a long-lived proofd. Regenerate
-// the committed artifact with `make bench-sweep`.
+// BenchmarkSweepMemo measures the sweep on the 20-model × all-platform
+// × batch-grid workload. "off" runs the plain pipeline every iteration;
+// "on" shares one session across iterations, whose report store holds
+// the whole grid, so the first iteration executes every point (cold)
+// and the rest are report-store hits (warm) — the steady state of a
+// long-lived proofd. Regenerate the committed artifact with
+// `make bench-sweep`.
 func BenchmarkSweepMemo(b *testing.B) {
 	b.Run("off", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sweepGrid(nil)
+			sweepGrid(core.ProfileCtx)
 		}
 	})
 	b.Run("on", func(b *testing.B) {
-		store := memo.NewStore(memo.StoreConfig{UnitCapacity: sweepStoreUnits})
+		sess := profsession.New(0)
 		for i := 0; i < b.N; i++ {
-			sweepGrid(store)
+			sweepGrid(sess.ProfileCtx)
 		}
 	})
 }
 
 // sweepBenchArtifact is the committed BENCH_sweep.json schema: the
-// pinned benchmark grid with memo-off vs memo-on (cold and warm)
-// wall times, their speedups, and the warm pass's plan hits. Grid and
-// seed are fixed, so point and hit counts are identical across runs;
-// only wall times move with the host.
+// pinned benchmark grid run plain and through one session (cold, then
+// warm) with their wall times, their speedups, and the warm pass's
+// report-store hits. Grid and seed are fixed, so point and hit counts
+// are identical across runs; only wall times move with the host.
 type sweepBenchArtifact struct {
 	Name        string  `json:"name"`
 	Seed        uint64  `json:"seed"`
@@ -92,40 +87,41 @@ type sweepBenchArtifact struct {
 	Platforms   int     `json:"platforms"`
 	Batches     []int   `json:"batches"`
 	Points      int     `json:"points"`
-	MemoOffNs   int64   `json:"memo_off_ns"`
-	MemoColdNs  int64   `json:"memo_cold_ns"`
-	MemoWarmNs  int64   `json:"memo_warm_ns"`
+	PlainNs     int64   `json:"plain_ns"`
+	ColdNs      int64   `json:"cold_ns"`
+	WarmNs      int64   `json:"warm_ns"`
 	ColdSpeedup float64 `json:"cold_speedup"`
 	WarmSpeedup float64 `json:"warm_speedup"`
-	PlanHits    int64   `json:"plan_hits"`
+	WarmHits    int64   `json:"warm_hits"`
 }
 
 // TestWriteSweepBenchArtifact regenerates BENCH_sweep.json when run
-// with -bench-out (wired to `make bench-sweep`); without the flag it
-// cheaply asserts the headline claim on a reduced grid via the
-// benchmark helpers, keeping the artifact honest in plain `go test`.
+// with -bench-out (wired to `make bench-sweep`). The writer refuses to
+// pin an artifact whose warm pass misses a point or is less than 5x
+// faster than the plain sweep.
 func TestWriteSweepBenchArtifact(t *testing.T) {
 	if *benchOut == "" {
 		t.Skip("no -bench-out path; artifact regeneration runs via `make bench-sweep`")
 	}
-	timeGrid := func(store *memo.Store) (time.Duration, int) {
+	timeGrid := func(profile core.ProfileFunc) (time.Duration, int) {
 		t0 := time.Now()
-		points := sweepGrid(store)
+		points := sweepGrid(profile)
 		return time.Since(t0), points
 	}
 
 	// Zoo graphs are admitted once per process. Admit the grid's models
-	// before timing anything, so the first timed pass (memo off) does
-	// not pay for every admission and flatter the cold-memo ratio.
+	// before timing anything, so the first timed pass (the plain one)
+	// does not pay for every admission and flatter the cold ratio.
 	for _, info := range benchSweepModels() {
-		if _, err := admittedGraph(context.Background(), Options{Model: info.Key}); err != nil {
+		if _, err := core.ProfileCtx(context.Background(), core.Options{Model: info.Key, Platform: "a100", IgnoreSupport: true}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	offDur, points := timeGrid(nil)
-	store := memo.NewStore(memo.StoreConfig{UnitCapacity: sweepStoreUnits})
-	coldDur, _ := timeGrid(store)
-	warmDur, _ := timeGrid(store)
+	plainDur, points := timeGrid(core.ProfileCtx)
+	sess := profsession.New(0)
+	coldDur, _ := timeGrid(sess.ProfileCtx)
+	cold := sess.Stats()
+	warmDur, _ := timeGrid(sess.ProfileCtx)
 
 	art := sweepBenchArtifact{
 		Name:        "bench-sweep",
@@ -134,18 +130,18 @@ func TestWriteSweepBenchArtifact(t *testing.T) {
 		Platforms:   len(hardware.List()),
 		Batches:     []int{1, 0},
 		Points:      points,
-		MemoOffNs:   offDur.Nanoseconds(),
-		MemoColdNs:  coldDur.Nanoseconds(),
-		MemoWarmNs:  warmDur.Nanoseconds(),
-		ColdSpeedup: float64(offDur) / float64(coldDur),
-		WarmSpeedup: float64(offDur) / float64(warmDur),
-		PlanHits:    store.Stats().PlanHits,
+		PlainNs:     plainDur.Nanoseconds(),
+		ColdNs:      coldDur.Nanoseconds(),
+		WarmNs:      warmDur.Nanoseconds(),
+		ColdSpeedup: float64(plainDur) / float64(coldDur),
+		WarmSpeedup: float64(plainDur) / float64(warmDur),
+		WarmHits:    sess.Stats().Hits - cold.Hits,
 	}
-	if art.PlanHits != int64(points) {
-		t.Fatalf("warm pass hit %d plans of %d points: the store is too small for the grid", art.PlanHits, points)
+	if art.WarmHits != int64(points) {
+		t.Fatalf("warm pass hit %d reports of %d points: the report store is too small for the grid", art.WarmHits, points)
 	}
 	if art.WarmSpeedup < 5 {
-		t.Fatalf("warm memoized sweep only %.1fx faster than unmemoized (want >= 5x); not writing artifact", art.WarmSpeedup)
+		t.Fatalf("warm sweep only %.1fx faster than the plain one (want >= 5x); not writing artifact", art.WarmSpeedup)
 	}
 	raw, err := json.MarshalIndent(art, "", "  ")
 	if err != nil {
@@ -154,35 +150,63 @@ func TestWriteSweepBenchArtifact(t *testing.T) {
 	if err := os.WriteFile(*benchOut, append(raw, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("wrote %s: off=%v cold=%v warm=%v (%.2fx cold, %.1fx warm, %d plan hits)",
-		*benchOut, offDur, coldDur, warmDur, art.ColdSpeedup, art.WarmSpeedup, art.PlanHits)
+	t.Logf("wrote %s: plain=%v cold=%v warm=%v (%.2fx cold, %.1fx warm, %d warm hits)",
+		*benchOut, plainDur, coldDur, warmDur, art.ColdSpeedup, art.WarmSpeedup, art.WarmHits)
 }
 
 // TestSweepMemoSpeedup is the always-on guard behind the committed
 // artifact: on a reduced grid (5 models × all platforms), the warm
-// memoized sweep must beat the plain pipeline by a wide margin. The
-// threshold is far below the measured ~10x+ so scheduler noise cannot
-// flake it, while still catching a memoization regression (a broken
-// plan path would land near 1x).
+// sweep through a session must beat the plain pipeline by a wide
+// margin. The threshold is far below the measured speedup so scheduler
+// noise cannot flake it, while still catching a broken report store (a
+// warm pass that executes would land near 1x).
 func TestSweepMemoSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive")
 	}
 	infos := benchSweepModels()[:5]
-	grid := func(store *memo.Store) time.Duration {
+	grid := func(profile core.ProfileFunc) time.Duration {
 		t0 := time.Now()
 		for _, info := range infos {
 			for _, p := range hardware.List() {
-				_, _ = ProfileCtx(context.Background(), Options{Model: info.Key, Platform: p.Key, Seed: benchSweepSeed, Memo: store})
+				_, _ = profile(context.Background(), core.Options{Model: info.Key, Platform: p.Key, Seed: benchSweepSeed})
 			}
 		}
 		return time.Since(t0)
 	}
-	off := grid(nil)
-	store := memo.NewStore(memo.StoreConfig{})
-	grid(store) // cold recording pass
-	warm := grid(store)
-	if warm*3 > off {
-		t.Fatalf("warm memoized grid %v vs unmemoized %v: less than 3x — memoization regressed", warm, off)
+	plain := grid(core.ProfileCtx)
+	sess := profsession.New(0)
+	grid(sess.ProfileCtx) // cold pass
+	warm := grid(sess.ProfileCtx)
+	if warm*3 > plain {
+		t.Fatalf("warm session grid %v vs plain %v: less than 3x — the report store regressed", warm, plain)
+	}
+}
+
+// TestSweepMemoizedMatchesPlain: a sweep through a session must produce
+// the same rows as a plain sweep, and a repeat sweep must be served
+// from the session's report store.
+func TestSweepMemoizedMatchesPlain(t *testing.T) {
+	plain, err := core.PlatformSweepCtx(context.Background(), "resnet-18", core.ModePredicted, core.ProfileCtx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := profsession.New(0)
+	for pass := 0; pass < 2; pass++ {
+		got, err := core.PlatformSweepCtx(context.Background(), "resnet-18", core.ModePredicted, sess.ProfileCtx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(plain) {
+			t.Fatalf("pass %d: %d rows, want %d", pass, len(got), len(plain))
+		}
+		for i := range got {
+			if got[i] != plain[i] {
+				t.Fatalf("pass %d row %d differs:\n  plain:   %+v\n  session: %+v", pass, i, plain[i], got[i])
+			}
+		}
+	}
+	if st := sess.Stats(); st.Hits == 0 || st.Hits != st.Misses {
+		t.Fatalf("the repeat sweep was not served from the report store: %+v", st)
 	}
 }

@@ -21,29 +21,29 @@ var coldBatches = []int{1, 2, 4, 8, 16, 32}
 // coldProfileBudget caps the heap bytes and the heap objects one cold
 // ProfileCtx allocates at batch 8, per cold-zoo pair. The bytes sit
 // about 3% and the objects about 2% above what the pipeline allocates
-// once a report owns its plan's lists, packed into report-wide arrays,
-// fusion keeps ordered node lists and sizes boundary lists exactly,
-// runtimes name layers without fmt, and assemble writes each roofline
-// point into its layer (CHANGES.md lists the figures before and after). Object counts repeat exactly from run to run, under the
-// race detector too: no sync.Pool, which it drains at random, sits on
-// the pipeline's path.
+// once its tail writes each report's layers in one pass, into
+// report-wide arrays, fusion keeps ordered node lists and sizes
+// boundary lists exactly, and runtimes name layers without fmt
+// (CHANGES.md lists the figures before and after). Object counts repeat
+// exactly from run to run, under the race detector too: no sync.Pool,
+// which it drains at random, sits on the pipeline's path.
 var coldProfileBudget = map[string]struct{ bytes, objects uint64 }{
-	"vit-t|a100":                 {265000, 2215},
-	"vit-s|a100":                 {265000, 2215},
-	"vit-b|a100":                 {265000, 2215},
-	"bert-base|a100":             {257500, 2470},
-	"mlp-mixer|xeon-6330":        {263000, 2625},
-	"shufflenetv2-0.5|xeon-6330": {316500, 3460},
-	"shufflenetv2-1.0|xeon-6330": {316500, 3460},
-	"mlp-mixer|npu3720":          {405000, 4190},
-	"shufflenetv2-0.5|npu3720":   {287500, 3005},
-	"shufflenetv2-1.0|npu3720":   {287500, 3005},
+	"vit-t|a100":                 {253500, 2195},
+	"vit-s|a100":                 {253500, 2195},
+	"vit-b|a100":                 {253500, 2195},
+	"bert-base|a100":             {243500, 2450},
+	"mlp-mixer|xeon-6330":        {239000, 2605},
+	"shufflenetv2-0.5|xeon-6330": {288000, 3440},
+	"shufflenetv2-1.0|xeon-6330": {288000, 3440},
+	"mlp-mixer|npu3720":          {356500, 4170},
+	"shufflenetv2-0.5|npu3720":   {263500, 2985},
+	"shufflenetv2-1.0|npu3720":   {263500, 2985},
 }
 
 // TestColdProfileBytes: one cold profile of each cold-zoo pair at
 // batch 8 allocates no more heap bytes and objects than its budget. A
-// run is cold when no cache serves it: there is no memo store, and
-// every run draws a new seed. The zoo graph's one-time admission is
+// run is cold when no cache serves it: the pipeline keeps no results,
+// and every run draws a new seed. The zoo graph's one-time admission is
 // paid before the measurement. Byte counts are deterministic up to map
 // iteration, so this pins the saving without timing anything.
 func TestColdProfileBytes(t *testing.T) {
@@ -95,7 +95,7 @@ func allocsPerRun(n int, call func(i int)) (bytes, objects uint64) {
 
 // BenchmarkColdProfile times cold pipelines: each op profiles the next
 // (pair, batch) point of perfbench's cold-zoo slice with a seed no
-// other op used, and no memo store, so nothing is served from a cache.
+// other op used, so nothing is served from a cache.
 // Zoo graphs are admitted before the timer starts, once per process as
 // in proofd.
 func BenchmarkColdProfile(b *testing.B) {

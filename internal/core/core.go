@@ -19,7 +19,6 @@ import (
 	"proof/internal/graph"
 	"proof/internal/graphops"
 	"proof/internal/hardware"
-	"proof/internal/memo"
 	"proof/internal/ncusim"
 	"proof/internal/obs"
 	"proof/internal/roofline"
@@ -94,14 +93,6 @@ type Options struct {
 	// support the model family. It is not keyed: it changes nothing on
 	// a supported pair.
 	IgnoreSupport bool
-	// Memo optionally attaches a memo store (internal/memo): a
-	// predicted-mode, constant-roofline run records its plan there, and
-	// a point repeated with an identical configuration is assembled
-	// from the cached plan without building the model at all. Measured
-	// mode and MeasuredRoofline runs ignore the store. Every run, with
-	// or without a store, assembles its report in the same tail, so
-	// memoized reports are byte-identical to unmemoized ones.
-	Memo *memo.Store
 }
 
 // KernelReport is one lowered kernel of a backend layer (the bottom
@@ -184,17 +175,18 @@ type ProfileFunc func(context.Context, Options) (*Report, error)
 // synchronous; ctx is checked at each stage boundary so an abandoned
 // request stops doing work at the next opportunity.
 //
-// Every run ends in the same tail: resolve each backend layer's unit
-// into the point's plan, then assemble the report from the plan (see
-// resolveUnits and assemble). A memo plan hit runs only the assembly.
+// Every run builds its own engine and ends in the same tail, which
+// writes the report's layers in one pass (see layerSource.tail). The
+// pipeline keeps no results: reuse of whole reports belongs to the
+// caller, such as a profsession.Session.
 //
 // When an obs.Tracer is installed in ctx, the run is recorded as a
 // "pipeline" span with one child span per stage (model_build,
 // backend_build, layer_map, roofline, measure, analysis) — the profiler
 // profiling itself. model_build nests an "admit" span when the run
 // admits its graph: a zoo model's first run in the process, or a raw
-// Options.Graph. A plan hit records only the analysis stage. With no
-// tracer installed the instrumentation is a true no-op.
+// Options.Graph. With no tracer installed the instrumentation is a true
+// no-op.
 func ProfileCtx(ctx context.Context, opts Options) (*Report, error) {
 	ctx, pipe := obs.Start(ctx, "pipeline")
 	rep, err := profilePipeline(ctx, opts, pipe)
@@ -206,45 +198,35 @@ func profilePipeline(ctx context.Context, opts Options, pipe *obs.Span) (*Report
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Resolved before any cache is consulted, so a cached plan can never
-	// mask an unknown-model or unsupported-platform error.
 	r, err := Resolve(opts)
 	if err != nil {
 		return nil, err
 	}
-	plat, dt := r.Plat, r.DType
 	pipe.SetAttr("model", opts.Model)
-	pipe.SetAttr("platform", plat.Key)
+	pipe.SetAttr("platform", r.Plat.Key)
 	pipe.SetAttr("backend", r.Backend)
 	pipe.SetAttrInt("batch", int64(r.Batch))
-	pipe.SetAttr("dtype", dt.String())
+	pipe.SetAttr("dtype", r.DType.String())
 	pipe.SetAttr("mode", string(r.Mode))
-
-	// Memo fast path: a point already profiled under an identical
-	// configuration is assembled from its cached plan, skipping model
-	// build, backend build and mapping entirely. Only predicted-mode,
-	// constant-roofline runs are memoized: measured mode replays
-	// hardware counters and MeasuredRoofline re-runs the peak test,
-	// both of which must stay observable work.
-	store := r.Memo
-	if r.Mode != ModePredicted || r.MeasuredRoofline {
-		store = nil
+	src, err := build(ctx, &r)
+	if err != nil {
+		return nil, err
 	}
-	if store != nil {
-		if plan, ok := store.Plan(r.Key); ok {
-			pipe.SetAttr("memo", "hit")
-			_, asp := obs.Start(ctx, "analysis")
-			defer asp.End()
-			rl := roofline.NewModel(plat, plan.EffectiveDType, r.Clocks)
-			return assemble(plan.Clone(), rl, &r), nil
-		}
-	}
+	_, asp := obs.Start(ctx, "analysis")
+	defer asp.End()
+	return src.tail(&r)
+}
 
+// build runs every pipeline stage before the tail, each under its own
+// span: model build, backend build, layer mapping, the roofline
+// ceilings and, in measured mode, the counter replay.
+func build(ctx context.Context, r *Resolved) (layerSource, error) {
+	plat, dt := r.Plat, r.DType
 	mctx, msp := obs.Start(ctx, "model_build")
-	adm, err := admittedGraph(mctx, opts)
+	adm, err := admittedGraph(mctx, r.Options)
 	if err != nil {
 		msp.EndErr(err)
-		return nil, err
+		return layerSource{}, err
 	}
 	// The run writes only its own view: rebatching, dtype conversion
 	// and shape inference change tensor shapes and types, which the
@@ -260,12 +242,12 @@ func profilePipeline(ctx context.Context, opts Options, pipe *obs.Span) (*Report
 	rep, err := analysis.NewRepWithBatch(g, r.Batch)
 	if err != nil {
 		msp.EndErr(err)
-		return nil, err
+		return layerSource{}, err
 	}
 	msp.SetAttrInt("nodes", int64(rep.NodeCount()))
 	msp.End()
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return layerSource{}, err
 	}
 
 	cfg := backend.Config{Platform: plat, DType: dt, Batch: r.Batch, Clocks: r.Clocks}
@@ -273,12 +255,12 @@ func profilePipeline(ctx context.Context, opts Options, pipe *obs.Span) (*Report
 	eng, err := r.runtime.Build(bctx, rep, cfg)
 	if err != nil {
 		bsp.EndErr(err)
-		return nil, err
+		return layerSource{}, err
 	}
 	bsp.SetAttrInt("layers", int64(len(eng.Layers())))
 	bsp.End()
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return layerSource{}, err
 	}
 
 	// Layer mapping: reconstruct the fused structure from the public
@@ -289,65 +271,44 @@ func profilePipeline(ctx context.Context, opts Options, pipe *obs.Span) (*Report
 	if err != nil {
 		err = fmt.Errorf("core: layer mapping on %s: %w", r.Backend, err)
 		lsp.EndErr(err)
-		return nil, err
+		return layerSource{}, err
 	}
 	lsp.End()
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return layerSource{}, err
 	}
+	src := layerSource{eng: eng, mapping: mapping, opt: opt, rep: rep, dtype: dt, seed: r.Seed}
 
 	// Roofline ceilings.
-	var rl roofline.Model
 	rctx, rsp := obs.Start(ctx, "roofline")
 	if r.MeasuredRoofline {
-		rl, err = roofline.MeasuredModel(rctx, plat, dt, r.Clocks, r.Seed)
+		src.rl, err = roofline.MeasuredModel(rctx, plat, dt, r.Clocks, r.Seed)
 		if err != nil {
 			rsp.EndErr(err)
-			return nil, err
+			return layerSource{}, err
 		}
 	} else {
-		rl = roofline.NewModel(plat, dt, r.Clocks)
+		src.rl = roofline.NewModel(plat, dt, r.Clocks)
 	}
 	rsp.End()
 
 	// Measured metrics, when requested. The counter-profiler replay is
 	// the most expensive stage, so check for abandonment right before.
-	src := &layerSource{eng: eng, mapping: mapping, opt: opt, rep: rep, seed: r.Seed}
-	var overhead time.Duration
 	if r.Mode == ModeMeasured {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return layerSource{}, err
 		}
 		_, nsp := obs.Start(ctx, "measure")
 		res, err := ncusim.Measure(eng, r.Seed)
 		if err != nil {
 			nsp.EndErr(err)
-			return nil, err
+			return layerSource{}, err
 		}
 		nsp.SetAttrInt("kernels", int64(len(res.Layers)))
 		nsp.End()
-		src.measured = res.Layers
-		overhead = res.ProfilingTime
+		src.measured, src.overhead = res.Layers, res.ProfilingTime
 	}
-
-	_, asp := obs.Start(ctx, "analysis")
-	defer asp.End()
-	plan := &memo.Plan{
-		EffectiveDType: dt,
-		NodeCount:      rep.NodeCount(),
-		ParamsM:        float64(g.ParamCount()) / 1e6,
-	}
-	if err := resolveUnits(src, plan); err != nil {
-		return nil, err
-	}
-	report := assemble(plan, rl, &r)
-	report.ProfilingOverhead = overhead
-	if store != nil {
-		// The report owns plan's lists, so the store keeps a copy.
-		store.PutPlan(r.Key, plan.Clone())
-		pipe.SetAttr("memo", "record")
-	}
-	return report, nil
+	return src, nil
 }
 
 // categorize tags a mapped layer for roofline chart coloring, matching

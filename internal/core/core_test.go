@@ -9,8 +9,8 @@ import (
 
 	"proof/internal/graph"
 	"proof/internal/hardware"
-	"proof/internal/memo"
 	"proof/internal/roofline"
+	"proof/internal/sim"
 )
 
 func TestProfileResNetPredicted(t *testing.T) {
@@ -273,11 +273,11 @@ func TestParseMode(t *testing.T) {
 	}
 }
 
-// TestAssembledReportAggregates: assemble derives each layer's latency
+// TestAssembledReportAggregates: the tail derives each layer's latency
 // share, the end-to-end point, the throughput and the aggregate
-// utilization from the plan's units. Over a hand-built plan the figures
-// are exact, an empty plan reads zero throughout, and over the golden
-// configurations the aggregates agree with the layers.
+// utilization from the layers' figures. Over hand-built layers the
+// figures are exact, a report without layers reads zero throughout, and
+// over the golden configurations the aggregates agree with the layers.
 func TestAssembledReportAggregates(t *testing.T) {
 	r, err := Resolve(Options{Model: "resnet-18", Platform: "a100", Batch: 4})
 	if err != nil {
@@ -285,18 +285,23 @@ func TestAssembledReportAggregates(t *testing.T) {
 	}
 	rl := roofline.NewModel(r.Plat, r.DType, r.Clocks)
 	const ms = time.Millisecond
-	plan := &memo.Plan{EffectiveDType: r.DType, Layers: []memo.PlanLayer{
-		{Name: "a", Unit: memo.Unit{Latency: 2 * ms, ComputeTime: 1600 * time.Microsecond, MemoryTime: 400 * time.Microsecond,
-			FLOP: 1e9, Bytes: 1e7, Category: "conv"}},
-		{Name: "b", Unit: memo.Unit{Latency: 6 * ms, ComputeTime: 2400 * time.Microsecond, MemoryTime: 9 * ms,
-			FLOP: 3e9, Bytes: 3e7, Category: "matmul"}},
-	}}
-	rep := assemble(plan, rl, &r)
+	figures := []layerFigures{
+		{timing: sim.Timing{Latency: 2 * ms, ComputeTime: 1600 * time.Microsecond, MemoryTime: 400 * time.Microsecond},
+			flop: 1e9, bytes: 1e7, category: "conv"},
+		{timing: sim.Timing{Latency: 6 * ms, ComputeTime: 2400 * time.Microsecond, MemoryTime: 9 * ms},
+			flop: 3e9, bytes: 3e7, category: "matmul"},
+	}
+	rep := &Report{Model: r.Model, Batch: r.Batch, Roofline: rl, Layers: []LayerReport{{Name: "a"}, {Name: "b"}}}
+	var sums layerSums
+	for i := range figures {
+		sums.add(&rep.Layers[i], &figures[i], rl)
+	}
+	rep.finish(&sums, &r)
 	if a, b := rep.Layers[0].Point, rep.Layers[1].Point; math.Abs(a.Share-0.25) > 1e-9 || math.Abs(b.Share-0.75) > 1e-9 {
 		t.Errorf("shares = %v, %v, want 0.25, 0.75", a.Share, b.Share)
 	}
 	if c := rep.Layers[1].Point.Category; c != "matmul" {
-		t.Errorf("point category = %q, want the unit's", c)
+		t.Errorf("point category = %q, want the layer's", c)
 	}
 	if rep.TotalLatency != 8*ms {
 		t.Errorf("total latency = %v, want 8ms", rep.TotalLatency)
@@ -313,9 +318,10 @@ func TestAssembledReportAggregates(t *testing.T) {
 		t.Errorf("utilization = %v compute, %v memory, want 0.5 and 1", rep.UtilCompute, rep.UtilMem)
 	}
 
-	empty := assemble(&memo.Plan{EffectiveDType: r.DType}, rl, &r)
+	empty := &Report{Model: r.Model, Batch: r.Batch, Roofline: rl}
+	empty.finish(&layerSums{}, &r)
 	if empty.TotalLatency != 0 || empty.Throughput != 0 || empty.UtilCompute != 0 || empty.UtilMem != 0 || empty.EndToEnd.Latency != 0 {
-		t.Errorf("an empty plan assembled to %+v, want zero latency, throughput and utilization", empty)
+		t.Errorf("a report without layers finished as %+v, want zero latency, throughput and utilization", empty)
 	}
 
 	for _, cfg := range goldenConfigs {

@@ -41,8 +41,8 @@ type Resolved struct {
 	// Plat is the platform Options.Platform names.
 	Plat *hardware.Platform
 	// Key is memo.PlanKey over the display name, the model source (zoo
-	// key or graph digest) and the resolved memo.Binding. The session's
-	// report store and the pipeline's memo plans both use it.
+	// key or graph digest) and the resolved memo.Binding. A session's
+	// report store and its memo store both key reports by it.
 	Key string
 
 	runtime backend.Backend

@@ -3,9 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 
 	"proof/internal/faults"
+	"proof/internal/hardware"
+	"proof/internal/obs"
 )
 
 func TestPlatformSweepCNN(t *testing.T) {
@@ -83,4 +86,54 @@ func TestPlatformSweepFailsOnTransientError(t *testing.T) {
 	if results != nil {
 		t.Errorf("results = %v, want none", results)
 	}
+}
+
+// TestSweepBuildsModelOnce is the regression guard for the sweep's one
+// model build: every point names the model by its zoo key (no graph to
+// clone or hash), and the points share the process's admitted graph.
+// With the zoo admissions dropped first, a traced sweep records exactly
+// one "admit" span however many platforms it profiles, and a repeat
+// sweep records none.
+func TestSweepBuildsModelOnce(t *testing.T) {
+	zooGraphs.Reset()
+	var mu sync.Mutex
+	var seen []Options
+	profile := func(ctx context.Context, opts Options) (*Report, error) {
+		mu.Lock()
+		seen = append(seen, opts)
+		mu.Unlock()
+		return ProfileCtx(ctx, opts)
+	}
+	for pass, wantAdmits := range []int{1, 0} {
+		tr := obs.NewTracer("sweep")
+		results, err := PlatformSweepCtx(obs.WithTracer(context.Background(), tr), "resnet-18", ModePredicted, profile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(results) != len(hardware.List()) {
+			t.Fatalf("sweep returned %d results for %d platforms", len(results), len(hardware.List()))
+		}
+		if n := countSpans(tr.Snapshot(), "admit"); n != wantAdmits {
+			t.Fatalf("sweep pass %d admitted the model %d times, want %d", pass, n, wantAdmits)
+		}
+	}
+	if len(seen) == 0 {
+		t.Fatal("profile stub never called")
+	}
+	for i, opts := range seen {
+		if opts.Graph != nil || opts.Model != "resnet-18" {
+			t.Fatalf("profile call %d: got graph %v, model %q; want the zoo key alone", i, opts.Graph != nil, opts.Model)
+		}
+	}
+}
+
+// countSpans counts the finished spans named name.
+func countSpans(tr *obs.Trace, name string) int {
+	n := 0
+	for _, sp := range tr.Spans {
+		if sp.Name == name {
+			n++
+		}
+	}
+	return n
 }

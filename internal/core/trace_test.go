@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"proof/internal/memo"
 	"proof/internal/obs"
 )
 
@@ -54,44 +53,6 @@ func TestPipelineSpans(t *testing.T) {
 	}
 	if attrs["model"] != "mobilenetv2-0.5" || attrs["platform"] != "a100" {
 		t.Errorf("pipeline attrs = %v", attrs)
-	}
-}
-
-// TestPlanHitSpans: a memo plan hit skips the build stages but still
-// records its analysis stage under the pipeline span, so a hit's wall
-// time is attributed like a miss's.
-func TestPlanHitSpans(t *testing.T) {
-	opts := Options{Model: "mobilenetv2-0.5", Platform: "a100", Batch: 2, Memo: memo.NewStore(memo.StoreConfig{})}
-	if _, err := ProfileCtx(context.Background(), opts); err != nil {
-		t.Fatal(err)
-	}
-	tr := obs.NewTracer("test")
-	if _, err := ProfileCtx(obs.WithTracer(context.Background(), tr), opts); err != nil {
-		t.Fatal(err)
-	}
-	trace := tr.Snapshot()
-	pipe := trace.Find("pipeline")
-	if pipe == nil {
-		t.Fatal("no pipeline span recorded")
-	}
-	attrs := map[string]string{}
-	for _, a := range pipe.Attrs {
-		attrs[a.Key] = a.Value
-	}
-	if attrs["memo"] != "hit" {
-		t.Fatalf("pipeline memo attr = %q, want hit (attrs %v)", attrs["memo"], attrs)
-	}
-	an := trace.Find("analysis")
-	if an == nil {
-		t.Fatal("plan hit recorded no analysis span")
-	}
-	if an.ParentID != pipe.ID {
-		t.Errorf("analysis.ParentID = %d, want pipeline %d", an.ParentID, pipe.ID)
-	}
-	for _, stage := range []string{"model_build", "backend_build", "layer_map"} {
-		if trace.Find(stage) != nil {
-			t.Errorf("plan hit ran stage %q", stage)
-		}
 	}
 }
 

@@ -591,19 +591,24 @@ func (s *Store) Get(e Entry) ([]byte, error) {
 	return rec.report, nil
 }
 
+// ErrUnknownRecord is what GetID's error wraps for an ID that is
+// malformed or names no stored record. Any other GetID error means the
+// store holds the record but could not read it.
+var ErrUnknownRecord = errors.New("histstore: unknown record")
+
 // GetID resolves a record address from Entry.ID and reads its report.
 func (s *Store) GetID(id string) (Meta, []byte, error) {
 	var seg uint32
 	var off int64
 	if _, err := fmt.Sscanf(id, "%d:%d", &seg, &off); err != nil ||
 		id != entryID(seg, off) {
-		return Meta{}, nil, fmt.Errorf("histstore: malformed record id %q (want \"segment:offset\")", id)
+		return Meta{}, nil, fmt.Errorf("%w: malformed id %q (want \"segment:offset\")", ErrUnknownRecord, id)
 	}
 	s.mu.RLock()
 	found := s.byAddr[recAddr{seg, off}]
 	s.mu.RUnlock()
 	if found == nil {
-		return Meta{}, nil, fmt.Errorf("histstore: no record %q", id)
+		return Meta{}, nil, fmt.Errorf("%w %q", ErrUnknownRecord, id)
 	}
 	body, err := s.Get(Entry{ID: id, Meta: found.meta, seg: found.seg, off: found.off, plen: found.plen})
 	return found.meta, body, err

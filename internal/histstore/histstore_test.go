@@ -3,6 +3,7 @@ package histstore
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -109,8 +110,8 @@ func TestStoreGetID(t *testing.T) {
 		t.Errorf("GetID returned meta %+v body %s", meta, got)
 	}
 	for _, bad := range []string{"", "zz", "1:2:3", "01:2", "9:9"} {
-		if _, _, err := s.GetID(bad); err == nil {
-			t.Errorf("GetID(%q) succeeded, want error", bad)
+		if _, _, err := s.GetID(bad); !errors.Is(err, ErrUnknownRecord) {
+			t.Errorf("GetID(%q) = %v, want ErrUnknownRecord", bad, err)
 		}
 	}
 }

@@ -1,18 +1,20 @@
-// The differential correctness suite: memoization must be invisible.
+// The differential correctness suite: the memo store must be invisible.
 // For every zoo model × every platform × {batch 1, platform default},
-// the report produced through a shared memo store — both on the cold
-// recording pass and on the warm plan-assembly pass — must be
-// byte-identical (as JSON) to the report from a run with no store.
-// All three share one report tail, so a difference means the plan key
-// misses a semantic input (a stale plan served for a distinct point).
-// The no-store reports are also checked against the committed digest
-// fixture (digest_test.go), which pins the tail's arithmetic itself.
+// the report a session with a shared memo store serves — on the cold
+// pass, which executes and stores it, and on the warm pass, which the
+// memo store serves — must be byte-identical (as JSON) to the report
+// from a plain pipeline run. A stored report is its key's bytes, so a
+// difference means the key misses a semantic input (a report served for
+// a distinct point). The plain reports are also checked against the
+// committed digest fixture (digest_test.go), which pins the tail's
+// arithmetic itself.
 package memo_test
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"proof/internal/core"
@@ -20,15 +22,16 @@ import (
 	"proof/internal/hardware"
 	"proof/internal/memo"
 	"proof/internal/models"
+	"proof/internal/profsession"
 )
 
-// reportJSON profiles opts and returns the report's reflective
-// encoding/json form, after asserting that the hand-written encoder
-// proofd serves with (Report.AppendJSON) writes the same bytes: the
-// matrix and the digests below then pin both.
-func reportJSON(t *testing.T, opts core.Options) ([]byte, error) {
+// reportJSON profiles opts through profile and returns the report's
+// reflective encoding/json form, after asserting that the hand-written
+// encoder proofd serves with (Report.AppendJSON) writes the same bytes:
+// the matrix and the digests below then pin both.
+func reportJSON(t *testing.T, profile core.ProfileFunc, opts core.Options) ([]byte, error) {
 	t.Helper()
-	r, err := core.ProfileCtx(context.Background(), opts)
+	r, err := profile(context.Background(), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -42,23 +45,62 @@ func reportJSON(t *testing.T, opts core.Options) ([]byte, error) {
 	return raw, nil
 }
 
+// memoSession is a session in front of store that counts the pipeline
+// executions it runs.
+type memoSession struct {
+	*profsession.Session
+	executions atomic.Int64
+}
+
+func newMemoSession(capacity int, store *memo.Store) *memoSession {
+	m := &memoSession{}
+	m.Session = profsession.NewWithConfig(profsession.Config{
+		Capacity: capacity,
+		Memo:     store,
+		Profile: func(ctx context.Context, opts core.Options) (*core.Report, error) {
+			m.executions.Add(1)
+			return core.ProfileCtx(ctx, opts)
+		},
+	})
+	return m
+}
+
+// coldWarm serves opts through sess twice, emptying its report store
+// in between, so the cold pass executes (or misses the memo store) and
+// the warm pass misses the report store. It fails t unless a warm pass
+// that succeeds was served by the memo store without an execution.
+func coldWarm(t *testing.T, sess *memoSession, opts core.Options) (cold, warm []byte, coldErr, warmErr error) {
+	t.Helper()
+	cold, coldErr = reportJSON(t, sess.ProfileCtx, opts)
+	sess.Reset()
+	executed := sess.executions.Load()
+	var out profsession.Outcome
+	warm, warmErr = reportJSON(t, func(ctx context.Context, opts core.Options) (*core.Report, error) {
+		rep, o, err := sess.ProfileOutcome(ctx, opts)
+		out = o
+		return rep, err
+	}, opts)
+	if warmErr == nil && (out != profsession.OutcomeMiss || sess.executions.Load() != executed) {
+		t.Fatalf("warm pass: outcome %q after %d executions, want a memo-served miss", out, sess.executions.Load()-executed)
+	}
+	return cold, warm, coldErr, warmErr
+}
+
 func TestDifferentialFullMatrix(t *testing.T) {
-	// One store across the whole matrix: a plan served across models,
-	// platforms or batches is exactly the risk surface under test.
-	store := memo.NewStore(memo.StoreConfig{})
+	// One memo store across the whole matrix, large enough to hold all
+	// of it: a report served across models, platforms or batches is
+	// exactly the risk surface under test.
+	store := memo.NewStore(memo.StoreConfig{UnitCapacity: 1 << 20})
+	sess := newMemoSession(0, store)
 	for _, info := range models.List() {
 		for _, p := range hardware.List() {
 			for _, batch := range []int{1, 0} { // 0 = platform default
 				name := fmt.Sprintf("%s/%s/batch=%d", info.Key, p.Key, batch)
 				t.Run(name, func(t *testing.T) {
-					plain := core.Options{Model: info.Key, Platform: p.Key, Batch: batch}
-					memoized := plain
-					memoized.Memo = store
-
-					want, wantErr := reportJSON(t, plain)
+					opts := core.Options{Model: info.Key, Platform: p.Key, Batch: batch}
+					want, wantErr := reportJSON(t, core.ProfileCtx, opts)
 					reportDigests.check(t, "TestDifferentialFullMatrix/"+name, want, wantErr)
-					cold, coldErr := reportJSON(t, memoized)
-					warm, warmErr := reportJSON(t, memoized)
+					cold, warm, coldErr, warmErr := coldWarm(t, sess, opts)
 
 					if (wantErr == nil) != (coldErr == nil) || (wantErr == nil) != (warmErr == nil) {
 						t.Fatalf("error disagreement: plain=%v cold=%v warm=%v", wantErr, coldErr, warmErr)
@@ -71,10 +113,10 @@ func TestDifferentialFullMatrix(t *testing.T) {
 						return
 					}
 					if string(cold) != string(want) {
-						t.Fatalf("cold memoized report differs from unmemoized:\n  plain: %s\n  memo:  %s", want, cold)
+						t.Fatalf("cold session report differs from the plain run:\n  plain:   %s\n  session: %s", want, cold)
 					}
 					if string(warm) != string(want) {
-						t.Fatalf("warm (plan-assembled) report differs from unmemoized:\n  plain: %s\n  memo:  %s", want, warm)
+						t.Fatalf("warm (memo-served) report differs from the plain run:\n  plain: %s\n  memo:  %s", want, warm)
 					}
 				})
 			}
@@ -84,14 +126,17 @@ func TestDifferentialFullMatrix(t *testing.T) {
 	if st.Hits == 0 || st.PlanHits == 0 {
 		t.Fatalf("matrix exercised no memo reuse (stats %+v) — the differential proved nothing", st)
 	}
+	if st.Evictions != 0 {
+		t.Fatalf("the memo store evicted %d reports: it must hold the whole matrix", st.Evictions)
+	}
 	t.Logf("memo stats after full matrix: %+v (unit hit ratio %.1f%%)", st, 100*st.HitRatio())
 }
 
 // TestDifferentialSeedAndDType extends the differential beyond platform
-// defaults: explicit seeds and dtypes key separate plans, and each
-// configuration must still be byte-identical to its unmemoized twin.
+// defaults: explicit seeds and dtypes key separate reports, and each
+// configuration must still be byte-identical to its plain twin.
 func TestDifferentialSeedAndDType(t *testing.T) {
-	store := memo.NewStore(memo.StoreConfig{})
+	sess := newMemoSession(0, memo.NewStore(memo.StoreConfig{}))
 	cases := []core.Options{
 		{Model: "resnet-18", Platform: "a100", Seed: 7},
 		{Model: "resnet-18", Platform: "a100", Seed: 8},
@@ -101,19 +146,17 @@ func TestDifferentialSeedAndDType(t *testing.T) {
 	for _, opts := range cases {
 		name := fmt.Sprintf("%s/%s/seed=%d/dtype=%s/batch=%d", opts.Model, opts.Platform, opts.Seed, opts.DType, opts.Batch)
 		t.Run(name, func(t *testing.T) {
-			want, err := reportJSON(t, opts)
+			want, err := reportJSON(t, core.ProfileCtx, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			memoized := opts
-			memoized.Memo = store
-			for pass, label := range []string{"cold", "warm"} {
-				got, err := reportJSON(t, memoized)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
+			cold, warm, coldErr, warmErr := coldWarm(t, sess, opts)
+			if coldErr != nil || warmErr != nil {
+				t.Fatalf("cold: %v, warm: %v", coldErr, warmErr)
+			}
+			for pass, got := range [][]byte{cold, warm} {
 				if string(got) != string(want) {
-					t.Fatalf("pass %d (%s) differs from unmemoized:\n  plain: %s\n  memo:  %s", pass, label, want, got)
+					t.Fatalf("pass %d differs from the plain run:\n  plain: %s\n  memo:  %s", pass, want, got)
 				}
 			}
 		})
@@ -123,7 +166,7 @@ func TestDifferentialSeedAndDType(t *testing.T) {
 // twinGraph builds a graph holding two structurally *similar but
 // distinct* MatMul layers — identical op type, identical output shape,
 // differing only in the inner (reduction) dimension of their weights.
-// Their content keys must differ, and a memoized profile must keep their
+// Their content keys must differ, and a stored report must keep their
 // per-layer results apart. This is the regression fixture for
 // cross-contamination: a content key that dropped any shape dimension
 // would give layer B layer A's simulated jitter.
@@ -150,31 +193,25 @@ func twinGraph(batch int) *graph.Graph {
 
 func TestDifferentialSimilarLayersNeverCrossContaminate(t *testing.T) {
 	store := memo.NewStore(memo.StoreConfig{})
-	run := func(st *memo.Store) *core.Report {
-		t.Helper()
-		r, err := core.ProfileCtx(context.Background(), core.Options{
-			Graph: twinGraph(1), Platform: "a100", Batch: 1, Memo: st,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
+	sess := newMemoSession(0, store)
+	opts := core.Options{Graph: twinGraph(1), Platform: "a100", Batch: 1}
+	want, err := reportJSON(t, core.ProfileCtx, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := run(nil)
-	cold := run(store)
-	warm := run(store)
-
 	// fc1 and fc2 are structurally identical (one content key, so one
 	// jitter); fc3/fc4 are similar but distinct and must not inherit
 	// fc1's numbers.
-	wantJSON, _ := json.Marshal(want)
-	for pass, r := range []*core.Report{cold, warm} {
-		gotJSON, _ := json.Marshal(r)
-		if string(gotJSON) != string(wantJSON) {
-			t.Fatalf("pass %d: twin-fixture report differs from unmemoized:\n  plain: %s\n  memo:  %s", pass, wantJSON, gotJSON)
+	cold, warm, coldErr, warmErr := coldWarm(t, sess, opts)
+	if coldErr != nil || warmErr != nil {
+		t.Fatalf("cold: %v, warm: %v", coldErr, warmErr)
+	}
+	for pass, got := range [][]byte{cold, warm} {
+		if string(got) != string(want) {
+			t.Fatalf("pass %d: twin-fixture report differs from the plain run:\n  plain: %s\n  memo:  %s", pass, want, got)
 		}
 	}
 	if st := store.Stats(); st.PlanMisses != 1 || st.PlanHits != 1 {
-		t.Fatalf("the warm pass was not a plan hit: %+v", st)
+		t.Fatalf("the warm pass was not a memo hit: %+v", st)
 	}
 }

@@ -21,9 +21,9 @@ import (
 var update = flag.Bool("update", false, "rewrite the report digest fixture")
 
 // reportDigests pins the sha256 of each report's JSON, keyed by the
-// subtest that produced it. Memoized and unmemoized runs share one
-// report tail, so comparing them against each other cannot catch a
-// change to that tail's arithmetic; this fixed digest can.
+// subtest that produced it. A stored report is the bytes a fresh run
+// wrote, so comparing the two cannot catch a change to the pipeline
+// tail's arithmetic; this fixed digest can.
 var reportDigests = digestFixture{path: filepath.Join("testdata", "report_digests.json")}
 
 type digestFixture struct {
@@ -95,8 +95,8 @@ func (f *digestFixture) write() error {
 	return os.WriteFile(f.path, append(raw, '\n'), 0o644)
 }
 
-// TestReportDigestsMeasured pins the paths that never touch the memo
-// store — measured mode (counter-derived FLOP and bytes) and the
+// TestReportDigestsMeasured pins the paths the full matrix does not
+// reach — measured mode (counter-derived FLOP and bytes) and the
 // peak-test roofline — for every zoo model on a GPU, a CPU and an NPU.
 func TestReportDigestsMeasured(t *testing.T) {
 	for _, info := range models.List() {
@@ -112,7 +112,7 @@ func TestReportDigestsMeasured(t *testing.T) {
 				opts.Model, opts.Platform, opts.Batch = info.Key, plat, 1
 				name := fmt.Sprintf("%s/%s/%s", info.Key, plat, c.label)
 				t.Run(name, func(t *testing.T) {
-					raw, err := reportJSON(t, opts)
+					raw, err := reportJSON(t, core.ProfileCtx, opts)
 					reportDigests.check(t, "TestReportDigestsMeasured/"+name, raw, err)
 				})
 			}

@@ -17,26 +17,26 @@ func RegisterMetrics(reg *obs.Registry, prefix string, s *Store) error {
 	p := prefix + "_memo_"
 	errs := []error{
 		reg.CounterFunc(p+"hits_total",
-			"Layer units served by plan hits.",
+			"Layer units served by stored reports.",
 			func() float64 { return float64(s.Stats().Hits) }),
 		reg.CounterFunc(p+"misses_total",
-			"Layer units profiled into recorded plans.",
+			"Layer units profiled into stored reports.",
 			func() float64 { return float64(s.Stats().Misses) }),
 		reg.CounterFunc(p+"evictions_total",
-			"Assembly plans dropped by the unit bound.",
+			"Stored reports dropped by the unit bound.",
 			func() float64 { return float64(s.Stats().Evictions) }),
 		reg.CounterFunc(p+"plan_hits_total",
-			"Profiling points assembled entirely from a cached plan.",
+			"Profiling points served whole from a stored report.",
 			func() float64 { return float64(s.Stats().PlanHits) }),
 		reg.CounterFunc(p+"plan_misses_total",
-			"Profiling points that ran the pipeline and recorded a plan.",
+			"Profiling points looked up and not found.",
 			func() float64 { return float64(s.Stats().PlanMisses) }),
 		reg.GaugeFunc(p+"units",
-			"Layer units held across the memoized plans.",
+			"Layer units held across the stored reports.",
 			func() float64 { return float64(s.Stats().Units) }),
-		reg.GaugeFunc(p+"plans",
-			"Assembly plans currently memoized.",
-			func() float64 { return float64(s.Stats().Plans) }),
+		reg.GaugeFunc(p+"reports",
+			"Reports currently stored.",
+			func() float64 { return float64(s.Stats().Reports) }),
 		reg.GaugeFunc(p+"hit_ratio",
 			"Lifetime unit hit ratio: hits / (hits + misses).",
 			func() float64 { return s.Stats().HitRatio() }),

@@ -26,8 +26,8 @@ func TestRegisterMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s.PutPlan("k", planN("k", 2))
-	s.Plan("k")
+	s.Put("k", "report:k", 2)
+	s.Get("k")
 
 	var b strings.Builder
 	reg.WritePrometheus(&b)
@@ -36,7 +36,7 @@ func TestRegisterMetrics(t *testing.T) {
 		"proofd_memo_hits_total 2",
 		"proofd_memo_misses_total 2",
 		"proofd_memo_units 2",
-		"proofd_memo_plans 1",
+		"proofd_memo_reports 1",
 		"proofd_memo_hit_ratio 0.5",
 		"proofd_memo_plan_hits_total 1",
 		"proofd_memo_plan_misses_total 0",
@@ -45,7 +45,7 @@ func TestRegisterMetrics(t *testing.T) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
 	}
-	for _, gone := range []string{"proofd_memo_dedups_total", "proofd_memo_failures_total"} {
+	for _, gone := range []string{"proofd_memo_dedups_total", "proofd_memo_failures_total", "proofd_memo_plans "} {
 		if strings.Contains(out, gone) {
 			t.Errorf("exposition still carries %q:\n%s", gone, out)
 		}

@@ -1,15 +1,15 @@
-// Package memo implements the sweep engine's memo store and the
-// canonical keys it rests on. PRoof's hierarchical decomposition means a
-// multi-model × multi-platform × batch-grid sweep repeats whole
-// profiling points; the store caches each point's plan — its layer
-// identities and their profiled units — keyed by the resolved
-// configuration, so a repeated point skips model build, backend build,
-// profiling and layer mapping and only assembles its report.
+// Package memo implements the canonical keys a profiling request and
+// its layers rest on, and a memo store of encoded reports.
 //
-// The store keeps no per-layer results apart from their plans: reuse
-// pays only when computing a result costs more than looking it up
-// (Dooly), and a simulated layer costs about as much to key as to
-// profile (DESIGN.md).
+// The store keeps each profiling point's report as its binary encoding,
+// keyed by the resolved configuration and bounded by the layer units
+// the reports hold. A profsession.Session given one consults it after
+// its own report store misses, before any circuit or retry, and puts
+// every report it executes there; the pipeline itself keeps nothing.
+// Reuse pays only when computing a result costs more than looking it
+// up (Dooly): a whole report does, while a simulated layer costs about
+// as much to key as to profile, so the store keeps no per-layer
+// results (DESIGN.md).
 //
 // The keys are framed SHA-256 hashes:
 //
@@ -22,8 +22,8 @@
 //     model source and the execution Binding (backend, platform and its
 //     descriptor hash, dtype, batch, mode, seed, clocks). The
 //     descriptor hash makes an edited platform descriptor structurally
-//     miss (the LRU ages stale entries out), and memoized reports are
-//     byte-identical to unmemoized ones.
+//     miss (the LRU ages stale entries out), and a report served from
+//     the store is byte-identical to a fresh run's.
 package memo
 
 import (

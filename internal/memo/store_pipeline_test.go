@@ -11,13 +11,13 @@ import (
 	"proof/internal/memo"
 )
 
-// plainReports profiles each point without a store and returns the
-// report JSON by point index.
+// plainReports profiles each point with the plain pipeline and returns
+// the report JSON by point index.
 func plainReports(t *testing.T, points []core.Options) [][]byte {
 	t.Helper()
 	out := make([][]byte, len(points))
 	for i, opts := range points {
-		raw, err := reportJSON(t, opts)
+		raw, err := reportJSON(t, core.ProfileCtx, opts)
 		if err != nil {
 			t.Fatalf("%s/%s batch %d: %v", opts.Model, opts.Platform, opts.Batch, err)
 		}
@@ -26,10 +26,12 @@ func plainReports(t *testing.T, points []core.Options) [][]byte {
 	return out
 }
 
-// TestStoreBoundHoldsInUnits fills a store past its unit capacity: the
-// units held never exceed it after any recorded plan, least recently
-// used plans are evicted, and points evicted and recorded again still
-// report byte-identically to their plain runs.
+// TestStoreBoundHoldsInUnits fills a store past its unit capacity,
+// behind a session whose report store holds one report, so every point
+// but the last one served misses it: the units held never exceed the
+// capacity after any stored report, least recently used reports are
+// evicted, and points evicted and stored again still report
+// byte-identically to their plain runs.
 func TestStoreBoundHoldsInUnits(t *testing.T) {
 	var points []core.Options
 	for _, m := range []string{"resnet-18", "mobilenetv2-0.5", "vit-t"} {
@@ -38,14 +40,14 @@ func TestStoreBoundHoldsInUnits(t *testing.T) {
 		}
 	}
 	want := plainReports(t, points)
-	// 150 units hold about three of these plans (25, 56 and 42 layers).
+	// 150 units hold about three of these reports (25, 56 and 42 layers).
 	const capacity = 150
 	store := memo.NewStore(memo.StoreConfig{UnitCapacity: capacity})
+	sess := newMemoSession(1, store)
 	profile := func(i int) {
 		t.Helper()
 		opts := points[i]
-		opts.Memo = store
-		got, err := reportJSON(t, opts)
+		got, err := reportJSON(t, sess.ProfileCtx, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,22 +61,23 @@ func TestStoreBoundHoldsInUnits(t *testing.T) {
 	for i := range points {
 		profile(i)
 	}
-	// Walk back: the newest plans hit, the older ones were evicted and
-	// are recorded again.
+	// Walk back: the newest reports hit, the older ones were evicted and
+	// are stored again.
 	for i := len(points) - 1; i >= 0; i-- {
 		profile(i)
 	}
 	st := store.Stats()
 	if st.Evictions == 0 || st.PlanHits == 0 || st.PlanMisses <= int64(len(points)) {
-		t.Fatalf("the walk did not both hit and re-record evicted plans: %+v", st)
+		t.Fatalf("the walk did not both hit and store evicted reports again: %+v", st)
 	}
 }
 
-// TestStoreConcurrentSweeps: goroutines profile overlapping points
-// through one shared store, with no session in front. The store holds
-// two or three of the four plans, so plans are evicted while other
-// goroutines assemble reports from them. Every report must be
-// byte-identical to its plain run (CI runs this under -race -count=2).
+// TestStoreConcurrentSweeps: goroutines profile overlapping points,
+// each through its own session of one report, so every request misses
+// its session and looks the point up in the one shared store. The store
+// holds two or three of the four reports, so reports are evicted while
+// other goroutines read them. Every report must be byte-identical to
+// its plain run (CI runs this under -race -count=2).
 func TestStoreConcurrentSweeps(t *testing.T) {
 	const goroutines, rounds = 6, 3
 	var points []core.Options
@@ -84,7 +87,7 @@ func TestStoreConcurrentSweeps(t *testing.T) {
 		}
 	}
 	want := plainReports(t, points)
-	// The four plans hold 134 units (25, 25, 42, 42 layers).
+	// The four reports hold 134 units (25, 25, 42, 42 layers).
 	const capacity = 100
 	store := memo.NewStore(memo.StoreConfig{UnitCapacity: capacity})
 	var wg sync.WaitGroup
@@ -92,12 +95,11 @@ func TestStoreConcurrentSweeps(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			sess := newMemoSession(1, store)
 			for r := 0; r < rounds; r++ {
 				for i := range points {
 					n := (g + i) % len(points)
-					opts := points[n]
-					opts.Memo = store
-					rep, err := core.ProfileCtx(context.Background(), opts)
+					rep, err := sess.ProfileCtx(context.Background(), points[n])
 					if err != nil {
 						t.Errorf("goroutine %d point %d: %v", g, n, err)
 						return
@@ -116,7 +118,7 @@ func TestStoreConcurrentSweeps(t *testing.T) {
 		t.Fatalf("store after the sweeps: %+v, want hits, evictions and at most %d units", st, capacity)
 	}
 	if lookups := st.PlanHits + st.PlanMisses; lookups != goroutines*rounds*int64(len(points)) {
-		t.Fatalf("%d plan lookups for %d profiles", lookups, goroutines*rounds*len(points))
+		t.Fatalf("%d report lookups for %d profiles", lookups, goroutines*rounds*len(points))
 	}
 }
 
@@ -136,27 +138,33 @@ func reshapeGraph() *graph.Graph {
 	return g
 }
 
-// TestStoreErrorNeverCached: a run that fails after missing the store
-// records no plan and counts no units; the point's next successful run
-// records one.
+// TestStoreErrorNeverCached: a request whose execution fails after
+// missing the store stores no report and counts no units; the point's
+// next successful execution stores one, which serves the point once the
+// session's report store has let it go.
 func TestStoreErrorNeverCached(t *testing.T) {
 	store := memo.NewStore(memo.StoreConfig{})
-	opts := core.Options{Graph: reshapeGraph(), Platform: "a100", Batch: 2, Memo: store}
-	_, err := core.ProfileCtx(context.Background(), opts)
+	sess := newMemoSession(0, store)
+	opts := core.Options{Graph: reshapeGraph(), Platform: "a100", Batch: 2}
+	_, err := sess.ProfileCtx(context.Background(), opts)
 	if _, ok := graph.AsValidationError(err); !ok {
 		t.Fatalf("batch 2: err = %v, want a shape-inference defect", err)
 	}
 	if st := store.Stats(); st != (memo.Stats{PlanMisses: 1}) {
-		t.Fatalf("after a failed run: %+v, want one plan miss and nothing recorded", st)
+		t.Fatalf("after a failed execution: %+v, want one lookup miss and nothing stored", st)
 	}
 	opts.Batch = 1
 	for pass := 0; pass < 2; pass++ {
-		if _, err := core.ProfileCtx(context.Background(), opts); err != nil {
+		if _, err := sess.ProfileCtx(context.Background(), opts); err != nil {
 			t.Fatalf("batch 1 pass %d: %v", pass, err)
 		}
+		sess.Reset()
 	}
 	st := store.Stats()
-	if st.Plans != 1 || st.PlanHits != 1 || st.Misses == 0 || st.Hits != st.Misses {
-		t.Fatalf("after a successful record and hit: %+v", st)
+	if st.Reports != 1 || st.PlanHits != 1 || st.Misses == 0 || st.Hits != st.Misses {
+		t.Fatalf("after a successful store and hit: %+v", st)
+	}
+	if n := sess.executions.Load(); n != 2 {
+		t.Fatalf("%d executions, want the failed one and one success", n)
 	}
 }

@@ -92,10 +92,10 @@ type Config struct {
 	Retry RetryPolicy
 	// Breaker enables the circuit breaker (see BreakerConfig).
 	Breaker BreakerConfig
-	// Memo optionally attaches a shared memo store (internal/memo) to
-	// every executed request: each report-store miss records its plan
-	// there, and a repeated point is assembled from that plan. Requests
-	// that bring their own Options.Memo keep it.
+	// Memo optionally attaches a shared memo store (internal/memo): a
+	// report-store miss is served from it when it holds the key, before
+	// any circuit or retry, and every report the session executes is
+	// put there. Several sessions may share one store.
 	Memo *memo.Store
 }
 
@@ -103,7 +103,8 @@ type Config struct {
 type Stats struct {
 	// Hits counts requests served from the cache.
 	Hits int64 `json:"hits"`
-	// Misses counts requests that executed the pipeline.
+	// Misses counts requests that missed the report store: each executed
+	// the pipeline, or the memo store served it.
 	Misses int64 `json:"misses"`
 	// Evictions counts reports dropped by the LRU policy.
 	Evictions int64 `json:"evictions"`
@@ -132,7 +133,8 @@ type Outcome string
 const (
 	// OutcomeHit: served from the report store.
 	OutcomeHit Outcome = "hit"
-	// OutcomeMiss: this request executed the pipeline.
+	// OutcomeMiss: this request missed the report store, and executed
+	// the pipeline or was served by the memo store.
 	OutcomeMiss Outcome = "miss"
 	// OutcomeDedup: attached to an identical in-flight execution.
 	OutcomeDedup Outcome = "dedup"
@@ -214,7 +216,9 @@ func (s *Session) ProfileCtx(ctx context.Context, opts core.Options) (*core.Repo
 // (OutcomeDedup). A miss returns the pipeline's own report and stores
 // its encoding; a hit or a dedup decodes the stored encoding into a
 // fresh report (core.DecodeReport), whose strings alias the stored
-// string. On error the outcome still describes the path taken (a
+// string. A miss the memo store serves (Config.Memo) stores the
+// memo's encoding and decodes it in the same way, without executing
+// anything. On error the outcome still describes the path taken (a
 // failed execution reports OutcomeMiss). A request core.Resolve refuses
 // fails before the cache: it reports no outcome (""), counts no miss
 // and moves no circuit.
@@ -235,12 +239,21 @@ func (s *Session) profileOutcome(ctx context.Context, opts core.Options) (*core.
 	}
 	var led *core.Report
 	fn := func() (string, error) {
+		if s.memo != nil {
+			if enc, ok := s.memo.Get(r.Key); ok {
+				return enc, nil
+			}
+		}
 		rep, err := s.lead(ctx, r, opts)
 		if err != nil {
 			return "", err
 		}
 		led = rep
-		return encodeReport(rep), nil
+		enc := encodeReport(rep)
+		if s.memo != nil {
+			s.memo.Put(r.Key, enc, len(rep.Layers))
+		}
+		return enc, nil
 	}
 	enc, out, err := s.reports.Do(ctx, r.Key, fn)
 	// A waiter whose leader's caller hung up has not failed: while its
@@ -258,7 +271,7 @@ func (s *Session) profileOutcome(ctx context.Context, opts core.Options) (*core.
 		// belongs to the caller.
 		return nil, Outcome(out), err
 	}
-	if out == cache.Miss {
+	if led != nil {
 		return led, OutcomeMiss, nil
 	}
 	rep, err := core.DecodeReport(enc)
@@ -298,9 +311,6 @@ func (s *Session) lead(ctx context.Context, r core.Resolved, opts core.Options) 
 			return nil, &CircuitOpenError{Key: bkey, RetryAfter: after}
 		}
 		defer func() { s.breakers.record(bkey, verdict) }()
-	}
-	if opts.Memo == nil {
-		opts.Memo = s.memo
 	}
 	rep, err := s.execute(ctx, opts)
 	switch {

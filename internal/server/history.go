@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -148,8 +149,13 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 	// originally served, straight off the segment.
 	if id := q.Get("id"); id != "" {
 		_, body, err := s.hist.GetID(id)
-		if err != nil {
+		if errors.Is(err, histstore.ErrUnknownRecord) {
 			s.writeError(w, r, http.StatusNotFound, "unknown_record", err.Error())
+			return
+		}
+		if err != nil {
+			// The store holds the record but cannot read it.
+			s.writeError(w, r, http.StatusInternalServerError, "internal", err.Error())
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")

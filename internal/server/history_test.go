@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -333,6 +335,78 @@ func TestHistoryQueryEndpoint(t *testing.T) {
 		t.Errorf("unknown id status = %d, want 404", resp.StatusCode)
 	} else {
 		resp.Body.Close()
+	}
+}
+
+// TestHistoryUnreadableRecordIs500: GET /v1/history?id= answers 404
+// unknown_record only for an ID that is malformed or names no stored
+// record. A record the store holds but cannot read — here one payload
+// byte flipped on disk, so its CRC no longer matches — is the
+// service's failure: 500 internal.
+func TestHistoryUnreadableRecordIs500(t *testing.T) {
+	dir := t.TempDir()
+	st, err := histstore.Open(dir, histstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	seedHistory(t, st, driftSeedMeta("resnet-50", "a100", "rev1", "d1", "compute", 0), `{"model":"resnet-50"}`)
+	entries, _, err := st.Query(histstore.Query{})
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("Query: %d entries, %v", len(entries), err)
+	}
+	_, ts := newTestServer(t, Config{History: st})
+	status := func(id string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/history?id=" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode == http.StatusOK {
+			resp.Body.Close()
+			return resp.StatusCode, ""
+		}
+		return resp.StatusCode, decodeEnvelope(t, resp).Error.Code
+	}
+	if code, _ := status(entries[0].ID); code != http.StatusOK {
+		t.Fatalf("intact record: status %d, want 200", code)
+	}
+
+	segs, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments %v, %v; want one", segs, err)
+	}
+	f, err := os.OpenFile(segs[0], os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The record's payload ends the segment; flip its last byte.
+	last := make([]byte, 1)
+	if _, err := f.ReadAt(last, fi.Size()-1); err != nil {
+		t.Fatal(err)
+	}
+	last[0] ^= 0xff
+	if _, err := f.WriteAt(last, fi.Size()-1); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	for _, c := range []struct {
+		id   string
+		code int
+		err  string
+	}{
+		{entries[0].ID, http.StatusInternalServerError, "internal"},
+		{"99:99", http.StatusNotFound, "unknown_record"},
+		{"zz", http.StatusNotFound, "unknown_record"},
+	} {
+		if code, env := status(c.id); code != c.code || env != c.err {
+			t.Errorf("id %q: %d %s, want %d %s", c.id, code, env, c.code, c.err)
+		}
 	}
 }
 
