@@ -32,12 +32,14 @@ bench-serving:
 	$(GO) run ./cmd/proofload -name bench-serving -seed 1 -json -out BENCH_serving.json
 
 # bench-sweep regenerates BENCH_sweep.json: the pinned-seed 20-model ×
-# all-platform × batch-grid sweep, plain vs through one session whose
+# all-platform × batch-grid sweep, plain vs through a session whose
 # report store holds the grid (cold pass, which executes every point,
-# and warm pass, which hits). Grid, seed, point count and warm hits are
-# deterministic; only wall times move with the host. The writer fails
-# if the warm pass misses a point or is less than 5x faster than the
-# plain sweep.
+# and warm pass, which hits). Five rounds alternate whether the plain
+# or the cold pass goes first, each on a fresh session, and the
+# artifact pins each pass's median. Grid, seed, point count and warm
+# hits are deterministic; only wall times move with the host. The
+# writer fails if any warm pass misses a point or the median warm pass
+# is less than 5x faster than the median plain one.
 bench-sweep:
 	$(GO) test ./internal/core -run TestWriteSweepBenchArtifact -bench-out=$(CURDIR)/BENCH_sweep.json
 

@@ -127,7 +127,8 @@ func (o *OptimizedRep) ResolveTensor(name string) string {
 // It walks the producer chain backward from the outputs
 // and stops at the declared inputs, parameters, and graph inputs; it
 // errors when the closure requires an activation tensor that is not
-// among the declared inputs. The nodes come back in topological order.
+// among the declared inputs. The nodes come back in topological order,
+// in a list of exactly their number.
 func (o *OptimizedRep) GetSubgraphOpsByIO(inputs, outputs []string) ([]*graph.Node, error) {
 	g := o.Base.Graph
 	// The declared inputs, told apart by identity. A wide layer, which a
@@ -179,7 +180,9 @@ func (o *OptimizedRep) GetSubgraphOpsByIO(inputs, outputs []string) ([]*graph.No
 			return nil, err
 		}
 	}
-	var nodes []*graph.Node
+	// The closure collects on the stack, in reverse topological order.
+	var nodeBuf [64]*graph.Node
+	nodes := nodeBuf[:0]
 	for last := -1; len(h) > 0; {
 		var p int
 		p, h = popPos(h)
@@ -195,8 +198,11 @@ func (o *OptimizedRep) GetSubgraphOpsByIO(inputs, outputs []string) ([]*graph.No
 			}
 		}
 	}
-	slices.Reverse(nodes)
-	return nodes, nil
+	out := make([]*graph.Node, len(nodes))
+	for i, n := range nodes {
+		out[len(nodes)-1-i] = n
+	}
+	return out, nil
 }
 
 // pushPos and popPos keep h a max-heap of topological positions. They

@@ -52,6 +52,12 @@ type Kernel struct {
 // Layer is the public description of one backend layer — only the
 // information the simulated runtime chooses to expose. Which fields are
 // populated depends on the backend (the information regimes of §3.3).
+//
+// A layer's lists are shared and read-only. InputTensors and
+// OutputTensors are the ground-truth fused operator's boundary lists or
+// the model node's own Inputs and Outputs, capped, unless an alias
+// rewrote them (BoundaryIO); Kernels is a capped run of the engine's
+// one kernel array, and every kernel name a substring of one string.
 type Layer struct {
 	// Name is the runtime-assigned layer name.
 	Name string

@@ -401,3 +401,42 @@ func TestLayerTimingZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// TestBoundaryIOSharesUnaliasedLists: a boundary list no alias applies
+// to is the model's own list, capped, so an append copies it; a list
+// an alias rewrites is a copy, and the model's list keeps its names.
+func TestBoundaryIOSharesUnaliasedLists(t *testing.T) {
+	rep := buildRep(t, "resnet-18", 1, graph.Float32)
+	var conv *graph.Node
+	for _, n := range rep.Nodes() {
+		if n.OpType == "Conv" {
+			conv = n
+			break
+		}
+	}
+	truth := &analysis.Layer{Node: conv}
+	ins, outs := backend.BoundaryIO(truth, map[string]string{})
+	if &ins[0] != &conv.Inputs[0] || &outs[0] != &conv.Outputs[0] {
+		t.Fatal("unaliased lists were copied")
+	}
+	if cap(ins) != len(ins) || cap(outs) != len(outs) {
+		t.Fatalf("unaliased lists are not capped: cap %d/%d, len %d/%d", cap(ins), cap(outs), len(ins), len(outs))
+	}
+	first := conv.Inputs[0]
+	ins, _ = backend.BoundaryIO(truth, map[string]string{first: first + "_rf"})
+	if &ins[0] == &conv.Inputs[0] || ins[0] != first+"_rf" || conv.Inputs[0] != first {
+		t.Fatalf("aliased inputs %v over the node's %v", ins, conv.Inputs)
+	}
+	if !equalNames(ins[1:], conv.Inputs[1:]) {
+		t.Fatalf("aliased inputs %v, want the rest of %v", ins, conv.Inputs)
+	}
+
+	f, err := analysis.NewOptimizedRep(rep).SetFusedOp("pair", rep.Nodes()[:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins, outs = backend.BoundaryIO(&analysis.Layer{Fused: f}, map[string]string{})
+	if &ins[0] != &f.Inputs[0] || &outs[0] != &f.Outputs[0] || cap(ins) != len(ins) {
+		t.Fatal("a fused operator's unaliased boundary lists were not shared, capped")
+	}
+}

@@ -1,14 +1,15 @@
 package backend
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
 	"strconv"
+	"strings"
 
 	"proof/internal/analysis"
 	"proof/internal/graph"
-	"proof/internal/hardware"
 	"proof/internal/memo"
 	"proof/internal/obs"
 	"proof/internal/sim"
@@ -53,6 +54,11 @@ type BuildSpec struct {
 // and assemble the engine. The engine simulates cfg.Clocks as the
 // platform resolves them. The fusion and assembly phases are recorded
 // as "fuse" and "assemble" spans when ctx carries an obs tracer.
+//
+// The build sizes its lists from counts it has before it fills them:
+// the ground-truth layers sit in one array, one per group, the fused
+// groups' names in one string, and the kernels in one array, their
+// names in another string (see lowerKernels).
 func BuildEngine(ctx context.Context, spec BuildSpec, rep *analysis.Rep, cfg Config) (*Engine, error) {
 	if cfg.Platform == nil {
 		return nil, fmt.Errorf("backend: config requires a platform")
@@ -70,20 +76,35 @@ func BuildEngine(ctx context.Context, spec BuildSpec, rep *analysis.Rep, cfg Con
 	groups := Fuse(rep, spec.Rules)
 	internalOpt := analysis.NewOptimizedRep(rep)
 
-	// Ground-truth layers per group.
-	truths := make([]*analysis.Layer, len(groups))
+	// Ground-truth layers per group. A fused group is named
+	// <backend>_group_<index>, a substring of one string that holds
+	// every such name.
+	truths := make([]analysis.Layer, len(groups))
+	var digits [20]byte
+	size := 0
+	for i, gr := range groups {
+		if len(gr.Nodes) > 1 {
+			size += len(spec.BackendName) + len("_group_") + len(strconv.AppendInt(digits[:0], int64(i), 10))
+		}
+	}
+	var names strings.Builder
+	names.Grow(size)
 	for i, gr := range groups {
 		if len(gr.Nodes) == 1 {
-			truths[i] = &analysis.Layer{Node: gr.Nodes[0]}
+			truths[i].Node = gr.Nodes[0]
 			continue
 		}
-		f, err := internalOpt.SetFusedOp(spec.BackendName+"_group_"+strconv.Itoa(i), gr.Nodes)
+		at := names.Len()
+		names.WriteString(spec.BackendName)
+		names.WriteString("_group_")
+		names.Write(strconv.AppendInt(digits[:0], int64(i), 10))
+		f, err := internalOpt.SetFusedOp(names.String()[at:], gr.Nodes)
 		if err != nil {
 			err = fmt.Errorf("backend %s: fusing group %d: %w", spec.BackendName, i, err)
 			fsp.EndErr(err)
 			return nil, err
 		}
-		truths[i] = &analysis.Layer{Fused: f}
+		truths[i].Fused = f
 	}
 	fsp.SetAttrInt("groups", int64(len(groups)))
 	fsp.End()
@@ -91,14 +112,15 @@ func BuildEngine(ctx context.Context, spec BuildSpec, rep *analysis.Rep, cfg Con
 	_, asp := obs.Start(ctx, "assemble")
 	defer asp.End()
 
+	// Reformats are emitted in position order, in the order the runtime
+	// listed them at each position; one whose position is outside
+	// 0..len(groups) is never emitted.
 	var reformats []ReformatSpec
 	if spec.Reformats != nil {
 		reformats = spec.Reformats(rep, groups)
 	}
-	byPos := map[int][]ReformatSpec{}
-	for _, r := range reformats {
-		byPos[r.BeforeGroup] = append(byPos[r.BeforeGroup], r)
-	}
+	slices.SortStableFunc(reformats, func(a, b ReformatSpec) int { return cmp.Compare(a.BeforeGroup, b.BeforeGroup) })
+	nextReformat := 0
 
 	n := len(groups) + len(reformats)
 	e := &Engine{
@@ -113,7 +135,11 @@ func BuildEngine(ctx context.Context, spec BuildSpec, rep *analysis.Rep, cfg Con
 	var given []string           // every alias handed out, in order
 
 	emitReformats := func(pos int) error {
-		for _, r := range byPos[pos] {
+		for ; nextReformat < len(reformats) && reformats[nextReformat].BeforeGroup <= pos; nextReformat++ {
+			r := reformats[nextReformat]
+			if r.BeforeGroup < pos {
+				continue
+			}
 			t := rep.Graph.Tensor(r.Tensor)
 			if t == nil {
 				return fmt.Errorf("backend %s: reformat of unknown tensor %q", spec.BackendName, r.Tensor)
@@ -122,17 +148,13 @@ func BuildEngine(ctx context.Context, spec BuildSpec, rep *analysis.Rep, cfg Con
 			given = append(given, name)
 			alias[r.Tensor] = name
 			bytes := 2 * t.Bytes()
+			io := []string{r.Tensor, name}
 			pub := Layer{
 				Name:          r.Name,
-				InputTensors:  []string{r.Tensor},
-				OutputTensors: []string{name},
+				InputTensors:  io[:1:1],
+				OutputTensors: io[1:],
 				IsReformat:    true,
 			}
-			pub.Kernels = []Kernel{{
-				Name:         sim.KernelNameFor(cfg.Platform.Arch, sim.ClassMemCopy, cfg.DType, r.Name),
-				LayerName:    r.Name,
-				ShareOfLayer: 1,
-			}}
 			e.add(pub, nil, sim.Work{
 				Name:  r.Name,
 				Key:   memo.ReformatKey(t),
@@ -147,7 +169,7 @@ func BuildEngine(ctx context.Context, spec BuildSpec, rep *analysis.Rep, cfg Con
 		if err := emitReformats(i); err != nil {
 			return nil, err
 		}
-		truth := truths[i]
+		truth := &truths[i]
 		cost, err := internalOpt.LayerCost(truth)
 		if err != nil {
 			return nil, fmt.Errorf("backend %s: cost of group %d: %w", spec.BackendName, i, err)
@@ -162,12 +184,12 @@ func BuildEngine(ctx context.Context, spec BuildSpec, rep *analysis.Rep, cfg Con
 			ModelFLOP: cost.FLOP,
 			Bytes:     cost.MemoryBytes(),
 		}
-		pub.Kernels = lowerKernels(gr, pub.Name, class, cfg.Platform, cfg.DType, rep.Graph)
 		e.add(pub, truth, work)
 	}
 	if err := emitReformats(len(groups)); err != nil {
 		return nil, err
 	}
+	e.lowerKernels(groups)
 	return e, nil
 }
 
@@ -201,63 +223,102 @@ func groupKindKey(k GroupKind) string {
 	return "normal"
 }
 
-// lowerKernels fabricates the kernel-level lowering of a backend layer
-// (Figure 3's bottom level): Myelin regions launch one kernel per
-// matrix multiply plus a fused elementwise kernel; ordinary layers
-// launch one kernel.
-func lowerKernels(gr *Group, layerName string, class sim.Class, plat *hardware.Platform, dt graph.DataType, g *graph.Graph) []Kernel {
-	if gr.Kind == KindMyelin {
-		var kernels []Kernel
-		for _, n := range gr.Nodes {
-			if n.OpType == "MatMul" || n.OpType == "Gemm" {
-				kernels = append(kernels, Kernel{
-					Name:      sim.KernelNameFor(plat.Arch, sim.ClassGEMM, dt, n.Name),
-					LayerName: layerName,
-				})
+// lowerKernels gives every layer its kernels. One counting pass sizes
+// the engine's single kernel array and the single string that holds
+// every kernel name; the second writes them, and each layer's kernels
+// are a capped run of the array that share its time equally.
+func (e *Engine) lowerKernels(groups []*Group) {
+	arch, dt := e.cfg.Platform.Arch, e.cfg.DType
+	count, size := 0, 0
+	e.eachKernel(groups, func(_ int, class sim.Class, name string) {
+		count++
+		size += sim.KernelNameLen(arch, class, dt, name)
+	})
+	kernels := make([]Kernel, 0, count)
+	var names strings.Builder
+	names.Grow(size)
+	var buf [256]byte
+	layer, first := -1, 0
+	e.eachKernel(groups, func(i int, class sim.Class, name string) {
+		if i != layer {
+			layer, first = i, len(kernels)
+		}
+		at := names.Len()
+		names.Write(sim.AppendKernelName(buf[:0], arch, class, dt, name))
+		l := &e.layers[i]
+		kernels = append(kernels, Kernel{Name: names.String()[at:], LayerName: l.Name})
+		l.Kernels = kernels[first:len(kernels):len(kernels)]
+	})
+	for i := range e.layers {
+		ks := e.layers[i].Kernels
+		share := 1.0 / float64(len(ks))
+		for k := range ks {
+			ks[k].ShareOfLayer = share
+		}
+	}
+}
+
+// eachKernel lowers every layer, in execution order, to its kernels
+// (Figure 3's bottom level) and calls f with each kernel's layer index,
+// class and the name its fabricated name ends in. A reformat launches
+// one copy kernel. A Myelin region launches one kernel per matrix
+// multiply plus a fused elementwise kernel. Any other layer launches
+// one kernel of its class, named after its anchor node when it has one.
+func (e *Engine) eachKernel(groups []*Group, f func(layer int, class sim.Class, name string)) {
+	next := 0
+	for i := range e.layers {
+		l := &e.layers[i]
+		if l.IsReformat {
+			f(i, sim.ClassMemCopy, l.Name)
+			continue
+		}
+		gr := groups[next]
+		next++
+		switch {
+		case gr.Kind == KindMyelin:
+			for _, n := range gr.Nodes {
+				if n.OpType == "MatMul" || n.OpType == "Gemm" {
+					f(i, sim.ClassGEMM, n.Name)
+				}
 			}
+			f(i, sim.ClassElementwise, "myelin_pointwise")
+		case gr.Anchor != nil:
+			f(i, e.works[i].Class, gr.Anchor.Name)
+		default:
+			f(i, e.works[i].Class, l.Name)
 		}
-		kernels = append(kernels, Kernel{
-			Name:      sim.KernelNameFor(plat.Arch, sim.ClassElementwise, dt, "myelin_pointwise"),
-			LayerName: layerName,
-		})
-		share := 1.0 / float64(len(kernels))
-		for i := range kernels {
-			kernels[i].ShareOfLayer = share
-		}
-		return kernels
 	}
-	name := layerName
-	if gr.Anchor != nil {
-		name = gr.Anchor.Name
-	}
-	return []Kernel{{
-		Name:         sim.KernelNameFor(plat.Arch, class, dt, name),
-		LayerName:    layerName,
-		ShareOfLayer: 1,
-	}}
 }
 
 // BoundaryIO returns a ground-truth layer's activation inputs/outputs
 // with runtime aliases applied — the io info a runtime exposes for a
-// layer.
+// layer. A list no alias applies to is the fused operator's own, or
+// the node's, capped; only a list an alias rewrites is copied. Either
+// way the lists are read-only (see Layer).
 func BoundaryIO(truth *analysis.Layer, alias map[string]string) (ins, outs []string) {
-	applyAlias := func(names []string) []string {
+	if truth.Fused != nil {
+		return withAliases(truth.Fused.Inputs, alias), withAliases(truth.Fused.Outputs, alias)
+	}
+	return withAliases(truth.Node.Inputs, alias), withAliases(truth.Node.Outputs, alias)
+}
+
+// withAliases returns names with every aliased name replaced by its
+// alias: names itself, capped, when none is aliased, and a copy
+// otherwise.
+func withAliases(names []string, alias map[string]string) []string {
+	for i, n := range names {
+		if _, ok := alias[n]; !ok {
+			continue
+		}
 		out := make([]string, len(names))
-		for i, n := range names {
-			if a, ok := alias[n]; ok {
-				n = a
+		copy(out, names[:i])
+		for j := i; j < len(names); j++ {
+			out[j] = names[j]
+			if a, ok := alias[names[j]]; ok {
+				out[j] = a
 			}
-			out[i] = n
 		}
 		return out
 	}
-	if truth.Fused != nil {
-		return applyAlias(truth.Fused.Inputs), applyAlias(truth.Fused.Outputs)
-	}
-	n := truth.Node
-	var rawIns []string
-	for _, in := range n.Inputs {
-		rawIns = append(rawIns, in)
-	}
-	return applyAlias(rawIns), applyAlias(n.Outputs)
+	return names[:len(names):len(names)]
 }

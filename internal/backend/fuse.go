@@ -30,6 +30,9 @@ type Group struct {
 	// Anchor is the group's defining compute node (nil for pure
 	// data-movement or Myelin groups).
 	Anchor *graph.Node
+
+	// size counts the group's nodes while Fuse lists them.
+	size int
 }
 
 // FusionRules parameterizes a backend's graph-optimization pipeline.
@@ -96,7 +99,9 @@ func IsMetadataNode(n *graph.Node, g *graph.Graph) bool {
 
 // Fuse runs the backend's graph optimizer: it partitions the model's
 // nodes into fusion groups according to rules. Every non-Constant node
-// lands in exactly one group.
+// lands in exactly one group. The passes only record each node's
+// group; once every node is claimed, the groups' node lists are carved
+// from one array of every node, in topological order.
 func Fuse(rep *analysis.Rep, rules FusionRules) []*Group {
 	g := rep.Graph
 	order := rep.Nodes()
@@ -105,7 +110,6 @@ func Fuse(rep *analysis.Rep, rules FusionRules) []*Group {
 	claimedBy := func(n *graph.Node) *Group { return claimed[g.Pos(n)] }
 	claim := func(gr *Group, nodes ...*graph.Node) {
 		for _, n := range nodes {
-			gr.Nodes = append(gr.Nodes, n)
 			claimed[g.Pos(n)] = gr
 		}
 	}
@@ -123,7 +127,8 @@ func Fuse(rep *analysis.Rep, rules FusionRules) []*Group {
 	// flushed at LayerNorm boundaries to keep per-attention/per-MLP
 	// granularity. A segment is the run of positions [start, i), so a
 	// tensor was produced inside it when its producer sits at start or
-	// later.
+	// later. Claiming copies nothing, so one segment buffer serves
+	// every flush.
 	if rules.Myelin {
 		var segment []*graph.Node
 		start := 0
@@ -132,7 +137,7 @@ func Fuse(rep *analysis.Rep, rules FusionRules) []*Group {
 			if matmuls >= 2 {
 				newGroup(KindMyelin, nil, segment...)
 			}
-			segment = nil
+			segment = segment[:0]
 			start = next
 			matmuls = 0
 		}
@@ -207,9 +212,9 @@ func Fuse(rep *analysis.Rep, rules FusionRules) []*Group {
 				}
 			}
 			if rules.AbsorbGelu {
-				if nodes, last, ok := matchGelu(g, consumers, claimedBy); ok {
-					claim(gr, nodes...)
-					tail = last
+				if nodes, ok := matchGelu(g, consumers, claimedBy); ok {
+					claim(gr, nodes[:]...)
+					tail = nodes[len(nodes)-1]
 					continue
 				}
 			}
@@ -282,16 +287,22 @@ func Fuse(rep *analysis.Rep, rules FusionRules) []*Group {
 		claim(target, n)
 	}
 
-	// Normalize: every node is claimed now, so one walk in topological
-	// order lists each group's nodes in order, and the groups in the
-	// order of their first nodes.
-	for _, gr := range groups {
-		gr.Nodes = gr.Nodes[:0]
+	// Normalize: every node is claimed now. One walk counts each
+	// group's nodes; the next, in topological order, gives each group
+	// its capped run of one array of every node as it first meets the
+	// group, lists the group's nodes there in order, and lists the
+	// groups in the order of their first nodes.
+	for _, gr := range claimed {
+		gr.size++
 	}
+	all := make([]*graph.Node, len(order))
 	sorted := groups[:0]
+	next := 0
 	for i, n := range order {
 		gr := claimed[i]
-		if len(gr.Nodes) == 0 {
+		if gr.Nodes == nil {
+			gr.Nodes = all[next : next : next+gr.size]
+			next += gr.size
 			sorted = append(sorted, gr)
 		}
 		gr.Nodes = append(gr.Nodes, n)
@@ -341,9 +352,8 @@ func matchSiLU(g *graph.Graph, consumers []*graph.Node) (sig, mul *graph.Node, o
 //
 //	t -> Div(t,c) -> Erf -> Add(e,1) -> Mul(t,a) -> Mul(m, 0.5)
 //
-// among t's consumers, and returns the five compute nodes in order plus
-// the final node.
-func matchGelu(g *graph.Graph, consumers []*graph.Node, claimedBy func(*graph.Node) *Group) ([]*graph.Node, *graph.Node, bool) {
+// among t's consumers, and returns the five compute nodes in order.
+func matchGelu(g *graph.Graph, consumers []*graph.Node, claimedBy func(*graph.Node) *Group) (nodes [5]*graph.Node, ok bool) {
 	var div, mul1 *graph.Node
 	for _, c := range consumers {
 		switch c.OpType {
@@ -354,7 +364,7 @@ func matchGelu(g *graph.Graph, consumers []*graph.Node, claimedBy func(*graph.No
 		}
 	}
 	if div == nil || mul1 == nil {
-		return nil, nil, false
+		return nodes, false
 	}
 	next := func(n *graph.Node, op string) *graph.Node {
 		if len(n.Outputs) != 1 {
@@ -368,19 +378,19 @@ func matchGelu(g *graph.Graph, consumers []*graph.Node, claimedBy func(*graph.No
 	}
 	erf := next(div, "Erf")
 	if erf == nil {
-		return nil, nil, false
+		return nodes, false
 	}
 	add := next(erf, "Add")
 	if add == nil {
-		return nil, nil, false
+		return nodes, false
 	}
 	m1 := next(add, "Mul")
 	if m1 == nil || m1 != mul1 {
-		return nil, nil, false
+		return nodes, false
 	}
 	m2 := next(m1, "Mul")
 	if m2 == nil {
-		return nil, nil, false
+		return nodes, false
 	}
-	return []*graph.Node{div, erf, add, m1, m2}, m2, true
+	return [5]*graph.Node{div, erf, add, m1, m2}, true
 }

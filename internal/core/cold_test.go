@@ -21,23 +21,25 @@ var coldBatches = []int{1, 2, 4, 8, 16, 32}
 // coldProfileBudget caps the heap bytes and the heap objects one cold
 // ProfileCtx allocates at batch 8, per cold-zoo pair. The bytes sit
 // about 3% and the objects about 2% above what the pipeline allocates
-// once its tail writes each report's layers in one pass, into
-// report-wide arrays, fusion keeps ordered node lists and sizes
-// boundary lists exactly, and runtimes name layers without fmt
-// (CHANGES.md lists the figures before and after). Object counts repeat
-// exactly from run to run, under the race detector too: no sync.Pool,
-// which it drains at random, sits on the pipeline's path.
+// once every stage sizes its lists from counts and fills run-wide
+// arrays: shape inference carves its shapes from one array, fusion its
+// groups' node lists, the engine build its kernels and their names,
+// and layer keys are sums, not hex strings; the tail writes each
+// report's layers in one pass (CHANGES.md lists the figures before and
+// after). Object counts repeat exactly from run to run, under the race
+// detector too: no sync.Pool, which it drains at random, sits on the
+// pipeline's path.
 var coldProfileBudget = map[string]struct{ bytes, objects uint64 }{
-	"vit-t|a100":                 {253500, 2195},
-	"vit-s|a100":                 {253500, 2195},
-	"vit-b|a100":                 {253500, 2195},
-	"bert-base|a100":             {243500, 2450},
-	"mlp-mixer|xeon-6330":        {239000, 2605},
-	"shufflenetv2-0.5|xeon-6330": {288000, 3440},
-	"shufflenetv2-1.0|xeon-6330": {288000, 3440},
-	"mlp-mixer|npu3720":          {356500, 4170},
-	"shufflenetv2-0.5|npu3720":   {263500, 2985},
-	"shufflenetv2-1.0|npu3720":   {263500, 2985},
+	"vit-t|a100":                 {215700, 559},
+	"vit-s|a100":                 {215700, 559},
+	"vit-b|a100":                 {215700, 559},
+	"bert-base|a100":             {209300, 563},
+	"mlp-mixer|xeon-6330":        {210800, 839},
+	"shufflenetv2-0.5|xeon-6330": {257300, 1445},
+	"shufflenetv2-1.0|xeon-6330": {257300, 1445},
+	"mlp-mixer|npu3720":          {322200, 1494},
+	"shufflenetv2-0.5|npu3720":   {239700, 1226},
+	"shufflenetv2-1.0|npu3720":   {239700, 1226},
 }
 
 // TestColdProfileBytes: one cold profile of each cold-zoo pair at

@@ -19,7 +19,6 @@ import (
 // input shapes: the error is a *ValidationError with code
 // ErrShapeInference.
 func (g *Graph) InferShapes() error {
-	ctx := newInferCtx(g)
 	order, ok := g.AdmittedOrder()
 	if !ok {
 		var err error
@@ -27,6 +26,7 @@ func (g *Graph) InferShapes() error {
 			return err
 		}
 	}
+	ctx := newInferCtx(g, order)
 	// Seed known values from constant parameter tensors.
 	if ctx.valAt != nil {
 		for s := range ctx.valAt {
@@ -57,18 +57,77 @@ func (g *Graph) InferShapes() error {
 // tensors by slot, the few known values sit in vals, and valAt maps
 // each slot to one more than its value's index there (0: unknown); a
 // raw graph keys them by tensor name in byName.
+//
+// Every shape the pass writes is carved from dims, one run-wide array
+// sized by the ranks the outputs hold when the pass starts: a view
+// holds its admitted graph's, and rebatching changes dimensions, not
+// ranks, so a view's pass allocates its shapes once. A pass that meets
+// unknown or larger ranks grows dims, at least doubling it.
 type inferCtx struct {
 	g      *Graph
 	valAt  []int32
 	vals   [][]int64
 	byName map[string][]int64
+	dims   []int
 }
 
-func newInferCtx(g *Graph) *inferCtx {
+func newInferCtx(g *Graph, order []*Node) *inferCtx {
+	c := &inferCtx{g: g}
 	if g.adm != nil {
-		return &inferCtx{g: g, valAt: make([]int32, len(g.adm.tensors))}
+		c.valAt = make([]int32, len(g.adm.tensors))
+	} else {
+		c.byName = map[string][]int64{}
 	}
-	return &inferCtx{g: g, byName: map[string][]int64{}}
+	ranks := 0
+	for _, n := range order {
+		for i := range n.Outputs {
+			if t := g.Out(n, i); t != nil {
+				ranks += len(t.Shape)
+			}
+		}
+	}
+	c.dims = make([]int, 0, ranks)
+	return c
+}
+
+// shape carves a rank-r shape from the pass's dims, capped so an append
+// to it cannot reach the next shape's dimensions. A rank-0 shape is a
+// known scalar shape, never nil.
+func (c *inferCtx) shape(r int) Shape {
+	if r == 0 {
+		return Shape{}
+	}
+	if len(c.dims)+r > cap(c.dims) {
+		c.dims = make([]int, 0, max(r, 2*cap(c.dims)))
+	}
+	lo := len(c.dims)
+	c.dims = c.dims[:lo+r]
+	return Shape(c.dims[lo : lo+r : lo+r])
+}
+
+// shapeOf carves a shape holding dims.
+func (c *inferCtx) shapeOf(dims ...int) Shape {
+	s := c.shape(len(dims))
+	copy(s, dims)
+	return s
+}
+
+// clone carves a copy of s; the copy of an unknown shape is unknown.
+func (c *inferCtx) clone(s Shape) Shape {
+	if s == nil {
+		return nil
+	}
+	return c.shapeOf(s...)
+}
+
+// broadcast is the package's broadcast with the result carved from the
+// pass's dims.
+func (c *inferCtx) broadcast(a, b Shape) (Shape, error) {
+	out := c.shape(max(len(a), len(b)))
+	if err := broadcastInto(out, a, b); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // inVal returns the propagated value of node n's i-th input.
@@ -133,12 +192,17 @@ func (c *inferCtx) setOut(n *Node, i int, shape Shape, dt DataType) error {
 
 // broadcast implements numpy-style multidirectional broadcasting.
 func broadcast(a, b Shape) (Shape, error) {
-	ra, rb := len(a), len(b)
-	r := ra
-	if rb > r {
-		r = rb
+	out := make(Shape, max(len(a), len(b)))
+	if err := broadcastInto(out, a, b); err != nil {
+		return nil, err
 	}
-	out := make(Shape, r)
+	return out, nil
+}
+
+// broadcastInto writes the broadcast of a and b into out, whose length
+// is the larger of their ranks.
+func broadcastInto(out, a, b Shape) error {
+	ra, rb, r := len(a), len(b), len(out)
 	for i := 0; i < r; i++ {
 		da, db := 1, 1
 		if i >= r-ra {
@@ -155,10 +219,10 @@ func broadcast(a, b Shape) (Shape, error) {
 		case db == 1:
 			out[i] = da
 		default:
-			return nil, fmt.Errorf("cannot broadcast %v with %v", a, b)
+			return fmt.Errorf("cannot broadcast %v with %v", a, b)
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // normAxis resolves a possibly-negative axis attribute against a rank
@@ -175,14 +239,22 @@ func normAxis(op string, axis, rank int) (int, error) {
 	return resolved, nil
 }
 
+// The defaults of a 2-D window's attributes. Attrs.Ints hands its
+// default back as read-only, so every node shares these.
+var (
+	defaultStrides   = []int{1, 1}
+	defaultPads      = []int{0, 0, 0, 0}
+	defaultDilations = []int{1, 1}
+)
+
 // spatial2D validates the strides/pads/dilations attributes of a 2-D
 // conv/pool window. Adversarial model files can carry short lists or
 // non-positive strides, which would otherwise index out of range or
-// divide by zero in poolDim.
+// divide by zero in poolDim. The lists it returns are read-only.
 func spatial2D(n *Node) (strides, pads, dil []int, err error) {
-	strides = n.Attrs.Ints("strides", []int{1, 1})
-	pads = n.Attrs.Ints("pads", []int{0, 0, 0, 0})
-	dil = n.Attrs.Ints("dilations", []int{1, 1})
+	strides = n.Attrs.Ints("strides", defaultStrides)
+	pads = n.Attrs.Ints("pads", defaultPads)
+	dil = n.Attrs.Ints("dilations", defaultDilations)
 	if len(strides) != 2 || strides[0] <= 0 || strides[1] <= 0 {
 		return nil, nil, nil, fmt.Errorf("%s: invalid strides %v", n.OpType, strides)
 	}
@@ -241,7 +313,7 @@ func (c *inferCtx) inferNode(n *Node) error {
 		if err != nil {
 			return err
 		}
-		return c.setOut(n, 0, x.Shape.Clone(), x.DType)
+		return c.setOut(n, 0, c.clone(x.Shape), x.DType)
 
 	case elementwiseBinary[n.OpType]:
 		a, err := c.in(n, 0)
@@ -252,7 +324,7 @@ func (c *inferCtx) inferNode(n *Node) error {
 		if err != nil {
 			return err
 		}
-		out, err := broadcast(a.Shape, b.Shape)
+		out, err := c.broadcast(a.Shape, b.Shape)
 		if err != nil {
 			return err
 		}
@@ -286,7 +358,7 @@ func (c *inferCtx) inferNode(n *Node) error {
 		if err != nil {
 			return err
 		}
-		out := x.Shape.Clone()
+		out := c.clone(x.Shape)
 		for i := 2; i < len(out); i++ {
 			out[i] = 1
 		}
@@ -297,7 +369,7 @@ func (c *inferCtx) inferNode(n *Node) error {
 		if err != nil {
 			return err
 		}
-		return c.setOut(n, 0, x.Shape.Clone(), x.DType)
+		return c.setOut(n, 0, c.clone(x.Shape), x.DType)
 	case "MatMul":
 		return c.inferMatMul(n)
 	case "Gemm":
@@ -339,7 +411,7 @@ func (c *inferCtx) inferNode(n *Node) error {
 		if err != nil {
 			return err
 		}
-		return c.setOut(n, 0, x.Shape.Clone(), Bool)
+		return c.setOut(n, 0, c.clone(x.Shape), Bool)
 	case "Sum", "Mean":
 		return c.inferVariadicElementwise(n)
 	case "Resize", "Upsample":
@@ -365,7 +437,7 @@ func (c *inferCtx) inferNode(n *Node) error {
 		} else {
 			dt = Float32
 		}
-		return c.setOut(n, 0, x.Shape.Clone(), dt)
+		return c.setOut(n, 0, c.clone(x.Shape), dt)
 	}
 	return fmt.Errorf("unsupported op type %q", n.OpType)
 }
@@ -381,13 +453,13 @@ func (c *inferCtx) inferConstant(n *Node) error {
 			vals[i] = int64(x)
 		}
 		c.setOutVal(n, 0, vals)
-		return c.setOut(n, 0, Shape{len(vals)}, Int64)
+		return c.setOut(n, 0, c.shapeOf(len(vals)), Int64)
 	}
 	if _, ok := n.Attrs["value_float"]; ok {
-		return c.setOut(n, 0, Shape{1}, Float32)
+		return c.setOut(n, 0, c.shapeOf(1), Float32)
 	}
 	if v, ok := n.Attrs["value_floats"]; ok && v.Kind == AttrInts {
-		return c.setOut(n, 0, Shape{len(v.Ints)}, Float32)
+		return c.setOut(n, 0, c.shapeOf(len(v.Ints)), Float32)
 	}
 	return fmt.Errorf("Constant node without value_ints/value_float attribute")
 }
@@ -440,7 +512,7 @@ func (c *inferCtx) inferConv(n *Node) error {
 	}
 	oh := poolDim(x.Shape[2], kh, strides[0], pads[0], pads[2], dil[0], false)
 	ow := poolDim(x.Shape[3], kw, strides[1], pads[1], pads[3], dil[1], false)
-	out := Shape{x.Shape[0], w.Shape[0], oh, ow}
+	out := c.shapeOf(x.Shape[0], w.Shape[0], oh, ow)
 	return c.setOut(n, 0, out, x.DType)
 }
 
@@ -467,7 +539,7 @@ func (c *inferCtx) inferConvTranspose(n *Node) error {
 	kh, kw := w.Shape[2], w.Shape[3]
 	oh := (x.Shape[2]-1)*strides[0] + kh - pads[0] - pads[2]
 	ow := (x.Shape[3]-1)*strides[1] + kw - pads[1] - pads[3]
-	out := Shape{x.Shape[0], w.Shape[1] * group, oh, ow}
+	out := c.shapeOf(x.Shape[0], w.Shape[1]*group, oh, ow)
 	return c.setOut(n, 0, out, x.DType)
 }
 
@@ -490,7 +562,7 @@ func (c *inferCtx) inferPool(n *Node) error {
 	ceil := n.Attrs.Int("ceil_mode", 0) == 1
 	oh := poolDim(x.Shape[2], k[0], strides[0], pads[0], pads[2], 1, ceil)
 	ow := poolDim(x.Shape[3], k[1], strides[1], pads[1], pads[3], 1, ceil)
-	out := Shape{x.Shape[0], x.Shape[1], oh, ow}
+	out := c.shapeOf(x.Shape[0], x.Shape[1], oh, ow)
 	return c.setOut(n, 0, out, x.DType)
 }
 
@@ -522,12 +594,14 @@ func (c *inferCtx) inferMatMul(n *Node) error {
 	if k1 != k2 {
 		return fmt.Errorf("MatMul inner dims mismatch: %v x %v", a.Shape, b.Shape)
 	}
+	// The broadcast batch dimensions and the two matrix dimensions are
+	// written straight into the output.
 	battA, battB := sa[:len(sa)-2], sb[:len(sb)-2]
-	batch, err := broadcast(Shape(battA), Shape(battB))
-	if err != nil {
+	out := c.shape(max(len(battA), len(battB)) + 2)
+	if err := broadcastInto(out[:len(out)-2], battA, battB); err != nil {
 		return err
 	}
-	out := append(batch.Clone(), sa[len(sa)-2], sb[len(sb)-1])
+	out[len(out)-2], out[len(out)-1] = sa[len(sa)-2], sb[len(sb)-1]
 	if promA {
 		out = append(out[:len(out)-2], out[len(out)-1])
 	}
@@ -562,7 +636,7 @@ func (c *inferCtx) inferGemm(n *Node) error {
 	if ka != kb {
 		return fmt.Errorf("Gemm inner dims mismatch: %v x %v (transA=%v transB=%v)", a.Shape, b.Shape, transA, transB)
 	}
-	return c.setOut(n, 0, Shape{m, nn}, a.DType)
+	return c.setOut(n, 0, c.shapeOf(m, nn), a.DType)
 }
 
 func (c *inferCtx) inferTranspose(n *Node) error {
@@ -581,7 +655,7 @@ func (c *inferCtx) inferTranspose(n *Node) error {
 	if len(perm) != r {
 		return fmt.Errorf("Transpose perm rank %d != input rank %d", len(perm), r)
 	}
-	out := make(Shape, r)
+	out := c.shape(r)
 	for i, p := range perm {
 		if p < 0 || p >= r {
 			return fmt.Errorf("Transpose perm entry %d out of range for rank %d", p, r)
@@ -621,7 +695,7 @@ func (c *inferCtx) inferReshape(n *Node) error {
 		return err
 	}
 	total := x.Shape.NumElements()
-	out := make(Shape, len(tgt))
+	out := c.shape(len(tgt))
 	inferIdx := -1
 	known := int64(1)
 	for i, d := range tgt {
@@ -671,7 +745,7 @@ func (c *inferCtx) inferFlatten(n *Node) error {
 			d1 *= int64(d)
 		}
 	}
-	return c.setOut(n, 0, Shape{int(d0), int(d1)}, x.DType)
+	return c.setOut(n, 0, c.shapeOf(int(d0), int(d1)), x.DType)
 }
 
 func (c *inferCtx) inferConcat(n *Node) error {
@@ -686,7 +760,7 @@ func (c *inferCtx) inferConcat(n *Node) error {
 	if err != nil {
 		return err
 	}
-	out := first.Shape.Clone()
+	out := c.clone(first.Shape)
 	allKnown := true
 	var vals []int64
 	if v, ok := c.inVal(n, 0); ok {
@@ -745,7 +819,7 @@ func (c *inferCtx) inferSplit(n *Node) error {
 	}
 	sum := 0
 	for i, s := range split {
-		out := x.Shape.Clone()
+		out := c.clone(x.Shape)
 		out[axis] = s
 		sum += s
 		if err := c.setOut(n, i, out, x.DType); err != nil {
@@ -803,7 +877,7 @@ func (c *inferCtx) inferSlice(n *Node) error {
 			axes[i] = i
 		}
 	}
-	out := x.Shape.Clone()
+	out := c.clone(x.Shape)
 	for i, ax := range axes {
 		if ax < 0 {
 			ax += x.Shape.Rank()
@@ -872,14 +946,17 @@ func (c *inferCtx) inferSqueeze(n *Node) error {
 			drop[a] = true
 		}
 	}
-	var out Shape
+	kept := 0
+	for i := range x.Shape {
+		if !drop[i] {
+			kept++
+		}
+	}
+	out := c.shape(kept)[:0]
 	for i, d := range x.Shape {
 		if !drop[i] {
 			out = append(out, d)
 		}
-	}
-	if out == nil {
-		out = Shape{}
 	}
 	if v, ok := c.inVal(n, 0); ok {
 		c.setOutVal(n, 0, v)
@@ -908,7 +985,7 @@ func (c *inferCtx) inferUnsqueeze(n *Node) error {
 	if len(ins) != len(axes) {
 		return fmt.Errorf("Unsqueeze: duplicate axes %v", axes)
 	}
-	out := make(Shape, 0, r)
+	out := c.shape(r)[:0]
 	src := 0
 	for i := 0; i < r; i++ {
 		if ins[i] {
@@ -937,7 +1014,7 @@ func (c *inferCtx) inferGather(n *Node) error {
 	if err != nil {
 		return err
 	}
-	out := make(Shape, 0, data.Shape.Rank()-1+idx.Shape.Rank())
+	out := c.shape(data.Shape.Rank() - 1 + idx.Shape.Rank())[:0]
 	out = append(out, data.Shape[:axis]...)
 	out = append(out, idx.Shape...)
 	out = append(out, data.Shape[axis+1:]...)
@@ -975,7 +1052,7 @@ func (c *inferCtx) inferShapeOp(n *Node) error {
 		v[i] = int64(d)
 	}
 	c.setOutVal(n, 0, v)
-	return c.setOut(n, 0, Shape{x.Shape.Rank()}, Int64)
+	return c.setOut(n, 0, c.shapeOf(x.Shape.Rank()), Int64)
 }
 
 func (c *inferCtx) inferExpand(n *Node) error {
@@ -987,7 +1064,7 @@ func (c *inferCtx) inferExpand(n *Node) error {
 	if err != nil {
 		return err
 	}
-	out, err := broadcast(x.Shape, Shape(tgt))
+	out, err := c.broadcast(x.Shape, Shape(tgt))
 	if err != nil {
 		return err
 	}
@@ -1004,7 +1081,7 @@ func (c *inferCtx) inferPad(n *Node) error {
 	if len(pads) != 2*r {
 		return fmt.Errorf("Pad requires %d pad values, got %d", 2*r, len(pads))
 	}
-	out := x.Shape.Clone()
+	out := c.clone(x.Shape)
 	for i := 0; i < r; i++ {
 		out[i] += pads[i] + pads[r+i]
 	}
@@ -1020,7 +1097,7 @@ func (c *inferCtx) inferReduce(n *Node) error {
 	keep := n.Attrs.Int("keepdims", 1) == 1
 	if axes == nil {
 		if keep {
-			out := make(Shape, x.Shape.Rank())
+			out := c.shape(x.Shape.Rank())
 			for i := range out {
 				out[i] = 1
 			}
@@ -1035,7 +1112,13 @@ func (c *inferCtx) inferReduce(n *Node) error {
 		}
 		red[a] = true
 	}
-	out := make(Shape, 0, x.Shape.Rank())
+	kept := 0
+	for i := range x.Shape {
+		if keep || !red[i] {
+			kept++
+		}
+	}
+	out := c.shape(kept)[:0]
 	for i, d := range x.Shape {
 		switch {
 		case red[i] && keep:
@@ -1060,7 +1143,7 @@ func (c *inferCtx) inferResize(n *Node) error {
 	if len(scales) != x.Shape.Rank() {
 		return fmt.Errorf("Resize scales rank %d != input rank %d", len(scales), x.Shape.Rank())
 	}
-	out := make(Shape, x.Shape.Rank())
+	out := c.shape(x.Shape.Rank())
 	for i := range out {
 		out[i] = x.Shape[i] * scales[i]
 	}
@@ -1080,7 +1163,7 @@ func (c *inferCtx) inferCast(n *Node) error {
 	if v, ok := c.inVal(n, 0); ok {
 		c.setOutVal(n, 0, v)
 	}
-	return c.setOut(n, 0, x.Shape.Clone(), dt)
+	return c.setOut(n, 0, c.clone(x.Shape), dt)
 }
 
 func (c *inferCtx) inferWhere(n *Node) error {
@@ -1100,11 +1183,11 @@ func (c *inferCtx) inferWhere(n *Node) error {
 	if err != nil {
 		return err
 	}
-	s, err = broadcast(s, b.Shape)
+	out, err := c.broadcast(s, b.Shape)
 	if err != nil {
 		return err
 	}
-	return c.setOut(n, 0, s, a.DType)
+	return c.setOut(n, 0, out, a.DType)
 }
 
 func (c *inferCtx) inferConstantOfShape(n *Node) error {
@@ -1120,7 +1203,7 @@ func (c *inferCtx) inferConstantOfShape(n *Node) error {
 			return err
 		}
 	}
-	return c.setOut(n, 0, Shape(tgt), Float32)
+	return c.setOut(n, 0, c.shapeOf(tgt...), Float32)
 }
 
 // inferArgReduce handles ArgMax/ArgMin: a reduction producing Int64
@@ -1135,7 +1218,11 @@ func (c *inferCtx) inferArgReduce(n *Node) error {
 		axis += x.Shape.Rank()
 	}
 	keep := n.Attrs.Int("keepdims", 1) == 1
-	out := make(Shape, 0, x.Shape.Rank())
+	kept := x.Shape.Rank()
+	if !keep && axis >= 0 && axis < kept {
+		kept--
+	}
+	out := c.shape(kept)[:0]
 	for i, d := range x.Shape {
 		switch {
 		case i == axis && keep:
@@ -1144,9 +1231,6 @@ func (c *inferCtx) inferArgReduce(n *Node) error {
 		default:
 			out = append(out, d)
 		}
-	}
-	if len(out) == 0 {
-		out = Shape{}
 	}
 	return c.setOut(n, 0, out, Int64)
 }
@@ -1171,7 +1255,7 @@ func (c *inferCtx) inferTopK(n *Node) error {
 	if err != nil {
 		return err
 	}
-	out := x.Shape.Clone()
+	out := c.clone(x.Shape)
 	if k > out[axis] {
 		return fmt.Errorf("TopK k=%d exceeds dim %d", k, out[axis])
 	}
@@ -1180,7 +1264,7 @@ func (c *inferCtx) inferTopK(n *Node) error {
 		return err
 	}
 	if len(n.Outputs) >= 2 {
-		return c.setOut(n, 1, out.Clone(), Int64)
+		return c.setOut(n, 1, c.clone(out), Int64)
 	}
 	return nil
 }
@@ -1195,7 +1279,7 @@ func (c *inferCtx) inferVariadicElementwise(n *Node) error {
 	if err != nil {
 		return err
 	}
-	out := first.Shape.Clone()
+	out := first.Shape
 	for i := 1; i < len(n.Inputs); i++ {
 		t, err := c.in(n, i)
 		if err != nil {
@@ -1206,7 +1290,7 @@ func (c *inferCtx) inferVariadicElementwise(n *Node) error {
 			return err
 		}
 	}
-	return c.setOut(n, 0, out, first.DType)
+	return c.setOut(n, 0, c.clone(out), first.DType)
 }
 
 func (c *inferCtx) inferTile(n *Node) error {
@@ -1221,7 +1305,7 @@ func (c *inferCtx) inferTile(n *Node) error {
 	if len(reps) != x.Shape.Rank() {
 		return fmt.Errorf("Tile repeats rank mismatch")
 	}
-	out := x.Shape.Clone()
+	out := c.clone(x.Shape)
 	for i := range out {
 		out[i] *= reps[i]
 	}

@@ -1,12 +1,16 @@
 package memo
 
-import "proof/internal/graph"
+import (
+	"crypto/sha256"
+
+	"proof/internal/graph"
+)
 
 // ContentKeyByMap is ContentKey as it was first written, numbering
 // tensor slots through a name → slot map. Key bytes must never change
 // (they seed the simulator's jitter), so the parity test holds
 // ContentKey to it.
-func ContentKeyByMap(g *graph.Graph, nodes []*graph.Node, kind string) string {
+func ContentKeyByMap(g *graph.Graph, nodes []*graph.Node, kind string) [sha256.Size]byte {
 	slots := map[string]int{}
 	slot := func(name string) int64 {
 		if i, ok := slots[name]; ok {
@@ -37,7 +41,7 @@ func ContentKeyByMap(g *graph.Graph, nodes []*graph.Node, kind string) string {
 			b = appendTensor(b, tensorByName(g, out))
 		}
 	}
-	return hexKey(b)
+	return sha256.Sum256(b)
 }
 
 // tensorByName resolves a tensor by name, as ContentKey did before it

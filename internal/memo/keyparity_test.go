@@ -80,7 +80,7 @@ func TestKeysUnchangedOnViews(t *testing.T) {
 					}
 					for i, l := range eng.Layers() {
 						if works[i].Key != rawWorks[i].Key {
-							t.Fatalf("%s layer %q: key %s on the view, %s on a raw copy", point, l.Name, works[i].Key, rawWorks[i].Key)
+							t.Fatalf("%s layer %q: key %x on the view, %x on a raw copy", point, l.Name, works[i].Key, rawWorks[i].Key)
 						}
 						truth, rawTruth := eng.GroundTruth(i), rawEng.GroundTruth(i)
 						if (truth == nil) != (rawTruth == nil) {
@@ -102,7 +102,7 @@ func TestKeysUnchangedOnViews(t *testing.T) {
 							kind = "myelin"
 						}
 						if want := memo.ContentKeyByMap(rep.Graph, truth.OriginalNodes(), kind); works[i].Key != want {
-							t.Fatalf("%s layer %q: ContentKey %s, map-numbered %s", point, l.Name, works[i].Key, want)
+							t.Fatalf("%s layer %q: ContentKey %x, map-numbered %x", point, l.Name, works[i].Key, want)
 						}
 					}
 				}

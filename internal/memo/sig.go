@@ -17,13 +17,16 @@
 //     canonical attributes, input/output shapes and dtypes) and nothing
 //     else (node names, tensor names, attribute map order). It seeds
 //     the simulator's deterministic jitter, so structurally identical
-//     layers behave identically.
+//     layers behave identically. It and ReformatKey return the SHA-256
+//     sum itself: the simulator hashes the sum's hex digits without
+//     writing them out, and hex layer keys appear only in tests.
 //   - PlanKey covers everything a report depends on: display name,
 //     model source and the execution Binding (backend, platform and its
 //     descriptor hash, dtype, batch, mode, seed, clocks). The
 //     descriptor hash makes an edited platform descriptor structurally
 //     miss (the LRU ages stale entries out), and a report served from
-//     the store is byte-identical to a fresh run's.
+//     the store is byte-identical to a fresh run's. It returns the sum
+//     in hex, the string the report stores are keyed by.
 package memo
 
 import (
@@ -44,8 +47,9 @@ import (
 // index — so structurally identical layers from different models produce
 // the same key, and with it the same simulated jitter. The encoding
 // frames every field with a length or tag, so no concatenation of
-// adjacent fields can collide with a different field split.
-func ContentKey(g *graph.Graph, nodes []*graph.Node, kind string) string {
+// adjacent fields can collide with a different field split. The key is
+// the encoding's SHA-256 sum.
+func ContentKey(g *graph.Graph, nodes []*graph.Node, kind string) [sha256.Size]byte {
 	var refStack [keyStackRefs]*graph.Tensor
 	refs := refStack[:0]
 	for _, n := range nodes {
@@ -86,7 +90,7 @@ func ContentKey(g *graph.Graph, nodes []*graph.Node, kind string) string {
 			ref++
 		}
 	}
-	return hexKey(b)
+	return sha256.Sum256(b)
 }
 
 // firstRefSlots numbers tensor references by first reference: the i-th
@@ -129,11 +133,11 @@ func firstRefSlots(refs []*graph.Tensor, slots []int32) []int32 {
 
 // ReformatKey fingerprints a runtime-inserted reformat/reorder layer,
 // whose simulated cost depends only on the converted tensor's dtype and
-// shape.
-func ReformatKey(t *graph.Tensor) string {
+// shape, as a SHA-256 sum.
+func ReformatKey(t *graph.Tensor) [sha256.Size]byte {
 	var stack [keyStackBytes]byte
 	b := appendStr(stack[:0], "proof-reformat-v1")
-	return hexKey(appendTensor(b, t))
+	return sha256.Sum256(appendTensor(b, t))
 }
 
 // Binding is the execution-environment half of a plan key: the same
@@ -185,14 +189,15 @@ func GraphDigest(g *graph.Graph) (string, error) {
 // helpers build that buffer, starting in a keyStackBytes array on the
 // caller's stack, and ContentKey numbers a group's tensor references in
 // keyStackRefs-long arrays there too, so a key's allocations do not
-// grow with its field count: its hex string, and growth only for keys
-// longer than the arrays.
+// grow with its field count: none for a layer key, PlanKey's hex
+// string, and growth only for keys longer than the arrays.
 const (
 	keyStackBytes = 1024
 	keyStackRefs  = 128
 )
 
-// hexKey hashes the encoded fields and returns the digest in hex.
+// hexKey hashes the encoded fields and returns the digest in hex, the
+// form PlanKey keys reports by.
 func hexKey(b []byte) string {
 	sum := sha256.Sum256(b)
 	var out [2 * sha256.Size]byte

@@ -41,12 +41,14 @@ func BenchmarkUncachedProfile(b *testing.B) {
 
 // TestCacheHitSpeedup asserts the acceptance criterion directly: a
 // repeat Profile of identical Options through a session is at least
-// 10x faster than the uncached pipeline. The real margin is orders of
-// magnitude (a hit is a map lookup plus a report copy), so the 10x
-// bar stays safe even under the race detector. Each call is timed on
-// its own, cached and uncached calls alternate, and the medians are
-// compared, so a scheduler stall on a loaded host costs one sample
-// rather than the verdict.
+// 10x faster than the uncached pipeline. A hit is a map lookup plus a
+// decode of the stored report's binary encoding into a report the
+// caller owns, so the margin is modest: on a 2-CPU host the median
+// ratio reads about 11-15x, a little above the bar (CHANGES.md keeps
+// the measured runs). Each call is timed on its own, cached and
+// uncached calls alternate, and the medians are compared, so a
+// scheduler stall on a loaded host costs one sample rather than the
+// verdict.
 func TestCacheHitSpeedup(t *testing.T) {
 	const rounds = 25
 	s := New(0)

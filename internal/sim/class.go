@@ -15,7 +15,7 @@
 package sim
 
 import (
-	"strings"
+	"unicode/utf8"
 
 	"proof/internal/graph"
 )
@@ -161,12 +161,44 @@ func ClassifyNodes(nodes []*graph.Node, g *graph.Graph) Class {
 	return ClassElementwise
 }
 
-// KernelNameFor fabricates a realistic low-level kernel name for a
+// AppendKernelName appends a realistic low-level kernel name for a
 // backend layer of the given class on the given architecture, in the
-// style of cuDNN/cuBLAS kernels ("sm80_xmma_fprop_implicit_gemm_...").
-// Used by the trtsim kernel lowering and the simulated Nsight trace.
-func KernelNameFor(arch string, class Class, dt graph.DataType, name string) string {
-	sm := "generic"
+// style of cuDNN/cuBLAS kernels ("sm80_xmma_fprop_implicit_gemm_..."),
+// to dst and returns the extended slice: the architecture prefix, the
+// class stem, the data type and name joined by '_', where each rune of
+// name other than an ASCII letter, digit or '_', and each byte of
+// invalid UTF-8, becomes one '_'. The backend kernel lowering names
+// every kernel with it.
+func AppendKernelName(dst []byte, arch string, class Class, dt graph.DataType, name string) []byte {
+	sm, stem := kernelStem(arch, class)
+	dst = append(dst, sm...)
+	dst = append(dst, '_')
+	dst = append(dst, stem...)
+	dst = append(dst, '_')
+	dst = append(dst, dt.String()...)
+	dst = append(dst, '_')
+	for _, r := range name {
+		switch {
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_':
+			dst = append(dst, byte(r))
+		default:
+			dst = append(dst, '_')
+		}
+	}
+	return dst
+}
+
+// KernelNameLen returns the length of the name AppendKernelName
+// appends for the same arguments.
+func KernelNameLen(arch string, class Class, dt graph.DataType, name string) int {
+	sm, stem := kernelStem(arch, class)
+	return len(sm) + len(stem) + len(dt.String()) + 3 + utf8.RuneCountInString(name)
+}
+
+// kernelStem returns a kernel name's architecture prefix and class
+// stem.
+func kernelStem(arch string, class Class) (sm, stem string) {
+	sm = "generic"
 	switch arch {
 	case "ampere":
 		sm = "sm80"
@@ -175,7 +207,6 @@ func KernelNameFor(arch string, class Class, dt graph.DataType, name string) str
 	case "volta":
 		sm = "sm72"
 	}
-	var stem string
 	switch class {
 	case ClassGEMM:
 		stem = "xmma_gemm"
@@ -198,15 +229,5 @@ func KernelNameFor(arch string, class Class, dt graph.DataType, name string) str
 	default:
 		stem = "elementwise_kernel"
 	}
-	return sm + "_" + stem + "_" + dt.String() + "_" + sanitizeKernelName(name)
-}
-
-func sanitizeKernelName(s string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_':
-			return r
-		}
-		return '_'
-	}, s)
+	return sm, stem
 }

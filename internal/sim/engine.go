@@ -27,13 +27,16 @@ type Config struct {
 type Work struct {
 	// Name identifies the layer.
 	Name string
-	// Key is the layer's canonical content fingerprint (set by the
-	// backend build from the fused nodes' ops/attrs/shapes). The
-	// deterministic jitter is derived from it, so structurally
-	// identical layers — the same unit appearing in two models, or
-	// under different runtime-assigned names — behave identically, as
-	// they would on real hardware. Empty falls back to Name.
-	Key string
+	// Key is the layer's canonical content fingerprint, a SHA-256 sum
+	// (set by the backend build from the fused nodes' ops/attrs/shapes
+	// with memo.ContentKey or memo.ReformatKey). The deterministic
+	// jitter is derived from it, so structurally identical layers — the
+	// same unit appearing in two models, or under different
+	// runtime-assigned names — behave identically, as they would on
+	// real hardware. The jitter hashes the sum's 64 lower-case hex
+	// digits, the bytes every pinned report's jitter derives from; the
+	// digits are never written out. A zero Key falls back to Name.
+	Key [32]byte
 	// Class selects the efficiency envelope.
 	Class Class
 	// HWFLOP is the instruction-counted FLOP (see HardwareFLOP).
@@ -146,14 +149,17 @@ func SimulateLayer(w Work, cfg Config) Timing {
 	if w.HWFLOP > 0 && peak > 0 && effC > 0 {
 		tc = float64(w.HWFLOP) / (peak * effC)
 	}
-	actualBytes := measuredBytes(w, cfg)
+	// The layer identity is hashed once; the latency jitter and the
+	// traffic deviation both continue from it.
+	id := w.identity()
+	actualBytes := measuredBytes(w.Bytes, id)
 	if actualBytes > 0 && bw > 0 && effM > 0 {
 		tm = float64(actualBytes) / (bw * effM)
 	}
 
 	overhead := plat.KernelOverhead.Seconds()
 	lat := overhead + math.Max(tc, tm)
-	lat *= 1 + jitter(jitterKey(w), cfg.Seed, 0.015)
+	lat *= 1 + jitter(id, "", cfg.Seed, 0.015)
 
 	bound := "overhead"
 	switch {
@@ -203,55 +209,57 @@ func (u *Utilization) Fractions() (compute, memory float64) {
 
 // measuredBytes applies a deterministic per-layer cache deviation to the
 // predicted traffic: real counters see a few percent of extra evictions
-// or savings from cache reuse (the small Memory diffs of Table 4).
-func measuredBytes(w Work, cfg Config) int64 {
-	if w.Bytes == 0 {
+// or savings from cache reuse (the small Memory diffs of Table 4). id is
+// the layer identity's hash (Work.identity).
+func measuredBytes(bytes int64, id uint64) int64 {
+	if bytes == 0 {
 		return 0
 	}
-	d := jitter2(jitterKey(w), "/bytes", 0, 1) // stable across runs
+	d := jitter(id, "/bytes", 0, 1) // stable across runs
 	// Map [-1,1] to [-5%, +8%].
 	frac := 0.015 + d*0.065
-	return int64(float64(w.Bytes) * (1 + frac))
-}
-
-// jitterKey selects the identity the deterministic jitter hashes:
-// content key when the build provided one, layer name otherwise.
-func jitterKey(w Work) string {
-	if w.Key != "" {
-		return w.Key
-	}
-	return w.Name
-}
-
-// jitter returns a deterministic pseudo-random value in [-scale, scale]
-// derived from the layer identity and seed.
-//
-//lint:hotpath
-func jitter(name string, seed uint64, scale float64) float64 {
-	return jitter2(name, "", seed, scale)
+	return int64(float64(bytes) * (1 + frac))
 }
 
 // FNV-1a 64-bit parameters (hash/fnv), inlined: the stdlib hasher
 // escapes to the heap and its Write takes []byte, which costs one
 // allocation per string conversion — on the per-request hot path that
-// is two allocations per simulated layer. The inline fold below is
-// byte-identical to fnv.New64a().Write(name+suffix+seedBytes), where
-// seedBytes are the seed's little-endian bytes: four below 2^32, all
-// eight from 2^32 on.
+// is two allocations per simulated layer. The inline folds below are
+// byte-identical to fnv.New64a().Write(identity+suffix+seedBytes),
+// where identity is the key's hex digits or the name, and seedBytes
+// are the seed's little-endian bytes: four below 2^32, all eight from
+// 2^32 on.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
 )
 
-// jitter2 is jitter over the concatenation name+suffix without
-// materializing the concatenated string.
+// identity returns the FNV-1a state after the layer identity the
+// deterministic jitter hashes: the content key's 64 lower-case hex
+// digits when the build set one, the layer name otherwise.
 //
 //lint:hotpath
-func jitter2(name, suffix string, seed uint64, scale float64) float64 {
+func (w *Work) identity() uint64 {
 	h := uint64(fnvOffset64)
-	for i := 0; i < len(name); i++ {
-		h = (h ^ uint64(name[i])) * fnvPrime64
+	if w.Key == ([32]byte{}) {
+		for i := 0; i < len(w.Name); i++ {
+			h = (h ^ uint64(w.Name[i])) * fnvPrime64
+		}
+		return h
 	}
+	const digits = "0123456789abcdef"
+	for _, b := range w.Key {
+		h = (h ^ uint64(digits[b>>4])) * fnvPrime64
+		h = (h ^ uint64(digits[b&15])) * fnvPrime64
+	}
+	return h
+}
+
+// jitter returns a deterministic pseudo-random value in [-scale, scale)
+// that continues the identity hash h with suffix and the seed's bytes.
+//
+//lint:hotpath
+func jitter(h uint64, suffix string, seed uint64, scale float64) float64 {
 	for i := 0; i < len(suffix); i++ {
 		h = (h ^ uint64(suffix[i])) * fnvPrime64
 	}

@@ -103,15 +103,15 @@ func TestClockScalingAffectsLatency(t *testing.T) {
 
 func TestJitterDeterministicAndBounded(t *testing.T) {
 	for _, name := range []string{"a", "b", "layer_42"} {
-		v1 := jitter(name, 3, 0.015)
-		v2 := jitter(name, 3, 0.015)
+		v1 := nameJitter(name, 3, 0.015)
+		v2 := nameJitter(name, 3, 0.015)
 		if v1 != v2 {
 			t.Error("jitter must be deterministic for same inputs")
 		}
 		if v1 < -0.015 || v1 > 0.015 {
 			t.Errorf("jitter out of bounds: %v", v1)
 		}
-		if jitter(name, 4, 0.015) == v1 && name == "a" {
+		if nameJitter(name, 4, 0.015) == v1 && name == "a" {
 			// Not guaranteed different per seed for every name, but
 			// identical across all names would indicate a bug; check
 			// via accumulation below.
@@ -120,7 +120,7 @@ func TestJitterDeterministicAndBounded(t *testing.T) {
 	}
 	diff := 0
 	for _, name := range []string{"a", "b", "c", "d", "e"} {
-		if jitter(name, 1, 0.01) != jitter(name, 2, 0.01) {
+		if nameJitter(name, 1, 0.01) != nameJitter(name, 2, 0.01) {
 			diff++
 		}
 	}
@@ -145,8 +145,8 @@ func TestJitterFoldsEverySeedByte(t *testing.T) {
 	}
 	for _, name := range []string{"a", "b", "layer_42"} {
 		for _, seed := range []uint64{0, 7, 1<<32 - 1, 1 << 32, 7 + 1<<32, 1<<48 - 1} {
-			if got, want := jitter(name, seed, 1), ref(name, seed); got != want {
-				t.Errorf("jitter(%q, %d) = %v, want %v", name, seed, got, want)
+			if got, want := nameJitter(name, seed, 1), ref(name, seed); got != want {
+				t.Errorf("jitter of %q at seed %d = %v, want %v", name, seed, got, want)
 			}
 		}
 	}
@@ -223,7 +223,7 @@ func TestClassifyNodeAndKernelNames(t *testing.T) {
 	if ClassifyNodes([]*graph.Node{mm, dw}, g) != ClassGEMM {
 		t.Error("gemm should dominate")
 	}
-	name := KernelNameFor("ampere", ClassGEMM, graph.Float16, "layer one")
+	name := kernelName("ampere", ClassGEMM, graph.Float16, "layer one")
 	if !strings.HasPrefix(name, "sm80_xmma_gemm_fp16_") || strings.Contains(name, " ") {
 		t.Errorf("kernel name = %q", name)
 	}
@@ -236,7 +236,7 @@ func TestClassStringAndKernelNames(t *testing.T) {
 		if c.String() == "unknown" || c.String() == "" {
 			t.Errorf("class %d has no name", c)
 		}
-		name := KernelNameFor("volta", c, graph.Float16, "x")
+		name := kernelName("volta", c, graph.Float16, "x")
 		if !strings.HasPrefix(name, "sm72_") {
 			t.Errorf("kernel name = %q", name)
 		}
@@ -244,7 +244,7 @@ func TestClassStringAndKernelNames(t *testing.T) {
 	if Class(99).String() != "unknown" {
 		t.Error("unknown class name")
 	}
-	if !strings.HasPrefix(KernelNameFor("x86-avx512", ClassConv, graph.Float32, "c"), "generic_") {
+	if !strings.HasPrefix(kernelName("x86-avx512", ClassConv, graph.Float32, "c"), "generic_") {
 		t.Error("non-GPU arch should use generic prefix")
 	}
 }
