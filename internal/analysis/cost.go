@@ -6,7 +6,11 @@
 // GetSubgraphOpsByIO / SetTensorAlias / SetFusedOp used by layer mapping.
 package analysis
 
-import "fmt"
+import (
+	"fmt"
+
+	"proof/internal/graph"
+)
 
 // Cost is the predicted computation and memory traffic of one operator
 // (or fused operator) for a single inference at the analyzed batch size.
@@ -32,17 +36,25 @@ type Cost struct {
 
 // MemoryBytes is the total predicted DRAM traffic (reads + writes), the
 // "Memory" quantity of Eq. 1 and Table 4.
-func (c Cost) MemoryBytes() int64 { return c.ReadBytes + c.WriteBytes }
+func (c Cost) MemoryBytes() int64 { return graph.AddCount(c.ReadBytes, c.WriteBytes) }
 
-// Add returns the component-wise sum.
+// Add returns the component-wise sum, each through graph.AddCount, so
+// a sum that overflows int64 reads negative.
 func (c Cost) Add(o Cost) Cost {
 	return Cost{
-		FLOP:       c.FLOP + o.FLOP,
-		MACs:       c.MACs + o.MACs,
-		ReadBytes:  c.ReadBytes + o.ReadBytes,
-		WriteBytes: c.WriteBytes + o.WriteBytes,
-		ParamBytes: c.ParamBytes + o.ParamBytes,
+		FLOP:       graph.AddCount(c.FLOP, o.FLOP),
+		MACs:       graph.AddCount(c.MACs, o.MACs),
+		ReadBytes:  graph.AddCount(c.ReadBytes, o.ReadBytes),
+		WriteBytes: graph.AddCount(c.WriteBytes, o.WriteBytes),
+		ParamBytes: graph.AddCount(c.ParamBytes, o.ParamBytes),
 	}
+}
+
+// overflowed reports whether a figure of c overflowed int64: every
+// figure is non-negative, and graph.MulCount and graph.AddCount turn
+// one that overflows negative.
+func (c Cost) overflowed() bool {
+	return c.FLOP < 0 || c.MACs < 0 || c.ReadBytes < 0 || c.WriteBytes < 0 || c.ParamBytes < 0 || c.MemoryBytes() < 0
 }
 
 // ArithmeticIntensity returns FLOP per byte of DRAM traffic, the x-axis

@@ -32,12 +32,19 @@ func LookupOp(opType string) (OpDef, bool) {
 }
 
 // NodeCost predicts the cost of a single node using the registered
-// operator defines.
+// operator defines. The defines multiply and sum through
+// graph.MulCount and graph.AddCount, so a figure that overflows int64
+// reads negative; NodeCost answers it with graph.OverflowDefect.
 func NodeCost(n *graph.Node, g *graph.Graph) (Cost, error) {
-	if d, ok := opRegistry[n.OpType]; ok {
-		return d.Cost(n, g)
+	d, ok := opRegistry[n.OpType]
+	if !ok {
+		return Cost{}, fmt.Errorf("analysis: no operator define for %q (node %q)", n.OpType, n.Name)
 	}
-	return Cost{}, fmt.Errorf("analysis: no operator define for %q (node %q)", n.OpType, n.Name)
+	c, err := d.Cost(n, g)
+	if err == nil && c.overflowed() {
+		return Cost{}, g.OverflowDefect(n.Name, fmt.Sprintf("the cost of node %q", n.Name))
+	}
+	return c, err
 }
 
 // opFunc adapts a function to the OpDef interface.
@@ -87,9 +94,9 @@ func defaultMemory(n *graph.Node, g *graph.Graph) (read, write, param int64, err
 		if terr != nil {
 			return 0, 0, 0, terr
 		}
-		read += t.Bytes()
+		read = graph.AddCount(read, t.Bytes())
 		if t.Param {
-			param += t.Bytes()
+			param = graph.AddCount(param, t.Bytes())
 		}
 	}
 	for i := range n.Outputs {
@@ -97,7 +104,7 @@ func defaultMemory(n *graph.Node, g *graph.Graph) (read, write, param int64, err
 		if terr != nil {
 			return 0, 0, 0, terr
 		}
-		write += t.Bytes()
+		write = graph.AddCount(write, t.Bytes())
 	}
 	return read, write, param, nil
 }
@@ -115,7 +122,7 @@ func elementwiseCost(weight int64) func(n *graph.Node, g *graph.Graph) (Cost, er
 			return Cost{}, err
 		}
 		return Cost{
-			FLOP:       weight * out.Shape.NumElements(),
+			FLOP:       graph.MulCount(weight, out.Shape.NumElements()),
 			ReadBytes:  r,
 			WriteBytes: w,
 			ParamBytes: p,
@@ -200,26 +207,26 @@ func convCost(n *graph.Node, g *graph.Graph) (Cost, error) {
 	cinPerGroup := int64(w.Shape[1])
 	kh, kw := int64(w.Shape[2]), int64(w.Shape[3])
 	outElems := out.Shape.NumElements()
-	macs := outElems * cinPerGroup * kh * kw
-	flop := 2 * macs
+	macs := mulCounts(outElems, cinPerGroup, kh, kw)
+	flop := graph.MulCount(2, macs)
 	if len(n.Inputs) >= 3 { // bias
-		flop += outElems
+		flop = graph.AddCount(flop, outElems)
 	}
 	_ = group
 
 	// Memory: stride-aware input read.
 	strides := n.Attrs.Ints("strides", []int{1, 1})
 	readElems := convInputReadElems(x.Shape, out.Shape, int(kh), int(kw), strides)
-	read := readElems * int64(x.DType.Size())
+	read := graph.MulCount(readElems, int64(x.DType.Size()))
 	var param int64
 	for i := 1; i < len(n.Inputs); i++ {
 		t, terr := inOf(g, n, i)
 		if terr != nil {
 			return Cost{}, terr
 		}
-		read += t.Bytes()
+		read = graph.AddCount(read, t.Bytes())
 		if t.Param {
-			param += t.Bytes()
+			param = graph.AddCount(param, t.Bytes())
 		}
 	}
 	return Cost{
@@ -250,7 +257,17 @@ func convInputReadElems(in, out graph.Shape, kh, kw int, strides []int) int64 {
 	}
 	th := touched(in[2], out[2], kh, strides[0])
 	tw := touched(in[3], out[3], kw, strides[1])
-	return int64(in[0]) * int64(in[1]) * th * tw
+	return mulCounts(int64(in[0]), int64(in[1]), th, tw)
+}
+
+// mulCounts is the product of non-negative factors through
+// graph.MulCount: -1 when it overflows int64.
+func mulCounts(factors ...int64) int64 {
+	p := int64(1)
+	for _, f := range factors {
+		p = graph.MulCount(p, f)
+	}
+	return p
 }
 
 func convTransposeCost(n *graph.Node, g *graph.Graph) (Cost, error) {
@@ -268,10 +285,10 @@ func convTransposeCost(n *graph.Node, g *graph.Graph) (Cost, error) {
 	}
 	kh, kw := int64(w.Shape[2]), int64(w.Shape[3])
 	coutPerGroup := int64(w.Shape[1])
-	macs := x.Shape.NumElements() * coutPerGroup * kh * kw
-	flop := 2 * macs
+	macs := mulCounts(x.Shape.NumElements(), coutPerGroup, kh, kw)
+	flop := graph.MulCount(2, macs)
 	if len(n.Inputs) >= 3 {
-		flop += out.Shape.NumElements()
+		flop = graph.AddCount(flop, out.Shape.NumElements())
 	}
 	r, wr, p, err := defaultMemory(n, g)
 	if err != nil {
@@ -290,12 +307,12 @@ func matMulCost(n *graph.Node, g *graph.Graph) (Cost, error) {
 		return Cost{}, err
 	}
 	k := int64(a.Shape[a.Shape.Rank()-1])
-	macs := out.Shape.NumElements() * k
+	macs := graph.MulCount(out.Shape.NumElements(), k)
 	r, w, p, err := defaultMemory(n, g)
 	if err != nil {
 		return Cost{}, err
 	}
-	return Cost{FLOP: 2 * macs, MACs: macs, ReadBytes: r, WriteBytes: w, ParamBytes: p}, nil
+	return Cost{FLOP: graph.MulCount(2, macs), MACs: macs, ReadBytes: r, WriteBytes: w, ParamBytes: p}, nil
 }
 
 func gemmCost(n *graph.Node, g *graph.Graph) (Cost, error) {
@@ -311,10 +328,10 @@ func gemmCost(n *graph.Node, g *graph.Graph) (Cost, error) {
 	if n.Attrs.Int("transA", 0) == 1 {
 		k = int64(a.Shape[0])
 	}
-	macs := out.Shape.NumElements() * k
-	flop := 2 * macs
+	macs := graph.MulCount(out.Shape.NumElements(), k)
+	flop := graph.MulCount(2, macs)
 	if len(n.Inputs) >= 3 {
-		flop += out.Shape.NumElements()
+		flop = graph.AddCount(flop, out.Shape.NumElements())
 	}
 	r, w, p, err := defaultMemory(n, g)
 	if err != nil {
@@ -343,13 +360,13 @@ func poolCost(n *graph.Node, g *graph.Graph) (Cost, error) {
 	k := n.Attrs.Ints("kernel_shape", []int{1, 1})
 	window := int64(1)
 	for _, d := range k {
-		window *= int64(d)
+		window = graph.MulCount(window, int64(d))
 	}
 	r, w, p, err := defaultMemory(n, g)
 	if err != nil {
 		return Cost{}, err
 	}
-	return Cost{FLOP: out.Shape.NumElements() * window, ReadBytes: r, WriteBytes: w, ParamBytes: p}, nil
+	return Cost{FLOP: graph.MulCount(out.Shape.NumElements(), window), ReadBytes: r, WriteBytes: w, ParamBytes: p}, nil
 }
 
 func globalPoolCost(n *graph.Node, g *graph.Graph) (Cost, error) {
@@ -395,7 +412,7 @@ func einsumCost(n *graph.Node, g *graph.Graph) (Cost, error) {
 	if err != nil {
 		return Cost{}, err
 	}
-	return Cost{FLOP: 2 * macs, MACs: macs, ReadBytes: r, WriteBytes: w, ParamBytes: p}, nil
+	return Cost{FLOP: graph.MulCount(2, macs), MACs: macs, ReadBytes: r, WriteBytes: w, ParamBytes: p}, nil
 }
 
 // topKCost charges ~2 comparisons per input element (heap selection).
@@ -408,7 +425,7 @@ func topKCost(n *graph.Node, g *graph.Graph) (Cost, error) {
 	if err != nil {
 		return Cost{}, err
 	}
-	return Cost{FLOP: 2 * x.Shape.NumElements(), ReadBytes: r, WriteBytes: w, ParamBytes: p}, nil
+	return Cost{FLOP: graph.MulCount(2, x.Shape.NumElements()), ReadBytes: r, WriteBytes: w, ParamBytes: p}, nil
 }
 
 // sumCost charges one add per element per extra operand.
@@ -425,7 +442,7 @@ func sumCost(n *graph.Node, g *graph.Graph) (Cost, error) {
 	if extra < 1 {
 		extra = 1
 	}
-	return Cost{FLOP: extra * out.Shape.NumElements(), ReadBytes: r, WriteBytes: w, ParamBytes: p}, nil
+	return Cost{FLOP: graph.MulCount(extra, out.Shape.NumElements()), ReadBytes: r, WriteBytes: w, ParamBytes: p}, nil
 }
 
 // gatherCost reads only the gathered rows, not the whole table — reading
@@ -444,7 +461,7 @@ func gatherCost(n *graph.Node, g *graph.Graph) (Cost, error) {
 	if err != nil {
 		return Cost{}, err
 	}
-	read := out.Bytes() + idx.Bytes()
+	read := graph.AddCount(out.Bytes(), idx.Bytes())
 	var param int64
 	if data.Param {
 		param = out.Bytes() // gathered parameter rows

@@ -286,7 +286,7 @@ func (o *OptimizedRep) SetFusedOp(name string, nodes []*graph.Node) (*FusedOp, e
 			}
 			if !o.owns(f, g.InProducer(n, i)) && !slices.Contains(ins, in) {
 				ins = append(ins, in)
-				f.readBytes += f.boundaryBytes(in, t)
+				f.readBytes = graph.AddCount(f.readBytes, f.boundaryBytes(in, t))
 			}
 		}
 	}
@@ -294,7 +294,7 @@ func (o *OptimizedRep) SetFusedOp(name string, nodes []*graph.Node) (*FusedOp, e
 		for i, out := range n.Outputs {
 			if o.escapes(f, n, i) {
 				outs = append(outs, out)
-				f.writeBytes += f.boundaryBytes(out, g.Out(n, i))
+				f.writeBytes = graph.AddCount(f.writeBytes, f.boundaryBytes(out, g.Out(n, i)))
 			}
 		}
 	}
@@ -386,8 +386,11 @@ func (o *OptimizedRep) fusedCost(f *FusedOp) (Cost, error) {
 		c.MACs += nc.MACs
 		c.ParamBytes += nc.ParamBytes
 	}
-	c.ReadBytes = c.ParamBytes + f.readBytes
+	c.ReadBytes = graph.AddCount(c.ParamBytes, f.readBytes)
 	c.WriteBytes = f.writeBytes
+	if c.overflowed() {
+		return Cost{}, o.Base.Graph.OverflowDefect("", fmt.Sprintf("the traffic of fused operator %q", f.Name))
+	}
 	return c, nil
 }
 

@@ -43,12 +43,21 @@ func analyze(g *graph.Graph) (*Rep, error) {
 	}
 	order, _ := g.AdmittedOrder()
 	r := &Rep{Graph: g, order: order, costs: make([]Cost, len(order))}
+	var total Cost
 	for _, n := range g.Nodes {
 		c, err := NodeCost(n, g)
 		if err != nil {
 			return nil, err
 		}
 		r.costs[g.Pos(n)] = c
+		total = total.Add(c)
+	}
+	// Every figure is non-negative, so once the nodes' total fits in
+	// int64 so does any sum of node figures, such as a fused operator's
+	// FLOP. Traffic summed from tensors instead (a fused operator's
+	// boundary, a reformat) is checked where it is summed.
+	if total.overflowed() {
+		return nil, g.OverflowDefect("", "the model's total cost")
 	}
 	return r, nil
 }

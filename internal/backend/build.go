@@ -147,7 +147,7 @@ func BuildEngine(ctx context.Context, spec BuildSpec, rep *analysis.Rep, cfg Con
 			name := freeAlias(rep.Graph, r.Alias, given)
 			given = append(given, name)
 			alias[r.Tensor] = name
-			bytes := 2 * t.Bytes()
+			bytes := graph.MulCount(2, t.Bytes())
 			io := []string{r.Tensor, name}
 			pub := Layer{
 				Name:          r.Name,

@@ -73,7 +73,8 @@ func EinsumDims(eq string, a, b Shape) (map[byte]int, Shape, error) {
 
 // EinsumMACs returns the multiply-accumulate count of the contraction:
 // the product of every distinct index dimension (batch x output x
-// contracted), the standard einsum cost.
+// contracted), the standard einsum cost; -1 when it overflows int64
+// (see MulCount).
 func EinsumMACs(eq string, a, b Shape) (int64, error) {
 	dims, _, err := EinsumDims(eq, a, b)
 	if err != nil {
@@ -81,7 +82,7 @@ func EinsumMACs(eq string, a, b Shape) (int64, error) {
 	}
 	macs := int64(1)
 	for _, d := range dims {
-		macs *= int64(d)
+		macs = MulCount(macs, int64(d))
 	}
 	return macs, nil
 }

@@ -15,7 +15,8 @@ import (
 // a different batch size); it overwrites previously inferred shapes. An
 // admitted graph and its views are walked in the admitted order.
 //
-// A node whose shapes do not compose is a defect of the graph at these
+// A node whose shapes do not compose, and a graph input or inferred
+// tensor whose size overflows int64, is a defect of the graph at these
 // input shapes: the error is a *ValidationError with code
 // ErrShapeInference.
 func (g *Graph) InferShapes() error {
@@ -41,11 +42,21 @@ func (g *Graph) InferShapes() error {
 			}
 		})
 	}
+	for _, in := range g.Inputs {
+		if t := g.Tensor(in); t != nil && t.overflows() {
+			return g.OverflowDefect("", fmt.Sprintf("the size of graph input %q of shape %v", in, t.Shape))
+		}
+	}
 	for _, n := range order {
 		if err := ctx.inferNode(n); err != nil {
 			return &ValidationError{
 				Code: ErrShapeInference, Graph: g.Name, Node: n.Name,
 				Detail: fmt.Sprintf("shape inference at node %q (%s): %v", n.Name, n.OpType, err),
+			}
+		}
+		for i := range n.Outputs {
+			if t := g.Out(n, i); t != nil && t.overflows() {
+				return g.OverflowDefect(n.Name, fmt.Sprintf("the size of node %q's output %q of shape %v", n.Name, n.Outputs[i], t.Shape))
 			}
 		}
 	}

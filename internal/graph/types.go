@@ -6,7 +6,10 @@
 // declare graph inputs and parameter shapes.
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // DataType enumerates the tensor element types PRoof models. The set
 // matches the types that appear in DNN inference deployments (Table 2 of
@@ -106,16 +109,58 @@ func ParseDataType(s string) (DataType, error) {
 type Shape []int
 
 // NumElements returns the total element count, or 0 for an unknown shape.
-// A scalar has one element.
+// A scalar has one element. A count int64 cannot hold, or a negative
+// dimension, reads as -1 (see MulCount): Admit and InferShapes refuse a
+// tensor whose count or size overflows.
 func (s Shape) NumElements() int64 {
 	if s == nil {
 		return 0
 	}
-	n := int64(1)
+	// Every dimension is below 2^w, w the bit length of their OR, so
+	// the product of r of them is below 2^(w*r) and exact while w*r is
+	// at most 63. Only a shape past that, or with a negative dimension,
+	// is counted through MulCount.
+	n, or := int64(1), 0
 	for _, d := range s {
 		n *= int64(d)
+		or |= d
+	}
+	if bits.Len64(uint64(or))*len(s) > 63 {
+		return s.checkedCount()
 	}
 	return n
+}
+
+// checkedCount is NumElements through MulCount.
+func (s Shape) checkedCount() int64 {
+	n := int64(1)
+	for _, d := range s {
+		n = MulCount(n, int64(d))
+	}
+	return n
+}
+
+// MulCount returns a*b for non-negative a and b, or -1 when either is
+// negative or the product overflows int64. Element counts, byte counts
+// and cost figures are never negative, so -1 marks one that overflowed,
+// and MulCount and AddCount pass it on: every product and sum of such
+// figures goes through them, and a negative result is an overflow.
+func MulCount(a, b int64) int64 {
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	if hi|lo>>63|uint64(a|b)>>63 != 0 {
+		return -1
+	}
+	return int64(lo)
+}
+
+// AddCount returns a+b for non-negative a and b, or -1 when either is
+// negative or the sum overflows int64 (see MulCount): two values below
+// 2^63 sum below 2^64, so an overflow wraps negative.
+func AddCount(a, b int64) int64 {
+	if s := a + b; a|b|s >= 0 {
+		return s
+	}
+	return -1
 }
 
 // Rank returns the number of dimensions.

@@ -35,9 +35,9 @@ const (
 	ErrCycle ValidationCode = "cycle"
 	// ErrBadTensor: a registered tensor is internally inconsistent —
 	// registered under a different name than it carries, nil, a known
-	// shape with a non-positive dimension, a parameter without a
-	// concrete shape or element type, or constant int data whose
-	// length contradicts the shape.
+	// shape with a non-positive dimension or more elements or bytes
+	// than int64 holds, a parameter without a concrete shape or element
+	// type, or constant int data whose length contradicts the shape.
 	ErrBadTensor ValidationCode = "bad_tensor"
 	// ErrShapeContradiction: declared tensor shapes contradict what
 	// the operator semantics imply (an element-wise op whose known
@@ -50,7 +50,8 @@ const (
 	ErrUnusedParam ValidationCode = "unused_param"
 	// ErrShapeInference: shape inference fails at the graph's input
 	// shapes (InferShapes), e.g. a Reshape whose target no longer
-	// matches once the batch dimension changes.
+	// matches once the batch dimension changes, or a tensor size or a
+	// cost figure at those shapes overflows int64 (OverflowDefect).
 	ErrShapeInference ValidationCode = "shape_inference"
 	// ErrAmbiguousNodeNames: a runtime's name for a fused layer splits
 	// into the graph's node names more than one way. TensorRT joins
@@ -101,6 +102,16 @@ type ValidationError struct {
 
 func (e *ValidationError) Error() string {
 	return fmt.Sprintf("graph %s: %s", e.Graph, e.Detail)
+}
+
+// OverflowDefect is the defect of a graph whose figure what, of node
+// (empty for the whole graph), overflows int64 at the graph's input
+// shapes, e.g. once its batch dimension is set.
+func (g *Graph) OverflowDefect(node, what string) *ValidationError {
+	return &ValidationError{
+		Code: ErrShapeInference, Graph: g.Name, Node: node,
+		Detail: what + " overflows int64 at the graph's input shapes",
+	}
 }
 
 // AsValidationError unwraps err to the *ValidationError it carries, if
@@ -355,6 +366,10 @@ func (g *Graph) validate(names []string) ([]*ValidationError, *resolution) {
 					break
 				}
 			}
+		}
+		if t.overflows() {
+			report(ErrBadTensor, "", key,
+				"tensor %q of shape %v has more elements or bytes than int64 holds", key, t.Shape)
 		}
 		if t.Param {
 			if !t.Shape.Valid() {

@@ -54,6 +54,8 @@ func TestValidateCorruptionClasses(t *testing.T) {
 		{"nil tensor entry", func(g *Graph) { g.Tensors["mid"] = nil }, ErrBadTensor},
 		{"tensor name disagrees with key", func(g *Graph) { g.Tensors["mid"].Name = "other" }, ErrBadTensor},
 		{"non-positive dimension", func(g *Graph) { g.Tensors["mid"].Shape = Shape{1, -4} }, ErrBadTensor},
+		{"element count overflows int64", func(g *Graph) { g.Tensors["mid"].Shape = Shape{1, 1 << 62, 4} }, ErrBadTensor},
+		{"byte size overflows int64", func(g *Graph) { g.Tensors["mid"].Shape = Shape{1 << 31, 1 << 31} }, ErrBadTensor},
 		{"param without shape", func(g *Graph) { g.Tensors["w"].Shape = nil }, ErrBadTensor},
 		{"param with invalid dtype", func(g *Graph) { g.Tensors["w"].DType = DTypeInvalid }, ErrBadTensor},
 		{"int data contradicts shape", func(g *Graph) {

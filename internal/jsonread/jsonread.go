@@ -1,11 +1,12 @@
 // Package jsonread is a strict, single-pass JSON reader for documents
 // whose schema the caller knows, such as proofd's request bodies. A
 // schema decoder pulls each value in the order it appears: Object and
-// Field for struct-shaped objects, Map for map-shaped ones, Slice for
-// arrays, and the scalar readers. There is no
-// reflection and no generic value: an unknown field or a value of the
-// wrong kind is an error where it is met, never skipped, so reading
-// never recurses deeper than the caller's schema.
+// Field for struct-shaped objects, Object and MapKey for map-shaped
+// ones, Array and Elem for arrays, and the scalar readers. The schema
+// fills its own maps and slices, so it chooses where every value goes.
+// There is no reflection and no generic value: an unknown field or a
+// value of the wrong kind is an error where it is met, never skipped,
+// so reading never recurses deeper than the caller's schema.
 //
 // The accept set is that of encoding/json's Decoder with
 // DisallowUnknownFields, minus two refusals: a key repeated within one
@@ -22,7 +23,10 @@
 //     Uint64 refuses any sign; Float64 refuses out-of-range numbers.
 //
 // Errors carry the byte offset where they were found. No string the
-// reader returns aliases the input.
+// reader returns aliases the input. String returns a string of its
+// own; AppendString and MapKey append what they read to the caller's
+// text and return it as a substring of that text, so one schema's
+// strings can share one allocation that outlives the input.
 package jsonread
 
 import (
@@ -59,6 +63,10 @@ type Reader struct {
 
 // NewReader returns a reader of data, which it does not modify.
 func NewReader(data []byte) *Reader { return &Reader{data: data} }
+
+// Remaining returns the number of input bytes not yet read, from which
+// a schema can size what it fills.
+func (r *Reader) Remaining() int { return len(r.data) - r.pos }
 
 // End finishes the document: it reports the first error, or an error
 // when anything but whitespace follows the top-level value.
@@ -159,10 +167,15 @@ func (r *Reader) open(delim byte, want string) bool {
 // value is null (consumed) or on error.
 func (r *Reader) Object() bool { return r.open('{', "object") }
 
-// elem reports whether another element of the array open('[') started
+// Array starts reading an array: true after its '[', false when the
+// value is null (consumed) or on error. The caller reads each element
+// after Elem reports it.
+func (r *Reader) Array() bool { return r.open('[', "array") }
+
+// Elem reports whether another element of the array Array started
 // follows, consuming the comma before it; n counts the elements read
 // so far. At the closing ']' or on error it is false.
-func (r *Reader) elem(n int) bool {
+func (r *Reader) Elem(n int) bool {
 	if r.err != nil {
 		return false
 	}
@@ -261,42 +274,21 @@ func (r *Reader) Field(f Fields, seen *uint64) int {
 	return i
 }
 
-// Map reads a map-shaped object, each value with read: nil when the
-// value is null, else a map holding every member. A key repeated in
-// the object is an error.
-func Map[V any](r *Reader, read func(*Reader) V) map[string]V {
-	if !r.Object() {
-		return nil
+// MapKey reads the next key of the map-shaped object Object started,
+// and the colon after it, and appends it to text as AppendString does;
+// n counts the keys read so far. The caller then reads the member's
+// value and stores it in m under key. A key m already holds is an
+// error. At the closing '}' or on error ok is false.
+func MapKey[V any](r *Reader, m map[string]V, text *strings.Builder, n int) (key string, ok bool) {
+	b, ok := r.key(n == 0)
+	if !ok {
+		return "", false
 	}
-	m := map[string]V{}
-	for n := 0; ; n++ {
-		key, ok := r.key(n == 0)
-		if !ok {
-			return m
-		}
-		if _, dup := m[string(key)]; dup {
-			r.fail(r.keyAt, "duplicate key "+strconv.Quote(string(key)))
-			return m
-		}
-		k := string(key) // before read reuses the buffer key may be in
-		m[k] = read(r)
+	if _, dup := m[string(b)]; dup {
+		r.fail(r.keyAt, "duplicate key "+strconv.Quote(string(b)))
+		return "", false
 	}
-}
-
-// Slice reads an array, each element with read: nil when the value is
-// null, else a non-nil slice of every element.
-func Slice[V any](r *Reader, read func(*Reader) V) []V {
-	if !r.open('[', "array") {
-		return nil
-	}
-	// Short arrays (shapes, a node's inputs) collect on the stack and
-	// are copied out once, at their length.
-	var short [8]V
-	s := short[:0]
-	for n := 0; r.elem(n); n++ {
-		s = append(s, read(r))
-	}
-	return append(make([]V, 0, len(s)), s...)
+	return appendText(text, b, ""), true
 }
 
 // str reads the string whose opening quote is at r.pos and returns its
@@ -439,13 +431,34 @@ func (r *Reader) stringBytes() []byte {
 	return nil
 }
 
-// String reads a string value; null reads as "".
+// String reads a string value into a string of its own; null reads as
+// "".
 func (r *Reader) String() string {
 	b := r.stringBytes()
 	if len(b) == 0 {
 		return ""
 	}
 	return string(b)
+}
+
+// AppendString reads a string value, appends it to text and returns
+// it as a substring of text.String(); null reads as "". A value equal
+// to same returns same and appends nothing, so a schema can keep one
+// copy of a string it expects to repeat. The returned string shares
+// text's memory, which no later append overwrites.
+func (r *Reader) AppendString(text *strings.Builder, same string) string {
+	return appendText(text, r.stringBytes(), same)
+}
+
+// appendText appends b to text and returns it as text's substring, or
+// same, appending nothing, when b equals it.
+func appendText(text *strings.Builder, b []byte, same string) string {
+	if string(b) == same {
+		return same
+	}
+	at := text.Len()
+	text.Write(b)
+	return text.String()[at:]
 }
 
 // Bool reads a boolean value; null reads as false.

@@ -43,17 +43,26 @@ func BenchmarkUncachedProfile(b *testing.B) {
 // repeat Profile of identical Options through a session is at least
 // 10x faster than the uncached pipeline. A hit is a map lookup plus a
 // decode of the stored report's binary encoding into a report the
-// caller owns, so the margin is modest: on a 2-CPU host the median
-// ratio reads about 11-15x, a little above the bar (CHANGES.md keeps
-// the measured runs). Each call is timed on its own, cached and
-// uncached calls alternate, and the medians are compared, so a
-// scheduler stall on a loaded host costs one sample rather than the
-// verdict.
+// caller owns. Each call is timed on its own, cached and uncached
+// calls alternate, and the medians are compared, so a scheduler stall
+// on a loaded host costs one sample rather than the verdict. Both paths
+// first run untimed warm-up rounds, so the medians time the steady
+// state, not the process's first calls: medians that included the
+// warm-up read 9-13x on a 2-CPU host and failed the bar now and then
+// (CHANGES.md keeps the measured runs).
 func TestCacheHitSpeedup(t *testing.T) {
-	const rounds = 25
+	const warmup, rounds = 25, 25
 	s := New(0)
 	if _, err := s.ProfileCtx(context.Background(), benchOpts); err != nil {
 		t.Fatal(err)
+	}
+	for i := 0; i < warmup; i++ {
+		if _, err := core.ProfileCtx(context.Background(), benchOpts); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.ProfileCtx(context.Background(), benchOpts); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	uncached := make([]time.Duration, rounds)
@@ -71,8 +80,8 @@ func TestCacheHitSpeedup(t *testing.T) {
 		cached[i] = time.Since(start)
 	}
 
-	if st := s.Stats(); st.Hits != rounds {
-		t.Fatalf("stats = %+v, want %d hits", st, rounds)
+	if st := s.Stats(); st.Hits != warmup+rounds {
+		t.Fatalf("stats = %+v, want %d hits", st, warmup+rounds)
 	}
 	slices.Sort(uncached)
 	slices.Sort(cached)

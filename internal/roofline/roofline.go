@@ -295,12 +295,14 @@ type Totals struct {
 	Latency time.Duration
 }
 
-// Add counts one layer's point.
+// Add counts one layer's point. FLOP and bytes sum through
+// graph.AddCount: a total that overflows int64, or a negative figure,
+// leaves it negative.
 //
 //lint:hotpath
 func (t *Totals) Add(p *Point) {
-	t.FLOP += p.FLOP
-	t.Bytes += p.Bytes
+	t.FLOP = graph.AddCount(t.FLOP, p.FLOP)
+	t.Bytes = graph.AddCount(t.Bytes, p.Bytes)
 	t.Latency += p.Latency
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -127,10 +128,14 @@ func memberKind(kind, key string) string {
 
 // checkDecodeParity decodes data with the single-pass decoder and the
 // oracle and fails unless they agree: both refuse, the decoder refuses
-// on purpose (and only then), or both yield DeepEqual requests.
+// on purpose (and only then), or both yield DeepEqual requests. The
+// decoder reads its own copy of data, overwritten before the
+// comparison, so no decoded string may alias the body.
 func checkDecodeParity(t *testing.T, data []byte) {
 	t.Helper()
-	got, err := decodeProfileRequest(data)
+	body := append([]byte(nil), data...)
+	got, err := decodeProfileRequest(body)
+	copy(body, bytes.Repeat([]byte{'#'}, len(body)))
 	want, werr := decodeOracle(data)
 	var jerr *jsonread.Error
 	if err != nil && (!errors.As(err, &jerr) || jerr.Offset < 0 || jerr.Offset > len(data)) {
@@ -263,21 +268,76 @@ func FuzzDecodeProfileRequest(f *testing.F) {
 	f.Fuzz(checkDecodeParity)
 }
 
+// inlineModels are the models perfbench's inline-graph workload posts
+// (perfbench/workload.go).
+var inlineModels = []string{"resnet-18", "resnet-34", "resnet-50", "mobilenetv2-0.5", "mobilenetv2-1.0", "shufflenetv2-1.0-mod"}
+
+// inlineBody is the body perfbench's inline-graph workload posts for
+// model, at one configuration.
+func inlineBody(tb testing.TB, model string) []byte {
+	g, err := models.Build(model)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	raw, err := json.Marshal(g)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return []byte(fmt.Sprintf(`{"graph":%s,"platform":"a100","batch":8,"seed":12345}`, raw))
+}
+
+// decodeBudget caps the heap bytes and objects one decodeProfileRequest
+// allocates for each inline model's body, about 3% and 2% above what
+// the decode allocates once a graph is read into a few arrays and one
+// text (CHANGES.md lists the figures before and after). Most of the
+// objects left are the nodes' attribute maps, two each.
+var decodeBudget = map[string]struct{ bytes, objects uint64 }{
+	"resnet-18":            {55100, 70},
+	"resnet-34":            {101200, 102},
+	"resnet-50":            {142800, 137},
+	"mobilenetv2-0.5":      {148300, 206},
+	"mobilenetv2-1.0":      {148300, 206},
+	"shufflenetv2-1.0-mod": {169900, 180},
+}
+
+// TestDecodeProfileRequestBytes: decoding each inline model's body
+// allocates no more heap bytes and objects than its budget, measured on
+// one P so no other goroutine's allocations count.
+func TestDecodeProfileRequestBytes(t *testing.T) {
+	const runs = 20
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, m := range inlineModels {
+		body := inlineBody(t, m)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			req, err := decodeProfileRequest(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			decodedSink = req.Graph
+		}
+		runtime.ReadMemStats(&after)
+		bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+		objects := (after.Mallocs - before.Mallocs) / runs
+		t.Logf("%s: %d B, %d objects per decode", m, bytes, objects)
+		budget := decodeBudget[m]
+		if bytes > budget.bytes {
+			t.Errorf("%s: one decode allocates %d B, budget %d B", m, bytes, budget.bytes)
+		}
+		if objects > budget.objects {
+			t.Errorf("%s: one decode allocates %d objects, budget %d", m, objects, budget.objects)
+		}
+	}
+}
+
 // BenchmarkDecodeProfileRequest decodes the bodies perfbench's
 // inline-graph workload posts: each of its six models inline, one
 // configuration each.
 func BenchmarkDecodeProfileRequest(b *testing.B) {
 	var bodies [][]byte
-	for _, m := range []string{"resnet-18", "resnet-34", "resnet-50", "mobilenetv2-0.5", "mobilenetv2-1.0", "shufflenetv2-1.0-mod"} {
-		g, err := models.Build(m)
-		if err != nil {
-			b.Fatal(err)
-		}
-		raw, err := json.Marshal(g)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bodies = append(bodies, []byte(fmt.Sprintf(`{"graph":%s,"platform":"a100","batch":8,"seed":12345}`, raw)))
+	for _, m := range inlineModels {
+		bodies = append(bodies, inlineBody(b, m))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -290,5 +350,5 @@ func BenchmarkDecodeProfileRequest(b *testing.B) {
 	}
 }
 
-// decodedSink keeps BenchmarkDecodeProfileRequest's result live.
+// decodedSink keeps the decoded graphs live.
 var decodedSink *graph.Graph
