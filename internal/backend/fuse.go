@@ -5,6 +5,7 @@ import (
 
 	"proof/internal/analysis"
 	"proof/internal/graph"
+	"proof/internal/sim"
 )
 
 // GroupKind distinguishes ordinary fusion groups from opaque
@@ -78,25 +79,6 @@ var myelinOps = map[string]bool{
 	"Tanh": true, "Gelu": true, "Where": true, "Relu": true,
 }
 
-// IsMetadataNode reports whether a node is folded away by every runtime:
-// zero-copy shape manipulation, constants, and integer shape arithmetic.
-func IsMetadataNode(n *graph.Node, g *graph.Graph) bool {
-	switch n.OpType {
-	case "Reshape", "Shape", "Squeeze", "Unsqueeze", "Flatten",
-		"Identity", "Dropout", "Constant":
-		return true
-	}
-	// Small integer tensors are shape computations (Gather/Concat/
-	// Add on Shape results), not data movement.
-	if len(n.Outputs) == 1 {
-		t := g.Out(n, 0)
-		if t != nil && t.DType == graph.Int64 && t.Shape != nil && t.Shape.NumElements() <= 64 {
-			return true
-		}
-	}
-	return false
-}
-
 // Fuse runs the backend's graph optimizer: it partitions the model's
 // nodes into fusion groups according to rules. Every non-Constant node
 // lands in exactly one group. The passes only record each node's
@@ -154,7 +136,7 @@ func Fuse(rep *analysis.Rep, rules FusionRules) []*Group {
 			// (e.g. a residual shortcut) still connect when their
 			// output feeds nothing... be conservative: require a
 			// produced input, except for metadata.
-			return IsMetadataNode(n, g)
+			return sim.IsMeta(n, g)
 		}
 		for i, n := range order {
 			if !myelinOps[n.OpType] {
@@ -186,7 +168,7 @@ func Fuse(rep *analysis.Rep, rules FusionRules) []*Group {
 	// single-consumer chain of absorbable ops (plus the SiLU and GELU
 	// multi-node patterns), as long as no consumer is claimed already.
 	for i, n := range order {
-		if claimed[i] != nil || !anchorOps[n.OpType] || IsMetadataNode(n, g) {
+		if claimed[i] != nil || !anchorOps[n.OpType] || sim.IsMeta(n, g) {
 			continue
 		}
 		gr := newGroup(KindNormal, n, n)
@@ -225,7 +207,7 @@ func Fuse(rep *analysis.Rep, rules FusionRules) []*Group {
 	// Pass 3: pointwise runs.
 	if rules.PointwiseRuns {
 		for i, n := range order {
-			if claimed[i] != nil || !pointwiseOps[n.OpType] || IsMetadataNode(n, g) {
+			if claimed[i] != nil || !pointwiseOps[n.OpType] || sim.IsMeta(n, g) {
 				continue
 			}
 			gr := newGroup(KindNormal, nil, n)
@@ -236,7 +218,7 @@ func Fuse(rep *analysis.Rep, rules FusionRules) []*Group {
 					break
 				}
 				next := consumers[0]
-				if !pointwiseOps[next.OpType] || IsMetadataNode(next, g) {
+				if !pointwiseOps[next.OpType] || sim.IsMeta(next, g) {
 					break
 				}
 				claim(gr, next)
@@ -247,7 +229,7 @@ func Fuse(rep *analysis.Rep, rules FusionRules) []*Group {
 
 	// Pass 4: every remaining non-metadata node is its own layer.
 	for i, n := range order {
-		if claimed[i] == nil && !IsMetadataNode(n, g) {
+		if claimed[i] == nil && !sim.IsMeta(n, g) {
 			newGroup(KindNormal, nil, n)
 		}
 	}
@@ -257,7 +239,7 @@ func Fuse(rep *analysis.Rep, rules FusionRules) []*Group {
 	// of their producer, or a singleton group as a last resort.
 	for i := len(order) - 1; i >= 0; i-- {
 		n := order[i]
-		if claimed[i] != nil || !IsMetadataNode(n, g) {
+		if claimed[i] != nil || !sim.IsMeta(n, g) {
 			continue
 		}
 		var target *Group

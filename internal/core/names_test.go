@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"slices"
+	"strings"
 	"testing"
 
 	"proof/internal/analysis"
@@ -129,6 +130,45 @@ func TestLayerNamesNeedNotBeUnique(t *testing.T) {
 				t.Fatalf("%s with nodes %v: %v", plat, nodeNames(g), err)
 			}
 			checkLayerOwnership(t, plat, g, r)
+		}
+	}
+}
+
+// TestIdentityLayerIsElementwise: every runtime folds an Identity
+// away, so a layer holding one takes the class of its other nodes.
+// x → relu → Identity → add(·, x) reports its add layer as elementwise,
+// with an elementwise kernel, as it does without the Identity; before,
+// the classifier called the Identity a memory copy and a copy outranks
+// an elementwise node, so the layer was reported and lowered as a copy.
+func TestIdentityLayerIsElementwise(t *testing.T) {
+	g := graph.New("identity")
+	f32 := graph.Float32
+	g.AddTensor(&graph.Tensor{Name: "x", DType: f32, Shape: graph.Shape{1, 64, 56, 56}})
+	for _, name := range []string{"r", "i", "y"} {
+		g.AddTensor(&graph.Tensor{Name: name, DType: f32})
+	}
+	g.AddNode(&graph.Node{Name: "relu", OpType: "Relu", Inputs: []string{"x"}, Outputs: []string{"r"}})
+	g.AddNode(&graph.Node{Name: "id", OpType: "Identity", Inputs: []string{"r"}, Outputs: []string{"i"}})
+	g.AddNode(&graph.Node{Name: "add", OpType: "Add", Inputs: []string{"i", "x"}, Outputs: []string{"y"}})
+	g.Inputs, g.Outputs = []string{"x"}, []string{"y"}
+	for _, plat := range runtimePlatforms {
+		r, err := ProfileCtx(context.Background(), Options{Graph: g, Platform: plat, Batch: 1, IgnoreSupport: true})
+		if err != nil {
+			t.Fatalf("%s: %v", plat, err)
+		}
+		checkLayerOwnership(t, plat, g, r)
+		for _, l := range r.Layers {
+			if !slices.Contains(l.OriginalNodes, "add") {
+				continue
+			}
+			if l.Category != "elementwise" {
+				t.Errorf("%s: layer %q of %v has category %q, want elementwise", plat, l.Name, l.OriginalNodes, l.Category)
+			}
+			for _, k := range l.Kernels {
+				if !strings.Contains(k.Name, "_elementwise_kernel_") {
+					t.Errorf("%s: layer %q lowers to kernel %q, want an elementwise kernel", plat, l.Name, k.Name)
+				}
+			}
 		}
 	}
 }

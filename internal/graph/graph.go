@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -111,9 +112,6 @@ type Graph struct {
 	Inputs  []string `json:"inputs"`
 	Outputs []string `json:"outputs"`
 
-	// idx memoizes a raw graph's producer/consumer index; see index().
-	// An admitted graph and its views keep theirs by slot instead.
-	idx *graphIndex
 	// adm is set on an admitted graph and on its views; see Admit.
 	adm *admission
 	// tensors holds a view's own tensor copies, by admission slot; see
@@ -254,8 +252,8 @@ func (g *Graph) Node(name string) *Node {
 
 // Producer returns the node producing the named tensor, or nil for graph
 // inputs and parameters. An admitted graph and its views resolve the
-// name to its slot; a raw graph keeps a name index, rebuilt when nodes
-// are appended.
+// name to its slot; a raw graph, which may be rewired at any time,
+// scans its nodes, and the last node producing the name wins.
 func (g *Graph) Producer(name string) *Node {
 	if a := g.adm; a != nil {
 		if s, ok := a.slots[name]; ok {
@@ -263,7 +261,12 @@ func (g *Graph) Producer(name string) *Node {
 		}
 		return nil
 	}
-	return g.index().producer[name]
+	for i := len(g.Nodes) - 1; i >= 0; i-- {
+		if slices.Contains(g.Nodes[i].Outputs, name) {
+			return g.Nodes[i]
+		}
+	}
+	return nil
 }
 
 // Lookup resolves a tensor name once, to the tensor registered under it
@@ -281,8 +284,9 @@ func (g *Graph) Lookup(name string) (*Tensor, *Node) {
 	return g.Tensor(name), g.Producer(name)
 }
 
-// Consumers returns the nodes consuming the named tensor; see Producer.
-// Callers must not modify the slice.
+// Consumers returns the nodes consuming the named tensor, in
+// declaration order and once per consuming reference, or nil; see
+// Producer. Callers must not modify the slice.
 func (g *Graph) Consumers(name string) []*Node {
 	if a := g.adm; a != nil {
 		if s, ok := a.slots[name]; ok {
@@ -290,39 +294,29 @@ func (g *Graph) Consumers(name string) []*Node {
 		}
 		return nil
 	}
-	return g.index().consumers[name]
-}
-
-// graphIndex memoizes a raw graph's producer/consumer maps; invalidated
-// by node-count change (nodes are appended, never mutated in place by
-// builders).
-type graphIndex struct {
-	nodeCount int
-	producer  map[string]*Node
-	consumers map[string][]*Node
-}
-
-func (g *Graph) index() *graphIndex {
-	if g.idx != nil && g.idx.nodeCount == len(g.Nodes) {
-		return g.idx
-	}
-	//lint:ignore hotalloc a raw graph's index is built once per node count; an admitted graph's accessors never reach it
-	idx := &graphIndex{
-		nodeCount: len(g.Nodes),
-		producer:  make(map[string]*Node, len(g.Nodes)),
-		consumers: make(map[string][]*Node, len(g.Nodes)),
-	}
+	k := 0
 	for _, n := range g.Nodes {
-		for _, o := range n.Outputs {
-			idx.producer[o] = n
-		}
-		for _, i := range n.Inputs {
-			//lint:ignore hotalloc built once per raw graph, as above
-			idx.consumers[i] = append(idx.consumers[i], n)
+		for _, in := range n.Inputs {
+			if in == name {
+				k++
+			}
 		}
 	}
-	g.idx = idx
-	return idx
+	if k == 0 {
+		return nil
+	}
+	//lint:ignore hotalloc a raw graph scans its nodes on every call; an admitted graph's accessors never reach it
+	cs := make([]*Node, k)
+	k = 0
+	for _, n := range g.Nodes {
+		for _, in := range n.Inputs {
+			if in == name {
+				cs[k] = n
+				k++
+			}
+		}
+	}
+	return cs
 }
 
 // ParamCount returns the total number of parameter elements (the "Params
@@ -357,50 +351,49 @@ func (g *Graph) Clone() *Graph {
 // consumers). Among ready nodes, declaration order wins, so the result
 // preserves the builder's program order: a Constant declared next to its
 // consumer stays next to it instead of floating to the front. It returns
-// an error when the graph has a cycle.
+// an error when the graph has a cycle. It numbers every name the nodes
+// reference, registered or not, and sorts as admission does
+// (resolution.index), so it holds for any graph and keeps nothing.
 func (g *Graph) TopoSort() ([]*Node, error) {
-	idx := g.index()
-	declIdx := make(map[*Node]int, len(g.Nodes))
-	indeg := make([]int, len(g.Nodes))
+	r := &resolution{
+		slots:  make(map[string]int, len(g.Nodes)),
+		refAt:  make([]int32, len(g.Nodes)+1),
+		cstart: []int32{0},
+	}
+	ref := func(name string) int32 {
+		s, ok := r.slots[name]
+		if !ok {
+			s = len(r.producer)
+			r.slots[name] = s
+			r.producer = append(r.producer, -1)
+			r.cstart = append(r.cstart, 0)
+		}
+		r.refs = append(r.refs, int32(s))
+		return int32(s)
+	}
 	for i, n := range g.Nodes {
-		declIdx[n] = i
+		r.refAt[i] = int32(len(r.refs))
 		for _, in := range n.Inputs {
-			if idx.producer[in] != nil {
-				indeg[i]++
-			}
+			r.cstart[ref(in)+1]++
 		}
-	}
-	var ready declHeap
-	for i, d := range indeg {
-		if d == 0 {
-			ready.push(i)
-		}
-	}
-	order := make([]*Node, 0, len(g.Nodes))
-	for len(ready) > 0 {
-		n := g.Nodes[ready.pop()]
-		order = append(order, n)
 		for _, o := range n.Outputs {
-			for _, c := range idx.consumers[o] {
-				ci, ok := declIdx[c]
-				if !ok {
-					continue // a stale index can list a node no longer in g.Nodes
-				}
-				indeg[ci]--
-				if indeg[ci] == 0 {
-					ready.push(ci)
-				}
-			}
+			r.producer[ref(o)] = int32(i)
 		}
 	}
-	if len(order) != len(g.Nodes) {
-		return nil, fmt.Errorf("graph %s: cycle detected (%d of %d nodes sorted)", g.Name, len(order), len(g.Nodes))
+	r.refAt[len(g.Nodes)] = int32(len(r.refs))
+	r.index(g)
+	if len(r.order) != len(g.Nodes) {
+		return nil, fmt.Errorf("graph %s: cycle detected (%d of %d nodes sorted)", g.Name, len(r.order), len(g.Nodes))
+	}
+	order := make([]*Node, len(r.order))
+	for p, i := range r.order {
+		order[p] = g.Nodes[i]
 	}
 	return order, nil
 }
 
-// declHeap is a binary min-heap of node declaration indices: TopoSort's
-// ready set, popped lowest declaration first.
+// declHeap is a binary min-heap of node declaration indices:
+// resolution.index's ready set, popped lowest declaration first.
 type declHeap []int
 
 func (h *declHeap) push(v int) {

@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -38,6 +40,34 @@ func TestDataTypeSizeAndString(t *testing.T) {
 	}
 	if DTypeInvalid.Valid() {
 		t.Error("DTypeInvalid must not be Valid")
+	}
+	// Every value, in range or not, answers as the maps the type table
+	// replaced did.
+	names := map[DataType]string{DTypeInvalid: "invalid", Float32: "fp32", Float16: "fp16",
+		BFloat16: "bf16", Int8: "int8", Int32: "int32", Int64: "int64", Bool: "bool"}
+	sizes := map[DataType]int{Float32: 4, Float16: 2, BFloat16: 2, Int8: 1, Int32: 4, Int64: 8, Bool: 1}
+	for d := DataType(-2); d <= 10; d++ {
+		name, ok := names[d]
+		if !ok {
+			name = fmt.Sprintf("DataType(%d)", int(d))
+		}
+		if got := d.String(); got != name {
+			t.Errorf("DataType(%d).String() = %q, want %q", int(d), got, name)
+		}
+		size, valid := sizes[d]
+		if d.Valid() != valid {
+			t.Errorf("DataType(%d).Valid() = %v, want %v", int(d), d.Valid(), valid)
+		}
+		func() {
+			defer func() {
+				if r := recover(); (r != nil) == valid {
+					t.Errorf("DataType(%d).Size() panics: %v, want a panic: %v", int(d), r, !valid)
+				}
+			}()
+			if got := d.Size(); got != size {
+				t.Errorf("DataType(%d).Size() = %d, want %d", int(d), got, size)
+			}
+		}()
 	}
 }
 
@@ -329,6 +359,18 @@ func TestInferShapesShuffleChain(t *testing.T) {
 	}
 	if !g.Tensor("out").Shape.Equal(Shape{2, 8, 4, 4}) {
 		t.Errorf("reshape2 out = %v", g.Tensor("out").Shape)
+	}
+	// The values the pass propagated, by name, on the raw graph and on
+	// a view, which keeps them by slot.
+	want := map[string][]int64{"shp": {2, 8, 4, 4}, "idx0": {0}, "n": {2}, "rest": {2, 4, 4, 4}, "tgt": {2, 2, 4, 4, 4}}
+	a, errs := Admit(g.Clone())
+	if errs != nil {
+		t.Fatal(errs)
+	}
+	for _, h := range []*Graph{g, a.View()} {
+		if got, err := h.KnownValues(); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("KnownValues (view: %v) = %v, %v; want %v", h.isView(), got, err, want)
+		}
 	}
 }
 

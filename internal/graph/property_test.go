@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -263,10 +264,11 @@ func referenceTopoSort(g *Graph) ([]*Node, error) {
 	return order, nil
 }
 
-// randomWiredGraph builds a graph whose nodes each produce one tensor
-// and read one to three tensors chosen from the graph input and every
-// node output, earlier or later: back references make cycles and
-// self-loops, repeated picks make a node read one tensor twice.
+// randomWiredGraph builds a graph of Sum nodes that each produce one
+// tensor and read one to three tensors chosen from the graph input and
+// every node output, earlier or later: back references make cycles and
+// self-loops, repeated picks make a node read one tensor twice. Shapes
+// infer on an acyclic one.
 func randomWiredGraph(seed int64, maxNodes int) *Graph {
 	rng := rand.New(rand.NewSource(seed))
 	g := New("wired")
@@ -279,7 +281,7 @@ func randomWiredGraph(seed int64, maxNodes int) *Graph {
 	}
 	cyclic := rng.Intn(2) == 0
 	for i := 0; i < n; i++ {
-		node := &Node{Name: nodef(i), OpType: "Add", Outputs: []string{names[i+1]}}
+		node := &Node{Name: nodef(i), OpType: "Sum", Outputs: []string{names[i+1]}}
 		for k := 1 + rng.Intn(3); k > 0; k-- {
 			limit := i + 1 // the graph input or an earlier output
 			if cyclic && rng.Intn(8) == 0 {
@@ -324,5 +326,71 @@ func TestTopoSortMatchesReference(t *testing.T) {
 	}
 	if cycles == 0 {
 		t.Error("no generated graph had a cycle; the error path went untested")
+	}
+}
+
+// TestRawGraphFollowsRewiring: a raw graph's TopoSort, Producer and
+// Consumers read the graph as it is now. After InferShapes has run (and
+// built whatever it keeps), one node's input is rewired in place to a
+// tensor produced earlier in the topological order, so the graph stays
+// acyclic and keeps its node count; the three must then agree with the
+// reference sort and a fresh scan of the nodes.
+func TestRawGraphFollowsRewiring(t *testing.T) {
+	rewired := 0
+	f := func(seed int64) bool {
+		g := randomWiredGraph(seed, 40)
+		order, err := referenceTopoSort(g)
+		if err != nil {
+			return true // cyclic: nothing to keep acyclic
+		}
+		if err := g.InferShapes(); err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		rng := rand.New(rand.NewSource(seed))
+		p := rng.Intn(len(order))
+		n := order[p]
+		src := "in0"
+		if k := rng.Intn(p + 1); k < p {
+			src = order[k].Outputs[0]
+		}
+		i := rng.Intn(len(n.Inputs))
+		if n.Inputs[i] != src {
+			rewired++
+		}
+		n.Inputs[i] = src
+
+		got, gotErr := g.TopoSort()
+		want, wantErr := referenceTopoSort(g)
+		if gotErr != nil || wantErr != nil || !slices.Equal(got, want) {
+			t.Logf("seed %d: TopoSort %v, %v; reference %v, %v", seed, got, gotErr, want, wantErr)
+			return false
+		}
+		for _, name := range append([]string{"in0"}, g.SortedTensorNames()...) {
+			var producer *Node
+			var consumers []*Node
+			for _, m := range g.Nodes {
+				if slices.Contains(m.Outputs, name) {
+					producer = m
+				}
+				for _, in := range m.Inputs {
+					if in == name {
+						consumers = append(consumers, m)
+					}
+				}
+			}
+			if g.Producer(name) != producer || !slices.Equal(g.Consumers(name), consumers) {
+				t.Logf("seed %d: tensor %s: Producer %v, Consumers %v; scan %v, %v",
+					seed, name, g.Producer(name), g.Consumers(name), producer, consumers)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+	if rewired == 0 {
+		t.Error("no generated graph was rewired")
 	}
 }

@@ -20,11 +20,39 @@ import (
 // input shapes: the error is a *ValidationError with code
 // ErrShapeInference.
 func (g *Graph) InferShapes() error {
+	_, err := g.infer()
+	return err
+}
+
+// KnownValues runs InferShapes and returns the constant int values that
+// pass propagated, by tensor name: the int data the graph carries and
+// every value computed from it or from tensor shapes (Constant, Shape,
+// Gather, Concat, Slice, integer arithmetic, ...). The caller owns the
+// map; the values may alias tensors' IntData and one another.
+func (g *Graph) KnownValues() (map[string][]int64, error) {
+	ctx, err := g.infer()
+	if err != nil {
+		return nil, err
+	}
+	if ctx.valAt == nil {
+		return ctx.byName, nil
+	}
+	vals := make(map[string][]int64, len(ctx.vals))
+	for s, k := range ctx.valAt {
+		if k != 0 {
+			vals[g.adm.tensors[s].Name] = ctx.vals[k-1]
+		}
+	}
+	return vals, nil
+}
+
+// infer is InferShapes, returning the pass that ran.
+func (g *Graph) infer() (*inferCtx, error) {
 	order, ok := g.AdmittedOrder()
 	if !ok {
 		var err error
 		if order, err = g.TopoSort(); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	ctx := newInferCtx(g, order)
@@ -44,23 +72,23 @@ func (g *Graph) InferShapes() error {
 	}
 	for _, in := range g.Inputs {
 		if t := g.Tensor(in); t != nil && t.overflows() {
-			return g.OverflowDefect("", fmt.Sprintf("the size of graph input %q of shape %v", in, t.Shape))
+			return nil, g.OverflowDefect("", fmt.Sprintf("the size of graph input %q of shape %v", in, t.Shape))
 		}
 	}
 	for _, n := range order {
 		if err := ctx.inferNode(n); err != nil {
-			return &ValidationError{
+			return nil, &ValidationError{
 				Code: ErrShapeInference, Graph: g.Name, Node: n.Name,
 				Detail: fmt.Sprintf("shape inference at node %q (%s): %v", n.Name, n.OpType, err),
 			}
 		}
 		for i := range n.Outputs {
 			if t := g.Out(n, i); t != nil && t.overflows() {
-				return g.OverflowDefect(n.Name, fmt.Sprintf("the size of node %q's output %q of shape %v", n.Name, n.Outputs[i], t.Shape))
+				return nil, g.OverflowDefect(n.Name, fmt.Sprintf("the size of node %q's output %q of shape %v", n.Name, n.Outputs[i], t.Shape))
 			}
 		}
 	}
-	return nil
+	return ctx, nil
 }
 
 // inferCtx carries one inference pass and the constant int values it

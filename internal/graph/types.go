@@ -35,31 +35,26 @@ const (
 	Bool
 )
 
-var dtypeNames = map[DataType]string{
-	DTypeInvalid: "invalid",
-	Float32:      "fp32",
-	Float16:      "fp16",
-	BFloat16:     "bf16",
-	Int8:         "int8",
-	Int32:        "int32",
-	Int64:        "int64",
-	Bool:         "bool",
-}
-
-var dtypeSizes = map[DataType]int{
-	Float32:  4,
-	Float16:  2,
-	BFloat16: 2,
-	Int8:     1,
-	Int32:    4,
-	Int64:    8,
-	Bool:     1,
+// dtypes holds each data type's name and element size in bytes,
+// indexed by the type; DTypeInvalid has no size.
+var dtypes = [...]struct {
+	name string
+	size int
+}{
+	DTypeInvalid: {"invalid", 0},
+	Float32:      {"fp32", 4},
+	Float16:      {"fp16", 2},
+	BFloat16:     {"bf16", 2},
+	Int8:         {"int8", 1},
+	Int32:        {"int32", 4},
+	Int64:        {"int64", 8},
+	Bool:         {"bool", 1},
 }
 
 // String returns the short lower-case name of the data type (e.g. "fp16").
 func (d DataType) String() string {
-	if s, ok := dtypeNames[d]; ok {
-		return s
+	if d >= 0 && int(d) < len(dtypes) {
+		return dtypes[d].name
 	}
 	return fmt.Sprintf("DataType(%d)", int(d))
 }
@@ -67,17 +62,15 @@ func (d DataType) String() string {
 // Size returns the size of one element in bytes. It panics for
 // DTypeInvalid, which indicates a bug in shape/type inference.
 func (d DataType) Size() int {
-	s, ok := dtypeSizes[d]
-	if !ok {
+	if !d.Valid() {
 		panic(fmt.Sprintf("graph: Size of %v", d))
 	}
-	return s
+	return dtypes[d].size
 }
 
 // Valid reports whether d is a concrete data type.
 func (d DataType) Valid() bool {
-	_, ok := dtypeSizes[d]
-	return ok
+	return d > DTypeInvalid && int(d) < len(dtypes)
 }
 
 // ParseDataType converts a name as produced by DataType.String back into a

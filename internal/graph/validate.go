@@ -458,8 +458,9 @@ func (g *Graph) validate(names []string) ([]*ValidationError, *resolution) {
 }
 
 // index fills the consumer lists from the counts in cstart and sorts
-// the nodes topologically: among ready nodes, declaration order wins,
-// as in TopoSort. On a cyclic graph the order stops short.
+// the nodes topologically: among ready nodes, declaration order wins.
+// On a cyclic graph the order stops short. It is the one topological
+// sort: admission's, and TopoSort's for any graph.
 func (r *resolution) index(g *Graph) {
 	for s := 1; s < len(r.cstart); s++ {
 		r.cstart[s] += r.cstart[s-1]

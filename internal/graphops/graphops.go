@@ -8,8 +8,10 @@ package graphops
 
 import (
 	"fmt"
+	"slices"
 
 	"proof/internal/graph"
+	"proof/internal/sim"
 )
 
 // EliminateIdentity removes Identity and (inference-mode) Dropout nodes,
@@ -62,6 +64,12 @@ func EliminateDeadNodes(g *graph.Graph) int {
 	for _, out := range g.Outputs {
 		stack = append(stack, out)
 	}
+	producer := map[string]*graph.Node{}
+	for _, n := range g.Nodes {
+		for _, o := range n.Outputs {
+			producer[o] = n
+		}
+	}
 	seen := map[string]bool{}
 	for len(stack) > 0 {
 		t := stack[len(stack)-1]
@@ -70,7 +78,7 @@ func EliminateDeadNodes(g *graph.Graph) int {
 			continue
 		}
 		seen[t] = true
-		prod := g.Producer(t)
+		prod := producer[t]
 		if prod == nil {
 			continue
 		}
@@ -111,192 +119,54 @@ func EliminateDeadNodes(g *graph.Graph) int {
 	return removed
 }
 
-// FoldConstants replaces shape-computation chains whose values are fully
-// known (Constant, Shape-of-static-input, Gather/Concat/arithmetic on
-// known values) with initializer tensors carrying the computed value.
-// Shapes must be inferred first. Returns the number of nodes folded.
+// FoldConstants replaces the nodes whose value shape inference knows
+// (graph.KnownValues) with initializer tensors carrying that value, and
+// returns the number of nodes folded. A node folds when no graph input
+// reaches it, its one output is not a graph output, and it is a Shape or
+// Constant or its output is a small integer shape value
+// (sim.IsShapeValue). A value a graph input reaches may hold the batch
+// size, and baking it in would break re-batching (runtimes fold those
+// only at engine build time, when the batch is fixed).
 //
 // Folding is what real runtimes do at build time; after this pass, the
 // only remaining nodes are ones that move or compute tensor data.
 func FoldConstants(g *graph.Graph) (int, error) {
-	if err := g.InferShapes(); err != nil {
+	values, err := g.KnownValues()
+	if err != nil {
 		return 0, fmt.Errorf("graphops: shape inference before folding: %w", err)
 	}
-	order, err := g.TopoSort()
-	if err != nil {
-		return 0, err
-	}
-	return foldConstantsImpl(g, order)
-}
-
-// foldConstantsImpl performs the actual fold: it walks in topological
-// order, evaluates the shape-chain ops whose inputs are known, attaches
-// the computed value to the output tensor as an initializer, and removes
-// the producing node.
-//
-// Shape nodes whose input depends on a graph input are NOT folded: their
-// value contains the batch size, and baking it in would break
-// re-batching (runtimes fold those only at engine build time, when the
-// batch is fixed).
-func foldConstantsImpl(g *graph.Graph, order []*graph.Node) (int, error) {
-	// Forward closure of graph inputs: tensors with dynamic shapes.
-	dynamic := map[string]bool{}
-	for _, in := range g.Inputs {
-		dynamic[in] = true
-	}
-	for _, n := range order {
-		depends := false
-		for _, in := range n.Inputs {
-			if dynamic[in] {
-				depends = true
-				break
-			}
-		}
-		if depends {
-			for _, out := range n.Outputs {
-				dynamic[out] = true
-			}
-		}
-	}
-
-	values := map[string][]int64{}
-	for name, t := range g.Tensors {
-		if t.IntData != nil {
-			values[name] = t.IntData
-		}
-	}
-	evaluate := func(n *graph.Node) ([]int64, bool) {
-		in := func(i int) ([]int64, bool) {
-			if i >= len(n.Inputs) {
-				return nil, false
-			}
-			v, ok := values[n.Inputs[i]]
-			return v, ok
-		}
-		switch n.OpType {
-		case "Constant":
-			if v, ok := n.Attrs["value_ints"]; ok {
-				out := make([]int64, len(v.Ints))
-				for i, x := range v.Ints {
-					out[i] = int64(x)
-				}
-				return out, true
-			}
-			return nil, false
-		case "Shape":
-			if dynamic[n.Inputs[0]] {
-				return nil, false // batch-dependent: fold only at engine build
-			}
-			t := g.Tensor(n.Inputs[0])
-			if t == nil || !t.Shape.Valid() {
-				return nil, false
-			}
-			out := make([]int64, t.Shape.Rank())
-			for i, d := range t.Shape {
-				out[i] = int64(d)
-			}
-			return out, true
-		case "Gather":
-			data, ok1 := in(0)
-			idx, ok2 := in(1)
-			if !ok1 || !ok2 || n.Attrs.Int("axis", 0) != 0 {
-				return nil, false
-			}
-			out := make([]int64, 0, len(idx))
-			for _, i := range idx {
-				if i < 0 {
-					i += int64(len(data))
-				}
-				if i < 0 || int(i) >= len(data) {
-					return nil, false
-				}
-				out = append(out, data[i])
-			}
-			return out, true
-		case "Concat":
-			var out []int64
-			for i := range n.Inputs {
-				v, ok := in(i)
-				if !ok {
-					return nil, false
-				}
-				out = append(out, v...)
-			}
-			return out, true
-		case "Squeeze", "Unsqueeze", "Cast":
-			return in(0)
-		case "Add", "Sub", "Mul", "Div":
-			a, ok1 := in(0)
-			b, ok2 := in(1)
-			if !ok1 || !ok2 || len(a) != len(b) {
-				return nil, false
-			}
-			out := make([]int64, len(a))
-			for i := range a {
-				switch n.OpType {
-				case "Add":
-					out[i] = a[i] + b[i]
-				case "Sub":
-					out[i] = a[i] - b[i]
-				case "Mul":
-					out[i] = a[i] * b[i]
-				case "Div":
-					if b[i] == 0 {
-						return nil, false
-					}
-					out[i] = a[i] / b[i]
-				}
-			}
-			return out, true
-		}
-		return nil, false
-	}
-
-	foldedNodes := map[string]bool{}
-	for _, n := range order {
-		if len(n.Outputs) != 1 {
-			continue
-		}
-		out := g.Tensor(n.Outputs[0])
-		if out == nil {
-			continue
-		}
-		// Only fold integer shape chains (small tensors).
-		if n.OpType != "Shape" && n.OpType != "Constant" {
-			if out.DType != graph.Int64 || out.Shape == nil || out.Shape.NumElements() > 64 {
-				continue
-			}
-		}
-		if v, ok := evaluate(n); ok {
-			values[n.Outputs[0]] = v
-			foldedNodes[n.Name] = true
-		}
-	}
-	if len(foldedNodes) == 0 {
-		return 0, nil
-	}
-	// A folded node can only be removed if ALL its consumers accept an
-	// initializer in place of its output — always true in ONNX — and
-	// its output is not a graph output.
-	isGraphOutput := map[string]bool{}
-	for _, o := range g.Outputs {
-		isGraphOutput[o] = true
-	}
-	var kept []*graph.Node
-	removedCount := 0
+	consumers := map[string][]*graph.Node{}
 	for _, n := range g.Nodes {
-		if !foldedNodes[n.Name] || isGraphOutput[n.Outputs[0]] {
-			kept = append(kept, n)
-			continue
+		for _, in := range n.Inputs {
+			consumers[in] = append(consumers[in], n)
 		}
-		// Turn the output tensor into an initializer with the value.
-		t := g.Tensors[n.Outputs[0]]
-		t.Param = true
-		t.IntData = values[n.Outputs[0]]
-		removedCount++
 	}
-	g.Nodes = kept
-	return removedCount, nil
+	reached := map[string]bool{}
+	for stack := slices.Clone(g.Inputs); len(stack) > 0; {
+		t := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if !reached[t] {
+			reached[t] = true
+			for _, c := range consumers[t] {
+				stack = append(stack, c.Outputs...)
+			}
+		}
+	}
+	folded := 0
+	g.Nodes = slices.DeleteFunc(g.Nodes, func(n *graph.Node) bool {
+		if len(n.Outputs) != 1 || reached[n.Outputs[0]] || slices.Contains(g.Outputs, n.Outputs[0]) {
+			return false
+		}
+		v, known := values[n.Outputs[0]]
+		t := g.Tensor(n.Outputs[0])
+		if !known || n.OpType != "Shape" && n.OpType != "Constant" && !sim.IsShapeValue(t) {
+			return false
+		}
+		t.Param, t.IntData = true, v
+		folded++
+		return true
+	})
+	return folded, nil
 }
 
 // Optimize applies the standard pass pipeline: identity elimination,

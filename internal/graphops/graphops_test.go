@@ -1,6 +1,10 @@
 package graphops
 
 import (
+	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"proof/internal/analysis"
@@ -172,7 +176,34 @@ func TestFoldPreservesAnalysis(t *testing.T) {
 	}
 }
 
+// update regenerates the Optimize fixture:
+//
+//	go test ./internal/graphops -run TestOptimizeAllModels -update
+var update = flag.Bool("update", false, "rewrite the Optimize fixture")
+
+// optimized is what Optimize makes of one zoo graph: the stats it
+// returns and the optimized graph's Digest.
+type optimized struct {
+	Stats  OptimizeStats
+	Digest string
+}
+
+// optimizedPath pins optimized per zoo graph, so a change to any pass
+// that removes, folds or rewrites one more or one fewer node fails.
+var optimizedPath = filepath.Join("testdata", "optimized.json")
+
 func TestOptimizeAllModels(t *testing.T) {
+	want := map[string]optimized{}
+	if !*update {
+		raw, err := os.ReadFile(optimizedPath)
+		if err != nil {
+			t.Fatalf("%v (run with -update to regenerate)", err)
+		}
+		if err := json.Unmarshal(raw, &want); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := map[string]optimized{}
 	for _, info := range models.List() {
 		info := info
 		t.Run(info.Key, func(t *testing.T) {
@@ -187,11 +218,26 @@ func TestOptimizeAllModels(t *testing.T) {
 			if err := g.Validate(); err != nil {
 				t.Fatalf("invalid after optimize: %v", err)
 			}
+			got[info.Key] = optimized{stats, g.Digest()}
+			if w, ok := want[info.Key]; !*update && (!ok || w != got[info.Key]) {
+				t.Errorf("Optimize = %+v, fixture %+v", got[info.Key], w)
+			}
 			if err := g.InferShapes(); err != nil {
 				t.Fatalf("inference after optimize: %v", err)
 			}
-			_ = stats
 		})
+	}
+	if *update {
+		raw, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(optimizedPath, append(raw, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

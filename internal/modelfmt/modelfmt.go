@@ -12,6 +12,7 @@ import (
 	"os"
 
 	"proof/internal/graph"
+	"proof/internal/jsonread"
 )
 
 // FormatVersion is the current file format version.
@@ -34,11 +35,34 @@ func Save(g *graph.Graph, w io.Writer) error {
 	return enc.Encode(file{FormatVersion: FormatVersion, Producer: "proof", Graph: g})
 }
 
-// Load reads a graph from JSON and validates it.
+// fileFields are file's json names in field order.
+var fileFields = jsonread.Fields{"format_version", "producer", "graph"}
+
+// Load reads a graph from JSON and validates it. It reads the graph as
+// proofd reads an inline one (graph.ReadJSON; see jsonread for the
+// accept set), so an unknown or repeated field, or anything after the
+// document, is an error here too.
 func Load(r io.Reader) (*graph.Graph, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("modelfmt: read: %w", err)
+	}
 	var f file
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&f); err != nil {
+	jr := jsonread.NewReader(data)
+	if jr.Object() {
+		var seen uint64
+		for i := jr.Field(fileFields, &seen); i >= 0; i = jr.Field(fileFields, &seen) {
+			switch i {
+			case 0:
+				f.FormatVersion = jr.Int()
+			case 1:
+				f.Producer = jr.String()
+			case 2:
+				f.Graph = graph.ReadJSON(jr)
+			}
+		}
+	}
+	if err := jr.End(); err != nil {
 		return nil, fmt.Errorf("modelfmt: decode: %w", err)
 	}
 	if f.FormatVersion != FormatVersion {

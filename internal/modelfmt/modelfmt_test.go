@@ -3,6 +3,7 @@ package modelfmt
 import (
 	"bytes"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -104,5 +105,46 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		if ve, ok := graph.AsValidationError(err); !ok || ve.Code != graph.ErrEmptyGraph {
 			t.Errorf("Load(%s) = %v, want an %s defect", empty, err, graph.ErrEmptyGraph)
 		}
+	}
+}
+
+// TestLoadRefusesWhatProofdRefuses: a model file is read as proofd reads
+// an inline graph, so a document with an unknown field, a repeated field
+// or data after its end is refused here too. Each variant of the seed
+// graph's file loaded before, as encoding/json skips unknown fields,
+// keeps the last of a repeated one and stops after the first value.
+func TestLoadRefusesWhatProofdRefuses(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Save(fuzzSeedGraph(), &buf); err != nil {
+		t.Fatal(err)
+	}
+	doc := buf.String()
+	if _, err := Load(strings.NewReader(doc)); err != nil {
+		t.Fatalf("the seed file must load: %v", err)
+	}
+	const graphStart = `"graph": {`
+	if !strings.Contains(doc, graphStart) {
+		t.Fatalf("no %s in %s", graphStart, doc)
+	}
+	for name, bad := range map[string]string{
+		"unknown field":  strings.Replace(doc, graphStart, graphStart+`"nodez": [],`, 1),
+		"repeated field": strings.Replace(doc, graphStart, graphStart+`"nodes": [],`, 1),
+		"trailing data":  doc + "}",
+	} {
+		if _, err := Load(strings.NewReader(bad)); err == nil {
+			t.Errorf("%s: Load accepted %s", name, bad)
+		}
+	}
+}
+
+// TestFileFieldsMirrorTags: Load reads the envelope Save writes.
+func TestFileFieldsMirrorTags(t *testing.T) {
+	typ := reflect.TypeOf(file{})
+	var tags []string
+	for i := 0; i < typ.NumField(); i++ {
+		tags = append(tags, strings.Split(typ.Field(i).Tag.Get("json"), ",")[0])
+	}
+	if !reflect.DeepEqual(tags, []string(fileFields)) {
+		t.Errorf("Load reads %v, tags are %v", fileFields, tags)
 	}
 }

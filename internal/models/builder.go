@@ -513,10 +513,3 @@ func (b *Builder) Finish() (*graph.Graph, error) {
 	}
 	return b.G, nil
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

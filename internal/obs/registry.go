@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -109,10 +110,10 @@ func (r *Registry) lookup(name, help string, kind familyKind, labels []string, b
 		case f.kind != kind:
 			return nil, fmt.Errorf("obs: metric %q already registered as a %v, re-registered as a %v: %w",
 				name, f.kind, kind, ErrMetricConflict)
-		case !equalStrings(f.labels, labels):
+		case !slices.Equal(f.labels, labels):
 			return nil, fmt.Errorf("obs: metric %q already registered with labels %v, re-registered with %v: %w",
 				name, f.labels, labels, ErrMetricConflict)
-		case !equalFloats(f.buckets, buckets):
+		case !slices.Equal(f.buckets, buckets):
 			return nil, fmt.Errorf("obs: metric %q already registered with different buckets: %w",
 				name, ErrMetricConflict)
 		case f.fn != nil || fn != nil:
@@ -144,30 +145,6 @@ func (r *Registry) mustLookup(name, help string, kind familyKind, labels []strin
 		panic(err)
 	}
 	return f
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalFloats(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 const labelSep = "\x1f"

@@ -2,8 +2,8 @@
 // service: the PRoof pipeline exposed as a JSON API. All profiling is
 // served through one shared cached session (internal/profsession), so
 // the hot path of a busy service — many clients asking about the same
-// model/platform points — is a deep-copied cache hit rather than a
-// pipeline execution.
+// model/platform points — is a cache hit, which decodes the stored
+// report's encoding, rather than a pipeline execution.
 //
 // Serving robustness, in the order a request meets it:
 //

@@ -48,9 +48,8 @@ const (
 	// ClassMemCopy covers contiguous copies and format conversions
 	// (Cast, runtime reformat layers), which run near full bandwidth.
 	ClassMemCopy
-	// ClassMeta covers zero-cost metadata nodes (Constants, Shape,
-	// Reshape, integer shape arithmetic): they never define a fused
-	// layer's execution class.
+	// ClassMeta covers zero-cost metadata nodes (IsMeta): they never
+	// define a fused layer's execution class.
 	ClassMeta
 )
 
@@ -98,25 +97,30 @@ var classPriority = []Class{
 	ClassElementwise, ClassMeta,
 }
 
-// isShapeMath reports whether a node only computes small integer shape
-// values (Shape-chain Gather/Concat/arithmetic) rather than moving
-// tensor data.
-func isShapeMath(n *graph.Node, g *graph.Graph) bool {
-	if len(n.Outputs) != 1 {
-		return false
-	}
-	t := g.Out(n, 0)
+// IsShapeValue reports whether t holds a small integer shape value, as
+// Shape results and the Gather, Concat and arithmetic on them do: an
+// Int64 tensor of known shape with at most 64 elements.
+func IsShapeValue(t *graph.Tensor) bool {
 	return t != nil && t.DType == graph.Int64 && t.Shape != nil && t.Shape.NumElements() <= 64
+}
+
+// IsMeta reports whether every runtime folds node n away: constants,
+// zero-copy shape manipulation (Identity and inference-mode Dropout
+// included), and integer shape arithmetic, whose one output is a shape
+// value. A metadata node is ClassMeta, and fusion attaches it to a
+// neighbour's layer.
+func IsMeta(n *graph.Node, g *graph.Graph) bool {
+	switch n.OpType {
+	case "Constant", "Shape", "Reshape", "Squeeze", "Unsqueeze",
+		"Flatten", "Identity", "Dropout":
+		return true
+	}
+	return len(n.Outputs) == 1 && IsShapeValue(g.Out(n, 0))
 }
 
 // ClassifyNode returns the execution class of a single node.
 func ClassifyNode(n *graph.Node, g *graph.Graph) Class {
-	switch n.OpType {
-	case "Constant", "Shape", "Reshape", "Squeeze", "Unsqueeze",
-		"Flatten", "Dropout":
-		return ClassMeta
-	}
-	if isShapeMath(n, g) {
+	if IsMeta(n, g) {
 		return ClassMeta
 	}
 	switch n.OpType {
@@ -141,7 +145,7 @@ func ClassifyNode(n *graph.Node, g *graph.Graph) Class {
 	case "Transpose", "Concat", "Split", "Slice", "Pad", "Expand",
 		"Tile", "Resize", "Upsample", "ConstantOfShape", "Where":
 		return ClassDataMovement
-	case "Cast", "Identity", "QuantizeLinear", "DequantizeLinear":
+	case "Cast", "QuantizeLinear", "DequantizeLinear":
 		return ClassMemCopy
 	}
 	return ClassElementwise

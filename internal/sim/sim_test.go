@@ -267,6 +267,7 @@ func TestClassifyNodeAllBranches(t *testing.T) {
 		"Relu":               ClassElementwise,
 		"Constant":           ClassMeta,
 		"Reshape":            ClassMeta,
+		"Identity":           ClassMeta,
 	}
 	for op, want := range cases {
 		n := &graph.Node{Name: "n", OpType: op, Inputs: []string{"x"}, Outputs: []string{"y"}}
