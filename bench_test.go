@@ -261,7 +261,7 @@ func BenchmarkAblationConvStride(b *testing.B) {
 	g.AddTensor(&graph.Tensor{Name: "w", DType: graph.Float16, Shape: graph.Shape{128, 64, 1, 1}, Param: true})
 	g.AddTensor(&graph.Tensor{Name: "y", DType: graph.Float16})
 	g.AddNode(&graph.Node{Name: "c", OpType: "Conv", Inputs: []string{"x", "w"}, Outputs: []string{"y"},
-		Attrs: graph.Attrs{"strides": graph.IntsAttr(2, 2), "kernel_shape": graph.IntsAttr(1, 1)}})
+		Attrs: graph.MakeAttrs(graph.IntsAttr("strides", 2, 2), graph.IntsAttr("kernel_shape", 1, 1))})
 	g.Inputs = []string{"x"}
 	g.Outputs = []string{"y"}
 	var ratio float64

@@ -24,7 +24,7 @@ func convBlock(t *testing.T, batch int) *graph.Graph {
 		g.AddTensor(&graph.Tensor{Name: name, DType: graph.Float32, Shape: graph.Shape{32}, Param: true})
 	}
 	g.AddNode(&graph.Node{Name: "conv", OpType: "Conv", Inputs: []string{"x", "w", "bias"}, Outputs: []string{"c"},
-		Attrs: graph.Attrs{"pads": graph.IntsAttr(1, 1, 1, 1), "kernel_shape": graph.IntsAttr(3, 3)}})
+		Attrs: graph.MakeAttrs(graph.IntsAttr("pads", 1, 1, 1, 1), graph.IntsAttr("kernel_shape", 3, 3))})
 	g.AddNode(&graph.Node{Name: "bn", OpType: "BatchNormalization",
 		Inputs: []string{"c", "scale", "shift", "mean", "variance"}, Outputs: []string{"b"}})
 	g.AddNode(&graph.Node{Name: "relu", OpType: "Relu", Inputs: []string{"b"}, Outputs: []string{"y"}})
@@ -68,7 +68,7 @@ func TestConvStrideRule(t *testing.T) {
 	g.AddTensor(&graph.Tensor{Name: "w", DType: graph.Float32, Shape: graph.Shape{8, 8, 1, 1}, Param: true})
 	g.AddTensor(&graph.Tensor{Name: "y", DType: graph.Float32})
 	g.AddNode(&graph.Node{Name: "c", OpType: "Conv", Inputs: []string{"x", "w"}, Outputs: []string{"y"},
-		Attrs: graph.Attrs{"strides": graph.IntsAttr(2, 2), "kernel_shape": graph.IntsAttr(1, 1)}})
+		Attrs: graph.MakeAttrs(graph.IntsAttr("strides", 2, 2), graph.IntsAttr("kernel_shape", 1, 1))})
 	g.Inputs = []string{"x"}
 	g.Outputs = []string{"y"}
 	r, err := NewRep(g)
@@ -90,9 +90,9 @@ func TestZeroCopyAndCopyOps(t *testing.T) {
 	g.AddTensor(&graph.Tensor{Name: "r", DType: graph.Float16})
 	g.AddTensor(&graph.Tensor{Name: "tr", DType: graph.Float16})
 	g.AddNode(&graph.Node{Name: "reshape", OpType: "Reshape", Inputs: []string{"x"}, Outputs: []string{"r"},
-		Attrs: graph.Attrs{"shape": graph.IntsAttr(2, 16)}})
+		Attrs: graph.Attrs{graph.IntsAttr("shape", 2, 16)}})
 	g.AddNode(&graph.Node{Name: "transp", OpType: "Transpose", Inputs: []string{"r"}, Outputs: []string{"tr"},
-		Attrs: graph.Attrs{"perm": graph.IntsAttr(1, 0)}})
+		Attrs: graph.Attrs{graph.IntsAttr("perm", 1, 0)}})
 	g.Inputs = []string{"x"}
 	g.Outputs = []string{"tr"}
 	r, err := NewRep(g)
@@ -238,10 +238,10 @@ func fourOpChain(t *testing.T) *graph.Graph {
 		g.AddTensor(&graph.Tensor{Name: n, DType: graph.Float32})
 	}
 	g.AddNode(&graph.Node{Name: "c1", OpType: "Conv", Inputs: []string{"x", "w1"}, Outputs: []string{"t1"},
-		Attrs: graph.Attrs{"pads": graph.IntsAttr(1, 1, 1, 1), "kernel_shape": graph.IntsAttr(3, 3)}})
+		Attrs: graph.MakeAttrs(graph.IntsAttr("pads", 1, 1, 1, 1), graph.IntsAttr("kernel_shape", 3, 3))})
 	g.AddNode(&graph.Node{Name: "r1", OpType: "Relu", Inputs: []string{"t1"}, Outputs: []string{"t2"}})
 	g.AddNode(&graph.Node{Name: "c2", OpType: "Conv", Inputs: []string{"t2", "w2"}, Outputs: []string{"t3"},
-		Attrs: graph.Attrs{"pads": graph.IntsAttr(1, 1, 1, 1), "kernel_shape": graph.IntsAttr(3, 3)}})
+		Attrs: graph.MakeAttrs(graph.IntsAttr("pads", 1, 1, 1, 1), graph.IntsAttr("kernel_shape", 3, 3))})
 	g.AddNode(&graph.Node{Name: "r2", OpType: "Relu", Inputs: []string{"t3"}, Outputs: []string{"y"}})
 	g.Inputs = []string{"x"}
 	g.Outputs = []string{"y"}
@@ -503,7 +503,7 @@ func TestGetSubgraphOpsByIOWideLayer(t *testing.T) {
 		outs = append(outs, r)
 	}
 	g.AddNode(&graph.Node{Name: "cat", OpType: "Concat", Inputs: outs, Outputs: []string{"y"},
-		Attrs: graph.Attrs{"axis": graph.IntAttr(1)}})
+		Attrs: graph.Attrs{graph.IntAttr("axis", 1)}})
 	g.Inputs, g.Outputs = []string{"x"}, []string{"y"}
 	r, err := NewRep(g)
 	if err != nil {

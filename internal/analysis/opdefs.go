@@ -203,7 +203,6 @@ func convCost(n *graph.Node, g *graph.Graph) (Cost, error) {
 	if err != nil {
 		return Cost{}, err
 	}
-	group := int64(n.Attrs.Int("group", 1))
 	cinPerGroup := int64(w.Shape[1])
 	kh, kw := int64(w.Shape[2]), int64(w.Shape[3])
 	outElems := out.Shape.NumElements()
@@ -212,7 +211,6 @@ func convCost(n *graph.Node, g *graph.Graph) (Cost, error) {
 	if len(n.Inputs) >= 3 { // bias
 		flop = graph.AddCount(flop, outElems)
 	}
-	_ = group
 
 	// Memory: stride-aware input read.
 	strides := n.Attrs.Ints("strides", []int{1, 1})

@@ -112,7 +112,7 @@ func TestDepthwiseConvCost(t *testing.T) {
 	g.AddTensor(&graph.Tensor{Name: "w", DType: graph.Float32, Shape: graph.Shape{16, 1, 3, 3}, Param: true})
 	g.AddTensor(&graph.Tensor{Name: "y", DType: graph.Float32})
 	n := &graph.Node{Name: "c", OpType: "Conv", Inputs: []string{"x", "w"}, Outputs: []string{"y"},
-		Attrs: graph.Attrs{"group": graph.IntAttr(16), "pads": graph.IntsAttr(1, 1, 1, 1), "kernel_shape": graph.IntsAttr(3, 3)}}
+		Attrs: graph.MakeAttrs(graph.IntAttr("group", 16), graph.IntsAttr("pads", 1, 1, 1, 1), graph.IntsAttr("kernel_shape", 3, 3))}
 	g.AddNode(n)
 	g.Inputs = []string{"x"}
 	g.Outputs = []string{"y"}
@@ -159,7 +159,7 @@ func TestPoolingCosts(t *testing.T) {
 	g.AddTensor(&graph.Tensor{Name: "x", DType: graph.Float32, Shape: graph.Shape{1, 8, 8, 8}})
 	g.AddTensor(&graph.Tensor{Name: "y", DType: graph.Float32})
 	n := &graph.Node{Name: "p", OpType: "MaxPool", Inputs: []string{"x"}, Outputs: []string{"y"},
-		Attrs: graph.Attrs{"kernel_shape": graph.IntsAttr(2, 2), "strides": graph.IntsAttr(2, 2)}}
+		Attrs: graph.MakeAttrs(graph.IntsAttr("kernel_shape", 2, 2), graph.IntsAttr("strides", 2, 2))}
 	g.AddNode(n)
 	g.Inputs = []string{"x"}
 	g.Outputs = []string{"y"}
@@ -193,7 +193,7 @@ func TestGemmConvTransposeEinsumCosts(t *testing.T) {
 	g.AddTensor(&graph.Tensor{Name: "b", DType: graph.Float32, Shape: graph.Shape{16}, Param: true})
 	g.AddTensor(&graph.Tensor{Name: "y", DType: graph.Float32})
 	gemm := &graph.Node{Name: "fc", OpType: "Gemm", Inputs: []string{"a", "w", "b"}, Outputs: []string{"y"},
-		Attrs: graph.Attrs{"transB": graph.IntAttr(1)}}
+		Attrs: graph.Attrs{graph.IntAttr("transB", 1)}}
 	g.AddNode(gemm)
 	g.Inputs = []string{"a"}
 	g.Outputs = []string{"y"}
@@ -215,7 +215,7 @@ func TestGemmConvTransposeEinsumCosts(t *testing.T) {
 	g2.AddTensor(&graph.Tensor{Name: "w", DType: graph.Float32, Shape: graph.Shape{8, 4, 2, 2}, Param: true})
 	g2.AddTensor(&graph.Tensor{Name: "y", DType: graph.Float32})
 	ct := &graph.Node{Name: "ct", OpType: "ConvTranspose", Inputs: []string{"x", "w"}, Outputs: []string{"y"},
-		Attrs: graph.Attrs{"strides": graph.IntsAttr(2, 2), "kernel_shape": graph.IntsAttr(2, 2)}}
+		Attrs: graph.MakeAttrs(graph.IntsAttr("strides", 2, 2), graph.IntsAttr("kernel_shape", 2, 2))}
 	g2.AddNode(ct)
 	g2.Inputs = []string{"x"}
 	g2.Outputs = []string{"y"}
@@ -237,7 +237,7 @@ func TestGemmConvTransposeEinsumCosts(t *testing.T) {
 	g3.AddTensor(&graph.Tensor{Name: "q", DType: graph.Float32, Shape: graph.Shape{4, 5}})
 	g3.AddTensor(&graph.Tensor{Name: "y", DType: graph.Float32})
 	es := &graph.Node{Name: "es", OpType: "Einsum", Inputs: []string{"p", "q"}, Outputs: []string{"y"},
-		Attrs: graph.Attrs{"equation": graph.StringAttr("ij,jk->ik")}}
+		Attrs: graph.Attrs{graph.StringAttr("equation", "ij,jk->ik")}}
 	g3.AddNode(es)
 	g3.Inputs = []string{"p", "q"}
 	g3.Outputs = []string{"y"}
@@ -258,7 +258,7 @@ func TestReduceTopKSumCosts(t *testing.T) {
 	g.AddTensor(&graph.Tensor{Name: "x", DType: graph.Float32, Shape: graph.Shape{2, 8}})
 	g.AddTensor(&graph.Tensor{Name: "y", DType: graph.Float32, Shape: graph.Shape{2, 1}})
 	rm := &graph.Node{Name: "rm", OpType: "ReduceMean", Inputs: []string{"x"}, Outputs: []string{"y"},
-		Attrs: graph.Attrs{"axes": graph.IntsAttr(1)}}
+		Attrs: graph.Attrs{graph.IntsAttr("axes", 1)}}
 	c, err := NodeCost(rm, g)
 	if err != nil || c.FLOP != 16 {
 		t.Errorf("reduce cost = %+v, %v", c, err)
@@ -267,7 +267,7 @@ func TestReduceTopKSumCosts(t *testing.T) {
 	g.AddTensor(&graph.Tensor{Name: "tv", DType: graph.Float32, Shape: graph.Shape{2, 3}})
 	g.AddTensor(&graph.Tensor{Name: "ti", DType: graph.Int64, Shape: graph.Shape{2, 3}})
 	tk := &graph.Node{Name: "tk", OpType: "TopK", Inputs: []string{"x"}, Outputs: []string{"tv", "ti"},
-		Attrs: graph.Attrs{"k": graph.IntAttr(3)}}
+		Attrs: graph.Attrs{graph.IntAttr("k", 3)}}
 	c, err = NodeCost(tk, g)
 	if err != nil || c.FLOP != 32 {
 		t.Errorf("topk cost = %+v, %v", c, err)

@@ -175,12 +175,16 @@ func BuildEngine(ctx context.Context, spec BuildSpec, rep *analysis.Rep, cfg Con
 			return nil, fmt.Errorf("backend %s: cost of group %d: %w", spec.BackendName, i, err)
 		}
 		pub := spec.Info(i, gr, truth, alias)
+		hwFLOP := sim.HardwareFLOPForNodes(rep, gr.Nodes, cfg.Platform)
+		if hwFLOP < 0 {
+			return nil, rep.Graph.OverflowDefect("", fmt.Sprintf("the hardware FLOP of layer %q", pub.Name))
+		}
 		class := sim.ClassifyNodes(gr.Nodes, rep.Graph)
 		work := sim.Work{
 			Name:      pub.Name,
 			Key:       memo.ContentKey(rep.Graph, gr.Nodes, groupKindKey(gr.Kind)),
 			Class:     class,
-			HWFLOP:    sim.HardwareFLOPForNodes(rep, gr.Nodes, cfg.Platform),
+			HWFLOP:    hwFLOP,
 			ModelFLOP: cost.FLOP,
 			Bytes:     cost.MemoryBytes(),
 		}

@@ -87,7 +87,7 @@ func TestProfileCustomGraph(t *testing.T) {
 	g.AddTensor(&graph.Tensor{Name: "c", DType: graph.Float32})
 	g.AddTensor(&graph.Tensor{Name: "y", DType: graph.Float32})
 	g.AddNode(&graph.Node{Name: "conv", OpType: "Conv", Inputs: []string{"x", "w"}, Outputs: []string{"c"},
-		Attrs: graph.Attrs{"pads": graph.IntsAttr(1, 1, 1, 1), "kernel_shape": graph.IntsAttr(3, 3)}})
+		Attrs: graph.MakeAttrs(graph.IntsAttr("pads", 1, 1, 1, 1), graph.IntsAttr("kernel_shape", 3, 3))})
 	g.AddNode(&graph.Node{Name: "relu", OpType: "Relu", Inputs: []string{"c"}, Outputs: []string{"y"}})
 	g.Inputs = []string{"x"}
 	g.Outputs = []string{"y"}
@@ -218,11 +218,11 @@ func TestProfileEinsumAttention(t *testing.T) {
 		g.AddTensor(&graph.Tensor{Name: name, DType: graph.Float32})
 	}
 	g.AddNode(&graph.Node{Name: "qk", OpType: "Einsum", Inputs: []string{"q", "k"}, Outputs: []string{"scores"},
-		Attrs: graph.Attrs{"equation": graph.StringAttr("bhid,bhjd->bhij")}})
+		Attrs: graph.Attrs{graph.StringAttr("equation", "bhid,bhjd->bhij")}})
 	g.AddNode(&graph.Node{Name: "softmax", OpType: "Softmax", Inputs: []string{"scores"}, Outputs: []string{"probs"},
-		Attrs: graph.Attrs{"axis": graph.IntAttr(-1)}})
+		Attrs: graph.Attrs{graph.IntAttr("axis", -1)}})
 	g.AddNode(&graph.Node{Name: "av", OpType: "Einsum", Inputs: []string{"probs", "v"}, Outputs: []string{"ctx"},
-		Attrs: graph.Attrs{"equation": graph.StringAttr("bhij,bhjd->bhid")}})
+		Attrs: graph.Attrs{graph.StringAttr("equation", "bhij,bhjd->bhid")}})
 	g.Inputs = []string{"q", "k", "v"}
 	g.Outputs = []string{"ctx"}
 

@@ -28,7 +28,7 @@ func convChain(nodes [4]string, tensors [2]string) *graph.Graph {
 	for _, name := range []string{"c1", tensors[0], tensors[1], "y"} {
 		g.AddTensor(&graph.Tensor{Name: name, DType: f32})
 	}
-	conv := graph.Attrs{"kernel_shape": graph.IntsAttr(3, 3), "pads": graph.IntsAttr(1, 1, 1, 1)}
+	conv := graph.MakeAttrs(graph.IntsAttr("kernel_shape", 3, 3), graph.IntsAttr("pads", 1, 1, 1, 1))
 	g.AddNode(&graph.Node{Name: nodes[0], OpType: "Conv", Inputs: []string{"x", "w1"}, Outputs: []string{"c1"}, Attrs: conv})
 	g.AddNode(&graph.Node{Name: nodes[1], OpType: "Relu", Inputs: []string{"c1"}, Outputs: []string{tensors[0]}})
 	g.AddNode(&graph.Node{Name: nodes[2], OpType: "Sigmoid", Inputs: []string{tensors[0]}, Outputs: []string{tensors[1]}})
@@ -99,7 +99,7 @@ func sigmoidConv(sigmoid string) *graph.Graph {
 	g.AddTensor(&graph.Tensor{Name: "y", DType: f32})
 	g.AddNode(&graph.Node{Name: sigmoid, OpType: "Sigmoid", Inputs: []string{"x"}, Outputs: []string{"s"}})
 	g.AddNode(&graph.Node{Name: "conv", OpType: "Conv", Inputs: []string{"s", "w"}, Outputs: []string{"y"},
-		Attrs: graph.Attrs{"kernel_shape": graph.IntsAttr(3, 3), "pads": graph.IntsAttr(1, 1, 1, 1)}})
+		Attrs: graph.MakeAttrs(graph.IntsAttr("kernel_shape", 3, 3), graph.IntsAttr("pads", 1, 1, 1, 1))})
 	g.Inputs, g.Outputs = []string{"x"}, []string{"y"}
 	return g
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
-	"slices"
 )
 
 // Digest fingerprints the graph's full content — its name, every node
@@ -15,9 +14,11 @@ import (
 // forms differ get different digests, except that a nil and an empty
 // list or map, which no reader tells apart, hash alike; an unknown
 // (nil) shape and a scalar ([]) shape still differ. Nil nodes and
-// tensors are hashed, not dereferenced. An admitted graph returns the
-// digest it was admitted with, so a graph admitted before shape
-// inference keeps the digest of its content as posted.
+// tensors are hashed, not dereferenced. Attributes are hashed in list
+// order, which every producer sorts by name (MakeAttrs), so the order
+// they came in is not content. An admitted graph returns the digest it
+// was admitted with, so a graph admitted before shape inference keeps
+// the digest of its content as posted.
 func (g *Graph) Digest() string {
 	if g.Admitted() {
 		return g.adm.digest
@@ -90,16 +91,9 @@ func appendNode(b []byte, n *Node) []byte {
 	b = appendStr(b, n.OpType)
 	b = appendStrs(b, n.Inputs)
 	b = appendStrs(b, n.Outputs)
-	var stack [16]string
-	keys := stack[:0]
-	for k := range n.Attrs {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	b = binary.AppendUvarint(b, uint64(len(keys)))
-	for _, k := range keys {
-		a := n.Attrs[k]
-		b = appendStr(b, k)
+	b = binary.AppendUvarint(b, uint64(len(n.Attrs)))
+	for _, a := range n.Attrs {
+		b = appendStr(b, a.Name)
 		b = binary.AppendVarint(b, int64(a.Kind))
 		b = binary.AppendVarint(b, int64(a.I))
 		b = appendInts(b, a.Ints)

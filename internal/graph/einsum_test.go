@@ -59,16 +59,16 @@ func TestInferEinsumAndFriends(t *testing.T) {
 	g.AddTensor(&Tensor{Name: "k", DType: Float16, Shape: Shape{2, 8, 16, 64}})
 	g.AddTensor(&Tensor{Name: "scores", DType: Float16})
 	g.AddNode(&Node{Name: "e", OpType: "Einsum", Inputs: []string{"q", "k"}, Outputs: []string{"scores"},
-		Attrs: Attrs{"equation": StringAttr("bhid,bhjd->bhij")}})
+		Attrs: Attrs{StringAttr("equation", "bhid,bhjd->bhij")}})
 
 	g.AddTensor(&Tensor{Name: "am", DType: Int64})
 	g.AddNode(&Node{Name: "argmax", OpType: "ArgMax", Inputs: []string{"scores"}, Outputs: []string{"am"},
-		Attrs: Attrs{"axis": IntAttr(-1), "keepdims": IntAttr(0)}})
+		Attrs: MakeAttrs(IntAttr("axis", -1), IntAttr("keepdims", 0))})
 
 	g.AddTensor(&Tensor{Name: "tv", DType: Float16})
 	g.AddTensor(&Tensor{Name: "ti", DType: Int64})
 	g.AddNode(&Node{Name: "topk", OpType: "TopK", Inputs: []string{"scores"}, Outputs: []string{"tv", "ti"},
-		Attrs: Attrs{"k": IntAttr(4), "axis": IntAttr(-1)}})
+		Attrs: MakeAttrs(IntAttr("k", 4), IntAttr("axis", -1))})
 
 	g.AddTensor(&Tensor{Name: "s3", DType: Float16})
 	g.AddNode(&Node{Name: "sum3", OpType: "Sum", Inputs: []string{"scores", "scores", "scores"}, Outputs: []string{"s3"}})

@@ -47,15 +47,15 @@ func FuzzShapeInfer(f *testing.F) {
 		g.AddTensor(&Tensor{Name: "mid"})
 		g.AddTensor(&Tensor{Name: "out"})
 
-		attrs := Attrs{
-			"kernel_shape": IntsAttr(k0, k1),
-			"strides":      IntsAttr(s0, s1),
-			"pads":         IntsAttr(axis, k0, s1, d3%5),
-			"axis":         IntAttr(axis),
-			"perm":         IntsAttr(k0, s0, axis, d0%7),
-			"group":        IntAttr(s1),
-			"equation":     StringAttr(op),
-		}
+		attrs := MakeAttrs(
+			IntsAttr("kernel_shape", k0, k1),
+			IntsAttr("strides", s0, s1),
+			IntsAttr("pads", axis, k0, s1, d3%5),
+			IntAttr("axis", axis),
+			IntsAttr("perm", k0, s0, axis, d0%7),
+			IntAttr("group", s1),
+			StringAttr("equation", op),
+		)
 		g.AddNode(&Node{Name: "n0", OpType: op, Inputs: []string{"in", "w", "shape"}, Outputs: []string{"mid"}, Attrs: attrs})
 		// A second node consumes the first's output so inferred values
 		// propagate one hop further.

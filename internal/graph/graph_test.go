@@ -99,12 +99,7 @@ func TestShapeBasics(t *testing.T) {
 }
 
 func TestAttrs(t *testing.T) {
-	a := Attrs{
-		"i":  IntAttr(3),
-		"is": IntsAttr(1, 2),
-		"f":  FloatAttr(0.5),
-		"s":  StringAttr("x"),
-	}
+	a := MakeAttrs(IntAttr("i", 3), IntsAttr("is", 1, 2), FloatAttr("f", 0.5), StringAttr("s", "x"))
 	if a.Int("i", 0) != 3 || a.Int("missing", 7) != 7 {
 		t.Error("Int attr")
 	}
@@ -114,10 +109,25 @@ func TestAttrs(t *testing.T) {
 	if a.Float("f", 0) != 0.5 || a.String("s", "") != "x" {
 		t.Error("Float/String attr")
 	}
+	if v, ok := MakeAttrs(IntsAttr("e")).Get("e"); !ok || v.Kind != AttrInts {
+		t.Error("an int list with no ints must count as present")
+	}
+	if _, ok := a.Get("missing"); ok {
+		t.Error("Get found a missing attribute")
+	}
 	c := a.Clone()
-	c["is"].Ints[0] = 99
-	if a["is"].Ints[0] != 1 {
+	cv, _ := c.Get("is")
+	cv.Ints[0] = 99
+	if av, _ := a.Get("is"); av.Ints[0] != 1 {
 		t.Error("Clone must deep-copy int lists")
+	}
+	want := Attrs{FloatAttr("f", 0.5), IntAttr("i", 3), IntsAttr("is", 1, 2), StringAttr("s", "x")}
+	if !reflect.DeepEqual(a, want) {
+		t.Errorf("MakeAttrs: %v, want the list sorted by name", a)
+	}
+	got := MakeAttrs(IntAttr("b", 1), IntAttr("a", 2), IntAttr("b", 3))
+	if !reflect.DeepEqual(got, Attrs{IntAttr("a", 2), IntAttr("b", 3)}) {
+		t.Errorf("MakeAttrs: %v, want the last of a repeated name kept", got)
 	}
 }
 
@@ -267,9 +277,9 @@ func TestInferShapesConvPoolChain(t *testing.T) {
 	g.AddTensor(&Tensor{Name: "p1", DType: Float32})
 	g.AddTensor(&Tensor{Name: "gap", DType: Float32})
 	g.AddNode(&Node{Name: "conv", OpType: "Conv", Inputs: []string{"x", "w"}, Outputs: []string{"c1"},
-		Attrs: Attrs{"strides": IntsAttr(2, 2), "pads": IntsAttr(3, 3, 3, 3), "kernel_shape": IntsAttr(7, 7)}})
+		Attrs: MakeAttrs(IntsAttr("strides", 2, 2), IntsAttr("pads", 3, 3, 3, 3), IntsAttr("kernel_shape", 7, 7))})
 	g.AddNode(&Node{Name: "pool", OpType: "MaxPool", Inputs: []string{"c1"}, Outputs: []string{"p1"},
-		Attrs: Attrs{"kernel_shape": IntsAttr(3, 3), "strides": IntsAttr(2, 2), "pads": IntsAttr(1, 1, 1, 1)}})
+		Attrs: MakeAttrs(IntsAttr("kernel_shape", 3, 3), IntsAttr("strides", 2, 2), IntsAttr("pads", 1, 1, 1, 1))})
 	g.AddNode(&Node{Name: "g", OpType: "GlobalAveragePool", Inputs: []string{"p1"}, Outputs: []string{"gap"}})
 	g.Inputs = []string{"x"}
 	g.Outputs = []string{"gap"}
@@ -310,7 +320,7 @@ func TestInferShapesGemmTranspose(t *testing.T) {
 	g.AddTensor(&Tensor{Name: "bias", DType: Float16, Shape: Shape{256}, Param: true})
 	g.AddTensor(&Tensor{Name: "y", DType: Float16})
 	g.AddNode(&Node{Name: "fc", OpType: "Gemm", Inputs: []string{"a", "w", "bias"}, Outputs: []string{"y"},
-		Attrs: Attrs{"transB": IntAttr(1)}})
+		Attrs: Attrs{IntAttr("transB", 1)}})
 	g.Inputs = []string{"a"}
 	g.Outputs = []string{"y"}
 	if err := g.InferShapes(); err != nil {
@@ -340,12 +350,12 @@ func TestInferShapesShuffleChain(t *testing.T) {
 	g.AddNode(&Node{Name: "shape", OpType: "Shape", Inputs: []string{"x"}, Outputs: []string{"shp"}})
 	g.AddNode(&Node{Name: "gather", OpType: "Gather", Inputs: []string{"shp", "idx0"}, Outputs: []string{"n"}})
 	g.AddNode(&Node{Name: "concat", OpType: "Concat", Inputs: []string{"n", "rest"}, Outputs: []string{"tgt"},
-		Attrs: Attrs{"axis": IntAttr(0)}})
+		Attrs: Attrs{IntAttr("axis", 0)}})
 	g.AddNode(&Node{Name: "reshape1", OpType: "Reshape", Inputs: []string{"x", "tgt"}, Outputs: []string{"r1"}})
 	g.AddNode(&Node{Name: "transp", OpType: "Transpose", Inputs: []string{"r1"}, Outputs: []string{"tp"},
-		Attrs: Attrs{"perm": IntsAttr(0, 2, 1, 3, 4)}})
+		Attrs: Attrs{IntsAttr("perm", 0, 2, 1, 3, 4)}})
 	g.AddNode(&Node{Name: "reshape2", OpType: "Reshape", Inputs: []string{"tp"}, Outputs: []string{"out"},
-		Attrs: Attrs{"shape": IntsAttr(0, -1, 4, 4)}})
+		Attrs: Attrs{IntsAttr("shape", 0, -1, 4, 4)}})
 	g.Inputs = []string{"x"}
 	g.Outputs = []string{"out"}
 	if err := g.InferShapes(); err != nil {
@@ -383,13 +393,13 @@ func TestInferShapesSliceConcatSplit(t *testing.T) {
 	g.AddTensor(&Tensor{Name: "sp1", DType: Float32})
 	g.AddTensor(&Tensor{Name: "sp2", DType: Float32})
 	g.AddNode(&Node{Name: "sl1", OpType: "Slice", Inputs: []string{"x"}, Outputs: []string{"s1"},
-		Attrs: Attrs{"starts": IntsAttr(0), "ends": IntsAttr(8), "axes": IntsAttr(1)}})
+		Attrs: MakeAttrs(IntsAttr("starts", 0), IntsAttr("ends", 8), IntsAttr("axes", 1))})
 	g.AddNode(&Node{Name: "sl2", OpType: "Slice", Inputs: []string{"x"}, Outputs: []string{"s2"},
-		Attrs: Attrs{"starts": IntsAttr(8), "ends": IntsAttr(16), "axes": IntsAttr(1)}})
+		Attrs: MakeAttrs(IntsAttr("starts", 8), IntsAttr("ends", 16), IntsAttr("axes", 1))})
 	g.AddNode(&Node{Name: "cat", OpType: "Concat", Inputs: []string{"s1", "s2"}, Outputs: []string{"cat"},
-		Attrs: Attrs{"axis": IntAttr(1)}})
+		Attrs: Attrs{IntAttr("axis", 1)}})
 	g.AddNode(&Node{Name: "split", OpType: "Split", Inputs: []string{"cat"}, Outputs: []string{"sp1", "sp2"},
-		Attrs: Attrs{"axis": IntAttr(1)}})
+		Attrs: Attrs{IntAttr("axis", 1)}})
 	g.Inputs = []string{"x"}
 	g.Outputs = []string{"sp1", "sp2"}
 	if err := g.InferShapes(); err != nil {
@@ -411,9 +421,9 @@ func TestInferShapesReduceAndResize(t *testing.T) {
 	g.AddTensor(&Tensor{Name: "m", DType: Float16})
 	g.AddTensor(&Tensor{Name: "u", DType: Float16})
 	g.AddNode(&Node{Name: "rm", OpType: "ReduceMean", Inputs: []string{"x"}, Outputs: []string{"m"},
-		Attrs: Attrs{"axes": IntsAttr(2, 3), "keepdims": IntAttr(1)}})
+		Attrs: MakeAttrs(IntsAttr("axes", 2, 3), IntAttr("keepdims", 1))})
 	g.AddNode(&Node{Name: "up", OpType: "Resize", Inputs: []string{"x"}, Outputs: []string{"u"},
-		Attrs: Attrs{"scales": IntsAttr(1, 1, 2, 2)}})
+		Attrs: Attrs{IntsAttr("scales", 1, 1, 2, 2)}})
 	g.Inputs = []string{"x"}
 	g.Outputs = []string{"m", "u"}
 	if err := g.InferShapes(); err != nil {
@@ -467,7 +477,7 @@ func TestInferReshapeInvalid(t *testing.T) {
 	g.AddTensor(&Tensor{Name: "x", DType: Float32, Shape: Shape{2, 6}})
 	g.AddTensor(&Tensor{Name: "y", DType: Float32})
 	g.AddNode(&Node{Name: "r", OpType: "Reshape", Inputs: []string{"x"}, Outputs: []string{"y"},
-		Attrs: Attrs{"shape": IntsAttr(5, -1)}})
+		Attrs: Attrs{IntsAttr("shape", 5, -1)}})
 	if err := g.InferShapes(); err == nil {
 		t.Error("Reshape with non-divisible -1 should error")
 	}
@@ -497,7 +507,7 @@ func TestReInferWithNewBatch(t *testing.T) {
 	g.AddTensor(&Tensor{Name: "w", DType: Float32, Shape: Shape{4, 3, 3, 3}, Param: true})
 	g.AddTensor(&Tensor{Name: "y", DType: Float32})
 	g.AddNode(&Node{Name: "c", OpType: "Conv", Inputs: []string{"x", "w"}, Outputs: []string{"y"},
-		Attrs: Attrs{"pads": IntsAttr(1, 1, 1, 1), "kernel_shape": IntsAttr(3, 3)}})
+		Attrs: MakeAttrs(IntsAttr("pads", 1, 1, 1, 1), IntsAttr("kernel_shape", 3, 3))})
 	g.Inputs = []string{"x"}
 	g.Outputs = []string{"y"}
 	if err := g.InferShapes(); err != nil {

@@ -27,6 +27,13 @@ var (
 // no such figure (one zoo graph carries any), so its array is not
 // sized from the input: it starts at 4 elements, and a run that
 // outgrows it moves to one twice its length.
+//
+// Attributes take 139–280 body bytes each in the CNNs and 442–988 in
+// the other zoo graphs, so a first chunk counted at the top would hold
+// a seventh of a MobileNet body's. Of 140, 200 and 300 bytes, 200 took
+// the fewest objects on the six inline bodies: 25–28 per decode and
+// 45.5–131.0 KB (TestDecodeProfileRequestBytes), against 25–27 and
+// 48.2–142.0 KB at 140 and 27–31 and 45.2–130.5 KB at 300.
 const (
 	bytesPerNode      = 391
 	bytesPerNodeLow   = 257
@@ -34,6 +41,7 @@ const (
 	bytesPerTensorLow = 185
 	bytesPerName      = 131
 	bytesPerInt       = 84
+	bytesPerAttr      = 200
 	textShare         = 0.45
 )
 
@@ -48,17 +56,18 @@ const (
 // input, not into one object per value. Every string but the graph's
 // Name is a substring of one text that holds the graph's strings, a
 // tensor's name its map key's; every node and tensor is an element of
-// one array of its kind, and every IO list, shape, attribute ints and
-// int data a capped run (s[i:j:j]) of one array of its kind, so an
-// append to one list never writes another's. Name is a string of its
-// own: it outlives the graph in traces and history records, which
-// should not keep the whole text alive. None of it aliases the input.
+// one array of its kind, and every IO list, attribute list (sorted by
+// name, MakeAttrs), shape, attribute ints and int data a capped run
+// (s[i:j:j]) of one array of its kind, so an append to one list never
+// writes another's. Name is a string of its own: it outlives the graph
+// in traces and history records, which should not keep the whole text
+// alive. None of it aliases the input.
 //
 // An array that fills up is followed by one a quarter of its first
 // size, and a list that outgrows the array it began in moves to one
 // twice its length, so what one input makes ReadJSON allocate stays a
 // fixed multiple of its length: each element takes at least two input
-// bytes and no more than 136 bytes of arrays (a node and its pointer),
+// bytes and no more than 152 bytes of arrays (a node and its pointer),
 // every first array is at most a fixed fraction of the input or four
 // elements, and a moved list at most doubles what its elements take.
 func ReadJSON(r *jsonread.Reader) *Graph {
@@ -73,6 +82,8 @@ func ReadJSON(r *jsonread.Reader) *Graph {
 		tensors: chunks[Tensor]{next: size / bytesPerTensor},
 		names:   chunks[string]{next: size / bytesPerName},
 		ints:    chunks[int]{next: size / bytesPerInt},
+		attrs:   chunks[Attribute]{next: size / bytesPerAttr},
+		keys:    map[string]bool{},
 	}
 	d.text.Grow(int(float64(size) * textShare))
 	g := &Graph{}
@@ -105,6 +116,8 @@ type decoder struct {
 	names   chunks[string]
 	ints    chunks[int]
 	int64s  chunks[int64]
+	attrs   chunks[Attribute]
+	keys    map[string]bool // the keys of the attrs object being read
 }
 
 // chunks hands out elements and capped runs of one array of T. When
@@ -224,7 +237,7 @@ func (d *decoder) node() *Node {
 		case 3:
 			n.Outputs = d.nameList()
 		case 4:
-			n.Attrs = d.attrMap()
+			n.Attrs = d.attrList()
 		}
 	}
 	return n
@@ -271,26 +284,34 @@ func (d *decoder) tensor(key string) *Tensor {
 	return t
 }
 
-func (d *decoder) attrMap() Attrs {
+// attrList reads a node's attrs object into a run of the attribute
+// array, sorted by name. The keys of the object being read are kept in
+// one set per decoder, so a repeated key is refused as a map's is.
+func (d *decoder) attrList() Attrs {
 	r := d.r
 	if !r.Object() {
 		return nil
 	}
-	m := Attrs{}
+	clear(d.keys)
+	c := &d.attrs
+	at := len(c.buf)
 	for n := 0; ; n++ {
-		key, ok := jsonread.MapKey(r, m, &d.text, n)
+		key, ok := jsonread.MapKey(r, d.keys, &d.text, n)
 		if !ok {
-			return m
+			return MakeAttrs(c.run(at)...)
 		}
-		m[key] = d.attr()
+		d.keys[key] = true
+		at = c.room(at)
+		c.buf = append(c.buf, Attribute{Name: key})
+		d.attr(&c.buf[len(c.buf)-1])
 	}
 }
 
-func (d *decoder) attr() Attribute {
+// attr reads an attribute's members into a.
+func (d *decoder) attr(a *Attribute) {
 	r := d.r
-	var a Attribute
 	if !r.Object() {
-		return a
+		return
 	}
 	var seen uint64
 	for f := r.Field(attrFields, &seen); f >= 0; f = r.Field(attrFields, &seen) {
@@ -307,5 +328,4 @@ func (d *decoder) attr() Attribute {
 			a.S = r.AppendString(&d.text, "")
 		}
 	}
-	return a
 }

@@ -110,7 +110,7 @@ func TestTopoSortConstantsStayLocal(t *testing.T) {
 	g.Inputs = []string{"x"}
 	g.AddNode(&Node{Name: "relu", OpType: "Relu", Inputs: []string{"x"}, Outputs: []string{"a"}})
 	g.AddNode(&Node{Name: "konst", OpType: "Constant", Outputs: []string{"c"},
-		Attrs: Attrs{"value_ints": IntsAttr(1, 4)}})
+		Attrs: Attrs{IntsAttr("value_ints", 1, 4)}})
 	g.AddNode(&Node{Name: "reshape", OpType: "Reshape", Inputs: []string{"a", "c"}, Outputs: []string{"y"}})
 	g.Outputs = []string{"y"}
 	order, err := g.TopoSort()

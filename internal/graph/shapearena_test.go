@@ -9,7 +9,7 @@ import (
 // its strides, pads and dilations reads the shared defaults, so
 // validating its window allocates nothing.
 func TestSpatial2DDefaultsAllocateNothing(t *testing.T) {
-	n := &Node{Name: "c", OpType: "Conv", Attrs: Attrs{"kernel_shape": IntsAttr(3, 3)}}
+	n := &Node{Name: "c", OpType: "Conv", Attrs: Attrs{IntsAttr("kernel_shape", 3, 3)}}
 	var err error
 	if allocs := testing.AllocsPerRun(100, func() { _, _, _, err = spatial2D(n) }); allocs != 0 {
 		t.Errorf("spatial2D of a node without window attributes: %v allocs, want 0", allocs)
@@ -36,7 +36,7 @@ func convChain(blocks int) *Graph {
 		g.AddTensor(&Tensor{Name: c, DType: Float32})
 		g.AddTensor(&Tensor{Name: r, DType: Float32})
 		g.AddNode(&Node{Name: "conv" + c, OpType: "Conv", Inputs: []string{prev, w}, Outputs: []string{c},
-			Attrs: Attrs{"kernel_shape": IntsAttr(1, 1)}})
+			Attrs: Attrs{IntsAttr("kernel_shape", 1, 1)}})
 		g.AddNode(&Node{Name: "relu" + r, OpType: "Relu", Inputs: []string{c}, Outputs: []string{r}})
 		prev = r
 	}

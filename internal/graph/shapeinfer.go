@@ -486,7 +486,7 @@ func (c *inferCtx) inferNode(n *Node) error {
 // yield Float32 tensors. Real PyTorch exports emit these for Reshape
 // targets, Slice bounds and scalar multipliers.
 func (c *inferCtx) inferConstant(n *Node) error {
-	if v, ok := n.Attrs["value_ints"]; ok && v.Kind == AttrInts {
+	if v, ok := n.Attrs.Get("value_ints"); ok && v.Kind == AttrInts {
 		vals := make([]int64, len(v.Ints))
 		for i, x := range v.Ints {
 			vals[i] = int64(x)
@@ -494,10 +494,10 @@ func (c *inferCtx) inferConstant(n *Node) error {
 		c.setOutVal(n, 0, vals)
 		return c.setOut(n, 0, c.shapeOf(len(vals)), Int64)
 	}
-	if _, ok := n.Attrs["value_float"]; ok {
+	if _, ok := n.Attrs.Get("value_float"); ok {
 		return c.setOut(n, 0, c.shapeOf(1), Float32)
 	}
-	if v, ok := n.Attrs["value_floats"]; ok && v.Kind == AttrInts {
+	if v, ok := n.Attrs.Get("value_floats"); ok && v.Kind == AttrInts {
 		return c.setOut(n, 0, c.shapeOf(len(v.Ints)), Float32)
 	}
 	return fmt.Errorf("Constant node without value_ints/value_float attribute")

@@ -36,7 +36,7 @@ func TestInferConvTranspose(t *testing.T) {
 			{Name: "w", DType: Float32, Shape: Shape{16, 8, 2, 2}, Param: true},
 		},
 		&Node{Name: "ct", OpType: "ConvTranspose", Inputs: []string{"x", "w"}, Outputs: []string{"y"},
-			Attrs: Attrs{"strides": IntsAttr(2, 2), "kernel_shape": IntsAttr(2, 2)}})
+			Attrs: MakeAttrs(IntsAttr("strides", 2, 2), IntsAttr("kernel_shape", 2, 2))})
 	if !out.Shape.Equal(Shape{1, 8, 16, 16}) {
 		t.Errorf("convtranspose out = %v", out.Shape)
 	}
@@ -46,7 +46,7 @@ func TestInferFlattenSqueezeUnsqueeze(t *testing.T) {
 	out := infer1(t,
 		[]*Tensor{{Name: "x", DType: Float32, Shape: Shape{2, 3, 4, 5}}},
 		&Node{Name: "f", OpType: "Flatten", Inputs: []string{"x"}, Outputs: []string{"y"},
-			Attrs: Attrs{"axis": IntAttr(2)}})
+			Attrs: Attrs{IntAttr("axis", 2)}})
 	if !out.Shape.Equal(Shape{6, 20}) {
 		t.Errorf("flatten = %v", out.Shape)
 	}
@@ -61,7 +61,7 @@ func TestInferFlattenSqueezeUnsqueeze(t *testing.T) {
 	out = infer1(t,
 		[]*Tensor{{Name: "x", DType: Float32, Shape: Shape{2, 1, 4}}},
 		&Node{Name: "s", OpType: "Squeeze", Inputs: []string{"x"}, Outputs: []string{"y"},
-			Attrs: Attrs{"axes": IntsAttr(1)}})
+			Attrs: Attrs{IntsAttr("axes", 1)}})
 	if !out.Shape.Equal(Shape{2, 4}) {
 		t.Errorf("squeeze axis = %v", out.Shape)
 	}
@@ -69,7 +69,7 @@ func TestInferFlattenSqueezeUnsqueeze(t *testing.T) {
 	out = infer1(t,
 		[]*Tensor{{Name: "x", DType: Float32, Shape: Shape{2, 4}}},
 		&Node{Name: "u", OpType: "Unsqueeze", Inputs: []string{"x"}, Outputs: []string{"y"},
-			Attrs: Attrs{"axes": IntsAttr(0, 2)}})
+			Attrs: Attrs{IntsAttr("axes", 0, 2)}})
 	if !out.Shape.Equal(Shape{1, 2, 1, 4}) {
 		t.Errorf("unsqueeze = %v", out.Shape)
 	}
@@ -79,7 +79,7 @@ func TestInferExpandPadCast(t *testing.T) {
 	out := infer1(t,
 		[]*Tensor{{Name: "x", DType: Float32, Shape: Shape{1, 1, 4}}},
 		&Node{Name: "e", OpType: "Expand", Inputs: []string{"x"}, Outputs: []string{"y"},
-			Attrs: Attrs{"shape": IntsAttr(2, 3, 4)}})
+			Attrs: Attrs{IntsAttr("shape", 2, 3, 4)}})
 	if !out.Shape.Equal(Shape{2, 3, 4}) {
 		t.Errorf("expand = %v", out.Shape)
 	}
@@ -87,7 +87,7 @@ func TestInferExpandPadCast(t *testing.T) {
 	out = infer1(t,
 		[]*Tensor{{Name: "x", DType: Float32, Shape: Shape{1, 2, 4, 4}}},
 		&Node{Name: "p", OpType: "Pad", Inputs: []string{"x"}, Outputs: []string{"y"},
-			Attrs: Attrs{"pads": IntsAttr(0, 0, 1, 1, 0, 0, 1, 1)}})
+			Attrs: Attrs{IntsAttr("pads", 0, 0, 1, 1, 0, 0, 1, 1)}})
 	if !out.Shape.Equal(Shape{1, 2, 6, 6}) {
 		t.Errorf("pad = %v", out.Shape)
 	}
@@ -95,7 +95,7 @@ func TestInferExpandPadCast(t *testing.T) {
 	out = infer1(t,
 		[]*Tensor{{Name: "x", DType: Float32, Shape: Shape{3}}},
 		&Node{Name: "c", OpType: "Cast", Inputs: []string{"x"}, Outputs: []string{"y"},
-			Attrs: Attrs{"to": StringAttr("fp16")}})
+			Attrs: Attrs{StringAttr("to", "fp16")}})
 	if out.DType != Float16 {
 		t.Errorf("cast dtype = %v", out.DType)
 	}
@@ -116,7 +116,7 @@ func TestInferWhereTileConstantOfShape(t *testing.T) {
 	out = infer1(t,
 		[]*Tensor{{Name: "x", DType: Float32, Shape: Shape{2, 3}}},
 		&Node{Name: "t", OpType: "Tile", Inputs: []string{"x"}, Outputs: []string{"y"},
-			Attrs: Attrs{"repeats": IntsAttr(2, 4)}})
+			Attrs: Attrs{IntsAttr("repeats", 2, 4)}})
 	if !out.Shape.Equal(Shape{4, 12}) {
 		t.Errorf("tile = %v", out.Shape)
 	}
@@ -132,13 +132,13 @@ func TestInferWhereTileConstantOfShape(t *testing.T) {
 func TestInferConstantNodeForms(t *testing.T) {
 	out := infer1(t, nil,
 		&Node{Name: "k", OpType: "Constant", Outputs: []string{"y"},
-			Attrs: Attrs{"value_ints": IntsAttr(7, 8, 9)}})
+			Attrs: Attrs{IntsAttr("value_ints", 7, 8, 9)}})
 	if !out.Shape.Equal(Shape{3}) || out.DType != Int64 {
 		t.Errorf("constant ints = %v %v", out.Shape, out.DType)
 	}
 	out = infer1(t, nil,
 		&Node{Name: "k", OpType: "Constant", Outputs: []string{"y"},
-			Attrs: Attrs{"value_float": FloatAttr(0.5)}})
+			Attrs: Attrs{FloatAttr("value_float", 0.5)}})
 	if !out.Shape.Equal(Shape{1}) || out.DType != Float32 {
 		t.Errorf("constant float = %v %v", out.Shape, out.DType)
 	}
@@ -169,7 +169,7 @@ func TestShapeChainArithmetic(t *testing.T) {
 	g.AddNode(&Node{Name: "gather", OpType: "Gather", Inputs: []string{"shp", "idx"}, Outputs: []string{"six"}})
 	g.AddNode(&Node{Name: "mul", OpType: "Mul", Inputs: []string{"six", "two"}, Outputs: []string{"twelve"}})
 	g.AddNode(&Node{Name: "cat", OpType: "Concat", Inputs: []string{"lead", "twelve"}, Outputs: []string{"tgt"},
-		Attrs: Attrs{"axis": IntAttr(0)}})
+		Attrs: Attrs{IntAttr("axis", 0)}})
 	g.AddNode(&Node{Name: "reshape", OpType: "Reshape", Inputs: []string{"x", "tgt"}, Outputs: []string{"y"}})
 	g.Inputs = []string{"x"}
 	g.Outputs = []string{"y"}
@@ -212,13 +212,5 @@ func TestGraphHelpers(t *testing.T) {
 	g.ConvertFloatTensors(Float16)
 	if g.Tensor("in").DType != Float16 {
 		t.Error("ConvertFloatTensors")
-	}
-	a := IntsAttr(1, 2)
-	if a.String() != "[1 2]" {
-		t.Errorf("attr String = %q", a.String())
-	}
-	if StringAttr("x").String() != `"x"` || FloatAttr(1.5).String() != "1.5" ||
-		IntAttr(3).String() != "3" || (Attribute{}).String() != "<invalid>" {
-		t.Error("attribute String forms")
 	}
 }

@@ -51,27 +51,23 @@ func digestMutations(base *graph.Graph) (variants, nilEmpty []digestVariant) {
 		node("output added", func(n *graph.Node) { n.Outputs = append(slices.Clone(n.Outputs), "x") })
 		node("output renamed", func(n *graph.Node) { n.Outputs = append([]string{n.Outputs[0] + "'"}, n.Outputs[1:]...) })
 		node("io moved", func(n *graph.Node) { n.Inputs, n.Outputs = append(slices.Clone(n.Inputs), n.Outputs[0]), n.Outputs[1:] })
-		node("attr added", func(n *graph.Node) {
-			if n.Attrs == nil {
-				n.Attrs = graph.Attrs{}
-			}
-			n.Attrs["zz"] = graph.Attribute{}
-		})
+		node("attr added", func(n *graph.Node) { n.Attrs = withAttr(n.Attrs, graph.Attribute{Name: "zz"}) })
 		add(&nilEmpty, fmt.Sprintf("node %s: empty inputs", n.Name), func(g *graph.Graph) {
 			if len(g.Nodes[i].Inputs) == 0 {
 				g.Nodes[i].Inputs = []string{}
 			}
 		})
-		for key := range n.Attrs {
+		for _, a := range n.Attrs {
+			key := a.Name
 			attr := func(what string, mutate func(a *graph.Attribute)) {
 				node(fmt.Sprintf("attr %s %s", key, what), func(n *graph.Node) {
-					a := n.Attrs[key]
+					a, _ := n.Attrs.Get(key)
 					mutate(&a)
-					n.Attrs[key] = a
+					n.Attrs = withAttr(n.Attrs, a)
 				})
 			}
-			node("attr "+key+" renamed", func(n *graph.Node) { n.Attrs[key+"'"] = n.Attrs[key]; delete(n.Attrs, key) })
-			node("attr "+key+" removed", func(n *graph.Node) { delete(n.Attrs, key) })
+			node("attr "+key+" renamed", func(n *graph.Node) { n.Attrs = renameAttr(n.Attrs, key, key+"'") })
+			node("attr "+key+" removed", func(n *graph.Node) { n.Attrs = withoutAttr(n.Attrs, key) })
 			attr("kind", func(a *graph.Attribute) { a.Kind++ })
 			attr("i", func(a *graph.Attribute) { a.I++ })
 			attr("ints", func(a *graph.Attribute) { a.Ints = append(slices.Clone(a.Ints), 1) })

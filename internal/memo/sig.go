@@ -15,7 +15,7 @@
 //
 //   - ContentKey fingerprints a fused layer's content (op types,
 //     canonical attributes, input/output shapes and dtypes) and nothing
-//     else (node names, tensor names, attribute map order). It seeds
+//     else (node names, tensor names). It seeds
 //     the simulator's deterministic jitter, so structurally identical
 //     layers behave identically. It and ReformatKey return the SHA-256
 //     sum itself: the simulator hashes the sum's hex digits without
@@ -45,10 +45,12 @@ import (
 // group kind the backend lowered it as. Node and tensor *names* are
 // deliberately excluded — tensors are identified by first-reference slot
 // index — so structurally identical layers from different models produce
-// the same key, and with it the same simulated jitter. The encoding
-// frames every field with a length or tag, so no concatenation of
-// adjacent fields can collide with a different field split. The key is
-// the encoding's SHA-256 sum.
+// the same key, and with it the same simulated jitter. Attributes are
+// encoded in list order, which is by name (graph.MakeAttrs), so the
+// order a node's attributes were posted or built in is not part of the
+// key. The encoding frames every field with a length or tag, so no
+// concatenation of adjacent fields can collide with a different field
+// split. The key is the encoding's SHA-256 sum.
 func ContentKey(g *graph.Graph, nodes []*graph.Node, kind string) [sha256.Size]byte {
 	var refStack [keyStackRefs]*graph.Tensor
 	refs := refStack[:0]
@@ -262,24 +264,12 @@ func appendTensor(b []byte, t *graph.Tensor) []byte {
 	return b
 }
 
-// appendAttrs encodes an attribute map order-independently by sorting
-// the keys; Go map iteration order must never leak into a signature.
+// appendAttrs encodes an attribute list in its order, which is by name
+// (graph.MakeAttrs).
 func appendAttrs(b []byte, attrs graph.Attrs) []byte {
-	var stack [16]string
-	keys := stack[:0]
-	for k := range attrs {
-		keys = append(keys, k)
-	}
-	// Insertion sort: attr maps hold a handful of keys.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	b = appendInt(b, int64(len(keys)))
-	for _, k := range keys {
-		a := attrs[k]
-		b = appendStr(b, k)
+	b = appendInt(b, int64(len(attrs)))
+	for _, a := range attrs {
+		b = appendStr(b, a.Name)
 		b = appendInt(b, int64(a.Kind))
 		switch a.Kind {
 		case graph.AttrInt:

@@ -26,13 +26,13 @@ func fuzzSeedGraph() *graph.Graph {
 	g.AddTensor(&graph.Tensor{Name: "out"})
 	g.AddNode(&graph.Node{
 		Name: "conv", OpType: "Conv", Inputs: []string{"in", "w"}, Outputs: []string{"c"},
-		Attrs: graph.Attrs{
-			"kernel_shape": graph.IntsAttr(3, 3),
-			"strides":      graph.IntsAttr(2, 2),
-			"pads":         graph.IntsAttr(1, 1, 1, 1),
-			"group":        graph.IntAttr(1),
-			"equation":     graph.StringAttr("ij,jk->ik"),
-		},
+		Attrs: graph.MakeAttrs(
+			graph.IntsAttr("kernel_shape", 3, 3),
+			graph.IntsAttr("strides", 2, 2),
+			graph.IntsAttr("pads", 1, 1, 1, 1),
+			graph.IntAttr("group", 1),
+			graph.StringAttr("equation", "ij,jk->ik"),
+		),
 	})
 	g.AddNode(&graph.Node{Name: "rs", OpType: "Reshape", Inputs: []string{"c", "shape"}, Outputs: []string{"out"}})
 	g.Inputs = []string{"in"}

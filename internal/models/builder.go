@@ -82,12 +82,12 @@ func (b *Builder) Const(name string, values ...int64) string {
 	for i, v := range values {
 		ints[i] = int(v)
 	}
-	return b.op1("Constant", name, nil, graph.Attrs{"value_ints": graph.IntsAttr(ints...)})
+	return b.op1("Constant", name, nil, graph.Attrs{graph.IntsAttr("value_ints", ints...)})
 }
 
 // FloatConst emits a Constant node producing a 1-element fp32 scalar.
 func (b *Builder) FloatConst(name string, v float64) string {
-	return b.op1("Constant", name, nil, graph.Attrs{"value_float": graph.FloatAttr(v)})
+	return b.op1("Constant", name, nil, graph.Attrs{graph.FloatAttr("value_float", v)})
 }
 
 // MarkOutput declares graph outputs.
@@ -136,7 +136,8 @@ func (b *Builder) LastDim(name string) int {
 }
 
 // Node appends a node with nOut fresh output tensors and returns their
-// names. All layer helpers funnel through here.
+// names; it sorts attrs by name, in place (graph.MakeAttrs). All layer
+// helpers funnel through here.
 func (b *Builder) Node(opType, name string, inputs []string, nOut int, attrs graph.Attrs) []string {
 	if b.err != nil {
 		return make([]string, nOut)
@@ -152,7 +153,7 @@ func (b *Builder) Node(opType, name string, inputs []string, nOut int, attrs gra
 		}
 		b.G.AddTensor(&graph.Tensor{Name: outs[i]})
 	}
-	n := &graph.Node{Name: name, OpType: opType, Inputs: inputs, Outputs: outs, Attrs: attrs}
+	n := &graph.Node{Name: name, OpType: opType, Inputs: inputs, Outputs: outs, Attrs: graph.MakeAttrs(attrs...)}
 	b.G.AddNode(n)
 	if err := b.inf.InferNode(n); err != nil {
 		b.fail("models: node %s (%s): %v", name, opType, err)
@@ -183,12 +184,8 @@ func (b *Builder) Conv(x string, cout, k, stride, pad, groups int, bias bool, na
 	if bias {
 		inputs = append(inputs, b.Param(name+"_b", cout))
 	}
-	return b.op1("Conv", name, inputs, graph.Attrs{
-		"kernel_shape": graph.IntsAttr(k, k),
-		"strides":      graph.IntsAttr(stride, stride),
-		"pads":         graph.IntsAttr(pad, pad, pad, pad),
-		"group":        graph.IntAttr(groups),
-	})
+	return b.op1("Conv", name, inputs, graph.Attrs{graph.IntsAttr("kernel_shape", k, k),
+		graph.IntsAttr("strides", stride, stride), graph.IntsAttr("pads", pad, pad, pad, pad), graph.IntAttr("group", groups)})
 }
 
 // BN adds inference-mode batch normalization with per-channel params.
@@ -216,7 +213,7 @@ func (b *Builder) Relu(x, name string) string {
 
 // Relu6 adds a clipped ReLU (Clip to [0, 6]).
 func (b *Builder) Relu6(x, name string) string {
-	return b.op1("Clip", name, []string{x}, graph.Attrs{"min": graph.FloatAttr(0), "max": graph.FloatAttr(6)})
+	return b.op1("Clip", name, []string{x}, graph.Attrs{graph.FloatAttr("min", 0), graph.FloatAttr("max", 6)})
 }
 
 // Sigmoid adds a sigmoid.
@@ -271,11 +268,8 @@ func (b *Builder) Div(x, y, name string) string { return b.op1("Div", name, []st
 
 // MaxPool adds a max pooling layer.
 func (b *Builder) MaxPool(x string, k, stride, pad int, name string) string {
-	return b.op1("MaxPool", name, []string{x}, graph.Attrs{
-		"kernel_shape": graph.IntsAttr(k, k),
-		"strides":      graph.IntsAttr(stride, stride),
-		"pads":         graph.IntsAttr(pad, pad, pad, pad),
-	})
+	return b.op1("MaxPool", name, []string{x}, graph.Attrs{graph.IntsAttr("kernel_shape", k, k),
+		graph.IntsAttr("strides", stride, stride), graph.IntsAttr("pads", pad, pad, pad, pad)})
 }
 
 // GAP adds global average pooling.
@@ -289,9 +283,7 @@ func (b *Builder) ReduceMean(x string, axes []int, keep bool, name string) strin
 	if keep {
 		kd = 1
 	}
-	return b.op1("ReduceMean", name, []string{x}, graph.Attrs{
-		"axes": graph.IntsAttr(axes...), "keepdims": graph.IntAttr(kd),
-	})
+	return b.op1("ReduceMean", name, []string{x}, graph.Attrs{graph.IntsAttr("axes", axes...), graph.IntAttr("keepdims", kd)})
 }
 
 // FC adds a fully-connected (Gemm) layer on a 2-D input.
@@ -308,7 +300,7 @@ func (b *Builder) FC(x string, out int, bias bool, name string) string {
 	if bias {
 		inputs = append(inputs, b.Param(name+"_b", out))
 	}
-	return b.op1("Gemm", name, inputs, graph.Attrs{"transB": graph.IntAttr(1)})
+	return b.op1("Gemm", name, inputs, graph.Attrs{graph.IntAttr("transB", 1)})
 }
 
 // Linear adds a linear projection on the last dim of an N-D input via
@@ -337,7 +329,7 @@ func (b *Builder) MatMul(x, y, name string) string {
 
 // Softmax adds a softmax over the given axis.
 func (b *Builder) Softmax(x string, axis int, name string) string {
-	return b.op1("Softmax", name, []string{x}, graph.Attrs{"axis": graph.IntAttr(axis)})
+	return b.op1("Softmax", name, []string{x}, graph.Attrs{graph.IntAttr("axis", axis)})
 }
 
 // LayerNorm adds layer normalization over the last dimension.
@@ -351,7 +343,7 @@ func (b *Builder) LayerNorm(x, name string) string {
 	}
 	return b.op1("LayerNormalization", name, []string{
 		x, b.Param(name+"_scale", d), b.Param(name+"_bias", d),
-	}, graph.Attrs{"axis": graph.IntAttr(-1)})
+	}, graph.Attrs{graph.IntAttr("axis", -1)})
 }
 
 // GroupNorm adds group normalization (NCHW).
@@ -365,12 +357,12 @@ func (b *Builder) GroupNorm(x string, groups int, name string) string {
 	}
 	return b.op1("GroupNormalization", name, []string{
 		x, b.Param(name+"_scale", c), b.Param(name+"_bias", c),
-	}, graph.Attrs{"num_groups": graph.IntAttr(groups)})
+	}, graph.Attrs{graph.IntAttr("num_groups", groups)})
 }
 
 // Transpose adds a transpose with the given permutation.
 func (b *Builder) Transpose(x string, perm ...int) string {
-	return b.op1("Transpose", "", []string{x}, graph.Attrs{"perm": graph.IntsAttr(perm...)})
+	return b.op1("Transpose", "", []string{x}, graph.Attrs{graph.IntsAttr("perm", perm...)})
 }
 
 // Reshape adds a reshape to a static target (0 = copy, -1 = infer). The
@@ -391,17 +383,17 @@ func (b *Builder) Reshape(x string, shape ...int) string {
 
 // Flatten adds a flatten at the given axis.
 func (b *Builder) Flatten(x string, axis int, name string) string {
-	return b.op1("Flatten", name, []string{x}, graph.Attrs{"axis": graph.IntAttr(axis)})
+	return b.op1("Flatten", name, []string{x}, graph.Attrs{graph.IntAttr("axis", axis)})
 }
 
 // Concat adds a concatenation along axis.
 func (b *Builder) Concat(axis int, name string, xs ...string) string {
-	return b.op1("Concat", name, xs, graph.Attrs{"axis": graph.IntAttr(axis)})
+	return b.op1("Concat", name, xs, graph.Attrs{graph.IntAttr("axis", axis)})
 }
 
 // Split adds an even split into parts along axis.
 func (b *Builder) Split(x string, axis, parts int, name string) []string {
-	return b.Node("Split", name, []string{x}, parts, graph.Attrs{"axis": graph.IntAttr(axis)})
+	return b.Node("Split", name, []string{x}, parts, graph.Attrs{graph.IntAttr("axis", axis)})
 }
 
 // Slice adds a slice [start:end] along axis. The bounds travel as
@@ -412,14 +404,12 @@ func (b *Builder) Slice(x string, axis, start, end int, name string) string {
 
 // Pad adds zero padding (NCHW spatial pad).
 func (b *Builder) Pad(x string, top, left, bottom, right int, name string) string {
-	return b.op1("Pad", name, []string{x}, graph.Attrs{
-		"pads": graph.IntsAttr(0, 0, top, left, 0, 0, bottom, right),
-	})
+	return b.op1("Pad", name, []string{x}, graph.Attrs{graph.IntsAttr("pads", 0, 0, top, left, 0, 0, bottom, right)})
 }
 
 // Resize2x adds a 2x nearest-neighbour spatial upsample.
 func (b *Builder) Resize2x(x, name string) string {
-	return b.op1("Resize", name, []string{x}, graph.Attrs{"scales": graph.IntsAttr(1, 1, 2, 2)})
+	return b.op1("Resize", name, []string{x}, graph.Attrs{graph.IntsAttr("scales", 1, 1, 2, 2)})
 }
 
 // Embedding adds a Gather-based embedding lookup of ids into a
@@ -451,7 +441,7 @@ func (b *Builder) ChannelShuffle(x string, groups int, name string) string {
 	idx := b.Const(name+"_idx0", 0)
 	n := b.op1("Gather", name+"_gather", []string{shp, idx}, nil)
 	rest := b.Const(name+"_dims", int64(groups), int64(s[1]/groups), int64(s[2]), int64(s[3]))
-	tgt := b.op1("Concat", name+"_concat", []string{n, rest}, graph.Attrs{"axis": graph.IntAttr(0)})
+	tgt := b.op1("Concat", name+"_concat", []string{n, rest}, graph.Attrs{graph.IntAttr("axis", 0)})
 	r1 := b.op1("Reshape", name+"_reshape1", []string{x, tgt}, nil)
 	tp := b.Transpose(r1, 0, 2, 1, 3, 4)
 	return b.Reshape(tp, 0, -1, s[2], s[3])
@@ -480,7 +470,7 @@ func (b *Builder) ExpandToBatch(param, ref, name string) string {
 		rest = append(rest, int64(d))
 	}
 	tail := b.Const(name+"_tail", rest...)
-	tgt := b.op1("Concat", name+"_concat", []string{n, tail}, graph.Attrs{"axis": graph.IntAttr(0)})
+	tgt := b.op1("Concat", name+"_concat", []string{n, tail}, graph.Attrs{graph.IntAttr("axis", 0)})
 	return b.op1("Expand", name, []string{param, tgt}, nil)
 }
 

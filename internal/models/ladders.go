@@ -51,7 +51,7 @@ func BuildCopyLadder(name string, elemsMi []int) (*graph.Graph, error) {
 		}
 		rung := fmt.Sprintf("copy_%dM", m)
 		x := b.Input(rung+"_in", graph.Float32, 1, m*1024, 1024)
-		outs = append(outs, b.op1("Cast", rung, []string{x}, graph.Attrs{"to": graph.StringAttr("fp32")}))
+		outs = append(outs, b.op1("Cast", rung, []string{x}, graph.Attrs{graph.StringAttr("to", "fp32")}))
 	}
 	b.MarkOutput(outs...)
 	return b.Finish()

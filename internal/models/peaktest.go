@@ -32,7 +32,7 @@ func BuildPeakTest() (*graph.Graph, error) {
 		name := fmt.Sprintf("memcopy_%dM", m)
 		rows := m * 1024
 		x := b.Input(name+"_in", graph.Float32, 1, rows, 1024)
-		y := b.op1("Cast", name, []string{x}, graph.Attrs{"to": graph.StringAttr("fp32")})
+		y := b.op1("Cast", name, []string{x}, graph.Attrs{graph.StringAttr("to", "fp32")})
 		outs = append(outs, y)
 	}
 

@@ -186,19 +186,19 @@ func convertNode(g *graph.Graph, n *NodeProto, idx int, usedNames map[string]boo
 			if !ok {
 				return nil, fmt.Errorf("onnx: Cast node %q to unsupported type %d", name, a.I)
 			}
-			attrs["to"] = graph.StringAttr(tn)
+			attrs = append(attrs, graph.StringAttr("to", tn))
 		case len(a.Ints) > 0 || a.Type == AttrTypeInts:
 			ints := make([]int, len(a.Ints))
 			for i, v := range a.Ints {
 				ints[i] = int(v)
 			}
-			attrs[a.Name] = graph.IntsAttr(ints...)
+			attrs = append(attrs, graph.IntsAttr(a.Name, ints...))
 		case a.Type == AttrTypeInt:
-			attrs[a.Name] = graph.IntAttr(int(a.I))
+			attrs = append(attrs, graph.IntAttr(a.Name, int(a.I)))
 		case a.Type == AttrTypeFloat:
-			attrs[a.Name] = graph.FloatAttr(float64(a.F))
+			attrs = append(attrs, graph.FloatAttr(a.Name, float64(a.F)))
 		case a.Type == AttrTypeString:
-			attrs[a.Name] = graph.StringAttr(string(a.S))
+			attrs = append(attrs, graph.StringAttr(a.Name, string(a.S)))
 		}
 	}
 
@@ -219,7 +219,7 @@ func convertNode(g *graph.Graph, n *NodeProto, idx int, usedNames map[string]boo
 		OpType:  n.OpType,
 		Inputs:  inputs,
 		Outputs: append([]string(nil), n.Output...),
-		Attrs:   attrs,
+		Attrs:   graph.MakeAttrs(attrs...),
 	}, nil
 }
 
@@ -238,7 +238,7 @@ func convertConstant(g *graph.Graph, n *NodeProto, name string, t *TensorProto) 
 		}
 		return &graph.Node{
 			Name: name, OpType: "Constant", Outputs: []string{out},
-			Attrs: graph.Attrs{"value_ints": graph.IntsAttr(ints...)},
+			Attrs: graph.Attrs{graph.IntsAttr("value_ints", ints...)},
 		}, nil
 	}
 	if t.DataType == TensorFloat && elems == 1 {
@@ -250,7 +250,7 @@ func convertConstant(g *graph.Graph, n *NodeProto, name string, t *TensorProto) 
 		}
 		return &graph.Node{
 			Name: name, OpType: "Constant", Outputs: []string{out},
-			Attrs: graph.Attrs{"value_float": graph.FloatAttr(v)},
+			Attrs: graph.Attrs{graph.FloatAttr("value_float", v)},
 		}, nil
 	}
 	// Large constant: materialize as an initializer.

@@ -106,11 +106,11 @@ func exportNode(n *graph.Node) (*encoder, error) {
 		e.writeMessageField(5, attr)
 		return &e, nil
 	}
-	for name, a := range n.Attrs {
+	for _, a := range n.Attrs {
 		var attr encoder
-		attr.writeStringField(1, name)
+		attr.writeStringField(1, a.Name)
 		switch {
-		case name == "to" && n.OpType == "Cast":
+		case a.Name == "to" && n.OpType == "Cast":
 			dt, err := graph.ParseDataType(a.S)
 			if err != nil {
 				return nil, fmt.Errorf("onnx: node %q: %w", n.Name, err)
@@ -134,7 +134,7 @@ func exportNode(n *graph.Node) (*encoder, error) {
 			attr.writeStringField(4, a.S)
 			attr.writeVarintField(20, AttrTypeString)
 		default:
-			return nil, fmt.Errorf("onnx: node %q attribute %q has unsupported kind", n.Name, name)
+			return nil, fmt.Errorf("onnx: node %q attribute %q has unsupported kind", n.Name, a.Name)
 		}
 		e.writeMessageField(5, &attr)
 	}
@@ -145,7 +145,7 @@ func exportConstantValue(n *graph.Node) (*encoder, error) {
 	var attr encoder
 	attr.writeStringField(1, "value")
 	var tensor encoder
-	if v, ok := n.Attrs["value_ints"]; ok && v.Kind == graph.AttrInts {
+	if v, ok := n.Attrs.Get("value_ints"); ok && v.Kind == graph.AttrInts {
 		vals := make([]int64, len(v.Ints))
 		for i, x := range v.Ints {
 			vals[i] = int64(x)
@@ -153,7 +153,7 @@ func exportConstantValue(n *graph.Node) (*encoder, error) {
 		tensor.writePackedInt64Field(1, []int64{int64(len(vals))}) // dims
 		tensor.writeVarintField(2, TensorInt64)
 		tensor.writePackedInt64Field(7, vals)
-	} else if v, ok := n.Attrs["value_float"]; ok {
+	} else if v, ok := n.Attrs.Get("value_float"); ok {
 		tensor.writeVarintField(2, TensorFloat)
 		var fd encoder
 		fd.writeFloatFieldPayload(float32(v.F))

@@ -51,6 +51,31 @@ func TestRoundTripZooModels(t *testing.T) {
 	}
 }
 
+// TestExportDeterministic: exporting a zoo model gives the same bytes
+// every time, so an export can be compared, hashed or cached, and the
+// fuzz targets seeded from one start from the same corpus each run.
+func TestExportDeterministic(t *testing.T) {
+	for _, info := range models.List() {
+		g, err := models.Build(info.Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Export(g)
+		if err != nil {
+			t.Fatalf("%s: export: %v", info.Key, err)
+		}
+		for i := 0; i < 10; i++ {
+			got, err := Export(g)
+			if err != nil {
+				t.Fatalf("%s: export: %v", info.Key, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s: export %d differs from the first", info.Key, i+2)
+			}
+		}
+	}
+}
+
 func TestRoundTripRebatch(t *testing.T) {
 	g, err := models.Build("shufflenetv2-1.0")
 	if err != nil {

@@ -288,16 +288,18 @@ func inlineBody(tb testing.TB, model string) []byte {
 
 // decodeBudget caps the heap bytes and objects one decodeProfileRequest
 // allocates for each inline model's body, about 3% and 2% above what
-// the decode allocates once a graph is read into a few arrays and one
-// text (CHANGES.md lists the figures before and after). Most of the
-// objects left are the nodes' attribute maps, two each.
+// the decode allocates once a graph, its nodes' attribute lists
+// included, is read into a few arrays and one text (CHANGES.md lists
+// the figures before and after). The 25–28 objects left do not grow
+// with the node count: the text, the arrays of each kind, the node
+// list, the tensor map and the set of one node's attribute keys.
 var decodeBudget = map[string]struct{ bytes, objects uint64 }{
-	"resnet-18":            {55100, 70},
-	"resnet-34":            {101200, 102},
-	"resnet-50":            {142800, 137},
-	"mobilenetv2-0.5":      {148300, 206},
-	"mobilenetv2-1.0":      {148300, 206},
-	"shufflenetv2-1.0-mod": {169900, 180},
+	"resnet-18":            {46900, 26},
+	"resnet-34":            {85100, 26},
+	"resnet-50":            {122200, 26},
+	"mobilenetv2-0.5":      {107800, 29},
+	"mobilenetv2-1.0":      {107800, 29},
+	"shufflenetv2-1.0-mod": {135000, 26},
 }
 
 // TestDecodeProfileRequestBytes: decoding each inline model's body

@@ -215,7 +215,7 @@ func TestBatchOnlyGraphDefectIsCallerError(t *testing.T) {
 	g.AddTensor(&graph.Tensor{Name: "r", DType: graph.Float32})
 	g.AddTensor(&graph.Tensor{Name: "y", DType: graph.Float32})
 	g.AddNode(&graph.Node{Name: "reshape", OpType: "Reshape", Inputs: []string{"x"}, Outputs: []string{"r"},
-		Attrs: graph.Attrs{"shape": graph.IntsAttr(1, 32)}})
+		Attrs: graph.Attrs{graph.IntsAttr("shape", 1, 32)}})
 	g.AddNode(&graph.Node{Name: "relu", OpType: "Relu", Inputs: []string{"r"}, Outputs: []string{"y"}})
 	g.Inputs = []string{"x"}
 	g.Outputs = []string{"y"}
@@ -257,9 +257,11 @@ func TestBatchOnlyGraphDefectIsCallerError(t *testing.T) {
 // posted shape that overflows on its own is a bad_tensor defect at
 // admission; one that overflows only at the requested batch, in a
 // tensor or in a cost, is a shape_inference defect, as is a parameter
-// count whose tensors each fit but whose sum does not. Each probe is
-// sent one more time than the breaker's threshold, and no circuit
-// opens.
+// count whose tensors each fit but whose sum does not, and so is a
+// Conv whose hardware FLOP, padded to the platform's tiles, overflows
+// where its model FLOP does not, in measured mode or predicted (the
+// simulated compute time reads the same figure). Each probe is sent one
+// more time than the breaker's threshold, and no circuit opens.
 func TestOverflowProbesAnswer400(t *testing.T) {
 	const threshold = 5
 	sess := profsession.NewWithConfig(profsession.Config{
@@ -295,6 +297,23 @@ func TestOverflowProbesAnswer400(t *testing.T) {
 		g.Inputs = []string{"ids"}
 		return encode(g)
 	}
+	conv := func(x, w graph.Shape, attrs ...graph.Attribute) string {
+		g := graph.New("conv")
+		g.AddTensor(&graph.Tensor{Name: "x", DType: graph.Float32, Shape: x})
+		g.AddTensor(&graph.Tensor{Name: "w", DType: graph.Float32, Shape: w, Param: true})
+		g.AddTensor(&graph.Tensor{Name: "y", DType: graph.Float32})
+		g.AddNode(&graph.Node{Name: "conv", OpType: "Conv", Inputs: []string{"x", "w"}, Outputs: []string{"y"}, Attrs: graph.MakeAttrs(attrs...)})
+		g.Inputs, g.Outputs = []string{"x"}, []string{"y"}
+		return encode(g)
+	}
+	// A 1x1 Conv whose model FLOP fits but whose hardware FLOP, padded
+	// to 2^20 rows x 32 channels x 2^39+16, is 2^64 + 2^29; and a 3x3
+	// depth-wise Conv whose model FLOP, 9 x 2^59, fits but whose
+	// hardware FLOP, 3.2 times that, does not.
+	const cin = 1<<39 + 16
+	padded := conv(graph.Shape{1, cin, 1024, 1024}, graph.Shape{1, cin, 1, 1})
+	depthwise := conv(graph.Shape{1, 1 << 28, 1 << 15, 1 << 15}, graph.Shape{1 << 28, 1, 3, 3},
+		graph.IntAttr("group", 1<<28), graph.IntsAttr("pads", 1, 1, 1, 1))
 	for _, tc := range []struct {
 		name, body string
 		code       graph.ValidationCode
@@ -305,6 +324,8 @@ func TestOverflowProbesAnswer400(t *testing.T) {
 		{"zoo tensors at batch 2^62", `{"model":"resnet-50","platform":"a100","batch":4611686018427387904}`, graph.ErrShapeInference},
 		{"zoo FLOP at batch 2^40", `{"model":"resnet-50","platform":"a100","batch":1099511627776}`, graph.ErrShapeInference},
 		{"parameter count", `{"platform":"a100","batch":1,"graph":` + gathers() + `}`, graph.ErrShapeInference},
+		{"padded hardware FLOP", `{"platform":"a100","batch":1,"mode":"measured","graph":` + padded + `}`, graph.ErrShapeInference},
+		{"depth-wise hardware FLOP", `{"platform":"a100","batch":1,"graph":` + depthwise + `}`, graph.ErrShapeInference},
 	} {
 		for i := 0; i <= threshold; i++ {
 			resp := postJSON(t, ts.URL+"/v1/profile", tc.body)
@@ -597,7 +618,7 @@ func TestSeparatorInNodeNames(t *testing.T) {
 		g.AddTensor(&graph.Tensor{Name: tn, DType: graph.Float32})
 	}
 	g.AddNode(&graph.Node{Name: "a", OpType: "Conv", Inputs: []string{"x", "w"}, Outputs: []string{"c"},
-		Attrs: graph.Attrs{"pads": graph.IntsAttr(1, 1, 1, 1), "kernel_shape": graph.IntsAttr(3, 3)}})
+		Attrs: graph.MakeAttrs(graph.IntsAttr("pads", 1, 1, 1, 1), graph.IntsAttr("kernel_shape", 3, 3))})
 	g.AddNode(&graph.Node{Name: "b", OpType: "Relu", Inputs: []string{"c"}, Outputs: []string{"r"}})
 	g.AddNode(&graph.Node{Name: "a + b", OpType: "Softmax", Inputs: []string{"r"}, Outputs: []string{"y"}})
 	g.Inputs, g.Outputs = []string{"x"}, []string{"y"}
@@ -644,7 +665,7 @@ func TestManySeparatorsAnswerPromptly(t *testing.T) {
 		n := &graph.Node{Name: name, OpType: "Relu", Inputs: []string{prev}, Outputs: []string{out}}
 		if name == big {
 			n.OpType, n.Inputs = "Conv", []string{prev, "w"}
-			n.Attrs = graph.Attrs{"pads": graph.IntsAttr(1, 1, 1, 1), "kernel_shape": graph.IntsAttr(3, 3)}
+			n.Attrs = graph.MakeAttrs(graph.IntsAttr("pads", 1, 1, 1, 1), graph.IntsAttr("kernel_shape", 3, 3))
 		}
 		g.AddNode(n)
 		prev = out

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+
 	"proof/internal/analysis"
 	"proof/internal/graph"
 	"proof/internal/hardware"
@@ -19,7 +21,8 @@ import (
 //     the count relative to the analytical weights (why ViT's predicted
 //     FLOP lands *above* NCU in Table 4).
 //
-// c is the node's analytical cost (Rep.Cost).
+// c is the node's analytical cost (Rep.Cost). A conv's padded figure
+// that overflows int64 reads -1 (graph.MulCount).
 func HardwareFLOP(n *graph.Node, c analysis.Cost, g *graph.Graph, plat *hardware.Platform) int64 {
 	granule := padGranule(plat)
 	switch n.OpType {
@@ -80,8 +83,11 @@ func convHardwareFLOP(n *graph.Node, g *graph.Graph, granule int64) int64 {
 		// halo loads, register padding and per-channel tails. The
 		// 3.2x factor reproduces the NCU-vs-analytical gap for
 		// depth-wise-heavy models (Table 4's MobileNetV2 row).
-		macs := spatial * cout * kh * kw
-		return int64(float64(2*macs) * 3.2)
+		flop := graph.MulCount(2, graph.MulCount(graph.MulCount(spatial, cout), kh*kw))
+		if f := float64(flop) * 3.2; flop >= 0 && f < math.MaxInt64 {
+			return int64(f)
+		}
+		return -1
 	}
 	// Implicit-GEMM tiling: the N dimension (output channels) pads to
 	// the CTA tile (32 for tensor-core kernels), K = cinPG*kh*kw pads
@@ -93,18 +99,19 @@ func convHardwareFLOP(n *graph.Node, g *graph.Graph, granule int64) int64 {
 	k := roundUp(cinPG*kh*kw, 2*granule)
 	nDim := roundUp(cout, 4*granule)
 	m := roundUp(spatial, 128)
-	macs := m * nDim * k
-	return 2 * macs
+	return graph.MulCount(2, graph.MulCount(graph.MulCount(m, nDim), k))
 }
 
 // HardwareFLOPForNodes sums the hardware FLOP over the nodes of a
 // (fused) backend layer, from the costs rep already holds. A node
-// outside rep's graph counts 0.
+// outside rep's graph counts 0. The padded products and the sum go
+// through graph.MulCount and AddCount, so a figure that overflows
+// int64 reads -1.
 func HardwareFLOPForNodes(rep *analysis.Rep, nodes []*graph.Node, plat *hardware.Platform) int64 {
 	var total int64
 	for _, n := range nodes {
 		if c, ok := rep.Cost(n); ok {
-			total += HardwareFLOP(n, c, rep.Graph, plat)
+			total = graph.AddCount(total, HardwareFLOP(n, c, rep.Graph, plat))
 		}
 	}
 	return total

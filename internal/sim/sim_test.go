@@ -208,7 +208,7 @@ func TestClassifyNodeAndKernelNames(t *testing.T) {
 	g.AddTensor(&graph.Tensor{Name: "w", DType: graph.Float16, Shape: graph.Shape{8, 1, 3, 3}, Param: true})
 	g.AddTensor(&graph.Tensor{Name: "y", DType: graph.Float16})
 	dw := &graph.Node{Name: "dw", OpType: "Conv", Inputs: []string{"x", "w"}, Outputs: []string{"y"},
-		Attrs: graph.Attrs{"group": graph.IntAttr(8), "kernel_shape": graph.IntsAttr(3, 3)}}
+		Attrs: graph.MakeAttrs(graph.IntAttr("group", 8), graph.IntsAttr("kernel_shape", 3, 3))}
 	g.AddNode(dw)
 	if !IsDepthwise(dw, g) {
 		t.Error("dw conv not detected")
@@ -328,7 +328,7 @@ func TestHardwareFLOPPadding(t *testing.T) {
 	g.AddTensor(&graph.Tensor{Name: "w", DType: graph.Float16, Shape: graph.Shape{64, 3, 7, 7}, Param: true})
 	g.AddTensor(&graph.Tensor{Name: "y", DType: graph.Float16})
 	n := &graph.Node{Name: "c", OpType: "Conv", Inputs: []string{"x", "w"}, Outputs: []string{"y"},
-		Attrs: graph.Attrs{"strides": graph.IntsAttr(2, 2), "pads": graph.IntsAttr(3, 3, 3, 3), "kernel_shape": graph.IntsAttr(7, 7)}}
+		Attrs: graph.MakeAttrs(graph.IntsAttr("strides", 2, 2), graph.IntsAttr("pads", 3, 3, 3, 3), graph.IntsAttr("kernel_shape", 7, 7))}
 	g.AddNode(n)
 	g.Inputs = []string{"x"}
 	g.Outputs = []string{"y"}
