@@ -254,7 +254,7 @@ func TestGetSubgraphOpsByIO(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := NewOptimizedRep(r)
-	nodes, err := o.GetSubgraphOpsByIO([]string{"x"}, []string{"t2"})
+	nodes, err := o.GetSubgraphOpsByIO(nil, []string{"x"}, []string{"t2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,12 +262,12 @@ func TestGetSubgraphOpsByIO(t *testing.T) {
 		t.Errorf("subgraph = %v", nodes)
 	}
 	// Whole graph.
-	nodes, err = o.GetSubgraphOpsByIO([]string{"x"}, []string{"y"})
+	nodes, err = o.GetSubgraphOpsByIO(nil, []string{"x"}, []string{"y"})
 	if err != nil || len(nodes) != 4 {
 		t.Errorf("full subgraph = %v, %v", nodes, err)
 	}
 	// Missing input boundary -> error.
-	if _, err := o.GetSubgraphOpsByIO(nil, []string{"t2"}); err == nil {
+	if _, err := o.GetSubgraphOpsByIO(nil, nil, []string{"t2"}); err == nil {
 		t.Error("subgraph reaching undeclared graph input should error")
 	}
 }
@@ -279,7 +279,7 @@ func TestTensorAliasResolution(t *testing.T) {
 	}
 	o := NewOptimizedRep(r)
 	o.SetTensorAlias("t2_r", "t2")
-	nodes, err := o.GetSubgraphOpsByIO([]string{"t2_r"}, []string{"y"})
+	nodes, err := o.GetSubgraphOpsByIO(nil, []string{"t2_r"}, []string{"y"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,19 +297,20 @@ func TestSetFusedOpAndLayers(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := NewOptimizedRep(r)
-	nodes, err := o.GetSubgraphOpsByIO([]string{"x"}, []string{"t2"})
+	nodes, err := o.GetSubgraphOpsByIO(nil, []string{"x"}, []string{"t2"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := o.SetFusedOp("fused_conv_relu", nodes)
+	f, err := setFusedOp(o, "fused_conv_relu", nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Inputs) != 1 || f.Inputs[0] != "x" {
-		t.Errorf("fused inputs = %v", f.Inputs)
+	io := o.AppendBoundary(nil, f)
+	if f.NumInputs != 1 || f.NumOutputs != 1 || len(io) != 2 || io[0] != "x" {
+		t.Errorf("fused inputs = %v of %v", io[:f.NumInputs], io)
 	}
-	if len(f.Outputs) != 1 || f.Outputs[0] != "t2" {
-		t.Errorf("fused outputs = %v", f.Outputs)
+	if io[1] != "t2" {
+		t.Errorf("fused outputs = %v of %v", io[f.NumInputs:], io)
 	}
 	layers := o.Layers()
 	if len(layers) != 3 {
@@ -319,11 +320,11 @@ func TestSetFusedOpAndLayers(t *testing.T) {
 		t.Errorf("layer0 = %s", layers[0].Name())
 	}
 	// Double fusion must fail.
-	if _, err := o.SetFusedOp("again", nodes); err == nil {
+	if _, err := setFusedOp(o, "again", nodes); err == nil {
 		t.Error("re-fusing a node should error")
 	}
 	// Empty fusion must fail.
-	if _, err := o.SetFusedOp("empty", nil); err == nil {
+	if _, err := setFusedOp(o, "empty", nil); err == nil {
 		t.Error("empty fusion should error")
 	}
 }
@@ -336,11 +337,11 @@ func TestSetFusedOpNodeOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes, err := NewOptimizedRep(r).GetSubgraphOpsByIO([]string{"x"}, []string{"t2"})
+	nodes, err := NewOptimizedRep(r).GetSubgraphOpsByIO(nil, []string{"x"}, []string{"t2"})
 	if err != nil || len(nodes) != 2 {
 		t.Fatalf("GetSubgraphOpsByIO = %v, %v", nodes, err)
 	}
-	f, err := NewOptimizedRep(r).SetFusedOp("sorted", nodes)
+	f, err := setFusedOp(NewOptimizedRep(r), "sorted", nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,10 +353,10 @@ func TestSetFusedOpNodeOrder(t *testing.T) {
 		{nodes[0], nodes[0]},
 	} {
 		o := NewOptimizedRep(r)
-		if _, err := o.SetFusedOp("bad", bad); err == nil {
+		if _, err := setFusedOp(o, "bad", bad); err == nil {
 			t.Errorf("SetFusedOp(%v) succeeded; want an order error", bad)
 		}
-		if _, err := o.SetFusedOp("after", nodes); err != nil {
+		if _, err := setFusedOp(o, "after", nodes); err != nil {
 			t.Errorf("a refused list left nodes fused: %v", err)
 		}
 	}
@@ -367,8 +368,8 @@ func TestFusedCostElidesIntermediates(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := NewOptimizedRep(r)
-	nodes, _ := o.GetSubgraphOpsByIO([]string{"x"}, []string{"t2"})
-	f, err := o.SetFusedOp("f", nodes)
+	nodes, _ := o.GetSubgraphOpsByIO(nil, []string{"x"}, []string{"t2"})
+	f, err := setFusedOp(o, "f", nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,8 +403,8 @@ func TestLayersTotalFLOPConserved(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := NewOptimizedRep(r)
-	nodes, _ := o.GetSubgraphOpsByIO([]string{"x"}, []string{"t2"})
-	if _, err := o.SetFusedOp("f", nodes); err != nil {
+	nodes, _ := o.GetSubgraphOpsByIO(nil, []string{"x"}, []string{"t2"})
+	if _, err := setFusedOp(o, "f", nodes); err != nil {
 		t.Fatal(err)
 	}
 	var total Cost
@@ -425,8 +426,8 @@ func TestLayerHelpers(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := NewOptimizedRep(r)
-	nodes, _ := o.GetSubgraphOpsByIO([]string{"x"}, []string{"t2"})
-	f, _ := o.SetFusedOp("f", nodes)
+	nodes, _ := o.GetSubgraphOpsByIO(nil, []string{"x"}, []string{"t2"})
+	f, _ := setFusedOp(o, "f", nodes)
 	l := &Layer{Fused: f}
 	types := l.AppendOpTypes(nil)
 	if len(types) != 2 {
@@ -438,7 +439,7 @@ func TestLayerHelpers(t *testing.T) {
 	if layers := o.Layers(); len(layers) != 3 || layers[0].Fused != f || layers[1].Node == nil || layers[1].Node.Name != "c2" {
 		t.Errorf("Layers = %v, want f, c2, r2", layers)
 	}
-	if _, err := o.SetFusedOp("again", nodes[:1]); err == nil {
+	if _, err := setFusedOp(o, "again", nodes[:1]); err == nil {
 		t.Error("a node f owns must not fuse again")
 	}
 }
@@ -510,12 +511,21 @@ func TestGetSubgraphOpsByIOWideLayer(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := NewOptimizedRep(r)
-	nodes, err := o.GetSubgraphOpsByIO(outs, []string{"y"})
+	nodes, err := o.GetSubgraphOpsByIO(nil, outs, []string{"y"})
 	if err != nil || len(nodes) != 1 || nodes[0].Name != "cat" {
 		t.Fatalf("declared relu outputs: got %v, %v; want [cat]", nodes, err)
 	}
-	nodes, err = o.GetSubgraphOpsByIO([]string{"x"}, []string{"y"})
+	nodes, err = o.GetSubgraphOpsByIO(nil, []string{"x"}, []string{"y"})
 	if err != nil || len(nodes) != 13 || nodes[12].Name != "cat" {
 		t.Fatalf("declared graph input: got %d nodes, %v; want the 12 relus and cat", len(nodes), err)
 	}
+}
+
+// setFusedOp fuses nodes into a fused operator of its own.
+func setFusedOp(o *OptimizedRep, name string, nodes []*graph.Node) (*FusedOp, error) {
+	f := new(FusedOp)
+	if err := o.SetFusedOp(f, name, nodes); err != nil {
+		return nil, err
+	}
+	return f, nil
 }

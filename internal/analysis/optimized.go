@@ -9,7 +9,8 @@ import (
 
 // FusedOp is the virtual operator `_FusedOp` of §3.2.3: a set of original
 // operators fused into a single backend layer. It maintains the fused
-// subgraph and its boundary input/output tensors.
+// subgraph and counts its boundary input/output tensors, which
+// OptimizedRep.AppendBoundary lists.
 type FusedOp struct {
 	// Name is the fused operator's name, usually the backend layer
 	// name it corresponds to.
@@ -17,14 +18,13 @@ type FusedOp struct {
 	// Nodes is the fused subgraph, in the base graph's topological
 	// order.
 	Nodes []*graph.Node
-	// Inputs are the activation tensors consumed by the subgraph but
-	// produced outside it (parameters excluded).
-	Inputs []string
-	// Outputs are the tensors produced by the subgraph and consumed
-	// outside it (or graph outputs).
-	Outputs []string
+	// NumInputs counts the activation tensors consumed by the subgraph
+	// but produced outside it (parameters excluded); NumOutputs the
+	// tensors produced by the subgraph and consumed outside it (or
+	// graph outputs).
+	NumInputs, NumOutputs int
 
-	// readBytes and writeBytes total the Inputs' and Outputs' sizes,
+	// readBytes and writeBytes total the boundary tensors' sizes,
 	// summed once by SetFusedOp from the tensors it resolved by slot;
 	// missing names the first boundary tensor it found unregistered.
 	readBytes, writeBytes int64
@@ -127,9 +127,10 @@ func (o *OptimizedRep) ResolveTensor(name string) string {
 // It walks the producer chain backward from the outputs
 // and stops at the declared inputs, parameters, and graph inputs; it
 // errors when the closure requires an activation tensor that is not
-// among the declared inputs. The nodes come back in topological order,
-// in a list of exactly their number.
-func (o *OptimizedRep) GetSubgraphOpsByIO(inputs, outputs []string) ([]*graph.Node, error) {
+// among the declared inputs. It appends the nodes to dst in topological
+// order and returns the extended list, so a caller that sized dst for
+// every layer it maps recovers them all into one array.
+func (o *OptimizedRep) GetSubgraphOpsByIO(dst []*graph.Node, inputs, outputs []string) ([]*graph.Node, error) {
 	g := o.Base.Graph
 	// The declared inputs, told apart by identity. A wide layer, which a
 	// posted graph can make arbitrarily wide, keeps them in a set so the
@@ -177,12 +178,10 @@ func (o *OptimizedRep) GetSubgraphOpsByIO(inputs, outputs []string) ([]*graph.No
 		tn := o.ResolveTensor(out)
 		t, prod := g.Lookup(tn)
 		if err := push(tn, t, prod); err != nil {
-			return nil, err
+			return dst, err
 		}
 	}
-	// The closure collects on the stack, in reverse topological order.
-	var nodeBuf [64]*graph.Node
-	nodes := nodeBuf[:0]
+	start := len(dst)
 	for last := -1; len(h) > 0; {
 		var p int
 		p, h = popPos(h)
@@ -191,18 +190,15 @@ func (o *OptimizedRep) GetSubgraphOpsByIO(inputs, outputs []string) ([]*graph.No
 		}
 		last = p
 		n := o.Base.order[p]
-		nodes = append(nodes, n)
+		dst = append(dst, n)
 		for i, in := range n.Inputs {
 			if err := push(in, g.In(n, i), g.InProducer(n, i)); err != nil {
-				return nil, err
+				return dst[:start], err
 			}
 		}
 	}
-	out := make([]*graph.Node, len(nodes))
-	for i, n := range nodes {
-		out[len(nodes)-1-i] = n
-	}
-	return out, nil
+	slices.Reverse(dst[start:])
+	return dst, nil
 }
 
 // pushPos and popPos keep h a max-heap of topological positions. They
@@ -242,65 +238,86 @@ func popPos(h []int) (int, []int) {
 	return top, h
 }
 
-// SetFusedOp fuses the given original nodes into a single fused operator
+// SetFusedOp fuses the given original nodes into f, a fused operator
 // named name (Figure 2's set_fused_op interface). Each node may belong
 // to at most one fused operator. The nodes must be given in topological
 // order, as every runtime's mapping and the fusion pass give them; the
 // list becomes the fused operator's node list as it is, so the caller
 // must not modify it afterwards. The fused subgraph's boundary inputs
-// and outputs are derived automatically, in node order.
-func (o *OptimizedRep) SetFusedOp(name string, nodes []*graph.Node) (*FusedOp, error) {
+// and outputs are derived automatically and counted; AppendBoundary
+// lists them.
+//
+// f is the caller's, and the representation keeps it: each caller takes
+// its fused operators from one array it sized from its own count before
+// it fuses (backend.BuildEngine its multi-node groups, each runtime's
+// layer mapping its multi-node layers). On error f is left as it was.
+func (o *OptimizedRep) SetFusedOp(f *FusedOp, name string, nodes []*graph.Node) error {
 	if len(nodes) == 0 {
-		return nil, fmt.Errorf("analysis: SetFusedOp(%q) with no nodes", name)
+		return fmt.Errorf("analysis: SetFusedOp(%q) with no nodes", name)
 	}
 	g := o.Base.Graph
 	last := -1
 	for _, n := range nodes {
 		i := g.Pos(n)
 		if i < 0 {
-			return nil, fmt.Errorf("analysis: SetFusedOp(%q): node %q is not in the graph", name, n.Name)
+			return fmt.Errorf("analysis: SetFusedOp(%q): node %q is not in the graph", name, n.Name)
 		}
 		if prev := o.fused[i]; prev != nil {
-			return nil, fmt.Errorf("analysis: node %q already fused into %q", n.Name, prev.Name)
+			return fmt.Errorf("analysis: node %q already fused into %q", n.Name, prev.Name)
 		}
 		if i <= last {
-			return nil, fmt.Errorf("analysis: SetFusedOp(%q): node %q is repeated or out of topological order", name, n.Name)
+			return fmt.Errorf("analysis: SetFusedOp(%q): node %q is repeated or out of topological order", name, n.Name)
 		}
 		last = i
 	}
-	f := &FusedOp{Name: name, Nodes: nodes[:len(nodes):len(nodes)]}
+	*f = FusedOp{Name: name, Nodes: nodes[:len(nodes):len(nodes)]}
 	// From here on the ownership table tells the subgraph apart: a node
 	// is inside exactly when f owns it.
 	for _, n := range nodes {
 		o.fused[g.Pos(n)] = f
 	}
-	// The boundary lists are collected on the stack, then share one
-	// allocation of exactly their size.
-	var inBuf, outBuf [16]string
-	ins, outs := inBuf[:0], outBuf[:0]
-	for _, n := range nodes {
-		for i, in := range n.Inputs {
+	o.eachBoundary(f, func(name string, t *graph.Tensor) {
+		f.NumInputs++
+		f.readBytes = graph.AddCount(f.readBytes, f.boundaryBytes(name, t))
+	}, func(name string, t *graph.Tensor) {
+		f.NumOutputs++
+		f.writeBytes = graph.AddCount(f.writeBytes, f.boundaryBytes(name, t))
+	})
+	return nil
+}
+
+// AppendBoundary appends the names of f's f.NumInputs boundary inputs,
+// then of its f.NumOutputs boundary outputs, to dst, each list in node
+// order, and returns the extended list.
+func (o *OptimizedRep) AppendBoundary(dst []string, f *FusedOp) []string {
+	add := func(name string, _ *graph.Tensor) { dst = append(dst, name) }
+	o.eachBoundary(f, add, add)
+	return dst
+}
+
+// eachBoundary calls in for each of f's boundary inputs, once per name,
+// and then out for each of its boundary outputs, in node order.
+func (o *OptimizedRep) eachBoundary(f *FusedOp, in, out func(name string, t *graph.Tensor)) {
+	g := o.Base.Graph
+	var seenBuf [16]string
+	seen := seenBuf[:0]
+	for _, n := range f.Nodes {
+		for i, name := range n.Inputs {
 			t := g.In(n, i)
-			if t != nil && t.Param {
+			if t != nil && t.Param || o.owns(f, g.InProducer(n, i)) || slices.Contains(seen, name) {
 				continue
 			}
-			if !o.owns(f, g.InProducer(n, i)) && !slices.Contains(ins, in) {
-				ins = append(ins, in)
-				f.readBytes = graph.AddCount(f.readBytes, f.boundaryBytes(in, t))
-			}
+			seen = append(seen, name)
+			in(name, t)
 		}
 	}
-	for _, n := range nodes {
-		for i, out := range n.Outputs {
+	for _, n := range f.Nodes {
+		for i, name := range n.Outputs {
 			if o.escapes(f, n, i) {
-				outs = append(outs, out)
-				f.writeBytes = graph.AddCount(f.writeBytes, f.boundaryBytes(out, g.Out(n, i)))
+				out(name, g.Out(n, i))
 			}
 		}
 	}
-	io := append(append(make([]string, 0, len(ins)+len(outs)), ins...), outs...)
-	f.Inputs, f.Outputs = io[:len(ins):len(ins)], io[len(ins):]
-	return f, nil
 }
 
 // boundaryBytes returns the size of boundary tensor t, named name,

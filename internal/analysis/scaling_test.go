@@ -120,10 +120,14 @@ func TestLayerMappingAllocsIndependentOfGraphSize(t *testing.T) {
 			t.Fatal(err)
 		}
 		group := tc.group(t, rep)
-		probe, err := analysis.NewOptimizedRep(rep).SetFusedOp("probe", group)
-		if err != nil {
+		probeOpt := analysis.NewOptimizedRep(rep)
+		var probe analysis.FusedOp
+		if err := probeOpt.SetFusedOp(&probe, "probe", group); err != nil {
 			t.Fatal(err)
 		}
+		io := probeOpt.AppendBoundary(nil, &probe)
+		probeIns, probeOuts := io[:probe.NumInputs], io[probe.NumInputs:]
+		ops := make([]analysis.FusedOp, calls)
 		opts := make([]*analysis.OptimizedRep, calls)
 		for i := range opts {
 			opts[i] = analysis.NewOptimizedRep(rep)
@@ -131,10 +135,10 @@ func TestLayerMappingAllocsIndependentOfGraphSize(t *testing.T) {
 		var searchErr, fuseErr error
 		var found []*graph.Node
 		search := bytesPerCall(calls, func(i int) {
-			found, searchErr = opts[i].GetSubgraphOpsByIO(probe.Inputs, probe.Outputs)
+			found, searchErr = opts[i].GetSubgraphOpsByIO(nil, probeIns, probeOuts)
 		})
 		fuse := bytesPerCall(calls, func(i int) {
-			_, fuseErr = opts[i].SetFusedOp("group", group)
+			fuseErr = opts[i].SetFusedOp(&ops[i], "group", group)
 		})
 		if searchErr != nil || fuseErr != nil {
 			t.Fatalf("%s: search %v, fuse %v", tc.model, searchErr, fuseErr)

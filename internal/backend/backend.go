@@ -53,11 +53,14 @@ type Kernel struct {
 // information the simulated runtime chooses to expose. Which fields are
 // populated depends on the backend (the information regimes of §3.3).
 //
-// A layer's lists are shared and read-only. InputTensors and
-// OutputTensors are the ground-truth fused operator's boundary lists or
-// the model node's own Inputs and Outputs, capped, unless an alias
-// rewrote them (BoundaryIO); Kernels is a capped run of the engine's
-// one kernel array, and every kernel name a substring of one string.
+// A layer's names and lists live in storage the engine build allocates
+// once per run, and are read-only: a name the build made is a substring
+// of one text, FusedNodeNames a capped run of one list of node names,
+// InputTensors and OutputTensors a model node's own Inputs and Outputs,
+// capped, or — for a fused operator's boundary, a reformat's pair or a
+// list an alias rewrote — capped runs of one array, and Kernels a
+// capped run of the engine's one kernel array, every kernel name a
+// substring of one string.
 type Layer struct {
 	// Name is the runtime-assigned layer name.
 	Name string
@@ -87,7 +90,9 @@ type Layer struct {
 // in execution order (Engine.Layers). Reformat layers map to nil (they
 // have no original nodes). Runtimes do not promise unique layer names —
 // a model node may carry the name a runtime gives a reformat layer — so
-// a mapping goes by position, never by name.
+// a mapping goes by position, never by name. MapNodes builds every
+// runtime's mapping: the layers it points to sit in one array, and their
+// fused operators and node lists in one array each.
 type Mapping []*analysis.Layer
 
 // Backend is one simulated DNN inference runtime. Both operations take

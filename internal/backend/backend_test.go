@@ -402,41 +402,66 @@ func TestLayerTimingZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestBoundaryIOSharesUnaliasedLists: a boundary list no alias applies
-// to is the model's own list, capped, so an append copies it; a list
-// an alias rewrites is a copy, and the model's list keeps its names.
+// TestBoundaryIOSharesUnaliasedLists: a single-node layer's boundary
+// list no alias applies to is the model node's own list, capped, so an
+// append copies it; a list an alias rewrites is a copy, and the node's
+// list keeps its names; a fused layer's lists are capped runs of one
+// array, listing its operator's boundary with the aliases applied.
 func TestBoundaryIOSharesUnaliasedLists(t *testing.T) {
 	rep := buildRep(t, "resnet-18", 1, graph.Float32)
-	var conv *graph.Node
-	for _, n := range rep.Nodes() {
-		if n.OpType == "Conv" {
-			conv = n
-			break
-		}
-	}
-	truth := &analysis.Layer{Node: conv}
-	ins, outs := backend.BoundaryIO(truth, map[string]string{})
-	if &ins[0] != &conv.Inputs[0] || &outs[0] != &conv.Outputs[0] {
-		t.Fatal("unaliased lists were copied")
-	}
-	if cap(ins) != len(ins) || cap(outs) != len(outs) {
-		t.Fatalf("unaliased lists are not capped: cap %d/%d, len %d/%d", cap(ins), cap(outs), len(ins), len(outs))
-	}
-	first := conv.Inputs[0]
-	ins, _ = backend.BoundaryIO(truth, map[string]string{first: first + "_rf"})
-	if &ins[0] == &conv.Inputs[0] || ins[0] != first+"_rf" || conv.Inputs[0] != first {
-		t.Fatalf("aliased inputs %v over the node's %v", ins, conv.Inputs)
-	}
-	if !equalNames(ins[1:], conv.Inputs[1:]) {
-		t.Fatalf("aliased inputs %v, want the rest of %v", ins, conv.Inputs)
-	}
-
-	f, err := analysis.NewOptimizedRep(rep).SetFusedOp("pair", rep.Nodes()[:2])
+	plat, err := hardware.Get("a100")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ins, outs = backend.BoundaryIO(&analysis.Layer{Fused: f}, map[string]string{})
-	if &ins[0] != &f.Inputs[0] || &outs[0] != &f.Outputs[0] || cap(ins) != len(ins) {
-		t.Fatal("a fused operator's unaliased boundary lists were not shared, capped")
+	be, err := backend.Get("trtsim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := be.Build(context.Background(), rep, backend.Config{Platform: plat, DType: plat.DefaultDType, Batch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := analysis.NewOptimizedRep(rep)
+	var shared, copied, fused int
+	for i, l := range eng.Layers() {
+		truth := eng.GroundTruth(i)
+		if truth == nil {
+			continue
+		}
+		if cap(l.InputTensors) != len(l.InputTensors) || cap(l.OutputTensors) != len(l.OutputTensors) {
+			t.Fatalf("layer %q: lists are not capped: cap %d/%d, len %d/%d", l.Name,
+				cap(l.InputTensors), cap(l.OutputTensors), len(l.InputTensors), len(l.OutputTensors))
+		}
+		if f := truth.Fused; f != nil {
+			var op analysis.FusedOp
+			if err := opt.SetFusedOp(&op, f.Name, f.Nodes); err != nil {
+				t.Fatal(err)
+			}
+			want := opt.AppendBoundary(nil, &op)
+			got := append(append([]string(nil), l.InputTensors...), l.OutputTensors...)
+			for j, name := range got {
+				if rep.Graph.Tensor(name) == nil && j < len(want) && name == want[j]+"_rf" {
+					got[j] = want[j]
+					copied++
+				}
+			}
+			if len(l.InputTensors) != op.NumInputs || !equalNames(got, want) {
+				t.Fatalf("fused layer %q lists %v -> %v, want the boundary %v", l.Name, l.InputTensors, l.OutputTensors, want)
+			}
+			fused++
+			continue
+		}
+		n := truth.Node
+		if &l.InputTensors[0] == &n.Inputs[0] && &l.OutputTensors[0] == &n.Outputs[0] {
+			shared++
+			continue
+		}
+		if !equalNames(l.InputTensors[1:], n.Inputs[1:]) || l.InputTensors[0] != n.Inputs[0]+"_rf" {
+			t.Fatalf("aliased inputs %v over the node's %v", l.InputTensors, n.Inputs)
+		}
+		copied++
+	}
+	if shared == 0 || copied == 0 || fused == 0 {
+		t.Fatalf("%d shared, %d aliased and %d fused lists; want some of each", shared, copied, fused)
 	}
 }

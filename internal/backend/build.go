@@ -22,19 +22,27 @@ type ReformatSpec struct {
 	BeforeGroup int
 	// Tensor is the original tensor being converted.
 	Tensor string
-	// Alias is the runtime's name for the converted tensor.
-	Alias string
-	// Name is the reformat layer's name.
-	Name string
+	// AliasSuffix names the converted tensor Tensor+AliasSuffix (see
+	// freeAlias).
+	AliasSuffix string
+	// Prefix and Index name the reformat layer Prefix<Index>.
+	Prefix string
+	Index  int
 }
 
-// InfoFn produces the public Layer info for one fusion group, given the
-// ground-truth layer and the accumulated tensor alias map. This is where
-// each backend decides what it reveals.
-type InfoFn func(idx int, gr *Group, truth *analysis.Layer, alias map[string]string) Layer
+// InfoFn describes fusion group idx as the runtime reveals it: it
+// appends the layer's name to text and the names of the original nodes
+// it exposes to nodes, and returns both with the layer's flags. A
+// runtime that names a layer with a string it already holds sets the
+// returned Layer's Name and appends no text. BuildEngine calls it twice
+// per group, first to size the build's one name text and one node-name
+// list and then to fill them, so both calls must append the same; it
+// sets the layer's boundary tensors itself. This is where each backend
+// decides what it reveals.
+type InfoFn func(text []byte, nodes []string, idx int, gr *Group) ([]byte, []string, Layer)
 
 // ReformatFn decides where a backend inserts reformat/reorder layers.
-type ReformatFn func(rep *analysis.Rep, groups []*Group) []ReformatSpec
+type ReformatFn func(rep *analysis.Rep, groups []Group) []ReformatSpec
 
 // BuildSpec bundles a backend's pipeline configuration for BuildEngine.
 type BuildSpec struct {
@@ -55,10 +63,15 @@ type BuildSpec struct {
 // platform resolves them. The fusion and assembly phases are recorded
 // as "fuse" and "assemble" spans when ctx carries an obs tracer.
 //
-// The build sizes its lists from counts it has before it fills them:
-// the ground-truth layers sit in one array, one per group, the fused
-// groups' names in one string, and the kernels in one array, their
-// names in another string (see lowerKernels).
+// The build sizes its lists from counts it takes before it fills them:
+// the ground-truth layers sit in one array, one per group, and the
+// fused operators in another, one per multi-node group; every name the
+// build makes (fused groups', the runtime's layer names, reformat
+// names and tensor aliases) is a substring of one text, and every node
+// name a runtime exposes sits in one list; the layers' boundary tensor
+// lists share the model nodes' lists or are runs of one array; and the
+// kernels sit in one array, their names in another string (see
+// lowerKernels).
 func BuildEngine(ctx context.Context, spec BuildSpec, rep *analysis.Rep, cfg Config) (*Engine, error) {
 	if cfg.Platform == nil {
 		return nil, fmt.Errorf("backend: config requires a platform")
@@ -76,30 +89,61 @@ func BuildEngine(ctx context.Context, spec BuildSpec, rep *analysis.Rep, cfg Con
 	groups := Fuse(rep, spec.Rules)
 	internalOpt := analysis.NewOptimizedRep(rep)
 
-	// Ground-truth layers per group. A fused group is named
-	// <backend>_group_<index>, a substring of one string that holds
-	// every such name.
-	truths := make([]analysis.Layer, len(groups))
+	// Reformats are emitted in position order, in the order the runtime
+	// listed them at each position; one whose position is outside
+	// 0..len(groups) is never emitted.
+	var reformats []ReformatSpec
+	if spec.Reformats != nil {
+		reformats = spec.Reformats(rep, groups)
+	}
+	slices.SortStableFunc(reformats, func(a, b ReformatSpec) int { return cmp.Compare(a.BeforeGroup, b.BeforeGroup) })
+
+	// Sizing pass: the fused groups, the text every name is written to
+	// and the node names the runtime exposes. A fused group is named
+	// <backend>_group_<index>.
 	var digits [20]byte
-	size := 0
-	for i, gr := range groups {
+	var scratch []byte
+	var scratchNodes []string
+	nFused, size, nNodes := 0, 0, 0
+	for i := range groups {
+		gr := &groups[i]
 		if len(gr.Nodes) > 1 {
+			nFused++
 			size += len(spec.BackendName) + len("_group_") + len(strconv.AppendInt(digits[:0], int64(i), 10))
 		}
+		scratch, scratchNodes, _ = spec.Info(scratch[:0], scratchNodes[:0], i, gr)
+		size += len(scratch)
+		nNodes += len(scratchNodes)
 	}
-	var names strings.Builder
-	names.Grow(size)
-	for i, gr := range groups {
+	for _, r := range reformats {
+		if r.BeforeGroup >= 0 && r.BeforeGroup <= len(groups) {
+			size += len(r.Tensor) + len(r.AliasSuffix) + len(r.Prefix) + len(strconv.AppendInt(digits[:0], int64(r.Index), 10))
+		}
+	}
+	var text strings.Builder
+	text.Grow(size)
+	var nodeNames []string
+	if nNodes > 0 {
+		nodeNames = make([]string, 0, nNodes)
+	}
+
+	// Ground-truth layers per group.
+	truths := make([]analysis.Layer, len(groups))
+	ops := make([]analysis.FusedOp, nFused)
+	nFused = 0
+	for i := range groups {
+		gr := &groups[i]
 		if len(gr.Nodes) == 1 {
 			truths[i].Node = gr.Nodes[0]
 			continue
 		}
-		at := names.Len()
-		names.WriteString(spec.BackendName)
-		names.WriteString("_group_")
-		names.Write(strconv.AppendInt(digits[:0], int64(i), 10))
-		f, err := internalOpt.SetFusedOp(names.String()[at:], gr.Nodes)
-		if err != nil {
+		at := text.Len()
+		text.WriteString(spec.BackendName)
+		text.WriteString("_group_")
+		text.Write(strconv.AppendInt(digits[:0], int64(i), 10))
+		f := &ops[nFused]
+		nFused++
+		if err := internalOpt.SetFusedOp(f, text.String()[at:], gr.Nodes); err != nil {
 			err = fmt.Errorf("backend %s: fusing group %d: %w", spec.BackendName, i, err)
 			fsp.EndErr(err)
 			return nil, err
@@ -112,16 +156,34 @@ func BuildEngine(ctx context.Context, spec BuildSpec, rep *analysis.Rep, cfg Con
 	_, asp := obs.Start(ctx, "assemble")
 	defer asp.End()
 
-	// Reformats are emitted in position order, in the order the runtime
-	// listed them at each position; one whose position is outside
-	// 0..len(groups) is never emitted.
-	var reformats []ReformatSpec
-	if spec.Reformats != nil {
-		reformats = spec.Reformats(rep, groups)
+	// alias maps each converted tensor to its runtime alias, and holds
+	// every alias handed out, so freeAlias finds a name free in one
+	// lookup. Before the assembly it counts the boundary tensors the
+	// layers list in their own slots: a reformat's pair, a fused
+	// group's boundary and a node list an alias rewrites, at the
+	// position the reformats reached.
+	alias := make(map[string]string, 2*len(reformats))
+	slots := 0
+	for pos, next := 0, 0; pos <= len(groups); pos++ {
+		for ; next < len(reformats) && reformats[next].BeforeGroup <= pos; next++ {
+			if reformats[next].BeforeGroup == pos {
+				alias[reformats[next].Tensor] = ""
+				slots += 2
+			}
+		}
+		if pos == len(groups) {
+			break
+		}
+		if f := truths[pos].Fused; f != nil {
+			slots += f.NumInputs + f.NumOutputs
+		} else if n := truths[pos].Node; aliased(n.Inputs, alias) || aliased(n.Outputs, alias) {
+			slots += len(n.Inputs) + len(n.Outputs)
+		}
 	}
-	slices.SortStableFunc(reformats, func(a, b ReformatSpec) int { return cmp.Compare(a.BeforeGroup, b.BeforeGroup) })
-	nextReformat := 0
+	clear(alias)
+	io := make([]string, 0, slots)
 
+	nextReformat := 0
 	n := len(groups) + len(reformats)
 	e := &Engine{
 		backendName: spec.BackendName,
@@ -131,8 +193,6 @@ func BuildEngine(ctx context.Context, spec BuildSpec, rep *analysis.Rep, cfg Con
 		truths:      make([]*analysis.Layer, 0, n),
 		works:       make([]sim.Work, 0, n),
 	}
-	alias := map[string]string{} // original tensor -> runtime alias
-	var given []string           // every alias handed out, in order
 
 	emitReformats := func(pos int) error {
 		for ; nextReformat < len(reformats) && reformats[nextReformat].BeforeGroup <= pos; nextReformat++ {
@@ -144,37 +204,53 @@ func BuildEngine(ctx context.Context, spec BuildSpec, rep *analysis.Rep, cfg Con
 			if t == nil {
 				return fmt.Errorf("backend %s: reformat of unknown tensor %q", spec.BackendName, r.Tensor)
 			}
-			name := freeAlias(rep.Graph, r.Alias, given)
-			given = append(given, name)
-			alias[r.Tensor] = name
-			bytes := graph.MulCount(2, t.Bytes())
-			io := []string{r.Tensor, name}
+			at := text.Len()
+			text.WriteString(r.Prefix)
+			text.Write(strconv.AppendInt(digits[:0], int64(r.Index), 10))
+			name := text.String()[at:]
+			a := freeAlias(rep.Graph, &text, r.Tensor, r.AliasSuffix, alias)
+			alias[a] = ""
+			alias[r.Tensor] = a
+			at = len(io)
+			io = append(io, r.Tensor, a)
 			pub := Layer{
-				Name:          r.Name,
-				InputTensors:  io[:1:1],
-				OutputTensors: io[1:],
+				Name:          name,
+				InputTensors:  io[at : at+1 : at+1],
+				OutputTensors: io[at+1 : at+2 : at+2],
 				IsReformat:    true,
 			}
 			e.add(pub, nil, sim.Work{
-				Name:  r.Name,
+				Name:  name,
 				Key:   memo.ReformatKey(t),
 				Class: sim.ClassMemCopy,
-				Bytes: bytes,
+				Bytes: graph.MulCount(2, t.Bytes()),
 			})
 		}
 		return nil
 	}
 
-	for i, gr := range groups {
+	for i := range groups {
 		if err := emitReformats(i); err != nil {
 			return nil, err
 		}
+		gr := &groups[i]
 		truth := &truths[i]
 		cost, err := internalOpt.LayerCost(truth)
 		if err != nil {
 			return nil, fmt.Errorf("backend %s: cost of group %d: %w", spec.BackendName, i, err)
 		}
-		pub := spec.Info(i, gr, truth, alias)
+		var pub Layer
+		atNodes := len(nodeNames)
+		scratch, nodeNames, pub = spec.Info(scratch[:0], nodeNames, i, gr)
+		if len(scratch) > 0 {
+			at := text.Len()
+			text.Write(scratch)
+			pub.Name = text.String()[at:]
+		}
+		if len(nodeNames) > atNodes {
+			pub.FusedNodeNames = nodeNames[atNodes:len(nodeNames):len(nodeNames)]
+		}
+		pub.InputTensors, pub.OutputTensors, io = boundaryIO(internalOpt, truth, alias, io)
 		hwFLOP := sim.HardwareFLOPForNodes(rep, gr.Nodes, cfg.Platform)
 		if hwFLOP < 0 {
 			return nil, rep.Graph.OverflowDefect("", fmt.Sprintf("the hardware FLOP of layer %q", pub.Name))
@@ -197,17 +273,64 @@ func BuildEngine(ctx context.Context, spec BuildSpec, rep *analysis.Rep, cfg Con
 	return e, nil
 }
 
-// freeAlias returns the name a runtime gives a converted tensor: want,
-// unless a tensor of the graph or an alias already given holds it, and
-// then the first of want_1, want_2, ... that neither holds. A runtime
-// names its own tensors uniquely; an alias that took a model tensor's
-// name would hide that tensor from layer mapping.
-func freeAlias(g *graph.Graph, want string, given []string) string {
-	name := want
-	for i := 1; g.Tensor(name) != nil || slices.Contains(given, name); i++ {
-		name = want + "_" + strconv.Itoa(i)
+// freeAlias writes to text, and returns, the name a runtime gives tensor
+// converted with suffix: tensor+suffix, unless a tensor of the graph or
+// an alias already given (a key of taken) holds it, and then the first
+// of tensor+suffix+"_1", "_2", ... that neither holds. A runtime names
+// its own tensors uniquely; an alias that took a model tensor's name
+// would hide that tensor from layer mapping.
+func freeAlias(g *graph.Graph, text *strings.Builder, tensor, suffix string, taken map[string]string) string {
+	var digits [20]byte
+	for i := 0; ; i++ {
+		at := text.Len()
+		text.WriteString(tensor)
+		text.WriteString(suffix)
+		if i > 0 {
+			text.WriteByte('_')
+			text.Write(strconv.AppendInt(digits[:0], int64(i), 10))
+		}
+		name := text.String()[at:]
+		if _, given := taken[name]; !given && g.Tensor(name) == nil {
+			return name
+		}
 	}
-	return name
+}
+
+// aliased reports whether an alias applies to any of names.
+func aliased(names []string, alias map[string]string) bool {
+	for _, n := range names {
+		if _, ok := alias[n]; ok {
+			return true
+		}
+	}
+	return false
+}
+
+// boundaryIO returns a ground-truth layer's activation inputs/outputs
+// with runtime aliases applied — the io info a runtime exposes for a
+// layer — and io, extended by the lists it wrote there. A fused
+// operator's lists are written to io; a node's lists no alias applies
+// to are its own, capped, and only lists an alias rewrites are copied
+// to io. Either way the lists are read-only (see Layer).
+func boundaryIO(opt *analysis.OptimizedRep, truth *analysis.Layer, alias map[string]string, io []string) (ins, outs, _ []string) {
+	at := len(io)
+	var nIn int
+	switch n := truth.Node; {
+	case truth.Fused != nil:
+		io = opt.AppendBoundary(io, truth.Fused)
+		nIn = truth.Fused.NumInputs
+	case aliased(n.Inputs, alias) || aliased(n.Outputs, alias):
+		io = append(append(io, n.Inputs...), n.Outputs...)
+		nIn = len(n.Inputs)
+	default:
+		return n.Inputs[:len(n.Inputs):len(n.Inputs)], n.Outputs[:len(n.Outputs):len(n.Outputs)], io
+	}
+	for j := at; j < len(io); j++ {
+		if a, ok := alias[io[j]]; ok && a != "" {
+			io[j] = a
+		}
+	}
+	return io[at : at+nIn : at+nIn], io[at+nIn : len(io) : len(io)], io
 }
 
 // add appends one layer in execution order.
@@ -231,7 +354,7 @@ func groupKindKey(k GroupKind) string {
 // the engine's single kernel array and the single string that holds
 // every kernel name; the second writes them, and each layer's kernels
 // are a capped run of the array that share its time equally.
-func (e *Engine) lowerKernels(groups []*Group) {
+func (e *Engine) lowerKernels(groups []Group) {
 	arch, dt := e.cfg.Platform.Arch, e.cfg.DType
 	count, size := 0, 0
 	e.eachKernel(groups, func(_ int, class sim.Class, name string) {
@@ -268,7 +391,7 @@ func (e *Engine) lowerKernels(groups []*Group) {
 // one copy kernel. A Myelin region launches one kernel per matrix
 // multiply plus a fused elementwise kernel. Any other layer launches
 // one kernel of its class, named after its anchor node when it has one.
-func (e *Engine) eachKernel(groups []*Group, f func(layer int, class sim.Class, name string)) {
+func (e *Engine) eachKernel(groups []Group, f func(layer int, class sim.Class, name string)) {
 	next := 0
 	for i := range e.layers {
 		l := &e.layers[i]
@@ -276,7 +399,7 @@ func (e *Engine) eachKernel(groups []*Group, f func(layer int, class sim.Class, 
 			f(i, sim.ClassMemCopy, l.Name)
 			continue
 		}
-		gr := groups[next]
+		gr := &groups[next]
 		next++
 		switch {
 		case gr.Kind == KindMyelin:
@@ -292,37 +415,4 @@ func (e *Engine) eachKernel(groups []*Group, f func(layer int, class sim.Class, 
 			f(i, e.works[i].Class, l.Name)
 		}
 	}
-}
-
-// BoundaryIO returns a ground-truth layer's activation inputs/outputs
-// with runtime aliases applied — the io info a runtime exposes for a
-// layer. A list no alias applies to is the fused operator's own, or
-// the node's, capped; only a list an alias rewrites is copied. Either
-// way the lists are read-only (see Layer).
-func BoundaryIO(truth *analysis.Layer, alias map[string]string) (ins, outs []string) {
-	if truth.Fused != nil {
-		return withAliases(truth.Fused.Inputs, alias), withAliases(truth.Fused.Outputs, alias)
-	}
-	return withAliases(truth.Node.Inputs, alias), withAliases(truth.Node.Outputs, alias)
-}
-
-// withAliases returns names with every aliased name replaced by its
-// alias: names itself, capped, when none is aliased, and a copy
-// otherwise.
-func withAliases(names []string, alias map[string]string) []string {
-	for i, n := range names {
-		if _, ok := alias[n]; !ok {
-			continue
-		}
-		out := make([]string, len(names))
-		copy(out, names[:i])
-		for j := i; j < len(names); j++ {
-			out[j] = names[j]
-			if a, ok := alias[names[j]]; ok {
-				out[j] = a
-			}
-		}
-		return out
-	}
-	return names[:len(names):len(names)]
 }

@@ -31,9 +31,6 @@ type Group struct {
 	// Anchor is the group's defining compute node (nil for pure
 	// data-movement or Myelin groups).
 	Anchor *graph.Node
-
-	// size counts the group's nodes while Fuse lists them.
-	size int
 }
 
 // FusionRules parameterizes a backend's graph-optimization pipeline.
@@ -81,26 +78,21 @@ var myelinOps = map[string]bool{
 
 // Fuse runs the backend's graph optimizer: it partitions the model's
 // nodes into fusion groups according to rules. Every non-Constant node
-// lands in exactly one group. The passes only record each node's
-// group; once every node is claimed, the groups' node lists are carved
-// from one array of every node, in topological order.
-func Fuse(rep *analysis.Rep, rules FusionRules) []*Group {
+// lands in exactly one group. While the passes run, a group is known by
+// its leader, the node that opened it; once every node is claimed, the
+// groups are listed in one array in the order of their first nodes, and
+// their node lists are carved from one array of every node, in
+// topological order.
+func Fuse(rep *analysis.Rep, rules FusionRules) []Group {
 	g := rep.Graph
 	order := rep.Nodes()
-	// claimed records each node's group by topological position.
-	claimed := make([]*Group, len(order))
-	claimedBy := func(n *graph.Node) *Group { return claimed[g.Pos(n)] }
-	claim := func(gr *Group, nodes ...*graph.Node) {
-		for _, n := range nodes {
-			claimed[g.Pos(n)] = gr
-		}
-	}
-	var groups []*Group
-	newGroup := func(kind GroupKind, anchor *graph.Node, nodes ...*graph.Node) *Group {
-		gr := &Group{Kind: kind, Anchor: anchor}
-		claim(gr, nodes...)
-		groups = append(groups, gr)
-		return gr
+	// own records each node's group by topological position.
+	own := make([]owner, len(order))
+	claimed := func(n *graph.Node) bool { return own[g.Pos(n)].lead != 0 }
+	claim := func(lead int, n *graph.Node) { own[g.Pos(n)].lead = int32(lead) + 1 }
+	// open starts the group that the node at position i leads.
+	open := func(i int, myelin, anchored bool) {
+		own[i] = owner{lead: int32(i) + 1, myelin: myelin, anchored: anchored}
 	}
 	isOutput := func(t string) bool { return slices.Contains(g.Outputs, t) }
 
@@ -109,26 +101,26 @@ func Fuse(rep *analysis.Rep, rules FusionRules) []*Group {
 	// flushed at LayerNorm boundaries to keep per-attention/per-MLP
 	// granularity. A segment is the run of positions [start, i), so a
 	// tensor was produced inside it when its producer sits at start or
-	// later. Claiming copies nothing, so one segment buffer serves
-	// every flush.
+	// later.
 	if rules.Myelin {
-		var segment []*graph.Node
 		start := 0
 		matmuls := 0
-		flush := func(next int) {
+		flush := func(end, next int) {
 			if matmuls >= 2 {
-				newGroup(KindMyelin, nil, segment...)
+				open(start, true, false)
+				for _, n := range order[start+1 : end] {
+					claim(start, n)
+				}
 			}
-			segment = segment[:0]
 			start = next
 			matmuls = 0
 		}
-		connects := func(n *graph.Node) bool {
-			if len(segment) == 0 || len(n.Inputs) == 0 {
+		connects := func(i int, n *graph.Node) bool {
+			if i == start || len(n.Inputs) == 0 {
 				return true // fresh segment, or a Constant
 			}
-			for i := range n.Inputs {
-				if p := g.InProducer(n, i); p != nil && g.Pos(p) >= start {
+			for k := range n.Inputs {
+				if p := g.InProducer(n, k); p != nil && g.Pos(p) >= start {
 					return true
 				}
 			}
@@ -140,62 +132,64 @@ func Fuse(rep *analysis.Rep, rules FusionRules) []*Group {
 		}
 		for i, n := range order {
 			if !myelinOps[n.OpType] {
-				flush(i + 1)
+				flush(i, i+1)
 				continue
 			}
 			if n.OpType == "LayerNormalization" && matmuls >= 1 {
-				flush(i)
+				flush(i, i)
 			}
 			// Cap regions at two matrix multiplies: Myelin emits one
 			// kernel per GEMM with fused pointwise epilogues, and
 			// large intermediates between GEMM pairs spill to DRAM,
 			// so region granularity tracks the GEMM structure.
 			if (n.OpType == "MatMul" || n.OpType == "Gemm" || n.OpType == "Einsum") && matmuls >= 2 {
-				flush(i)
+				flush(i, i)
 			}
-			if !connects(n) {
-				flush(i)
+			if !connects(i, n) {
+				flush(i, i)
 			}
-			segment = append(segment, n)
 			if n.OpType == "MatMul" || n.OpType == "Gemm" || n.OpType == "Einsum" {
 				matmuls++
 			}
 		}
-		flush(len(order))
+		flush(len(order), len(order))
 	}
 
 	// Pass 2: anchored chains. From each unclaimed anchor, absorb the
 	// single-consumer chain of absorbable ops (plus the SiLU and GELU
 	// multi-node patterns), as long as no consumer is claimed already.
 	for i, n := range order {
-		if claimed[i] != nil || !anchorOps[n.OpType] || sim.IsMeta(n, g) {
+		if own[i].lead != 0 || !anchorOps[n.OpType] || sim.IsMeta(n, g) {
 			continue
 		}
-		gr := newGroup(KindNormal, n, n)
+		open(i, false, true)
 		tail := n
 		for {
 			if len(tail.Outputs) != 1 || isOutput(tail.Outputs[0]) {
 				break
 			}
 			consumers := g.OutConsumers(tail, 0)
-			if slices.ContainsFunc(consumers, func(c *graph.Node) bool { return claimedBy(c) != nil }) {
+			if slices.ContainsFunc(consumers, claimed) {
 				break // someone else already owns a consumer
 			}
 			if next, ok := matchSingle(consumers, rules.AbsorbOps); ok {
-				claim(gr, next)
+				claim(i, next)
 				tail = next
 				continue
 			}
 			if rules.AbsorbSiLU {
 				if sig, mul, ok := matchSiLU(g, consumers); ok {
-					claim(gr, sig, mul)
+					claim(i, sig)
+					claim(i, mul)
 					tail = mul
 					continue
 				}
 			}
 			if rules.AbsorbGelu {
-				if nodes, ok := matchGelu(g, consumers, claimedBy); ok {
-					claim(gr, nodes[:]...)
+				if nodes, ok := matchGelu(g, consumers, claimed); ok {
+					for _, m := range nodes {
+						claim(i, m)
+					}
 					tail = nodes[len(nodes)-1]
 					continue
 				}
@@ -207,21 +201,21 @@ func Fuse(rep *analysis.Rep, rules FusionRules) []*Group {
 	// Pass 3: pointwise runs.
 	if rules.PointwiseRuns {
 		for i, n := range order {
-			if claimed[i] != nil || !pointwiseOps[n.OpType] || sim.IsMeta(n, g) {
+			if own[i].lead != 0 || !pointwiseOps[n.OpType] || sim.IsMeta(n, g) {
 				continue
 			}
-			gr := newGroup(KindNormal, nil, n)
+			open(i, false, false)
 			tail := n
 			for len(tail.Outputs) == 1 && !isOutput(tail.Outputs[0]) {
 				consumers := g.OutConsumers(tail, 0)
-				if len(consumers) != 1 || claimedBy(consumers[0]) != nil {
+				if len(consumers) != 1 || claimed(consumers[0]) {
 					break
 				}
 				next := consumers[0]
 				if !pointwiseOps[next.OpType] || sim.IsMeta(next, g) {
 					break
 				}
-				claim(gr, next)
+				claim(i, next)
 				tail = next
 			}
 		}
@@ -229,8 +223,8 @@ func Fuse(rep *analysis.Rep, rules FusionRules) []*Group {
 
 	// Pass 4: every remaining non-metadata node is its own layer.
 	for i, n := range order {
-		if claimed[i] == nil && !sim.IsMeta(n, g) {
-			newGroup(KindNormal, nil, n)
+		if own[i].lead == 0 && !sim.IsMeta(n, g) {
+			open(i, false, false)
 		}
 	}
 
@@ -239,57 +233,81 @@ func Fuse(rep *analysis.Rep, rules FusionRules) []*Group {
 	// of their producer, or a singleton group as a last resort.
 	for i := len(order) - 1; i >= 0; i-- {
 		n := order[i]
-		if claimed[i] != nil || !sim.IsMeta(n, g) {
+		if own[i].lead != 0 || !sim.IsMeta(n, g) {
 			continue
 		}
-		var target *Group
+		var lead int32
 		for o := range n.Outputs {
 			for _, c := range g.OutConsumers(n, o) {
-				if gr := claimedBy(c); gr != nil {
-					target = gr
+				if lead = own[g.Pos(c)].lead; lead != 0 {
 					break
 				}
 			}
-			if target != nil {
+			if lead != 0 {
 				break
 			}
 		}
-		if target == nil {
-			for i := range n.Inputs {
-				if p := g.InProducer(n, i); p != nil && claimedBy(p) != nil {
-					target = claimedBy(p)
+		if lead == 0 {
+			for k := range n.Inputs {
+				if p := g.InProducer(n, k); p != nil && claimed(p) {
+					lead = own[g.Pos(p)].lead
 					break
 				}
 			}
 		}
-		if target == nil {
-			newGroup(KindNormal, nil, n)
+		if lead == 0 {
+			open(i, false, false)
 			continue
 		}
-		claim(target, n)
+		own[i].lead = lead
 	}
 
-	// Normalize: every node is claimed now. One walk counts each
-	// group's nodes; the next, in topological order, gives each group
-	// its capped run of one array of every node as it first meets the
-	// group, lists the group's nodes there in order, and lists the
-	// groups in the order of their first nodes.
-	for _, gr := range claimed {
-		gr.size++
-	}
-	all := make([]*graph.Node, len(order))
-	sorted := groups[:0]
-	next := 0
-	for i, n := range order {
-		gr := claimed[i]
-		if gr.Nodes == nil {
-			gr.Nodes = all[next : next : next+gr.size]
-			next += gr.size
-			sorted = append(sorted, gr)
+	// Normalize: every node is claimed now. One walk, in topological
+	// order, numbers the groups as it first meets them and counts each
+	// group's nodes on its leader's entry; the groups array then gives
+	// each group its capped run of one array of every node, and a last
+	// walk lists the group's nodes there in order.
+	count := 0
+	for i := range order {
+		l := &own[own[i].lead-1]
+		if l.size == 0 {
+			l.group = int32(count)
+			count++
 		}
+		l.size++
+	}
+	groups := make([]Group, count)
+	all := make([]*graph.Node, len(order))
+	next := 0
+	for i := range order {
+		if own[i].lead != int32(i)+1 {
+			continue
+		}
+		l := own[i]
+		gr := &groups[l.group]
+		gr.Nodes = all[next : next : next+int(l.size)]
+		next += int(l.size)
+		if l.myelin {
+			gr.Kind = KindMyelin
+		}
+		if l.anchored {
+			gr.Anchor = order[i]
+		}
+	}
+	for i, n := range order {
+		gr := &groups[own[own[i].lead-1].group]
 		gr.Nodes = append(gr.Nodes, n)
 	}
-	return sorted
+	return groups
+}
+
+// owner is a node's entry while Fuse runs: lead is one more than the
+// topological position of its group's leader (0: unclaimed). A
+// leader's own entry also holds its group's kind, whether the leader
+// anchors it and, once normalized, its index and node count.
+type owner struct {
+	lead, group, size int32
+	myelin, anchored  bool
 }
 
 func matchSingle(consumers []*graph.Node, absorb map[string]bool) (*graph.Node, bool) {
@@ -335,7 +353,7 @@ func matchSiLU(g *graph.Graph, consumers []*graph.Node) (sig, mul *graph.Node, o
 //	t -> Div(t,c) -> Erf -> Add(e,1) -> Mul(t,a) -> Mul(m, 0.5)
 //
 // among t's consumers, and returns the five compute nodes in order.
-func matchGelu(g *graph.Graph, consumers []*graph.Node, claimedBy func(*graph.Node) *Group) (nodes [5]*graph.Node, ok bool) {
+func matchGelu(g *graph.Graph, consumers []*graph.Node, claimed func(*graph.Node) bool) (nodes [5]*graph.Node, ok bool) {
 	var div, mul1 *graph.Node
 	for _, c := range consumers {
 		switch c.OpType {
@@ -353,7 +371,7 @@ func matchGelu(g *graph.Graph, consumers []*graph.Node, claimedBy func(*graph.No
 			return nil
 		}
 		cs := g.OutConsumers(n, 0)
-		if len(cs) != 1 || cs[0].OpType != op || claimedBy(cs[0]) != nil {
+		if len(cs) != 1 || cs[0].OpType != op || claimed(cs[0]) {
 			return nil
 		}
 		return cs[0]

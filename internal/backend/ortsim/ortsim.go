@@ -10,11 +10,12 @@ package ortsim
 
 import (
 	"context"
+	"fmt"
 	"strconv"
-	"strings"
 
 	"proof/internal/analysis"
 	"proof/internal/backend"
+	"proof/internal/graph"
 	"proof/internal/obs"
 )
 
@@ -48,65 +49,80 @@ func (o ONNXRuntime) Build(ctx context.Context, rep *analysis.Rep, cfg backend.C
 	return backend.BuildEngine(ctx, spec, rep, cfg)
 }
 
-func ortInfo(idx int, gr *backend.Group, truth *analysis.Layer, alias map[string]string) backend.Layer {
-	ins, outs := backend.BoundaryIO(truth, alias)
+// ortInfo names a layer [fused_]<op>_<idx> after its anchor's op type,
+// or its first node's, lowercased. Shape inference admits only ASCII op
+// types, so lowercasing ASCII letters is strings.ToLower.
+//
+//lint:hotpath
+func ortInfo(text []byte, nodes []string, idx int, gr *backend.Group) ([]byte, []string, backend.Layer) {
 	kind := "op"
 	if gr.Anchor != nil {
-		kind = strings.ToLower(gr.Anchor.OpType)
+		kind = gr.Anchor.OpType
 	} else if len(gr.Nodes) > 0 {
-		kind = strings.ToLower(gr.Nodes[0].OpType)
+		kind = gr.Nodes[0].OpType
 	}
-	prefix := ""
 	if len(gr.Nodes) > 1 {
-		prefix = "fused_"
+		text = append(text, "fused_"...)
 	}
-	return backend.Layer{
-		Name:          prefix + kind + "_" + strconv.Itoa(idx),
-		InputTensors:  ins,
-		OutputTensors: outs,
+	at := len(text)
+	text = append(text, kind...)
+	for i := at; i < len(text); i++ {
+		if c := text[i]; 'A' <= c && c <= 'Z' {
+			text[i] = c + 'a' - 'A'
+		}
 	}
+	text = append(text, '_')
+	return strconv.AppendInt(text, int64(idx), 10), nodes, backend.Layer{}
 }
 
 // ortReorders inserts a reorder layer before each convolution group
 // whose data input is produced by a non-convolution group (or is a
 // graph input): the oneDNN blocked-layout conversion of Figure 2's
-// reorder_1.
-func ortReorders(rep *analysis.Rep, groups []*backend.Group) []backend.ReformatSpec {
+// reorder_1. One pass counts the reorders and the next lists them.
+func ortReorders(rep *analysis.Rep, groups []backend.Group) []backend.ReformatSpec {
 	g := rep.Graph
 	groupOf := make([]*backend.Group, rep.NodeCount()) // by topological position
-	for _, gr := range groups {
-		for _, n := range gr.Nodes {
-			groupOf[g.Pos(n)] = gr
+	for i := range groups {
+		for _, n := range groups[i].Nodes {
+			groupOf[g.Pos(n)] = &groups[i]
 		}
 	}
 	isConvGroup := func(gr *backend.Group) bool {
 		return gr != nil && gr.Anchor != nil &&
 			(gr.Anchor.OpType == "Conv" || gr.Anchor.OpType == "ConvTranspose")
 	}
-	var specs []backend.ReformatSpec
 	seen := map[string]bool{}
-	idx := 0
-	for i, gr := range groups {
-		if !isConvGroup(gr) {
-			continue
+	reorders := func(emit func(group int, tensor string)) {
+		clear(seen)
+		for i := range groups {
+			gr := &groups[i]
+			if !isConvGroup(gr) {
+				continue
+			}
+			t := gr.Anchor.Inputs[0]
+			if seen[t] {
+				continue
+			}
+			prod := g.InProducer(gr.Anchor, 0)
+			if prod != nil && isConvGroup(groupOf[g.Pos(prod)]) {
+				continue
+			}
+			seen[t] = true
+			emit(i, t)
 		}
-		t := gr.Anchor.Inputs[0]
-		if seen[t] {
-			continue
-		}
-		prod := g.InProducer(gr.Anchor, 0)
-		if prod != nil && isConvGroup(groupOf[g.Pos(prod)]) {
-			continue
-		}
-		seen[t] = true
-		idx++
-		specs = append(specs, backend.ReformatSpec{
-			BeforeGroup: i,
-			Tensor:      t,
-			Alias:       t + "_r",
-			Name:        "reorder_" + strconv.Itoa(idx),
-		})
 	}
+	n := 0
+	reorders(func(int, string) { n++ })
+	specs := make([]backend.ReformatSpec, 0, n)
+	reorders(func(group int, tensor string) {
+		specs = append(specs, backend.ReformatSpec{
+			BeforeGroup: group,
+			Tensor:      tensor,
+			AliasSuffix: "_r",
+			Prefix:      "reorder_",
+			Index:       len(specs) + 1,
+		})
+	})
 	return specs
 }
 
@@ -116,7 +132,13 @@ func ortReorders(rep *analysis.Rep, groups []*backend.Group) []backend.ReformatS
 func (o ONNXRuntime) MapLayers(ctx context.Context, e *backend.Engine, opt *analysis.OptimizedRep) (backend.Mapping, error) {
 	_, sp := obs.Start(ctx, "map_layers")
 	sp.SetAttr("backend", o.Name())
-	m, err := backend.MapByIO(e, opt)
+	m, err := backend.MapNodes(e, opt, func(dst []*graph.Node, l *backend.Layer) ([]*graph.Node, error) {
+		dst, err := opt.GetSubgraphOpsByIO(dst, l.InputTensors, l.OutputTensors)
+		if err != nil {
+			return dst, fmt.Errorf("backend %s: mapping layer %q by io: %w", o.Name(), l.Name, err)
+		}
+		return dst, nil
+	})
 	sp.SetAttrInt("layers", int64(len(m)))
 	sp.EndErr(err)
 	return m, err

@@ -9,10 +9,11 @@ package ovsim
 import (
 	"context"
 	"fmt"
-	"strconv"
+	"slices"
 
 	"proof/internal/analysis"
 	"proof/internal/backend"
+	"proof/internal/graph"
 	"proof/internal/obs"
 )
 
@@ -47,33 +48,33 @@ func (o OpenVINO) Build(ctx context.Context, rep *analysis.Rep, cfg backend.Conf
 	return backend.BuildEngine(ctx, spec, rep, cfg)
 }
 
-func ovInfo(idx int, gr *backend.Group, truth *analysis.Layer, alias map[string]string) backend.Layer {
-	ins, outs := backend.BoundaryIO(truth, alias)
+// ovInfo names a layer after its anchor, or its first node, and exposes
+// every node it fuses.
+//
+//lint:hotpath
+func ovInfo(text []byte, nodes []string, idx int, gr *backend.Group) ([]byte, []string, backend.Layer) {
 	name := gr.Nodes[0].Name
 	if gr.Anchor != nil {
 		name = gr.Anchor.Name
 	}
-	names := make([]string, 0, len(gr.Nodes))
-	for _, n := range gr.Nodes {
-		names = append(names, n.Name)
+	at := len(nodes)
+	nodes = slices.Grow(nodes, len(gr.Nodes))[:at+len(gr.Nodes)]
+	for i, n := range gr.Nodes {
+		nodes[at+i] = n.Name
 	}
-	return backend.Layer{
-		Name:           name,
-		FusedNodeNames: names,
-		InputTensors:   ins,
-		OutputTensors:  outs,
-	}
+	return text, nodes, backend.Layer{Name: name}
 }
 
-func ovReformats(rep *analysis.Rep, groups []*backend.Group) []backend.ReformatSpec {
-	var specs []backend.ReformatSpec
+func ovReformats(rep *analysis.Rep, groups []backend.Group) []backend.ReformatSpec {
+	specs := make([]backend.ReformatSpec, len(rep.Graph.Inputs))
 	for i, in := range rep.Graph.Inputs {
-		specs = append(specs, backend.ReformatSpec{
+		specs[i] = backend.ReformatSpec{
 			BeforeGroup: 0,
 			Tensor:      in,
-			Alias:       in + "_cvt",
-			Name:        "Convert_" + strconv.Itoa(i),
-		})
+			AliasSuffix: "_cvt",
+			Prefix:      "Convert_",
+			Index:       i,
+		}
 	}
 	return specs
 }
@@ -90,22 +91,11 @@ func (o OpenVINO) MapLayers(ctx context.Context, e *backend.Engine, opt *analysi
 }
 
 func (OpenVINO) mapLayers(e *backend.Engine, opt *analysis.OptimizedRep) (backend.Mapping, error) {
-	layers := e.Layers()
-	m := make(backend.Mapping, len(layers))
-	for i, l := range layers {
-		if l.IsReformat {
-			opt.SetTensorAlias(l.OutputTensors[0], l.InputTensors[0])
-			continue
-		}
-		nodes, err := backend.NodesByName(opt, l.FusedNodeNames)
+	return backend.MapNodes(e, opt, func(dst []*graph.Node, l *backend.Layer) ([]*graph.Node, error) {
+		dst, err := backend.NodesByName(dst, opt, l.FusedNodeNames)
 		if err != nil {
-			return nil, fmt.Errorf("ovsim: mapping %q: %w", l.Name, err)
+			return dst, fmt.Errorf("ovsim: mapping %q: %w", l.Name, err)
 		}
-		layer, err := backend.FuseMapped(opt, l.Name, nodes)
-		if err != nil {
-			return nil, err
-		}
-		m[i] = layer
-	}
-	return m, nil
+		return dst, nil
+	})
 }

@@ -13,8 +13,8 @@ package trtsim
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
-	"strings"
 
 	"proof/internal/analysis"
 	"proof/internal/backend"
@@ -56,44 +56,55 @@ func (t TensorRT) Build(ctx context.Context, rep *analysis.Rep, cfg backend.Conf
 	return backend.BuildEngine(ctx, spec, rep, cfg)
 }
 
-func trtInfo(idx int, gr *backend.Group, truth *analysis.Layer, alias map[string]string) backend.Layer {
-	ins, outs := backend.BoundaryIO(truth, alias)
+// trtInfo names a Myelin region {ForeignNode[myelin_region_<idx>]},
+// exposing no node names, and any other layer by its nodes' names
+// joined with graph.LayerNameSep.
+//
+//lint:hotpath
+func trtInfo(text []byte, nodes []string, idx int, gr *backend.Group) ([]byte, []string, backend.Layer) {
 	if gr.Kind == backend.KindMyelin {
-		return backend.Layer{
-			Name:          "{ForeignNode[myelin_region_" + strconv.Itoa(idx) + "]}",
-			Opaque:        true,
-			InputTensors:  ins,
-			OutputTensors: outs,
-		}
+		text = append(text, "{ForeignNode[myelin_region_"...)
+		text = strconv.AppendInt(text, int64(idx), 10)
+		return append(text, "]}"...), nodes, backend.Layer{Opaque: true}
 	}
-	names := make([]string, 0, len(gr.Nodes))
+	if len(gr.Nodes) == 1 {
+		return text, nodes, backend.Layer{Name: gr.Nodes[0].Name}
+	}
+	size := len(graph.LayerNameSep) * (len(gr.Nodes) - 1)
 	for _, n := range gr.Nodes {
-		names = append(names, n.Name)
+		size += len(n.Name)
 	}
-	return backend.Layer{
-		Name:          strings.Join(names, graph.LayerNameSep),
-		InputTensors:  ins,
-		OutputTensors: outs,
+	at := len(text)
+	text = slices.Grow(text, size)[:at+size]
+	for i, n := range gr.Nodes {
+		if i > 0 {
+			at += copy(text[at:], graph.LayerNameSep)
+		}
+		at += copy(text[at:], n.Name)
 	}
+	return text, nodes, backend.Layer{}
 }
 
-func trtReformats(rep *analysis.Rep, groups []*backend.Group) []backend.ReformatSpec {
-	var specs []backend.ReformatSpec
-	for i, in := range rep.Graph.Inputs {
-		specs = append(specs, backend.ReformatSpec{
+func trtReformats(rep *analysis.Rep, groups []backend.Group) []backend.ReformatSpec {
+	ins, outs := rep.Graph.Inputs, rep.Graph.Outputs
+	specs := make([]backend.ReformatSpec, len(ins)+len(outs))
+	for i, in := range ins {
+		specs[i] = backend.ReformatSpec{
 			BeforeGroup: 0,
 			Tensor:      in,
-			Alias:       in + "_rf",
-			Name:        "Reformat_input_" + strconv.Itoa(i),
-		})
+			AliasSuffix: "_rf",
+			Prefix:      "Reformat_input_",
+			Index:       i,
+		}
 	}
-	for i, out := range rep.Graph.Outputs {
-		specs = append(specs, backend.ReformatSpec{
+	for i, out := range outs {
+		specs[len(ins)+i] = backend.ReformatSpec{
 			BeforeGroup: len(groups),
 			Tensor:      out,
-			Alias:       out + "_rf",
-			Name:        "Reformat_output_" + strconv.Itoa(i),
-		})
+			AliasSuffix: "_rf",
+			Prefix:      "Reformat_output_",
+			Index:       i,
+		}
 	}
 	return specs
 }
@@ -114,43 +125,25 @@ func (t TensorRT) MapLayers(ctx context.Context, e *backend.Engine, opt *analysi
 
 func (TensorRT) mapLayers(e *backend.Engine, opt *analysis.OptimizedRep) (backend.Mapping, int64, error) {
 	var opaque int64
-	var cuts []int
-	layers := e.Layers()
-	m := make(backend.Mapping, len(layers))
-	for _, l := range layers {
-		if l.IsReformat {
-			opt.SetTensorAlias(l.OutputTensors[0], l.InputTensors[0])
-		}
-	}
-	for i, l := range layers {
-		if l.IsReformat {
-			continue
-		}
+	var cutBuf [8]int
+	cuts := cutBuf[:0]
+	m, err := backend.MapNodes(e, opt, func(dst []*graph.Node, l *backend.Layer) ([]*graph.Node, error) {
 		if l.Opaque {
 			opaque++
-			nodes, err := opt.GetSubgraphOpsByIO(l.InputTensors, l.OutputTensors)
+			dst, err := opt.GetSubgraphOpsByIO(dst, l.InputTensors, l.OutputTensors)
 			if err != nil {
-				return nil, opaque, fmt.Errorf("trtsim: mapping opaque region %q: %w", l.Name, err)
+				return dst, fmt.Errorf("trtsim: mapping opaque region %q: %w", l.Name, err)
 			}
-			f, err := opt.SetFusedOp(l.Name, nodes)
-			if err != nil {
-				return nil, opaque, fmt.Errorf("trtsim: fusing %q: %w", l.Name, err)
-			}
-			m[i] = &analysis.Layer{Fused: f}
-			continue
+			return dst, nil
 		}
 		cuts = graph.NameSeps(l.Name, cuts[:0])
-		nodes, err := layerNodes(opt.Base.Graph, l.Name, cuts)
+		dst, err := layerNodes(dst, opt.Base.Graph, l.Name, cuts)
 		if err != nil {
-			return nil, opaque, fmt.Errorf("trtsim: mapping %q: %w", l.Name, err)
+			return dst, fmt.Errorf("trtsim: mapping %q: %w", l.Name, err)
 		}
-		layer, err := backend.FuseMapped(opt, l.Name, nodes)
-		if err != nil {
-			return nil, opaque, err
-		}
-		m[i] = layer
-	}
-	return m, opaque, nil
+		return dst, nil
+	})
+	return m, opaque, err
 }
 
 // layerNodes resolves a named layer to its nodes. The name joins them
@@ -159,12 +152,17 @@ func (TensorRT) mapLayers(e *backend.Engine, opt *analysis.OptimizedRep) (backen
 // splits only at separators whose segments all resolve through the
 // graph's name table. A name that splits more than one way is a defect
 // of the graph.
-func layerNodes(g *graph.Graph, name string, cuts []int) ([]*graph.Node, error) {
+func layerNodes(dst []*graph.Node, g *graph.Graph, name string, cuts []int) ([]*graph.Node, error) {
 	// Suffix k starts the name (k == 0) or follows cut k-1. ways[k]
 	// counts its splits, up to 2, and end[k] is the cut ending its first
 	// segment in the split found (len(cuts) for the end of the name).
+	// Names of up to sixteen nodes keep them on the stack.
 	n := len(cuts) + 1
-	dp := make([]int, 2*n)
+	var dpBuf [32]int
+	dp := dpBuf[:]
+	if 2*n > len(dpBuf) {
+		dp = make([]int, 2*n)
+	}
 	ways, end := dp[:n], dp[n:]
 	for k := n - 1; k >= 0; k-- {
 		start := 0
@@ -194,20 +192,19 @@ func layerNodes(g *graph.Graph, name string, cuts []int) ([]*graph.Node, error) 
 	}
 	switch ways[0] {
 	case 0:
-		return nil, fmt.Errorf("backend: layer %q does not split into node names", name)
+		return dst, fmt.Errorf("backend: layer %q does not split into node names", name)
 	case 2:
-		return nil, &graph.ValidationError{
+		return dst, &graph.ValidationError{
 			Code: graph.ErrAmbiguousNodeNames, Graph: g.Name,
 			Detail: fmt.Sprintf("layer %q splits into node names more than one way", name),
 		}
 	}
-	nodes := make([]*graph.Node, 0, n)
 	for k, start := 0, 0; ; {
 		c := end[k]
 		if c == len(cuts) {
-			return append(nodes, g.Node(name[start:])), nil
+			return append(dst, g.Node(name[start:])), nil
 		}
-		nodes = append(nodes, g.Node(name[start:cuts[c]]))
+		dst = append(dst, g.Node(name[start:cuts[c]]))
 		k, start = c+1, cuts[c]+len(graph.LayerNameSep)
 	}
 }

@@ -33,7 +33,7 @@ func TestLayerNodes(t *testing.T) {
 		{"p + + s + + + + t", []string{"p +", "s + + + + t"}},
 		{"r + + + + + + q", []string{"r + + + + +", "q"}},
 	} {
-		nodes, err := layerNodes(g, tc.layer, graph.NameSeps(tc.layer, nil))
+		nodes, err := layerNodes(nil, g, tc.layer, graph.NameSeps(tc.layer, nil))
 		if err != nil {
 			t.Errorf("%q: %v", tc.layer, err)
 			continue
@@ -46,13 +46,13 @@ func TestLayerNodes(t *testing.T) {
 			t.Errorf("%q splits into %q, want %q", tc.layer, got, tc.want)
 		}
 	}
-	if _, err := layerNodes(g, "conv + nope", graph.NameSeps("conv + nope", nil)); err == nil {
+	if _, err := layerNodes(nil, g, "conv + nope", graph.NameSeps("conv + nope", nil)); err == nil {
 		t.Error("a name with an unknown segment must not resolve")
 	} else if _, ok := graph.AsValidationError(err); ok {
 		t.Errorf("an unknown segment is not a graph defect: %v", err)
 	}
 	for _, layer := range []string{"a + b", "conv + a + b"} {
-		_, err := layerNodes(g, layer, graph.NameSeps(layer, nil))
+		_, err := layerNodes(nil, g, layer, graph.NameSeps(layer, nil))
 		verr, ok := graph.AsValidationError(err)
 		if !ok || verr.Code != graph.ErrAmbiguousNodeNames || verr.Detail != `layer "`+layer+`" splits into node names more than one way` {
 			t.Errorf("%q: %v, want an %s defect naming the layer", layer, err, graph.ErrAmbiguousNodeNames)

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"strings"
 
 	"proof/internal/jsonread"
@@ -83,7 +84,6 @@ func ReadJSON(r *jsonread.Reader) *Graph {
 		names:   chunks[string]{next: size / bytesPerName},
 		ints:    chunks[int]{next: size / bytesPerInt},
 		attrs:   chunks[Attribute]{next: size / bytesPerAttr},
-		keys:    map[string]bool{},
 	}
 	d.text.Grow(int(float64(size) * textShare))
 	g := &Graph{}
@@ -117,7 +117,7 @@ type decoder struct {
 	ints    chunks[int]
 	int64s  chunks[int64]
 	attrs   chunks[Attribute]
-	keys    map[string]bool // the keys of the attrs object being read
+	keys    map[string]bool // the keys of a long attrs object being read
 }
 
 // chunks hands out elements and capped runs of one array of T. When
@@ -285,26 +285,53 @@ func (d *decoder) tensor(key string) *Tensor {
 }
 
 // attrList reads a node's attrs object into a run of the attribute
-// array, sorted by name. The keys of the object being read are kept in
-// one set per decoder, so a repeated key is refused as a map's is.
+// array, sorted by name. A repeated key is refused as a map's is: while
+// the run holds at most eight attributes each key is checked against
+// it, and past eight against one set per decoder, so an object of many
+// distinct keys is still read in linear time.
 func (d *decoder) attrList() Attrs {
 	r := d.r
 	if !r.Object() {
 		return nil
 	}
-	clear(d.keys)
 	c := &d.attrs
 	at := len(c.buf)
 	for n := 0; ; n++ {
-		key, ok := jsonread.MapKey(r, d.keys, &d.text, n)
+		key, ok := jsonread.MapKey[bool](r, nil, &d.text, n)
 		if !ok {
 			return MakeAttrs(c.run(at)...)
 		}
-		d.keys[key] = true
+		if d.repeated(c.buf[at:], key) {
+			r.RefuseKey(key)
+			return MakeAttrs(c.run(at)...)
+		}
 		at = c.room(at)
 		c.buf = append(c.buf, Attribute{Name: key})
 		d.attr(&c.buf[len(c.buf)-1])
 	}
+}
+
+// repeated reports whether key names one of run's attributes, and
+// notes it for the next key once run holds more than eight.
+func (d *decoder) repeated(run []Attribute, key string) bool {
+	const scan = 8
+	if len(run) < scan {
+		return slices.ContainsFunc(run, func(a Attribute) bool { return a.Name == key })
+	}
+	if len(run) == scan {
+		if d.keys == nil {
+			d.keys = make(map[string]bool)
+		}
+		clear(d.keys)
+		for _, a := range run {
+			d.keys[a.Name] = true
+		}
+	}
+	if d.keys[key] {
+		return true
+	}
+	d.keys[key] = true
+	return false
 }
 
 // attr reads an attribute's members into a.

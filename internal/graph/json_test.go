@@ -2,7 +2,9 @@ package graph
 
 import (
 	"encoding/json"
+	"errors"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -98,5 +100,49 @@ func TestReadJSONListsShareNothing(t *testing.T) {
 	}
 	if !reflect.DeepEqual(b, want) {
 		t.Fatal("writing one decoded graph's shapes changed another's")
+	}
+}
+
+// TestReadJSONRefusesRepeatedAttr: a node's attrs object that repeats
+// a key is refused at that key's offset with the error a map gives,
+// whether the repeat comes while the attributes are checked by scanning
+// (the key at index 2) or by the set past eight (index 12).
+func TestReadJSONRefusesRepeatedAttr(t *testing.T) {
+	attr := func(name string) string { return `"` + name + `":{"kind":1,"i":1}` }
+	for _, tc := range []struct {
+		keys   []string
+		repeat int
+	}{
+		{[]string{"a", "b", "a"}, 2},
+		{[]string{"k00", "k01", "k02", "k03", "k04", "k05", "k06", "k07", "k08", "k09", "k10", "k11", "k03"}, 12},
+	} {
+		var attrs []string
+		for _, k := range tc.keys {
+			attrs = append(attrs, attr(k))
+		}
+		prefix := `{"name":"g","nodes":[{"name":"n","op_type":"Relu","inputs":["x"],"outputs":["y"],"attrs":{` +
+			strings.Join(attrs[:tc.repeat], ",") + ","
+		body := prefix + strings.Join(attrs[tc.repeat:], ",") + `}}]}`
+		r := jsonread.NewReader([]byte(body))
+		ReadJSON(r)
+		err := r.End()
+		var jerr *jsonread.Error
+		if !errors.As(err, &jerr) {
+			t.Fatalf("repeat at %d: error %v, want a *jsonread.Error", tc.repeat, err)
+		}
+		want := `duplicate key "` + tc.keys[tc.repeat] + `"`
+		if jerr.Msg != want || jerr.Offset != len(prefix) {
+			t.Errorf("repeat at %d: %v, want %s at offset %d", tc.repeat, err, want, len(prefix))
+		}
+	}
+	// Twelve distinct keys read in full.
+	var attrs []string
+	for i := range 12 {
+		attrs = append(attrs, attr("k"+strconv.Itoa(100+i)))
+	}
+	r := jsonread.NewReader([]byte(`{"name":"g","nodes":[{"name":"n","op_type":"Relu","attrs":{` + strings.Join(attrs, ",") + `}}]}`))
+	g := ReadJSON(r)
+	if err := r.End(); err != nil || len(g.Nodes) != 1 || len(g.Nodes[0].Attrs) != 12 {
+		t.Fatalf("twelve distinct attrs: %v", err)
 	}
 }

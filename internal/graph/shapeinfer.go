@@ -76,6 +76,7 @@ func (g *Graph) infer() (*inferCtx, error) {
 		}
 	}
 	for _, n := range order {
+		ctx.scratch = ctx.scratch[:0]
 		if err := ctx.inferNode(n); err != nil {
 			return nil, &ValidationError{
 				Code: ErrShapeInference, Graph: g.Name, Node: n.Name,
@@ -101,14 +102,32 @@ func (g *Graph) infer() (*inferCtx, error) {
 // sized by the ranks the outputs hold when the pass starts: a view
 // holds its admitted graph's, and rebatching changes dimensions, not
 // ranks, so a view's pass allocates its shapes once. A pass that meets
-// unknown or larger ranks grows dims, at least doubling it.
+// unknown or larger ranks grows dims, at least doubling it. Every value
+// the pass computes is carved from ints the same way, sized by the
+// shape-vector outputs of the ops that compute one (valueOps), and vals
+// by every shape-vector output and every tensor holding int data; a
+// value another op passes on (Slice, Squeeze, Cast, ...) shares its
+// input's. A node's transient integer lists, such as a Reshape target
+// read from a value, sit in scratch, which the next node reuses: no
+// value or shape keeps them.
 type inferCtx struct {
-	g      *Graph
-	valAt  []int32
-	vals   [][]int64
-	byName map[string][]int64
-	dims   []int
+	g       *Graph
+	valAt   []int32
+	vals    [][]int64
+	byName  map[string][]int64
+	dims    []int
+	ints    []int64
+	scratch []int
 }
+
+// valueOps compute a value of their own when their inputs' values are
+// known: elementwise integer arithmetic (elementwiseBinary) and these.
+var valueOps = map[string]bool{"Constant": true, "Shape": true, "Concat": true, "Gather": true}
+
+// maxShapeVector bounds the outputs newInferCtx sizes ints and vals
+// for: a value vector lists at most one int per dimension, or a few
+// shape vectors concatenated. A longer value grows ints.
+const maxShapeVector = 16
 
 func newInferCtx(g *Graph, order []*Node) *inferCtx {
 	c := &inferCtx{g: g}
@@ -117,15 +136,33 @@ func newInferCtx(g *Graph, order []*Node) *inferCtx {
 	} else {
 		c.byName = map[string][]int64{}
 	}
-	ranks := 0
+	ranks, ints, vals := 0, 0, 0
 	for _, n := range order {
+		computes := valueOps[n.OpType] || elementwiseBinary[n.OpType]
 		for i := range n.Outputs {
-			if t := g.Out(n, i); t != nil {
-				ranks += len(t.Shape)
+			t := g.Out(n, i)
+			if t == nil {
+				continue
+			}
+			ranks += len(t.Shape)
+			if t.DType == Int64 && len(t.Shape) <= 1 && t.Shape != nil && t.Shape.NumElements() <= maxShapeVector {
+				vals++
+				if computes {
+					ints += int(t.Shape.NumElements())
+				}
 			}
 		}
 	}
+	if c.valAt != nil {
+		for _, t := range g.adm.tensors {
+			if t.IntData != nil {
+				vals++
+			}
+		}
+		c.vals = make([][]int64, 0, vals)
+	}
 	c.dims = make([]int, 0, ranks)
+	c.ints = make([]int64, 0, ints)
 	return c
 }
 
@@ -142,6 +179,45 @@ func (c *inferCtx) shape(r int) Shape {
 	lo := len(c.dims)
 	c.dims = c.dims[:lo+r]
 	return Shape(c.dims[lo : lo+r : lo+r])
+}
+
+// carve carves an n-int value from the pass's ints, capped like a
+// shape, growing ints as shape grows dims.
+func (c *inferCtx) carve(n int) []int64 {
+	if len(c.ints)+n > cap(c.ints) {
+		c.ints = make([]int64, 0, max(n, 2*cap(c.ints)))
+	}
+	lo := len(c.ints)
+	c.ints = c.ints[:lo+n]
+	return c.ints[lo : lo+n : lo+n]
+}
+
+// uncarve returns v, the last value carved, to ints.
+func (c *inferCtx) uncarve(v []int64) {
+	if n := len(c.ints) - len(v); n >= 0 && len(v) > 0 && &c.ints[n] == &v[0] {
+		c.ints = c.ints[:n]
+	}
+}
+
+// scratchInts carves n ints from the node's scratch. The lists one node
+// takes stay valid while it is inferred, and no value or shape keeps
+// them.
+func (c *inferCtx) scratchInts(n int) []int {
+	if len(c.scratch)+n > cap(c.scratch) {
+		c.scratch = make([]int, 0, max(n, 2*cap(c.scratch)))
+	}
+	lo := len(c.scratch)
+	c.scratch = c.scratch[:lo+n]
+	return c.scratch[lo : lo+n : lo+n]
+}
+
+// intsOf carves v, as ints, from the node's scratch.
+func (c *inferCtx) intsOf(v []int64) []int {
+	out := c.scratchInts(len(v))
+	for i, x := range v {
+		out[i] = int(x)
+	}
+	return out
 }
 
 // shapeOf carves a shape holding dims.
@@ -375,7 +451,7 @@ func (c *inferCtx) inferNode(n *Node) error {
 		// shape-computation chains.
 		if va, ok := c.inVal(n, 0); ok {
 			if vb, ok2 := c.inVal(n, 1); ok2 && len(va) == len(vb) {
-				if v := evalIntBinary(n.OpType, va, vb); v != nil {
+				if v := c.evalIntBinary(n.OpType, va, vb); v != nil {
 					c.setOutVal(n, 0, v)
 				}
 			}
@@ -487,7 +563,7 @@ func (c *inferCtx) inferNode(n *Node) error {
 // targets, Slice bounds and scalar multipliers.
 func (c *inferCtx) inferConstant(n *Node) error {
 	if v, ok := n.Attrs.Get("value_ints"); ok && v.Kind == AttrInts {
-		vals := make([]int64, len(v.Ints))
+		vals := c.carve(len(v.Ints))
 		for i, x := range v.Ints {
 			vals[i] = int64(x)
 		}
@@ -503,8 +579,16 @@ func (c *inferCtx) inferConstant(n *Node) error {
 	return fmt.Errorf("Constant node without value_ints/value_float attribute")
 }
 
-func evalIntBinary(op string, a, b []int64) []int64 {
-	out := make([]int64, len(a))
+// evalIntBinary computes integer arithmetic on known values into a
+// value carved from the pass's ints; nil when op is no arithmetic or
+// divides by zero.
+func (c *inferCtx) evalIntBinary(op string, a, b []int64) []int64 {
+	switch op {
+	case "Add", "Sub", "Mul", "Div":
+	default:
+		return nil
+	}
+	out := c.carve(len(a))
 	for i := range a {
 		switch op {
 		case "Add":
@@ -515,11 +599,10 @@ func evalIntBinary(op string, a, b []int64) []int64 {
 			out[i] = a[i] * b[i]
 		case "Div":
 			if b[i] == 0 {
+				c.uncarve(out)
 				return nil
 			}
 			out[i] = a[i] / b[i]
-		default:
-			return nil
 		}
 	}
 	return out
@@ -706,18 +789,14 @@ func (c *inferCtx) inferTranspose(n *Node) error {
 
 // reshapeTarget resolves the target shape for Reshape/Expand-style ops:
 // from the "shape" attribute if present, otherwise from the known value of
-// the second input tensor.
+// the second input tensor, in the node's scratch.
 func (c *inferCtx) reshapeTarget(n *Node) ([]int, error) {
 	if tgt := n.Attrs.Ints("shape", nil); tgt != nil {
 		return tgt, nil
 	}
 	if len(n.Inputs) >= 2 {
 		if v, ok := c.inVal(n, 1); ok {
-			out := make([]int, len(v))
-			for i, x := range v {
-				out[i] = int(x)
-			}
-			return out, nil
+			return c.intsOf(v), nil
 		}
 		return nil, fmt.Errorf("shape input %q has no known value", n.Inputs[1])
 	}
@@ -800,13 +879,6 @@ func (c *inferCtx) inferConcat(n *Node) error {
 		return err
 	}
 	out := c.clone(first.Shape)
-	allKnown := true
-	var vals []int64
-	if v, ok := c.inVal(n, 0); ok {
-		vals = append(vals, v...)
-	} else {
-		allKnown = false
-	}
 	for i := 1; i < len(n.Inputs); i++ {
 		t, err := c.in(n, i)
 		if err != nil {
@@ -821,13 +893,21 @@ func (c *inferCtx) inferConcat(n *Node) error {
 			}
 		}
 		out[axis] += t.Shape[axis]
-		if v, ok := c.inVal(n, i); ok {
-			vals = append(vals, v...)
-		} else {
-			allKnown = false
-		}
 	}
-	if allKnown && out.Rank() == 1 {
+	if out.Rank() == 1 {
+		total := 0
+		for i := range n.Inputs {
+			v, ok := c.inVal(n, i)
+			if !ok {
+				return c.setOut(n, 0, out, first.DType)
+			}
+			total += len(v)
+		}
+		vals := c.carve(total)[:0]
+		for i := range n.Inputs {
+			v, _ := c.inVal(n, i)
+			vals = append(vals, v...)
+		}
 		c.setOutVal(n, 0, vals)
 	}
 	return c.setOut(n, 0, out, first.DType)
@@ -848,7 +928,7 @@ func (c *inferCtx) inferSplit(n *Node) error {
 		if parts == 0 || x.Shape[axis]%parts != 0 {
 			return fmt.Errorf("Split cannot evenly divide dim %d (%d) into %d outputs", axis, x.Shape[axis], parts)
 		}
-		split = make([]int, parts)
+		split = c.scratchInts(parts)
 		for i := range split {
 			split[i] = x.Shape[axis] / parts
 		}
@@ -889,11 +969,7 @@ func (c *inferCtx) inferSlice(n *Node) error {
 		if !ok {
 			return nil
 		}
-		out := make([]int, len(v))
-		for j, x := range v {
-			out[j] = int(x)
-		}
-		return out
+		return c.intsOf(v)
 	}
 	if starts == nil {
 		starts = intsFromInput(1)
@@ -911,7 +987,7 @@ func (c *inferCtx) inferSlice(n *Node) error {
 		return fmt.Errorf("Slice requires starts/ends (attributes or constant inputs)")
 	}
 	if axes == nil {
-		axes = make([]int, len(starts))
+		axes = c.scratchInts(len(starts))
 		for i := range axes {
 			axes[i] = i
 		}
@@ -1061,9 +1137,9 @@ func (c *inferCtx) inferGather(n *Node) error {
 	// scalar/1-D indices.
 	if v, ok := c.inVal(n, 0); ok && axis == 0 {
 		if iv, ok2 := c.inVal(n, 1); ok2 {
-			res := make([]int64, 0, len(iv))
+			res := c.carve(len(iv))
 			okAll := true
-			for _, i := range iv {
+			for k, i := range iv {
 				if i < 0 {
 					i += int64(len(v))
 				}
@@ -1071,10 +1147,12 @@ func (c *inferCtx) inferGather(n *Node) error {
 					okAll = false
 					break
 				}
-				res = append(res, v[i])
+				res[k] = v[i]
 			}
 			if okAll {
 				c.setOutVal(n, 0, res)
+			} else {
+				c.uncarve(res)
 			}
 		}
 	}
@@ -1086,7 +1164,7 @@ func (c *inferCtx) inferShapeOp(n *Node) error {
 	if err != nil {
 		return err
 	}
-	v := make([]int64, x.Shape.Rank())
+	v := c.carve(x.Shape.Rank())
 	for i, d := range x.Shape {
 		v[i] = int64(d)
 	}
@@ -1234,10 +1312,7 @@ func (c *inferCtx) inferConstantOfShape(n *Node) error {
 	if err != nil {
 		// ConstantOfShape takes the shape from input 0 in ONNX.
 		if v, ok := c.inVal(n, 0); ok {
-			tgt = make([]int, len(v))
-			for i, x := range v {
-				tgt[i] = int(x)
-			}
+			tgt = c.intsOf(v)
 		} else {
 			return err
 		}

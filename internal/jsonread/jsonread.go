@@ -285,10 +285,17 @@ func MapKey[V any](r *Reader, m map[string]V, text *strings.Builder, n int) (key
 		return "", false
 	}
 	if _, dup := m[string(b)]; dup {
-		r.fail(r.keyAt, "duplicate key "+strconv.Quote(string(b)))
+		r.RefuseKey(string(b))
 		return "", false
 	}
 	return appendText(text, b, ""), true
+}
+
+// RefuseKey fails the read at the last key read, key, as a repeated
+// key of a map-shaped object: a caller that tells repeats apart
+// without a map passes MapKey a nil map and refuses them here.
+func (r *Reader) RefuseKey(key string) {
+	r.fail(r.keyAt, "duplicate key "+strconv.Quote(key))
 }
 
 // str reads the string whose opening quote is at r.pos and returns its

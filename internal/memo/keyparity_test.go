@@ -92,10 +92,10 @@ func TestKeysUnchangedOnViews(t *testing.T) {
 						if got, want := nodeNames(truth.OriginalNodes()), nodeNames(rawTruth.OriginalNodes()); !slices.Equal(got, want) {
 							t.Fatalf("%s layer %q: group %v on the view, %v on a raw copy", point, l.Name, got, want)
 						}
-						if truth.Fused != nil && (!slices.Equal(truth.Fused.Inputs, rawTruth.Fused.Inputs) ||
-							!slices.Equal(truth.Fused.Outputs, rawTruth.Fused.Outputs)) {
+						if raw := rawEng.Layers()[i]; !slices.Equal(l.InputTensors, raw.InputTensors) ||
+							!slices.Equal(l.OutputTensors, raw.OutputTensors) {
 							t.Fatalf("%s layer %q: boundary %v -> %v on the view, %v -> %v on a raw copy", point, l.Name,
-								truth.Fused.Inputs, truth.Fused.Outputs, rawTruth.Fused.Inputs, rawTruth.Fused.Outputs)
+								l.InputTensors, l.OutputTensors, raw.InputTensors, raw.OutputTensors)
 						}
 						kind := "normal"
 						if l.Opaque {
